@@ -9,10 +9,11 @@ use ise_core::{
     CorpusOptions, CorpusStats, IseError, TemplateBudget, WarmCacheConfig, WarmPoolCache,
 };
 use ise_hw::SoftwareLatencyModel;
+use ise_ir::Program;
 
 use crate::request::{
-    CorpusProgramOutcome, CorpusRequest, CorpusResponse, IseRequest, IseResponse, ProgramSource,
-    SweepRequest, SweepResponse,
+    CorpusProgramOutcome, CorpusRequest, CorpusResponse, IseRequest, IseResponse, SweepRequest,
+    SweepResponse,
 };
 use crate::session::Session;
 
@@ -122,42 +123,7 @@ impl BatchService {
         request: &CorpusRequest,
         cache: &Arc<WarmPoolCache>,
     ) -> Result<(CorpusResponse, CorpusStats, Vec<ShardProgress>), IseError> {
-        Self::validate_corpus(request)?;
-        // `resolve_corpus`: a multi-function `.ll` source contributes one program
-        // per function, so the response may list more programs than the request.
-        let programs: Vec<_> = request
-            .programs
-            .iter()
-            .map(ProgramSource::resolve_corpus)
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .flatten()
-            .collect();
-        let corpus_options = self.corpus_options(request);
-        let model = ise_hw::DefaultCostModel::new();
-        let outcome = ise_core::run_corpus_warm(&programs, &model, &corpus_options, cache);
-        let software = SoftwareLatencyModel::new();
-        let outcomes = programs
-            .iter()
-            .zip(outcome.selections)
-            .map(|(program, selection)| {
-                let report = selection.speedup_report(program, &software);
-                CorpusProgramOutcome {
-                    program: program.name().to_string(),
-                    selection,
-                    report,
-                }
-            })
-            .collect();
-        Ok((
-            CorpusResponse {
-                constraints: request.constraints,
-                programs: outcomes,
-                templates: outcome.templates,
-            },
-            outcome.stats,
-            outcome.shards,
-        ))
+        self.execute_corpus(request, cache, None)
     }
 
     /// Executes one corpus request in streaming mode: program sources resolve
@@ -182,21 +148,44 @@ impl BatchService {
         request: &CorpusRequest,
         max_in_flight: usize,
     ) -> Result<(CorpusResponse, CorpusStats, Vec<ShardProgress>), IseError> {
-        Self::validate_corpus(request)?;
-        if max_in_flight == 0 {
+        let cache = Arc::new(WarmPoolCache::new(WarmCacheConfig::default()));
+        self.execute_corpus(request, &cache, Some(max_in_flight))
+    }
+
+    /// The one corpus body: validates, resolves, selects and reports.
+    ///
+    /// Without `max_in_flight` every source resolves before any analysis (a bad
+    /// source fails fast) and the corpus runs as one chunk; with it, sources resolve
+    /// lazily and at most that many programs are alive at once.
+    fn execute_corpus(
+        &self,
+        request: &CorpusRequest,
+        cache: &Arc<WarmPoolCache>,
+        max_in_flight: Option<usize>,
+    ) -> Result<(CorpusResponse, CorpusStats, Vec<ShardProgress>), IseError> {
+        if request.programs.is_empty() {
+            return Err(IseError::InvalidRequest(
+                "a corpus needs at least one program".to_string(),
+            ));
+        }
+        if request.constraints.max_inputs == 0 || request.constraints.max_outputs == 0 {
+            return Err(IseError::InvalidRequest(format!(
+                "constraints must allow at least one read and one write port, got {}",
+                request.constraints
+            )));
+        }
+        if max_in_flight == Some(0) {
             return Err(IseError::InvalidRequest(
                 "streaming needs at least one in-flight program".to_string(),
             ));
         }
-        if request.templates.is_some() {
+        if max_in_flight.is_some() && request.templates.is_some() {
             return Err(IseError::InvalidRequest(
                 "template selection is corpus-global and unavailable in streaming mode".to_string(),
             ));
         }
-        let corpus_options = self.corpus_options(request);
-        let model = ise_hw::DefaultCostModel::new();
-        let software = SoftwareLatencyModel::new();
-        let mut outcomes = Vec::with_capacity(request.programs.len());
+        // `resolve_corpus`: a multi-function `.ll` source contributes one program
+        // per function, so the response may list more programs than the request.
         let mut failure: Option<IseError> = None;
         let sources = request
             .programs
@@ -209,48 +198,61 @@ impl BatchService {
                 }
             })
             .flatten();
-        let stream = ise_core::run_corpus_streaming(
-            sources,
+        let programs: Box<dyn Iterator<Item = Program> + '_> = match max_in_flight {
+            Some(_) => Box::new(sources),
+            None => {
+                let resolved: Vec<Program> = sources.collect();
+                if let Some(error) = failure {
+                    return Err(error);
+                }
+                Box::new(resolved.into_iter())
+            }
+        };
+        let options = self.corpus_options(request);
+        let model = ise_hw::DefaultCostModel::new();
+        let software = SoftwareLatencyModel::new();
+        let mut outcomes = Vec::with_capacity(request.programs.len());
+        // Template selection is corpus-global: keep the programs it needs.
+        let mut kept = Vec::new();
+        let (stats, shards) = ise_core::run_corpus_streaming_warm(
+            programs,
             &model,
-            &corpus_options,
-            max_in_flight,
-            |_, program, selection| {
+            &options,
+            max_in_flight.unwrap_or(usize::MAX),
+            cache,
+            &mut |program, selection| {
                 let report = selection.speedup_report(&program, &software);
                 outcomes.push(CorpusProgramOutcome {
                     program: program.name().to_string(),
                     selection,
                     report,
                 });
+                if options.templates.is_some() {
+                    kept.push(program);
+                }
             },
         );
         if let Some(error) = failure {
             return Err(error);
         }
+        let templates = options.templates.map(|budget| {
+            ise_core::run_template_selection(
+                &kept,
+                &model,
+                options.constraints,
+                options.exploration_budget,
+                budget,
+            )
+        });
         Ok((
             CorpusResponse {
                 constraints: request.constraints,
                 programs: outcomes,
-                templates: None,
+                templates,
             },
-            stream.stats,
-            stream.shards,
+            stats,
+            shards,
         ))
-    }
-
-    /// The request-independent corpus validation shared by all three entry points.
-    fn validate_corpus(request: &CorpusRequest) -> Result<(), IseError> {
-        if request.programs.is_empty() {
-            return Err(IseError::InvalidRequest(
-                "a corpus needs at least one program".to_string(),
-            ));
-        }
-        if request.constraints.max_inputs == 0 || request.constraints.max_outputs == 0 {
-            return Err(IseError::InvalidRequest(format!(
-                "constraints must allow at least one read and one write port, got {}",
-                request.constraints
-            )));
-        }
-        Ok(())
     }
 
     /// Folds the request's knobs and this service's parallelism into [`CorpusOptions`].

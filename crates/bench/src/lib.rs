@@ -51,6 +51,27 @@ pub mod serve_bench;
 pub mod sweep_bench;
 pub mod template_bench;
 
+/// Logical CPUs available to this process (the thread count the parallel paths use).
+#[must_use]
+pub fn nproc() -> u64 {
+    std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
+}
+
+/// The git revision of the working tree the gate ran from (`-dirty` when it has
+/// uncommitted changes), or `"unknown"` outside a git checkout.
+#[must_use]
+pub fn git_revision() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=40"])
+        .output()
+        .ok()
+        .filter(|output| output.status.success())
+        .and_then(|output| String::from_utf8(output.stdout).ok())
+        .map(|text| text.trim().to_string())
+        .filter(|text| !text.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// Default exploration budget (cuts considered per identifier invocation) applied to the
 /// exact algorithms when they are driven over the largest blocks; the paper similarly
 /// notes that the Optimal algorithm could not be run on the largest adpcmdecode blocks.

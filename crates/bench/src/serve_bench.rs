@@ -5,9 +5,11 @@
 //! cache answers duplicate-heavy corpus requests at least 2x faster than cold
 //! dispatch (the enumeration is paid once per structure, not once per request).
 //! This experiment measures both, plus the striped-lock concurrency row
-//! (satellite of the same PR: 1 segment versus 16 under concurrent hits) and a
-//! snapshot persistence round-trip, and emits the machine-readable
-//! `BENCH_serve.json`. The `serve_gate` binary exits non-zero when identity,
+//! (1 segment versus 16 under concurrent hits) and a snapshot persistence
+//! round-trip, and emits the machine-readable `BENCH_serve.json`. Cold and warm
+//! phases alternate for several repeats and the pay-off is the median of the
+//! per-repeat warm/cold throughput ratios, so one noisy phase cannot flip the
+//! verdict. The `serve_gate` binary exits non-zero when identity,
 //! the warm pay-off, or persistence fail — CI runs it like `corpus_gate`.
 //!
 //! Dispatch is measured through [`ServeService::handle`] directly (no TCP), so
@@ -19,6 +21,10 @@ use std::time::Instant;
 use ise_api::{json, BatchService, CorpusRequest, ProgramSource, ServeConfig, ServeService};
 use ise_core::{Constraints, DriverOptions, IdentifierConfig};
 use ise_workloads::corpus::{duplicate_heavy, CorpusConfig};
+
+/// Alternating cold/warm repeats per run; the gate reads the median warm/cold
+/// ratio over them.
+pub const REPEATS: usize = 5;
 
 /// Configuration of the serve-mode experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,20 +161,29 @@ impl LatencyReport {
 pub struct ServeBenchReport {
     /// Programs in the corpus behind every request.
     pub programs: u64,
+    /// Logical CPUs of the machine the gate ran on.
+    pub nproc: u64,
+    /// The git revision the gate ran from.
+    pub git_revision: String,
+    /// Alternating cold/warm repeats measured.
+    pub repeats: u64,
     /// Whether every served response was byte-identical to the one-shot path
     /// (cold, warm, concurrent and post-snapshot alike).
     pub identical: bool,
-    /// `warm.requests_per_sec / cold.requests_per_sec` (the gate requires >= 2).
+    /// Median over the repeats of the warm/cold throughput ratio (the gate
+    /// requires >= 2).
     pub warm_speedup: f64,
-    /// Cold dispatch: every request against a fresh cache.
+    /// The warm/cold throughput ratio of each repeat, in run order.
+    pub speedups: Vec<f64>,
+    /// Cold dispatch, over every repeat: every request against a fresh cache.
     pub cold: LatencyReport,
-    /// Warm dispatch: every request against the primed process-lifetime cache.
+    /// Warm dispatch, over every repeat: every request against a primed cache.
     pub warm: LatencyReport,
     /// Fills paid by one cold request.
     pub cold_fills: u64,
-    /// Fills paid across the whole warm phase (the gate requires 0).
+    /// Fills paid across every warm phase (the gate requires 0).
     pub warm_fills: u64,
-    /// Cache hit rate over the warm phase.
+    /// Cache hit rate over the warm phases.
     pub warm_hit_rate: f64,
     /// Wall-clock of the concurrent warm-hit row on a single-segment cache
     /// (the pre-satellite global-lock layout), milliseconds.
@@ -201,33 +216,43 @@ pub fn run(config: &ServeBenchConfig) -> ServeBenchReport {
     ]));
     let mut identical = true;
 
-    // Cold: a fresh cache per request — every request pays the full enumeration.
-    let mut cold_latencies = Vec::with_capacity(config.cold_requests);
+    // Cold and warm phases alternate; each repeat contributes one throughput ratio.
+    let mut cold_latencies = Vec::new();
+    let mut warm_latencies = Vec::new();
+    let mut speedups = Vec::with_capacity(REPEATS);
     let mut cold_fills = 0;
-    for _ in 0..config.cold_requests.max(1) {
-        let service = ServeService::new(&config.serve_config(16));
-        let start = Instant::now();
-        let response = service.handle(&line);
-        cold_latencies.push(start.elapsed().as_secs_f64() * 1_000.0);
-        identical &= response == expected;
-        cold_fills = service.cache_stats().fills;
-    }
+    let mut warm_fills = 0;
+    let mut warm_hits = 0;
+    for _ in 0..REPEATS {
+        // Cold: a fresh cache per request — every request pays the full enumeration.
+        let mut cold = Vec::with_capacity(config.cold_requests);
+        for _ in 0..config.cold_requests.max(1) {
+            let service = ServeService::new(&config.serve_config(16));
+            let start = Instant::now();
+            let response = service.handle(&line);
+            cold.push(start.elapsed().as_secs_f64() * 1_000.0);
+            identical &= response == expected;
+            cold_fills = service.cache_stats().fills;
+        }
 
-    // Warm: one process-lifetime cache, primed by its first request.
-    let service = ServeService::new(&config.serve_config(16));
-    identical &= service.handle(&line) == expected;
-    let fills_after_prime = service.cache_stats().fills;
-    let hits_before = service.cache_stats().hits;
-    let mut warm_latencies = Vec::with_capacity(config.warm_requests);
-    for _ in 0..config.warm_requests.max(1) {
-        let start = Instant::now();
-        let response = service.handle(&line);
-        warm_latencies.push(start.elapsed().as_secs_f64() * 1_000.0);
-        identical &= response == expected;
+        // Warm: one process-lifetime cache, primed by its first request.
+        let service = ServeService::new(&config.serve_config(16));
+        identical &= service.handle(&line) == expected;
+        let primed = service.cache_stats();
+        let mut warm = Vec::with_capacity(config.warm_requests);
+        for _ in 0..config.warm_requests.max(1) {
+            let start = Instant::now();
+            let response = service.handle(&line);
+            warm.push(start.elapsed().as_secs_f64() * 1_000.0);
+            identical &= response == expected;
+        }
+        let after = service.cache_stats();
+        warm_fills += after.fills - primed.fills;
+        warm_hits += after.hits - primed.hits;
+        speedups.push(mean(&cold) / mean(&warm));
+        cold_latencies.extend(cold);
+        warm_latencies.extend(warm);
     }
-    let warm_stats = service.cache_stats();
-    let warm_fills = warm_stats.fills - fills_after_prime;
-    let warm_hits = warm_stats.hits - hits_before;
     let warm_lookups = warm_hits + warm_fills;
     let warm_hit_rate = if warm_lookups > 0 {
         warm_hits as f64 / warm_lookups as f64
@@ -273,18 +298,16 @@ pub fn run(config: &ServeBenchConfig) -> ServeBenchReport {
     let snapshot_warm_fills = restarted.cache_stats().fills;
     let _ = std::fs::remove_dir_all(&dir);
 
-    let cold = LatencyReport::new(cold_latencies);
-    let warm = LatencyReport::new(warm_latencies);
     ServeBenchReport {
         programs: config.corpus.programs as u64,
+        nproc: crate::nproc(),
+        git_revision: crate::git_revision(),
+        repeats: speedups.len() as u64,
         identical,
-        warm_speedup: if cold.requests_per_sec > 0.0 {
-            warm.requests_per_sec / cold.requests_per_sec
-        } else {
-            f64::INFINITY
-        },
-        cold,
-        warm,
+        warm_speedup: median(&speedups),
+        speedups,
+        cold: LatencyReport::new(cold_latencies),
+        warm: LatencyReport::new(warm_latencies),
         cold_fills,
         warm_fills,
         warm_hit_rate,
@@ -292,6 +315,24 @@ pub fn run(config: &ServeBenchConfig) -> ServeBenchReport {
         concurrent_striped_ms: concurrent[1],
         snapshot_roundtrip_identical,
         snapshot_warm_fills,
+    }
+}
+
+/// Mean of a non-empty latency list, milliseconds (a phase's throughput ratio is
+/// the inverse ratio of its mean latencies).
+fn mean(latencies_ms: &[f64]) -> f64 {
+    latencies_ms.iter().sum::<f64>() / latencies_ms.len() as f64
+}
+
+/// Median of a non-empty list (mean of the middle two for an even length).
+fn median(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
+    let mid = sorted.len() / 2;
+    if sorted.len().is_multiple_of(2) {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    } else {
+        sorted[mid]
     }
 }
 
@@ -310,8 +351,8 @@ pub fn markdown(report: &ServeBenchReport) -> String {
          | cold | {} | {:.2} | {:.1} | {:.1} |\n\
          | warm | {} | {:.2} | {:.1} | {:.1} |\n\
          \n\
-         warm speed-up: {:.2}x, fills cold/warm: {}/{}, warm hit-rate {:.1}%, \
-         identical: {}\n\
+         warm speed-up: {:.2}x (median of {} repeats), fills cold/warm: {}/{}, \
+         warm hit-rate {:.1}%, identical: {}\n\
          concurrent warm hits: {:.1} ms (1 segment) vs {:.1} ms (16 segments)\n\
          snapshot round-trip identical: {} ({} post-restart fills)\n",
         report.cold.requests,
@@ -323,6 +364,7 @@ pub fn markdown(report: &ServeBenchReport) -> String {
         report.warm.p50_ms,
         report.warm.p99_ms,
         report.warm_speedup,
+        report.repeats,
         report.cold_fills,
         report.warm_fills,
         100.0 * report.warm_hit_rate,
@@ -342,6 +384,7 @@ mod tests {
     fn gate_reports_identity_warm_payoff_and_persistence() {
         let report = run(&ServeBenchConfig::quick());
         assert!(report.identical, "{report:?}");
+        assert_eq!(report.repeats, REPEATS as u64, "{report:?}");
         assert!(report.warm_speedup >= 2.0, "{report:?}");
         assert_eq!(report.warm_fills, 0, "{report:?}");
         assert!(report.snapshot_roundtrip_identical, "{report:?}");
@@ -350,6 +393,10 @@ mod tests {
         for field in [
             "\"identical\"",
             "\"warm_speedup\"",
+            "\"speedups\"",
+            "\"repeats\"",
+            "\"nproc\"",
+            "\"git_revision\"",
             "\"requests_per_sec\"",
             "\"p50_ms\"",
             "\"p99_ms\"",

@@ -84,6 +84,13 @@ impl ModeReport {
 /// The full gate result, as serialised into `BENCH_sweep.json`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct SweepBenchReport {
+    /// Logical CPUs of the machine the gate ran on.
+    pub nproc: u64,
+    /// The git revision the gate ran from.
+    pub git_revision: String,
+    /// Passes of each mode measured (the gate's verdict is deterministic: identity
+    /// and enumeration counts, never wall-clock).
+    pub repeats: u64,
     /// The benchmarks compared.
     pub benchmarks: Vec<String>,
     /// Number of `(Nin, Nout)` pairs swept per benchmark and algorithm.
@@ -139,6 +146,9 @@ pub fn run(config: &SweepBenchConfig) -> SweepBenchReport {
         0.0
     };
     SweepBenchReport {
+        nproc: crate::nproc(),
+        git_revision: crate::git_revision(),
+        repeats: 1,
         benchmarks: programs.iter().map(|p| p.name().to_string()).collect(),
         pairs: config.fig11.constraints.len(),
         identical,
@@ -213,6 +223,9 @@ mod tests {
             "\"wall_ms\"",
             "\"logical_identifier_calls\"",
             "\"physical_identifier_calls\"",
+            "\"nproc\"",
+            "\"git_revision\"",
+            "\"repeats\"",
         ] {
             assert!(json.contains(field), "missing {field} in {json}");
         }

@@ -5,18 +5,22 @@
 //! blocks copy-pasted between programs with nothing but node numbering changed. Run
 //! naively, every one of those blocks pays for its own exponential enumeration.
 //!
-//! The [`CorpusPool`] removes that redundancy *exactly*. Every block is reduced to its
-//! [`StructuralForm`]: an isomorphism-invariant [`StructuralKey`] plus the permutation
-//! between original node ids and canonical positions. Blocks whose keys are byte-equal
-//! walk identical search trees in the canonical order (see [`crate::structural`]), so
-//! the first block to query a `(key, exclusion-state)` pays for one recording
-//! enumeration ([`fill_single_cut`]) and the fill is stored **in canonical
-//! coordinates** — making it independent of *which* isomorphic block happened to fill
-//! it, and therefore independent of thread scheduling. Every later query translates
-//! the canonical answer onto its own node ids and reconstructs the effort counters
-//! from the recorded attempt histogram: byte-identical to what its own direct search
-//! would have produced, `identifier_calls` and `cuts_considered` included
-//! (`tests/corpus_differential.rs` holds the proof).
+//! The [`CorpusPool`] removes that redundancy *exactly*, and it is the crate's only
+//! single-cut fill memo: the corpus driver below and the
+//! [`SweepPlanner`](super::SweepPlanner) both answer through it. Every block is
+//! reduced to its [`StructuralForm`]: an isomorphism-invariant
+//! [`StructuralKey`](crate::structural::StructuralKey) plus the permutation between
+//! original node ids and canonical positions. Blocks whose keys are byte-equal walk
+//! identical search trees in the canonical order (see [`crate::structural`]), so the
+//! first block to query a `(key, exclusion-state, budget group)` pays for one
+//! recording enumeration ([`fill_single_cut`]) and the fill is stored **in canonical coordinates** — making it independent of *which*
+//! isomorphic block happened to fill it, and therefore independent of thread
+//! scheduling. Every later query translates the canonical answer onto its own node
+//! ids, filtered to the queried `(Nin, Nout)` pair, and reconstructs the effort
+//! counters from the recorded attempt histogram: byte-identical to what its own
+//! direct search would have produced, `identifier_calls` and `cuts_considered`
+//! included (`tests/corpus_differential.rs` and `tests/sweep_differential.rs` hold
+//! the proof).
 //!
 //! Storage lives in a [`WarmPoolCache`] (see [`super::warm`]): a run-local pool
 //! creates a private cache, while serve mode shares one process-lifetime cache
@@ -24,22 +28,25 @@
 //! keyed by `(structure, exclusion, budget group)`, a pre-warmed cache changes
 //! nothing but the work saved.
 //!
-//! [`run_corpus`] drives a whole corpus through this pool, sharding programs across
-//! the work-stealing scheduler of the `rayon` shim ([`rayon::sharded_map`]): workers
-//! pull the next unanalysed program from an atomic cursor, results are reassembled in
-//! input order, and per-shard progress comes back as telemetry. With
-//! [`CorpusOptions::dedup`] off the same entry point runs the plain per-program
-//! driver — the reference the differential tests compare against, and the baseline
-//! the `corpus` benchmark measures speedups from. [`run_corpus_streaming`] feeds the
-//! same machinery from an iterator with a bounded number of programs in flight, so
-//! huge corpora never have to be materialised up front.
+//! The corpus driver has one loop, [`run_corpus_streaming_warm`]: it pulls programs
+//! in bounded chunks, shards each chunk across the work-stealing scheduler of the
+//! `rayon` shim ([`rayon::sharded_map`]) — workers pull the next unanalysed program
+//! from an atomic cursor, results are reassembled in input order, and per-shard
+//! progress comes back as telemetry — and hands every selection to a callback.
+//! [`run_corpus_warm`] and [`run_corpus`] are that loop over a borrowed slice as one
+//! chunk, plus the optional template report. With [`CorpusOptions::dedup`] off the
+//! same loop runs the plain per-program driver — the reference the differential
+//! tests compare against, and the baseline the `corpus` benchmark measures speedups
+//! from.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ise_hw::CostModel;
-use ise_ir::Program;
+use ise_ir::{Dfg, Program};
+use rayon::prelude::*;
 use rayon::ShardProgress;
 
 use crate::constraints::Constraints;
@@ -47,9 +54,10 @@ use crate::cut::CutSet;
 use crate::pool::{fill_single_cut, FillOutcome};
 use crate::search::IdentifiedCut;
 use crate::selection::SelectionResult;
-use crate::structural::{StructuralForm, StructuralKey};
+use crate::structural::StructuralForm;
 
 use super::driver::{select_iteratively_core, BlockAnswer, DriverOptions};
+use super::sweep::SweepStats;
 use super::templates::{TemplateBudget, TemplateReport};
 use super::warm::{
     BudgetGroup, CacheKey, CanonicalCandidate, CanonicalFill, FillEntry, WarmCacheConfig,
@@ -184,65 +192,46 @@ pub struct CorpusOutcome {
     pub templates: Option<TemplateReport>,
 }
 
-/// Everything one *streaming* corpus run produces. Selections are handed to the
-/// caller's `emit` callback one program at a time instead of being collected, so
-/// the outcome carries only accounting and telemetry.
-#[derive(Debug, Clone)]
-pub struct CorpusStreamOutcome {
-    /// The run's effort accounting.
-    pub stats: CorpusStats,
-    /// Per-shard telemetry, aggregated over all chunks.
-    pub shards: Vec<ShardProgress>,
-}
-
-/// Per-run identity of one pool slot, for the `unique_keys` / collision accounting.
-#[derive(PartialEq, Eq, Hash)]
-struct SeenKey {
-    structural: StructuralKey,
-    excluded: Vec<u32>,
-}
-
 /// Per-run bookkeeping the pool maintains under one small lock (the heavy slot
 /// storage lives in the striped [`WarmPoolCache`]).
 #[derive(Default)]
 struct RunBook {
-    /// Distinct `(structural key, exclusion state)` pairs this run touched.
-    seen: HashSet<SeenKey>,
+    /// Distinct cache slots this run touched.
+    seen: HashSet<CacheKey>,
     /// First-seen canonical serialization per 64-bit hash, to surface collisions.
     hash_census: HashMap<u64, Vec<u8>>,
     collisions: u64,
 }
 
-/// The shared cross-program memo: one [`fill_single_cut`] enumeration per distinct
+/// The single-cut fill memo: one [`fill_single_cut`] enumeration per distinct
 /// `(structural key, exclusion state, budget group)`, answered by node-relabelling
 /// translation out of a [`WarmPoolCache`].
+///
+/// The fill constraints (the budget group of the cache key) and the pair a query
+/// is answered under may differ, as long as the fill [covers](crate::pool::covers)
+/// the pair: the corpus driver fills and answers under one constraint set, while
+/// the [`SweepPlanner`](super::SweepPlanner) fills each budget group once under its
+/// loosest ports and answers every pair of the group from that fill.
 pub struct CorpusPool<'m> {
     model: &'m dyn CostModel,
-    constraints: Constraints,
     exploration_budget: Option<u64>,
-    group: BudgetGroup,
     cache: Arc<WarmPoolCache>,
     run: Mutex<RunBook>,
-    logical_calls: AtomicU64,
-    logical_cuts: AtomicU64,
+    queries: AtomicU64,
     pool_fills: AtomicU64,
-    pool_answers: AtomicU64,
-    direct_calls: AtomicU64,
     exhausted_fills: AtomicU64,
-    physical_cuts: AtomicU64,
+    fill_cuts: AtomicU64,
+    direct_calls: AtomicU64,
+    direct_cuts: AtomicU64,
 }
 
 impl<'m> CorpusPool<'m> {
-    /// Creates an empty pool for one constraint set and cost model, backed by a
-    /// private run-lifetime cache (the pre-serve behaviour, unchanged).
+    /// Creates an empty pool for one cost model, backed by a private run-lifetime
+    /// cache.
     #[must_use]
-    pub fn new(
-        constraints: Constraints,
-        model: &'m dyn CostModel,
-        exploration_budget: Option<u64>,
-    ) -> Self {
+    pub fn new(model: &'m dyn CostModel, exploration_budget: Option<u64>) -> Self {
         let cache = Arc::new(WarmPoolCache::new(WarmCacheConfig::default()));
-        CorpusPool::with_cache(constraints, model, exploration_budget, cache)
+        CorpusPool::with_cache(model, exploration_budget, cache)
     }
 
     /// Creates a pool backed by a shared, possibly pre-warmed cache.
@@ -253,72 +242,89 @@ impl<'m> CorpusPool<'m> {
     /// cost model its fills were computed under.
     #[must_use]
     pub fn with_cache(
-        constraints: Constraints,
         model: &'m dyn CostModel,
         exploration_budget: Option<u64>,
         cache: Arc<WarmPoolCache>,
     ) -> Self {
         CorpusPool {
             model,
-            constraints,
             exploration_budget,
-            group: BudgetGroup::new(&constraints, exploration_budget),
             cache,
             run: Mutex::new(RunBook::default()),
-            logical_calls: AtomicU64::new(0),
-            logical_cuts: AtomicU64::new(0),
+            queries: AtomicU64::new(0),
             pool_fills: AtomicU64::new(0),
-            pool_answers: AtomicU64::new(0),
-            direct_calls: AtomicU64::new(0),
             exhausted_fills: AtomicU64::new(0),
-            physical_cuts: AtomicU64::new(0),
+            fill_cuts: AtomicU64::new(0),
+            direct_calls: AtomicU64::new(0),
+            direct_cuts: AtomicU64::new(0),
         }
     }
 
-    /// Runs the iterative selection for one program, answering every per-block
-    /// identification from the shared pool.
+    /// Runs the iterative selection for one program under `pair`, answering every
+    /// per-block identification from fills run under the `fill` constraints, which
+    /// must [cover](crate::pool::covers) the pair. `forms` holds the structural
+    /// form of each block of the program, in block order.
     ///
     /// Byte-identical — selection, statistics, `identifier_calls` — to
-    /// [`select_program`](super::select_program) with the `"single-cut"` identifier,
-    /// whatever mixture of fills and translations serves the queries.
+    /// [`select_program`](super::select_program) with the `"single-cut"` identifier
+    /// under `pair`, whatever mixture of fills and translations serves the queries.
+    /// With `options.parallel` set, a round that has to fill more than one slot
+    /// answers its stale blocks in parallel; the result is the same either way.
     #[must_use]
-    pub fn select_program(&self, program: &Program, options: DriverOptions) -> SelectionResult {
-        let forms: Vec<StructuralForm> = program.blocks().iter().map(StructuralForm::of).collect();
+    pub fn select_program(
+        &self,
+        program: &Program,
+        forms: &[StructuralForm],
+        fill: Constraints,
+        pair: &Constraints,
+        options: DriverOptions,
+    ) -> SelectionResult {
         select_iteratively_core(program, options.max_instructions, |work| {
-            work.iter()
-                .map(|&(block, excl)| {
-                    self.answer(
-                        program,
-                        block,
-                        &forms[block],
-                        excl,
-                        options.intra_block_levels,
-                    )
-                })
-                .collect()
+            let answer = |&(block, excluded): &(usize, &CutSet)| {
+                self.answer(
+                    program.block(block),
+                    &forms[block],
+                    excluded,
+                    fill,
+                    pair,
+                    options.intra_block_levels,
+                )
+            };
+            // Answering from a landed fill is too cheap to pay for spawning threads.
+            let fills_needed = || {
+                work.iter()
+                    .filter(|&&(block, excluded)| {
+                        !self
+                            .cache
+                            .is_filled(&self.key(&forms[block], excluded, fill))
+                    })
+                    .count()
+            };
+            if options.parallel && work.len() > 1 && fills_needed() > 1 {
+                work.par_iter().map(answer).collect()
+            } else {
+                work.iter().map(answer).collect()
+            }
         })
     }
 
-    /// Answers one `(block, exclusion)` identification query from the pool, filling
-    /// its slot on first use.
+    /// Answers one `(block, exclusion)` identification query under `pair` from the
+    /// fill under `fill`, filling its slot on first use.
     fn answer(
         &self,
-        program: &Program,
-        block: usize,
+        dfg: &Dfg,
         form: &StructuralForm,
         excluded: &CutSet,
+        fill: Constraints,
+        pair: &Constraints,
         split_levels: usize,
     ) -> BlockAnswer {
-        self.logical_calls.fetch_add(1, Ordering::Relaxed);
-        let dfg = program.block(block);
-        let excluded_canonical = form.to_canonical(excluded);
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        let key = self.key(form, excluded, fill);
         let hash = form.key().hash();
         {
             let mut run = self.run.lock().expect("corpus pool lock poisoned");
-            let newly_seen = run.seen.insert(SeenKey {
-                structural: form.key().clone(),
-                excluded: excluded_canonical.clone(),
-            });
+            let newly_seen = run.seen.insert(key.clone());
             if newly_seen {
                 match run.hash_census.entry(hash) {
                     std::collections::hash_map::Entry::Vacant(slot) => {
@@ -332,30 +338,21 @@ impl<'m> CorpusPool<'m> {
                 }
             }
         }
-        let key = CacheKey {
-            structural: form.key().clone(),
-            excluded: excluded_canonical,
-            group: self.group,
-        };
         let cell = self.cache.lookup(&key);
         let mut filled_now = false;
         let entry = cell.get_or_init(|| {
             filled_now = true;
-            self.fill(dfg, form, excluded)
+            self.fill(dfg, form, excluded, fill)
         });
         if filled_now {
             self.cache.record_fill(&key, entry);
-        } else {
-            self.pool_answers.fetch_add(1, Ordering::Relaxed);
         }
         match entry {
-            FillEntry::Complete(fill) => {
-                let stats = fill.histogram.reconstruct(self.constraints.max_outputs);
-                self.logical_cuts
-                    .fetch_add(stats.cuts_considered, Ordering::Relaxed);
-                let best = fill
+            FillEntry::Complete(canonical) => {
+                let stats = canonical.histogram.reconstruct(pair.max_outputs);
+                let best = canonical
                     .store
-                    .answer(self.constraints.max_inputs, self.constraints.max_outputs)
+                    .answer(pair.max_inputs, pair.max_outputs)
                     .map(|entry| IdentifiedCut {
                         cut: form.cut_from_canonical(dfg, &entry.payload.positions),
                         evaluation: entry.payload.evaluation.clone(),
@@ -366,20 +363,13 @@ impl<'m> CorpusPool<'m> {
                 }
             }
             FillEntry::Exhausted => {
-                // A truncated walk is visit-order-dependent and cannot be translated;
-                // fall back to the direct search, exactly like the sweep planner.
+                // A truncated walk is visit-order-dependent and cannot be translated
+                // or filtered; fall back to the direct search under the queried pair.
                 self.direct_calls.fetch_add(1, Ordering::Relaxed);
                 let identifier = SingleCut::new().with_exploration_budget(self.exploration_budget);
-                let outcome = identifier.identify_split(
-                    dfg,
-                    Some(excluded),
-                    &self.constraints,
-                    self.model,
-                    split_levels,
-                );
-                self.logical_cuts
-                    .fetch_add(outcome.stats.cuts_considered, Ordering::Relaxed);
-                self.physical_cuts
+                let outcome =
+                    identifier.identify_split(dfg, Some(excluded), pair, self.model, split_levels);
+                self.direct_cuts
                     .fetch_add(outcome.stats.cuts_considered, Ordering::Relaxed);
                 BlockAnswer {
                     best: outcome.best,
@@ -389,19 +379,35 @@ impl<'m> CorpusPool<'m> {
         }
     }
 
-    /// Performs one recording enumeration and re-expresses it in canonical
-    /// coordinates.
-    fn fill(&self, dfg: &ise_ir::Dfg, form: &StructuralForm, excluded: &CutSet) -> FillEntry {
+    /// The cache key of one query: structure, canonical exclusion state and the
+    /// budget group of the fill.
+    fn key(&self, form: &StructuralForm, excluded: &CutSet, fill: Constraints) -> CacheKey {
+        CacheKey {
+            structural: form.key().clone(),
+            excluded: form.to_canonical(excluded),
+            group: BudgetGroup::new(&fill, self.exploration_budget),
+        }
+    }
+
+    /// Performs one recording enumeration under `fill` and re-expresses it in
+    /// canonical coordinates.
+    fn fill(
+        &self,
+        dfg: &Dfg,
+        form: &StructuralForm,
+        excluded: &CutSet,
+        fill: Constraints,
+    ) -> FillEntry {
         self.pool_fills.fetch_add(1, Ordering::Relaxed);
         match fill_single_cut(
             dfg,
             Some(excluded),
-            self.constraints,
+            fill,
             self.model,
             self.exploration_budget,
         ) {
             FillOutcome::Complete(pool) => {
-                self.physical_cuts
+                self.fill_cuts
                     .fetch_add(pool.fill_cuts_considered, Ordering::Relaxed);
                 FillEntry::Complete(CanonicalFill {
                     store: pool.store.map(|identified| CanonicalCandidate {
@@ -415,30 +421,39 @@ impl<'m> CorpusPool<'m> {
                 fill_cuts_considered,
             } => {
                 self.exhausted_fills.fetch_add(1, Ordering::Relaxed);
-                self.physical_cuts
+                self.fill_cuts
                     .fetch_add(fill_cuts_considered, Ordering::Relaxed);
                 FillEntry::Exhausted
             }
         }
     }
 
-    /// Snapshot of the pool's accounting (the per-corpus fields are filled in by
-    /// [`run_corpus`]).
-    fn stats(&self) -> CorpusStats {
+    /// Writes the pool's physical accounting into `stats` in corpus terms: every
+    /// query that did not fill counts as an answer.
+    fn record_physical(&self, stats: &mut CorpusStats) {
         let run = self.run.lock().expect("corpus pool lock poisoned");
-        CorpusStats {
-            programs: 0,
-            blocks_seen: 0,
-            unique_keys: run.seen.len() as u64,
-            logical_identifier_calls: self.logical_calls.load(Ordering::Relaxed),
-            logical_cuts_considered: self.logical_cuts.load(Ordering::Relaxed),
+        stats.unique_keys = run.seen.len() as u64;
+        stats.key_collisions = run.collisions;
+        stats.pool_fills = self.pool_fills.load(Ordering::Relaxed);
+        stats.pool_answers = self.queries.load(Ordering::Relaxed) - stats.pool_fills;
+        stats.direct_calls = self.direct_calls.load(Ordering::Relaxed);
+        stats.exhausted_fills = self.exhausted_fills.load(Ordering::Relaxed);
+        stats.physical_cuts_considered =
+            self.fill_cuts.load(Ordering::Relaxed) + self.direct_cuts.load(Ordering::Relaxed);
+        stats.dedup = true;
+    }
+
+    /// The pool's physical accounting in sweep terms: every query answered from a
+    /// complete fill counts as an answer (the logical calls are the planner's).
+    pub(crate) fn sweep_stats(&self) -> SweepStats {
+        let direct_calls = self.direct_calls.load(Ordering::Relaxed);
+        SweepStats {
+            logical_identifier_calls: 0,
             pool_fills: self.pool_fills.load(Ordering::Relaxed),
-            pool_answers: self.pool_answers.load(Ordering::Relaxed),
-            direct_calls: self.direct_calls.load(Ordering::Relaxed),
             exhausted_fills: self.exhausted_fills.load(Ordering::Relaxed),
-            physical_cuts_considered: self.physical_cuts.load(Ordering::Relaxed),
-            key_collisions: run.collisions,
-            dedup: true,
+            fill_cuts_considered: self.fill_cuts.load(Ordering::Relaxed),
+            pool_answers: self.queries.load(Ordering::Relaxed) - direct_calls,
+            direct_calls,
         }
     }
 }
@@ -462,11 +477,11 @@ pub fn run_corpus(
 
 /// [`run_corpus`] against a shared (possibly pre-warmed, process-lifetime) cache.
 ///
-/// With a fresh cache this is exactly [`run_corpus`]. With a warm cache the
-/// selections are still byte-identical — pre-existing fills only turn this run's
-/// fills into answers (`pool_fills` drops, `pool_answers` rises) — which is the
-/// property serve mode's differential soak test asserts. Ignored when
-/// [`CorpusOptions::dedup`] is off (the reference path never memoises).
+/// This is [`run_corpus_streaming_warm`] over the borrowed slice as one chunk, plus
+/// the template report. With a warm cache the selections are still byte-identical —
+/// pre-existing fills only turn this run's fills into answers (`pool_fills` drops,
+/// `pool_answers` rises) — which is the property serve mode's differential soak
+/// test asserts.
 #[must_use]
 pub fn run_corpus_warm(
     programs: &[Program],
@@ -474,57 +489,15 @@ pub fn run_corpus_warm(
     options: &CorpusOptions,
     cache: &Arc<WarmPoolCache>,
 ) -> CorpusOutcome {
-    let blocks_seen: u64 = programs.iter().map(|p| p.block_count() as u64).sum();
-    let (selections, stats, shards) = if options.dedup {
-        let pool = CorpusPool::with_cache(
-            options.constraints,
-            model,
-            options.exploration_budget,
-            Arc::clone(cache),
-        );
-        let run = |_, program: &Program| pool.select_program(program, options.driver);
-        let (selections, shards) = if options.driver.parallel && programs.len() > 1 {
-            rayon::sharded_map(programs, run)
-        } else {
-            let selections = programs.iter().map(|p| run(0, p)).collect();
-            (selections, Vec::new())
-        };
-        (selections, pool.stats(), shards)
-    } else {
-        let identifier = SingleCut::new().with_exploration_budget(options.exploration_budget);
-        let run = |_, program: &Program| {
-            // The per-program driver already fans out across blocks; sharding
-            // programs on top would oversubscribe, so the reference path shards
-            // programs only and runs each program's driver sequentially inside.
-            super::select_program(
-                program,
-                &identifier,
-                options.constraints,
-                model,
-                options.driver.sequential(),
-            )
-        };
-        let (selections, shards) = if options.driver.parallel && programs.len() > 1 {
-            rayon::sharded_map(programs, run)
-        } else {
-            let selections: Vec<SelectionResult> = programs.iter().map(|p| run(0, p)).collect();
-            (selections, Vec::new())
-        };
-        let mut stats = CorpusStats {
-            dedup: false,
-            ..CorpusStats::default()
-        };
-        for selection in &selections {
-            stats.logical_identifier_calls += selection.identifier_calls;
-            stats.logical_cuts_considered += selection.cuts_considered;
-        }
-        stats.physical_cuts_considered = stats.logical_cuts_considered;
-        stats.direct_calls = stats.logical_identifier_calls;
-        (selections, stats, shards)
-    };
-    let mut stats = stats;
-    stats.programs = programs.len() as u64;
-    stats.blocks_seen = blocks_seen;
+    let mut selections = Vec::with_capacity(programs.len());
+    let (stats, shards) = run_corpus_streaming_warm(
+        programs,
+        model,
+        options,
+        programs.len(),
+        cache,
+        &mut |_, selection| selections.push(selection),
+    );
     let templates = options.templates.map(|budget| {
         super::templates::run_template_selection(
             programs,
@@ -542,101 +515,86 @@ pub fn run_corpus_warm(
     }
 }
 
-/// Streams a corpus through the pool with at most `max_in_flight` programs
-/// materialised at a time.
+/// The corpus driver: streams programs through the pool with at most
+/// `max_in_flight` of them materialised at a time, and returns the run's effort
+/// accounting plus the per-shard telemetry.
 ///
 /// Programs are pulled from the iterator in chunks of `max_in_flight` (clamped to
-/// at least 1), analysed — in parallel within a chunk when the driver allows —
-/// and handed to `emit` as `(input index, program, selection)` before the next
-/// chunk is pulled, so peak memory is bounded by the chunk size regardless of
-/// corpus length. The pool (and therefore every fill) is shared across chunks:
-/// selections are byte-identical to a [`run_corpus`] over the same programs, in
-/// the same order, because canonical fills are schedule-independent.
-pub fn run_corpus_streaming(
-    programs: impl IntoIterator<Item = Program>,
-    model: &dyn CostModel,
-    options: &CorpusOptions,
-    max_in_flight: usize,
-    mut emit: impl FnMut(usize, Program, SelectionResult),
-) -> CorpusStreamOutcome {
-    let cache = Arc::new(WarmPoolCache::new(WarmCacheConfig::default()));
-    run_corpus_streaming_warm(programs, model, options, max_in_flight, &cache, &mut emit)
-}
-
-/// [`run_corpus_streaming`] against a shared (possibly pre-warmed) cache.
-pub fn run_corpus_streaming_warm(
-    programs: impl IntoIterator<Item = Program>,
+/// at least 1), analysed — sharded across the work-stealing scheduler within a
+/// chunk when the driver is parallel — and handed to `emit` in input order before
+/// the next chunk is pulled, so peak memory is bounded
+/// by the chunk size regardless of corpus length. Items may be owned programs or
+/// borrowed ones; nothing is cloned. The pool (and therefore every fill) is shared
+/// across chunks: selections are byte-identical to a [`run_corpus`] over the same
+/// programs, in the same order, because canonical fills are schedule-independent.
+/// Each program's own driver runs sequentially (the programs are what is sharded).
+/// Per-shard telemetry sums the items of each shard index over all chunks, and is
+/// empty when the driver is sequential. [`CorpusOptions::templates`] is the
+/// caller's business: template selection needs every program at once.
+pub fn run_corpus_streaming_warm<P: Borrow<Program> + Sync>(
+    programs: impl IntoIterator<Item = P>,
     model: &dyn CostModel,
     options: &CorpusOptions,
     max_in_flight: usize,
     cache: &Arc<WarmPoolCache>,
-    emit: &mut dyn FnMut(usize, Program, SelectionResult),
-) -> CorpusStreamOutcome {
+    emit: &mut dyn FnMut(P, SelectionResult),
+) -> (CorpusStats, Vec<ShardProgress>) {
     let chunk_size = max_in_flight.max(1);
-    let pool = options.dedup.then(|| {
-        CorpusPool::with_cache(
-            options.constraints,
-            model,
-            options.exploration_budget,
-            Arc::clone(cache),
-        )
-    });
+    let pool = options
+        .dedup
+        .then(|| CorpusPool::with_cache(model, options.exploration_budget, Arc::clone(cache)));
     let identifier = SingleCut::new().with_exploration_budget(options.exploration_budget);
+    let driver = options.driver.sequential();
+    let run = |_, program: &P| {
+        let program = program.borrow();
+        match &pool {
+            Some(pool) => {
+                let forms: Vec<StructuralForm> =
+                    program.blocks().iter().map(StructuralForm::of).collect();
+                let constraints = options.constraints;
+                pool.select_program(program, &forms, constraints, &constraints, driver)
+            }
+            None => super::select_program(program, &identifier, options.constraints, model, driver),
+        }
+    };
 
     let mut iterator = programs.into_iter();
     let mut shards: Vec<ShardProgress> = Vec::new();
-    let mut reference_stats = CorpusStats {
-        dedup: options.dedup,
-        ..CorpusStats::default()
-    };
-    let mut programs_seen = 0u64;
-    let mut blocks_seen = 0u64;
-    let mut next_index = 0usize;
+    let mut stats = CorpusStats::default();
     loop {
-        let chunk: Vec<Program> = iterator.by_ref().take(chunk_size).collect();
+        let chunk: Vec<P> = iterator.by_ref().take(chunk_size).collect();
         if chunk.is_empty() {
             break;
         }
-        programs_seen += chunk.len() as u64;
-        blocks_seen += chunk.iter().map(|p| p.block_count() as u64).sum::<u64>();
-        let run = |_, program: &Program| match &pool {
-            Some(pool) => pool.select_program(program, options.driver),
-            None => super::select_program(
-                program,
-                &identifier,
-                options.constraints,
-                model,
-                options.driver.sequential(),
-            ),
-        };
-        let selections = if options.driver.parallel && chunk.len() > 1 {
+        let selections = if options.driver.parallel {
             let (selections, chunk_shards) = rayon::sharded_map(&chunk, run);
-            shards.extend(chunk_shards);
+            for progress in chunk_shards {
+                match shards.iter_mut().find(|s| s.shard == progress.shard) {
+                    Some(shard) => shard.items += progress.items,
+                    None => shards.push(progress),
+                }
+            }
             selections
         } else {
             chunk.iter().map(|p| run(0, p)).collect()
         };
         for (program, selection) in chunk.into_iter().zip(selections) {
-            if pool.is_none() {
-                reference_stats.logical_identifier_calls += selection.identifier_calls;
-                reference_stats.logical_cuts_considered += selection.cuts_considered;
-            }
-            emit(next_index, program, selection);
-            next_index += 1;
+            stats.programs += 1;
+            stats.blocks_seen += program.borrow().block_count() as u64;
+            stats.logical_identifier_calls += selection.identifier_calls;
+            stats.logical_cuts_considered += selection.cuts_considered;
+            emit(program, selection);
         }
     }
 
-    let mut stats = match &pool {
-        Some(pool) => pool.stats(),
+    match &pool {
+        Some(pool) => pool.record_physical(&mut stats),
         None => {
-            reference_stats.physical_cuts_considered = reference_stats.logical_cuts_considered;
-            reference_stats.direct_calls = reference_stats.logical_identifier_calls;
-            reference_stats
+            stats.direct_calls = stats.logical_identifier_calls;
+            stats.physical_cuts_considered = stats.logical_cuts_considered;
         }
-    };
-    stats.programs = programs_seen;
-    stats.blocks_seen = blocks_seen;
-    CorpusStreamOutcome { stats, shards }
+    }
+    (stats, shards)
 }
 
 #[cfg(test)]
@@ -792,16 +750,18 @@ mod tests {
                 })
             };
             let mut selections = Vec::new();
-            let outcome = {
+            let (stats, shards) = {
                 let emitted = Rc::clone(&emitted);
-                run_corpus_streaming(
+                let cache = Arc::new(WarmPoolCache::new(WarmCacheConfig::default()));
+                run_corpus_streaming_warm(
                     source,
                     &model,
                     &options,
                     max_in_flight,
-                    |index, program, selection| {
+                    &cache,
+                    &mut |program, selection| {
+                        assert_eq!(program.name(), format!("p{}", emitted.get()));
                         emitted.set(emitted.get() + 1);
-                        assert_eq!(program.name(), format!("p{index}"));
                         selections.push(selection);
                     },
                 )
@@ -810,12 +770,21 @@ mod tests {
                 selections, batch.selections,
                 "max_in_flight {max_in_flight}"
             );
-            assert_eq!(outcome.stats.programs, 7);
-            assert_eq!(outcome.stats.blocks_seen, 7);
+            assert_eq!(stats.programs, 7);
+            assert_eq!(stats.blocks_seen, 7);
             assert_eq!(
-                outcome.stats.logical_cuts_considered,
+                stats.logical_cuts_considered,
                 batch.stats.logical_cuts_considered
             );
+            // Shard telemetry is per shard over the whole stream, not per chunk.
+            for (i, shard) in shards.iter().enumerate() {
+                assert!(
+                    shards[..i].iter().all(|s| s.shard != shard.shard),
+                    "shard {} listed twice with max_in_flight {max_in_flight}: {shards:?}",
+                    shard.shard
+                );
+            }
+            assert_eq!(shards.iter().map(|s| s.items).sum::<usize>(), 7);
             // The memory ceiling: never more than one chunk of programs alive
             // between the source and the emit callback.
             assert!(
@@ -827,12 +796,14 @@ mod tests {
 
         // The reference (dedup-off) streaming path agrees too.
         let mut selections = Vec::new();
-        run_corpus_streaming(
+        let cache = Arc::new(WarmPoolCache::new(WarmCacheConfig::default()));
+        run_corpus_streaming_warm(
             corpus.clone(),
             &model,
             &options.with_dedup(false),
             2,
-            |_, _, selection| selections.push(selection),
+            &cache,
+            &mut |_, selection| selections.push(selection),
         );
         assert_eq!(selections, batch.selections);
     }

@@ -289,7 +289,7 @@ pub fn select_program(
 
 /// One per-block answer of a refresh round of the iterative strategy: what the
 /// strategy consumes from an identifier invocation (or from a pool answer standing in
-/// for one — see [`super::sweep`]).
+/// for one — see [`super::CorpusPool`]).
 pub(crate) struct BlockAnswer {
     /// The best candidate cut of the block under the current exclusions.
     pub best: Option<IdentifiedCut>,
@@ -301,7 +301,8 @@ pub(crate) struct BlockAnswer {
 ///
 /// `refresh` receives the `(block_index, exclusions)` pairs whose exclusion set changed
 /// and returns one [`BlockAnswer`] per pair, in order. Every caller — the direct driver
-/// below and the pool-backed [`super::sweep::SweepPlanner`] — shares this loop, so the
+/// below and the pool-backed [`super::CorpusPool`] behind the corpus driver and the
+/// [`super::sweep::SweepPlanner`] — shares this loop, so the
 /// commit order, tie-breaks and `identifier_calls` accounting cannot drift between the
 /// direct and the memoised path (the differential test-suite asserts they are
 /// byte-identical).

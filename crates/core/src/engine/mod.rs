@@ -33,8 +33,8 @@ use crate::multicut::MultiCutSearch;
 use crate::search::{SearchOutcome, SearchStats, SingleCutSearch};
 
 pub use corpus::{
-    run_corpus, run_corpus_streaming, run_corpus_streaming_warm, run_corpus_warm, CorpusOptions,
-    CorpusOutcome, CorpusPool, CorpusStats, CorpusStreamOutcome,
+    run_corpus, run_corpus_streaming_warm, run_corpus_warm, CorpusOptions, CorpusOutcome,
+    CorpusPool, CorpusStats,
 };
 pub use driver::{identify_blocks, select_program, DriverOptions};
 pub use registry::{IdentifierConfig, IdentifierFactory, IdentifierRegistry};

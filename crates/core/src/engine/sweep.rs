@@ -10,9 +10,10 @@
 //!
 //! * the queried pairs are grouped by their (area, node-count) budgets, and each group
 //!   gets **fill constraints** — the component-wise loosest ports of the group — under
-//!   which each `(block, exclusion-state)` is enumerated exactly once
-//!   ([`fill_single_cut`]) and each `(block, M)` tuple search exactly once
-//!   ([`fill_multicut`]);
+//!   which each `(block shape, exclusion-state)` is enumerated exactly once
+//!   ([`fill_single_cut`](crate::pool::fill_single_cut), memoised by the planner's
+//!   [`CorpusPool`], so structurally isomorphic blocks share one fill) and each
+//!   `(block, M)` tuple search exactly once ([`fill_multicut`]);
 //! * every covered pair is then answered per round by *filtering* the memoised pool —
 //!   byte-identical to the direct per-pair search, including the `identifier_calls`
 //!   and `cuts_considered` accounting (see the module documentation of [`crate::pool`]
@@ -30,17 +31,15 @@ use std::collections::BTreeMap;
 
 use ise_hw::CostModel;
 use ise_ir::Program;
-use rayon::prelude::*;
 
 use crate::constraints::Constraints;
-use crate::cut::CutSet;
 use crate::multicut::{MultiCutOutcome, MultiCutSearch};
-use crate::pool::{
-    covers, fill_multicut, fill_single_cut, FillOutcome, FilledPool, FilledTuplePool,
-};
+use crate::pool::{covers, fill_multicut, FillOutcome, FilledTuplePool};
 use crate::selection::{select_optimal_core, SelectionResult};
+use crate::structural::StructuralForm;
 
-use super::driver::{select_iteratively_core, BlockAnswer, DriverOptions};
+use super::corpus::CorpusPool;
+use super::driver::DriverOptions;
 use super::{Identifier, SingleCut};
 
 /// Effort accounting of one planner, across every pair it answered.
@@ -94,12 +93,6 @@ impl SweepStats {
     }
 }
 
-/// Memo entry for one single-cut fill.
-enum SingleFill {
-    Pool(FilledPool),
-    Exhausted,
-}
-
 /// Memo entry for one multiple-cut fill.
 enum TupleFill {
     Pool(FilledTuplePool),
@@ -119,8 +112,10 @@ pub struct SweepPlanner<'a> {
     exploration_budget: Option<u64>,
     /// One fill-constraint entry per (area, node-budget) group of the sweep pairs.
     fills: Vec<Constraints>,
-    /// Memoised single-cut pools, keyed by (fill group, block, exclusion set).
-    single_pools: BTreeMap<(usize, usize, Vec<u32>), SingleFill>,
+    /// The single-cut memo (one budget group per fill group) over a private cache.
+    single_pool: CorpusPool<'a>,
+    /// The blocks' structural forms, computed on the first pool-backed single-cut pair.
+    forms: Option<Vec<StructuralForm>>,
     /// Memoised multiple-cut pools, keyed by (fill group, block, cut count).
     tuple_pools: BTreeMap<(usize, usize, usize), TupleFill>,
     stats: SweepStats,
@@ -164,7 +159,8 @@ impl<'a> SweepPlanner<'a> {
             options,
             exploration_budget: None,
             fills: fill_groups(pairs),
-            single_pools: BTreeMap::new(),
+            single_pool: CorpusPool::new(model, None),
+            forms: None,
             tuple_pools: BTreeMap::new(),
             stats: SweepStats::default(),
         }
@@ -175,6 +171,7 @@ impl<'a> SweepPlanner<'a> {
     #[must_use]
     pub fn with_exploration_budget(mut self, budget: Option<u64>) -> Self {
         self.exploration_budget = budget;
+        self.single_pool = CorpusPool::new(self.model, budget);
         self
     }
 
@@ -191,17 +188,14 @@ impl<'a> SweepPlanner<'a> {
     /// The planner's effort accounting so far.
     #[must_use]
     pub fn stats(&self) -> SweepStats {
-        self.stats
+        let mut stats = self.single_pool.sweep_stats();
+        stats.merge(&self.stats);
+        stats
     }
 
     /// The fill group covering `pair`, if any.
     fn group_for(&self, pair: &Constraints) -> Option<usize> {
         self.fills.iter().position(|fill| covers(fill, pair))
-    }
-
-    /// The configured single-cut identifier used by every direct fallback.
-    fn single_cut(&self) -> SingleCut {
-        SingleCut::new().with_exploration_budget(self.exploration_budget)
     }
 
     /// Runs the iterative single-cut selection for every pair, pool-backed where
@@ -260,13 +254,19 @@ impl<'a> SweepPlanner<'a> {
         let result = match group {
             Some(group) => {
                 let program = self.program;
-                let max_instructions = self.options.max_instructions;
-                select_iteratively_core(program, max_instructions, |work| {
-                    self.answer_single_round(group, pair, work)
-                })
+                let forms = self.forms.get_or_insert_with(|| {
+                    program.blocks().iter().map(StructuralForm::of).collect()
+                });
+                self.single_pool.select_program(
+                    program,
+                    forms,
+                    self.fills[group],
+                    pair,
+                    self.options,
+                )
             }
             None => {
-                let identifier = self.single_cut();
+                let identifier = SingleCut::new().with_exploration_budget(self.exploration_budget);
                 let result = super::select_program(
                     self.program,
                     &identifier,
@@ -280,98 +280,6 @@ impl<'a> SweepPlanner<'a> {
         };
         self.stats.logical_identifier_calls += result.identifier_calls;
         result
-    }
-
-    /// Refreshes one round of stale blocks from the pools (filling on demand).
-    fn answer_single_round(
-        &mut self,
-        group: usize,
-        pair: &Constraints,
-        work: &[(usize, &CutSet)],
-    ) -> Vec<BlockAnswer> {
-        let fill = self.fills[group];
-        let budget = self.exploration_budget;
-        let keys: Vec<(usize, usize, Vec<u32>)> = work
-            .iter()
-            .map(|(block, excl)| (group, *block, exclusion_key(excl)))
-            .collect();
-        // Fill the missing (block, exclusion) pools, in parallel when the driver's
-        // block-level fan-out is on; insertion happens in block order either way.
-        let missing: Vec<usize> = (0..work.len())
-            .filter(|&i| !self.single_pools.contains_key(&keys[i]))
-            .collect();
-        let run_fill = |&i: &usize| {
-            let (block, excl) = work[i];
-            (
-                i,
-                fill_single_cut(
-                    self.program.block(block),
-                    Some(excl),
-                    fill,
-                    self.model,
-                    budget,
-                ),
-            )
-        };
-        let filled: Vec<(usize, FillOutcome<FilledPool>)> =
-            if self.options.parallel && missing.len() > 1 {
-                missing.par_iter().map(run_fill).collect()
-            } else {
-                missing.iter().map(run_fill).collect()
-            };
-        for (i, outcome) in filled {
-            self.stats.pool_fills += 1;
-            let entry = match outcome {
-                FillOutcome::Complete(pool) => {
-                    self.stats.fill_cuts_considered += pool.fill_cuts_considered;
-                    SingleFill::Pool(pool)
-                }
-                FillOutcome::Exhausted {
-                    fill_cuts_considered,
-                } => {
-                    self.stats.exhausted_fills += 1;
-                    self.stats.fill_cuts_considered += fill_cuts_considered;
-                    SingleFill::Exhausted
-                }
-            };
-            self.single_pools.insert(keys[i].clone(), entry);
-        }
-        // Answer every stale block: from the pool where valid, directly otherwise.
-        let identifier = self.single_cut();
-        let pools = &self.single_pools;
-        let stats = &mut self.stats;
-        let program = self.program;
-        let model = self.model;
-        let levels = self.options.intra_block_levels;
-        work.iter()
-            .zip(&keys)
-            .map(
-                |(&(block, excl), key)| match pools.get(key).expect("filled or memoised above") {
-                    SingleFill::Pool(pool) => {
-                        stats.pool_answers += 1;
-                        let answer = pool.answer(pair);
-                        BlockAnswer {
-                            best: answer.best,
-                            cuts_considered: answer.stats.cuts_considered,
-                        }
-                    }
-                    SingleFill::Exhausted => {
-                        stats.direct_calls += 1;
-                        let outcome = identifier.identify_split(
-                            program.block(block),
-                            Some(excl),
-                            pair,
-                            model,
-                            levels,
-                        );
-                        BlockAnswer {
-                            best: outcome.best,
-                            cuts_considered: outcome.stats.cuts_considered,
-                        }
-                    }
-                },
-            )
-            .collect()
     }
 
     /// One pair of the optimal strategy.
@@ -459,11 +367,6 @@ impl<'a> SweepPlanner<'a> {
             }
         }
     }
-}
-
-/// Stable memo key of an exclusion set: its node indices in ascending order.
-fn exclusion_key(excl: &CutSet) -> Vec<u32> {
-    excl.iter().map(|id| id.index() as u32).collect()
 }
 
 /// Answers a sweep for an arbitrary identifier: pool-backed for `"single-cut"`,

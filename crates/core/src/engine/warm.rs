@@ -1,12 +1,16 @@
-//! The process-lifetime warm cut-pool cache behind persistent serve mode.
+//! The storage of the single-cut fill memo, and the process-lifetime warm cache
+//! behind persistent serve mode.
 //!
-//! [`CorpusPool`](super::CorpusPool) proved that one canonical-coordinate fill can
-//! answer every structurally isomorphic `(block, exclusion)` query exactly. This
-//! module promotes that memo from run-lifetime to **process-lifetime**: a
-//! [`WarmPoolCache`] outlives individual corpus runs, is shared across requests and
-//! sessions, and can be snapshotted to disk and warm-started on the next boot.
+//! One canonical-coordinate fill answers every structurally isomorphic `(block,
+//! exclusion)` query exactly (see [`CorpusPool`](super::CorpusPool)). Every
+//! single-cut pool fill of the engine — corpus runs and sweeps alike — is stored
+//! in a [`WarmPoolCache`]: a corpus run or a [`SweepPlanner`](super::SweepPlanner)
+//! without a shared cache creates a private one, while serve mode keeps one for the
+//! **process lifetime**: it outlives individual corpus runs, is shared across
+//! requests and sessions, and can be snapshotted to disk and warm-started on the
+//! next boot.
 //!
-//! Three properties make the promotion sound:
+//! Three properties make sharing and persisting fills sound:
 //!
 //! * **Keys carry everything a fill depends on.** A cache key is the block's
 //!   [`StructuralKey`], the exclusion state in canonical positions, and the
@@ -263,6 +267,14 @@ impl WarmPoolCache {
         let cell = Arc::clone(&slot.cell);
         map.insert(key.clone(), slot);
         cell
+    }
+
+    /// Whether the fill of `key` has landed, without touching the hit/miss
+    /// counters or the recency clock.
+    pub(crate) fn is_filled(&self, key: &CacheKey) -> bool {
+        self.lock_segment(self.segment_index(key))
+            .get(key)
+            .is_some_and(|slot| slot.cell.get().is_some())
     }
 
     /// Records that the caller's `get_or_init` landed the fill for `key`, charging

@@ -76,13 +76,13 @@ pub use bitset::BitSet;
 pub use constraints::Constraints;
 pub use cut::{CutEvaluation, CutSet};
 pub use engine::{
-    extract_templates, identify_blocks, run_corpus, run_corpus_streaming,
-    run_corpus_streaming_warm, run_corpus_warm, run_template_selection, select_program,
-    select_templates, select_templates_budgeted, select_templates_exhaustive, sweep_program,
-    BudgetGroup, CorpusOptions, CorpusOutcome, CorpusPool, CorpusStats, CorpusStreamOutcome,
-    DriverOptions, Identifier, IdentifierConfig, IdentifierRegistry, SiteRef, SweepPlanner,
-    SweepStats, Template, TemplateBudget, TemplateReport, TemplateSelectPolicy, TemplateSelection,
-    WarmCacheConfig, WarmCacheStats, WarmPoolCache, SNAPSHOT_FILE,
+    extract_templates, identify_blocks, run_corpus, run_corpus_streaming_warm, run_corpus_warm,
+    run_template_selection, select_program, select_templates, select_templates_budgeted,
+    select_templates_exhaustive, sweep_program, BudgetGroup, CorpusOptions, CorpusOutcome,
+    CorpusPool, CorpusStats, DriverOptions, Identifier, IdentifierConfig, IdentifierRegistry,
+    SiteRef, SweepPlanner, SweepStats, Template, TemplateBudget, TemplateReport,
+    TemplateSelectPolicy, TemplateSelection, WarmCacheConfig, WarmCacheStats, WarmPoolCache,
+    SNAPSHOT_FILE,
 };
 pub use error::IseError;
 pub use kernel::reference::{identify_single_cut_reference, ReferenceCutState};

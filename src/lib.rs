@@ -76,76 +76,3 @@ pub use ise_api::{
     Algorithm, BatchService, IseError, IseRequest, IseResponse, Pass, ProgramSource, Session,
     SessionBuilder,
 };
-
-/// The registry of all six bundled identification algorithms, addressable by name
-/// (`"single-cut"`, `"multicut"`, `"exhaustive"`, `"clubbing"`, `"maxmiso"`,
-/// `"single-node"`).
-#[deprecated(
-    since = "0.2.0",
-    note = "configure a session with `ise::SessionBuilder` (or use \
-            `ise::baselines::full_registry()` for direct engine access)"
-)]
-#[must_use]
-pub fn full_registry() -> ise_core::engine::IdentifierRegistry {
-    ise_baselines::full_registry()
-}
-
-/// Registers the three baseline algorithms in an existing registry.
-#[deprecated(
-    since = "0.2.0",
-    note = "configure a session with `ise::SessionBuilder` (or use \
-            `ise::baselines::register_baselines` for direct engine access)"
-)]
-pub fn register_baselines(registry: &mut ise_core::engine::IdentifierRegistry) {
-    ise_baselines::register_baselines(registry);
-}
-
-/// Selects up to `options.max_instructions` instructions across `program` using
-/// `identifier`, with the per-block identification fanned out in parallel.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a session with `ise::SessionBuilder` and call `Session::run`, \
-            which adds validation, pass pipelines and serialisable responses (or \
-            use `ise::core::engine::select_program` for direct engine access)"
-)]
-#[must_use]
-pub fn select_program(
-    program: &ise_ir::Program,
-    identifier: &dyn ise_core::engine::Identifier,
-    constraints: ise_core::Constraints,
-    model: &dyn ise_hw::CostModel,
-    options: ise_core::DriverOptions,
-) -> ise_core::SelectionResult {
-    ise_core::engine::select_program(program, identifier, constraints, model, options)
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate_to_the_new_stack() {
-        use ise_core::engine::DriverOptions;
-        use ise_hw::DefaultCostModel;
-
-        let registry = crate::full_registry();
-        assert_eq!(registry.names().len(), 6);
-        let identifier = registry.create("single-cut").expect("bundled algorithm");
-        let program = ise_workloads::adpcm::decode_program();
-        let model = DefaultCostModel::new();
-        let legacy = crate::select_program(
-            &program,
-            identifier.as_ref(),
-            ise_core::Constraints::new(4, 2),
-            &model,
-            DriverOptions::new(4),
-        );
-
-        let session = crate::SessionBuilder::new()
-            .constraints(ise_core::Constraints::new(4, 2))
-            .max_instructions(4)
-            .build()
-            .expect("valid configuration");
-        let response = session.run(&program).expect("valid program");
-        assert_eq!(response.selection, legacy);
-    }
-}

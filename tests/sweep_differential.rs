@@ -13,7 +13,7 @@ use ise_core::{
 };
 use ise_hw::{DefaultCostModel, SoftwareLatencyModel};
 use ise_ir::Program;
-use ise_workloads::{random, suite};
+use ise_workloads::{adpcm, corpus, random, suite};
 
 fn to_json<T: serde::Serialize>(value: &T) -> String {
     serde::json::to_string(value)
@@ -108,6 +108,45 @@ fn random_dags_pool_vs_direct_with_heavy_exclusions() {
             "seed {seed}"
         );
     }
+}
+
+/// Seeded isomorphic relabellings of one Fig. 11 kernel block: the sweep stays
+/// byte-identical to direct per-pair runs, and the blocks share one fill per shape, so
+/// the copies pay no more fills than a program holding a single copy of the block.
+#[test]
+fn isomorphic_blocks_share_fills_across_a_sweep() {
+    let model = DefaultCostModel::new();
+    let pairs = Constraints::paper_sweep();
+    let options = DriverOptions::new(4);
+    let kernel = adpcm::decode_program();
+    let block = kernel
+        .blocks()
+        .iter()
+        .max_by_key(|block| block.exec_count())
+        .expect("the kernel has blocks");
+    let mut single = Program::new("single");
+    single.add_block(block.clone());
+    let mut copies = Program::new("copies");
+    for seed in 0..4u64 {
+        let mut copy = corpus::shuffled_isomorph(block, format!("copy{seed}"), seed);
+        copy.set_exec_count(block.exec_count() * (seed + 1));
+        copies.add_block(copy);
+    }
+    let sweep_fills = |program: &Program| {
+        let mut planner = SweepPlanner::new(program, &model, options, &pairs);
+        let pooled = planner.run_single_cut(&pairs);
+        for (pair, pooled) in pairs.iter().zip(&pooled) {
+            let direct = select_program(program, &SingleCut::new(), *pair, &model, options);
+            assert_identical(program, pair, pooled, &direct);
+        }
+        planner.stats().pool_fills
+    };
+    let single_fills = sweep_fills(&single);
+    let copies_fills = sweep_fills(&copies);
+    assert!(
+        copies_fills <= single_fills,
+        "four isomorphic copies paid {copies_fills} fills, one copy {single_fills}"
+    );
 }
 
 /// The optimal (multiple-cut) strategy: pool-backed tuples versus direct
