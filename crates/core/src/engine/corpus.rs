@@ -42,7 +42,7 @@
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use ise_hw::CostModel;
 use ise_ir::{Dfg, Program};
@@ -319,35 +319,8 @@ impl<'m> CorpusPool<'m> {
         pair: &Constraints,
         split_levels: usize,
     ) -> BlockAnswer {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let key = self.key(form, excluded, fill);
-        let hash = form.key().hash();
-        {
-            let mut run = self.run.lock().expect("corpus pool lock poisoned");
-            let newly_seen = run.seen.insert(key.clone());
-            if newly_seen {
-                match run.hash_census.entry(hash) {
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        slot.insert(form.key().bytes().to_vec());
-                    }
-                    std::collections::hash_map::Entry::Occupied(seen) => {
-                        if seen.get() != form.key().bytes() {
-                            run.collisions += 1;
-                        }
-                    }
-                }
-            }
-        }
-        let cell = self.cache.lookup(&key);
-        let mut filled_now = false;
-        let entry = cell.get_or_init(|| {
-            filled_now = true;
-            self.fill(dfg, form, excluded, fill)
-        });
-        if filled_now {
-            self.cache.record_fill(&key, entry);
-        }
-        match entry {
+        let cell = self.fill_slot(dfg, form, excluded, fill);
+        match cell.get().expect("fill_slot returns a filled cell") {
             FillEntry::Complete(canonical) => {
                 let stats = canonical.histogram.reconstruct(pair.max_outputs);
                 let best = canonical
@@ -377,6 +350,75 @@ impl<'m> CorpusPool<'m> {
                 }
             }
         }
+    }
+
+    /// Every Pareto candidate of one `(block, exclusion)` fill under `constraints`,
+    /// in enumeration order — or, when the fill exhausted its exploration budget,
+    /// the direct search's best cut.
+    pub(crate) fn candidates(
+        &self,
+        dfg: &Dfg,
+        form: &StructuralForm,
+        excluded: &CutSet,
+        constraints: Constraints,
+    ) -> Vec<IdentifiedCut> {
+        let cell = self.fill_slot(dfg, form, excluded, constraints);
+        match cell.get().expect("fill_slot returns a filled cell") {
+            FillEntry::Complete(fill) => {
+                let (entries, _) = fill.store.parts();
+                entries
+                    .iter()
+                    .map(|entry| IdentifiedCut {
+                        cut: form.cut_from_canonical(dfg, &entry.payload.positions),
+                        evaluation: entry.payload.evaluation.clone(),
+                    })
+                    .collect()
+            }
+            FillEntry::Exhausted => {
+                let answer = self.answer(dfg, form, excluded, constraints, &constraints, 0);
+                answer.best.into_iter().collect()
+            }
+        }
+    }
+
+    /// The memoised fill of one `(block, exclusion)` query under the `fill`
+    /// constraints, filling its slot on first use; the returned cell is filled.
+    fn fill_slot(
+        &self,
+        dfg: &Dfg,
+        form: &StructuralForm,
+        excluded: &CutSet,
+        fill: Constraints,
+    ) -> Arc<OnceLock<FillEntry>> {
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        let key = self.key(form, excluded, fill);
+        let hash = form.key().hash();
+        {
+            let mut run = self.run.lock().expect("corpus pool lock poisoned");
+            let newly_seen = run.seen.insert(key.clone());
+            if newly_seen {
+                match run.hash_census.entry(hash) {
+                    std::collections::hash_map::Entry::Vacant(slot) => {
+                        slot.insert(form.key().bytes().to_vec());
+                    }
+                    std::collections::hash_map::Entry::Occupied(seen) => {
+                        if seen.get() != form.key().bytes() {
+                            run.collisions += 1;
+                        }
+                    }
+                }
+            }
+        }
+        let cell = self.cache.lookup(&key);
+        let mut filled_now = false;
+        let entry = cell.get_or_init(|| {
+            filled_now = true;
+            self.fill(dfg, form, excluded, fill)
+        });
+        if filled_now {
+            self.cache.record_fill(&key, entry);
+        }
+        cell
     }
 
     /// The cache key of one query: structure, canonical exclusion state and the
@@ -519,18 +561,16 @@ pub fn run_corpus_warm(
 /// `max_in_flight` of them materialised at a time, and returns the run's effort
 /// accounting plus the per-shard telemetry.
 ///
-/// Programs are pulled from the iterator in chunks of `max_in_flight` (clamped to
-/// at least 1), analysed — sharded across the work-stealing scheduler within a
-/// chunk when the driver is parallel — and handed to `emit` in input order before
-/// the next chunk is pulled, so peak memory is bounded
-/// by the chunk size regardless of corpus length. Items may be owned programs or
-/// borrowed ones; nothing is cloned. The pool (and therefore every fill) is shared
-/// across chunks: selections are byte-identical to a [`run_corpus`] over the same
-/// programs, in the same order, because canonical fills are schedule-independent.
-/// Each program's own driver runs sequentially (the programs are what is sharded).
-/// Per-shard telemetry sums the items of each shard index over all chunks, and is
-/// empty when the driver is sequential. [`CorpusOptions::templates`] is the
-/// caller's business: template selection needs every program at once.
+/// Programs are pulled in chunks of `max_in_flight` (at least 1), sharded across the
+/// work-stealing scheduler when the driver is parallel, and handed to `emit` in
+/// input order before the next chunk is pulled. Items may be owned or borrowed
+/// programs; nothing is cloned. The pool is shared across chunks, and canonical
+/// fills are schedule-independent, so selections are byte-identical to a
+/// [`run_corpus`] over the same programs. Each program's own driver runs
+/// sequentially (the programs are what is sharded). Shard telemetry sums the items
+/// of each shard index over all chunks and is empty on the sequential path.
+/// [`CorpusOptions::templates`] is the caller's business: template selection needs
+/// every program at once.
 pub fn run_corpus_streaming_warm<P: Borrow<Program> + Sync>(
     programs: impl IntoIterator<Item = P>,
     model: &dyn CostModel,

@@ -6,11 +6,11 @@
 //! module closes that gap exactly, reusing the corpus layer's structural machinery:
 //!
 //! 1. **Extraction** ([`extract_templates`]). Every Pareto candidate cut emitted by a
-//!    [`fill_single_cut`] enumeration per distinct block shape — the whole-block fill
-//!    plus residual re-fill rounds that exclude each round's best cut, so the disjoint
-//!    secondary cuts the iterative driver reaches become candidates too — is
-//!    re-expressed as a standalone sub-DFG and canonicalised through
-//!    [`StructuralForm`]. Two candidate
+//!    [`fill_single_cut`](crate::pool::fill_single_cut) enumeration (read through a
+//!    [`CorpusPool`]) per distinct block shape — the whole-block fill plus residual
+//!    re-fill rounds that exclude each round's best cut, so the disjoint secondary
+//!    cuts the iterative driver reaches become candidates too — is re-expressed as a
+//!    standalone sub-DFG and canonicalised through [`StructuralForm`]. Two candidate
 //!    cuts — in different blocks, different programs, different parent shapes — belong
 //!    to the same [`Template`] iff the canonical serializations of their sub-DFGs are
 //!    **byte-equal** ([`StructuralKey`] equality; the 64-bit hash is only a map index).
@@ -44,11 +44,10 @@ use ise_ir::{Dfg, DfgBuilder, Operand, Program};
 use crate::constraints::Constraints;
 use crate::cut::{CutEvaluation, CutSet};
 use crate::kernel::{Incumbent, SearchKernel, SearchPolicy};
-use crate::pool::{fill_single_cut, FillOutcome};
-use crate::search::SearchStats;
+use crate::search::{IdentifiedCut, SearchStats};
 use crate::structural::{StructuralForm, StructuralKey};
 
-use super::{Identifier, SingleCut};
+use super::CorpusPool;
 
 /// Absolute slack applied to every area-budget feasibility test, so that a budget set
 /// to the exact sum of table areas is never rejected by float rounding. Shared by the
@@ -195,78 +194,52 @@ fn cut_subgraph(dfg: &Dfg, cut: &CutSet) -> Dfg {
 /// driver; the cap bounds the work per distinct shape.
 const ENUMERATION_ROUNDS: usize = 8;
 
-/// One round of candidate enumeration: the Pareto pool of the block with `excluded`
-/// nodes kept in software (an exhausted fill degrades to the direct search's single
-/// best cut).
-fn enumerate_round(
-    dfg: &Dfg,
-    excluded: Option<&CutSet>,
-    constraints: Constraints,
-    model: &dyn CostModel,
-    exploration_budget: Option<u64>,
-) -> Vec<(CutSet, CutEvaluation)> {
-    match fill_single_cut(dfg, excluded, constraints, model, exploration_budget) {
-        FillOutcome::Complete(pool) => {
-            let (entries, _) = pool.store.parts();
-            entries
-                .iter()
-                .map(|entry| (entry.payload.cut.clone(), entry.payload.evaluation.clone()))
-                .collect()
-        }
-        FillOutcome::Exhausted { .. } => {
-            let identifier = SingleCut::new().with_exploration_budget(exploration_budget);
-            let outcome = identifier.identify_split(dfg, excluded, &constraints, model, 0);
-            outcome
-                .best
-                .into_iter()
-                .map(|best| (best.cut, best.evaluation))
-                .collect()
-        }
-    }
-}
-
 /// Enumerates the candidate cuts of one block shape — the Pareto pool of the whole
 /// block plus up to [`ENUMERATION_ROUNDS`] residual re-fills, each excluding the best
 /// cut found so far (so disjoint secondary cuts become templates too, matching the
 /// coverage the iterative per-block driver reaches) — and stamps each distinct cut
 /// with its canonical template key.
 fn enumerate_candidates(
+    pool: &CorpusPool<'_>,
     dfg: &Dfg,
     form: &StructuralForm,
     constraints: Constraints,
     model: &dyn CostModel,
-    exploration_budget: Option<u64>,
 ) -> Vec<CandidateCut> {
-    let mut identified: Vec<(CutSet, CutEvaluation)> = Vec::new();
+    let mut identified: Vec<IdentifiedCut> = Vec::new();
     let mut seen: std::collections::HashSet<Vec<usize>> = std::collections::HashSet::new();
     let mut excluded = CutSet::for_dfg(dfg);
-    for round in 0..ENUMERATION_ROUNDS {
-        let exclude = (round > 0).then_some(&excluded);
-        let entries = enumerate_round(dfg, exclude, constraints, model, exploration_budget);
+    for _ in 0..ENUMERATION_ROUNDS {
+        let entries = pool.candidates(dfg, form, &excluded, constraints);
         // The round's best cut (highest merit, first-enumerated on ties) seeds the
         // next residual, exactly like the iterative driver committing its choice.
         let best = entries
             .iter()
+            .map(|entry| &entry.evaluation)
             .enumerate()
-            .filter(|(_, (_, evaluation))| evaluation.merit > 0.0)
-            .max_by(|(ai, (_, a)), (bi, (_, b))| a.merit.total_cmp(&b.merit).then(bi.cmp(ai)))
+            .filter(|(_, evaluation)| evaluation.merit > 0.0)
+            .max_by(|(ai, a), (bi, b)| a.merit.total_cmp(&b.merit).then(bi.cmp(ai)))
             .map(|(index, _)| index);
         let mut grew = false;
-        for (cut, evaluation) in &entries {
-            let nodes: Vec<usize> = cut.iter().map(|id| id.index()).collect();
+        for entry in &entries {
+            let nodes: Vec<usize> = entry.cut.iter().map(|id| id.index()).collect();
             if seen.insert(nodes) {
-                identified.push((cut.clone(), evaluation.clone()));
+                identified.push(entry.clone());
                 grew = true;
             }
         }
         match best {
-            Some(index) if grew => excluded.union_with(&entries[index].0),
+            Some(index) if grew => excluded.union_with(&entries[index].cut),
             _ => break,
         }
     }
     identified
         .into_iter()
-        .map(|(cut, mut evaluation)| {
+        .map(|identified| {
+            let IdentifiedCut {
+                cut,
+                mut evaluation,
+            } = identified;
             // The fill's area accumulates in the parent block's walk order; re-sum it
             // order-independently so byte-equal template keys always carry bit-equal
             // evaluations, whichever parent shape produced them first.
@@ -299,14 +272,15 @@ pub fn extract_templates(
     constraints: Constraints,
     exploration_budget: Option<u64>,
 ) -> Vec<Template> {
+    let pool = CorpusPool::new(model, exploration_budget);
     let mut candidates: HashMap<StructuralKey, Vec<CandidateCut>> = HashMap::new();
     let mut drafts: HashMap<StructuralKey, Template> = HashMap::new();
     for (program_index, program) in programs.iter().enumerate() {
         for (block_index, dfg) in program.blocks().iter().enumerate() {
             let form = StructuralForm::of(dfg);
-            let shape_candidates = candidates.entry(form.key().clone()).or_insert_with(|| {
-                enumerate_candidates(dfg, &form, constraints, model, exploration_budget)
-            });
+            let shape_candidates = candidates
+                .entry(form.key().clone())
+                .or_insert_with(|| enumerate_candidates(&pool, dfg, &form, constraints, model));
             for candidate in shape_candidates.iter() {
                 let savings = candidate.evaluation.merit * dfg.exec_count() as f64;
                 if savings <= 0.0 {
