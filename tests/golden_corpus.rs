@@ -7,7 +7,10 @@
 //! * `results/golden/sweep_cli.json` — the envelope `ise-cli sweep requests/sweep_gsm.json`
 //!   prints (proven byte-identical to the in-process API by `crates/cli/tests/cli_smoke.rs`);
 //! * `results/golden/corpus_cli.json` — the envelope `ise-cli corpus requests/corpus_media.json`
-//!   prints (same cross-process proof, and byte-identical with `--no-dedup`).
+//!   prints (same cross-process proof, and byte-identical with `--no-dedup`);
+//! * `results/golden/corpus_templates_cli.json` — the envelope
+//!   `ise-cli corpus requests/corpus_media.json --templates 50` prints, which pins the
+//!   cross-site template report (extraction and the budgeted knapsack) byte for byte.
 //!
 //! Regeneration: when a change *intentionally* alters the artefacts, run
 //!
@@ -78,6 +81,24 @@ fn corpus_cli_json_matches_golden() {
     let envelope = json::Value::Object(vec![("response".to_string(), json::to_value(&response))]);
     let payload = format!("{}\n", json::to_string(&envelope));
     assert_golden("results/golden/corpus_cli.json", &payload);
+}
+
+/// The `ise-cli corpus requests/corpus_media.json --templates 50` envelope, computed
+/// in-process: the per-program selections plus the cross-site template report.
+#[test]
+fn corpus_templates_cli_json_matches_golden() {
+    let text = std::fs::read_to_string(repo_root().join("requests/corpus_media.json"))
+        .expect("checked-in corpus request");
+    let mut request: ise_api::CorpusRequest =
+        ise_api::from_json(&text).expect("valid corpus request");
+    request.templates = Some(50.0);
+    let (response, _, _) = ise_api::BatchService::new()
+        .run_corpus(&request)
+        .expect("corpus executes");
+    assert!(response.templates.is_some(), "a template budget yields a report");
+    let envelope = json::Value::Object(vec![("response".to_string(), json::to_value(&response))]);
+    let payload = format!("{}\n", json::to_string(&envelope));
+    assert_golden("results/golden/corpus_templates_cli.json", &payload);
 }
 
 /// The `ise-cli sweep requests/sweep_gsm.json` envelope, computed in-process.
