@@ -242,6 +242,7 @@ impl BatchService {
                 options.constraints,
                 options.exploration_budget,
                 budget,
+                cache,
             )
         });
         Ok((

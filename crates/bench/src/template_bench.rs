@@ -29,6 +29,10 @@ use ise_workloads::suite;
 /// last representable bit of an area sum.
 const AREA_EPS: f64 = 1e-9;
 
+/// Timed repeats of extraction and of the selection ladder; the report carries
+/// the median of each.
+pub const REPEATS: usize = 5;
+
 /// Configuration of the gate experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TemplateBenchConfig {
@@ -133,6 +137,12 @@ pub struct BudgetRow {
 pub struct TemplateBenchReport {
     /// Number of programs in the corpus.
     pub programs: u64,
+    /// Logical CPUs available to the run.
+    pub nproc: u64,
+    /// Git revision the gate ran from.
+    pub git_revision: String,
+    /// Timed repeats behind `extract_ms` and `select_ms`.
+    pub repeats: u64,
     /// Total basic blocks across the corpus.
     pub blocks: u64,
     /// Templates extracted (isomorphism classes with positive savings).
@@ -143,10 +153,13 @@ pub struct TemplateBenchReport {
     pub oracle_identical: bool,
     /// Whether every row's template savings matched or beat the baseline.
     pub cross_site_wins: bool,
-    /// Wall-clock of template extraction, milliseconds.
+    /// Wall-clock of template extraction, milliseconds (median of the repeats).
     pub extract_ms: f64,
-    /// Wall-clock of all budget selections together, milliseconds.
+    /// Wall-clock of all budget selections together, milliseconds (median of the
+    /// repeats).
     pub select_ms: f64,
+    /// Wall-clock of the brute-force oracle cross-check, milliseconds (one run).
+    pub oracle_ms: f64,
     /// One row per budget fraction, ascending.
     pub rows: Vec<BudgetRow>,
 }
@@ -221,62 +234,102 @@ pub fn run(config: &TemplateBenchConfig) -> TemplateBenchReport {
     let full_area: f64 = cuts.iter().map(|&(_, area)| area).sum();
     let baseline_cycles = corpus_cycles(&programs, &model);
 
-    let start = Instant::now();
-    let templates = extract_templates(
-        &programs,
-        &model,
-        config.constraints,
-        config.exploration_budget,
-    );
-    let extract_ms = start.elapsed().as_secs_f64() * 1_000.0;
+    let mut extract_times = Vec::with_capacity(REPEATS);
+    let mut select_times = Vec::with_capacity(REPEATS);
+    let mut templates = Vec::new();
+    let mut rows = Vec::new();
+    for _ in 0..REPEATS {
+        let start = Instant::now();
+        templates = extract_templates(
+            &programs,
+            &model,
+            config.constraints,
+            config.exploration_budget,
+        );
+        extract_times.push(start.elapsed().as_secs_f64() * 1_000.0);
+        let start = Instant::now();
+        rows = select_ladder(&templates, &cuts, full_area, baseline_cycles, config);
+        select_times.push(start.elapsed().as_secs_f64() * 1_000.0);
+    }
     let sites_total: u64 = templates.iter().map(|t| t.sites.len() as u64).sum();
 
     let start = Instant::now();
-    let mut rows = Vec::with_capacity(config.budget_fractions.len());
-    for &fraction in &config.budget_fractions {
-        let area_budget = fraction * full_area;
-        let (selection, _) = select_templates_budgeted(
-            &templates,
-            TemplateBudget::new(area_budget),
-            config.exploration_budget,
-        );
-        let sites_covered: u64 = selection
-            .chosen
-            .iter()
-            .map(|c| c.sites_taken.len() as u64)
-            .sum();
-        let (baseline_savings, baseline_area, baseline_taken) = spend_baseline(&cuts, area_budget);
-        rows.push(BudgetRow {
-            fraction,
-            area_budget,
-            template_savings: selection.total_savings,
-            template_area: selection.total_area,
-            templates_chosen: selection.chosen.len() as u64,
-            sites_covered,
-            template_speedup: clamped_speedup(baseline_cycles, selection.total_savings),
-            baseline_savings,
-            baseline_area,
-            baseline_cuts: baseline_taken,
-            baseline_speedup: clamped_speedup(baseline_cycles, baseline_savings),
-        });
-    }
     let budgets: Vec<f64> = rows.iter().map(|row| row.area_budget).collect();
     let oracle_identical = oracle_agrees(&templates, &budgets, config.oracle_templates);
-    let select_ms = start.elapsed().as_secs_f64() * 1_000.0;
+    let oracle_ms = start.elapsed().as_secs_f64() * 1_000.0;
 
     let cross_site_wins = rows
         .iter()
         .all(|row| row.template_savings >= row.baseline_savings - 1e-6);
     TemplateBenchReport {
         programs: programs.len() as u64,
+        nproc: crate::nproc(),
+        git_revision: crate::git_revision(),
+        repeats: REPEATS as u64,
         blocks: programs.iter().map(|p| p.blocks().len() as u64).sum(),
         templates_extracted: templates.len() as u64,
         sites_total,
         oracle_identical,
         cross_site_wins,
-        extract_ms,
-        select_ms,
+        extract_ms: median(&extract_times),
+        select_ms: median(&select_times),
+        oracle_ms,
         rows,
+    }
+}
+
+/// The budgeted selection at every budget fraction, next to the per-block baseline
+/// spending the same area.
+fn select_ladder(
+    templates: &[Template],
+    cuts: &[(f64, f64)],
+    full_area: f64,
+    baseline_cycles: f64,
+    config: &TemplateBenchConfig,
+) -> Vec<BudgetRow> {
+    config
+        .budget_fractions
+        .iter()
+        .map(|&fraction| {
+            let area_budget = fraction * full_area;
+            let (selection, _) = select_templates_budgeted(
+                templates,
+                TemplateBudget::new(area_budget),
+                config.exploration_budget,
+            );
+            let sites_covered: u64 = selection
+                .chosen
+                .iter()
+                .map(|c| c.sites_taken.len() as u64)
+                .sum();
+            let (baseline_savings, baseline_area, baseline_taken) =
+                spend_baseline(cuts, area_budget);
+            BudgetRow {
+                fraction,
+                area_budget,
+                template_savings: selection.total_savings,
+                template_area: selection.total_area,
+                templates_chosen: selection.chosen.len() as u64,
+                sites_covered,
+                template_speedup: clamped_speedup(baseline_cycles, selection.total_savings),
+                baseline_savings,
+                baseline_area,
+                baseline_cuts: baseline_taken,
+                baseline_speedup: clamped_speedup(baseline_cycles, baseline_savings),
+            }
+        })
+        .collect()
+}
+
+/// Median of a non-empty list (mean of the middle two for an even length).
+fn median(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len().is_multiple_of(2) {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    } else {
+        sorted[mid]
     }
 }
 
@@ -329,6 +382,10 @@ pub fn markdown(report: &TemplateBenchReport) -> String {
         report.oracle_identical,
         report.cross_site_wins,
     ));
+    text.push_str(&format!(
+        "extract {:.1} ms, select {:.1} ms (medians of {} repeats), oracle {:.1} ms\n",
+        report.extract_ms, report.select_ms, report.repeats, report.oracle_ms,
+    ));
     text
 }
 
@@ -344,6 +401,7 @@ mod tests {
         assert!(coverage_is_monotonic(&report), "{report:?}");
         assert!(report.templates_extracted > 0);
         assert!(report.sites_total >= report.templates_extracted);
+        assert_eq!(report.repeats, REPEATS as u64);
         let json = to_json(&report);
         for field in [
             "\"oracle_identical\"",
@@ -352,6 +410,10 @@ mod tests {
             "\"baseline_savings\"",
             "\"sites_covered\"",
             "\"area_budget\"",
+            "\"oracle_ms\"",
+            "\"nproc\"",
+            "\"repeats\"",
+            "\"git_revision\"",
         ] {
             assert!(json.contains(field), "missing {field} in {json}");
         }

@@ -547,6 +547,7 @@ pub fn run_corpus_warm(
             options.constraints,
             options.exploration_budget,
             budget,
+            cache,
         )
     });
     CorpusOutcome {
@@ -639,6 +640,7 @@ pub fn run_corpus_streaming_warm<P: Borrow<Program> + Sync>(
 
 #[cfg(test)]
 mod tests {
+    use super::super::templates::{extract_templates, report_selection, select_templates_budgeted};
     use super::*;
     use ise_hw::DefaultCostModel;
     use ise_ir::DfgBuilder;
@@ -732,6 +734,66 @@ mod tests {
             .expect("budget set → report present");
         assert!(report.templates_considered > 0);
         assert!(report.speedup >= 1.0);
+    }
+
+    /// A one-block program whose shape differs from [`mac_program`]'s.
+    fn chain_program(name: &str) -> Program {
+        let mut p = Program::new(name);
+        let mut b = DfgBuilder::new("chain");
+        b.exec_count(40);
+        let a = b.input("a");
+        let c = b.input("c");
+        let x = b.xor(a, c);
+        let s = b.shl(x, b.imm(3));
+        let o = b.add(s, a);
+        b.output("o", o);
+        p.add_block(b.finish());
+        p
+    }
+
+    #[test]
+    fn template_extraction_reads_the_corpus_runs_cache() {
+        let mut corpus: Vec<Program> = (0..4)
+            .map(|i| mac_program(&format!("p{i}"), i % 2 == 1))
+            .collect();
+        corpus.push(chain_program("q0"));
+        corpus.push(chain_program("q1"));
+        let model = DefaultCostModel::new();
+        // Sequential, so every cache lookup is counted the same way on every run.
+        let options = CorpusOptions::new(Constraints::new(4, 2))
+            .with_driver(DriverOptions::new(4).sequential())
+            .with_exploration_budget(Some(100_000));
+        let budget = TemplateBudget::new(1e9);
+        let run = |options: &CorpusOptions| {
+            let cache = Arc::new(WarmPoolCache::new(WarmCacheConfig::default()));
+            let outcome = run_corpus_warm(&corpus, &model, options, &cache);
+            (outcome, cache.stats().hits)
+        };
+        let (_, corpus_hits) = run(&options);
+        let (outcome, total_hits) = run(&options.with_templates(Some(budget)));
+
+        let templates = extract_templates(
+            &corpus,
+            &model,
+            options.constraints,
+            options.exploration_budget,
+        );
+        let (selection, _) =
+            select_templates_budgeted(&templates, budget, options.exploration_budget);
+        let private = report_selection(&corpus, &model, &templates, &selection, budget);
+        assert_eq!(outcome.templates, Some(private));
+
+        let shapes: HashSet<_> = corpus
+            .iter()
+            .flat_map(Program::blocks)
+            .map(|dfg| StructuralForm::of(dfg).key().clone())
+            .collect();
+        assert_eq!(shapes.len(), 2);
+        assert!(
+            total_hits - corpus_hits >= shapes.len() as u64,
+            "the template pass hit the corpus run's fills {} times, want at least one per shape",
+            total_hits - corpus_hits
+        );
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!    to the same [`Template`] iff the canonical serializations of their sub-DFGs are
 //!    **byte-equal** ([`StructuralKey`] equality; the 64-bit hash is only a map index).
 //!    Each match becomes a [`SiteRef`] whose savings weight the template's merit by the
-//!    site's block execution count.
+//!    site's block execution count. Inside a corpus run ([`run_template_selection`])
+//!    the pool reads the run's own [`WarmPoolCache`]: fill keys are canonical
+//!    (structure, canonical exclusion, budget group), so every whole-block fill and
+//!    most residual fills are the ones the corpus pass has just made.
 //! 2. **Selection** ([`select_templates`]). A global area-budget knapsack: each chosen
 //!    template pays its datapath area *once* and earns the savings of all of its
 //!    non-conflicting sites. The branch-and-bound walks the shared [`SearchKernel`]
@@ -28,7 +31,15 @@
 //!    claims no site — paying area for zero savings is never better than skipping.
 //!    Site conflicts (overlapping node sets within one block) are resolved greedily
 //!    in decision order with the sequential incumbent's first-visitor-wins
-//!    tie-break. [`select_templates_exhaustive`] brute-forces every subset in the
+//!    tie-break. Claims are bitsets: each `(program, block)` owns a word range of one
+//!    flat arena and each site is a precomputed `(word, bits)` list, so a take tests
+//!    its sites with word ANDs, sets their bits, and clears them again on undo
+//!    without allocating. The relaxation pours from a doubly linked list of the
+//!    still-undecided templates, unlinked and relinked in stack order as the walk
+//!    moves between levels; it pours the same entries in the same order as a scan of
+//!    the whole density order would, so every bound and every visit is the same,
+//!    and it stops pouring once the bound already clears the incumbent.
+//!    [`select_templates_exhaustive`] brute-forces every subset in the
 //!    identical visit order with the identical dominance rule — the oracle the tests
 //!    and the `template_gate` bench pit the policy against.
 //! 3. **Reporting** ([`TemplateReport`]). Coverage, area, savings and the cumulative
@@ -36,6 +47,7 @@
 //!    `ise-cli corpus --templates`.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use ise_hw::speedup::clamped_speedup;
 use ise_hw::CostModel;
@@ -47,7 +59,7 @@ use crate::kernel::{Incumbent, SearchKernel, SearchPolicy};
 use crate::search::{IdentifiedCut, SearchStats};
 use crate::structural::{StructuralForm, StructuralKey};
 
-use super::CorpusPool;
+use super::{CorpusPool, WarmPoolCache};
 
 /// Absolute slack applied to every area-budget feasibility test, so that a budget set
 /// to the exact sum of table areas is never rejected by float rounding. Shared by the
@@ -265,6 +277,9 @@ fn enumerate_candidates(
 /// returned in descending savings-density order with ties broken by total savings and
 /// then by key bytes (the selection derives its own decision order — this order is
 /// for presentation and for density-leading head slices).
+///
+/// The fills go through a private cache; [`run_template_selection`] reads them from
+/// the corpus run's cache instead.
 #[must_use]
 pub fn extract_templates(
     programs: &[Program],
@@ -272,7 +287,21 @@ pub fn extract_templates(
     constraints: Constraints,
     exploration_budget: Option<u64>,
 ) -> Vec<Template> {
-    let pool = CorpusPool::new(model, exploration_budget);
+    extract_with(
+        &CorpusPool::new(model, exploration_budget),
+        programs,
+        model,
+        constraints,
+    )
+}
+
+/// [`extract_templates`] reading its fills through `pool`.
+fn extract_with(
+    pool: &CorpusPool<'_>,
+    programs: &[Program],
+    model: &dyn CostModel,
+    constraints: Constraints,
+) -> Vec<Template> {
     let mut candidates: HashMap<StructuralKey, Vec<CandidateCut>> = HashMap::new();
     let mut drafts: HashMap<StructuralKey, Template> = HashMap::new();
     for (program_index, program) in programs.iter().enumerate() {
@@ -280,7 +309,7 @@ pub fn extract_templates(
             let form = StructuralForm::of(dfg);
             let shape_candidates = candidates
                 .entry(form.key().clone())
-                .or_insert_with(|| enumerate_candidates(&pool, dfg, &form, constraints, model));
+                .or_insert_with(|| enumerate_candidates(pool, dfg, &form, constraints, model));
             for candidate in shape_candidates.iter() {
                 let savings = candidate.evaluation.merit * dfg.exec_count() as f64;
                 if savings <= 0.0 {
@@ -356,49 +385,118 @@ pub struct TemplateSelection {
     pub total_area: f64,
 }
 
-/// Already-covered nodes, per `(program, block)`.
-type Claims = HashMap<(usize, usize), Vec<u32>>;
-
-/// The sites of `template` claimable against `claims`, greedily in site order.
-/// Returns the claimable site indices and the running savings continued from
-/// `savings` — continued, not summed separately, so the float accumulation order is
-/// identical wherever a take is replayed (policy, oracle, final commit).
-fn claimable_sites(template: &Template, claims: &Claims, mut savings: f64) -> (Vec<usize>, f64) {
-    let mut pending: Claims = HashMap::new();
-    let mut taken = Vec::new();
-    for (index, site) in template.sites.iter().enumerate() {
-        let key = (site.program, site.block);
-        let blocked = |set: Option<&Vec<u32>>| {
-            set.is_some_and(|nodes| site.nodes.iter().any(|n| nodes.contains(n)))
-        };
-        if blocked(claims.get(&key)) || blocked(pending.get(&key)) {
-            continue;
-        }
-        pending.entry(key).or_default().extend(&site.nodes);
-        savings += site.savings;
-        taken.push(index);
-    }
-    (taken, savings)
+/// Every site of a template slice as a claim mask over one flat `u64` arena.
+///
+/// Each `(program, block)` some site lives in owns a word range wide enough for the
+/// largest node index any site names there, and each site becomes the `(word, bits)`
+/// pairs its nodes set. Claimed nodes are a bitset over the arena, so testing a site
+/// against every earlier claim is a handful of word ANDs, and claiming or releasing it
+/// sets or clears its bits. Clearing is exact because claimed sites never overlap.
+struct SiteMasks {
+    /// Per template: its first global site index (`first[t]..first[t + 1]`).
+    first: Vec<usize>,
+    /// Per global site: its `(word, bits)` pairs are `masks[spans[g]..spans[g + 1]]`.
+    spans: Vec<usize>,
+    masks: Vec<(usize, u64)>,
+    /// Per global site: its savings.
+    savings: Vec<f64>,
+    /// Words in the arena.
+    words: usize,
 }
 
-/// Commits the given sites of `template` into `claims`.
-fn commit_sites(template: &Template, sites: &[usize], claims: &mut Claims) {
-    for &index in sites {
-        let site = &template.sites[index];
-        claims
-            .entry((site.program, site.block))
-            .or_default()
-            .extend(&site.nodes);
-    }
-}
-
-/// Removes the given sites of `template` from `claims`.
-fn release_sites(template: &Template, sites: &[usize], claims: &mut Claims) {
-    for &index in sites {
-        let site = &template.sites[index];
-        if let Some(nodes) = claims.get_mut(&(site.program, site.block)) {
-            nodes.retain(|n| !site.nodes.contains(n));
+impl SiteMasks {
+    fn new(templates: &[Template]) -> Self {
+        let mut width: HashMap<(usize, usize), usize> = HashMap::new();
+        for site in templates.iter().flat_map(|t| &t.sites) {
+            let needed = site
+                .nodes
+                .iter()
+                .map(|&n| n as usize + 1)
+                .max()
+                .unwrap_or(0);
+            let entry = width.entry((site.program, site.block)).or_default();
+            *entry = (*entry).max(needed);
         }
+        let mut blocks: Vec<((usize, usize), usize)> = width.into_iter().collect();
+        blocks.sort_unstable();
+        let mut base: HashMap<(usize, usize), usize> = HashMap::with_capacity(blocks.len());
+        let mut words = 0;
+        for (block, nodes) in blocks {
+            base.insert(block, words);
+            words += nodes.div_ceil(64);
+        }
+        let mut first = Vec::with_capacity(templates.len() + 1);
+        let mut spans = vec![0];
+        let mut masks: Vec<(usize, u64)> = Vec::new();
+        let mut savings = Vec::new();
+        for template in templates {
+            first.push(savings.len());
+            for site in &template.sites {
+                let offset = base[&(site.program, site.block)];
+                let start = masks.len();
+                for &node in &site.nodes {
+                    let word = offset + node as usize / 64;
+                    let bit = 1u64 << (node % 64);
+                    match masks[start..].iter_mut().find(|(w, _)| *w == word) {
+                        Some((_, bits)) => *bits |= bit,
+                        None => masks.push((word, bit)),
+                    }
+                }
+                spans.push(masks.len());
+                savings.push(site.savings);
+            }
+        }
+        first.push(savings.len());
+        SiteMasks {
+            first,
+            spans,
+            masks,
+            savings,
+            words,
+        }
+    }
+
+    /// An arena with nothing claimed.
+    fn arena(&self) -> Vec<u64> {
+        vec![0; self.words]
+    }
+
+    fn site(&self, g: usize) -> &[(usize, u64)] {
+        &self.masks[self.spans[g]..self.spans[g + 1]]
+    }
+
+    /// Claims the sites of template `t` that overlap nothing in `claimed`, greedily in
+    /// site order (each claim blocks the template's later sites too), pushing their
+    /// global indices onto `taken`. Returns the running savings continued from
+    /// `savings` — continued, not summed separately, so the float accumulation order
+    /// is identical wherever a take is replayed (policy, oracle, final commit).
+    fn claim(&self, t: usize, claimed: &mut [u64], mut savings: f64, taken: &mut Vec<u32>) -> f64 {
+        for g in self.first[t]..self.first[t + 1] {
+            let site = self.site(g);
+            if site.iter().any(|&(word, bits)| claimed[word] & bits != 0) {
+                continue;
+            }
+            for &(word, bits) in site {
+                claimed[word] |= bits;
+            }
+            savings += self.savings[g];
+            taken.push(g as u32);
+        }
+        savings
+    }
+
+    /// Clears the bits of the given claimed sites.
+    fn release(&self, sites: &[u32], claimed: &mut [u64]) {
+        for &g in sites {
+            for &(word, bits) in self.site(g as usize) {
+                claimed[word] &= !bits;
+            }
+        }
+    }
+
+    /// The index of global site `g` within template `t`'s [`Template::sites`].
+    fn local(&self, t: usize, g: u32) -> usize {
+        g as usize - self.first[t]
     }
 }
 
@@ -407,20 +505,80 @@ fn release_sites(template: &Template, sites: &[usize], claims: &mut Claims) {
 enum Step {
     Skipped,
     Taken {
-        sites: Vec<usize>,
+        /// Where the take's claimed sites start on [`SelectState::sites`].
+        sites_from: usize,
         savings_before: f64,
         area_before: f64,
     },
 }
 
+/// The still-undecided entries of the relaxation's pour list, as a doubly linked
+/// list in pour order. Entries are unlinked as their decision level is passed and
+/// relinked, in reverse, as the walk backs up — always in stack order, so each relink
+/// restores exactly the neighbours its unlink saw.
+#[derive(Debug, Clone)]
+struct Undecided {
+    /// Per pour entry, plus a sentinel head at the end: the previous and next entry.
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    /// Decision positions below this are decided (their entries unlinked).
+    decided: usize,
+}
+
+impl Undecided {
+    fn new(entries: usize) -> Self {
+        // A circular list through the sentinel `entries`.
+        let ring = entries as u32 + 1;
+        Undecided {
+            prev: (0..ring).map(|i| (i + ring - 1) % ring).collect(),
+            next: (0..ring).map(|i| (i + 1) % ring).collect(),
+            decided: 0,
+        }
+    }
+
+    fn sentinel(&self) -> u32 {
+        self.next.len() as u32 - 1
+    }
+
+    /// Unlinks or relinks entries until exactly the positions `next..` are linked.
+    /// `entry_at` maps a decision position to its pour entry, if it has one.
+    fn sync(&mut self, entry_at: &[u32], next: usize) {
+        while self.decided < next {
+            let i = entry_at[self.decided];
+            if i != NO_ENTRY {
+                let (p, n) = (self.prev[i as usize], self.next[i as usize]);
+                self.next[p as usize] = n;
+                self.prev[n as usize] = p;
+            }
+            self.decided += 1;
+        }
+        while self.decided > next {
+            self.decided -= 1;
+            let i = entry_at[self.decided];
+            if i != NO_ENTRY {
+                let (p, n) = (self.prev[i as usize], self.next[i as usize]);
+                self.next[p as usize] = i;
+                self.prev[n as usize] = i;
+            }
+        }
+    }
+}
+
+/// [`TemplateSelectPolicy::entry_at`] of a template that pours nothing.
+const NO_ENTRY: u32 = u32::MAX;
+
 /// The mutable walk state of one template selection.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SelectState {
-    claims: Claims,
+    /// Claimed nodes over the [`SiteMasks`] arena.
+    claimed: Vec<u64>,
+    /// Global indices of the claimed sites, one segment per take on the journal.
+    sites: Vec<u32>,
     savings: f64,
     area: f64,
     taken: Vec<usize>,
     journal: Vec<Step>,
+    undecided: Undecided,
 }
 
 /// The knapsack-style [`SearchPolicy`] of the global template selection.
@@ -438,19 +596,21 @@ pub struct TemplateSelectPolicy<'t> {
     templates: &'t [Template],
     /// Decision order: template indices sorted by descending conflict-free savings.
     order: Vec<usize>,
-    /// Bound order: template indices sorted by descending savings density — the pour
-    /// order in which the fractional-knapsack relaxation is actually an upper bound.
-    bound_order: Vec<usize>,
-    /// Per template: its position (level) in the decision order.
-    position: Vec<usize>,
-    /// Per template: its conflict-free savings upper bound.
-    upper: Vec<f64>,
+    /// Every site's claim mask.
+    masks: SiteMasks,
+    /// The relaxation's pour list: `(value, area)` of every template with positive
+    /// conflict-free savings, in descending savings density — the pour order in
+    /// which the fractional-knapsack relaxation is actually an upper bound.
+    pour: Vec<(f64, f64)>,
+    /// Per decision position: the index of its template's entry in `pour`, or
+    /// [`NO_ENTRY`].
+    entry_at: Vec<u32>,
     budget: TemplateBudget,
 }
 
 impl<'t> TemplateSelectPolicy<'t> {
-    /// Builds the policy, deriving the savings decision order and the density bound
-    /// order from the templates.
+    /// Builds the policy, deriving the savings decision order, the density pour
+    /// order and the site claim masks from the templates.
     #[must_use]
     pub fn new(templates: &'t [Template], budget: TemplateBudget) -> Self {
         let upper: Vec<f64> = templates.iter().map(Template::total_savings).collect();
@@ -478,34 +638,49 @@ impl<'t> TemplateSelectPolicy<'t> {
                 .then_with(|| upper[b].total_cmp(&upper[a]))
                 .then_with(|| templates[a].key.bytes().cmp(templates[b].key.bytes()))
         });
+        let mut pour = Vec::new();
+        let mut entry_at = vec![NO_ENTRY; templates.len()];
+        for t in bound_order.into_iter().filter(|&t| upper[t] > 0.0) {
+            entry_at[position[t]] = pour.len() as u32;
+            pour.push((upper[t], templates[t].evaluation.area));
+        }
         TemplateSelectPolicy {
             templates,
             order,
-            bound_order,
-            position,
-            upper,
+            masks: SiteMasks::new(templates),
+            pour,
+            entry_at,
             budget,
         }
     }
 
-    /// The fractional-knapsack relaxation: `savings` plus the value of greedily
-    /// pouring the still-undecided templates (decision positions `next..`) into
-    /// `room` area in descending *density* order, the last one fractionally. An
-    /// upper bound on every completion — each template's value is itself the
-    /// conflict-ignoring site-savings sum, and the densest-first pour maximises the
-    /// fractional relaxation whatever order the levels decide in.
-    fn optimistic(&self, next: usize, savings: f64, room: f64) -> f64 {
+    /// Whether the fractional-knapsack relaxation proves the subtree cannot beat
+    /// `score`. The relaxation is `savings` plus the value of greedily pouring the
+    /// still-undecided templates (decision positions `next..`) into `room` area in
+    /// descending *density* order, the last one fractionally. It is an upper bound on
+    /// every completion — each template's value is itself the conflict-ignoring
+    /// site-savings sum, and the densest-first pour maximises the fractional
+    /// relaxation whatever order the levels decide in.
+    ///
+    /// The pour walks the [`Undecided`] list after syncing it to `next`, so it never
+    /// visits a decided template, and it stops as soon as the running bound exceeds
+    /// `score`: every poured amount is non-negative, so the full pour would exceed
+    /// it too.
+    fn bound_prunes(
+        &self,
+        undecided: &mut Undecided,
+        next: usize,
+        savings: f64,
+        room: f64,
+        score: f64,
+    ) -> bool {
+        undecided.sync(&self.entry_at, next);
         let mut bound = savings;
         let mut room = room.max(0.0);
-        for &t in &self.bound_order {
-            if self.position[t] < next {
-                continue;
-            }
-            let value = self.upper[t];
-            if value <= 0.0 {
-                continue;
-            }
-            let area = self.templates[t].evaluation.area;
+        let sentinel = undecided.sentinel();
+        let mut i = undecided.next[sentinel as usize];
+        while i != sentinel && bound <= score {
+            let (value, area) = self.pour[i as usize];
             if area <= room {
                 bound += value;
                 room -= area;
@@ -515,8 +690,22 @@ impl<'t> TemplateSelectPolicy<'t> {
                 }
                 break;
             }
+            i = undecided.next[i as usize];
         }
-        bound
+        bound <= score
+    }
+
+    /// The walk state before any decision.
+    fn fresh_state(&self) -> SelectState {
+        SelectState {
+            claimed: self.masks.arena(),
+            sites: Vec::new(),
+            savings: 0.0,
+            area: 0.0,
+            taken: Vec::new(),
+            journal: Vec::new(),
+            undecided: Undecided::new(self.pour.len()),
+        }
     }
 }
 
@@ -539,7 +728,7 @@ impl SearchPolicy for TemplateSelectPolicy<'_> {
     }
 
     fn initial_state(&self) -> SelectState {
-        SelectState::default()
+        self.fresh_state()
     }
 
     fn choice_count(&self, _state: &SelectState, _level: usize) -> usize {
@@ -565,26 +754,37 @@ impl SearchPolicy for TemplateSelectPolicy<'_> {
                 stats.pruned_node_budget += 1;
                 return false;
             }
-            let template = &self.templates[t];
-            let area = state.area + template.evaluation.area;
+            let area = state.area + self.templates[t].evaluation.area;
             if !fits(area, self.budget.area) {
                 stats.pruned_output += 1;
                 return false;
             }
-            let (sites, savings) = claimable_sites(template, &state.claims, state.savings);
-            if sites.is_empty() {
+            let sites_from = state.sites.len();
+            let savings = self
+                .masks
+                .claim(t, &mut state.claimed, state.savings, &mut state.sites);
+            if state.sites.len() == sites_from {
                 // Dominated: paying the area without claiming a site can never beat
                 // the skip branch, which reaches the same savings with more room.
                 stats.pruned_bound += 1;
                 return false;
             }
-            if self.optimistic(level + 1, savings, self.budget.area - area) <= incumbent.score() {
+            let room = self.budget.area - area;
+            if self.bound_prunes(
+                &mut state.undecided,
+                level + 1,
+                savings,
+                room,
+                incumbent.score(),
+            ) {
+                self.masks
+                    .release(&state.sites[sites_from..], &mut state.claimed);
+                state.sites.truncate(sites_from);
                 stats.pruned_bound += 1;
                 return false;
             }
-            commit_sites(template, &sites, &mut state.claims);
             state.journal.push(Step::Taken {
-                sites,
+                sites_from,
                 savings_before: state.savings,
                 area_before: state.area,
             });
@@ -597,9 +797,14 @@ impl SearchPolicy for TemplateSelectPolicy<'_> {
             });
             true
         } else {
-            if self.optimistic(level + 1, state.savings, self.budget.area - state.area)
-                <= incumbent.score()
-            {
+            let room = self.budget.area - state.area;
+            if self.bound_prunes(
+                &mut state.undecided,
+                level + 1,
+                state.savings,
+                room,
+                incumbent.score(),
+            ) {
                 stats.bound_subtree_prunes += 1;
                 return false;
             }
@@ -608,16 +813,17 @@ impl SearchPolicy for TemplateSelectPolicy<'_> {
         }
     }
 
-    fn undo(&self, state: &mut SelectState, level: usize, _choice: usize) {
+    fn undo(&self, state: &mut SelectState, _level: usize, _choice: usize) {
         match state.journal.pop().expect("journal entry per applied step") {
             Step::Skipped => {}
             Step::Taken {
-                sites,
+                sites_from,
                 savings_before,
                 area_before,
             } => {
-                let t = self.order[level];
-                release_sites(&self.templates[t], &sites, &mut state.claims);
+                self.masks
+                    .release(&state.sites[sites_from..], &mut state.claimed);
+                state.sites.truncate(sites_from);
                 state.savings = savings_before;
                 state.area = area_before;
                 state.taken.pop();
@@ -633,20 +839,24 @@ impl SearchPolicy for TemplateSelectPolicy<'_> {
 /// Replays a decision-order take sequence into the final [`TemplateSelection`], using
 /// the exact accumulation order of the walk (so the totals are bit-equal to the
 /// incumbent score that won).
-fn commit_selection(templates: &[Template], taken: &[usize]) -> TemplateSelection {
-    let mut claims = Claims::new();
+fn commit_selection(
+    templates: &[Template],
+    masks: &SiteMasks,
+    taken: &[usize],
+) -> TemplateSelection {
+    let mut claimed = masks.arena();
+    let mut sites = Vec::new();
     let mut selection = TemplateSelection::default();
     for &t in taken {
-        let template = &templates[t];
-        let (sites, savings) = claimable_sites(template, &claims, selection.total_savings);
-        commit_sites(template, &sites, &mut claims);
+        sites.clear();
+        let savings = masks.claim(t, &mut claimed, selection.total_savings, &mut sites);
         selection.chosen.push(ChosenTemplate {
             template: t,
             savings: savings - selection.total_savings,
-            sites_taken: sites,
+            sites_taken: sites.iter().map(|&g| masks.local(t, g)).collect(),
         });
         selection.total_savings = savings;
-        selection.total_area += template.evaluation.area;
+        selection.total_area += templates[t].evaluation.area;
     }
     selection
 }
@@ -687,7 +897,7 @@ pub fn select_templates_budgeted(
         .with_exploration_budget(exploration_budget)
         .run(&policy);
     let selection = draft
-        .map(|draft| commit_selection(templates, &draft.taken))
+        .map(|draft| commit_selection(templates, &policy.masks, &draft.taken))
         .unwrap_or_default();
     (selection, stats)
 }
@@ -705,12 +915,12 @@ pub fn select_templates_exhaustive(
         "the exhaustive oracle is for small fixtures"
     );
     let policy = TemplateSelectPolicy::new(templates, budget);
-    let mut state = SelectState::default();
+    let mut state = policy.fresh_state();
     let mut best_savings = 0.0f64;
     let mut best_taken: Option<Vec<usize>> = None;
     walk_exhaustive(&policy, &mut state, 0, &mut best_savings, &mut best_taken);
     best_taken
-        .map(|taken| commit_selection(templates, &taken))
+        .map(|taken| commit_selection(templates, &policy.masks, &taken))
         .unwrap_or_default()
 }
 
@@ -850,6 +1060,11 @@ pub fn report_selection(
 /// End-to-end template pass over a corpus: extract, select under `budget`, report.
 /// The exploration budget bounds both the per-shape candidate enumeration and the
 /// selection branch-and-bound (see [`select_templates_budgeted`]).
+///
+/// Extraction reads its fills through `cache`, normally the one the corpus run just
+/// filled: fill keys are canonical, so the whole-block fills and most residual fills
+/// are hits, and a cold or unrelated cache changes only which fills are paid for,
+/// never the report.
 #[must_use]
 pub fn run_template_selection(
     programs: &[Program],
@@ -857,8 +1072,10 @@ pub fn run_template_selection(
     constraints: Constraints,
     exploration_budget: Option<u64>,
     budget: TemplateBudget,
+    cache: &Arc<WarmPoolCache>,
 ) -> TemplateReport {
-    let templates = extract_templates(programs, model, constraints, exploration_budget);
+    let pool = CorpusPool::with_cache(model, exploration_budget, Arc::clone(cache));
+    let templates = extract_with(&pool, programs, model, constraints);
     let (selection, _) = select_templates_budgeted(&templates, budget, exploration_budget);
     report_selection(programs, model, &templates, &selection, budget)
 }
@@ -874,18 +1091,19 @@ fn walk_exhaustive(
         return;
     }
     let t = policy.order[level];
-    let template = &policy.templates[t];
-    let area = state.area + template.evaluation.area;
+    let area = state.area + policy.templates[t].evaluation.area;
     let within_count = policy
         .budget
         .max_templates
         .is_none_or(|limit| state.taken.len() < limit);
     if within_count && fits(area, policy.budget.area) {
-        let (sites, savings) = claimable_sites(template, &state.claims, state.savings);
+        let sites_from = state.sites.len();
+        let savings = policy
+            .masks
+            .claim(t, &mut state.claimed, state.savings, &mut state.sites);
         // The same dominance rule as the branch-and-bound: a take that claims no
         // site is skipped, so both walks visit the same solutions.
-        if !sites.is_empty() {
-            commit_sites(template, &sites, &mut state.claims);
+        if state.sites.len() > sites_from {
             let (savings_before, area_before) = (state.savings, state.area);
             state.savings = savings;
             state.area = area;
@@ -895,7 +1113,10 @@ fn walk_exhaustive(
                 *best_taken = Some(state.taken.clone());
             }
             walk_exhaustive(policy, state, level + 1, best_savings, best_taken);
-            release_sites(template, &sites, &mut state.claims);
+            policy
+                .masks
+                .release(&state.sites[sites_from..], &mut state.claimed);
+            state.sites.truncate(sites_from);
             state.savings = savings_before;
             state.area = area_before;
             state.taken.pop();
@@ -907,8 +1128,290 @@ fn walk_exhaustive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::WarmCacheConfig;
     use ise_hw::DefaultCostModel;
     use ise_ir::DfgBuilder;
+
+    /// The selection policy as first written: per-block `Vec<u32>` claims in a
+    /// `HashMap`, and a relaxation bound that scans the whole density order on every
+    /// call. The differential below pins [`TemplateSelectPolicy`] to it, counters and
+    /// all.
+    mod reference {
+        use super::super::*;
+
+        type Claims = HashMap<(usize, usize), Vec<u32>>;
+
+        fn claimable_sites(
+            template: &Template,
+            claims: &Claims,
+            mut savings: f64,
+        ) -> (Vec<usize>, f64) {
+            let mut pending: Claims = HashMap::new();
+            let mut taken = Vec::new();
+            for (index, site) in template.sites.iter().enumerate() {
+                let key = (site.program, site.block);
+                let blocked = |set: Option<&Vec<u32>>| {
+                    set.is_some_and(|nodes| site.nodes.iter().any(|n| nodes.contains(n)))
+                };
+                if blocked(claims.get(&key)) || blocked(pending.get(&key)) {
+                    continue;
+                }
+                pending.entry(key).or_default().extend(&site.nodes);
+                savings += site.savings;
+                taken.push(index);
+            }
+            (taken, savings)
+        }
+
+        fn commit_sites(template: &Template, sites: &[usize], claims: &mut Claims) {
+            for &index in sites {
+                let site = &template.sites[index];
+                claims
+                    .entry((site.program, site.block))
+                    .or_default()
+                    .extend(&site.nodes);
+            }
+        }
+
+        fn release_sites(template: &Template, sites: &[usize], claims: &mut Claims) {
+            for &index in sites {
+                let site = &template.sites[index];
+                if let Some(nodes) = claims.get_mut(&(site.program, site.block)) {
+                    nodes.retain(|n| !site.nodes.contains(n));
+                }
+            }
+        }
+
+        #[derive(Clone)]
+        enum Step {
+            Skipped,
+            Taken {
+                sites: Vec<usize>,
+                savings_before: f64,
+                area_before: f64,
+            },
+        }
+
+        #[derive(Clone, Default)]
+        pub struct State {
+            claims: Claims,
+            savings: f64,
+            area: f64,
+            taken: Vec<usize>,
+            journal: Vec<Step>,
+        }
+
+        pub struct Policy<'t> {
+            templates: &'t [Template],
+            order: Vec<usize>,
+            bound_order: Vec<usize>,
+            position: Vec<usize>,
+            upper: Vec<f64>,
+            budget: TemplateBudget,
+        }
+
+        impl<'t> Policy<'t> {
+            fn new(templates: &'t [Template], budget: TemplateBudget) -> Self {
+                let upper: Vec<f64> = templates.iter().map(Template::total_savings).collect();
+                let mut order: Vec<usize> = (0..templates.len()).collect();
+                order.sort_by(|&a, &b| {
+                    upper[b]
+                        .total_cmp(&upper[a])
+                        .then_with(|| {
+                            templates[a]
+                                .evaluation
+                                .area
+                                .total_cmp(&templates[b].evaluation.area)
+                        })
+                        .then_with(|| templates[a].key.bytes().cmp(templates[b].key.bytes()))
+                });
+                let mut position = vec![0usize; templates.len()];
+                for (level, &t) in order.iter().enumerate() {
+                    position[t] = level;
+                }
+                let mut bound_order = order.clone();
+                bound_order.sort_by(|&a, &b| {
+                    let lhs = upper[a] * templates[b].evaluation.area;
+                    let rhs = upper[b] * templates[a].evaluation.area;
+                    rhs.total_cmp(&lhs)
+                        .then_with(|| upper[b].total_cmp(&upper[a]))
+                        .then_with(|| templates[a].key.bytes().cmp(templates[b].key.bytes()))
+                });
+                Policy {
+                    templates,
+                    order,
+                    bound_order,
+                    position,
+                    upper,
+                    budget,
+                }
+            }
+
+            fn optimistic(&self, next: usize, savings: f64, room: f64) -> f64 {
+                let mut bound = savings;
+                let mut room = room.max(0.0);
+                for &t in &self.bound_order {
+                    if self.position[t] < next {
+                        continue;
+                    }
+                    let value = self.upper[t];
+                    if value <= 0.0 {
+                        continue;
+                    }
+                    let area = self.templates[t].evaluation.area;
+                    if area <= room {
+                        bound += value;
+                        room -= area;
+                    } else {
+                        if area > 0.0 {
+                            bound += value * (room / area);
+                        }
+                        break;
+                    }
+                }
+                bound
+            }
+        }
+
+        impl SearchPolicy for Policy<'_> {
+            type Payload = Vec<usize>;
+            type State = State;
+
+            fn depth(&self) -> usize {
+                self.order.len()
+            }
+
+            fn max_arity(&self) -> usize {
+                2
+            }
+
+            fn initial_state(&self) -> State {
+                State::default()
+            }
+
+            fn choice_count(&self, _state: &State, _level: usize) -> usize {
+                2
+            }
+
+            fn apply(
+                &self,
+                state: &mut State,
+                level: usize,
+                choice: usize,
+                stats: &mut SearchStats,
+                incumbent: &mut Incumbent<Vec<usize>>,
+            ) -> bool {
+                let t = self.order[level];
+                if choice == 0 {
+                    stats.cuts_considered += 1;
+                    if self
+                        .budget
+                        .max_templates
+                        .is_some_and(|limit| state.taken.len() >= limit)
+                    {
+                        stats.pruned_node_budget += 1;
+                        return false;
+                    }
+                    let template = &self.templates[t];
+                    let area = state.area + template.evaluation.area;
+                    if !fits(area, self.budget.area) {
+                        stats.pruned_output += 1;
+                        return false;
+                    }
+                    let (sites, savings) = claimable_sites(template, &state.claims, state.savings);
+                    if sites.is_empty() {
+                        stats.pruned_bound += 1;
+                        return false;
+                    }
+                    if self.optimistic(level + 1, savings, self.budget.area - area)
+                        <= incumbent.score()
+                    {
+                        stats.pruned_bound += 1;
+                        return false;
+                    }
+                    commit_sites(template, &sites, &mut state.claims);
+                    state.journal.push(Step::Taken {
+                        sites,
+                        savings_before: state.savings,
+                        area_before: state.area,
+                    });
+                    state.savings = savings;
+                    state.area = area;
+                    state.taken.push(t);
+                    stats.feasible_cuts += 1;
+                    incumbent.offer(state.savings, || state.taken.clone());
+                    true
+                } else {
+                    if self.optimistic(level + 1, state.savings, self.budget.area - state.area)
+                        <= incumbent.score()
+                    {
+                        stats.bound_subtree_prunes += 1;
+                        return false;
+                    }
+                    state.journal.push(Step::Skipped);
+                    true
+                }
+            }
+
+            fn undo(&self, state: &mut State, level: usize, _choice: usize) {
+                match state.journal.pop().expect("journal entry per applied step") {
+                    Step::Skipped => {}
+                    Step::Taken {
+                        sites,
+                        savings_before,
+                        area_before,
+                    } => {
+                        let t = self.order[level];
+                        release_sites(&self.templates[t], &sites, &mut state.claims);
+                        state.savings = savings_before;
+                        state.area = area_before;
+                        state.taken.pop();
+                    }
+                }
+            }
+
+            fn requires_sequential(&self) -> bool {
+                true
+            }
+        }
+
+        fn commit_selection(templates: &[Template], taken: &[usize]) -> TemplateSelection {
+            let mut claims = Claims::new();
+            let mut selection = TemplateSelection::default();
+            for &t in taken {
+                let template = &templates[t];
+                let (sites, savings) = claimable_sites(template, &claims, selection.total_savings);
+                commit_sites(template, &sites, &mut claims);
+                selection.chosen.push(ChosenTemplate {
+                    template: t,
+                    savings: savings - selection.total_savings,
+                    sites_taken: sites,
+                });
+                selection.total_savings = savings;
+                selection.total_area += template.evaluation.area;
+            }
+            selection
+        }
+
+        /// The reference [`select_templates_budgeted`].
+        pub fn select_budgeted(
+            templates: &[Template],
+            budget: TemplateBudget,
+            exploration_budget: Option<u64>,
+        ) -> (TemplateSelection, SearchStats) {
+            if templates.is_empty() {
+                return (TemplateSelection::default(), SearchStats::default());
+            }
+            let policy = Policy::new(templates, budget);
+            let (taken, stats) = SearchKernel::sequential()
+                .with_exploration_budget(exploration_budget)
+                .run(&policy);
+            let selection = taken
+                .map(|taken| commit_selection(templates, &taken))
+                .unwrap_or_default();
+            (selection, stats)
+        }
+    }
 
     fn mac_block(name: &str, exec: u64) -> Dfg {
         let mut b = DfgBuilder::new(name);
@@ -1063,9 +1566,81 @@ mod tests {
                 site(0, 1, &[0, 1], 2.0), // other block: no conflict
             ],
         );
-        let (taken, savings) = claimable_sites(&t, &Claims::new(), 0.0);
+        let masks = SiteMasks::new(std::slice::from_ref(&t));
+        let mut claimed = masks.arena();
+        let mut taken = Vec::new();
+        let savings = masks.claim(0, &mut claimed, 0.0, &mut taken);
         assert_eq!(taken, vec![0, 2, 3]);
         assert!((savings - 17.0).abs() < 1e-12);
+        // Releasing the claims restores the empty arena.
+        masks.release(&taken, &mut claimed);
+        assert_eq!(claimed, masks.arena());
+    }
+
+    /// A seeded random template set: sites crowd a few blocks (so they overlap, within
+    /// one template and across templates), some blocks span several mask words, and
+    /// areas and savings repeat often enough to exercise every tie-break.
+    fn random_templates(seed: u64) -> Vec<Template> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = |bound: u64| -> u64 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        // Nodes per block: `(program, block)` indexes this table.
+        const WIDTHS: [[u32; 3]; 3] = [[8, 150, 12], [70, 6, 200], [10, 130, 64]];
+        let count = 8 + next(17) as usize;
+        (0..count)
+            .map(|tag| {
+                let sites = (0..1 + next(5))
+                    .map(|_| {
+                        let (program, block) = (next(3) as usize, next(3) as usize);
+                        let width = u64::from(WIDTHS[program][block]);
+                        let first = next(width);
+                        let mut nodes: Vec<u32> = (0..1 + next(5))
+                            .map(|_| ((first + next(6)) % width) as u32)
+                            .collect();
+                        nodes.sort_unstable();
+                        nodes.dedup();
+                        site(program, block, &nodes, (1 + next(40)) as f64 * 0.5)
+                    })
+                    .collect();
+                let area = [0.0, 0.25, 0.5, 1.0, 1.5, 2.75][next(6) as usize];
+                template(tag as u8, area, sites)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn policy_matches_the_reference_policy_visit_for_visit() {
+        let (mut exhausted, mut multi_word) = (0, false);
+        for seed in 0..60u64 {
+            let templates = random_templates(seed);
+            multi_word |= SiteMasks::new(&templates)
+                .masks
+                .iter()
+                .any(|&(word, _)| word > 0);
+            let total_area: f64 = templates.iter().map(Template::area).sum();
+            for fraction in [0.1, 0.3, 0.6, 1.0, 1e9] {
+                for limit in [None, Some(2), Some(5)] {
+                    for exploration in [None, Some(3), Some(25), Some(200)] {
+                        let budget =
+                            TemplateBudget::new(total_area * fraction).with_max_templates(limit);
+                        let fast = select_templates_budgeted(&templates, budget, exploration);
+                        let reference = reference::select_budgeted(&templates, budget, exploration);
+                        assert_eq!(
+                            fast, reference,
+                            "seed {seed}, fraction {fraction}, limit {limit:?}, \
+                             exploration {exploration:?}"
+                        );
+                        exhausted += u32::from(fast.1.budget_exhausted);
+                    }
+                }
+            }
+        }
+        assert!(multi_word, "some block spans more than one mask word");
+        assert!(exhausted > 0, "some exploration budget trips");
     }
 
     fn conflict_corpus() -> Vec<Template> {
@@ -1140,6 +1715,7 @@ mod tests {
             Constraints::new(3, 1),
             Some(100_000),
             TemplateBudget::new(1e9),
+            &Arc::new(WarmPoolCache::new(WarmCacheConfig::default())),
         );
         assert!(report.templates_considered > 0);
         assert!(!report.chosen.is_empty());

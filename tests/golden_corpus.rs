@@ -95,7 +95,10 @@ fn corpus_templates_cli_json_matches_golden() {
     let (response, _, _) = ise_api::BatchService::new()
         .run_corpus(&request)
         .expect("corpus executes");
-    assert!(response.templates.is_some(), "a template budget yields a report");
+    assert!(
+        response.templates.is_some(),
+        "a template budget yields a report"
+    );
     let envelope = json::Value::Object(vec![("response".to_string(), json::to_value(&response))]);
     let payload = format!("{}\n", json::to_string(&envelope));
     assert_golden("results/golden/corpus_templates_cli.json", &payload);
