@@ -72,6 +72,19 @@ pub fn git_revision() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// Median of a non-empty list (mean of the middle two for an even length): the
+/// value the gates report over their timed repeats.
+pub(crate) fn median(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len().is_multiple_of(2) {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    } else {
+        sorted[mid]
+    }
+}
+
 /// Default exploration budget (cuts considered per identifier invocation) applied to the
 /// exact algorithms when they are driven over the largest blocks; the paper similarly
 /// notes that the Optimal algorithm could not be run on the largest adpcmdecode blocks.

@@ -304,7 +304,7 @@ pub fn run(config: &ServeBenchConfig) -> ServeBenchReport {
         git_revision: crate::git_revision(),
         repeats: speedups.len() as u64,
         identical,
-        warm_speedup: median(&speedups),
+        warm_speedup: crate::median(&speedups),
         speedups,
         cold: LatencyReport::new(cold_latencies),
         warm: LatencyReport::new(warm_latencies),
@@ -322,18 +322,6 @@ pub fn run(config: &ServeBenchConfig) -> ServeBenchReport {
 /// the inverse ratio of its mean latencies).
 fn mean(latencies_ms: &[f64]) -> f64 {
     latencies_ms.iter().sum::<f64>() / latencies_ms.len() as f64
-}
-
-/// Median of a non-empty list (mean of the middle two for an even length).
-fn median(values: &[f64]) -> f64 {
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-    let mid = sorted.len() / 2;
-    if sorted.len().is_multiple_of(2) {
-        (sorted[mid - 1] + sorted[mid]) / 2.0
-    } else {
-        sorted[mid]
-    }
 }
 
 /// Renders the report as the `BENCH_serve.json` payload.

@@ -271,8 +271,8 @@ pub fn run(config: &TemplateBenchConfig) -> TemplateBenchReport {
         sites_total,
         oracle_identical,
         cross_site_wins,
-        extract_ms: median(&extract_times),
-        select_ms: median(&select_times),
+        extract_ms: crate::median(&extract_times),
+        select_ms: crate::median(&select_times),
         oracle_ms,
         rows,
     }
@@ -319,18 +319,6 @@ fn select_ladder(
             }
         })
         .collect()
-}
-
-/// Median of a non-empty list (mean of the middle two for an even length).
-fn median(values: &[f64]) -> f64 {
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let mid = sorted.len() / 2;
-    if sorted.len().is_multiple_of(2) {
-        (sorted[mid - 1] + sorted[mid]) / 2.0
-    } else {
-        sorted[mid]
-    }
 }
 
 /// Coverage-regression check on the report: savings must grow (weakly) with the

@@ -694,19 +694,6 @@ impl<'t> TemplateSelectPolicy<'t> {
         }
         bound <= score
     }
-
-    /// The walk state before any decision.
-    fn fresh_state(&self) -> SelectState {
-        SelectState {
-            claimed: self.masks.arena(),
-            sites: Vec::new(),
-            savings: 0.0,
-            area: 0.0,
-            taken: Vec::new(),
-            journal: Vec::new(),
-            undecided: Undecided::new(self.pour.len()),
-        }
-    }
 }
 
 /// The incumbent payload: the template indices taken so far, in decision order.
@@ -728,7 +715,15 @@ impl SearchPolicy for TemplateSelectPolicy<'_> {
     }
 
     fn initial_state(&self) -> SelectState {
-        self.fresh_state()
+        SelectState {
+            claimed: self.masks.arena(),
+            sites: Vec::new(),
+            savings: 0.0,
+            area: 0.0,
+            taken: Vec::new(),
+            journal: Vec::new(),
+            undecided: Undecided::new(self.pour.len()),
+        }
     }
 
     fn choice_count(&self, _state: &SelectState, _level: usize) -> usize {
@@ -915,7 +910,7 @@ pub fn select_templates_exhaustive(
         "the exhaustive oracle is for small fixtures"
     );
     let policy = TemplateSelectPolicy::new(templates, budget);
-    let mut state = policy.fresh_state();
+    let mut state = policy.initial_state();
     let mut best_savings = 0.0f64;
     let mut best_taken: Option<Vec<usize>> = None;
     walk_exhaustive(&policy, &mut state, 0, &mut best_savings, &mut best_taken);
