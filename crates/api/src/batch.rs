@@ -442,6 +442,26 @@ mod tests {
         }
     }
 
+    /// An output-port limit far beyond any block's size is a valid request: the fills
+    /// size their tables by the block, not by `Nout`, and the deduplicated run stays
+    /// byte-identical to the dedup-off reference.
+    #[test]
+    fn huge_output_port_corpus_matches_the_dedup_off_run() {
+        let request = CorpusRequest::new(vec![
+            ProgramSource::Workload("gsm".into()),
+            ProgramSource::Workload("adpcmencode".into()),
+            ProgramSource::Workload("gsm".into()),
+        ])
+        .with_constraints(ise_core::Constraints::new(4, 100_000))
+        .with_config(ise_core::IdentifierConfig::default().with_exploration_budget(Some(200_000)));
+        let service = BatchService::new();
+        let (deduped, _, _) = service.run_corpus(&request).expect("valid corpus");
+        let (reference, _, _) = service
+            .run_corpus(&request.clone().with_dedup(false))
+            .expect("valid corpus");
+        assert_eq!(crate::to_json(&deduped), crate::to_json(&reference));
+    }
+
     /// Two functions in one `.ll` module; the corpus paths must analyse them as
     /// two programs, exactly as if each had been lowered from its own file.
     const PAIR_LL: &str = r#"

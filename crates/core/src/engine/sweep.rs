@@ -34,7 +34,8 @@ use ise_ir::Program;
 
 use crate::constraints::Constraints;
 use crate::multicut::{MultiCutOutcome, MultiCutSearch};
-use crate::pool::{covers, fill_multicut, FillOutcome, FilledTuplePool};
+use crate::pool::{covers, fill_multicut, FillOutcome, FilledPool};
+use crate::search::IdentifiedCut;
 use crate::selection::{select_optimal_core, SelectionResult};
 use crate::structural::StructuralForm;
 
@@ -94,10 +95,7 @@ impl SweepStats {
 }
 
 /// Memo entry for one multiple-cut fill.
-enum TupleFill {
-    Pool(FilledTuplePool),
-    Exhausted,
-}
+type TupleFill = FillOutcome<FilledPool<Vec<IdentifiedCut>>>;
 
 /// Answers an entire constraint sweep from memoised cut pools (see the module
 /// documentation).
@@ -116,7 +114,8 @@ pub struct SweepPlanner<'a> {
     single_pool: CorpusPool<'a>,
     /// The blocks' structural forms, computed on the first pool-backed single-cut pair.
     forms: Option<Vec<StructuralForm>>,
-    /// Memoised multiple-cut pools, keyed by (fill group, block, cut count).
+    /// Memoised multiple-cut pools, keyed by (fill group, block, cut count); an
+    /// exhausted fill makes its pairs fall back to direct searches.
     tuple_pools: BTreeMap<(usize, usize, usize), TupleFill>,
     stats: SweepStats,
 }
@@ -334,29 +333,27 @@ impl<'a> SweepPlanner<'a> {
                 m,
                 self.exploration_budget,
             );
-            let entry = match outcome {
+            match &outcome {
                 FillOutcome::Complete(pool) => {
                     self.stats.fill_cuts_considered += pool.fill_cuts_considered;
-                    TupleFill::Pool(pool)
                 }
                 FillOutcome::Exhausted {
                     fill_cuts_considered,
                 } => {
                     self.stats.exhausted_fills += 1;
                     self.stats.fill_cuts_considered += fill_cuts_considered;
-                    TupleFill::Exhausted
                 }
-            };
-            self.tuple_pools.insert(key, entry);
+            }
+            self.tuple_pools.insert(key, outcome);
         }
         let stats = &mut self.stats;
         match self.tuple_pools.get(&key).expect("inserted above") {
-            TupleFill::Pool(pool) => {
+            FillOutcome::Complete(pool) => {
                 stats.pool_answers += 1;
                 let answer = pool.answer(pair);
                 MultiCutOutcome::from_payload(answer.best, answer.stats)
             }
-            TupleFill::Exhausted => {
+            FillOutcome::Exhausted { .. } => {
                 stats.direct_calls += 1;
                 let mut search =
                     MultiCutSearch::new(self.program.block(block), *pair, self.model, m);

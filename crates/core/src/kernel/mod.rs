@@ -18,6 +18,9 @@
 //!   handful of AND-with-mask word operations, undone through an internal LIFO journal;
 //! * [`SearchPolicy`] — the per-algorithm hooks: how many branches a decision level has,
 //!   how to apply/undo one branch, and when to offer a candidate to the incumbent;
+//! * `SearchHook` — what the single-cut and multiple-cut policies report besides
+//!   walking: a no-op `DirectHook` for a direct search, a recorder for a pool fill,
+//!   so each algorithm has one policy;
 //! * [`Incumbent`] — the incumbent solution plus the ascending log of its improvements,
 //!   which makes deterministic subtree merging possible (see below);
 //! * [`SearchKernel`] — the driver: a sequential explicit-stack depth-first walk, or a
@@ -610,8 +613,8 @@ impl IncrementalCutState {
     }
 
     /// The counting-and-pruning half of [`try_add`](Self::try_add), for callers that
-    /// already hold the [`AddProbe`] (the pool-fill policy probes first so it can record
-    /// the attempt before classifying it). The probe **must** come from
+    /// already hold the [`AddProbe`] (`SearchHook::try_add` probes first so the hook
+    /// sees the attempt before it is classified). The probe **must** come from
     /// [`probe_add`](Self::probe_add) on the current state.
     pub fn try_add_probed(
         &mut self,
@@ -622,10 +625,6 @@ impl IncrementalCutState {
         stats: &mut SearchStats,
     ) -> bool {
         stats.cuts_considered += 1;
-        let within_node_budget = ctx
-            .constraints
-            .max_nodes
-            .is_none_or(|limit| self.len() < limit);
         if probe.outputs > ctx.constraints.max_outputs {
             stats.pruned_output += 1;
             return false;
@@ -634,7 +633,7 @@ impl IncrementalCutState {
             stats.pruned_convexity += 1;
             return false;
         }
-        if !within_node_budget {
+        if !self.within_node_budget(ctx) {
             stats.pruned_node_budget += 1;
             return false;
         }
@@ -770,6 +769,23 @@ impl IncrementalCutState {
         }
     }
 
+    /// Whether the optional node budget still admits one more member.
+    #[must_use]
+    pub(crate) fn within_node_budget(&self, ctx: &BlockContext<'_>) -> bool {
+        ctx.constraints
+            .max_nodes
+            .is_none_or(|limit| self.len() < limit)
+    }
+
+    /// Whether the cut may be offered as a candidate: the input-port constraint and the
+    /// area / node budgets, which never prune (adding a producer may reduce `IN(S)`)
+    /// and are therefore checked only here.
+    #[must_use]
+    pub(crate) fn is_candidate(&self, ctx: &BlockContext<'_>) -> bool {
+        self.inputs() <= ctx.constraints.max_inputs
+            && ctx.constraints.budget_ok(self.area(), self.len())
+    }
+
     /// Packages the current cut and its incrementally maintained evaluation.
     #[must_use]
     pub fn identified(&self, ctx: &BlockContext<'_>) -> IdentifiedCut {
@@ -865,6 +881,77 @@ impl<T> Incumbent<T> {
             self.score = later.score;
             self.payload = later.payload;
         }
+    }
+}
+
+/// What the single-cut and multiple-cut policies report about their walk, besides
+/// the kernel's own counters: every 1-branch attempt, every software-branch subtree
+/// prune and every qualifying candidate.
+///
+/// A direct search plugs in [`DirectHook`], which records nothing and offers each
+/// candidate to the kernel's [`Incumbent`]; being zero-sized, it monomorphises away
+/// and leaves the plain search walk. A pool fill (`crate::pool`) plugs in a recorder
+/// that histograms the attempts and keeps every non-dominated candidate instead, and
+/// never touches the incumbent — so both run one policy per algorithm.
+///
+/// `prefix` is the largest `OUT` applied on the current tree path. `OUT` only grows
+/// along the consumers-first order, so that is the current cut's `OUT` (for
+/// multicut, the largest slot `OUT`).
+pub(crate) trait SearchHook<P>: Sync {
+    /// One 1-branch attempt with its query-independent flags, before it is classified.
+    fn attempt(&self, prefix: usize, probe: AddProbe, within_budget: bool, bound_ok: bool);
+
+    /// A software branch whose whole subtree the frontier bound skipped.
+    fn subtree_prune(&self, prefix: usize);
+
+    /// A candidate that passed [`IncrementalCutState::is_candidate`] (every slot, for
+    /// tuples), with its signature `(IN, OUT)` and score; `make` builds the payload.
+    fn offer(
+        &self,
+        incumbent: &mut Incumbent<P>,
+        inputs: usize,
+        outputs: usize,
+        score: f64,
+        make: impl FnOnce() -> P,
+    );
+
+    /// The 1-branch step every policy shares: probe `node` against `cut`, report the
+    /// attempt, then count, classify and (on success) apply it through
+    /// [`IncrementalCutState::try_add_probed`].
+    fn try_add(
+        &self,
+        ctx: &BlockContext<'_>,
+        cut: &mut IncrementalCutState,
+        node: NodeId,
+        prefix: usize,
+        bound: BoundCheck,
+        stats: &mut SearchStats,
+    ) -> bool {
+        let probe = cut.probe_add(ctx, node);
+        let bound_ok = bound.optimistic > bound.threshold;
+        self.attempt(prefix, probe, cut.within_node_budget(ctx), bound_ok);
+        cut.try_add_probed(ctx, node, probe, bound, stats)
+    }
+}
+
+/// The direct search's [`SearchHook`]: records nothing, offers to the incumbent.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DirectHook;
+
+impl<P> SearchHook<P> for DirectHook {
+    fn attempt(&self, _prefix: usize, _probe: AddProbe, _within_budget: bool, _bound_ok: bool) {}
+
+    fn subtree_prune(&self, _prefix: usize) {}
+
+    fn offer(
+        &self,
+        incumbent: &mut Incumbent<P>,
+        _inputs: usize,
+        _outputs: usize,
+        score: f64,
+        make: impl FnOnce() -> P,
+    ) {
+        incumbent.offer(score, make);
     }
 }
 

@@ -14,7 +14,9 @@
 //! The tree walk is the shared [`SearchKernel`]; this module
 //! supplies the `(M+1)`-ary *policy*, in which each of the `M` cuts under construction is
 //! its own [`IncrementalCutState`] — the same per-cut bookkeeping the single-cut search
-//! uses, instantiated `M` times.
+//! uses, instantiated `M` times. Like the single-cut policy it is generic over a
+//! `SearchHook`, so the pool's tuple fills ([`crate::pool::fill_multicut`]) run this
+//! very policy with a recording hook.
 
 use ise_hw::{cut_merit, CostModel};
 use ise_ir::Dfg;
@@ -22,7 +24,8 @@ use ise_ir::Dfg;
 use crate::constraints::Constraints;
 use crate::cut::CutSet;
 use crate::kernel::{
-    BlockContext, BoundCheck, IncrementalCutState, Incumbent, SearchKernel, SearchPolicy,
+    BlockContext, BoundCheck, DirectHook, IncrementalCutState, Incumbent, SearchHook, SearchKernel,
+    SearchPolicy,
 };
 use crate::search::{IdentifiedCut, SearchStats};
 
@@ -79,14 +82,16 @@ struct MultiCutState {
 ///
 /// Choices `0..assignable` assign the node to that cut slot (with symmetry breaking: a
 /// node may start slot `k` only when slots `0..k` are in use); the last choice leaves
-/// the node in software.
-struct MultiCutPolicy<'a> {
+/// the node in software. As in the single-cut policy, `hook` sees every attempt,
+/// subtree prune and candidate, so a direct search and a pool fill walk one policy.
+struct MultiCutPolicy<'a, H> {
     ctx: &'a BlockContext<'a>,
     num_cuts: usize,
     incumbent_bound: bool,
+    hook: H,
 }
 
-impl MultiCutPolicy<'_> {
+impl<H: SearchHook<Vec<IdentifiedCut>>> MultiCutPolicy<'_, H> {
     /// Number of cut slots the node at the current state may be assigned to.
     fn assignable(&self, state: &MultiCutState) -> usize {
         let used = state.cuts.iter().take_while(|cut| !cut.is_empty()).count();
@@ -97,30 +102,40 @@ impl MultiCutPolicy<'_> {
     /// base of the frontier bound. Each remaining software cycle can join at most one
     /// slot and raise that slot's merit by at most one per cycle, so
     /// `base + remaining_mass` bounds every objective reachable in the subtree.
-    fn base_merit(&self, state: &MultiCutState) -> f64 {
+    fn base_merit(state: &MultiCutState) -> f64 {
         state.cuts.iter().map(IncrementalCutState::merit).sum()
     }
 
-    /// Offers the current assignment to the incumbent: every non-empty cut must satisfy
-    /// the input-port and budget constraints, and the objective is the summed merit.
+    /// The largest slot `OUT`: the hook's tree-path prefix.
+    fn prefix(state: &MultiCutState) -> usize {
+        state
+            .cuts
+            .iter()
+            .map(IncrementalCutState::outputs)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Offers the current assignment: every non-empty cut must be a candidate, the
+    /// objective is the summed merit and the signature is `(max IN, max OUT)` over
+    /// the non-empty cuts.
     fn consider_candidate(
         &self,
         state: &MultiCutState,
         incumbent: &mut Incumbent<Vec<IdentifiedCut>>,
     ) {
         let mut total = 0.0;
-        for cut in &state.cuts {
-            if cut.is_empty() {
-                continue;
-            }
-            if cut.inputs() > self.ctx.constraints.max_inputs
-                || !self.ctx.constraints.budget_ok(cut.area(), cut.len())
-            {
+        let mut max_in = 0;
+        let mut max_out = 0;
+        for cut in state.cuts.iter().filter(|cut| !cut.is_empty()) {
+            if !cut.is_candidate(self.ctx) {
                 return;
             }
             total += cut.merit();
+            max_in = max_in.max(cut.inputs());
+            max_out = max_out.max(cut.outputs());
         }
-        incumbent.offer(total, || {
+        self.hook.offer(incumbent, max_in, max_out, total, || {
             state
                 .cuts
                 .iter()
@@ -132,7 +147,7 @@ impl MultiCutPolicy<'_> {
     }
 }
 
-impl SearchPolicy for MultiCutPolicy<'_> {
+impl<H: SearchHook<Vec<IdentifiedCut>>> SearchPolicy for MultiCutPolicy<'_, H> {
     type Payload = Vec<IdentifiedCut>;
     type State = MultiCutState;
 
@@ -179,9 +194,10 @@ impl SearchPolicy for MultiCutPolicy<'_> {
             // Software branch: the node is outside every cut — unless even the whole
             // remaining frontier cannot lift the tuple's summed merit past the
             // threshold, in which case the subtree is skipped outright.
-            let optimistic = self.base_merit(state) + ctx.remaining_mass(level + 1) as f64;
+            let optimistic = Self::base_merit(state) + ctx.remaining_mass(level + 1) as f64;
             if optimistic <= threshold {
                 stats.bound_subtree_prunes += 1;
+                self.hook.subtree_prune(Self::prefix(state));
                 return false;
             }
             for cut in &mut state.cuts {
@@ -194,7 +210,7 @@ impl SearchPolicy for MultiCutPolicy<'_> {
         // critical path, since adding can only lengthen it) and grants the remaining
         // frontier mass on top.
         let slot = &state.cuts[choice];
-        let optimistic = self.base_merit(state) - slot.merit()
+        let optimistic = Self::base_merit(state) - slot.merit()
             + cut_merit(
                 slot.software() + u64::from(ctx.node_software_cost(node)),
                 slot.critical_path(),
@@ -205,7 +221,11 @@ impl SearchPolicy for MultiCutPolicy<'_> {
             threshold,
             input_floor: self.incumbent_bound.then_some(ctx.constraints.max_inputs),
         };
-        if !state.cuts[choice].try_add(ctx, node, bound, stats) {
+        let prefix = Self::prefix(state);
+        if !self
+            .hook
+            .try_add(ctx, &mut state.cuts[choice], node, prefix, bound, stats)
+        {
             return false;
         }
         // The node is *outside* every other cut, so record whether it forwards a path
@@ -306,13 +326,23 @@ impl<'a> MultiCutSearch<'a> {
     /// Runs the search.
     #[must_use]
     pub fn run(self) -> MultiCutOutcome {
+        let (best, stats, DirectHook) = self.run_hooked(DirectHook);
+        MultiCutOutcome::from_payload(best, stats)
+    }
+
+    /// Runs the search with `hook` observing the walk and hands the hook back.
+    pub(crate) fn run_hooked<H: SearchHook<Vec<IdentifiedCut>>>(
+        self,
+        hook: H,
+    ) -> (Option<Vec<IdentifiedCut>>, SearchStats, H) {
         let policy = MultiCutPolicy {
             ctx: &self.ctx,
             num_cuts: self.num_cuts,
             incumbent_bound: self.incumbent_bound,
+            hook,
         };
         let (best, stats) = self.kernel.run(&policy);
-        MultiCutOutcome::from_payload(best, stats)
+        (best, stats, policy.hook)
     }
 }
 

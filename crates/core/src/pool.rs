@@ -7,12 +7,14 @@
 //! loose ones. This module exploits that monotonicity with a memoised *cut pool*:
 //!
 //! * [`fill_single_cut`] / [`fill_multicut`] run the exact search **once** under the
-//!   loosest constraints of a sweep, with a recording [`SearchPolicy`] (`PoolFill`) that
+//!   loosest constraints of a sweep. They walk the very policies of
+//!   [`SingleCutSearch`] and [`MultiCutSearch`], with a recording `SearchHook` in
+//!   place of the direct search's no-op one: the hook histograms every attempt and
 //!   keeps every non-dominated candidate instead of a single incumbent;
-//! * [`FilledPool`] / [`FilledTuplePool`] answer any *covered* query pair — same area
-//!   and node budgets, ports no looser than the fill — with the **byte-identical**
-//!   result a direct search under that pair would return, including the
-//!   `cuts_considered` accounting, without walking the tree again.
+//! * [`FilledPool`] answers any *covered* query pair — same area and node budgets,
+//!   ports no looser than the fill — with the **byte-identical** result a direct
+//!   search under that pair would return, including the `cuts_considered`
+//!   accounting, without walking the tree again.
 //!
 //! # Why the answers are exact
 //!
@@ -23,7 +25,9 @@
 //!    member: growing a cut never removes a write port. Hence a cut is reachable in the
 //!    walk under `Nout = q` exactly when its own output count is `≤ q`, and a pruned
 //!    1-branch is attempted under `q` exactly when the largest output count applied on
-//!    its tree path is `≤ q`.
+//!    its tree path — the attempt's *prefix* — is `≤ q`. By the same monotonicity the
+//!    prefix is simply the current cut's `OUT` (for tuples, the largest slot `OUT`), so
+//!    the hook reads it off the search state instead of tracking the path.
 //! 2. **The incumbent is order-determined.** A search returns the depth-first-earliest
 //!    cut of maximal merit among the qualifying candidates. Keeping, per `(IN, OUT)`
 //!    signature, the earliest maximal-merit candidate — and dropping any candidate that
@@ -50,15 +54,14 @@
 
 use std::sync::Mutex;
 
-use ise_hw::{cut_merit, CostModel};
+use ise_hw::CostModel;
 use ise_ir::Dfg;
 
 use crate::constraints::Constraints;
 use crate::cut::CutSet;
-use crate::kernel::{
-    BlockContext, BoundCheck, IncrementalCutState, Incumbent, SearchKernel, SearchPolicy,
-};
-use crate::search::{IdentifiedCut, SearchStats};
+use crate::kernel::{AddProbe, Incumbent, SearchHook};
+use crate::multicut::MultiCutSearch;
+use crate::search::{IdentifiedCut, SearchStats, SingleCutSearch};
 
 /// One candidate kept by a [`ParetoStore`]: the payload plus its query signature.
 #[derive(Debug, Clone, PartialEq)]
@@ -208,13 +211,15 @@ impl<P> ParetoStore<P> {
 ///
 /// Each attempt is keyed by the largest `OUT` applied on its tree path (`prefix`), the
 /// probed `OUT` of the attempt itself, and its convexity / node-budget / frontier-bound
-/// flags. A walk under `Nout = q` makes exactly the attempts with `prefix ≤ q` and
-/// classifies each in the canonical order: output ports first, then convexity, the node
-/// budget, and last the frontier bound. The bound flag is query-independent (zero
-/// threshold, path-determined optimistic value), so recording it once at fill time is
-/// exact for every covered query. Software-branch subtree prunes — the bound firing at
-/// a 0-branch, where no cut is attempted — are tallied per prefix in
-/// `subtree_prunes` and reconstructed by the same prefix cutoff.
+/// flags. The table covers prefixes up to `fill_outputs`: the fill's `Nout`, capped at
+/// the block's node count since `OUT(S)` never exceeds it, so a huge requested `Nout`
+/// costs no more than the block's own size. A walk under `Nout = q` makes exactly the
+/// attempts with `prefix ≤ q` and classifies each in the canonical order: output ports
+/// first, then convexity, the node budget, and last the frontier bound. The bound flag
+/// is query-independent (zero threshold, path-determined optimistic value), so
+/// recording it once at fill time is exact for every covered query. Software-branch
+/// subtree prunes — the bound firing at a 0-branch, where no cut is attempted — are
+/// tallied per prefix in `subtree_prunes` and reconstructed by the same prefix cutoff.
 ///
 /// `best_updates` is *not* reconstructible from a histogram (it depends on the full
 /// offer order) and is reported as zero by [`reconstruct`](Self::reconstruct); pool
@@ -247,22 +252,6 @@ impl AttemptHistogram {
             + usize::from(within_budget))
             * 2
             + usize::from(bound_ok)
-    }
-
-    fn record(
-        &mut self,
-        prefix: usize,
-        probed: usize,
-        convex: bool,
-        within_budget: bool,
-        bound_ok: bool,
-    ) {
-        let index = self.index(prefix, probed, convex, within_budget, bound_ok);
-        self.counts[index] += 1;
-    }
-
-    fn record_subtree_prune(&mut self, prefix: usize) {
-        self.subtree_prunes[prefix] += 1;
     }
 
     /// Reconstructs the statistics of a direct search under `Nout = max_outputs`.
@@ -328,36 +317,19 @@ impl AttemptHistogram {
     }
 }
 
-/// Shared recording state of one pool fill (candidates plus the attempt histogram).
-#[derive(Debug)]
-struct FillRecorder<P> {
-    store: ParetoStore<P>,
-    histogram: AttemptHistogram,
-}
-
-/// A completed single-cut pool fill for one basic block and one exclusion set.
+/// A completed pool fill for one basic block and one exclusion set: payload `P` is
+/// one [`IdentifiedCut`] for single-cut fills, a cut tuple for multiple-cut fills
+/// (per block and per simultaneous-cut count `M`).
 #[derive(Debug, Clone)]
-pub struct FilledPool {
+pub struct FilledPool<P> {
     /// The constraints the enumeration ran under.
     pub fill: Constraints,
-    /// The non-dominated candidate cuts.
-    pub store: ParetoStore<IdentifiedCut>,
+    /// The non-dominated candidates.
+    pub store: ParetoStore<P>,
     /// The attempt histogram for effort reconstruction.
     pub histogram: AttemptHistogram,
-    /// Cuts considered by the fill enumeration itself (the physical cost of the fill).
-    pub fill_cuts_considered: u64,
-}
-
-/// A completed multiple-cut pool fill (per block and per simultaneous-cut count `M`).
-#[derive(Debug, Clone)]
-pub struct FilledTuplePool {
-    /// The constraints the enumeration ran under.
-    pub fill: Constraints,
-    /// The non-dominated candidate tuples.
-    pub store: ParetoStore<Vec<IdentifiedCut>>,
-    /// The attempt histogram for effort reconstruction.
-    pub histogram: AttemptHistogram,
-    /// Assignments considered by the fill enumeration itself.
+    /// Cuts (or assignments) considered by the fill enumeration itself — the
+    /// physical cost of the fill.
     pub fill_cuts_considered: u64,
 }
 
@@ -396,16 +368,17 @@ pub struct PoolAnswer<P> {
     pub stats: SearchStats,
 }
 
-impl FilledPool {
+impl<P: Clone> FilledPool<P> {
     /// Answers a covered query pair with the byte-identical result of a direct
-    /// [`SingleCutSearch`](crate::SingleCutSearch) under `query`.
+    /// [`SingleCutSearch`] under `query` — for tuples, the unsorted payload of a direct
+    /// [`MultiCutSearch`], which [`crate::MultiCutOutcome::from_payload`] sorts.
     ///
     /// # Panics
     ///
     /// Panics if `query` is not covered by the fill constraints (callers check
     /// [`covers`] and fall back to a direct search instead).
     #[must_use]
-    pub fn answer(&self, query: &Constraints) -> PoolAnswer<IdentifiedCut> {
+    pub fn answer(&self, query: &Constraints) -> PoolAnswer<P> {
         assert!(covers(&self.fill, query), "query not covered by the fill");
         let best = self
             .store
@@ -418,308 +391,66 @@ impl FilledPool {
     }
 }
 
-impl FilledTuplePool {
-    /// Answers a covered query pair with the byte-identical cut tuple a direct
-    /// [`MultiCutSearch`](crate::MultiCutSearch) under `query` would return.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query` is not covered by the fill constraints.
-    #[must_use]
-    pub fn answer(&self, query: &Constraints) -> PoolAnswer<Vec<IdentifiedCut>> {
-        assert!(covers(&self.fill, query), "query not covered by the fill");
-        let best = self
-            .store
-            .answer(query.max_inputs, query.max_outputs)
-            .map(|entry| entry.payload.clone());
-        PoolAnswer {
-            best,
-            stats: self.histogram.reconstruct(query.max_outputs),
-        }
-    }
-}
+/// The pool fill's [`SearchHook`]: every attempt goes into the histogram and every
+/// qualifying candidate into the Pareto store; the kernel's incumbent is never
+/// offered anything. The lock is uncontended (fills walk sequentially); it only
+/// makes the recorder usable through the policy's shared reference.
+struct FillRecorder<P>(Mutex<(ParetoStore<P>, AttemptHistogram)>);
 
-/// Search state of the recording policies: the cut bookkeeping plus the running
-/// maximum of the output counts applied on the current tree path (one stack entry per
-/// applied decision, so undo is uniform).
-#[derive(Debug, Clone)]
-struct FillState<C> {
-    cuts: C,
-    prefix_out: Vec<usize>,
-}
-
-impl<C> FillState<C> {
-    fn new(cuts: C) -> Self {
-        FillState {
-            cuts,
-            prefix_out: vec![0],
-        }
+impl<P: Send> SearchHook<P> for FillRecorder<P> {
+    fn attempt(&self, prefix: usize, probe: AddProbe, within_budget: bool, bound_ok: bool) {
+        let (_, histogram) = &mut *self.0.lock().expect("fill runs sequentially");
+        let index = histogram.index(prefix, probe.outputs, probe.convex, within_budget, bound_ok);
+        histogram.counts[index] += 1;
     }
 
-    fn prefix(&self) -> usize {
-        *self.prefix_out.last().expect("prefix stack never empties")
-    }
-}
-
-/// The recording single-cut policy: the same decisions, pruning and counting as the
-/// incumbent-driven policy in `crate::search`, but every attempt goes into the
-/// histogram and every qualifying candidate into the Pareto store.
-struct SingleCutFillPolicy<'a> {
-    ctx: &'a BlockContext<'a>,
-    recorder: Mutex<FillRecorder<IdentifiedCut>>,
-}
-
-impl SearchPolicy for SingleCutFillPolicy<'_> {
-    type Payload = ();
-    type State = FillState<IncrementalCutState>;
-
-    fn depth(&self) -> usize {
-        self.ctx.depth()
+    fn subtree_prune(&self, prefix: usize) {
+        let (_, histogram) = &mut *self.0.lock().expect("fill runs sequentially");
+        histogram.subtree_prunes[prefix] += 1;
     }
 
-    fn max_arity(&self) -> usize {
-        2
-    }
-
-    fn initial_state(&self) -> Self::State {
-        FillState::new(IncrementalCutState::new(self.ctx))
-    }
-
-    fn choice_count(&self, _state: &Self::State, _level: usize) -> usize {
-        2
-    }
-
-    fn apply(
+    fn offer(
         &self,
-        state: &mut Self::State,
-        level: usize,
-        choice: usize,
-        stats: &mut SearchStats,
-        _incumbent: &mut Incumbent<()>,
-    ) -> bool {
-        let ctx = self.ctx;
-        let node = ctx.node_at(level);
-        if choice == 1 {
-            let prefix = state.prefix();
-            // The same path-determined zero-threshold bound the direct search applies
-            // at its software branch; a pruned subtree is recorded per prefix so covered
-            // queries reconstruct their own `bound_subtree_prunes`.
-            if state.cuts.frontier_dead_without(ctx, level) {
-                stats.bound_subtree_prunes += 1;
-                let mut recorder = self.recorder.lock().expect("fill runs sequentially");
-                recorder.histogram.record_subtree_prune(prefix);
-                return false;
-            }
-            state.cuts.mark_outside(ctx, node);
-            state.prefix_out.push(prefix);
-            return true;
-        }
-        if ctx.is_blocked(node) {
-            return false;
-        }
-        let prefix = state.prefix();
-        let probe = state.cuts.probe_add(ctx, node);
-        let within_budget = ctx
-            .constraints
-            .max_nodes
-            .is_none_or(|limit| state.cuts.len() < limit);
-        let dead = state.cuts.frontier_dead_with(ctx, level);
-        let bound = BoundCheck::frontier(dead);
-        let mut recorder = self.recorder.lock().expect("fill runs sequentially");
-        recorder
-            .histogram
-            .record(prefix, probe.outputs, probe.convex, within_budget, !dead);
-        if !state.cuts.try_add_probed(ctx, node, probe, bound, stats) {
-            return false;
-        }
-        // Candidate qualification mirrors the single-cut offer: the input-port check
-        // and the area / node budgets apply only here, never as pruning.
-        if state.cuts.inputs() <= ctx.constraints.max_inputs
-            && ctx
-                .constraints
-                .budget_ok(state.cuts.area(), state.cuts.len())
-        {
-            recorder.store.offer(
-                state.cuts.inputs(),
-                state.cuts.outputs(),
-                state.cuts.merit(),
-                || state.cuts.identified(ctx),
-            );
-        }
-        drop(recorder);
-        state.prefix_out.push(prefix.max(probe.outputs));
-        true
-    }
-
-    fn undo(&self, state: &mut Self::State, _level: usize, _choice: usize) {
-        state.prefix_out.pop();
-        state.cuts.undo_last(self.ctx);
-    }
-}
-
-/// The recording `(M+1)`-ary policy mirroring `crate::multicut`: every assignment
-/// attempt is histogrammed, every qualifying tuple offered to the store with the
-/// signature `(max IN, max OUT, summed merit)` over its non-empty member cuts.
-struct MultiCutFillPolicy<'a> {
-    ctx: &'a BlockContext<'a>,
-    num_cuts: usize,
-    recorder: Mutex<FillRecorder<Vec<IdentifiedCut>>>,
-}
-
-impl MultiCutFillPolicy<'_> {
-    /// Number of cut slots the current node may be assigned to (symmetry breaking:
-    /// slot `k` opens only once slots `0..k` are in use) — identical to the
-    /// incumbent-driven policy.
-    fn assignable(&self, state: &FillState<Vec<IncrementalCutState>>) -> usize {
-        let used = state.cuts.iter().take_while(|cut| !cut.is_empty()).count();
-        (used + 1).min(self.num_cuts)
-    }
-
-    /// The tuple's current summed merit — the additive base of the frontier bound,
-    /// identical to the incumbent-driven policy's.
-    fn base_merit(state: &FillState<Vec<IncrementalCutState>>) -> f64 {
-        state.cuts.iter().map(IncrementalCutState::merit).sum()
-    }
-
-    /// Offers the current assignment: every non-empty cut must satisfy the input-port
-    /// and budget constraints of the *fill*; tighter query ports are applied at answer
-    /// time through the recorded signature.
-    fn consider_candidate(
-        &self,
-        state: &FillState<Vec<IncrementalCutState>>,
-        recorder: &mut FillRecorder<Vec<IdentifiedCut>>,
+        _incumbent: &mut Incumbent<P>,
+        inputs: usize,
+        outputs: usize,
+        score: f64,
+        make: impl FnOnce() -> P,
     ) {
-        let mut total = 0.0;
-        let mut max_in = 0;
-        let mut max_out = 0;
-        for cut in &state.cuts {
-            if cut.is_empty() {
-                continue;
-            }
-            if cut.inputs() > self.ctx.constraints.max_inputs
-                || !self.ctx.constraints.budget_ok(cut.area(), cut.len())
-            {
-                return;
-            }
-            total += cut.merit();
-            max_in = max_in.max(cut.inputs());
-            max_out = max_out.max(cut.outputs());
-        }
-        recorder.store.offer(max_in, max_out, total, || {
-            state
-                .cuts
-                .iter()
-                .filter(|cut| !cut.is_empty())
-                .map(|cut| cut.identified(self.ctx))
-                .filter(|c| c.evaluation.merit > 0.0)
-                .collect()
-        });
+        let (store, _) = &mut *self.0.lock().expect("fill runs sequentially");
+        store.offer(inputs, outputs, score, make);
     }
 }
 
-impl SearchPolicy for MultiCutFillPolicy<'_> {
-    type Payload = ();
-    type State = FillState<Vec<IncrementalCutState>>;
-
-    fn depth(&self) -> usize {
-        self.ctx.depth()
-    }
-
-    fn max_arity(&self) -> usize {
-        self.num_cuts + 1
-    }
-
-    fn initial_state(&self) -> Self::State {
-        FillState::new(vec![IncrementalCutState::new(self.ctx); self.num_cuts])
-    }
-
-    fn choice_count(&self, state: &Self::State, level: usize) -> usize {
-        if self.ctx.is_blocked(self.ctx.node_at(level)) {
-            1
-        } else {
-            self.assignable(state) + 1
-        }
-    }
-
-    fn apply(
-        &self,
-        state: &mut Self::State,
-        level: usize,
-        choice: usize,
-        stats: &mut SearchStats,
-        _incumbent: &mut Incumbent<()>,
-    ) -> bool {
-        let ctx = self.ctx;
-        let node = ctx.node_at(level);
-        let blocked = ctx.is_blocked(node);
-        let software_choice = if blocked { 0 } else { self.assignable(state) };
-        let prefix = state.prefix();
-        if choice == software_choice {
-            // Same path-determined zero-threshold bound as the direct `(M+1)`-ary
-            // policy's software branch, recorded per prefix for reconstruction.
-            let optimistic = Self::base_merit(state) + ctx.remaining_mass(level + 1) as f64;
-            if optimistic <= 0.0 {
-                stats.bound_subtree_prunes += 1;
-                let mut recorder = self.recorder.lock().expect("fill runs sequentially");
-                recorder.histogram.record_subtree_prune(prefix);
-                return false;
-            }
-            for cut in &mut state.cuts {
-                cut.mark_outside(ctx, node);
-            }
-            state.prefix_out.push(prefix);
-            return true;
-        }
-        let probe = state.cuts[choice].probe_add(ctx, node);
-        let within_budget = ctx
-            .constraints
-            .max_nodes
-            .is_none_or(|limit| state.cuts[choice].len() < limit);
-        let slot = &state.cuts[choice];
-        let bound = BoundCheck {
-            optimistic: Self::base_merit(state) - slot.merit()
-                + cut_merit(
-                    slot.software() + u64::from(ctx.node_software_cost(node)),
-                    slot.critical_path(),
-                )
-                + ctx.remaining_mass(level + 1) as f64,
-            threshold: 0.0,
-            input_floor: None,
+/// The one fill body: hands `walk` a fresh recorder — its histogram sized by the
+/// fill's `Nout`, capped at the block's node count since `OUT(S)` never exceeds it —
+/// and packages what it recorded, unless the walk did not complete within `budget`.
+fn fill_with<P: Send>(
+    dfg: &Dfg,
+    fill: Constraints,
+    budget: Option<u64>,
+    walk: impl FnOnce(FillRecorder<P>) -> (Option<P>, SearchStats, FillRecorder<P>),
+) -> FillOutcome<FilledPool<P>> {
+    let histogram = AttemptHistogram::new(fill.max_outputs.min(dfg.node_count()));
+    let recorder = FillRecorder(Mutex::new((ParetoStore::default(), histogram)));
+    let (_, stats, recorder) = walk(recorder);
+    // A fill that completes strictly within its budget is valid for every covered
+    // (hence no-larger) query walk, which is then guaranteed untruncated too.
+    if stats.budget_exhausted || budget.is_some_and(|limit| stats.cuts_considered >= limit) {
+        return FillOutcome::Exhausted {
+            fill_cuts_considered: stats.cuts_considered,
         };
-        let mut recorder = self.recorder.lock().expect("fill runs sequentially");
-        recorder.histogram.record(
-            prefix,
-            probe.outputs,
-            probe.convex,
-            within_budget,
-            bound.optimistic > bound.threshold,
-        );
-        if !state.cuts[choice].try_add_probed(ctx, node, probe, bound, stats) {
-            return false;
-        }
-        for (slot, cut) in state.cuts.iter_mut().enumerate() {
-            if slot != choice {
-                cut.mark_outside(ctx, node);
-            }
-        }
-        self.consider_candidate(state, &mut recorder);
-        drop(recorder);
-        state.prefix_out.push(prefix.max(probe.outputs));
-        true
     }
-
-    fn undo(&self, state: &mut Self::State, _level: usize, _choice: usize) {
-        state.prefix_out.pop();
-        for cut in state.cuts.iter_mut().rev() {
-            cut.undo_last(self.ctx);
-        }
-    }
-}
-
-/// Returns `true` when a fill that ran under `budget` completed strictly within it, so
-/// that every covered (hence no-larger) query walk is guaranteed untruncated too.
-fn fill_complete(stats: &SearchStats, budget: Option<u64>) -> bool {
-    !stats.budget_exhausted && budget.is_none_or(|limit| stats.cuts_considered < limit)
+    let (store, histogram) = recorder
+        .0
+        .into_inner()
+        .expect("fill mutex is never poisoned");
+    FillOutcome::Complete(FilledPool {
+        fill,
+        store,
+        histogram,
+        fill_cuts_considered: stats.cuts_considered,
+    })
 }
 
 /// Enumerates every candidate cut of `dfg` under the (loose) `fill` constraints and
@@ -734,39 +465,25 @@ pub fn fill_single_cut(
     fill: Constraints,
     model: &dyn CostModel,
     budget: Option<u64>,
-) -> FillOutcome<FilledPool> {
-    let mut ctx = BlockContext::new(dfg, fill, model);
-    if let Some(excluded) = excluded {
-        ctx.block_nodes(excluded);
-    }
-    let policy = SingleCutFillPolicy {
-        ctx: &ctx,
-        recorder: Mutex::new(FillRecorder {
-            store: ParetoStore::default(),
-            histogram: AttemptHistogram::new(fill.max_outputs),
-        }),
-    };
-    let kernel = SearchKernel::sequential().with_exploration_budget(budget);
-    let (_, stats) = kernel.run(&policy);
-    let recorder = policy
-        .recorder
-        .into_inner()
-        .expect("fill mutex is never poisoned");
-    if !fill_complete(&stats, budget) {
-        return FillOutcome::Exhausted {
-            fill_cuts_considered: stats.cuts_considered,
-        };
-    }
-    FillOutcome::Complete(FilledPool {
-        fill,
-        store: recorder.store,
-        histogram: recorder.histogram,
-        fill_cuts_considered: stats.cuts_considered,
+) -> FillOutcome<FilledPool<IdentifiedCut>> {
+    fill_with(dfg, fill, budget, |recorder| {
+        let mut search = SingleCutSearch::new(dfg, fill, model);
+        if let Some(excluded) = excluded {
+            search = search.with_excluded(excluded);
+        }
+        if let Some(budget) = budget {
+            search = search.with_exploration_budget(budget);
+        }
+        search.run_hooked(recorder)
     })
 }
 
 /// Enumerates every candidate `num_cuts`-tuple of `dfg` under the (loose) `fill`
 /// constraints and returns the memoisable tuple pool.
+///
+/// # Panics
+///
+/// Panics if `num_cuts` is zero or greater than 255, as [`MultiCutSearch::new`] does.
 #[must_use]
 pub fn fill_multicut(
     dfg: &Dfg,
@@ -775,43 +492,23 @@ pub fn fill_multicut(
     model: &dyn CostModel,
     num_cuts: usize,
     budget: Option<u64>,
-) -> FillOutcome<FilledTuplePool> {
-    let mut ctx = BlockContext::new(dfg, fill, model);
-    if let Some(excluded) = excluded {
-        ctx.block_nodes(excluded);
-    }
-    let policy = MultiCutFillPolicy {
-        ctx: &ctx,
-        num_cuts,
-        recorder: Mutex::new(FillRecorder {
-            store: ParetoStore::default(),
-            histogram: AttemptHistogram::new(fill.max_outputs),
-        }),
-    };
-    let kernel = SearchKernel::sequential().with_exploration_budget(budget);
-    let (_, stats) = kernel.run(&policy);
-    let recorder = policy
-        .recorder
-        .into_inner()
-        .expect("fill mutex is never poisoned");
-    if !fill_complete(&stats, budget) {
-        return FillOutcome::Exhausted {
-            fill_cuts_considered: stats.cuts_considered,
-        };
-    }
-    FillOutcome::Complete(FilledTuplePool {
-        fill,
-        store: recorder.store,
-        histogram: recorder.histogram,
-        fill_cuts_considered: stats.cuts_considered,
+) -> FillOutcome<FilledPool<Vec<IdentifiedCut>>> {
+    fill_with(dfg, fill, budget, |recorder| {
+        let mut search = MultiCutSearch::new(dfg, fill, model, num_cuts);
+        if let Some(excluded) = excluded {
+            search = search.with_excluded(excluded);
+        }
+        if let Some(budget) = budget {
+            search = search.with_exploration_budget(budget);
+        }
+        search.run_hooked(recorder)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multicut::MultiCutSearch;
-    use crate::search::SingleCutSearch;
+    use crate::MultiCutOutcome;
     use ise_hw::DefaultCostModel;
     use ise_ir::DfgBuilder;
 
@@ -827,44 +524,96 @@ mod tests {
         b.finish()
     }
 
-    fn expect_complete<T>(outcome: FillOutcome<T>) -> T {
+    /// Unwraps a complete fill and checks that its histogram accounts for the fill's
+    /// own walk: reconstructed at the fill's `Nout`, it counts exactly the cuts the
+    /// fill considered.
+    fn expect_complete<P>(outcome: FillOutcome<FilledPool<P>>) -> FilledPool<P> {
         match outcome {
-            FillOutcome::Complete(pool) => pool,
+            FillOutcome::Complete(pool) => {
+                assert_eq!(
+                    pool.histogram
+                        .reconstruct(pool.fill.max_outputs)
+                        .cuts_considered,
+                    pool.fill_cuts_considered
+                );
+                pool
+            }
             FillOutcome::Exhausted { .. } => panic!("fill unexpectedly exhausted"),
         }
     }
 
     /// The pool answer equals the direct search — cut identity *and* every reconstructed
     /// counter — for all paper pairs covered by an `(8, 4)` fill, on the Fig. 4 block
-    /// and on seeded random DAGs.
+    /// and on seeded random DAGs, without and with a node budget.
     #[test]
     fn pool_answers_match_direct_single_cut_searches() {
         let model = DefaultCostModel::new();
-        let fill = Constraints::new(8, 4);
         let mut graphs = vec![fig4()];
         for seed in 0..12u64 {
             graphs.push(ise_ir_random(seed));
         }
-        for dfg in &graphs {
-            let pool = expect_complete(fill_single_cut(dfg, None, fill, &model, None));
-            for query in Constraints::paper_sweep() {
-                assert!(covers(&fill, &query));
-                let direct = SingleCutSearch::new(dfg, query, &model).run();
+        for max_nodes in [None, Some(3)] {
+            let with_budget = |c: Constraints| max_nodes.map_or(c, |n| c.with_max_nodes(n));
+            let fill = with_budget(Constraints::new(8, 4));
+            let mut budget_prunes = 0;
+            for dfg in &graphs {
+                let pool = expect_complete(fill_single_cut(dfg, None, fill, &model, None));
+                for query in Constraints::paper_sweep().into_iter().map(with_budget) {
+                    assert!(covers(&fill, &query));
+                    let direct = SingleCutSearch::new(dfg, query, &model).run();
+                    let answer = pool.answer(&query);
+                    assert_eq!(answer.best, direct.best, "{} under {query}", dfg.name());
+                    let stats = answer.stats;
+                    assert_eq!(stats.cuts_considered, direct.stats.cuts_considered);
+                    assert_eq!(stats.feasible_cuts, direct.stats.feasible_cuts);
+                    assert_eq!(stats.pruned_output, direct.stats.pruned_output);
+                    assert_eq!(stats.pruned_convexity, direct.stats.pruned_convexity);
+                    assert_eq!(stats.pruned_node_budget, direct.stats.pruned_node_budget);
+                    assert_eq!(stats.pruned_bound, direct.stats.pruned_bound);
+                    assert_eq!(
+                        stats.bound_subtree_prunes,
+                        direct.stats.bound_subtree_prunes
+                    );
+                    assert!(!stats.budget_exhausted);
+                    budget_prunes += stats.pruned_node_budget;
+                }
+            }
+            assert_eq!(max_nodes.is_some(), budget_prunes > 0, "node-budget path");
+        }
+    }
+
+    /// Every reconstructed counter equals the direct search's, except `best_updates`,
+    /// which pool answers report as zero.
+    fn assert_same_effort(answer: SearchStats, direct: SearchStats, label: &str) {
+        let expected = SearchStats {
+            best_updates: 0,
+            ..direct
+        };
+        assert_eq!(answer, expected, "{label}");
+    }
+
+    /// An `Nout` far beyond any block's size sizes the histogram by the block, not by
+    /// `Nout`, and still answers exactly like the direct search.
+    #[test]
+    fn huge_output_port_fills_match_direct_searches() {
+        let model = DefaultCostModel::new();
+        let fill = Constraints::new(8, 100_000);
+        for dfg in [fig4(), ise_ir_random(3)] {
+            let pool = expect_complete(fill_single_cut(&dfg, None, fill, &model, None));
+            for query in [fill, Constraints::new(4, 2)] {
+                let direct = SingleCutSearch::new(&dfg, query, &model).run();
                 let answer = pool.answer(&query);
                 assert_eq!(answer.best, direct.best, "{} under {query}", dfg.name());
-                let stats = answer.stats;
-                assert_eq!(stats.cuts_considered, direct.stats.cuts_considered);
-                assert_eq!(stats.feasible_cuts, direct.stats.feasible_cuts);
-                assert_eq!(stats.pruned_output, direct.stats.pruned_output);
-                assert_eq!(stats.pruned_convexity, direct.stats.pruned_convexity);
-                assert_eq!(stats.pruned_node_budget, direct.stats.pruned_node_budget);
-                assert_eq!(stats.pruned_bound, direct.stats.pruned_bound);
-                assert_eq!(
-                    stats.bound_subtree_prunes,
-                    direct.stats.bound_subtree_prunes
-                );
-                assert!(!stats.budget_exhausted);
+                assert_same_effort(answer.stats, direct.stats, dfg.name());
             }
+            let tuples = expect_complete(fill_multicut(&dfg, None, fill, &model, 2, None));
+            let direct = MultiCutSearch::new(&dfg, fill, &model, 2).run();
+            let answer = tuples.answer(&fill);
+            assert_eq!(
+                MultiCutOutcome::from_payload(answer.best, answer.stats).cuts,
+                direct.cuts
+            );
+            assert_same_effort(answer.stats, direct.stats, dfg.name());
         }
     }
 
@@ -917,52 +666,51 @@ mod tests {
         assert_eq!(answer.stats.cuts_considered, direct.stats.cuts_considered);
     }
 
-    /// Multicut tuple answers equal the direct `(M+1)`-ary search.
+    /// Multicut tuple answers equal the direct `(M+1)`-ary search, every counter
+    /// included, without and with a node budget.
     #[test]
     fn tuple_pool_answers_match_direct_multicut_searches() {
         let model = DefaultCostModel::new();
-        let fill = Constraints::new(8, 4);
-        for seed in 0..8u64 {
-            let dfg = ise_ir_random(seed);
-            for m in [1usize, 2, 3] {
-                let pool = expect_complete(fill_multicut(&dfg, None, fill, &model, m, None));
-                for query in [
-                    Constraints::new(2, 1),
-                    Constraints::new(4, 2),
-                    Constraints::new(8, 4),
-                ] {
-                    let direct = MultiCutSearch::new(&dfg, query, &model, m).run();
-                    let answer = pool.answer(&query);
-                    let direct_payload = if direct.cuts.is_empty() {
-                        None
-                    } else {
-                        Some(direct.cuts.clone())
-                    };
-                    // The store keeps the *unsorted* payload; sort like the search does.
-                    let answered = answer.best.map(|mut cuts| {
-                        cuts.sort_by(|a, b| {
-                            b.evaluation
-                                .merit
-                                .partial_cmp(&a.evaluation.merit)
-                                .unwrap_or(std::cmp::Ordering::Equal)
+        for max_nodes in [None, Some(2)] {
+            let with_budget = |c: Constraints| max_nodes.map_or(c, |n| c.with_max_nodes(n));
+            let fill = with_budget(Constraints::new(8, 4));
+            let mut budget_prunes = 0;
+            for seed in 0..8u64 {
+                let dfg = ise_ir_random(seed);
+                for m in [1usize, 2, 3] {
+                    let pool = expect_complete(fill_multicut(&dfg, None, fill, &model, m, None));
+                    for query in [
+                        Constraints::new(2, 1),
+                        Constraints::new(4, 2),
+                        Constraints::new(8, 4),
+                    ]
+                    .map(with_budget)
+                    {
+                        let direct = MultiCutSearch::new(&dfg, query, &model, m).run();
+                        let answer = pool.answer(&query);
+                        let direct_payload = if direct.cuts.is_empty() {
+                            None
+                        } else {
+                            Some(direct.cuts.clone())
+                        };
+                        // The store keeps the *unsorted* payload; sort like the search does.
+                        let answered = answer.best.map(|mut cuts| {
+                            cuts.sort_by(|a, b| {
+                                b.evaluation
+                                    .merit
+                                    .partial_cmp(&a.evaluation.merit)
+                                    .unwrap_or(std::cmp::Ordering::Equal)
+                            });
+                            cuts
                         });
-                        cuts
-                    });
-                    assert_eq!(answered, direct_payload, "seed {seed}, M={m}, {query}");
-                    assert_eq!(
-                        answer.stats.cuts_considered, direct.stats.cuts_considered,
-                        "seed {seed}, M={m}, {query}"
-                    );
-                    assert_eq!(
-                        answer.stats.pruned_bound, direct.stats.pruned_bound,
-                        "seed {seed}, M={m}, {query}"
-                    );
-                    assert_eq!(
-                        answer.stats.bound_subtree_prunes, direct.stats.bound_subtree_prunes,
-                        "seed {seed}, M={m}, {query}"
-                    );
+                        let label = format!("seed {seed}, M={m}, {query}");
+                        assert_eq!(answered, direct_payload, "{label}");
+                        assert_same_effort(answer.stats, direct.stats, &label);
+                        budget_prunes += answer.stats.pruned_node_budget;
+                    }
                 }
             }
+            assert_eq!(max_nodes.is_some(), budget_prunes > 0, "node-budget path");
         }
     }
 

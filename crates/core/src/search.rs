@@ -18,6 +18,9 @@
 //! single-cut *policy* — a binary tree (include the node / leave it in software) with
 //! the paper's pruning rules — and the same kernel also drives the multiple-cut search
 //! and the exhaustive oracle, sequentially or with intra-block subtree parallelism.
+//! The policy is generic over a [`SearchHook`]: a direct search uses the no-op
+//! [`DirectHook`], and a pool fill ([`crate::pool`]) runs the very same policy with a
+//! recording hook.
 
 use ise_hw::CostModel;
 use ise_ir::Dfg;
@@ -25,7 +28,8 @@ use ise_ir::Dfg;
 use crate::constraints::Constraints;
 use crate::cut::{CutEvaluation, CutSet};
 use crate::kernel::{
-    BlockContext, BoundCheck, IncrementalCutState, Incumbent, SearchKernel, SearchPolicy,
+    BlockContext, BoundCheck, DirectHook, IncrementalCutState, Incumbent, SearchHook, SearchKernel,
+    SearchPolicy,
 };
 
 /// Counters describing one run of the identification algorithm.
@@ -143,12 +147,16 @@ impl SearchOutcome {
 /// `best_updates` *and* the parallel-walk byte-identity are preserved; `true` uses the
 /// incumbent's score, which prunes much harder but reads visit-order-dependent state
 /// and therefore forces the sequential walk (and adds the monotone block-input floor).
-struct SingleCutPolicy<'a> {
+///
+/// `hook` sees every attempt, subtree prune and candidate: [`DirectHook`] for a direct
+/// search, the recorder of `crate::pool` for a pool fill — one walk serves both.
+struct SingleCutPolicy<'a, H> {
     ctx: &'a BlockContext<'a>,
     incumbent_bound: bool,
+    hook: H,
 }
 
-impl SearchPolicy for SingleCutPolicy<'_> {
+impl<H: SearchHook<IdentifiedCut>> SearchPolicy for SingleCutPolicy<'_, H> {
     type Payload = IdentifiedCut;
     type State = IncrementalCutState;
 
@@ -190,6 +198,7 @@ impl SearchPolicy for SingleCutPolicy<'_> {
             };
             if dead {
                 stats.bound_subtree_prunes += 1;
+                self.hook.subtree_prune(state.outputs());
                 return false;
             }
             state.mark_outside(ctx, node);
@@ -208,15 +217,18 @@ impl SearchPolicy for SingleCutPolicy<'_> {
         } else {
             BoundCheck::frontier(state.frontier_dead_with(ctx, level))
         };
-        if !state.try_add(ctx, node, bound, stats) {
+        let prefix = state.outputs();
+        if !self.hook.try_add(ctx, state, node, prefix, bound, stats) {
             return false;
         }
-        // The input-port constraint cannot prune (adding a producer may reduce IN(S)),
-        // so it is only checked when the candidate is evaluated.
-        if state.inputs() <= ctx.constraints.max_inputs
-            && ctx.constraints.budget_ok(state.area(), state.len())
-        {
-            incumbent.offer(state.merit(), || state.identified(ctx));
+        if state.is_candidate(ctx) {
+            self.hook.offer(
+                incumbent,
+                state.inputs(),
+                state.outputs(),
+                state.merit(),
+                || state.identified(ctx),
+            );
         }
         true
     }
@@ -299,12 +311,22 @@ impl<'a> SingleCutSearch<'a> {
     /// Runs the search and returns the best cut found together with statistics.
     #[must_use]
     pub fn run(self) -> SearchOutcome {
+        let (best, stats, DirectHook) = self.run_hooked(DirectHook);
+        SearchOutcome::from_best(best, stats)
+    }
+
+    /// Runs the search with `hook` observing the walk and hands the hook back.
+    pub(crate) fn run_hooked<H: SearchHook<IdentifiedCut>>(
+        self,
+        hook: H,
+    ) -> (Option<IdentifiedCut>, SearchStats, H) {
         let policy = SingleCutPolicy {
             ctx: &self.ctx,
             incumbent_bound: self.incumbent_bound,
+            hook,
         };
         let (best, stats) = self.kernel.run(&policy);
-        SearchOutcome::from_best(best, stats)
+        (best, stats, policy.hook)
     }
 }
 
