@@ -34,8 +34,8 @@ fn main() {
     let report = scaling::run(&config);
 
     println!(
-        "# Intra-block scaling — single-cut search, {} threads, split depth {}",
-        report.threads, config.split_levels
+        "# Intra-block scaling — single-cut search, {} threads, split depth {}, median of {} repeats",
+        report.threads, config.split_levels, report.repeats
     );
     println!();
     print!("{}", scaling::markdown(&report));

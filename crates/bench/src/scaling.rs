@@ -1,22 +1,25 @@
 //! Intra-block scaling experiment: wall-clock of the exact search, sequential versus
-//! subtree-parallel, on wide single blocks — against the retained pre-bitset baseline.
+//! subtree-parallel, on wide single blocks — against the search without the frontier
+//! bound.
 //!
 //! The paper's Fig. 8 axis — one large basic block — is exactly the case the program
 //! driver's per-block fan-out cannot parallelise, and the case the
 //! [`SearchKernel`](ise_core::kernel::SearchKernel)'s subtree decomposition exists for.
 //! This experiment measures it: for a sweep of wide synthetic blocks (including the
 //! `widedag` shape of the program-level benches) each repetition alternates four runs —
-//! the retained `Vec<bool>` reference search (the "before" of the bitset repack), the
-//! bitset search sequentially, the bitset search with the top decision-tree levels
-//! fanned out, and the sequential opt-in incumbent-bound search. It checks that all of
-//! them return the **same selection** (the parallel twin must match the sequential one
-//! on cuts *and* statistics; the reference and incumbent variants on the selected cut),
-//! and reports best-of-N wall-clock, raw throughput (cuts considered per second),
-//! *equivalent* throughput (the reference walk's cut count over each variant's
-//! wall-clock — the honest apples-to-apples rate when a variant prunes the tree
-//! smaller), and the machine-readable `pruning_breakdown` so future changes can track
-//! bound effectiveness. The rows serialise to `BENCH_search.json`; the `scaling` binary
-//! fails loudly if any equality gate breaks.
+//! the reference search (the same cut state and kernel walk with the frontier bound and
+//! the search hook off, see `ise_core::kernel::reference`), the production search
+//! sequentially, the production search with the top decision-tree levels fanned out,
+//! and the sequential opt-in incumbent-bound search. It checks that all of them return
+//! the **same selection** (the parallel twin must match the sequential one on cuts
+//! *and* statistics; the reference and incumbent variants on the selected cut), and
+//! reports the median wall-clock over the repetitions, raw throughput (cuts considered
+//! per second), *equivalent* throughput (the reference walk's cut count over each
+//! variant's wall-clock — the honest apples-to-apples rate when a variant prunes the
+//! tree smaller), and the machine-readable `pruning_breakdown` so future changes can
+//! track bound effectiveness. The report also records the CPU count, the repeat count
+//! and the git revision. The rows serialise to `BENCH_search.json`; the `scaling`
+//! binary fails loudly if any equality gate breaks.
 
 use std::time::Instant;
 
@@ -38,7 +41,7 @@ pub struct ScalingConfig {
     pub max_outputs: usize,
     /// Decision-tree levels fanned out in the parallel runs.
     pub split_levels: usize,
-    /// Timed repetitions per block; the reported wall-clock is the best of them.
+    /// Timed repetitions per block; the reported wall-clock is their median.
     /// All variants alternate within each repetition, so warm-up bias cannot be
     /// credited to whichever variant happens to run later.
     pub repeats: usize,
@@ -74,7 +77,7 @@ impl ScalingConfig {
     }
 }
 
-/// Machine-readable classification of every 1-branch attempt of the sequential bitset
+/// Machine-readable classification of every 1-branch attempt of the sequential
 /// search, plus the software-branch subtree prunes — tracked so future changes can
 /// measure frontier-bound effectiveness from `BENCH_search.json` alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
@@ -117,53 +120,53 @@ pub struct ScalingRow {
     pub threads: usize,
     /// Decision-tree levels fanned out in the parallel run.
     pub split_levels: usize,
-    /// Cuts considered by the bitset search (identical in the sequential and parallel
-    /// runs by construction).
+    /// Cuts considered by the production search (identical in the sequential and
+    /// parallel runs by construction).
     pub cuts_considered: u64,
-    /// Cuts considered by the retained pre-bitset reference search (no frontier
-    /// bound) — the denominator of the equivalent-throughput figures.
+    /// Cuts considered by the reference search (no frontier bound) — the denominator
+    /// of the equivalent-throughput figures.
     pub reference_cuts_considered: u64,
-    /// Best wall-clock of the reference search over the repetitions, milliseconds.
+    /// Median wall-clock of the reference search over the repetitions, milliseconds.
     pub reference_ms: f64,
-    /// Best wall-clock of the sequential bitset search over the repetitions,
-    /// milliseconds.
+    /// Median wall-clock of the sequential search over the repetitions, milliseconds.
     pub sequential_ms: f64,
-    /// Best wall-clock of the subtree-parallel bitset search over the repetitions,
+    /// Median wall-clock of the subtree-parallel search over the repetitions,
     /// milliseconds.
     pub parallel_ms: f64,
-    /// Best wall-clock of the sequential incumbent-bound search, milliseconds.
+    /// Median wall-clock of the sequential incumbent-bound search, milliseconds.
     pub incumbent_ms: f64,
     /// Cuts considered by the incumbent-bound search (order-dependent, typically far
     /// fewer than the default walk).
     pub incumbent_cuts_considered: u64,
     /// Throughput of the reference search, cuts considered per second.
     pub reference_cuts_per_sec: f64,
-    /// Throughput of the sequential bitset search, cuts considered per second.
+    /// Throughput of the sequential search, cuts considered per second.
     pub sequential_cuts_per_sec: f64,
-    /// Throughput of the parallel bitset search, cuts considered per second.
+    /// Throughput of the parallel search, cuts considered per second.
     pub parallel_cuts_per_sec: f64,
-    /// *Equivalent* throughput of the sequential bitset search: the reference walk's
-    /// cut count over the bitset wall-clock (apples-to-apples even when the bound
+    /// *Equivalent* throughput of the sequential search: the reference walk's cut
+    /// count over the sequential wall-clock (apples-to-apples even when the bound
     /// shrinks the tree).
     pub equivalent_cuts_per_sec: f64,
     /// Equivalent throughput of the incumbent-bound search (reference cut count over
     /// incumbent wall-clock).
     pub incumbent_equivalent_cuts_per_sec: f64,
-    /// Reference over sequential-bitset wall-clock.
+    /// Reference over sequential wall-clock: below 1 when the frontier bound and the
+    /// search hook cost more than they prune.
     pub speedup_vs_reference: f64,
     /// Reference over incumbent-bound wall-clock.
     pub incumbent_speedup_vs_reference: f64,
     /// Attempts pruned by the frontier bound in the default (static-threshold) walk.
     pub bound_pruned: u64,
-    /// Classification of every attempt of the sequential bitset walk.
+    /// Classification of every attempt of the sequential walk.
     pub pruning_breakdown: PruningBreakdown,
     /// Sequential over parallel wall-clock.
     pub speedup: f64,
-    /// Whether the sequential and parallel bitset outcomes (best cut **and**
-    /// statistics) were identical.
+    /// Whether the sequential and parallel outcomes (best cut **and** statistics)
+    /// were identical.
     pub identical: bool,
     /// Whether the reference and incumbent-bound searches selected the same cut as the
-    /// bitset search.
+    /// sequential search.
     pub matches_reference: bool,
 }
 
@@ -172,6 +175,12 @@ pub struct ScalingRow {
 pub struct ScalingReport {
     /// Worker threads the parallel runs could use.
     pub threads: usize,
+    /// Logical CPUs of the machine the experiment ran on.
+    pub nproc: u64,
+    /// Timed repetitions behind every median.
+    pub repeats: u64,
+    /// Git revision of the measured tree.
+    pub git_revision: String,
     /// Per-block measurements of the single-cut search.
     pub rows: Vec<ScalingRow>,
     /// Whether multicut and the exhaustive oracle also matched their sequential runs
@@ -209,10 +218,10 @@ fn ratio(numerator: f64, denominator: f64) -> f64 {
     }
 }
 
-/// Measures one block: the reference baseline, the sequential and parallel bitset
-/// searches, and the incumbent-bound search, alternating within each repetition and
-/// keeping the best wall-clock of each so first-run warm-up (allocator, caches) is not
-/// credited to any one variant.
+/// Measures one block: the reference baseline, the sequential and parallel searches,
+/// and the incumbent-bound search, alternating within each repetition so first-run
+/// warm-up (allocator, caches) is not credited to any one variant, and reporting the
+/// median wall-clock of each.
 fn measure_block(
     dfg: &ise_ir::Dfg,
     row_name: &str,
@@ -221,10 +230,10 @@ fn measure_block(
     config: &ScalingConfig,
 ) -> ScalingRow {
     let single_cut = ise_core::engine::SingleCut::new();
-    let mut reference_ms = f64::INFINITY;
-    let mut sequential_ms = f64::INFINITY;
-    let mut parallel_ms = f64::INFINITY;
-    let mut incumbent_ms = f64::INFINITY;
+    let mut reference_ms = Vec::new();
+    let mut sequential_ms = Vec::new();
+    let mut parallel_ms = Vec::new();
+    let mut incumbent_ms = Vec::new();
     let mut reference = None;
     let mut sequential = None;
     let mut parallel = None;
@@ -232,26 +241,30 @@ fn measure_block(
     for _ in 0..config.repeats.max(1) {
         let start = Instant::now();
         let outcome = identify_single_cut_reference(dfg, constraints, model);
-        reference_ms = reference_ms.min(start.elapsed().as_secs_f64() * 1_000.0);
+        reference_ms.push(start.elapsed().as_secs_f64() * 1_000.0);
         reference = Some(outcome);
         let (outcome, ms) = timed_identify(&single_cut, dfg, &constraints, model, 0);
-        sequential_ms = sequential_ms.min(ms);
+        sequential_ms.push(ms);
         sequential = Some(outcome);
         let (outcome, ms) =
             timed_identify(&single_cut, dfg, &constraints, model, config.split_levels);
-        parallel_ms = parallel_ms.min(ms);
+        parallel_ms.push(ms);
         parallel = Some(outcome);
         let start = Instant::now();
         let outcome = SingleCutSearch::new(dfg, constraints, model)
             .with_incumbent_bound()
             .run();
-        incumbent_ms = incumbent_ms.min(start.elapsed().as_secs_f64() * 1_000.0);
+        incumbent_ms.push(start.elapsed().as_secs_f64() * 1_000.0);
         incumbent = Some(outcome);
     }
     let reference = reference.expect("repeats >= 1");
     let sequential = sequential.expect("repeats >= 1");
     let parallel = parallel.expect("repeats >= 1");
     let incumbent = incumbent.expect("repeats >= 1");
+    let reference_ms = crate::median(&reference_ms);
+    let sequential_ms = crate::median(&sequential_ms);
+    let parallel_ms = crate::median(&parallel_ms);
+    let incumbent_ms = crate::median(&incumbent_ms);
     let identical = sequential == parallel;
     let matches_reference = sequential.best == reference.best && incumbent.best == sequential.best;
     let cuts = sequential.stats.cuts_considered;
@@ -314,6 +327,9 @@ pub fn run(config: &ScalingConfig) -> ScalingReport {
         cross_client_identical && rows.iter().all(|r| r.identical && r.matches_reference);
     ScalingReport {
         threads: rayon::current_num_threads(),
+        nproc: crate::nproc(),
+        repeats: config.repeats.max(1) as u64,
+        git_revision: crate::git_revision(),
         rows,
         cross_client_identical,
         all_identical,
@@ -402,7 +418,7 @@ mod tests {
             assert!(row.cuts_considered > 0);
             assert!(row.reference_cuts_considered >= row.cuts_considered);
             assert!(row.sequential_ms >= 0.0);
-            // The breakdown partitions the attempts of the sequential bitset walk.
+            // The breakdown partitions the attempts of the sequential walk.
             let b = &row.pruning_breakdown;
             assert_eq!(
                 row.cuts_considered,
@@ -423,6 +439,9 @@ mod tests {
         for field in [
             "\"nodes\"",
             "\"threads\"",
+            "\"nproc\"",
+            "\"repeats\"",
+            "\"git_revision\"",
             "\"cuts_considered\"",
             "\"reference_cuts_considered\"",
             "\"reference_ms\"",

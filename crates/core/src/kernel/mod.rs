@@ -9,13 +9,13 @@
 //!
 //! * [`BlockContext`] — the immutable per-block data every search precomputes once: the
 //!   consumers-before-producers ordering, deduplicated operand sources, per-node cost
-//!   model evaluations, the blocked-node mask, and the word-packed per-node masks
-//!   (consumers, ancestors, descendants, operand sources) plus the remaining
-//!   software-cycle mass per level that drive the bitset state and the frontier bound;
+//!   model evaluations, the blocked-node mask, and the remaining software-cycle mass per
+//!   level that drives the frontier bound — all `O(n + e)` memory for `n` nodes and `e`
+//!   operand edges;
 //! * [`IncrementalCutState`] — the snapshot-and-restorable incremental bookkeeping for
 //!   *one* cut under construction (`IN(S)`, `OUT(S)`, convexity reachability, software
-//!   cost, hardware critical path, area), packed into [`BitSet`]s so each decision is a
-//!   handful of AND-with-mask word operations, undone through an internal LIFO journal;
+//!   cost, hardware critical path, area), kept per node and updated along the decided
+//!   node's edges, undone through an internal LIFO journal;
 //! * [`SearchPolicy`] — the per-algorithm hooks: how many branches a decision level has,
 //!   how to apply/undo one branch, and when to offer a candidate to the incumbent;
 //! * `SearchHook` — what the single-cut and multiple-cut policies report besides
@@ -28,28 +28,30 @@
 //!   levels into independent subtree tasks, fans them out with `rayon`, and merges
 //!   incumbents and [`SearchStats`] in subtree-index order.
 //!
-//! The [`mod@reference`] submodule retains the original `Vec<bool>`-based state
-//! ([`ReferenceCutState`](reference::ReferenceCutState)) as an executable specification:
-//! the property suite pits the bitset state against it decision by decision, and the
-//! scaling bench uses it as the "before" baseline.
+//! The [`mod@reference`] submodule keeps the single-cut search without the frontier
+//! bound over the same state: the property suite checks the bound never changes a
+//! selection against it, and the scaling bench uses it as the "before" baseline.
 //!
-//! # The word-packed state
+//! # The per-edge state
 //!
-//! Per decided node the state keeps two bits — cut membership and the convexity reach
-//! flag — plus the running union of the members' operand-source masks. The per-node
-//! feasibility checks then collapse to mask tests against [`BlockContext`]
-//! precomputations:
+//! Per node the state keeps a one-byte mark — member, decided outside with a downstream
+//! path into the cut ("reaches"), or clear — and a use count: how many members read the
+//! node's value (block inputs carry the same count). Every check and update walks only
+//! the decided node's operand and consumer edges, so one decision costs
+//! `O(fan-in + fan-out)` and the state is `O(n)` memory:
 //!
-//! * *external consumer* (for `OUT(S)`): `consumers(v) ⊄ cut`, one AND-NOT-with-mask
-//!   scan;
-//! * *convexity probe*: `consumers(v) ∩ reach ≠ ∅`, one AND-with-mask scan — `reach`
-//!   holds exactly the decided-outside nodes with a downstream path into the cut;
-//! * *reach maintenance* (on deciding a node outside): `descendants(v) ∩ cut ≠ ∅`.
-//!   Nodes are decided consumers-first, so every descendant of `v` is decided before
-//!   `v` and later cut growth only adds ancestors — the flag, once computed, stays
-//!   correct without propagation;
-//! * *`IN(S)`*: popcount of `(source-node union) AND NOT cut` plus popcount of the
-//!   block-input union, both maintained by journalled word-wise unions.
+//! * *external consumer* (for `OUT(S)`): `v` feeds a block output, or some consumer of
+//!   `v` is not a member;
+//! * *convexity probe*: no consumer of `v` reaches the cut — such a consumer would sit
+//!   on a path between two members. Probing both is one scan of `v`'s consumers;
+//! * *reach maintenance* (on deciding `v` outside): some consumer of `v` is a member or
+//!   reaches the cut. Nodes are decided consumers-first, so every descendant of `v` is
+//!   decided before `v` and later cut growth only adds ancestors — the flag, once
+//!   computed, stays correct without propagation;
+//! * *`IN(S)`*: a counter. Adding `v` drops `v` itself when a member already reads it,
+//!   and counts each source of `v` that no member read before. The block-input part is
+//!   kept as its own counter, because it only grows down a subtree (see
+//!   [`BoundCheck::input_floor`]).
 //!
 //! # The frontier bound
 //!
@@ -93,7 +95,6 @@ use ise_hw::{cut_merit, CostModel, HardwareDelayModel};
 use ise_ir::{Dfg, NodeId, Operand};
 use rayon::prelude::*;
 
-use crate::bitset::BitSet;
 use crate::constraints::Constraints;
 use crate::cut::{CutEvaluation, CutSet};
 use crate::search::{IdentifiedCut, SearchStats};
@@ -118,10 +119,9 @@ enum Source {
 /// Immutable per-block search context shared by every policy.
 ///
 /// Holds the search ordering and all per-node precomputations so that constructing a
-/// policy is cheap and the hot loop touches only dense arrays and `u64`-word masks.
-/// The mask precomputation costs `O(n²/64)` words of memory and time; see the README's
-/// SearchKernel section for when that pays off (in short: always, for any block the
-/// exponential search itself can afford).
+/// policy is cheap and the hot loop touches only dense per-node arrays. Everything here
+/// is `O(n + e)` memory for `n` nodes and `e` operand edges, so a budgeted search over a
+/// huge block costs memory in proportion to the block, not its square.
 pub struct BlockContext<'a> {
     /// The basic block under search.
     pub dfg: &'a Dfg,
@@ -140,16 +140,6 @@ pub struct BlockContext<'a> {
     software_cost: Vec<u32>,
     hardware_delay: Vec<f64>,
     area_cost: Vec<f64>,
-    /// Per node: its direct consumer nodes, as a node mask.
-    consumers_mask: Vec<BitSet>,
-    /// Per node: its strict descendants (transitive consumers), as a node mask.
-    descendants: Vec<BitSet>,
-    /// Per node: its strict ancestors (transitive producers), as a node mask.
-    ancestors: Vec<BitSet>,
-    /// Per node: its deduplicated node sources, as a node mask.
-    node_src_mask: Vec<BitSet>,
-    /// Per node: its deduplicated block-input sources, as an input mask.
-    input_src_mask: Vec<BitSet>,
     /// `suffix_mass[ℓ]` = total software cycles of the non-blocked nodes decided at
     /// levels `ℓ..` — the most the remaining frontier can still add to any cut.
     suffix_mass: Vec<u64>,
@@ -160,15 +150,12 @@ impl<'a> BlockContext<'a> {
     #[must_use]
     pub fn new(dfg: &'a Dfg, constraints: Constraints, model: &'a dyn CostModel) -> Self {
         let n = dfg.node_count();
-        let inputs = dfg.input_count();
         let mut sources = Vec::with_capacity(n);
         let mut blocked = Vec::with_capacity(n);
         let mut is_output_source = Vec::with_capacity(n);
         let mut software_cost = Vec::with_capacity(n);
         let mut hardware_delay = Vec::with_capacity(n);
         let mut area_cost = Vec::with_capacity(n);
-        let mut node_src_mask = Vec::with_capacity(n);
-        let mut input_src_mask = Vec::with_capacity(n);
         for (id, node) in dfg.iter_nodes() {
             let mut node_sources: Vec<Source> = Vec::new();
             for operand in &node.operands {
@@ -186,16 +173,6 @@ impl<'a> BlockContext<'a> {
                     node_sources.push(source);
                 }
             }
-            let mut nodes_mask = BitSet::with_capacity(n);
-            let mut inputs_mask = BitSet::with_capacity(inputs);
-            for source in &node_sources {
-                match *source {
-                    Source::Node(m) => nodes_mask.set(m),
-                    Source::Input(p) => inputs_mask.set(p),
-                }
-            }
-            node_src_mask.push(nodes_mask);
-            input_src_mask.push(inputs_mask);
             sources.push(node_sources);
             blocked.push(node.is_forbidden_in_afu());
             is_output_source.push(dfg.is_output_source(id));
@@ -207,33 +184,6 @@ impl<'a> BlockContext<'a> {
         // tie-breaks), so isomorphic blocks walk isomorphic search trees — the
         // invariant the corpus-level pool sharing in `engine::corpus` relies on.
         let order = ise_ir::canon::canonical_consumers_first(dfg);
-        // Consumers-first: when a node is reached, all of its consumers (hence all of
-        // its descendants) already carry their final masks.
-        let mut consumers_mask = vec![BitSet::with_capacity(n); n];
-        let mut descendants = vec![BitSet::with_capacity(n); n];
-        for &id in &order {
-            let index = id.index();
-            let mut desc = BitSet::with_capacity(n);
-            for c in dfg.consumers(id) {
-                consumers_mask[index].set(c.index());
-                desc.set(c.index());
-                desc.union_with(&descendants[c.index()]);
-            }
-            descendants[index] = desc;
-        }
-        // Producers-first (the reversed order) gives the dual ancestor masks.
-        let mut ancestors = vec![BitSet::with_capacity(n); n];
-        for &id in order.iter().rev() {
-            let index = id.index();
-            let mut anc = BitSet::with_capacity(n);
-            for source in &sources[index] {
-                if let Source::Node(m) = *source {
-                    anc.set(m);
-                    anc.union_with(&ancestors[m]);
-                }
-            }
-            ancestors[index] = anc;
-        }
         let mut ctx = BlockContext {
             dfg,
             model,
@@ -245,11 +195,6 @@ impl<'a> BlockContext<'a> {
             software_cost,
             hardware_delay,
             area_cost,
-            consumers_mask,
-            descendants,
-            ancestors,
-            node_src_mask,
-            input_src_mask,
             suffix_mass: Vec::new(),
         };
         ctx.recompute_suffix_mass();
@@ -312,39 +257,35 @@ impl<'a> BlockContext<'a> {
     pub fn remaining_mass(&self, level: usize) -> u64 {
         self.suffix_mass[level.min(self.suffix_mass.len() - 1)]
     }
-
-    /// The strict descendants (transitive consumers) of `node`, as a node mask.
-    #[must_use]
-    pub fn descendants_of(&self, node: NodeId) -> &BitSet {
-        &self.descendants[node.index()]
-    }
-
-    /// The strict ancestors (transitive producers) of `node`, as a node mask. Dual to
-    /// [`descendants_of`](Self::descendants_of): `u ∈ ancestors(v)` iff
-    /// `v ∈ descendants(u)`.
-    #[must_use]
-    pub fn ancestors_of(&self, node: NodeId) -> &BitSet {
-        &self.ancestors[node.index()]
-    }
 }
 
 /// One reversible mutation of an [`IncrementalCutState`], kept on its LIFO journal.
 #[derive(Debug, Clone)]
 enum UndoEntry {
-    /// `add` was applied to `node`; the scalar accumulators held these values before,
-    /// and the source unions journalled this many words on the spill stack.
+    /// `add` was applied to `node`; the scalar accumulators held these values before.
     Added {
         node: NodeId,
+        inputs: usize,
+        block_inputs: usize,
         outputs: usize,
         software: u64,
         critical_path: f64,
         hardware_cycles: u32,
         area: f64,
-        spilled_nodes: u32,
-        spilled_inputs: u32,
     },
-    /// `mark_outside` was applied to `node`; its reach bit held `reached`.
-    MarkedOutside { node: NodeId, reached: bool },
+    /// `mark_outside` was applied to `node`, whose mark was `previous`.
+    MarkedOutside { node: NodeId, previous: Mark },
+}
+
+/// Where one node stands relative to the cut under construction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mark {
+    /// Undecided, or decided outside with no downstream path into the cut.
+    Clear,
+    /// A member of the cut.
+    Member,
+    /// Decided outside, with a downstream path into the cut.
+    Reaches,
 }
 
 /// Result of probing whether a node can join a cut, before mutating anything.
@@ -407,34 +348,37 @@ impl BoundCheck {
 /// Snapshot-and-restorable incremental bookkeeping for one cut under construction.
 ///
 /// Maintains `IN(S)`, `OUT(S)`, the convexity reachability frontier, and the software /
-/// critical-path / area accumulators exactly as Section 6.1 of the paper prescribes,
-/// with the per-node booleans packed into [`BitSet`]s (see the module docs for the mask
-/// identities). Every mutation pushes an entry onto an internal journal, so a search
-/// can unwind decisions in LIFO order with [`undo_last`](Self::undo_last) — and because
-/// the whole state is `Clone`, a parallel search can snapshot it at any tree node and
-/// hand the copy to a subtree task.
+/// critical-path / area accumulators exactly as Section 6.1 of the paper prescribes:
+/// a per-node mark and use counts updated along the decided node's edges, so each
+/// decision costs `O(fan-in + fan-out)` and the state is `O(n)` memory (see the module
+/// docs for the per-edge rules). Every mutation pushes an entry onto an internal
+/// journal, so a search can unwind decisions in LIFO order with
+/// [`undo_last`](Self::undo_last) — and because the whole state is `Clone`, a parallel
+/// search can snapshot it at any tree node and hand the copy to a subtree task.
 ///
-/// The mask identities assume the walk discipline every kernel policy follows: nodes
+/// The per-edge rules assume the walk discipline every kernel policy follows: nodes
 /// are decided (added via `try_add*` or marked outside) in the consumers-first order of
-/// the [`BlockContext`] and undone in LIFO order. [`reference::ReferenceCutState`]
-/// implements the same API without masks and is the executable specification the
-/// property suite checks this type against.
+/// the [`BlockContext`] and undone in LIFO order. The property suite checks the state
+/// against `crate::cut`'s from-scratch `evaluate` and `is_convex` after every decision.
 #[derive(Debug, Clone)]
 pub struct IncrementalCutState {
-    /// Membership of the cut.
-    cut: BitSet,
-    /// Decided-outside nodes with a downstream path into the cut.
-    reach: BitSet,
+    /// Per node: membership, or for decided-outside nodes whether a downstream path
+    /// leads into the cut.
+    marks: Vec<Mark>,
     /// For nodes in the cut: longest downstream delay path within the cut, including
     /// the node's own delay. Entries of nodes outside the cut are kept at `0.0`
     /// (restored on undo, and debug-asserted on add).
     longest_path: Vec<f64>,
-    /// Union of the members' node sources (members included once covered).
-    src_nodes: BitSet,
-    /// Union of the members' block-input sources.
-    src_inputs: BitSet,
+    /// Per node: how many members read its value.
+    node_uses: Vec<u32>,
+    /// Per block input: how many members read it.
+    input_uses: Vec<u32>,
     /// Members of the cut, in insertion order.
     members: Vec<NodeId>,
+    /// `IN(S)`.
+    inputs: usize,
+    /// The block inputs among `IN(S)`: the part that only grows down a subtree.
+    block_inputs: usize,
     outputs: usize,
     software: u64,
     critical_path: f64,
@@ -443,8 +387,6 @@ pub struct IncrementalCutState {
     hardware_cycles: u32,
     area: f64,
     journal: Vec<UndoEntry>,
-    /// Word journal of the source-union mutations, shared by both source sets.
-    spill: Vec<(u32, u64)>,
 }
 
 impl IncrementalCutState {
@@ -453,19 +395,19 @@ impl IncrementalCutState {
     pub fn new(ctx: &BlockContext<'_>) -> Self {
         let n = ctx.dfg.node_count();
         IncrementalCutState {
-            cut: BitSet::with_capacity(n),
-            reach: BitSet::with_capacity(n),
+            marks: vec![Mark::Clear; n],
             longest_path: vec![0.0; n],
-            src_nodes: BitSet::with_capacity(n),
-            src_inputs: BitSet::with_capacity(ctx.dfg.input_count()),
+            node_uses: vec![0; n],
+            input_uses: vec![0; ctx.dfg.input_count()],
             members: Vec::new(),
+            inputs: 0,
+            block_inputs: 0,
             outputs: 0,
             software: 0,
             critical_path: 0.0,
             hardware_cycles: 0,
             area: 0.0,
             journal: Vec::new(),
-            spill: Vec::new(),
         }
     }
 
@@ -481,11 +423,10 @@ impl IncrementalCutState {
         self.members.is_empty()
     }
 
-    /// `IN(S)` of the current cut: popcount of the uncovered node sources plus the
-    /// block-input sources.
+    /// `IN(S)` of the current cut.
     #[must_use]
     pub fn inputs(&self) -> usize {
-        self.src_nodes.count_and_not(&self.cut) + self.src_inputs.count()
+        self.inputs
     }
 
     /// `OUT(S)` of the current cut.
@@ -529,7 +470,7 @@ impl IncrementalCutState {
     /// Returns `true` if `node` is a member of the cut.
     #[must_use]
     pub fn contains(&self, node: NodeId) -> bool {
-        self.cut.get(node.index())
+        self.marks[node.index()] == Mark::Member
     }
 
     /// Upper bound on the merit reachable in the subtree below adding the node at
@@ -578,17 +519,27 @@ impl IncrementalCutState {
     }
 
     /// Checks the output-port count and convexity of the cut grown by `node`, without
-    /// mutating anything: two AND-with-mask scans against the precomputed masks.
+    /// mutating anything: one scan of the node's consumer edges.
     #[must_use]
     pub fn probe_add(&self, ctx: &BlockContext<'_>, node: NodeId) -> AddProbe {
-        let index = node.index();
-        let consumers = &ctx.consumers_mask[index];
-        let has_external_consumer =
-            ctx.is_output_source[index] || consumers.intersects_complement(&self.cut);
-        let convex = !consumers.intersects(&self.reach);
+        let mut external = ctx.is_output_source[node.index()];
+        for c in ctx.dfg.consumers(node) {
+            match self.marks[c.index()] {
+                Mark::Member => {}
+                Mark::Clear => external = true,
+                // An outside consumer on a path back into the cut: not convex (and
+                // that consumer is external).
+                Mark::Reaches => {
+                    return AddProbe {
+                        outputs: self.outputs + 1,
+                        convex: false,
+                    }
+                }
+            }
+        }
         AddProbe {
-            outputs: self.outputs + usize::from(has_external_consumer),
-            convex,
+            outputs: self.outputs + usize::from(external),
+            convex: true,
         }
     }
 
@@ -643,7 +594,11 @@ impl IncrementalCutState {
         }
         if let Some(limit) = bound.input_floor {
             // Monotone floor on IN(S): block-input sources are never covered later.
-            if self.src_inputs.count_or(&ctx.input_src_mask[node.index()]) > limit {
+            let fresh = ctx.sources[node.index()]
+                .iter()
+                .filter(|source| matches!(**source, Source::Input(p) if self.input_uses[p] == 0))
+                .count();
+            if self.block_inputs + fresh > limit {
                 stats.pruned_bound += 1;
                 return false;
             }
@@ -653,36 +608,51 @@ impl IncrementalCutState {
         true
     }
 
-    /// Adds `node` to the cut, maintaining every quantity incrementally.
+    /// Adds `node` to the cut, maintaining every quantity incrementally along the
+    /// node's edges.
     ///
     /// `new_outputs` is the output count probed by [`probe_add`](Self::probe_add); it is
     /// passed back in so the fan-out scan is not repeated.
     pub fn add(&mut self, ctx: &BlockContext<'_>, node: NodeId, new_outputs: usize) {
         let index = node.index();
-        // Incremental IN(S): union the node's source masks, journalling overwritten
-        // words; covered sources are subtracted by popcount against the cut mask.
-        let spilled_nodes = self
-            .src_nodes
-            .union_with_spill(&ctx.node_src_mask[index], &mut self.spill);
-        let spilled_inputs = self
-            .src_inputs
-            .union_with_spill(&ctx.input_src_mask[index], &mut self.spill);
         self.journal.push(UndoEntry::Added {
             node,
+            inputs: self.inputs,
+            block_inputs: self.block_inputs,
             outputs: self.outputs,
             software: self.software,
             critical_path: self.critical_path,
             hardware_cycles: self.hardware_cycles,
             area: self.area,
-            spilled_nodes,
-            spilled_inputs,
         });
+        // Incremental IN(S): `node` stops being an external source, and its own sources
+        // start counting (once each; consumers-first order keeps them outside the cut).
+        if self.node_uses[index] > 0 {
+            self.inputs -= 1;
+        }
+        for source in &ctx.sources[index] {
+            match *source {
+                Source::Node(m) => {
+                    self.node_uses[m] += 1;
+                    if self.node_uses[m] == 1 {
+                        self.inputs += 1;
+                    }
+                }
+                Source::Input(p) => {
+                    self.input_uses[p] += 1;
+                    if self.input_uses[p] == 1 {
+                        self.inputs += 1;
+                        self.block_inputs += 1;
+                    }
+                }
+            }
+        }
         // Incremental critical path: consumers inside the cut are already final.
         let downstream = ctx
             .dfg
             .consumers(node)
             .iter()
-            .filter(|c| self.cut.get(c.index()))
+            .filter(|c| self.marks[c.index()] == Mark::Member)
             .map(|c| self.longest_path[c.index()])
             .fold(0.0f64, f64::max);
         let path_through_node = downstream + ctx.hardware_delay[index];
@@ -698,25 +668,25 @@ impl IncrementalCutState {
         self.software += u64::from(ctx.software_cost[index]);
         self.area += ctx.area_cost[index];
         self.outputs = new_outputs;
-        self.cut.set(index);
+        self.marks[index] = Mark::Member;
         self.members.push(node);
     }
 
-    /// Records the decision to keep `node` outside the cut: one AND-with-mask test of
-    /// the node's descendant mask against the cut (see the module docs for why the flag
+    /// Records the decision to keep `node` outside the cut: it reaches the cut when one
+    /// of its consumers is a member or reaches it (see the module docs for why the flag
     /// stays correct as the cut grows).
     pub fn mark_outside(&mut self, ctx: &BlockContext<'_>, node: NodeId) {
         let index = node.index();
-        let reaches = ctx.descendants[index].intersects(&self.cut);
+        let reaches = ctx
+            .dfg
+            .consumers(node)
+            .iter()
+            .any(|c| self.marks[c.index()] != Mark::Clear);
         self.journal.push(UndoEntry::MarkedOutside {
             node,
-            reached: self.reach.get(index),
+            previous: self.marks[index],
         });
-        if reaches {
-            self.reach.set(index);
-        } else {
-            self.reach.clear(index);
-        }
+        self.marks[index] = if reaches { Mark::Reaches } else { Mark::Clear };
     }
 
     /// Reverses the most recent [`add`](Self::add) or
@@ -726,45 +696,40 @@ impl IncrementalCutState {
     ///
     /// Panics if the journal is empty (an undo without a matching mutation is a policy
     /// bug, not a recoverable condition).
-    pub fn undo_last(&mut self, _ctx: &BlockContext<'_>) {
+    pub fn undo_last(&mut self, ctx: &BlockContext<'_>) {
         match self.journal.pop().expect("undo without a prior mutation") {
             UndoEntry::Added {
                 node,
+                inputs,
+                block_inputs,
                 outputs,
                 software,
                 critical_path,
                 hardware_cycles,
                 area,
-                spilled_nodes,
-                spilled_inputs,
             } => {
                 let index = node.index();
                 self.members.pop();
-                self.cut.clear(index);
+                self.marks[index] = Mark::Clear;
                 // Reset so the next occupant of this entry starts clean (the add
                 // debug-asserts this invariant).
                 self.longest_path[index] = 0.0;
-                for _ in 0..spilled_inputs {
-                    let (word, value) = self.spill.pop().expect("input spill underflow");
-                    self.src_inputs.restore_word(word, value);
+                for source in &ctx.sources[index] {
+                    match *source {
+                        Source::Node(m) => self.node_uses[m] -= 1,
+                        Source::Input(p) => self.input_uses[p] -= 1,
+                    }
                 }
-                for _ in 0..spilled_nodes {
-                    let (word, value) = self.spill.pop().expect("node spill underflow");
-                    self.src_nodes.restore_word(word, value);
-                }
+                self.inputs = inputs;
+                self.block_inputs = block_inputs;
                 self.outputs = outputs;
                 self.software = software;
                 self.critical_path = critical_path;
                 self.hardware_cycles = hardware_cycles;
                 self.area = area;
             }
-            UndoEntry::MarkedOutside { node, reached } => {
-                let index = node.index();
-                if reached {
-                    self.reach.set(index);
-                } else {
-                    self.reach.clear(index);
-                }
+            UndoEntry::MarkedOutside { node, previous } => {
+                self.marks[node.index()] = previous;
             }
         }
     }
@@ -1311,11 +1276,45 @@ mod tests {
         assert_eq!(state.outputs(), 0);
         assert_eq!(state.software(), 0);
         assert!(state.journal.is_empty());
-        assert!(state.spill.is_empty());
-        assert!(state.cut.is_empty());
-        assert!(state.src_nodes.is_empty());
-        assert!(state.src_inputs.is_empty());
+        assert!(state.marks.iter().all(|&mark| mark == Mark::Clear));
+        assert!(state.node_uses.iter().all(|&uses| uses == 0));
+        assert!(state.input_uses.iter().all(|&uses| uses == 0));
+        assert_eq!(state.block_inputs, 0);
         assert!(state.longest_path.iter().all(|&d| d == 0.0));
+    }
+
+    /// Snapshot/restore across a deep subtree leaves no stale `longest_path` entries:
+    /// the all-in path is descended, unwound and descended again, and the debug
+    /// assertion in `add` fails if any entry survived the restore.
+    #[test]
+    fn longest_path_entries_are_reset_across_deep_restores() {
+        let mut b = DfgBuilder::new("chain");
+        let x = b.input("x");
+        let mut v = x;
+        for _ in 0..12 {
+            v = b.mul(v, x);
+        }
+        b.output("o", v);
+        let g = b.finish();
+        let model = DefaultCostModel::new();
+        let ctx = BlockContext::new(&g, Constraints::new(8, 4), &model);
+        let mut state = IncrementalCutState::new(&ctx);
+        for round in 0..2 {
+            for level in 0..ctx.depth() {
+                let node = ctx.node_at(level);
+                let probe = state.probe_add(&ctx, node);
+                state.add(&ctx, node, probe.outputs);
+            }
+            assert_eq!(state.len(), ctx.depth(), "round {round}");
+            for _ in 0..ctx.depth() {
+                state.undo_last(&ctx);
+            }
+            assert!(state.is_empty());
+            assert!(
+                state.longest_path.iter().all(|&d| d == 0.0),
+                "round {round}"
+            );
+        }
     }
 
     /// `mark_outside` tracks the reference convexity check: after marking a node
@@ -1338,29 +1337,6 @@ mod tests {
         // Undo one mark: the other still breaks convexity.
         state.undo_last(&ctx);
         assert!(!state.probe_add(&ctx, mul).convex);
-    }
-
-    /// The ancestor and descendant masks are exact duals, and descendants follow the
-    /// transitive consumer relation.
-    #[test]
-    fn ancestor_and_descendant_masks_are_dual() {
-        let g = fig4();
-        let model = DefaultCostModel::new();
-        let ctx = BlockContext::new(&g, Constraints::new(8, 4), &model);
-        let n = g.node_count();
-        for u in 0..n {
-            for v in 0..n {
-                assert_eq!(
-                    ctx.descendants[u].get(v),
-                    ctx.ancestors[v].get(u),
-                    "duality violated for ({u}, {v})"
-                );
-            }
-        }
-        // mul (decided last) has every other node as a descendant and none as ancestor.
-        let mul = ctx.node_at(3);
-        assert_eq!(ctx.descendants_of(mul).count(), 3);
-        assert!(ctx.ancestors_of(mul).is_empty());
     }
 
     /// The frontier bound prunes exactly the attempts whose optimistic merit cannot

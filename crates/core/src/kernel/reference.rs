@@ -1,334 +1,31 @@
-//! The retained pre-bitset cut state, kept as an executable specification.
+//! The single-cut search without the frontier bound, kept as a baseline.
 //!
-//! [`ReferenceCutState`] is the original `Vec<bool>`/`Vec<u32>` incremental
-//! bookkeeping that the word-packed [`IncrementalCutState`](super::IncrementalCutState)
-//! replaced: membership and reachability as boolean arrays, `IN(S)` by per-edge
-//! use-counting, `O(fan-in + fan-out)` per decision. It exists for two reasons:
+//! [`identify_single_cut_reference`] walks the paper's binary tree over the same
+//! [`IncrementalCutState`] as the production search, but sequentially and with the
+//! bound disabled, so it prunes only by the original categories (output ports,
+//! convexity, node budget). It exists for two reasons:
 //!
-//! * **specification** — the seeded property suite (`tests/bitset_state.rs`) replays
-//!   identical decision/undo sequences through both states and asserts every observable
-//!   quantity matches, which is what ties the mask identities of the bitset state back
-//!   to the paper's definitions (themselves cross-checked against `crate::cut`'s
-//!   from-scratch `evaluate`/`is_convex`);
-//! * **baseline** — [`identify_single_cut_reference`] runs the full pre-bitset
-//!   single-cut search (sequential, no frontier bound, the original four pruning
-//!   categories), and is the "before" row of the scaling bench, so the reported
-//!   speedups are measured against the real predecessor rather than a guess.
-//!
-//! The only behavioural divergence from the historical code is the fix for the
-//! documented stale-entry hazard on `longest_path`: entries are now reset on undo and
-//! debug-asserted clean on add, in both implementations.
+//! * **specification** — the property suite (`tests/cut_state.rs`) checks that the
+//!   bounded search returns the same selection and `best_updates` as this walk while
+//!   never considering more cuts;
+//! * **baseline** — it is the "reference" row of the scaling bench, so the cost of the
+//!   frontier bound and the search hook is measured against the walk without them.
 
-use ise_hw::{cut_merit, CostModel};
-use ise_ir::{Dfg, NodeId};
+use ise_hw::CostModel;
+use ise_ir::Dfg;
 
-use super::{AddProbe, BlockContext, Incumbent, SearchKernel, SearchPolicy, Source};
+use super::{BlockContext, BoundCheck, IncrementalCutState, Incumbent, SearchKernel, SearchPolicy};
 use crate::constraints::Constraints;
-use crate::cut::{CutEvaluation, CutSet};
 use crate::search::{IdentifiedCut, SearchOutcome, SearchStats};
 
-/// One reversible mutation of a [`ReferenceCutState`], kept on its LIFO journal.
-#[derive(Debug, Clone)]
-enum ReferenceUndo {
-    Added {
-        node: NodeId,
-        inputs: usize,
-        outputs: usize,
-        software: u64,
-        critical_path: f64,
-        area: f64,
-    },
-    MarkedOutside {
-        node: NodeId,
-        reached: bool,
-    },
-}
-
-/// The original per-edge incremental cut state (see the module docs).
-///
-/// Exposes the same probing/mutation API as the bitset
-/// [`IncrementalCutState`](super::IncrementalCutState) — minus the frontier bound,
-/// which did not exist before the repacking — so differential tests can drive both
-/// through identical walks.
-#[derive(Debug, Clone)]
-pub struct ReferenceCutState {
-    in_cut: Vec<bool>,
-    reaches_cut: Vec<bool>,
-    longest_path: Vec<f64>,
-    node_external_uses: Vec<u32>,
-    input_uses: Vec<u32>,
-    members: Vec<NodeId>,
-    inputs: usize,
-    outputs: usize,
-    software: u64,
-    critical_path: f64,
-    area: f64,
-    journal: Vec<ReferenceUndo>,
-}
-
-impl ReferenceCutState {
-    /// Fresh (empty-cut) state for a block.
-    #[must_use]
-    pub fn new(ctx: &BlockContext<'_>) -> Self {
-        let n = ctx.dfg.node_count();
-        ReferenceCutState {
-            in_cut: vec![false; n],
-            reaches_cut: vec![false; n],
-            longest_path: vec![0.0; n],
-            node_external_uses: vec![0; n],
-            input_uses: vec![0; ctx.dfg.input_count()],
-            members: Vec::new(),
-            inputs: 0,
-            outputs: 0,
-            software: 0,
-            critical_path: 0.0,
-            area: 0.0,
-            journal: Vec::new(),
-        }
-    }
-
-    /// Number of members.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Returns `true` if the cut has no members.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// `IN(S)` of the current cut.
-    #[must_use]
-    pub fn inputs(&self) -> usize {
-        self.inputs
-    }
-
-    /// `OUT(S)` of the current cut.
-    #[must_use]
-    pub fn outputs(&self) -> usize {
-        self.outputs
-    }
-
-    /// Accumulated software cycles of the members.
-    #[must_use]
-    pub fn software(&self) -> u64 {
-        self.software
-    }
-
-    /// Critical-path delay of the cut's datapath.
-    #[must_use]
-    pub fn critical_path(&self) -> f64 {
-        self.critical_path
-    }
-
-    /// Accumulated normalised datapath area.
-    #[must_use]
-    pub fn area(&self) -> f64 {
-        self.area
-    }
-
-    /// Merit `M(S)` of the current cut.
-    #[must_use]
-    pub fn merit(&self) -> f64 {
-        cut_merit(self.software, self.critical_path)
-    }
-
-    /// Returns `true` if `node` is a member of the cut.
-    #[must_use]
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.in_cut[node.index()]
-    }
-
-    /// Checks the output-port count and convexity of the cut grown by `node`, by
-    /// scanning the node's consumer edges (the pre-mask formulation).
-    #[must_use]
-    pub fn probe_add(&self, ctx: &BlockContext<'_>, node: NodeId) -> AddProbe {
-        let index = node.index();
-        let consumers = ctx.dfg.consumers(node);
-        let has_external_consumer =
-            ctx.is_output_source[index] || consumers.iter().any(|c| !self.in_cut[c.index()]);
-        let convex = !consumers
-            .iter()
-            .any(|c| !self.in_cut[c.index()] && self.reaches_cut[c.index()]);
-        AddProbe {
-            outputs: self.outputs + usize::from(has_external_consumer),
-            convex,
-        }
-    }
-
-    /// The original 1-branch attempt: count, probe, prune in the canonical order
-    /// (output ports → convexity → node budget — no frontier bound), add on success.
-    pub fn try_add(
-        &mut self,
-        ctx: &BlockContext<'_>,
-        node: NodeId,
-        stats: &mut SearchStats,
-    ) -> bool {
-        stats.cuts_considered += 1;
-        let probe = self.probe_add(ctx, node);
-        let within_node_budget = ctx
-            .constraints
-            .max_nodes
-            .is_none_or(|limit| self.len() < limit);
-        if probe.outputs > ctx.constraints.max_outputs {
-            stats.pruned_output += 1;
-            return false;
-        }
-        if !probe.convex {
-            stats.pruned_convexity += 1;
-            return false;
-        }
-        if !within_node_budget {
-            stats.pruned_node_budget += 1;
-            return false;
-        }
-        stats.feasible_cuts += 1;
-        self.add(ctx, node, probe.outputs);
-        true
-    }
-
-    /// Adds `node` to the cut, maintaining every quantity incrementally by per-edge
-    /// use-counting.
-    pub fn add(&mut self, ctx: &BlockContext<'_>, node: NodeId, new_outputs: usize) {
-        let index = node.index();
-        self.journal.push(ReferenceUndo::Added {
-            node,
-            inputs: self.inputs,
-            outputs: self.outputs,
-            software: self.software,
-            critical_path: self.critical_path,
-            area: self.area,
-        });
-        // Incremental IN(S): `node` stops being an external source, and its own external
-        // sources start counting (once each).
-        if self.node_external_uses[index] > 0 {
-            self.inputs -= 1;
-        }
-        for source in &ctx.sources[index] {
-            match *source {
-                Source::Node(m) => {
-                    self.node_external_uses[m] += 1;
-                    if self.node_external_uses[m] == 1 {
-                        self.inputs += 1;
-                    }
-                }
-                Source::Input(p) => {
-                    self.input_uses[p] += 1;
-                    if self.input_uses[p] == 1 {
-                        self.inputs += 1;
-                    }
-                }
-            }
-        }
-        // Incremental critical path: consumers inside the cut are already final.
-        let downstream = ctx
-            .dfg
-            .consumers(node)
-            .iter()
-            .filter(|c| self.in_cut[c.index()])
-            .map(|c| self.longest_path[c.index()])
-            .fold(0.0f64, f64::max);
-        let path_through_node = downstream + ctx.hardware_delay[index];
-        debug_assert_eq!(
-            self.longest_path[index], 0.0,
-            "stale longest_path entry: undo must reset entries of removed members"
-        );
-        self.longest_path[index] = path_through_node;
-        self.critical_path = self.critical_path.max(path_through_node);
-        self.software += u64::from(ctx.software_cost[index]);
-        self.area += ctx.area_cost[index];
-        self.outputs = new_outputs;
-        self.in_cut[index] = true;
-        self.members.push(node);
-    }
-
-    /// Records the decision to keep `node` outside the cut, by scanning its consumer
-    /// edges for a path into the cut.
-    pub fn mark_outside(&mut self, ctx: &BlockContext<'_>, node: NodeId) {
-        let index = node.index();
-        let reaches = ctx
-            .dfg
-            .consumers(node)
-            .iter()
-            .any(|c| self.in_cut[c.index()] || self.reaches_cut[c.index()]);
-        self.journal.push(ReferenceUndo::MarkedOutside {
-            node,
-            reached: self.reaches_cut[index],
-        });
-        self.reaches_cut[index] = reaches;
-    }
-
-    /// Reverses the most recent [`add`](Self::add) or
-    /// [`mark_outside`](Self::mark_outside).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the journal is empty.
-    pub fn undo_last(&mut self, ctx: &BlockContext<'_>) {
-        match self.journal.pop().expect("undo without a prior mutation") {
-            ReferenceUndo::Added {
-                node,
-                inputs,
-                outputs,
-                software,
-                critical_path,
-                area,
-            } => {
-                let index = node.index();
-                self.members.pop();
-                self.in_cut[index] = false;
-                // Reset so the next occupant of this entry starts clean (the add
-                // debug-asserts this invariant).
-                self.longest_path[index] = 0.0;
-                for source in &ctx.sources[index] {
-                    match *source {
-                        Source::Node(m) => self.node_external_uses[m] -= 1,
-                        Source::Input(p) => self.input_uses[p] -= 1,
-                    }
-                }
-                self.inputs = inputs;
-                self.outputs = outputs;
-                self.software = software;
-                self.critical_path = critical_path;
-                self.area = area;
-            }
-            ReferenceUndo::MarkedOutside { node, reached } => {
-                self.reaches_cut[node.index()] = reached;
-            }
-        }
-    }
-
-    /// Packages the current cut and its incrementally maintained evaluation.
-    #[must_use]
-    pub fn identified(&self, ctx: &BlockContext<'_>) -> IdentifiedCut {
-        IdentifiedCut {
-            cut: CutSet::from_nodes(ctx.dfg, self.members.iter().copied()),
-            evaluation: CutEvaluation {
-                nodes: self.members.len(),
-                inputs: self.inputs,
-                outputs: self.outputs,
-                convex: true,
-                software_cycles: self.software,
-                hardware_critical_path: self.critical_path,
-                hardware_cycles: ctx.model.cycles_for_delay(self.critical_path),
-                area: self.area,
-                merit: self.merit(),
-            },
-        }
-    }
-}
-
-/// The original single-cut policy: binary decisions over the reference state, no
-/// frontier bound.
+/// The original single-cut policy: binary decisions, no frontier bound.
 struct ReferenceSingleCutPolicy<'a> {
     ctx: &'a BlockContext<'a>,
 }
 
 impl SearchPolicy for ReferenceSingleCutPolicy<'_> {
     type Payload = IdentifiedCut;
-    type State = ReferenceCutState;
+    type State = IncrementalCutState;
 
     fn depth(&self) -> usize {
         self.ctx.depth()
@@ -338,17 +35,17 @@ impl SearchPolicy for ReferenceSingleCutPolicy<'_> {
         2
     }
 
-    fn initial_state(&self) -> ReferenceCutState {
-        ReferenceCutState::new(self.ctx)
+    fn initial_state(&self) -> IncrementalCutState {
+        IncrementalCutState::new(self.ctx)
     }
 
-    fn choice_count(&self, _state: &ReferenceCutState, _level: usize) -> usize {
+    fn choice_count(&self, _state: &IncrementalCutState, _level: usize) -> usize {
         2
     }
 
     fn apply(
         &self,
-        state: &mut ReferenceCutState,
+        state: &mut IncrementalCutState,
         level: usize,
         choice: usize,
         stats: &mut SearchStats,
@@ -363,28 +60,26 @@ impl SearchPolicy for ReferenceSingleCutPolicy<'_> {
         if ctx.is_blocked(node) {
             return false;
         }
-        if !state.try_add(ctx, node, stats) {
+        if !state.try_add(ctx, node, BoundCheck::disabled(), stats) {
             return false;
         }
-        if state.inputs() <= ctx.constraints.max_inputs
-            && ctx.constraints.budget_ok(state.area(), state.len())
-        {
+        if state.is_candidate(ctx) {
             incumbent.offer(state.merit(), || state.identified(ctx));
         }
         true
     }
 
-    fn undo(&self, state: &mut ReferenceCutState, _level: usize, _choice: usize) {
+    fn undo(&self, state: &mut IncrementalCutState, _level: usize, _choice: usize) {
         state.undo_last(self.ctx);
     }
 }
 
-/// Runs the full pre-bitset single-cut search: sequential walk, reference state, no
-/// frontier bound — the historical behaviour, byte for byte (selection *and* the four
-/// original stats categories).
+/// Runs the single-cut search with no frontier bound: sequential walk, the original
+/// pruning categories only — the selection of the bounded search, with the full
+/// effort counts of the unbounded tree.
 ///
 /// This is the "before" measurement of the scaling bench and the search-level anchor of
-/// the differential suite; production callers should use
+/// the property suite; production callers should use
 /// [`identify_single_cut`](crate::search::identify_single_cut).
 #[must_use]
 pub fn identify_single_cut_reference(
@@ -436,40 +131,5 @@ mod tests {
                 + stats.pruned_convexity
                 + stats.pruned_node_budget
         );
-    }
-
-    /// Snapshot/restore across a deep subtree leaves no stale `longest_path` entries:
-    /// the regression test for the hazard documented on the original implementation.
-    #[test]
-    fn longest_path_entries_are_reset_across_deep_restores() {
-        let mut b = DfgBuilder::new("chain");
-        let x = b.input("x");
-        let mut v = x;
-        for _ in 0..12 {
-            v = b.mul(v, x);
-        }
-        b.output("o", v);
-        let g = b.finish();
-        let model = DefaultCostModel::new();
-        let ctx = BlockContext::new(&g, Constraints::new(8, 4), &model);
-        let mut state = ReferenceCutState::new(&ctx);
-        // Descend the all-in path to the leaves, unwind completely, then re-descend:
-        // the debug assertion in `add` fails if any entry survived the restore.
-        for round in 0..2 {
-            for level in 0..ctx.depth() {
-                let node = ctx.node_at(level);
-                let probe = state.probe_add(&ctx, node);
-                state.add(&ctx, node, probe.outputs);
-            }
-            assert_eq!(state.len(), ctx.depth(), "round {round}");
-            for _ in 0..ctx.depth() {
-                state.undo_last(&ctx);
-            }
-            assert!(state.is_empty());
-            assert!(
-                state.longest_path.iter().all(|&d| d == 0.0),
-                "round {round}"
-            );
-        }
     }
 }

@@ -6,15 +6,14 @@
 //!
 //! * [`cut`] — cuts (subgraphs) of a basic-block dataflow graph and the reference
 //!   implementations of `IN(S)`, `OUT(S)` and convexity;
-//! * [`bitset`] — the fixed-capacity `u64`-word [`BitSet`] the kernel packs its hot
-//!   per-node state into (membership, reach, source unions, precomputed masks);
 //! * [`Constraints`] — the microarchitectural constraints `Nin`/`Nout` (plus optional
 //!   area and size budgets);
 //! * [`kernel`] — the shared branch-and-bound [`SearchKernel`](kernel::SearchKernel):
 //!   one explicit-stack walk of the pruned decision tree, with the incremental
 //!   bookkeeping factored into a snapshot-and-restorable
-//!   [`IncrementalCutState`](kernel::IncrementalCutState) and optional deterministic
-//!   intra-block subtree parallelism;
+//!   [`IncrementalCutState`](kernel::IncrementalCutState) (per-edge updates,
+//!   `O(fan-in + fan-out)` per decision and `O(n)` memory per cut) and optional
+//!   deterministic intra-block subtree parallelism;
 //! * [`SingleCutSearch`] — the exact single-cut identification algorithm of Section 6.1
 //!   with incremental constraint checking and subtree pruning, as a kernel policy;
 //! * [`MultiCutSearch`] — the multiple-cut generalisation of Section 6.2, as a kernel
@@ -58,7 +57,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitset;
 pub mod collapse;
 mod constraints;
 pub mod cut;
@@ -72,7 +70,6 @@ mod search;
 pub mod selection;
 pub mod structural;
 
-pub use bitset::BitSet;
 pub use constraints::Constraints;
 pub use cut::{CutEvaluation, CutSet};
 pub use engine::{
@@ -85,7 +82,7 @@ pub use engine::{
     SNAPSHOT_FILE,
 };
 pub use error::IseError;
-pub use kernel::reference::{identify_single_cut_reference, ReferenceCutState};
+pub use kernel::reference::identify_single_cut_reference;
 pub use multicut::{identify_multiple_cuts, MultiCutOutcome, MultiCutSearch};
 pub use search::{identify_single_cut, IdentifiedCut, SearchOutcome, SearchStats, SingleCutSearch};
 pub use selection::{

@@ -49,8 +49,8 @@ pub struct SearchStats {
     pub pruned_convexity: u64,
     /// Cuts rejected (with their subtree) by the optional node-count budget.
     pub pruned_node_budget: u64,
-    /// Cuts rejected (with their subtree) by the frontier-aware merit bound — the new
-    /// category of the word-packed kernel, still inside the `cuts_considered` identity
+    /// Cuts rejected (with their subtree) by the frontier-aware merit bound, still
+    /// inside the `cuts_considered` identity
     /// (`considered = feasible + output + convexity + node_budget + bound`). In the
     /// opt-in incumbent-bound mode this also counts the monotone block-input floor.
     pub pruned_bound: u64,
