@@ -63,7 +63,7 @@ pub use request::{
     Algorithm, CorpusProgramOutcome, CorpusRequest, CorpusResponse, IseRequest, IseResponse, Pass,
     ProgramSource, SweepPairOutcome, SweepRequest, SweepResponse,
 };
-pub use serve::{ServeConfig, ServeService, Server};
+pub use serve::{ServeConfig, ServeService, Server, MAX_REQUEST_LINE_BYTES};
 pub use session::{Session, SessionBuilder};
 
 use serde::{DeserializeOwned, Serialize};

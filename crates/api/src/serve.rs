@@ -28,6 +28,11 @@
 //! Responses to pipelined requests may arrive out of order; the `id` is the
 //! correlation key.
 //!
+//! A request line may hold at most [`MAX_REQUEST_LINE_BYTES`] bytes before its
+//! newline. A longer line is answered once, as soon as it crosses the cap, with an
+//! `"error"` envelope (id `null`); the rest of it is skipped up to its newline
+//! without being buffered, and the connection keeps serving the lines after it.
+//!
 //! # Backpressure and shutdown
 //!
 //! Work is executed by a fixed pool of [`ServeConfig::workers`] threads fed from
@@ -61,6 +66,12 @@ use crate::batch::BatchService;
 use crate::json;
 use crate::request::{CorpusRequest, IseRequest, SweepRequest};
 use crate::session::Session;
+
+/// The longest request line the server reads, in bytes, not counting its newline:
+/// 16 MiB, over a hundred times the largest corpus request line the benchmarks send.
+/// Past it a line is answered with an error and skipped (see the module
+/// documentation), so a client that never sends `\n` cannot grow server memory.
+pub const MAX_REQUEST_LINE_BYTES: usize = 16 << 20;
 
 /// Configuration of a serve-mode instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -302,6 +313,16 @@ fn busy_response(line: &str) -> String {
     )
 }
 
+/// The error response for a request line longer than [`MAX_REQUEST_LINE_BYTES`].
+fn overlong_response() -> String {
+    respond(
+        &json::Value::Null,
+        Err(IseError::InvalidRequest(format!(
+            "request line exceeds {MAX_REQUEST_LINE_BYTES} bytes; skipped up to its newline"
+        ))),
+    )
+}
+
 /// Returns the request kind of a raw line, when it parses to an object.
 fn line_kind(line: &str) -> Option<String> {
     match json::parse(line) {
@@ -369,6 +390,69 @@ impl JobQueue {
                 .wait_timeout(jobs, Duration::from_millis(50))
                 .expect("job queue poisoned");
             jobs = guard;
+        }
+    }
+}
+
+/// One item read off a connection by [`LineReader`].
+#[derive(Debug, PartialEq, Eq)]
+enum Line {
+    /// A complete request line (or the unterminated tail before EOF), without its
+    /// newline, at most the cap long.
+    Request(Vec<u8>),
+    /// The current line just crossed the cap; it is skipped up to its newline.
+    Overlong,
+}
+
+/// Splits a byte stream into request lines of at most `cap` bytes.
+///
+/// Unlike `BufRead::read_line`, memory stays bounded by the cap: once a line crosses
+/// it, [`next_line`](Self::next_line) reports [`Line::Overlong`] once and then drops
+/// the line's bytes until its newline. A read error (such as the poll timeout of a
+/// connection) leaves any partial line in place for the next call.
+struct LineReader<R> {
+    inner: R,
+    cap: usize,
+    line: Vec<u8>,
+    skipping: bool,
+}
+
+impl<R: BufRead> LineReader<R> {
+    fn new(inner: R, cap: usize) -> Self {
+        LineReader {
+            inner,
+            cap,
+            line: Vec::new(),
+            skipping: false,
+        }
+    }
+
+    /// The next line, `Ok(None)` at end of stream.
+    fn next_line(&mut self) -> std::io::Result<Option<Line>> {
+        loop {
+            let chunk = self.inner.fill_buf()?;
+            if chunk.is_empty() {
+                let tail = std::mem::take(&mut self.line);
+                return Ok((!tail.is_empty()).then_some(Line::Request(tail)));
+            }
+            let newline = chunk.iter().position(|&byte| byte == b'\n');
+            let taken = newline.unwrap_or(chunk.len());
+            let crossed = !self.skipping && self.line.len() + taken > self.cap;
+            if crossed {
+                self.line = Vec::new();
+            } else if !self.skipping {
+                self.line.extend_from_slice(&chunk[..taken]);
+            }
+            self.inner.consume(taken + usize::from(newline.is_some()));
+            let skipped = self.skipping || crossed;
+            // A skipped line that goes on past this chunk stays skipped.
+            self.skipping = skipped && newline.is_none();
+            if crossed {
+                return Ok(Some(Line::Overlong));
+            }
+            if newline.is_some() && !skipped {
+                return Ok(Some(Line::Request(std::mem::take(&mut self.line))));
+            }
         }
     }
 }
@@ -510,34 +594,39 @@ fn read_connection(stream: TcpStream, service: &ServeService, queue: &JobQueue, 
         return;
     }
     let peer = Arc::new(Mutex::new(writer));
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut lines = LineReader::new(BufReader::new(stream), MAX_REQUEST_LINE_BYTES);
     loop {
         if halt.load(Ordering::SeqCst) {
             break;
         }
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
+        match lines.next_line() {
+            Ok(None) => break,
+            Ok(Some(Line::Overlong)) => write_line(&peer, &overlong_response()),
+            Ok(Some(Line::Request(bytes))) => {
+                let Ok(line) = String::from_utf8(bytes) else {
+                    let error = IseError::Serialization("request line is not valid UTF-8".into());
+                    write_line(&peer, &respond(&json::Value::Null, Err(error)));
+                    continue;
+                };
                 let text = line.trim();
-                if !text.is_empty() {
-                    match line_kind(text).as_deref() {
-                        Some("stats" | "shutdown") => write_line(&peer, &service.handle(text)),
-                        _ => {
-                            let job = Job {
-                                line: text.to_string(),
-                                peer: Arc::clone(&peer),
-                            };
-                            if let Err(job) = queue.try_push(job) {
-                                write_line(&job.peer, &busy_response(&job.line));
-                            }
+                if text.is_empty() {
+                    continue;
+                }
+                match line_kind(text).as_deref() {
+                    Some("stats" | "shutdown") => write_line(&peer, &service.handle(text)),
+                    _ => {
+                        let job = Job {
+                            line: text.to_string(),
+                            peer: Arc::clone(&peer),
+                        };
+                        if let Err(job) = queue.try_push(job) {
+                            write_line(&job.peer, &busy_response(&job.line));
                         }
                     }
                 }
-                line.clear();
             }
-            // A timeout may leave a partial line accumulated in `line`; keep it
-            // and let the next iteration complete it.
+            // A timeout may leave a partial line in the reader; the next iteration
+            // completes it.
             Err(error)
                 if error.kind() == ErrorKind::WouldBlock || error.kind() == ErrorKind::TimedOut => {
             }
@@ -577,6 +666,34 @@ mod tests {
             ("response".to_string(), json::to_value(&oneshot)),
         ]));
         assert_eq!(served, expected);
+    }
+
+    /// Lines up to the cap come through whole; a longer one is reported once and
+    /// skipped to its newline, whether the newline shares its chunk or comes later,
+    /// and the lines after it are read normally. The unterminated tail before EOF is
+    /// a line too.
+    #[test]
+    fn line_reader_caps_lines_and_skips_the_rest_of_an_overlong_one() {
+        let input = b"abcd\nabcde\nok\nabcdefghijklmnop\nlast";
+        for capacity in [1, 3, 64] {
+            let reader = std::io::BufReader::with_capacity(capacity, &input[..]);
+            let mut lines = LineReader::new(reader, 4);
+            let mut seen = Vec::new();
+            while let Some(line) = lines.next_line().expect("in-memory reads succeed") {
+                seen.push(line);
+            }
+            assert_eq!(
+                seen,
+                vec![
+                    Line::Request(b"abcd".to_vec()),
+                    Line::Overlong,
+                    Line::Request(b"ok".to_vec()),
+                    Line::Overlong,
+                    Line::Request(b"last".to_vec()),
+                ],
+                "buffer capacity {capacity}"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use ise_api::{
     json, Algorithm, CorpusRequest, IseRequest, ProgramSource, ServeConfig, ServeService, Server,
-    Session, SweepRequest, SNAPSHOT_FILE,
+    Session, SweepRequest, MAX_REQUEST_LINE_BYTES, SNAPSHOT_FILE,
 };
 use ise_core::Constraints;
 
@@ -340,4 +340,54 @@ fn full_queues_answer_busy_instead_of_buffering() {
     writeln!(writer, "{}", envelope(9, "shutdown", None)).expect("send shutdown");
     writer.flush().expect("flush");
     handle.join().expect("server thread exits");
+}
+
+#[test]
+fn an_overlong_line_gets_one_error_and_the_connection_keeps_serving() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind ephemeral port");
+    let addr = server.local_addr().expect("bound address");
+    let stop = Arc::new(AtomicBool::new(false));
+    let handle = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let result = server.run(&stop);
+            assert!(result.is_ok(), "{result:?}");
+        })
+    };
+
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    // One byte over the cap, then a `stats` line on the same connection. The
+    // oversized line is written from another thread: the server answers it as soon
+    // as it crosses the cap, long before the client has finished sending.
+    let sender = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 1 << 20];
+        let mut left = MAX_REQUEST_LINE_BYTES + 1;
+        while left > 0 {
+            let n = left.min(chunk.len());
+            writer.write_all(&chunk[..n]).expect("send");
+            left -= n;
+        }
+        writeln!(writer).expect("send newline");
+        writeln!(writer, "{}", envelope(2, "stats", None)).expect("send stats");
+        writer.flush().expect("flush");
+        writer
+    });
+    let mut first = String::new();
+    reader.read_line(&mut first).expect("error response");
+    assert!(first.starts_with("{\"id\":null,\"error\":"), "{first}");
+    assert!(first.contains("exceeds"), "{first}");
+    let mut second = String::new();
+    reader.read_line(&mut second).expect("stats response");
+    assert!(second.starts_with("{\"id\":2,\"response\":"), "{second}");
+    assert!(second.contains("\"hits\""), "{second}");
+
+    let mut writer = sender.join().expect("sender thread");
+    writeln!(writer, "{}", envelope(9, "shutdown", None)).expect("send shutdown");
+    writer.flush().expect("flush");
+    let mut bye = String::new();
+    reader.read_line(&mut bye).expect("shutdown response");
+    assert!(bye.contains("shutting down"), "{bye}");
+    handle.join().expect("server thread exits cleanly");
 }

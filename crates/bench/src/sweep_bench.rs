@@ -5,9 +5,10 @@
 //! enumerations. This experiment runs the same Fig. 11 comparison twice — once
 //! pool-backed, once direct — asserts row-for-row identity, and reports the logical
 //! versus physical identifier-call counts and the wall-clock of both modes as the
-//! machine-readable `BENCH_sweep.json`. The `sweep_gate` binary exits non-zero when the
-//! two modes ever diverge, making the exactness guarantee a CI gate (like the
-//! sequential/parallel gate of `scaling`).
+//! machine-readable `BENCH_sweep.json`. The two modes alternate for [`REPEATS`] passes,
+//! each wall-clock is the median over the passes, and every pass must be identical.
+//! The `sweep_gate` binary exits non-zero when the two modes ever diverge, making the
+//! exactness guarantee a CI gate (like the sequential/parallel gate of `scaling`).
 
 use std::time::Instant;
 
@@ -16,6 +17,9 @@ use ise_ir::Program;
 use ise_workloads::suite;
 
 use crate::fig11::{run_algorithms_with_stats, Algorithm, Fig11Config};
+
+/// Alternating pool/direct passes per run; each mode reports its median wall-clock.
+pub const REPEATS: usize = 5;
 
 /// Configuration of the gate experiment.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -54,7 +58,7 @@ impl SweepBenchConfig {
 /// The effort and wall-clock of one execution mode.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct ModeReport {
-    /// Wall-clock of the whole comparison, milliseconds.
+    /// Wall-clock of the whole comparison, milliseconds: the median over the passes.
     pub wall_ms: f64,
     /// Identifier calls the emitted results report (identical in both modes).
     pub logical_identifier_calls: u64,
@@ -88,14 +92,15 @@ pub struct SweepBenchReport {
     pub nproc: u64,
     /// The git revision the gate ran from.
     pub git_revision: String,
-    /// Passes of each mode measured (the gate's verdict is deterministic: identity
-    /// and enumeration counts, never wall-clock).
+    /// Alternating passes of each mode measured (the gate's verdict is
+    /// deterministic: identity and enumeration counts, never wall-clock).
     pub repeats: u64,
     /// The benchmarks compared.
     pub benchmarks: Vec<String>,
     /// Number of `(Nin, Nout)` pairs swept per benchmark and algorithm.
     pub pairs: usize,
-    /// Whether the pool-backed rows were byte-identical to the direct rows.
+    /// Whether the pool-backed rows were byte-identical to the direct rows in every
+    /// pass.
     pub identical: bool,
     /// Whether the pool performed strictly fewer enumerations than direct mode.
     pub fewer_invocations: bool,
@@ -107,7 +112,8 @@ pub struct SweepBenchReport {
     pub direct: ModeReport,
 }
 
-/// Runs the gate: both modes, identity check, effort accounting.
+/// Runs the gate: both modes alternating for [`REPEATS`] passes, identity check,
+/// effort accounting.
 #[must_use]
 pub fn run(config: &SweepBenchConfig) -> SweepBenchReport {
     let programs = config.programs();
@@ -121,19 +127,26 @@ pub fn run(config: &SweepBenchConfig) -> SweepBenchReport {
         ..config.fig11.clone()
     };
 
-    let start = Instant::now();
-    let (pooled_rows, pooled_stats) =
-        run_algorithms_with_stats(&programs, &algorithms, &pooled_config);
-    let pool_ms = start.elapsed().as_secs_f64() * 1_000.0;
-
-    let start = Instant::now();
-    let (direct_rows, direct_stats) =
-        run_algorithms_with_stats(&programs, &algorithms, &direct_config);
-    let direct_ms = start.elapsed().as_secs_f64() * 1_000.0;
-
-    let identical = serde::json::to_string(&pooled_rows) == serde::json::to_string(&direct_rows);
-    let pool = ModeReport::new(pool_ms, pooled_stats);
-    let direct = ModeReport::new(direct_ms, direct_stats);
+    let timed = |config: &Fig11Config| {
+        let start = Instant::now();
+        let (rows, stats) = run_algorithms_with_stats(&programs, &algorithms, config);
+        let ms = start.elapsed().as_secs_f64() * 1_000.0;
+        (serde::json::to_string(&rows), stats, ms)
+    };
+    let mut pool_ms = Vec::with_capacity(REPEATS);
+    let mut direct_ms = Vec::with_capacity(REPEATS);
+    let mut identical = true;
+    let mut stats = (SweepStats::default(), SweepStats::default());
+    for _ in 0..REPEATS {
+        let (pooled_rows, pooled_stats, ms) = timed(&pooled_config);
+        pool_ms.push(ms);
+        let (direct_rows, direct_stats, ms) = timed(&direct_config);
+        direct_ms.push(ms);
+        identical &= pooled_rows == direct_rows;
+        stats = (pooled_stats, direct_stats);
+    }
+    let pool = ModeReport::new(crate::median(&pool_ms), stats.0);
+    let direct = ModeReport::new(crate::median(&direct_ms), stats.1);
     let fewer_invocations = pool.physical_identifier_calls < direct.physical_identifier_calls;
     let invocation_reduction_percent = if direct.physical_identifier_calls > 0 {
         100.0
@@ -148,7 +161,7 @@ pub fn run(config: &SweepBenchConfig) -> SweepBenchReport {
     SweepBenchReport {
         nproc: crate::nproc(),
         git_revision: crate::git_revision(),
-        repeats: 1,
+        repeats: REPEATS as u64,
         benchmarks: programs.iter().map(|p| p.name().to_string()).collect(),
         pairs: config.fig11.constraints.len(),
         identical,
@@ -169,12 +182,13 @@ pub fn to_json(report: &SweepBenchReport) -> String {
 #[must_use]
 pub fn markdown(report: &SweepBenchReport) -> String {
     format!(
-        "| mode | wall ms | logical calls | physical calls |\n\
+        "| mode | wall ms (median of {}) | logical calls | physical calls |\n\
          |---|---:|---:|---:|\n\
          | pool | {:.1} | {} | {} |\n\
          | direct | {:.1} | {} | {} |\n\
          \n\
          identical: {}, physical-call reduction: {:.1}%\n",
+        report.repeats,
         report.pool.wall_ms,
         report.pool.logical_identifier_calls,
         report.pool.physical_identifier_calls,
@@ -210,6 +224,7 @@ mod tests {
     fn gate_reports_identity_and_reduction() {
         let report = run(&tiny());
         assert!(report.identical, "{report:?}");
+        assert_eq!(report.repeats, REPEATS as u64, "{report:?}");
         assert!(report.fewer_invocations, "{report:?}");
         assert_eq!(
             report.pool.logical_identifier_calls,

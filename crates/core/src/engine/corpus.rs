@@ -13,7 +13,8 @@
 //! original node ids and canonical positions. Blocks whose keys are byte-equal walk
 //! identical search trees in the canonical order (see [`crate::structural`]), so the
 //! first block to query a `(key, exclusion-state, budget group)` pays for one
-//! recording enumeration ([`fill_single_cut`]) and the fill is stored **in canonical coordinates** — making it independent of *which*
+//! recording enumeration ([`fill_single_cut`](crate::pool::fill_single_cut)) and the
+//! fill is stored **in canonical coordinates** — making it independent of *which*
 //! isomorphic block happened to fill it, and therefore independent of thread
 //! scheduling. Every later query translates the canonical answer onto its own node
 //! ids, filtered to the queried `(Nin, Nout)` pair, and reconstructs the effort
@@ -51,7 +52,7 @@ use rayon::ShardProgress;
 
 use crate::constraints::Constraints;
 use crate::cut::CutSet;
-use crate::pool::{fill_single_cut, FillOutcome};
+use crate::pool::{fill_single_cut_split, FillOutcome};
 use crate::search::IdentifiedCut;
 use crate::selection::SelectionResult;
 use crate::structural::StructuralForm;
@@ -64,6 +65,29 @@ use super::warm::{
     WarmPoolCache,
 };
 use super::{Identifier, SingleCut};
+
+/// Blocks of at least this many nodes split their pool fills across cores (see
+/// [`fill_split_levels`]). Smaller fills finish in well under a millisecond, where the
+/// subtree snapshots and thread spawns would cost more than they save.
+const SPLIT_FILL_MIN_NODES: usize = 28;
+
+/// Top decision-tree levels a split fill fans out: up to 16 single-cut or 81 two-cut
+/// subtree tasks, enough to balance a few cores while keeping one recording sink per
+/// task small.
+const SPLIT_FILL_LEVELS: usize = 4;
+
+/// How many top levels a pool fill of `dfg` splits into parallel subtree tasks:
+/// [`SPLIT_FILL_LEVELS`] when the driver is parallel, no exploration budget applies (a
+/// budget truncates the walk in visit order, which only the sequential walk
+/// reproduces) and the block has at least [`SPLIT_FILL_MIN_NODES`] nodes; otherwise
+/// `0`. The fill is byte-identical either way.
+pub(crate) fn fill_split_levels(dfg: &Dfg, parallel: bool, budget: Option<u64>) -> usize {
+    if parallel && budget.is_none() && dfg.node_count() >= SPLIT_FILL_MIN_NODES {
+        SPLIT_FILL_LEVELS
+    } else {
+        0
+    }
+}
 
 /// Options of one corpus run.
 #[derive(Debug, Clone, Copy)]
@@ -203,9 +227,9 @@ struct RunBook {
     collisions: u64,
 }
 
-/// The single-cut fill memo: one [`fill_single_cut`] enumeration per distinct
-/// `(structural key, exclusion state, budget group)`, answered by node-relabelling
-/// translation out of a [`WarmPoolCache`].
+/// The single-cut fill memo: one [`fill_single_cut`](crate::pool::fill_single_cut)
+/// enumeration per distinct `(structural key, exclusion state, budget group)`,
+/// answered by node-relabelling translation out of a [`WarmPoolCache`].
 ///
 /// The fill constraints (the budget group of the cache key) and the pair a query
 /// is answered under may differ, as long as the fill [covers](crate::pool::covers)
@@ -268,8 +292,11 @@ impl<'m> CorpusPool<'m> {
     /// Byte-identical — selection, statistics, `identifier_calls` — to
     /// [`select_program`](super::select_program) with the `"single-cut"` identifier
     /// under `pair`, whatever mixture of fills and translations serves the queries.
-    /// With `options.parallel` set, a round that has to fill more than one slot
-    /// answers its stale blocks in parallel; the result is the same either way.
+    /// With `options.parallel` set and no exploration budget, a fill of a block with
+    /// at least 28 nodes splits its own walk across cores, and a round that has to
+    /// fill more than one slot, none of them split, answers its stale blocks in
+    /// parallel instead — never both, so fan-outs do not nest. The result is the same
+    /// either way.
     #[must_use]
     pub fn select_program(
         &self,
@@ -287,20 +314,28 @@ impl<'m> CorpusPool<'m> {
                     excluded,
                     fill,
                     pair,
-                    options.intra_block_levels,
+                    options,
                 )
             };
-            // Answering from a landed fill is too cheap to pay for spawning threads.
-            let fills_needed = || {
-                work.iter()
-                    .filter(|&&(block, excluded)| {
-                        !self
-                            .cache
-                            .is_filled(&self.key(&forms[block], excluded, fill))
-                    })
-                    .count()
+            // Answering from a landed fill is too cheap to pay for spawning threads,
+            // and a split fill already keeps every core busy.
+            let fan_out = || {
+                let mut fills = 0;
+                for &(block, excluded) in work {
+                    if self
+                        .cache
+                        .is_filled(&self.key(&forms[block], excluded, fill))
+                    {
+                        continue;
+                    }
+                    if self.split_levels(program.block(block), options) > 0 {
+                        return false;
+                    }
+                    fills += 1;
+                }
+                fills > 1
             };
-            if options.parallel && work.len() > 1 && fills_needed() > 1 {
+            if options.parallel && work.len() > 1 && fan_out() {
                 work.par_iter().map(answer).collect()
             } else {
                 work.iter().map(answer).collect()
@@ -308,8 +343,14 @@ impl<'m> CorpusPool<'m> {
         })
     }
 
+    /// How many top levels a fill of `dfg` splits under the driver `options`.
+    fn split_levels(&self, dfg: &Dfg, options: DriverOptions) -> usize {
+        fill_split_levels(dfg, options.parallel, self.exploration_budget)
+    }
+
     /// Answers one `(block, exclusion)` identification query under `pair` from the
-    /// fill under `fill`, filling its slot on first use.
+    /// fill under `fill`, filling its slot on first use. The driver `options` decide
+    /// whether that fill, or the direct fallback search, splits across cores.
     fn answer(
         &self,
         dfg: &Dfg,
@@ -317,9 +358,10 @@ impl<'m> CorpusPool<'m> {
         excluded: &CutSet,
         fill: Constraints,
         pair: &Constraints,
-        split_levels: usize,
+        options: DriverOptions,
     ) -> BlockAnswer {
-        let cell = self.fill_slot(dfg, form, excluded, fill);
+        let split_levels = self.split_levels(dfg, options);
+        let cell = self.fill_slot(dfg, form, excluded, fill, split_levels);
         match cell.get().expect("fill_slot returns a filled cell") {
             FillEntry::Complete(canonical) => {
                 let stats = canonical.histogram.reconstruct(pair.max_outputs);
@@ -340,8 +382,13 @@ impl<'m> CorpusPool<'m> {
                 // or filtered; fall back to the direct search under the queried pair.
                 self.direct_calls.fetch_add(1, Ordering::Relaxed);
                 let identifier = SingleCut::new().with_exploration_budget(self.exploration_budget);
-                let outcome =
-                    identifier.identify_split(dfg, Some(excluded), pair, self.model, split_levels);
+                let outcome = identifier.identify_split(
+                    dfg,
+                    Some(excluded),
+                    pair,
+                    self.model,
+                    options.intra_block_levels,
+                );
                 self.direct_cuts
                     .fetch_add(outcome.stats.cuts_considered, Ordering::Relaxed);
                 BlockAnswer {
@@ -362,7 +409,7 @@ impl<'m> CorpusPool<'m> {
         excluded: &CutSet,
         constraints: Constraints,
     ) -> Vec<IdentifiedCut> {
-        let cell = self.fill_slot(dfg, form, excluded, constraints);
+        let cell = self.fill_slot(dfg, form, excluded, constraints, 0);
         match cell.get().expect("fill_slot returns a filled cell") {
             FillEntry::Complete(fill) => {
                 let (entries, _) = fill.store.parts();
@@ -375,20 +422,24 @@ impl<'m> CorpusPool<'m> {
                     .collect()
             }
             FillEntry::Exhausted => {
-                let answer = self.answer(dfg, form, excluded, constraints, &constraints, 0);
+                let sequential = DriverOptions::default().sequential();
+                let answer =
+                    self.answer(dfg, form, excluded, constraints, &constraints, sequential);
                 answer.best.into_iter().collect()
             }
         }
     }
 
     /// The memoised fill of one `(block, exclusion)` query under the `fill`
-    /// constraints, filling its slot on first use; the returned cell is filled.
+    /// constraints, filling its slot on first use (splitting the top `split_levels`
+    /// levels of that walk); the returned cell is filled.
     fn fill_slot(
         &self,
         dfg: &Dfg,
         form: &StructuralForm,
         excluded: &CutSet,
         fill: Constraints,
+        split_levels: usize,
     ) -> Arc<OnceLock<FillEntry>> {
         self.queries.fetch_add(1, Ordering::Relaxed);
         let key = self.key(form, excluded, fill);
@@ -413,7 +464,7 @@ impl<'m> CorpusPool<'m> {
         let mut filled_now = false;
         let entry = cell.get_or_init(|| {
             filled_now = true;
-            self.fill(dfg, form, excluded, fill)
+            self.fill(dfg, form, excluded, fill, split_levels)
         });
         if filled_now {
             self.cache.record_fill(&key, entry);
@@ -439,14 +490,16 @@ impl<'m> CorpusPool<'m> {
         form: &StructuralForm,
         excluded: &CutSet,
         fill: Constraints,
+        split_levels: usize,
     ) -> FillEntry {
         self.pool_fills.fetch_add(1, Ordering::Relaxed);
-        match fill_single_cut(
+        match fill_single_cut_split(
             dfg,
             Some(excluded),
             fill,
             self.model,
             self.exploration_budget,
+            split_levels,
         ) {
             FillOutcome::Complete(pool) => {
                 self.fill_cuts

@@ -59,6 +59,13 @@ use super::Identifier;
 ///   (the default) disables the level. Exact searches running under an exploration
 ///   budget ignore the knob (a global cut budget is inherently sequential), as do the
 ///   linear-time baselines (no decision tree to split).
+///
+/// Pool fills split on their own. Under [`parallel`](Self::parallel), a pool-backed
+/// sweep fills every block of at least 28 nodes with the top 4 levels of its walk
+/// split into subtree tasks, when no exploration budget applies; a refresh round that
+/// runs such a fill does not also fan its blocks out, so the two levels never nest. No
+/// option controls this, and the fills are byte-identical either way. Corpus runs and
+/// template extraction keep sequential fills: their parallelism is across programs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub struct DriverOptions {
     /// Maximum number of special instructions to select (`Ninstr`).

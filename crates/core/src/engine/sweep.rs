@@ -39,7 +39,7 @@ use crate::search::IdentifiedCut;
 use crate::selection::{select_optimal_core, SelectionResult};
 use crate::structural::StructuralForm;
 
-use super::corpus::CorpusPool;
+use super::corpus::{fill_split_levels, CorpusPool};
 use super::driver::DriverOptions;
 use super::{Identifier, SingleCut};
 
@@ -325,13 +325,15 @@ impl<'a> SweepPlanner<'a> {
         let key = (group, block, m);
         if !self.tuple_pools.contains_key(&key) {
             self.stats.pool_fills += 1;
+            let dfg = self.program.block(block);
             let outcome = fill_multicut(
-                self.program.block(block),
+                dfg,
                 None,
                 self.fills[group],
                 self.model,
                 m,
                 self.exploration_budget,
+                fill_split_levels(dfg, self.options.parallel, self.exploration_budget),
             );
             match &outcome {
                 FillOutcome::Complete(pool) => {

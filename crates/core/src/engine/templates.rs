@@ -703,7 +703,7 @@ pub struct SelectDraft {
 }
 
 impl SearchPolicy for TemplateSelectPolicy<'_> {
-    type Payload = SelectDraft;
+    type Sink = Incumbent<SelectDraft>;
     type State = SelectState;
 
     fn depth(&self) -> usize {
@@ -1269,7 +1269,7 @@ mod tests {
         }
 
         impl SearchPolicy for Policy<'_> {
-            type Payload = Vec<usize>;
+            type Sink = Incumbent<Vec<usize>>;
             type State = State;
 
             fn depth(&self) -> usize {

@@ -82,7 +82,7 @@ struct ExhaustivePolicy<'a> {
 }
 
 impl SearchPolicy for ExhaustivePolicy<'_> {
-    type Payload = IdentifiedCut;
+    type Sink = Incumbent<IdentifiedCut>;
     /// The members chosen so far, in index order.
     type State = Vec<NodeId>;
 

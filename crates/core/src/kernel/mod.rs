@@ -17,16 +17,21 @@
 //!   cost, hardware critical path, area), kept per node and updated along the decided
 //!   node's edges, undone through an internal LIFO journal;
 //! * [`SearchPolicy`] — the per-algorithm hooks: how many branches a decision level has,
-//!   how to apply/undo one branch, and when to offer a candidate to the incumbent;
-//! * `SearchHook` — what the single-cut and multiple-cut policies report besides
-//!   walking: a no-op `DirectHook` for a direct search, a recorder for a pool fill,
-//!   so each algorithm has one policy;
-//! * [`Incumbent`] — the incumbent solution plus the ascending log of its improvements,
-//!   which makes deterministic subtree merging possible (see below);
+//!   how to apply/undo one branch, and what to record into the walk's sink;
+//! * [`WalkSink`] — what one walk records: the policy's associated sink type, created
+//!   fresh for every inline segment and subtree task of a split walk and folded back in
+//!   depth-first order;
+//! * [`Incumbent`] — the direct searches' sink: the incumbent solution plus the
+//!   ascending log of its improvements, which makes deterministic subtree merging
+//!   possible (see below);
+//! * `SearchHook` — what the single-cut and multiple-cut policies report into their
+//!   sink besides walking: the [`Incumbent`] ignores attempts and keeps the best
+//!   candidate, a pool fill's recorder (`crate::pool`) histograms every attempt and
+//!   keeps every non-dominated candidate, so each algorithm has one policy;
 //! * [`SearchKernel`] — the driver: a sequential explicit-stack depth-first walk, or a
 //!   two-phase parallel walk that splits the decision tree at its top `split_levels`
-//!   levels into independent subtree tasks, fans them out with `rayon`, and merges
-//!   incumbents and [`SearchStats`] in subtree-index order.
+//!   levels into independent subtree tasks, fans them out with `rayon`, and folds their
+//!   sinks and [`SearchStats`] in subtree-index order.
 //!
 //! The [`mod@reference`] submodule keeps the single-cut search without the frontier
 //! bound over the same state: the property suite checks the bound never changes a
@@ -83,7 +88,8 @@
 //! local improvements; the merge replays those sequences in subtree-index (=
 //! depth-first) order against the running global best. The result — incumbent,
 //! `best_updates` and all — is byte-identical to the sequential walk, for any thread
-//! count.
+//! count. The same holds for any [`WalkSink`] whose [`absorb`](WalkSink::absorb)
+//! reproduces "record `earlier`, then record `later`": the pool's recorder is one.
 //!
 //! An [exploration budget](SearchKernel::exploration_budget) is a *global* cap on the
 //! cuts considered and is inherently sequential; when one is set the kernel always runs
@@ -829,16 +835,40 @@ impl<T> Incumbent<T> {
     pub fn into_payload(self) -> Option<T> {
         self.payload
     }
+}
 
-    /// Replays `later` — the incumbent of a subtree that the sequential walk would have
-    /// visited *after* everything absorbed so far — against this incumbent.
+/// What one kernel walk records: the associated sink of a [`SearchPolicy`].
+///
+/// The sequential walk records into one sink. The split walk gives every inline
+/// segment and every subtree task a [`fresh`](Self::fresh) sink and folds them with
+/// [`absorb`](Self::absorb) in depth-first order, so a sink type is only correct if
+/// absorbing `later` leaves exactly what recording `later`'s visits after `self`'s
+/// would have left. [`Incumbent`] replays its improvement log; the pool fill's
+/// recorder adds its histograms and re-offers its store entries with shifted
+/// enumeration indices (see `crate::pool`).
+pub trait WalkSink: Send + Sync + Sized {
+    /// An empty sink configured like `self` (for a subtree task or inline segment).
+    #[must_use]
+    fn fresh(&self) -> Self;
+
+    /// Folds in `later`, the sink of a unit the sequential walk visits after
+    /// everything absorbed so far.
+    fn absorb(&mut self, later: Self);
+}
+
+impl<T: Send + Sync> WalkSink for Incumbent<T> {
+    fn fresh(&self) -> Self {
+        Incumbent::empty()
+    }
+
+    /// Replays `later`'s improvements against this incumbent.
     ///
     /// Within one subtree the improvement log is strictly ascending, so the
     /// sequentially surviving improvements are exactly the suffix strictly above the
     /// current global score, and the subtree's final payload is the payload of the last
     /// survivor. This operation is associative, which is what lets the kernel fold
     /// segments and subtree results left-to-right in subtree-index order.
-    pub fn absorb(&mut self, later: Incumbent<T>) {
+    fn absorb(&mut self, later: Self) {
         let first_surviving = later.improvements.partition_point(|&m| m <= self.score);
         if first_surviving < later.improvements.len() {
             self.improvements
@@ -849,42 +879,40 @@ impl<T> Incumbent<T> {
     }
 }
 
-/// What the single-cut and multiple-cut policies report about their walk, besides
-/// the kernel's own counters: every 1-branch attempt, every software-branch subtree
-/// prune and every qualifying candidate.
+/// What the single-cut and multiple-cut policies report into their sink about the
+/// walk, besides the kernel's own counters: every 1-branch attempt, every
+/// software-branch subtree prune and every qualifying candidate.
 ///
-/// A direct search plugs in [`DirectHook`], which records nothing and offers each
-/// candidate to the kernel's [`Incumbent`]; being zero-sized, it monomorphises away
-/// and leaves the plain search walk. A pool fill (`crate::pool`) plugs in a recorder
-/// that histograms the attempts and keeps every non-dominated candidate instead, and
-/// never touches the incumbent — so both run one policy per algorithm.
+/// A direct search records into an [`Incumbent`], which ignores attempts and prunes
+/// and keeps the best candidate; the calls monomorphise away and leave the plain
+/// search walk. A pool fill (`crate::pool`) records into a sink that histograms the
+/// attempts and keeps every non-dominated candidate instead — so both run one policy
+/// per algorithm, and both split across subtree tasks the same way.
 ///
 /// `prefix` is the largest `OUT` applied on the current tree path. `OUT` only grows
 /// along the consumers-first order, so that is the current cut's `OUT` (for
 /// multicut, the largest slot `OUT`).
-pub(crate) trait SearchHook<P>: Sync {
+pub(crate) trait SearchHook<P>: WalkSink {
     /// One 1-branch attempt with its query-independent flags, before it is classified.
-    fn attempt(&self, prefix: usize, probe: AddProbe, within_budget: bool, bound_ok: bool);
+    fn attempt(&mut self, prefix: usize, probe: AddProbe, within_budget: bool, bound_ok: bool);
 
     /// A software branch whose whole subtree the frontier bound skipped.
-    fn subtree_prune(&self, prefix: usize);
+    fn subtree_prune(&mut self, prefix: usize);
 
     /// A candidate that passed [`IncrementalCutState::is_candidate`] (every slot, for
     /// tuples), with its signature `(IN, OUT)` and score; `make` builds the payload.
-    fn offer(
-        &self,
-        incumbent: &mut Incumbent<P>,
-        inputs: usize,
-        outputs: usize,
-        score: f64,
-        make: impl FnOnce() -> P,
-    );
+    fn offer(&mut self, inputs: usize, outputs: usize, score: f64, make: impl FnOnce() -> P);
+
+    /// The threshold the opt-in incumbent bound must strictly beat: the incumbent's
+    /// score. A recorder keeps every candidate, so it answers zero — the default
+    /// frontier threshold.
+    fn bound_threshold(&self) -> f64;
 
     /// The 1-branch step every policy shares: probe `node` against `cut`, report the
     /// attempt, then count, classify and (on success) apply it through
     /// [`IncrementalCutState::try_add_probed`].
     fn try_add(
-        &self,
+        &mut self,
         ctx: &BlockContext<'_>,
         cut: &mut IncrementalCutState,
         node: NodeId,
@@ -899,24 +927,19 @@ pub(crate) trait SearchHook<P>: Sync {
     }
 }
 
-/// The direct search's [`SearchHook`]: records nothing, offers to the incumbent.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DirectHook;
+/// The direct search's [`SearchHook`]: records nothing, keeps the best candidate.
+impl<P: Send + Sync> SearchHook<P> for Incumbent<P> {
+    fn attempt(&mut self, _prefix: usize, _probe: AddProbe, _within_budget: bool, _bound_ok: bool) {
+    }
 
-impl<P> SearchHook<P> for DirectHook {
-    fn attempt(&self, _prefix: usize, _probe: AddProbe, _within_budget: bool, _bound_ok: bool) {}
+    fn subtree_prune(&mut self, _prefix: usize) {}
 
-    fn subtree_prune(&self, _prefix: usize) {}
+    fn offer(&mut self, _inputs: usize, _outputs: usize, score: f64, make: impl FnOnce() -> P) {
+        Incumbent::offer(self, score, make);
+    }
 
-    fn offer(
-        &self,
-        incumbent: &mut Incumbent<P>,
-        _inputs: usize,
-        _outputs: usize,
-        score: f64,
-        make: impl FnOnce() -> P,
-    ) {
-        incumbent.offer(score, make);
+    fn bound_threshold(&self) -> f64 {
+        self.score
     }
 }
 
@@ -928,8 +951,9 @@ impl<P> SearchHook<P> for DirectHook {
 /// reusable search state. Returning `false` from `apply` eliminates the whole subtree
 /// below that branch — the paper's subtree-elimination pruning.
 pub trait SearchPolicy: Sync {
-    /// The incumbent payload (e.g. one [`IdentifiedCut`], or a tuple of cuts).
-    type Payload: Clone + Send;
+    /// What a walk records (an [`Incumbent`] of one [`IdentifiedCut`] or a tuple of
+    /// cuts for a direct search, the recorder for a pool fill).
+    type Sink: WalkSink;
     /// The snapshot-and-restorable search state.
     type State: Clone + Send + Sync;
 
@@ -949,7 +973,7 @@ pub trait SearchPolicy: Sync {
     /// Tries to apply branch `choice` at `level`.
     ///
     /// On success the policy must leave exactly one reversible mutation per involved
-    /// cut state, may update `stats`, may offer a candidate to `incumbent`, and returns
+    /// cut state, may update `stats`, may record into `sink`, and returns
     /// `true` so the kernel descends. Returning `false` means the branch (and its whole
     /// subtree) is pruned and **no** state mutation may remain.
     fn apply(
@@ -958,7 +982,7 @@ pub trait SearchPolicy: Sync {
         level: usize,
         choice: usize,
         stats: &mut SearchStats,
-        incumbent: &mut Incumbent<Self::Payload>,
+        sink: &mut Self::Sink,
     ) -> bool;
 
     /// Reverses a successful [`apply`](Self::apply) of `choice` at `level`.
@@ -991,10 +1015,10 @@ impl Frame {
     }
 }
 
-/// One ordered merge unit of the parallel walk: either incumbent/stats accumulated
+/// One ordered merge unit of the parallel walk: either the sink and stats accumulated
 /// inline while enumerating tree-top prefixes, or the result of subtree task `n`.
-enum MergeUnit<T> {
-    Inline(Incumbent<T>, SearchStats),
+enum MergeUnit<S> {
+    Inline(S, SearchStats),
     Task(usize),
 }
 
@@ -1033,9 +1057,26 @@ impl SearchKernel {
     /// Runs the policy's search tree to completion and returns the best payload plus
     /// the search statistics. Parallel and sequential walks return identical results.
     #[must_use]
-    pub fn run<P: SearchPolicy>(&self, policy: &P) -> (Option<P::Payload>, SearchStats) {
+    pub fn run<P, T>(&self, policy: &P) -> (Option<T>, SearchStats)
+    where
+        P: SearchPolicy<Sink = Incumbent<T>>,
+        T: Send + Sync,
+    {
+        let (incumbent, mut stats) = self.run_into(policy, Incumbent::empty());
+        stats.best_updates = incumbent.updates();
+        (incumbent.into_payload(), stats)
+    }
+
+    /// Runs the policy's search tree to completion, recording into `sink`, and returns
+    /// the sink plus the search statistics (`best_updates` stays zero: only an
+    /// [`Incumbent`] knows it). Parallel and sequential walks return identical results.
+    #[must_use]
+    pub fn run_into<P: SearchPolicy>(
+        &self,
+        policy: &P,
+        mut sink: P::Sink,
+    ) -> (P::Sink, SearchStats) {
         let mut stats = SearchStats::default();
-        let mut incumbent = Incumbent::empty();
         let split = self.effective_split(policy);
         if split == 0 {
             let mut state = policy.initial_state();
@@ -1045,13 +1086,12 @@ impl SearchKernel {
                 0,
                 self.exploration_budget,
                 &mut stats,
-                &mut incumbent,
+                &mut sink,
             );
         } else {
-            self.run_split(policy, split, &mut stats, &mut incumbent);
+            self.run_split(policy, split, &mut stats, &mut sink);
         }
-        stats.best_updates = incumbent.updates();
-        (incumbent.into_payload(), stats)
+        (sink, stats)
     }
 
     /// The split depth actually used: clamped below the tree depth, disabled entirely
@@ -1082,11 +1122,11 @@ impl SearchKernel {
         policy: &P,
         split: usize,
         stats: &mut SearchStats,
-        incumbent: &mut Incumbent<P::Payload>,
+        sink: &mut P::Sink,
     ) {
-        let mut units: Vec<MergeUnit<P::Payload>> = Vec::new();
+        let mut units: Vec<MergeUnit<P::Sink>> = Vec::new();
         let mut tasks: Vec<P::State> = Vec::new();
-        let mut segment_incumbent = Incumbent::empty();
+        let mut segment_sink = sink.fresh();
         let mut segment_stats = SearchStats::default();
 
         // Enumerate the tree-top prefixes with the same walk as everything else, the
@@ -1100,42 +1140,41 @@ impl SearchKernel {
             split,
             None,
             &mut segment_stats,
-            &mut segment_incumbent,
-            |state, stats, incumbent| {
-                units.push(MergeUnit::Inline(
-                    std::mem::take(incumbent),
-                    std::mem::take(stats),
-                ));
+            &mut segment_sink,
+            |state, stats, segment| {
+                let closed = std::mem::replace(segment, segment.fresh());
+                units.push(MergeUnit::Inline(closed, std::mem::take(stats)));
                 units.push(MergeUnit::Task(tasks.len()));
                 tasks.push(state.clone());
             },
         );
-        units.push(MergeUnit::Inline(segment_incumbent, segment_stats));
+        units.push(MergeUnit::Inline(segment_sink, segment_stats));
 
-        let mut results: Vec<Option<(Incumbent<P::Payload>, SearchStats)>> = tasks
+        let root: &P::Sink = sink;
+        let mut results: Vec<Option<(P::Sink, SearchStats)>> = tasks
             .par_iter()
             .map(|snapshot| {
                 let mut state = snapshot.clone();
                 let mut stats = SearchStats::default();
-                let mut incumbent = Incumbent::empty();
-                walk(policy, &mut state, split, None, &mut stats, &mut incumbent);
-                Some((incumbent, stats))
+                let mut task_sink = root.fresh();
+                walk(policy, &mut state, split, None, &mut stats, &mut task_sink);
+                Some((task_sink, stats))
             })
             .collect();
 
         for unit in units {
-            let (unit_incumbent, unit_stats) = match unit {
-                MergeUnit::Inline(incumbent, stats) => (incumbent, stats),
+            let (unit_sink, unit_stats) = match unit {
+                MergeUnit::Inline(sink, stats) => (sink, stats),
                 MergeUnit::Task(index) => results[index].take().expect("each task used once"),
             };
-            incumbent.absorb(unit_incumbent);
+            sink.absorb(unit_sink);
             merge_stats(stats, &unit_stats);
         }
     }
 }
 
 /// Sums the effort counters of `other` into `stats` (everything except `best_updates`,
-/// which the kernel recomputes from the merged incumbent).
+/// which [`SearchKernel::run`] recomputes from the merged incumbent).
 fn merge_stats(stats: &mut SearchStats, other: &SearchStats) {
     stats.cuts_considered += other.cuts_considered;
     stats.feasible_cuts += other.feasible_cuts;
@@ -1163,7 +1202,7 @@ fn walk<P: SearchPolicy>(
     start_level: usize,
     budget: Option<u64>,
     stats: &mut SearchStats,
-    incumbent: &mut Incumbent<P::Payload>,
+    sink: &mut P::Sink,
 ) {
     walk_range(
         policy,
@@ -1172,7 +1211,7 @@ fn walk<P: SearchPolicy>(
         policy.depth(),
         budget,
         stats,
-        incumbent,
+        sink,
         |_, _, _| {},
     );
 }
@@ -1191,8 +1230,8 @@ fn walk_range<P: SearchPolicy>(
     frontier: usize,
     budget: Option<u64>,
     stats: &mut SearchStats,
-    incumbent: &mut Incumbent<P::Payload>,
-    mut on_frontier: impl FnMut(&mut P::State, &mut SearchStats, &mut Incumbent<P::Payload>),
+    sink: &mut P::Sink,
+    mut on_frontier: impl FnMut(&mut P::State, &mut SearchStats, &mut P::Sink),
 ) {
     if start_level >= frontier {
         return;
@@ -1213,12 +1252,12 @@ fn walk_range<P: SearchPolicy>(
         }
         let choice = stack[top].next_choice;
         stack[top].next_choice += 1;
-        if !policy.apply(state, level, choice, stats, incumbent) {
+        if !policy.apply(state, level, choice, stats, sink) {
             continue;
         }
         stack[top].applied = Some(choice);
         if level + 1 == frontier {
-            on_frontier(state, stats, incumbent);
+            on_frontier(state, stats, sink);
             continue;
         }
         if !budget_left(stats, budget) {
@@ -1451,7 +1490,7 @@ mod tests {
             sequential_only: bool,
         }
         impl SearchPolicy for Dummy {
-            type Payload = ();
+            type Sink = Incumbent<()>;
             type State = ();
             fn depth(&self) -> usize {
                 5
@@ -1469,7 +1508,7 @@ mod tests {
                 _level: usize,
                 _choice: usize,
                 _stats: &mut SearchStats,
-                _incumbent: &mut Incumbent<Self::Payload>,
+                _sink: &mut Incumbent<()>,
             ) -> bool {
                 false
             }

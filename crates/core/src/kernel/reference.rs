@@ -24,7 +24,7 @@ struct ReferenceSingleCutPolicy<'a> {
 }
 
 impl SearchPolicy for ReferenceSingleCutPolicy<'_> {
-    type Payload = IdentifiedCut;
+    type Sink = Incumbent<IdentifiedCut>;
     type State = IncrementalCutState;
 
     fn depth(&self) -> usize {

@@ -14,17 +14,19 @@
 //! The tree walk is the shared [`SearchKernel`]; this module
 //! supplies the `(M+1)`-ary *policy*, in which each of the `M` cuts under construction is
 //! its own [`IncrementalCutState`] — the same per-cut bookkeeping the single-cut search
-//! uses, instantiated `M` times. Like the single-cut policy it is generic over a
-//! `SearchHook`, so the pool's tuple fills ([`crate::pool::fill_multicut`]) run this
-//! very policy with a recording hook.
+//! uses, instantiated `M` times. Like the single-cut policy it is generic over its
+//! `SearchHook` sink, so the pool's tuple fills ([`crate::pool::fill_multicut`]) run
+//! this very policy with a recording sink.
 
 use ise_hw::{cut_merit, CostModel};
 use ise_ir::Dfg;
 
 use crate::constraints::Constraints;
 use crate::cut::CutSet;
+use std::marker::PhantomData;
+
 use crate::kernel::{
-    BlockContext, BoundCheck, DirectHook, IncrementalCutState, Incumbent, SearchHook, SearchKernel,
+    BlockContext, BoundCheck, IncrementalCutState, Incumbent, SearchHook, SearchKernel,
     SearchPolicy,
 };
 use crate::search::{IdentifiedCut, SearchStats};
@@ -82,13 +84,13 @@ struct MultiCutState {
 ///
 /// Choices `0..assignable` assign the node to that cut slot (with symmetry breaking: a
 /// node may start slot `k` only when slots `0..k` are in use); the last choice leaves
-/// the node in software. As in the single-cut policy, `hook` sees every attempt,
+/// the node in software. As in the single-cut policy, the sink `H` sees every attempt,
 /// subtree prune and candidate, so a direct search and a pool fill walk one policy.
 struct MultiCutPolicy<'a, H> {
     ctx: &'a BlockContext<'a>,
     num_cuts: usize,
     incumbent_bound: bool,
-    hook: H,
+    sink: PhantomData<fn() -> H>,
 }
 
 impl<H: SearchHook<Vec<IdentifiedCut>>> MultiCutPolicy<'_, H> {
@@ -106,7 +108,7 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> MultiCutPolicy<'_, H> {
         state.cuts.iter().map(IncrementalCutState::merit).sum()
     }
 
-    /// The largest slot `OUT`: the hook's tree-path prefix.
+    /// The largest slot `OUT`: the sink's tree-path prefix.
     fn prefix(state: &MultiCutState) -> usize {
         state
             .cuts
@@ -119,11 +121,7 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> MultiCutPolicy<'_, H> {
     /// Offers the current assignment: every non-empty cut must be a candidate, the
     /// objective is the summed merit and the signature is `(max IN, max OUT)` over
     /// the non-empty cuts.
-    fn consider_candidate(
-        &self,
-        state: &MultiCutState,
-        incumbent: &mut Incumbent<Vec<IdentifiedCut>>,
-    ) {
+    fn consider_candidate(&self, state: &MultiCutState, sink: &mut H) {
         let mut total = 0.0;
         let mut max_in = 0;
         let mut max_out = 0;
@@ -135,7 +133,7 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> MultiCutPolicy<'_, H> {
             max_in = max_in.max(cut.inputs());
             max_out = max_out.max(cut.outputs());
         }
-        self.hook.offer(incumbent, max_in, max_out, total, || {
+        sink.offer(max_in, max_out, total, || {
             state
                 .cuts
                 .iter()
@@ -148,7 +146,7 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> MultiCutPolicy<'_, H> {
 }
 
 impl<H: SearchHook<Vec<IdentifiedCut>>> SearchPolicy for MultiCutPolicy<'_, H> {
-    type Payload = Vec<IdentifiedCut>;
+    type Sink = H;
     type State = MultiCutState;
 
     fn depth(&self) -> usize {
@@ -179,14 +177,14 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> SearchPolicy for MultiCutPolicy<'_, H> {
         level: usize,
         choice: usize,
         stats: &mut SearchStats,
-        incumbent: &mut Incumbent<Vec<IdentifiedCut>>,
+        sink: &mut H,
     ) -> bool {
         let ctx = self.ctx;
         let node = ctx.node_at(level);
         let blocked = ctx.is_blocked(node);
         let software_choice = if blocked { 0 } else { self.assignable(state) };
         let threshold = if self.incumbent_bound {
-            incumbent.score()
+            sink.bound_threshold()
         } else {
             0.0
         };
@@ -197,7 +195,7 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> SearchPolicy for MultiCutPolicy<'_, H> {
             let optimistic = Self::base_merit(state) + ctx.remaining_mass(level + 1) as f64;
             if optimistic <= threshold {
                 stats.bound_subtree_prunes += 1;
-                self.hook.subtree_prune(Self::prefix(state));
+                sink.subtree_prune(Self::prefix(state));
                 return false;
             }
             for cut in &mut state.cuts {
@@ -222,10 +220,7 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> SearchPolicy for MultiCutPolicy<'_, H> {
             input_floor: self.incumbent_bound.then_some(ctx.constraints.max_inputs),
         };
         let prefix = Self::prefix(state);
-        if !self
-            .hook
-            .try_add(ctx, &mut state.cuts[choice], node, prefix, bound, stats)
-        {
+        if !sink.try_add(ctx, &mut state.cuts[choice], node, prefix, bound, stats) {
             return false;
         }
         // The node is *outside* every other cut, so record whether it forwards a path
@@ -237,7 +232,7 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> SearchPolicy for MultiCutPolicy<'_, H> {
                 cut.mark_outside(ctx, node);
             }
         }
-        self.consider_candidate(state, incumbent);
+        self.consider_candidate(state, sink);
         true
     }
 
@@ -326,23 +321,25 @@ impl<'a> MultiCutSearch<'a> {
     /// Runs the search.
     #[must_use]
     pub fn run(self) -> MultiCutOutcome {
-        let (best, stats, DirectHook) = self.run_hooked(DirectHook);
+        let (best, stats) = self
+            .kernel
+            .run(&self.policy::<Incumbent<Vec<IdentifiedCut>>>());
         MultiCutOutcome::from_payload(best, stats)
     }
 
-    /// Runs the search with `hook` observing the walk and hands the hook back.
-    pub(crate) fn run_hooked<H: SearchHook<Vec<IdentifiedCut>>>(
-        self,
-        hook: H,
-    ) -> (Option<Vec<IdentifiedCut>>, SearchStats, H) {
-        let policy = MultiCutPolicy {
+    /// Runs the search recording into `sink` (split like a direct search) and hands
+    /// the sink back.
+    pub(crate) fn run_into<H: SearchHook<Vec<IdentifiedCut>>>(self, sink: H) -> (H, SearchStats) {
+        self.kernel.run_into(&self.policy(), sink)
+    }
+
+    fn policy<H>(&self) -> MultiCutPolicy<'_, H> {
+        MultiCutPolicy {
             ctx: &self.ctx,
             num_cuts: self.num_cuts,
             incumbent_bound: self.incumbent_bound,
-            hook,
-        };
-        let (best, stats) = self.kernel.run(&policy);
-        (best, stats, policy.hook)
+            sink: PhantomData,
+        }
     }
 }
 

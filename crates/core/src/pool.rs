@@ -8,9 +8,11 @@
 //!
 //! * [`fill_single_cut`] / [`fill_multicut`] run the exact search **once** under the
 //!   loosest constraints of a sweep. They walk the very policies of
-//!   [`SingleCutSearch`] and [`MultiCutSearch`], with a recording `SearchHook` in
-//!   place of the direct search's no-op one: the hook histograms every attempt and
-//!   keeps every non-dominated candidate instead of a single incumbent;
+//!   [`SingleCutSearch`] and [`MultiCutSearch`], recording into a fill sink in place
+//!   of the direct search's [`Incumbent`](crate::kernel::Incumbent): the sink
+//!   histograms every attempt and keeps every non-dominated candidate instead of a
+//!   single incumbent. Like a direct search, a fill may split its top decision levels
+//!   into parallel subtree tasks, byte-identically (fact 4 below);
 //! * [`FilledPool`] answers any *covered* query pair — same area and node budgets,
 //!   ports no looser than the fill — with the **byte-identical** result a direct
 //!   search under that pair would return, including the `cuts_considered`
@@ -18,7 +20,7 @@
 //!
 //! # Why the answers are exact
 //!
-//! Three facts make the reconstruction exact rather than approximate:
+//! Four facts make the reconstruction exact rather than approximate:
 //!
 //! 1. **`OUT(S)` is monotone along the search order.** Nodes are decided
 //!    consumers-first, so a node added later can never be a consumer of an earlier
@@ -44,6 +46,15 @@
 //!    ports or the incumbent, so the fill observes the exact bound outcome every covered
 //!    query would. Software-branch subtree prunes (which attempt no cut) are tallied per
 //!    prefix in a side vector and summed the same way.
+//! 4. **A split fill folds exactly.** The kernel gives every inline segment and subtree
+//!    task of a split walk its own sink and folds them in depth-first order. Histogram
+//!    counts add. The store keeps exactly the offers that no other offer *beats* — no
+//!    wider ports and a higher score, or an equal score and an earlier enumeration
+//!    index — and that relation is a strict, transitive order, so the survivors of the
+//!    whole walk are the survivors among each unit's survivors. Re-offering a later
+//!    unit's entries with every `seq` shifted by the earlier units' `offered` count
+//!    therefore leaves byte for byte the store of the sequential fill
+//!    ([`ParetoStore::absorb`]).
 //!
 //! Exploration budgets truncate the walk by *visit order* and therefore cannot be
 //! reconstructed from a differently-constrained enumeration: a fill that exhausts its
@@ -52,14 +63,12 @@
 //! valid for every covered query, because the tighter walks consider no more cuts than
 //! the fill did and so never hit the budget either.
 
-use std::sync::Mutex;
-
 use ise_hw::CostModel;
 use ise_ir::Dfg;
 
 use crate::constraints::Constraints;
 use crate::cut::CutSet;
-use crate::kernel::{AddProbe, Incumbent, SearchHook};
+use crate::kernel::{AddProbe, SearchHook, WalkSink};
 use crate::multicut::MultiCutSearch;
 use crate::search::{IdentifiedCut, SearchStats, SingleCutSearch};
 
@@ -113,6 +122,41 @@ impl<P> ParetoStore<P> {
         if score <= 0.0 {
             return;
         }
+        self.insert(inputs, outputs, score, seq, make);
+    }
+
+    /// Folds in `later`, the store of offers made after every offer recorded here —
+    /// leaving exactly the store one fill offering both sequences in order would hold.
+    ///
+    /// Each stored entry of `later` is re-offered with its `seq` shifted by this
+    /// store's `offered`. That is exact because a store holds precisely the offers no
+    /// other offer beats (see the module documentation), so an offer `later` dropped
+    /// is beaten by one of `later`'s survivors and would be dropped here as well.
+    pub fn absorb(&mut self, later: ParetoStore<P>) {
+        let shift = self.offered;
+        for entry in later.entries {
+            let PoolEntry {
+                inputs,
+                outputs,
+                score,
+                seq,
+                payload,
+            } = entry;
+            self.insert(inputs, outputs, score, seq + shift, || payload);
+        }
+        self.offered += later.offered;
+    }
+
+    /// Stores a positive-score candidate with enumeration index `seq`, which must
+    /// exceed every stored index, unless an earlier entry dominates it.
+    fn insert(
+        &mut self,
+        inputs: usize,
+        outputs: usize,
+        score: f64,
+        seq: u64,
+        make: impl FnOnce() -> P,
+    ) {
         // An earlier entry with no wider ports and no lesser score makes this candidate
         // unreachable as an answer: any query admitting it admits the earlier entry,
         // which either scores higher or — on an exact tie — was visited first.
@@ -237,6 +281,17 @@ impl AttemptHistogram {
             fill_outputs,
             counts: vec![0; (fill_outputs + 1) * (fill_outputs + 2) * 8],
             subtree_prunes: vec![0; fill_outputs + 1],
+        }
+    }
+
+    /// Adds the attempts and subtree prunes of `other`, a histogram of equal geometry.
+    fn absorb(&mut self, other: &AttemptHistogram) {
+        debug_assert_eq!(self.fill_outputs, other.fill_outputs);
+        for (count, more) in self.counts.iter_mut().zip(&other.counts) {
+            *count += more;
+        }
+        for (prunes, more) in self.subtree_prunes.iter_mut().zip(&other.subtree_prunes) {
+            *prunes += more;
         }
     }
 
@@ -391,49 +446,64 @@ impl<P: Clone> FilledPool<P> {
     }
 }
 
-/// The pool fill's [`SearchHook`]: every attempt goes into the histogram and every
-/// qualifying candidate into the Pareto store; the kernel's incumbent is never
-/// offered anything. The lock is uncontended (fills walk sequentially); it only
-/// makes the recorder usable through the policy's shared reference.
-struct FillRecorder<P>(Mutex<(ParetoStore<P>, AttemptHistogram)>);
+/// The pool fill's walk sink and [`SearchHook`]: every attempt goes into the
+/// histogram and every qualifying candidate into the Pareto store. A split fill gives
+/// each subtree task a fresh recorder and folds them in depth-first order (fact 4 of
+/// the module documentation).
+#[derive(Debug, Clone)]
+struct FillRecorder<P> {
+    store: ParetoStore<P>,
+    histogram: AttemptHistogram,
+}
 
-impl<P: Send> SearchHook<P> for FillRecorder<P> {
-    fn attempt(&self, prefix: usize, probe: AddProbe, within_budget: bool, bound_ok: bool) {
-        let (_, histogram) = &mut *self.0.lock().expect("fill runs sequentially");
+impl<P: Send + Sync> WalkSink for FillRecorder<P> {
+    fn fresh(&self) -> Self {
+        FillRecorder {
+            store: ParetoStore::default(),
+            histogram: AttemptHistogram::new(self.histogram.fill_outputs),
+        }
+    }
+
+    fn absorb(&mut self, later: Self) {
+        self.store.absorb(later.store);
+        self.histogram.absorb(&later.histogram);
+    }
+}
+
+impl<P: Send + Sync> SearchHook<P> for FillRecorder<P> {
+    fn attempt(&mut self, prefix: usize, probe: AddProbe, within_budget: bool, bound_ok: bool) {
+        let histogram = &mut self.histogram;
         let index = histogram.index(prefix, probe.outputs, probe.convex, within_budget, bound_ok);
         histogram.counts[index] += 1;
     }
 
-    fn subtree_prune(&self, prefix: usize) {
-        let (_, histogram) = &mut *self.0.lock().expect("fill runs sequentially");
-        histogram.subtree_prunes[prefix] += 1;
+    fn subtree_prune(&mut self, prefix: usize) {
+        self.histogram.subtree_prunes[prefix] += 1;
     }
 
-    fn offer(
-        &self,
-        _incumbent: &mut Incumbent<P>,
-        inputs: usize,
-        outputs: usize,
-        score: f64,
-        make: impl FnOnce() -> P,
-    ) {
-        let (store, _) = &mut *self.0.lock().expect("fill runs sequentially");
-        store.offer(inputs, outputs, score, make);
+    fn offer(&mut self, inputs: usize, outputs: usize, score: f64, make: impl FnOnce() -> P) {
+        self.store.offer(inputs, outputs, score, make);
+    }
+
+    fn bound_threshold(&self) -> f64 {
+        0.0
     }
 }
 
 /// The one fill body: hands `walk` a fresh recorder — its histogram sized by the
 /// fill's `Nout`, capped at the block's node count since `OUT(S)` never exceeds it —
 /// and packages what it recorded, unless the walk did not complete within `budget`.
-fn fill_with<P: Send>(
+fn fill_with<P: Send + Sync>(
     dfg: &Dfg,
     fill: Constraints,
     budget: Option<u64>,
-    walk: impl FnOnce(FillRecorder<P>) -> (Option<P>, SearchStats, FillRecorder<P>),
+    walk: impl FnOnce(FillRecorder<P>) -> (FillRecorder<P>, SearchStats),
 ) -> FillOutcome<FilledPool<P>> {
-    let histogram = AttemptHistogram::new(fill.max_outputs.min(dfg.node_count()));
-    let recorder = FillRecorder(Mutex::new((ParetoStore::default(), histogram)));
-    let (_, stats, recorder) = walk(recorder);
+    let recorder = FillRecorder {
+        store: ParetoStore::default(),
+        histogram: AttemptHistogram::new(fill.max_outputs.min(dfg.node_count())),
+    };
+    let (recorder, stats) = walk(recorder);
     // A fill that completes strictly within its budget is valid for every covered
     // (hence no-larger) query walk, which is then guaranteed untruncated too.
     if stats.budget_exhausted || budget.is_some_and(|limit| stats.cuts_considered >= limit) {
@@ -441,14 +511,10 @@ fn fill_with<P: Send>(
             fill_cuts_considered: stats.cuts_considered,
         };
     }
-    let (store, histogram) = recorder
-        .0
-        .into_inner()
-        .expect("fill mutex is never poisoned");
     FillOutcome::Complete(FilledPool {
         fill,
-        store,
-        histogram,
+        store: recorder.store,
+        histogram: recorder.histogram,
         fill_cuts_considered: stats.cuts_considered,
     })
 }
@@ -456,8 +522,9 @@ fn fill_with<P: Send>(
 /// Enumerates every candidate cut of `dfg` under the (loose) `fill` constraints and
 /// returns the memoisable pool, honouring `excluded` exactly as a direct search would.
 ///
-/// The fill always runs sequentially: recording is visit-order-sensitive, and a fill is
-/// performed once per sweep whereas its answers are served many times.
+/// The walk is sequential; the pool-backed sweep splits large fills across cores
+/// through the crate's `fill_single_cut_split`, which records byte for byte the same
+/// pool.
 #[must_use]
 pub fn fill_single_cut(
     dfg: &Dfg,
@@ -466,20 +533,41 @@ pub fn fill_single_cut(
     model: &dyn CostModel,
     budget: Option<u64>,
 ) -> FillOutcome<FilledPool<IdentifiedCut>> {
+    fill_single_cut_split(dfg, excluded, fill, model, budget, 0)
+}
+
+/// [`fill_single_cut`] with the top `split_levels` decision levels split into
+/// parallel subtree tasks, exactly like
+/// [`SingleCutSearch::with_subtree_parallelism`]: each task records into its own sink
+/// and the sinks fold in depth-first order, so the pool — every entry, `seq`, count and
+/// `fill_cuts_considered` — is byte-identical to the sequential fill. An exploration
+/// budget forces the sequential walk, as it does for a direct search.
+#[must_use]
+pub(crate) fn fill_single_cut_split(
+    dfg: &Dfg,
+    excluded: Option<&CutSet>,
+    fill: Constraints,
+    model: &dyn CostModel,
+    budget: Option<u64>,
+    split_levels: usize,
+) -> FillOutcome<FilledPool<IdentifiedCut>> {
     fill_with(dfg, fill, budget, |recorder| {
-        let mut search = SingleCutSearch::new(dfg, fill, model);
+        let mut search =
+            SingleCutSearch::new(dfg, fill, model).with_subtree_parallelism(split_levels);
         if let Some(excluded) = excluded {
             search = search.with_excluded(excluded);
         }
         if let Some(budget) = budget {
             search = search.with_exploration_budget(budget);
         }
-        search.run_hooked(recorder)
+        search.run_into(recorder)
     })
 }
 
 /// Enumerates every candidate `num_cuts`-tuple of `dfg` under the (loose) `fill`
-/// constraints and returns the memoisable tuple pool.
+/// constraints and returns the memoisable tuple pool. `split_levels` splits the top
+/// levels of the walk into parallel subtree tasks, byte-identically (`0` keeps it
+/// sequential).
 ///
 /// # Panics
 ///
@@ -492,16 +580,18 @@ pub fn fill_multicut(
     model: &dyn CostModel,
     num_cuts: usize,
     budget: Option<u64>,
+    split_levels: usize,
 ) -> FillOutcome<FilledPool<Vec<IdentifiedCut>>> {
     fill_with(dfg, fill, budget, |recorder| {
-        let mut search = MultiCutSearch::new(dfg, fill, model, num_cuts);
+        let mut search =
+            MultiCutSearch::new(dfg, fill, model, num_cuts).with_subtree_parallelism(split_levels);
         if let Some(excluded) = excluded {
             search = search.with_excluded(excluded);
         }
         if let Some(budget) = budget {
             search = search.with_exploration_budget(budget);
         }
-        search.run_hooked(recorder)
+        search.run_into(recorder)
     })
 }
 
@@ -606,7 +696,7 @@ mod tests {
                 assert_eq!(answer.best, direct.best, "{} under {query}", dfg.name());
                 assert_same_effort(answer.stats, direct.stats, dfg.name());
             }
-            let tuples = expect_complete(fill_multicut(&dfg, None, fill, &model, 2, None));
+            let tuples = expect_complete(fill_multicut(&dfg, None, fill, &model, 2, None, 0));
             let direct = MultiCutSearch::new(&dfg, fill, &model, 2).run();
             let answer = tuples.answer(&fill);
             assert_eq!(
@@ -620,18 +710,37 @@ mod tests {
     /// A deterministic little random DAG without depending on `ise-workloads`
     /// (which would be a dependency cycle).
     fn ise_ir_random(seed: u64) -> Dfg {
-        let mut b = DfgBuilder::new(format!("rand{seed}"));
-        let mut values = vec![b.input("a"), b.input("c"), b.input("d")];
+        random_dag(seed, 12, usize::MAX)
+    }
+
+    /// A seeded xorshift stream for the property tests.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-        let mut next = move || {
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
+        }
+    }
+
+    /// A seeded random DAG of `ops` operation nodes over three block inputs.
+    /// A seeded random DAG of `ops` operation nodes over three block inputs, each
+    /// operand drawn from the `window` most recent values.
+    fn random_dag(seed: u64, ops: usize, window: usize) -> Dfg {
+        let mut b = DfgBuilder::new(format!("rand{seed}"));
+        let mut values = vec![b.input("a"), b.input("c"), b.input("d")];
+        let mut next = xorshift(seed);
+        let pick = |r: u64, len: usize| {
+            if window >= len {
+                r as usize % len
+            } else {
+                len - 1 - r as usize % window
+            }
         };
-        for i in 0..12 {
-            let lhs = values[(next() as usize) % values.len()];
-            let rhs = values[(next() as usize) % values.len()];
+        for i in 0..ops {
+            let lhs = values[pick(next(), values.len())];
+            let rhs = values[pick(next(), values.len())];
             let v = match next() % 4 {
                 0 => b.mul(lhs, rhs),
                 1 => b.add(lhs, rhs),
@@ -678,7 +787,7 @@ mod tests {
             for seed in 0..8u64 {
                 let dfg = ise_ir_random(seed);
                 for m in [1usize, 2, 3] {
-                    let pool = expect_complete(fill_multicut(&dfg, None, fill, &model, m, None));
+                    let pool = expect_complete(fill_multicut(&dfg, None, fill, &model, m, None, 0));
                     for query in [
                         Constraints::new(2, 1),
                         Constraints::new(4, 2),
@@ -804,6 +913,180 @@ mod tests {
             let answer = pool.answer(&query);
             assert_eq!(answer.best, direct.best);
             assert_eq!(answer.stats.cuts_considered, direct.stats.cuts_considered);
+        }
+    }
+
+    /// Asserts two pools agree in every recorded field: each entry's ports, score
+    /// bits, `seq` and payload, `offered`, the histogram counts and subtree prunes,
+    /// and `fill_cuts_considered`.
+    fn assert_same_pool<P: PartialEq + std::fmt::Debug>(
+        split: &FilledPool<P>,
+        sequential: &FilledPool<P>,
+        label: &str,
+    ) {
+        let (entries, offered) = split.store.parts();
+        let (expected, expected_offered) = sequential.store.parts();
+        assert_eq!(offered, expected_offered, "{label}: offered");
+        assert_eq!(entries.len(), expected.len(), "{label}: entries");
+        for (entry, want) in entries.iter().zip(expected) {
+            assert_eq!(
+                (
+                    entry.inputs,
+                    entry.outputs,
+                    entry.score.to_bits(),
+                    entry.seq
+                ),
+                (want.inputs, want.outputs, want.score.to_bits(), want.seq),
+                "{label}: entry signature"
+            );
+            assert_eq!(entry.payload, want.payload, "{label}: payload");
+        }
+        assert_eq!(
+            split.histogram.parts(),
+            sequential.histogram.parts(),
+            "{label}: histogram"
+        );
+        assert_eq!(
+            split.fill_cuts_considered, sequential.fill_cuts_considered,
+            "{label}: fill_cuts_considered"
+        );
+    }
+
+    /// Roughly a fifth of the nodes of `dfg`, seeded.
+    fn random_exclusion(dfg: &Dfg, seed: u64) -> CutSet {
+        let mut next = xorshift(seed ^ 0x5eed);
+        let nodes: Vec<_> = dfg.iter_nodes().map(|(id, _)| id).collect();
+        CutSet::from_nodes(dfg, nodes.into_iter().filter(|_| next().is_multiple_of(5)))
+    }
+
+    /// Splits of every depth from 1 to 10 of fills of random DAGs with `sizes` nodes,
+    /// with and without exclusions, under three fill pairs, each compared with the
+    /// sequential fill in every field. `fill` runs one fill at a split depth.
+    fn check_split_fills<P: PartialEq + std::fmt::Debug>(
+        sizes: &[usize],
+        window: impl Fn(usize) -> usize,
+        fill: impl Fn(&Dfg, Option<&CutSet>, Constraints, usize) -> FillOutcome<FilledPool<P>>,
+    ) {
+        for (seed, &ops) in sizes.iter().enumerate() {
+            let dfg = random_dag(seed as u64, ops, window(seed));
+            let exclusion = random_exclusion(&dfg, seed as u64);
+            for excluded in [None, Some(&exclusion)] {
+                for pair in [
+                    Constraints::new(8, 4),
+                    Constraints::new(4, 2),
+                    Constraints::new(3, 1),
+                ] {
+                    let sequential = expect_complete(fill(&dfg, excluded, pair, 0));
+                    for split in 1..=10 {
+                        let label = format!(
+                            "{ops} nodes, excluded {}, {pair}, split {split}",
+                            excluded.is_some()
+                        );
+                        let pool = expect_complete(fill(&dfg, excluded, pair, split));
+                        assert_same_pool(&pool, &sequential, &label);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A split single-cut fill equals the sequential fill in every field, on random
+    /// DAGs of 14–25 nodes.
+    #[test]
+    fn split_single_cut_fills_equal_sequential_fills_in_every_field() {
+        let model = DefaultCostModel::new();
+        let sizes: Vec<usize> = (14..=25).collect();
+        check_split_fills(
+            &sizes,
+            |seed| 4 + 2 * (seed % 2),
+            |dfg, excluded, pair, split| {
+                fill_single_cut_split(dfg, excluded, pair, &model, None, split)
+            },
+        );
+    }
+
+    /// The same for two-cut tuple fills. Tuple walks grow much faster with the block,
+    /// so the debug build samples the small end of the range; the release run, which
+    /// CI makes for this crate's unit tests, covers 14–25 nodes.
+    #[test]
+    fn split_tuple_fills_equal_sequential_fills_in_every_field() {
+        let model = DefaultCostModel::new();
+        let sizes: &[usize] = if cfg!(debug_assertions) {
+            &[14, 16]
+        } else {
+            &[14, 16, 18, 20, 22, 25]
+        };
+        check_split_fills(
+            sizes,
+            |_| 2,
+            |dfg, excluded, pair, split| fill_multicut(dfg, excluded, pair, &model, 2, None, split),
+        );
+    }
+
+    /// A budgeted fill asked to split runs the sequential walk: the same pool when it
+    /// completes, the same `Exhausted` count when it does not.
+    #[test]
+    fn budgeted_fills_ignore_the_split() {
+        let model = DefaultCostModel::new();
+        let dfg = random_dag(7, 20, usize::MAX);
+        let fill = Constraints::new(8, 4);
+        let total =
+            expect_complete(fill_single_cut(&dfg, None, fill, &model, None)).fill_cuts_considered;
+        for budget in [total / 3, total - 1, total, total + 1] {
+            let sequential = fill_single_cut(&dfg, None, fill, &model, Some(budget));
+            let split = fill_single_cut_split(&dfg, None, fill, &model, Some(budget), 4);
+            match (split, sequential) {
+                (
+                    FillOutcome::Exhausted {
+                        fill_cuts_considered: split,
+                    },
+                    FillOutcome::Exhausted {
+                        fill_cuts_considered: sequential,
+                    },
+                ) => {
+                    assert!(budget <= total, "budget {budget} of {total}");
+                    assert_eq!(split, sequential, "budget {budget}");
+                }
+                (FillOutcome::Complete(split), FillOutcome::Complete(sequential)) => {
+                    assert!(budget > total, "budget {budget} of {total}");
+                    assert_same_pool(&split, &sequential, &format!("budget {budget}"));
+                }
+                _ => panic!("split and sequential outcomes differ under budget {budget}"),
+            }
+        }
+    }
+
+    /// Cutting any offer sequence into consecutive units, storing each unit on its own
+    /// and folding the stores in order leaves exactly the store of offering everything
+    /// to one store — entries, enumeration indices and `offered` alike.
+    #[test]
+    fn pareto_store_folds_consecutive_units_exactly() {
+        for seed in 0..300u64 {
+            let mut next = xorshift(seed);
+            let offers: Vec<(usize, usize, f64)> = (0..(next() % 40) as usize)
+                .map(|_| {
+                    let score = (next() % 9) as f64 - 2.0;
+                    ((next() % 5) as usize, (next() % 4) as usize, score)
+                })
+                .collect();
+            let mut whole = ParetoStore::default();
+            for (index, &(inputs, outputs, score)) in offers.iter().enumerate() {
+                whole.offer(inputs, outputs, score, || index);
+            }
+            let mut folded = ParetoStore::default();
+            let mut start = 0;
+            while start < offers.len() {
+                let end = (start + 1 + (next() % 6) as usize).min(offers.len());
+                let mut unit = ParetoStore::default();
+                for (index, &(inputs, outputs, score)) in
+                    offers.iter().enumerate().take(end).skip(start)
+                {
+                    unit.offer(inputs, outputs, score, || index);
+                }
+                folded.absorb(unit);
+                start = end;
+            }
+            assert_eq!(folded.parts(), whole.parts(), "seed {seed}");
         }
     }
 }

@@ -18,17 +18,19 @@
 //! single-cut *policy* — a binary tree (include the node / leave it in software) with
 //! the paper's pruning rules — and the same kernel also drives the multiple-cut search
 //! and the exhaustive oracle, sequentially or with intra-block subtree parallelism.
-//! The policy is generic over a [`SearchHook`]: a direct search uses the no-op
-//! [`DirectHook`], and a pool fill ([`crate::pool`]) runs the very same policy with a
-//! recording hook.
+//! The policy is generic over its [`SearchHook`] sink: a direct search records into an
+//! [`Incumbent`], and a pool fill ([`crate::pool`]) runs the very same policy with a
+//! recording sink.
 
 use ise_hw::CostModel;
 use ise_ir::Dfg;
 
 use crate::constraints::Constraints;
 use crate::cut::{CutEvaluation, CutSet};
+use std::marker::PhantomData;
+
 use crate::kernel::{
-    BlockContext, BoundCheck, DirectHook, IncrementalCutState, Incumbent, SearchHook, SearchKernel,
+    BlockContext, BoundCheck, IncrementalCutState, Incumbent, SearchHook, SearchKernel,
     SearchPolicy,
 };
 
@@ -148,16 +150,16 @@ impl SearchOutcome {
 /// incumbent's score, which prunes much harder but reads visit-order-dependent state
 /// and therefore forces the sequential walk (and adds the monotone block-input floor).
 ///
-/// `hook` sees every attempt, subtree prune and candidate: [`DirectHook`] for a direct
-/// search, the recorder of `crate::pool` for a pool fill — one walk serves both.
+/// The sink `H` sees every attempt, subtree prune and candidate: an [`Incumbent`] for a
+/// direct search, the recorder of `crate::pool` for a pool fill — one walk serves both.
 struct SingleCutPolicy<'a, H> {
     ctx: &'a BlockContext<'a>,
     incumbent_bound: bool,
-    hook: H,
+    sink: PhantomData<fn() -> H>,
 }
 
 impl<H: SearchHook<IdentifiedCut>> SearchPolicy for SingleCutPolicy<'_, H> {
-    type Payload = IdentifiedCut;
+    type Sink = H;
     type State = IncrementalCutState;
 
     fn depth(&self) -> usize {
@@ -182,7 +184,7 @@ impl<H: SearchHook<IdentifiedCut>> SearchPolicy for SingleCutPolicy<'_, H> {
         level: usize,
         choice: usize,
         stats: &mut SearchStats,
-        incumbent: &mut Incumbent<IdentifiedCut>,
+        sink: &mut H,
     ) -> bool {
         let ctx = self.ctx;
         let node = ctx.node_at(level);
@@ -192,13 +194,13 @@ impl<H: SearchHook<IdentifiedCut>> SearchPolicy for SingleCutPolicy<'_, H> {
             // whole subtree is skipped before any cut is attempted. The default zero
             // threshold is decided in the integer domain (same outcome, no float work).
             let dead = if self.incumbent_bound {
-                state.optimistic_without(ctx, level) <= incumbent.score()
+                state.optimistic_without(ctx, level) <= sink.bound_threshold()
             } else {
                 state.frontier_dead_without(ctx, level)
             };
             if dead {
                 stats.bound_subtree_prunes += 1;
-                self.hook.subtree_prune(state.outputs());
+                sink.subtree_prune(state.outputs());
                 return false;
             }
             state.mark_outside(ctx, node);
@@ -211,24 +213,20 @@ impl<H: SearchHook<IdentifiedCut>> SearchPolicy for SingleCutPolicy<'_, H> {
         let bound = if self.incumbent_bound {
             BoundCheck {
                 optimistic: state.optimistic_with(ctx, level),
-                threshold: incumbent.score(),
+                threshold: sink.bound_threshold(),
                 input_floor: Some(ctx.constraints.max_inputs),
             }
         } else {
             BoundCheck::frontier(state.frontier_dead_with(ctx, level))
         };
         let prefix = state.outputs();
-        if !self.hook.try_add(ctx, state, node, prefix, bound, stats) {
+        if !sink.try_add(ctx, state, node, prefix, bound, stats) {
             return false;
         }
         if state.is_candidate(ctx) {
-            self.hook.offer(
-                incumbent,
-                state.inputs(),
-                state.outputs(),
-                state.merit(),
-                || state.identified(ctx),
-            );
+            sink.offer(state.inputs(), state.outputs(), state.merit(), || {
+                state.identified(ctx)
+            });
         }
         true
     }
@@ -311,22 +309,22 @@ impl<'a> SingleCutSearch<'a> {
     /// Runs the search and returns the best cut found together with statistics.
     #[must_use]
     pub fn run(self) -> SearchOutcome {
-        let (best, stats, DirectHook) = self.run_hooked(DirectHook);
+        let (best, stats) = self.kernel.run(&self.policy::<Incumbent<IdentifiedCut>>());
         SearchOutcome::from_best(best, stats)
     }
 
-    /// Runs the search with `hook` observing the walk and hands the hook back.
-    pub(crate) fn run_hooked<H: SearchHook<IdentifiedCut>>(
-        self,
-        hook: H,
-    ) -> (Option<IdentifiedCut>, SearchStats, H) {
-        let policy = SingleCutPolicy {
+    /// Runs the search recording into `sink` (split like a direct search) and hands
+    /// the sink back.
+    pub(crate) fn run_into<H: SearchHook<IdentifiedCut>>(self, sink: H) -> (H, SearchStats) {
+        self.kernel.run_into(&self.policy(), sink)
+    }
+
+    fn policy<H>(&self) -> SingleCutPolicy<'_, H> {
+        SingleCutPolicy {
             ctx: &self.ctx,
             incumbent_bound: self.incumbent_bound,
-            hook,
-        };
-        let (best, stats) = self.kernel.run(&policy);
-        (best, stats, policy.hook)
+            sink: PhantomData,
+        }
     }
 }
 

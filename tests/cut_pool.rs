@@ -2,11 +2,16 @@
 //! uncovered query pairs, exploration-budget interaction, and determinism across every
 //! parallelism knob.
 
+use std::sync::Arc;
+
 use ise_core::engine::SingleCut;
-use ise_core::{select_program, Constraints, DriverOptions, SweepPlanner};
+use ise_core::{
+    select_program, Constraints, CorpusPool, DriverOptions, StructuralForm, SweepPlanner,
+    WarmCacheConfig, WarmPoolCache,
+};
 use ise_hw::DefaultCostModel;
 use ise_ir::{Dfg, DfgBuilder, Program};
-use ise_workloads::random;
+use ise_workloads::{random, suite};
 
 fn to_json<T: serde::Serialize>(value: &T) -> String {
     serde::json::to_string(value)
@@ -165,4 +170,38 @@ fn pool_determinism_across_parallelism_knobs() {
             );
         }
     }
+}
+
+/// A cache filled by split fills — a parallel driver, no exploration budget, blocks
+/// of at least 28 nodes — answers the same selections and writes the same snapshot
+/// bytes as a cache filled sequentially.
+#[test]
+fn split_fills_write_the_same_snapshot_bytes_as_sequential_fills() {
+    let model = DefaultCostModel::new();
+    let mut program = Program::new("large_blocks");
+    for source in suite::fig11_benchmarks() {
+        for block in source.blocks().iter().filter(|b| b.node_count() >= 28) {
+            program.add_block(block.clone());
+        }
+    }
+    let forms: Vec<StructuralForm> = program.blocks().iter().map(StructuralForm::of).collect();
+    let fill = Constraints::new(8, 4);
+    let dir = std::env::temp_dir().join(format!("ise-cut-pool-split-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let mut runs = Vec::new();
+    for options in [DriverOptions::new(4), DriverOptions::new(4).sequential()] {
+        let cache = Arc::new(WarmPoolCache::new(WarmCacheConfig::default()));
+        let pool = CorpusPool::with_cache(&model, None, Arc::clone(&cache));
+        let selections: Vec<String> = [Constraints::new(8, 4), Constraints::new(4, 2)]
+            .iter()
+            .map(|pair| to_json(&pool.select_program(&program, &forms, fill, pair, options)))
+            .collect();
+        let path = dir.join(format!("parallel-{}.snapshot", options.parallel));
+        let entries = cache.save_snapshot(&path).expect("write snapshot");
+        assert!(entries > 3, "{entries} fills");
+        runs.push((selections, std::fs::read(&path).expect("read snapshot")));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(runs[0].0, runs[1].0, "selections");
+    assert!(runs[0].1 == runs[1].1, "snapshot bytes differ");
 }

@@ -110,6 +110,38 @@ fn random_dags_pool_vs_direct_with_heavy_exclusions() {
     }
 }
 
+/// One program of the Fig. 11 blocks with at least 28 nodes (`adpcmdecode.inner`,
+/// `g721.fmult`, `gsm.autocorrelation`): under a parallel driver and no exploration
+/// budget, the pool splits every one of their fills across cores. Sixteen
+/// instructions force many iterative rounds, so most fills run under heavy
+/// exclusions. The split-fill sweep equals the direct per-pair runs byte for byte,
+/// and the sequential-driver sweep equals both.
+#[test]
+fn large_blocks_split_fills_pool_vs_direct_with_heavy_exclusions() {
+    let model = DefaultCostModel::new();
+    let pairs = Constraints::paper_sweep();
+    let options = DriverOptions::new(16);
+    let mut program = Program::new("large_blocks");
+    for source in suite::fig11_benchmarks() {
+        for block in source.blocks().iter().filter(|b| b.node_count() >= 28) {
+            program.add_block(block.clone());
+        }
+    }
+    assert_eq!(program.block_count(), 3);
+    let mut planner = SweepPlanner::new(&program, &model, options, &pairs);
+    let pooled = planner.run_single_cut(&pairs);
+    let mut sequential = SweepPlanner::new(&program, &model, options.sequential(), &pairs);
+    let sequential = sequential.run_single_cut(&pairs);
+    for ((pair, pooled), sequential) in pairs.iter().zip(&pooled).zip(&sequential) {
+        let direct = select_program(&program, &SingleCut::new(), *pair, &model, options);
+        assert_identical(&program, pair, pooled, &direct);
+        assert_identical(&program, pair, sequential, &direct);
+    }
+    let stats = planner.stats();
+    assert_eq!(stats.exhausted_fills, 0);
+    assert!(stats.pool_fills > 3, "exclusion states refill: {stats:?}");
+}
+
 /// Seeded isomorphic relabellings of one Fig. 11 kernel block: the sweep stays
 /// byte-identical to direct per-pair runs, and the blocks share one fill per shape, so
 /// the copies pay no more fills than a program holding a single copy of the block.
