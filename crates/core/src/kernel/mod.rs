@@ -1071,7 +1071,7 @@ impl SearchKernel {
     /// the sink plus the search statistics (`best_updates` stays zero: only an
     /// [`Incumbent`] knows it). Parallel and sequential walks return identical results.
     #[must_use]
-    pub fn run_into<P: SearchPolicy>(
+    pub(crate) fn run_into<P: SearchPolicy>(
         &self,
         policy: &P,
         mut sink: P::Sink,

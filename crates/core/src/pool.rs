@@ -54,7 +54,7 @@
 //!    whole walk are the survivors among each unit's survivors. Re-offering a later
 //!    unit's entries with every `seq` shifted by the earlier units' `offered` count
 //!    therefore leaves byte for byte the store of the sequential fill
-//!    ([`ParetoStore::absorb`]).
+//!    (`ParetoStore::absorb`).
 //!
 //! Exploration budgets truncate the walk by *visit order* and therefore cannot be
 //! reconstructed from a differently-constrained enumeration: a fill that exhausts its
@@ -132,7 +132,7 @@ impl<P> ParetoStore<P> {
     /// store's `offered`. That is exact because a store holds precisely the offers no
     /// other offer beats (see the module documentation), so an offer `later` dropped
     /// is beaten by one of `later`'s survivors and would be dropped here as well.
-    pub fn absorb(&mut self, later: ParetoStore<P>) {
+    pub(crate) fn absorb(&mut self, later: ParetoStore<P>) {
         let shift = self.offered;
         for entry in later.entries {
             let PoolEntry {
