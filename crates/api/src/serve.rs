@@ -44,6 +44,13 @@
 //! server stops accepting, drains every queued and in-flight job, snapshots the
 //! cache and returns; cache statistics go to stderr, never into response bytes.
 //!
+//! Each open connection holds one reader thread, so live connections are capped
+//! at [`ServeConfig::max_connections`]: `workers + queue_capacity`, the most
+//! requests the server can hold at once, so that every live connection can have
+//! one request queued or executing. A connection accepted past the cap gets one
+//! `"server busy"` error line (id `null`) and is closed; a slot frees when its
+//! reader exits.
+//!
 //! # Persistence
 //!
 //! With a cache directory configured, the cache warm-starts on boot from
@@ -54,9 +61,9 @@
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -90,6 +97,16 @@ pub struct ServeConfig {
     pub cache_dir: Option<PathBuf>,
     /// Also snapshot the cache periodically while serving, not only on shutdown.
     pub snapshot_interval: Option<Duration>,
+}
+
+impl ServeConfig {
+    /// The most connections served at once: one per request the server can hold
+    /// (`workers` executing plus `queue_capacity` queued). See the module
+    /// documentation.
+    #[must_use]
+    pub fn max_connections(&self) -> usize {
+        self.workers.max(1) + self.queue_capacity
+    }
 }
 
 impl Default for ServeConfig {
@@ -323,6 +340,16 @@ fn overlong_response() -> String {
     )
 }
 
+/// The error line of a connection accepted past [`ServeConfig::max_connections`].
+fn too_many_connections_response(cap: usize) -> String {
+    respond(
+        &json::Value::Null,
+        Err(IseError::InvalidRequest(format!(
+            "server busy: {cap} connections are open, retry later"
+        ))),
+    )
+}
+
 /// Returns the request kind of a raw line, when it parses to an object.
 fn line_kind(line: &str) -> Option<String> {
     match json::parse(line) {
@@ -518,6 +545,8 @@ impl Server {
     pub fn run(&self, stop: &AtomicBool) -> std::io::Result<()> {
         let queue = Arc::new(JobQueue::new(self.config.queue_capacity));
         let halt = Arc::new(AtomicBool::new(false));
+        let cap = self.config.max_connections();
+        let live = Arc::new(AtomicUsize::new(0));
         let mut accept_error: Option<std::io::Error> = None;
         let mut last_snapshot = Instant::now();
         std::thread::scope(|scope| {
@@ -544,11 +573,19 @@ impl Server {
                     }
                 }
                 match self.listener.accept() {
+                    Ok((stream, _)) if live.load(Ordering::SeqCst) >= cap => {
+                        refuse_connection(stream, cap);
+                    }
                     Ok((stream, _)) => {
+                        live.fetch_add(1, Ordering::SeqCst);
+                        let slot = ConnectionSlot(Arc::clone(&live));
                         let queue = Arc::clone(&queue);
                         let halt = Arc::clone(&halt);
                         let service = Arc::clone(&self.service);
-                        scope.spawn(move || read_connection(stream, &service, &queue, &halt));
+                        scope.spawn(move || {
+                            read_connection(stream, &service, &queue, &halt);
+                            drop(slot);
+                        });
                     }
                     Err(error) if error.kind() == ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(20));
@@ -575,6 +612,23 @@ impl Server {
             None => Ok(()),
         }
     }
+}
+
+/// One live connection's share of [`ServeConfig::max_connections`], released when
+/// its reader exits (panics included).
+struct ConnectionSlot(Arc<AtomicUsize>);
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Answers a connection accepted past the cap with one error line and closes it.
+/// The write half is shut first, so the client reads the line, then EOF.
+fn refuse_connection(mut stream: TcpStream, cap: usize) {
+    let _ = stream.write_all(format!("{}\n", too_many_connections_response(cap)).as_bytes());
+    let _ = stream.shutdown(Shutdown::Write);
 }
 
 /// Reads request lines off one connection until EOF, a read error, or server

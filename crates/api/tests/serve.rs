@@ -391,3 +391,87 @@ fn an_overlong_line_gets_one_error_and_the_connection_keeps_serving() {
     assert!(bye.contains("shutting down"), "{bye}");
     handle.join().expect("server thread exits cleanly");
 }
+
+/// Sends `stats` on a connection and reads one line back.
+fn stats_round_trip(stream: &TcpStream, id: u64) -> std::io::Result<String> {
+    let mut writer = stream.try_clone()?;
+    writeln!(writer, "{}", envelope(id, "stats", None))?;
+    writer.flush()?;
+    let mut response = String::new();
+    BufReader::new(stream).read_line(&mut response)?;
+    Ok(response)
+}
+
+#[test]
+fn connections_past_the_cap_get_one_busy_line_then_eof() {
+    let config = ServeConfig {
+        workers: 1,
+        queue_capacity: 2,
+        ..ServeConfig::default()
+    };
+    let cap = config.max_connections();
+    assert_eq!(cap, 3);
+    let server = Server::bind("127.0.0.1:0", config).expect("bind ephemeral port");
+    let addr = server.local_addr().expect("bound address");
+    let stop = Arc::new(AtomicBool::new(false));
+    let handle = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let result = server.run(&stop);
+            assert!(result.is_ok(), "{result:?}");
+        })
+    };
+
+    // Hold the cap's worth of connections open; a round trip on each proves its
+    // reader is running and holding a slot.
+    let held: Vec<TcpStream> = (0..cap)
+        .map(|k| {
+            let stream = TcpStream::connect(addr).expect("connect");
+            let response = stats_round_trip(&stream, k as u64).expect("stats");
+            assert!(response.contains("\"hits\""), "{response}");
+            stream
+        })
+        .collect();
+
+    // One more: the busy line, then EOF.
+    let extra = TcpStream::connect(addr).expect("connect");
+    let timeout = Some(std::time::Duration::from_secs(10));
+    extra.set_read_timeout(timeout).expect("read timeout");
+    let mut reader = BufReader::new(extra);
+    let mut busy = String::new();
+    reader.read_line(&mut busy).expect("busy line");
+    assert!(busy.starts_with("{\"id\":null,\"error\":"), "{busy}");
+    assert!(busy.contains("server busy"), "{busy}");
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).expect("EOF"), 0, "{rest}");
+
+    // The held connections still answer.
+    let response = stats_round_trip(&held[0], 10).expect("stats");
+    assert!(
+        response.starts_with("{\"id\":10,\"response\":"),
+        "{response}"
+    );
+
+    // Closing one frees its slot once its reader notices EOF. Until then a new
+    // connection is refused (its request may meet a reset socket), so retry.
+    let mut held = held;
+    drop(held.pop());
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let reopened = loop {
+        let stream = TcpStream::connect(addr).expect("connect");
+        match stats_round_trip(&stream, 11) {
+            Ok(response) if response.starts_with("{\"id\":11,\"response\":") => break stream,
+            Ok(response) => assert!(response.contains("server busy"), "{response}"),
+            Err(_) => {}
+        }
+        assert!(std::time::Instant::now() < deadline, "the slot never freed");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+
+    let mut writer = reopened.try_clone().expect("clone stream");
+    writeln!(writer, "{}", envelope(9, "shutdown", None)).expect("send shutdown");
+    writer.flush().expect("flush");
+    drop(held);
+    drop(reopened);
+    handle.join().expect("server thread exits cleanly");
+}

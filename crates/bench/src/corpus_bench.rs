@@ -6,7 +6,9 @@
 //! same corpus twice — once with dedup, once without — asserts selection-for-selection
 //! identity (effort accounting included), and reports blocks seen, unique structural
 //! keys, the dedup hit-rate, cuts/second and the wall-clock of both modes as the
-//! machine-readable `BENCH_corpus.json`. The `corpus_gate` binary exits non-zero when
+//! machine-readable `BENCH_corpus.json`. The two modes alternate for [`REPEATS`]
+//! passes, each wall-clock is the median over the passes, and every pass must be
+//! identical. The `corpus_gate` binary exits non-zero when
 //! the modes diverge or the enumeration reduction falls below 2x, making the
 //! exactness-and-payoff claim a CI gate (like `sweep_gate`).
 
@@ -17,6 +19,9 @@ use ise_hw::DefaultCostModel;
 use ise_ir::Program;
 use ise_workloads::corpus::{duplicate_heavy, CorpusConfig};
 use ise_workloads::suite;
+
+/// Alternating dedup/direct passes per run; each mode reports its median wall-clock.
+pub const REPEATS: usize = 5;
 
 /// Configuration of the gate experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,7 +94,7 @@ impl CorpusBenchConfig {
 /// The effort and wall-clock of one execution mode.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct ModeReport {
-    /// Wall-clock of the whole corpus run, milliseconds.
+    /// Wall-clock of the whole corpus run, milliseconds: the median over the passes.
     pub wall_ms: f64,
     /// Search-tree cut enumerations actually performed.
     pub cuts_enumerated: u64,
@@ -114,6 +119,13 @@ impl ModeReport {
 /// The full gate result, as serialised into `BENCH_corpus.json`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct CorpusBenchReport {
+    /// Logical CPUs of the machine the gate ran on.
+    pub nproc: u64,
+    /// The git revision the gate ran from.
+    pub git_revision: String,
+    /// Alternating passes of each mode measured (the gate's verdict is
+    /// deterministic: identity and enumeration counts, never wall-clock).
+    pub repeats: u64,
     /// Number of programs in the corpus.
     pub programs: u64,
     /// Total basic blocks across the corpus.
@@ -124,7 +136,8 @@ pub struct CorpusBenchReport {
     pub dedup_hit_rate: f64,
     /// Diagnostic count of 64-bit hash collisions (byte comparison kept them apart).
     pub key_collisions: u64,
-    /// Whether the deduplicated selections were byte-identical to the reference.
+    /// Whether the deduplicated selections were byte-identical to the reference in
+    /// every pass.
     pub identical: bool,
     /// `direct.cuts_enumerated / dedup.cuts_enumerated` (the gate requires >= 2).
     pub cuts_reduction: f64,
@@ -134,31 +147,46 @@ pub struct CorpusBenchReport {
     pub direct: ModeReport,
 }
 
-/// Runs the gate: both modes, identity check, effort accounting.
+/// Runs the gate: both modes alternating for [`REPEATS`] passes, identity check,
+/// effort accounting.
 #[must_use]
 pub fn run(config: &CorpusBenchConfig) -> CorpusBenchReport {
     let programs = config.programs();
     let model = DefaultCostModel::new();
     let options = config.options();
+    let direct_options = options.with_dedup(false);
 
-    let start = Instant::now();
-    let deduped = run_corpus(&programs, &model, &options);
-    let dedup_ms = start.elapsed().as_secs_f64() * 1_000.0;
-
-    let start = Instant::now();
-    let reference = run_corpus(&programs, &model, &options.with_dedup(false));
-    let direct_ms = start.elapsed().as_secs_f64() * 1_000.0;
-
-    let identical = serde::json::to_string(&deduped.selections)
-        == serde::json::to_string(&reference.selections);
-    let dedup = ModeReport::new(dedup_ms, &deduped.stats);
-    let direct = ModeReport::new(direct_ms, &reference.stats);
+    let timed = |options: &CorpusOptions| {
+        let start = Instant::now();
+        let outcome = run_corpus(&programs, &model, options);
+        let ms = start.elapsed().as_secs_f64() * 1_000.0;
+        (outcome, ms)
+    };
+    let mut dedup_ms = Vec::with_capacity(REPEATS);
+    let mut direct_ms = Vec::with_capacity(REPEATS);
+    let mut identical = true;
+    let mut outcomes = None;
+    for _ in 0..REPEATS {
+        let (deduped, ms) = timed(&options);
+        dedup_ms.push(ms);
+        let (reference, ms) = timed(&direct_options);
+        direct_ms.push(ms);
+        identical &= serde::json::to_string(&deduped.selections)
+            == serde::json::to_string(&reference.selections);
+        outcomes = Some((deduped, reference));
+    }
+    let (deduped, reference) = outcomes.expect("REPEATS >= 1");
+    let dedup = ModeReport::new(crate::median(&dedup_ms), &deduped.stats);
+    let direct = ModeReport::new(crate::median(&direct_ms), &reference.stats);
     let cuts_reduction = if dedup.cuts_enumerated > 0 {
         direct.cuts_enumerated as f64 / dedup.cuts_enumerated as f64
     } else {
         f64::INFINITY
     };
     CorpusBenchReport {
+        nproc: crate::nproc(),
+        git_revision: crate::git_revision(),
+        repeats: REPEATS as u64,
         programs: deduped.stats.programs,
         blocks_seen: deduped.stats.blocks_seen,
         unique_keys: deduped.stats.unique_keys,
@@ -181,13 +209,14 @@ pub fn to_json(report: &CorpusBenchReport) -> String {
 #[must_use]
 pub fn markdown(report: &CorpusBenchReport) -> String {
     format!(
-        "| mode | wall ms | cuts enumerated | cuts/sec |\n\
+        "| mode | wall ms (median of {}) | cuts enumerated | cuts/sec |\n\
          |---|---:|---:|---:|\n\
          | dedup | {:.1} | {} | {:.0} |\n\
          | direct | {:.1} | {} | {:.0} |\n\
          \n\
          {} blocks, {} unique shapes, hit-rate {:.1}%, identical: {}, \
          enumeration reduction: {:.2}x\n",
+        report.repeats,
         report.dedup.wall_ms,
         report.dedup.cuts_enumerated,
         report.dedup.cuts_per_sec,
@@ -212,6 +241,7 @@ mod tests {
         assert!(report.identical, "{report:?}");
         assert!(report.cuts_reduction >= 2.0, "{report:?}");
         assert_eq!(report.key_collisions, 0);
+        assert_eq!(report.repeats, REPEATS as u64, "{report:?}");
         let json = to_json(&report);
         for field in [
             "\"identical\"",
@@ -220,6 +250,9 @@ mod tests {
             "\"unique_keys\"",
             "\"cuts_per_sec\"",
             "\"wall_ms\"",
+            "\"nproc\"",
+            "\"git_revision\"",
+            "\"repeats\"",
         ] {
             assert!(json.contains(field), "missing {field} in {json}");
         }

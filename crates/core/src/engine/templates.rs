@@ -726,10 +726,12 @@ impl SearchPolicy for TemplateSelectPolicy<'_> {
         }
     }
 
+    #[inline(always)]
     fn choice_count(&self, _state: &SelectState, _level: usize) -> usize {
         2
     }
 
+    #[inline(always)]
     fn apply(
         &self,
         state: &mut SelectState,
@@ -808,6 +810,7 @@ impl SearchPolicy for TemplateSelectPolicy<'_> {
         }
     }
 
+    #[inline(always)]
     fn undo(&self, state: &mut SelectState, _level: usize, _choice: usize) {
         match state.journal.pop().expect("journal entry per applied step") {
             Step::Skipped => {}

@@ -94,6 +94,22 @@
 //! An [exploration budget](SearchKernel::exploration_budget) is a *global* cap on the
 //! cuts considered and is inherently sequential; when one is set the kernel always runs
 //! the sequential walk, whatever `split_levels` says.
+//!
+//! # Hot path
+//!
+//! A search costs the cuts it considers times the cost of one attempt, so an attempt
+//! makes no call outside its cold paths (a growing journal, a new best cut to
+//! package). `walk_range` is monomorphised per policy, and every step it reaches per
+//! attempt is `#[inline(always)]`: the policy's `choice_count`, `apply` and `undo`;
+//! the `SearchHook` and [`WalkSink`] methods of the sinks ([`Incumbent`] and the
+//! pool's recorder); the [`IncrementalCutState`] steps (`probe_add`, `try_add`,
+//! `try_add_probed`, `add`, `mark_outside`, `undo_last`, `frontier_dead_*`,
+//! `within_node_budget`, `is_candidate`, `merit`); the [`BlockContext`] accessors and
+//! [`BoundCheck::frontier`]. Plain `#[inline]` hints leave some of these out of line,
+//! and then `ctx`, the probe and the bound go through memory on every attempt. The
+//! walk's stack frames are three `u32`s, and its stack is allocated once per walk. A
+//! method added to the per-attempt path must be `#[inline(always)]` too, and the
+//! change that adds it records an in-process A/B of the kernel time in `CHANGES.md`.
 
 pub mod reference;
 
@@ -235,24 +251,28 @@ impl<'a> BlockContext<'a> {
 
     /// Number of decision levels (= operation nodes of the block).
     #[must_use]
+    #[inline(always)]
     pub fn depth(&self) -> usize {
         self.order.len()
     }
 
     /// The node decided at `level` of the search tree.
     #[must_use]
+    #[inline(always)]
     pub fn node_at(&self, level: usize) -> NodeId {
         self.order[level]
     }
 
     /// Returns `true` if `node` may never enter a cut.
     #[must_use]
+    #[inline(always)]
     pub fn is_blocked(&self, node: NodeId) -> bool {
         self.blocked[node.index()]
     }
 
     /// Software cycles the cost model assigns to `node`.
     #[must_use]
+    #[inline(always)]
     pub fn node_software_cost(&self, node: NodeId) -> u32 {
         self.software_cost[node.index()]
     }
@@ -260,6 +280,7 @@ impl<'a> BlockContext<'a> {
     /// Total software cycles of the non-blocked nodes still undecided at levels
     /// `level..` — the frontier mass feeding the optimistic bound.
     #[must_use]
+    #[inline(always)]
     pub fn remaining_mass(&self, level: usize) -> u64 {
         self.suffix_mass[level.min(self.suffix_mass.len() - 1)]
     }
@@ -342,6 +363,7 @@ impl BoundCheck {
     /// re-deriving the floating-point optimistic merit on the hot path: the default
     /// bound almost never fires, so its evaluation cost must stay near zero.
     #[must_use]
+    #[inline(always)]
     pub fn frontier(dead: bool) -> Self {
         BoundCheck {
             optimistic: if dead { 0.0 } else { f64::INFINITY },
@@ -419,42 +441,49 @@ impl IncrementalCutState {
 
     /// Number of members.
     #[must_use]
+    #[inline(always)]
     pub fn len(&self) -> usize {
         self.members.len()
     }
 
     /// Returns `true` if the cut has no members.
     #[must_use]
+    #[inline(always)]
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
 
     /// `IN(S)` of the current cut.
     #[must_use]
+    #[inline(always)]
     pub fn inputs(&self) -> usize {
         self.inputs
     }
 
     /// `OUT(S)` of the current cut.
     #[must_use]
+    #[inline(always)]
     pub fn outputs(&self) -> usize {
         self.outputs
     }
 
     /// Accumulated software cycles of the members.
     #[must_use]
+    #[inline(always)]
     pub fn software(&self) -> u64 {
         self.software
     }
 
     /// Critical-path delay of the cut's datapath.
     #[must_use]
+    #[inline(always)]
     pub fn critical_path(&self) -> f64 {
         self.critical_path
     }
 
     /// Accumulated normalised datapath area.
     #[must_use]
+    #[inline(always)]
     pub fn area(&self) -> f64 {
         self.area
     }
@@ -465,6 +494,7 @@ impl IncrementalCutState {
     /// caches `cycles_for_delay(critical_path)` exactly (both are maintained in the
     /// same journalled add/undo), and `u32 → f64` is lossless.
     #[must_use]
+    #[inline(always)]
     pub fn merit(&self) -> f64 {
         debug_assert_eq!(
             self.hardware_cycles,
@@ -484,6 +514,7 @@ impl IncrementalCutState {
     /// free, while the critical path keeps its current value — software mass is
     /// additive and the critical path can only grow, so this only overestimates.
     #[must_use]
+    #[inline(always)]
     pub fn optimistic_with(&self, ctx: &BlockContext<'_>, level: usize) -> f64 {
         let node = ctx.node_at(level);
         cut_merit(
@@ -495,6 +526,7 @@ impl IncrementalCutState {
     /// Upper bound on the merit reachable in the subtree below leaving the node at
     /// `level` in software (the node's own cycles are excluded from the frontier mass).
     #[must_use]
+    #[inline(always)]
     pub fn optimistic_without(&self, ctx: &BlockContext<'_>, level: usize) -> f64 {
         cut_merit(
             self.software + ctx.remaining_mass(level + 1),
@@ -510,6 +542,7 @@ impl IncrementalCutState {
     /// This is the hot-path form of the default (zero-threshold) frontier bound — no
     /// ceiling, no conversions, two adds and a compare.
     #[must_use]
+    #[inline(always)]
     pub fn frontier_dead_with(&self, ctx: &BlockContext<'_>, level: usize) -> bool {
         let node = ctx.node_at(level);
         self.software + u64::from(ctx.node_software_cost(node)) + ctx.remaining_mass(level + 1)
@@ -520,6 +553,7 @@ impl IncrementalCutState {
     /// (see [`frontier_dead_with`](Self::frontier_dead_with) for the exactness
     /// argument).
     #[must_use]
+    #[inline(always)]
     pub fn frontier_dead_without(&self, ctx: &BlockContext<'_>, level: usize) -> bool {
         self.software + ctx.remaining_mass(level + 1) <= u64::from(self.hardware_cycles)
     }
@@ -527,6 +561,7 @@ impl IncrementalCutState {
     /// Checks the output-port count and convexity of the cut grown by `node`, without
     /// mutating anything: one scan of the node's consumer edges.
     #[must_use]
+    #[inline(always)]
     pub fn probe_add(&self, ctx: &BlockContext<'_>, node: NodeId) -> AddProbe {
         let mut external = ctx.is_output_source[node.index()];
         for c in ctx.dfg.consumers(node) {
@@ -558,6 +593,7 @@ impl IncrementalCutState {
     /// untouched — when the branch (and its whole subtree) is eliminated. Living here
     /// once, this block cannot drift apart between the single-cut and multiple-cut
     /// policies, whose per-cut counting and pruning are required to be identical.
+    #[inline(always)]
     pub fn try_add(
         &mut self,
         ctx: &BlockContext<'_>,
@@ -573,6 +609,7 @@ impl IncrementalCutState {
     /// already hold the [`AddProbe`] (`SearchHook::try_add` probes first so the hook
     /// sees the attempt before it is classified). The probe **must** come from
     /// [`probe_add`](Self::probe_add) on the current state.
+    #[inline(always)]
     pub fn try_add_probed(
         &mut self,
         ctx: &BlockContext<'_>,
@@ -619,6 +656,7 @@ impl IncrementalCutState {
     ///
     /// `new_outputs` is the output count probed by [`probe_add`](Self::probe_add); it is
     /// passed back in so the fan-out scan is not repeated.
+    #[inline(always)]
     pub fn add(&mut self, ctx: &BlockContext<'_>, node: NodeId, new_outputs: usize) {
         let index = node.index();
         self.journal.push(UndoEntry::Added {
@@ -681,6 +719,7 @@ impl IncrementalCutState {
     /// Records the decision to keep `node` outside the cut: it reaches the cut when one
     /// of its consumers is a member or reaches it (see the module docs for why the flag
     /// stays correct as the cut grows).
+    #[inline(always)]
     pub fn mark_outside(&mut self, ctx: &BlockContext<'_>, node: NodeId) {
         let index = node.index();
         let reaches = ctx
@@ -702,6 +741,7 @@ impl IncrementalCutState {
     ///
     /// Panics if the journal is empty (an undo without a matching mutation is a policy
     /// bug, not a recoverable condition).
+    #[inline(always)]
     pub fn undo_last(&mut self, ctx: &BlockContext<'_>) {
         match self.journal.pop().expect("undo without a prior mutation") {
             UndoEntry::Added {
@@ -742,6 +782,7 @@ impl IncrementalCutState {
 
     /// Whether the optional node budget still admits one more member.
     #[must_use]
+    #[inline(always)]
     pub(crate) fn within_node_budget(&self, ctx: &BlockContext<'_>) -> bool {
         ctx.constraints
             .max_nodes
@@ -752,6 +793,7 @@ impl IncrementalCutState {
     /// area / node budgets, which never prune (adding a producer may reduce `IN(S)`)
     /// and are therefore checked only here.
     #[must_use]
+    #[inline(always)]
     pub(crate) fn is_candidate(&self, ctx: &BlockContext<'_>) -> bool {
         self.inputs() <= ctx.constraints.max_inputs
             && ctx.constraints.budget_ok(self.area(), self.len())
@@ -810,12 +852,14 @@ impl<T> Incumbent<T> {
 
     /// The best score offered so far (zero when none).
     #[must_use]
+    #[inline(always)]
     pub fn score(&self) -> f64 {
         self.score
     }
 
     /// Offers a candidate; the payload is only built when `score` strictly improves on
     /// the incumbent.
+    #[inline(always)]
     pub fn offer(&mut self, score: f64, make: impl FnOnce() -> T) {
         if score > self.score {
             self.score = score;
@@ -857,6 +901,7 @@ pub trait WalkSink: Send + Sync + Sized {
 }
 
 impl<T: Send + Sync> WalkSink for Incumbent<T> {
+    #[inline(always)]
     fn fresh(&self) -> Self {
         Incumbent::empty()
     }
@@ -868,6 +913,7 @@ impl<T: Send + Sync> WalkSink for Incumbent<T> {
     /// current global score, and the subtree's final payload is the payload of the last
     /// survivor. This operation is associative, which is what lets the kernel fold
     /// segments and subtree results left-to-right in subtree-index order.
+    #[inline(always)]
     fn absorb(&mut self, later: Self) {
         let first_surviving = later.improvements.partition_point(|&m| m <= self.score);
         if first_surviving < later.improvements.len() {
@@ -911,6 +957,7 @@ pub(crate) trait SearchHook<P>: WalkSink {
     /// The 1-branch step every policy shares: probe `node` against `cut`, report the
     /// attempt, then count, classify and (on success) apply it through
     /// [`IncrementalCutState::try_add_probed`].
+    #[inline(always)]
     fn try_add(
         &mut self,
         ctx: &BlockContext<'_>,
@@ -929,15 +976,19 @@ pub(crate) trait SearchHook<P>: WalkSink {
 
 /// The direct search's [`SearchHook`]: records nothing, keeps the best candidate.
 impl<P: Send + Sync> SearchHook<P> for Incumbent<P> {
+    #[inline(always)]
     fn attempt(&mut self, _prefix: usize, _probe: AddProbe, _within_budget: bool, _bound_ok: bool) {
     }
 
+    #[inline(always)]
     fn subtree_prune(&mut self, _prefix: usize) {}
 
+    #[inline(always)]
     fn offer(&mut self, _inputs: usize, _outputs: usize, score: f64, make: impl FnOnce() -> P) {
         Incumbent::offer(self, score, make);
     }
 
+    #[inline(always)]
     fn bound_threshold(&self) -> f64 {
         self.score
     }
@@ -997,22 +1048,37 @@ pub trait SearchPolicy: Sync {
 }
 
 /// One explicit-stack frame of the kernel's depth-first walk: the decision level, the
-/// next branch to try, and the branch currently applied (awaiting its undo), if any.
+/// next branch to try, and the branch currently applied (awaiting its undo), or
+/// [`Frame::NOTHING_APPLIED`]. `u32` fields keep a frame at 12 bytes: a walk checks on
+/// entry that its levels fit, and a branch index is at most a policy's arity.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
-    level: usize,
-    next_choice: usize,
-    applied: Option<usize>,
+    level: u32,
+    next_choice: u32,
+    applied: u32,
 }
 
 impl Frame {
-    fn enter(level: usize) -> Self {
+    /// The `applied` sentinel of a frame with no branch awaiting its undo.
+    const NOTHING_APPLIED: u32 = u32::MAX;
+
+    #[inline(always)]
+    fn enter(level: u32) -> Self {
         Frame {
             level,
             next_choice: 0,
-            applied: None,
+            applied: Self::NOTHING_APPLIED,
         }
     }
+}
+
+/// The levels and budget of one [`walk_range`]: it descends from `start` down to (but
+/// never into) `frontier`, and stops once `budget` cuts have been considered.
+#[derive(Debug, Clone, Copy)]
+struct WalkRange {
+    start: usize,
+    frontier: usize,
+    budget: Option<u64>,
 }
 
 /// One ordered merge unit of the parallel walk: either the sink and stats accumulated
@@ -1133,12 +1199,15 @@ impl SearchKernel {
         // frontier stopping at `split`: each surviving prefix closes the inline segment
         // accumulated since the previous snapshot and hands its subtree to a task.
         let mut state = policy.initial_state();
+        let prefixes = WalkRange {
+            start: 0,
+            frontier: split,
+            budget: None,
+        };
         walk_range(
             policy,
             &mut state,
-            0,
-            split,
-            None,
+            prefixes,
             &mut segment_stats,
             &mut segment_sink,
             |state, stats, segment| {
@@ -1204,59 +1273,67 @@ fn walk<P: SearchPolicy>(
     stats: &mut SearchStats,
     sink: &mut P::Sink,
 ) {
-    walk_range(
-        policy,
-        state,
-        start_level,
-        policy.depth(),
+    let range = WalkRange {
+        start: start_level,
+        frontier: policy.depth(),
         budget,
-        stats,
-        sink,
-        |_, _, _| {},
-    );
+    };
+    walk_range(policy, state, range, stats, sink, |_, _, _| {});
 }
 
 /// The one explicit-stack depth-first walk every kernel mode runs on: descends from
-/// `start_level` down to (but never into) `frontier`, calling `on_frontier` for each
-/// successfully applied choice whose child level *is* the frontier. The full sequential
-/// walk is `frontier == depth` with a no-op frontier hook; the parallel prefix
-/// enumeration is `frontier == split` with a snapshot hook. Keeping a single loop is
-/// what guarantees the two modes can never diverge in traversal order.
-#[allow(clippy::too_many_arguments)]
+/// `range.start` down to (but never into) `range.frontier`, calling `on_frontier` for
+/// each successfully applied choice whose child level *is* the frontier. The full
+/// sequential walk is `frontier == depth` with a no-op frontier hook; the parallel
+/// prefix enumeration is `frontier == split` with a snapshot hook. Keeping a single
+/// loop is what guarantees the two modes can never diverge in traversal order.
+///
+/// This loop is the hot path (see the module docs): every policy, hook and cut-state
+/// step it reaches per attempt is `#[inline(always)]`, so one attempt makes no call.
 fn walk_range<P: SearchPolicy>(
     policy: &P,
     state: &mut P::State,
-    start_level: usize,
-    frontier: usize,
-    budget: Option<u64>,
+    range: WalkRange,
     stats: &mut SearchStats,
     sink: &mut P::Sink,
     mut on_frontier: impl FnMut(&mut P::State, &mut SearchStats, &mut P::Sink),
 ) {
-    if start_level >= frontier {
+    let WalkRange {
+        start,
+        frontier,
+        budget,
+    } = range;
+    if start >= frontier {
         return;
     }
     if !budget_left(stats, budget) {
         stats.budget_exhausted = true;
         return;
     }
-    let mut stack = vec![Frame::enter(start_level)];
-    while let Some(&Frame { level, .. }) = stack.last() {
-        let top = stack.len() - 1;
-        if let Some(choice) = stack[top].applied.take() {
-            policy.undo(state, level, choice);
+    let frontier = u32::try_from(frontier).expect("tree depth fits in u32");
+    let start = u32::try_from(start).expect("tree depth fits in u32");
+    // The stack never holds more than one frame per level in `start..frontier`, plus
+    // the one being popped.
+    let mut stack = Vec::with_capacity((frontier - start) as usize + 1);
+    stack.push(Frame::enter(start));
+    while let Some(frame) = stack.last_mut() {
+        let level = frame.level as usize;
+        if frame.applied != Frame::NOTHING_APPLIED {
+            policy.undo(state, level, frame.applied as usize);
+            frame.applied = Frame::NOTHING_APPLIED;
         }
-        if stack[top].next_choice >= policy.choice_count(state, level) {
+        let choice = frame.next_choice;
+        if choice as usize >= policy.choice_count(state, level) {
             stack.pop();
             continue;
         }
-        let choice = stack[top].next_choice;
-        stack[top].next_choice += 1;
-        if !policy.apply(state, level, choice, stats, sink) {
+        frame.next_choice = choice + 1;
+        if !policy.apply(state, level, choice as usize, stats, sink) {
             continue;
         }
-        stack[top].applied = Some(choice);
-        if level + 1 == frontier {
+        frame.applied = choice;
+        let child = frame.level + 1;
+        if child == frontier {
             on_frontier(state, stats, sink);
             continue;
         }
@@ -1264,7 +1341,7 @@ fn walk_range<P: SearchPolicy>(
             stats.budget_exhausted = true;
             continue;
         }
-        stack.push(Frame::enter(level + 1));
+        stack.push(Frame::enter(child));
     }
 }
 

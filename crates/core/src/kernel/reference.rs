@@ -39,10 +39,12 @@ impl SearchPolicy for ReferenceSingleCutPolicy<'_> {
         IncrementalCutState::new(self.ctx)
     }
 
+    #[inline(always)]
     fn choice_count(&self, _state: &IncrementalCutState, _level: usize) -> usize {
         2
     }
 
+    #[inline(always)]
     fn apply(
         &self,
         state: &mut IncrementalCutState,
@@ -69,6 +71,7 @@ impl SearchPolicy for ReferenceSingleCutPolicy<'_> {
         true
     }
 
+    #[inline(always)]
     fn undo(&self, state: &mut IncrementalCutState, _level: usize, _choice: usize) {
         state.undo_last(self.ctx);
     }

@@ -95,6 +95,7 @@ struct MultiCutPolicy<'a, H> {
 
 impl<H: SearchHook<Vec<IdentifiedCut>>> MultiCutPolicy<'_, H> {
     /// Number of cut slots the node at the current state may be assigned to.
+    #[inline(always)]
     fn assignable(&self, state: &MultiCutState) -> usize {
         let used = state.cuts.iter().take_while(|cut| !cut.is_empty()).count();
         (used + 1).min(self.num_cuts)
@@ -104,11 +105,13 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> MultiCutPolicy<'_, H> {
     /// base of the frontier bound. Each remaining software cycle can join at most one
     /// slot and raise that slot's merit by at most one per cycle, so
     /// `base + remaining_mass` bounds every objective reachable in the subtree.
+    #[inline(always)]
     fn base_merit(state: &MultiCutState) -> f64 {
         state.cuts.iter().map(IncrementalCutState::merit).sum()
     }
 
     /// The largest slot `OUT`: the sink's tree-path prefix.
+    #[inline(always)]
     fn prefix(state: &MultiCutState) -> usize {
         state
             .cuts
@@ -121,6 +124,7 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> MultiCutPolicy<'_, H> {
     /// Offers the current assignment: every non-empty cut must be a candidate, the
     /// objective is the summed merit and the signature is `(max IN, max OUT)` over
     /// the non-empty cuts.
+    #[inline(always)]
     fn consider_candidate(&self, state: &MultiCutState, sink: &mut H) {
         let mut total = 0.0;
         let mut max_in = 0;
@@ -163,6 +167,7 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> SearchPolicy for MultiCutPolicy<'_, H> {
         }
     }
 
+    #[inline(always)]
     fn choice_count(&self, state: &MultiCutState, level: usize) -> usize {
         if self.ctx.is_blocked(self.ctx.node_at(level)) {
             1 // software only
@@ -171,6 +176,7 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> SearchPolicy for MultiCutPolicy<'_, H> {
         }
     }
 
+    #[inline(always)]
     fn apply(
         &self,
         state: &mut MultiCutState,
@@ -236,6 +242,7 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> SearchPolicy for MultiCutPolicy<'_, H> {
         true
     }
 
+    #[inline(always)]
     fn undo(&self, state: &mut MultiCutState, _level: usize, _choice: usize) {
         // Both branch kinds leave exactly one journal entry per cut slot.
         for cut in state.cuts.iter_mut().rev() {

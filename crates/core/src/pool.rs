@@ -295,6 +295,7 @@ impl AttemptHistogram {
         }
     }
 
+    #[inline(always)]
     fn index(
         &self,
         prefix: usize,
@@ -457,6 +458,7 @@ struct FillRecorder<P> {
 }
 
 impl<P: Send + Sync> WalkSink for FillRecorder<P> {
+    #[inline(always)]
     fn fresh(&self) -> Self {
         FillRecorder {
             store: ParetoStore::default(),
@@ -464,6 +466,7 @@ impl<P: Send + Sync> WalkSink for FillRecorder<P> {
         }
     }
 
+    #[inline(always)]
     fn absorb(&mut self, later: Self) {
         self.store.absorb(later.store);
         self.histogram.absorb(&later.histogram);
@@ -471,20 +474,24 @@ impl<P: Send + Sync> WalkSink for FillRecorder<P> {
 }
 
 impl<P: Send + Sync> SearchHook<P> for FillRecorder<P> {
+    #[inline(always)]
     fn attempt(&mut self, prefix: usize, probe: AddProbe, within_budget: bool, bound_ok: bool) {
         let histogram = &mut self.histogram;
         let index = histogram.index(prefix, probe.outputs, probe.convex, within_budget, bound_ok);
         histogram.counts[index] += 1;
     }
 
+    #[inline(always)]
     fn subtree_prune(&mut self, prefix: usize) {
         self.histogram.subtree_prunes[prefix] += 1;
     }
 
+    #[inline(always)]
     fn offer(&mut self, inputs: usize, outputs: usize, score: f64, make: impl FnOnce() -> P) {
         self.store.offer(inputs, outputs, score, make);
     }
 
+    #[inline(always)]
     fn bound_threshold(&self) -> f64 {
         0.0
     }

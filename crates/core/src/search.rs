@@ -174,10 +174,12 @@ impl<H: SearchHook<IdentifiedCut>> SearchPolicy for SingleCutPolicy<'_, H> {
         IncrementalCutState::new(self.ctx)
     }
 
+    #[inline(always)]
     fn choice_count(&self, _state: &IncrementalCutState, _level: usize) -> usize {
         2
     }
 
+    #[inline(always)]
     fn apply(
         &self,
         state: &mut IncrementalCutState,
@@ -231,6 +233,7 @@ impl<H: SearchHook<IdentifiedCut>> SearchPolicy for SingleCutPolicy<'_, H> {
         true
     }
 
+    #[inline(always)]
     fn undo(&self, state: &mut IncrementalCutState, _level: usize, _choice: usize) {
         state.undo_last(self.ctx);
     }
