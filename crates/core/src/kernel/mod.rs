@@ -540,13 +540,17 @@ impl IncrementalCutState {
     /// (far below 2⁵³) and `C` the cached hardware cycles, and comparing two losslessly
     /// converted integers as `f64` orders them identically to the integers themselves.
     /// This is the hot-path form of the default (zero-threshold) frontier bound — no
-    /// ceiling, no conversions, two adds and a compare.
+    /// ceiling, no conversions, one add and a compare: the node at `level` must not be
+    /// blocked (only an unblocked node can be added), so its cycles are already the
+    /// head of the frontier mass at `level`.
     #[must_use]
     #[inline(always)]
     pub fn frontier_dead_with(&self, ctx: &BlockContext<'_>, level: usize) -> bool {
-        let node = ctx.node_at(level);
-        self.software + u64::from(ctx.node_software_cost(node)) + ctx.remaining_mass(level + 1)
-            <= u64::from(self.hardware_cycles)
+        debug_assert!(
+            !ctx.is_blocked(ctx.node_at(level)),
+            "a blocked node is never added"
+        );
+        self.software + ctx.suffix_mass[level] <= u64::from(self.hardware_cycles)
     }
 
     /// `optimistic_without(ctx, level) <= 0`, decided entirely in the integer domain
@@ -555,7 +559,7 @@ impl IncrementalCutState {
     #[must_use]
     #[inline(always)]
     pub fn frontier_dead_without(&self, ctx: &BlockContext<'_>, level: usize) -> bool {
-        self.software + ctx.remaining_mass(level + 1) <= u64::from(self.hardware_cycles)
+        self.software + ctx.suffix_mass[level + 1] <= u64::from(self.hardware_cycles)
     }
 
     /// Checks the output-port count and convexity of the cut grown by `node`, without
