@@ -584,6 +584,7 @@ impl Server {
                         let service = Arc::clone(&self.service);
                         scope.spawn(move || {
                             read_connection(stream, &service, &queue, &halt);
+                            // Moved into the reader, so the slot frees as it exits.
                             drop(slot);
                         });
                     }

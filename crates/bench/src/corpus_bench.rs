@@ -8,9 +8,9 @@
 //! keys, the dedup hit-rate, cuts/second and the wall-clock of both modes as the
 //! machine-readable `BENCH_corpus.json`. The two modes alternate for [`REPEATS`]
 //! passes, each wall-clock is the median over the passes, and every pass must be
-//! identical. The `corpus_gate` binary exits non-zero when
-//! the modes diverge or the enumeration reduction falls below 2x, making the
-//! exactness-and-payoff claim a CI gate (like `sweep_gate`).
+//! identical. The `corpus_gate` binary exits non-zero when the modes diverge or the
+//! enumeration reduction falls below 2x, making the exactness-and-payoff claim a CI
+//! gate (like `sweep_gate`).
 
 use std::time::Instant;
 

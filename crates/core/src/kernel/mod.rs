@@ -1293,7 +1293,7 @@ fn walk<P: SearchPolicy>(
 /// loop is what guarantees the two modes can never diverge in traversal order.
 ///
 /// This loop is the hot path (see the module docs): every policy, hook and cut-state
-/// step it reaches per attempt is `#[inline(always)]`, so one attempt makes no call.
+/// step it reaches per attempt is `#[inline(always)]`.
 fn walk_range<P: SearchPolicy>(
     policy: &P,
     state: &mut P::State,
