@@ -410,6 +410,28 @@ impl<'de> serde::Deserialize<'de> for CorpusRequest {
             templates: optional_or(fields, "templates", None)?,
         })
     }
+
+    fn read(reader: &mut serde::json::Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut programs, mut constraints, mut config) = (None, None, None);
+        let (mut options, mut dedup, mut templates) = (None, None, None);
+        reader.object(|reader, key| match &*key {
+            "programs" => reader.field(&mut programs),
+            "constraints" => reader.field(&mut constraints),
+            "config" => reader.field(&mut config),
+            "options" => reader.field(&mut options),
+            "dedup" => reader.field(&mut dedup),
+            "templates" => reader.field(&mut templates),
+            _ => reader.skip(),
+        })?;
+        Ok(CorpusRequest {
+            programs: serde::required(programs, "programs", "CorpusRequest")?,
+            constraints: constraints.unwrap_or_default(),
+            config: config.unwrap_or_default(),
+            options: options.unwrap_or_default(),
+            dedup: dedup.unwrap_or(true),
+            templates: templates.flatten(),
+        })
+    }
 }
 
 impl CorpusRequest {

@@ -62,6 +62,7 @@
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -219,7 +220,25 @@ impl ServeService {
     /// (without trailing newline). Never panics on malformed input: parse and
     /// validation failures become `"error"` envelopes.
     pub fn handle(&self, line: &str) -> String {
+        self.answer(line, Envelope::scan(line))
+    }
+
+    /// Handles a line whose envelope was already scanned; a line that did not
+    /// scan goes through the tree decode, which words its error.
+    fn answer(&self, line: &str, envelope: Option<Envelope>) -> String {
         self.handled.fetch_add(1, Ordering::Relaxed);
+        let Some(envelope) = envelope else {
+            return self.answer_tree(line);
+        };
+        let request = envelope.request.map(|range| Payload::Text(&line[range]));
+        respond(
+            &envelope.id,
+            self.dispatch(envelope.kind.as_deref(), request),
+        )
+    }
+
+    /// The reference path: the whole line decoded as a value tree.
+    fn answer_tree(&self, line: &str) -> String {
         let envelope = match json::parse(line) {
             Ok(value) => value,
             Err(error) => {
@@ -231,15 +250,9 @@ impl ServeService {
                 )
             }
         };
-        let (id, outcome) = self.dispatch(&envelope);
-        respond(&id, outcome)
-    }
-
-    /// Routes one parsed request envelope; returns its echoed id and outcome.
-    fn dispatch(&self, envelope: &json::Value) -> (json::Value, Result<json::Value, IseError>) {
-        let json::Value::Object(fields) = envelope else {
-            return (
-                json::Value::Null,
+        let json::Value::Object(fields) = &envelope else {
+            return respond(
+                &json::Value::Null,
                 Err(IseError::InvalidRequest(
                     "a request line must be a JSON object".to_string(),
                 )),
@@ -247,18 +260,30 @@ impl ServeService {
         };
         let field = |name: &str| fields.iter().find(|(key, _)| key == name).map(|(_, v)| v);
         let id = field("id").cloned().unwrap_or(json::Value::Null);
-        let Some(json::Value::Str(kind)) = field("kind") else {
-            return (
-                id,
-                Err(IseError::InvalidRequest(
-                    "a request line needs a string `kind` \
-                     (run | sweep | corpus | stats | shutdown)"
-                        .to_string(),
-                )),
-            );
+        let kind = match field("kind") {
+            Some(json::Value::Str(kind)) => Some(kind.as_str()),
+            _ => None,
         };
-        let request = field("request");
-        let outcome = match kind.as_str() {
+        respond(
+            &id,
+            self.dispatch(kind, field("request").map(Payload::Tree)),
+        )
+    }
+
+    /// Routes one request by its `kind` (`None`: absent or not a string).
+    fn dispatch(
+        &self,
+        kind: Option<&str>,
+        request: Option<Payload<'_>>,
+    ) -> Result<json::Value, IseError> {
+        let Some(kind) = kind else {
+            return Err(IseError::InvalidRequest(
+                "a request line needs a string `kind` \
+                 (run | sweep | corpus | stats | shutdown)"
+                    .to_string(),
+            ));
+        };
+        match kind {
             "run" => payload::<IseRequest>(request, "run")
                 .and_then(|request| Session::execute(&request))
                 .map(|response| json::to_value(&response)),
@@ -280,23 +305,81 @@ impl ServeService {
                 "unknown request kind `{other}` \
                  (expected run | sweep | corpus | stats | shutdown)"
             ))),
-        };
-        (id, outcome)
+        }
     }
 }
 
-/// Deserialises the `request` payload of one envelope.
+/// The top-level fields of one request line, found in one pass that skips every
+/// value but `id` and `kind`. As in the tree decode, the first occurrence of each
+/// key is the one that counts.
+struct Envelope {
+    /// The `id` to echo (`null` when absent).
+    id: json::Value,
+    /// The `kind`, when it is a string.
+    kind: Option<String>,
+    /// Where the `request` value lies in the line; it is decoded once `kind` is
+    /// known, wherever `kind` comes in the line.
+    request: Option<Range<usize>>,
+}
+
+impl Envelope {
+    /// Scans one line; `None` when it is not a single JSON object, which leaves the
+    /// wording of the error to the tree decode.
+    fn scan(line: &str) -> Option<Envelope> {
+        let mut reader = serde::json::Reader::new(line);
+        if reader.peek() != Some(b'{') {
+            return None;
+        }
+        let (mut id, mut kind, mut request) = (None, None, None);
+        reader
+            .object(|reader, key| match &*key {
+                "id" => reader.field(&mut id),
+                "kind" => reader.field(&mut kind),
+                "request" if request.is_none() => {
+                    reader.peek();
+                    let start = reader.position();
+                    reader.skip()?;
+                    request = Some(start..reader.position());
+                    Ok(())
+                }
+                _ => reader.skip(),
+            })
+            .ok()?;
+        reader.finish().ok()?;
+        Some(Envelope {
+            id: id.unwrap_or(json::Value::Null),
+            kind: match kind {
+                Some(json::Value::Str(kind)) => Some(kind),
+                _ => None,
+            },
+            request,
+        })
+    }
+}
+
+/// The `request` value of one envelope: text cut from a scanned line, or a subtree
+/// of a line decoded as a tree.
+enum Payload<'a> {
+    Text(&'a str),
+    Tree(&'a json::Value),
+}
+
+/// Deserialises the `request` payload of one envelope. Text decodes with the tree
+/// decode's result and error text, so both payload forms answer alike.
 fn payload<T: serde::DeserializeOwned>(
-    field: Option<&json::Value>,
+    field: Option<Payload<'_>>,
     kind: &str,
 ) -> Result<T, IseError> {
-    let Some(value) = field else {
-        return Err(IseError::InvalidRequest(format!(
-            "a `{kind}` request needs a `request` payload"
-        )));
+    let decoded = match field {
+        None => {
+            return Err(IseError::InvalidRequest(format!(
+                "a `{kind}` request needs a `request` payload"
+            )))
+        }
+        Some(Payload::Text(text)) => serde::json::from_str(text),
+        Some(Payload::Tree(value)) => serde::json::from_value(value),
     };
-    serde::json::from_value(value)
-        .map_err(|error| IseError::Serialization(format!("`{kind}` payload: {error}")))
+    decoded.map_err(|error| IseError::Serialization(format!("`{kind}` payload: {error}")))
 }
 
 /// Serialises one response line: the echoed id plus either the `"response"`
@@ -312,15 +395,18 @@ fn respond(id: &json::Value, outcome: Result<json::Value, IseError>) -> String {
     ]))
 }
 
-/// The queue-full error response for one raw request line (best-effort id echo).
-fn busy_response(line: &str) -> String {
-    let id = match json::parse(line) {
-        Ok(json::Value::Object(fields)) => fields
-            .iter()
-            .find(|(key, _)| key == "id")
-            .map(|(_, value)| value.clone())
-            .unwrap_or(json::Value::Null),
-        _ => json::Value::Null,
+/// The queue-full error response for one request line (best-effort id echo).
+fn busy_response(job: &Job) -> String {
+    let id = match &job.envelope {
+        Some(envelope) => envelope.id.clone(),
+        None => match json::parse(&job.line) {
+            Ok(json::Value::Object(fields)) => fields
+                .iter()
+                .find(|(key, _)| key == "id")
+                .map(|(_, value)| value.clone())
+                .unwrap_or(json::Value::Null),
+            _ => json::Value::Null,
+        },
     };
     respond(
         &id,
@@ -350,25 +436,11 @@ fn too_many_connections_response(cap: usize) -> String {
     )
 }
 
-/// Returns the request kind of a raw line, when it parses to an object.
-fn line_kind(line: &str) -> Option<String> {
-    match json::parse(line) {
-        Ok(json::Value::Object(fields)) => {
-            fields
-                .iter()
-                .find_map(|(key, value)| match (key.as_str(), value) {
-                    ("kind", json::Value::Str(kind)) => Some(kind.clone()),
-                    _ => None,
-                })
-        }
-        _ => None,
-    }
-}
-
-/// One accepted request waiting for a worker: the raw line plus the (shared)
-/// write half of the connection it arrived on.
+/// One accepted request waiting for a worker: the raw line, its scanned envelope
+/// and the (shared) write half of the connection it arrived on.
 struct Job {
     line: String,
+    envelope: Option<Envelope>,
     peer: Arc<Mutex<TcpStream>>,
 }
 
@@ -556,7 +628,7 @@ impl Server {
                 let service = Arc::clone(&self.service);
                 scope.spawn(move || {
                     while let Some(job) = queue.pop(&halt) {
-                        write_line(&job.peer, &service.handle(&job.line));
+                        write_line(&job.peer, &service.answer(&job.line, job.envelope));
                     }
                 });
             }
@@ -667,15 +739,20 @@ fn read_connection(stream: TcpStream, service: &ServeService, queue: &JobQueue, 
                 if text.is_empty() {
                     continue;
                 }
-                match line_kind(text).as_deref() {
-                    Some("stats" | "shutdown") => write_line(&peer, &service.handle(text)),
+                // Classified by the first `kind` key, the one `dispatch` answers.
+                let envelope = Envelope::scan(text);
+                match envelope.as_ref().and_then(|e| e.kind.as_deref()) {
+                    Some("stats" | "shutdown") => {
+                        write_line(&peer, &service.answer(text, envelope));
+                    }
                     _ => {
                         let job = Job {
                             line: text.to_string(),
+                            envelope,
                             peer: Arc::clone(&peer),
                         };
                         if let Err(job) = queue.try_push(job) {
-                            write_line(&job.peer, &busy_response(&job.line));
+                            write_line(&job.peer, &busy_response(&job));
                         }
                     }
                 }

@@ -8,8 +8,8 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use ise_api::{
-    json, Algorithm, CorpusRequest, IseRequest, ProgramSource, ServeConfig, ServeService, Server,
-    Session, SweepRequest, MAX_REQUEST_LINE_BYTES, SNAPSHOT_FILE,
+    json, Algorithm, CorpusRequest, IseError, IseRequest, ProgramSource, ServeConfig, ServeService,
+    Server, Session, SweepRequest, MAX_REQUEST_LINE_BYTES, SNAPSHOT_FILE,
 };
 use ise_core::Constraints;
 
@@ -473,5 +473,101 @@ fn connections_past_the_cap_get_one_busy_line_then_eof() {
     writer.flush().expect("flush");
     drop(held);
     drop(reopened);
+    handle.join().expect("server thread exits cleanly");
+}
+
+/// Sends one line and reads its response.
+fn round_trip(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
+    writeln!(writer, "{line}").expect("send");
+    writer.flush().expect("flush");
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("response");
+    response.trim_end().to_string()
+}
+
+fn answer(id: u64, outcome: Result<json::Value, IseError>) -> String {
+    let (key, value) = match outcome {
+        Ok(response) => ("response", response),
+        Err(error) => ("error", json::Value::Str(error.to_string())),
+    };
+    json::to_string(&json::Value::Object(vec![
+        ("id".to_string(), json::to_value(&id)),
+        (key.to_string(), value),
+    ]))
+}
+
+/// Envelopes whose keys come in an unusual order, repeat, or carry a payload the
+/// kind does not use are answered by the first occurrence of each key, exactly as
+/// the tree decode of the whole line answers them.
+#[test]
+fn envelope_keys_are_read_in_any_order_and_the_first_occurrence_wins() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind ephemeral port");
+    let addr = server.local_addr().expect("bound address");
+    let service = Arc::clone(server.service());
+    let stop = Arc::new(AtomicBool::new(false));
+    let handle = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let result = server.run(&stop);
+            assert!(result.is_ok(), "{result:?}");
+        })
+    };
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let stats = || Ok(json::to_value(&service.cache_stats()));
+
+    let run = IseRequest::new(
+        Algorithm::SingleCut,
+        ProgramSource::Workload("adpcmdecode".into()),
+    );
+    let run_json = json::to_string(&run);
+    let oneshot = Session::execute(&run).map(|response| json::to_value(&response));
+
+    // `request` before `kind`.
+    let line = format!("{{\"request\":{run_json},\"id\":1,\"kind\":\"run\"}}");
+    let response = round_trip(&mut writer, &mut reader, &line);
+    assert_eq!(response, answer(1, oneshot.clone()));
+
+    // Duplicate `kind` keys: the first is the kind, whatever its type.
+    let line = format!("{{\"id\":2,\"kind\":\"stats\",\"kind\":\"run\",\"request\":{run_json}}}");
+    let response = round_trip(&mut writer, &mut reader, &line);
+    assert_eq!(response, answer(2, stats()));
+    let line = "{\"id\":3,\"kind\":1,\"kind\":\"stats\"}";
+    let response = round_trip(&mut writer, &mut reader, line);
+    let no_kind = IseError::InvalidRequest(
+        "a request line needs a string `kind` (run | sweep | corpus | stats | shutdown)".into(),
+    );
+    assert_eq!(response, answer(3, Err(no_kind)));
+    let line = format!("{{\"id\":4,\"kind\":\"run\",\"request\":{run_json},\"kind\":\"stats\"}}");
+    let response = round_trip(&mut writer, &mut reader, &line);
+    assert_eq!(response, answer(4, oneshot.clone()));
+
+    // A `stats` line carrying a large `request` value it does not use.
+    let programs: Vec<ProgramSource> = ise_workloads::suite::mediabench_like()
+        .into_iter()
+        .map(ProgramSource::Inline)
+        .collect();
+    let large = json::to_string(&CorpusRequest::new(programs));
+    assert!(large.len() > 20_000, "{}", large.len());
+    let line = format!("{{\"id\":5,\"request\":{large},\"kind\":\"stats\"}}");
+    let response = round_trip(&mut writer, &mut reader, &line);
+    assert_eq!(response, answer(5, stats()));
+
+    // A duplicate `id` and a duplicate `request`: the first of each is used, and
+    // a payload the kind cannot decode is reported with the tree decode's words.
+    let line = format!(
+        "{{\"id\":6,\"kind\":\"run\",\"request\":{{\"bad\":true}},\"request\":{run_json},\"id\":7}}"
+    );
+    let response = round_trip(&mut writer, &mut reader, &line);
+    let payload_error =
+        IseError::Serialization("`run` payload: missing field `algorithm` for `IseRequest`".into());
+    assert_eq!(response, answer(6, Err(payload_error)));
+    let line = format!("{{\"id\":8,\"kind\":\"run\",\"request\":{run_json},\"request\":{{}}}}");
+    let response = round_trip(&mut writer, &mut reader, &line);
+    assert_eq!(response, answer(8, oneshot));
+
+    let response = round_trip(&mut writer, &mut reader, &envelope(9, "shutdown", None));
+    assert!(response.contains("shutting down"), "{response}");
     handle.join().expect("server thread exits cleanly");
 }

@@ -5,8 +5,9 @@
 //!
 //! Usage: `cargo run --release -p ise-bench --bin corpus_gate [--quick] [output-dir]`
 //!
-//! Exit codes: `0` identical and >= 2x enumeration reduction, `3` the modes diverged
-//! or dedup failed to pay — CI runs this like `sweep_gate`.
+//! Exit codes: `0` identical and >= 2x enumeration reduction, `3` the modes diverged,
+//! dedup failed to pay, or the streaming and tree JSON decodes of the corpus request
+//! disagreed — CI runs this like `sweep_gate`.
 
 use std::fs;
 use std::path::PathBuf;
@@ -49,6 +50,10 @@ fn main() -> ExitCode {
 
     if !report.identical {
         eprintln!("error: deduplicated corpus run diverged from the per-program reference");
+        return ExitCode::from(3);
+    }
+    if !report.api.identical {
+        eprintln!("error: the streaming JSON decode diverged from the tree decode");
         return ExitCode::from(3);
     }
     if report.cuts_reduction < 2.0 {

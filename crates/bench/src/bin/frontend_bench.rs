@@ -14,11 +14,11 @@ use std::process::ExitCode;
 use ise_bench::frontend_bench;
 
 fn main() -> ExitCode {
-    let mut iterations = 200u64;
+    let mut iterations = 40u64;
     let mut output_dir = PathBuf::from("results");
     for arg in std::env::args().skip(1) {
         if arg == "--quick" {
-            iterations = 10;
+            iterations = 2;
         } else if arg.starts_with('-') {
             eprintln!("error: unknown flag {arg:?}\nusage: frontend_bench [--quick] [output-dir]");
             return ExitCode::from(2);
@@ -37,8 +37,12 @@ fn main() -> ExitCode {
     println!("# Front-end benchmark — parse throughput and end-to-end wall-clock");
     println!();
     println!(
-        "{} fixtures, {} source lines; {:.0} lines/sec over {} iterations",
-        report.fixtures, report.total_lines, report.parse_lines_per_sec, report.parse_iterations
+        "{} fixtures, {} source lines; {:.0} lines/sec (median of {} passes of {} iterations)",
+        report.fixtures,
+        report.total_lines,
+        report.parse_lines_per_sec,
+        report.repeats,
+        report.parse_iterations
     );
     println!(
         "parse+lower pass: {:.3} ms; text → selection: {:.3} ms",

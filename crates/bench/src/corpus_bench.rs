@@ -11,9 +11,15 @@
 //! identical. The `corpus_gate` binary exits non-zero when the modes diverge or the
 //! enumeration reduction falls below 2x, making the exactness-and-payoff claim a CI
 //! gate (like `sweep_gate`).
+//!
+//! The report's `api` row times the request layer on the same corpus sent as one
+//! inline-program [`CorpusRequest`]: encoding it, the streaming decode
+//! ([`ise_api::from_json`]) and the reference tree decode, and the gate also fails
+//! when the two decodes disagree.
 
 use std::time::Instant;
 
+use ise_api::{CorpusRequest, ProgramSource};
 use ise_core::{run_corpus, Constraints, CorpusOptions, CorpusStats, DriverOptions};
 use ise_hw::DefaultCostModel;
 use ise_ir::Program;
@@ -116,6 +122,68 @@ impl ModeReport {
     }
 }
 
+/// The JSON cost of the corpus as one request, each time the median over
+/// [`REPEATS`] passes.
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+pub struct ApiReport {
+    /// Size of the compact request text, bytes.
+    pub request_bytes: u64,
+    /// `ise_api::from_json`: the streaming decode every entry point uses, ms.
+    pub decode_ms: f64,
+    /// `from_value(&parse(..))`: the reference tree decode, ms.
+    pub decode_tree_ms: f64,
+    /// `ise_api::to_json` of the request, ms.
+    pub encode_ms: f64,
+    /// Whether both decodes returned the encoded request in every pass.
+    pub identical: bool,
+}
+
+/// Runs `f` and returns its result with its wall-clock in milliseconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed().as_secs_f64() * 1_000.0)
+}
+
+/// Times encoding and both decodes of `request`, alternating the decodes' order.
+fn time_api(request: &CorpusRequest) -> ApiReport {
+    let stream = |text: &str| timed(|| ise_api::from_json::<CorpusRequest>(text).ok());
+    let tree = |text: &str| {
+        timed(|| {
+            serde::json::parse(text)
+                .and_then(|value| serde::json::from_value::<CorpusRequest>(&value))
+                .ok()
+        })
+    };
+    let mut encode_ms = Vec::with_capacity(REPEATS);
+    let mut decode_ms = Vec::with_capacity(REPEATS);
+    let mut decode_tree_ms = Vec::with_capacity(REPEATS);
+    let mut request_bytes = 0;
+    let mut identical = true;
+    for pass in 0..REPEATS {
+        let (text, ms) = timed(|| ise_api::to_json(request));
+        encode_ms.push(ms);
+        let ((streamed, stream_ms), (reference, tree_ms)) = if pass % 2 == 0 {
+            let streamed = stream(&text);
+            (streamed, tree(&text))
+        } else {
+            let reference = tree(&text);
+            (stream(&text), reference)
+        };
+        decode_ms.push(stream_ms);
+        decode_tree_ms.push(tree_ms);
+        identical &= streamed.as_ref() == Some(request) && reference.as_ref() == Some(request);
+        request_bytes = text.len() as u64;
+    }
+    ApiReport {
+        request_bytes,
+        decode_ms: crate::median(&decode_ms),
+        decode_tree_ms: crate::median(&decode_tree_ms),
+        encode_ms: crate::median(&encode_ms),
+        identical,
+    }
+}
+
 /// The full gate result, as serialised into `BENCH_corpus.json`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct CorpusBenchReport {
@@ -145,6 +213,8 @@ pub struct CorpusBenchReport {
     pub dedup: ModeReport,
     /// Reference (per-program) execution.
     pub direct: ModeReport,
+    /// The corpus as one inline-program request through the API's JSON layer.
+    pub api: ApiReport,
 }
 
 /// Runs the gate: both modes alternating for [`REPEATS`] passes, identity check,
@@ -155,21 +225,25 @@ pub fn run(config: &CorpusBenchConfig) -> CorpusBenchReport {
     let model = DefaultCostModel::new();
     let options = config.options();
     let direct_options = options.with_dedup(false);
+    let request = CorpusRequest::new(
+        programs
+            .iter()
+            .cloned()
+            .map(ProgramSource::Inline)
+            .collect(),
+    )
+    .with_constraints(config.constraints);
+    let api = time_api(&request);
 
-    let timed = |options: &CorpusOptions| {
-        let start = Instant::now();
-        let outcome = run_corpus(&programs, &model, options);
-        let ms = start.elapsed().as_secs_f64() * 1_000.0;
-        (outcome, ms)
-    };
+    let run_mode = |options: &CorpusOptions| timed(|| run_corpus(&programs, &model, options));
     let mut dedup_ms = Vec::with_capacity(REPEATS);
     let mut direct_ms = Vec::with_capacity(REPEATS);
     let mut identical = true;
     let mut outcomes = None;
     for _ in 0..REPEATS {
-        let (deduped, ms) = timed(&options);
+        let (deduped, ms) = run_mode(&options);
         dedup_ms.push(ms);
-        let (reference, ms) = timed(&direct_options);
+        let (reference, ms) = run_mode(&direct_options);
         direct_ms.push(ms);
         identical &= serde::json::to_string(&deduped.selections)
             == serde::json::to_string(&reference.selections);
@@ -196,6 +270,7 @@ pub fn run(config: &CorpusBenchConfig) -> CorpusBenchReport {
         cuts_reduction,
         dedup,
         direct,
+        api,
     }
 }
 
@@ -215,7 +290,10 @@ pub fn markdown(report: &CorpusBenchReport) -> String {
          | direct | {:.1} | {} | {:.0} |\n\
          \n\
          {} blocks, {} unique shapes, hit-rate {:.1}%, identical: {}, \
-         enumeration reduction: {:.2}x\n",
+         enumeration reduction: {:.2}x\n\
+         \n\
+         request JSON: {} bytes, encode {:.3} ms, decode {:.3} ms \
+         (tree decode {:.3} ms), decodes identical: {}\n",
         report.repeats,
         report.dedup.wall_ms,
         report.dedup.cuts_enumerated,
@@ -228,6 +306,11 @@ pub fn markdown(report: &CorpusBenchReport) -> String {
         100.0 * report.dedup_hit_rate,
         report.identical,
         report.cuts_reduction,
+        report.api.request_bytes,
+        report.api.encode_ms,
+        report.api.decode_ms,
+        report.api.decode_tree_ms,
+        report.api.identical,
     )
 }
 
@@ -239,6 +322,7 @@ mod tests {
     fn gate_reports_identity_and_reduction() {
         let report = run(&CorpusBenchConfig::quick());
         assert!(report.identical, "{report:?}");
+        assert!(report.api.identical, "{report:?}");
         assert!(report.cuts_reduction >= 2.0, "{report:?}");
         assert_eq!(report.key_collisions, 0);
         assert_eq!(report.repeats, REPEATS as u64, "{report:?}");
@@ -253,6 +337,11 @@ mod tests {
             "\"nproc\"",
             "\"git_revision\"",
             "\"repeats\"",
+            "\"api\"",
+            "\"request_bytes\"",
+            "\"decode_ms\"",
+            "\"decode_tree_ms\"",
+            "\"encode_ms\"",
         ] {
             assert!(json.contains(field), "missing {field} in {json}");
         }

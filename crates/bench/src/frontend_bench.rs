@@ -6,8 +6,8 @@
 //! transliteration of the hand-built `crc32_kernel` of `ise-workloads` — selects
 //! exactly the same instructions as the in-memory original. The benchmark times
 //! parsing throughput (lines/sec over the fixture set) and the end-to-end
-//! text-to-selection wall-clock, emitting the machine-readable
-//! `BENCH_frontend.json`.
+//! text-to-selection wall-clock over [`REPEATS`] passes, reports the median pass,
+//! and emits the machine-readable `BENCH_frontend.json`.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -15,6 +15,9 @@ use std::time::Instant;
 use ise_core::{run_corpus, CorpusOptions};
 use ise_hw::DefaultCostModel;
 use ise_ir::Program;
+
+/// Timed passes per run; each wall-clock is the median over the passes.
+pub const REPEATS: usize = 5;
 
 /// The `crc32_kernel` execution frequency (`crates/workloads`), applied to the
 /// lowered `crc32-flat.ll` so the differential comparison is like for like.
@@ -134,11 +137,17 @@ pub fn differential_check(fixtures: &[Fixture]) -> Result<(), String> {
 /// The benchmark result, as serialised into `BENCH_frontend.json`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct FrontendBenchReport {
+    /// Logical CPUs of the machine the benchmark ran on.
+    pub nproc: u64,
+    /// The git revision the benchmark ran from.
+    pub git_revision: String,
+    /// Timed passes; every wall-clock below is the median over them.
+    pub repeats: u64,
     /// Number of bundled fixtures parsed.
     pub fixtures: u64,
     /// Total source lines across the fixture set (one parse pass).
     pub total_lines: u64,
-    /// Parse+lower repetitions timed.
+    /// Parse+lower repetitions over the fixture set in each timed pass.
     pub parse_iterations: u64,
     /// Parsing+lowering throughput in source lines per second.
     pub parse_lines_per_sec: f64,
@@ -150,7 +159,8 @@ pub struct FrontendBenchReport {
     pub differential_ok: bool,
 }
 
-/// Times the front-end: parsing throughput and end-to-end wall-clock.
+/// Times the front-end over [`REPEATS`] passes of `iterations` parse+lower rounds
+/// each: parsing throughput and end-to-end wall-clock.
 ///
 /// # Errors
 ///
@@ -158,36 +168,45 @@ pub struct FrontendBenchReport {
 pub fn run(iterations: u64) -> Result<FrontendBenchReport, String> {
     let fixtures = load_fixtures()?;
     let total_lines: u64 = fixtures.iter().map(|f| f.text.lines().count() as u64).sum();
+    let iterations = iterations.max(1);
 
-    let start = Instant::now();
-    for _ in 0..iterations {
-        for fixture in &fixtures {
-            let name = fixture.name.trim_end_matches(".ll");
-            ise_frontend::parse_and_lower(name, &fixture.text)
-                .map_err(|e| format!("{}: {e}", fixture.name))?;
+    let mut parse_ms = Vec::with_capacity(REPEATS);
+    let mut end_to_end_ms = Vec::with_capacity(REPEATS);
+    for _ in 0..REPEATS {
+        let start = Instant::now();
+        for _ in 0..iterations {
+            for fixture in &fixtures {
+                let name = fixture.name.trim_end_matches(".ll");
+                ise_frontend::parse_and_lower(name, &fixture.text)
+                    .map_err(|e| format!("{}: {e}", fixture.name))?;
+            }
         }
+        let pass_ms = start.elapsed().as_secs_f64() * 1_000.0 / iterations as f64;
+        parse_ms.push(pass_ms);
+
+        let start = Instant::now();
+        let programs: Vec<Program> = fixtures.iter().map(|f| f.program.clone()).collect();
+        let _ = selections_json(&programs);
+        end_to_end_ms.push(start.elapsed().as_secs_f64() * 1_000.0 + pass_ms);
     }
-    let parse_elapsed = start.elapsed().as_secs_f64();
-    let parse_wall_ms = parse_elapsed * 1_000.0 / iterations as f64;
-    let parse_lines_per_sec = if parse_elapsed > 0.0 {
-        (total_lines * iterations) as f64 / parse_elapsed
+    let parse_wall_ms = crate::median(&parse_ms);
+    let parse_lines_per_sec = if parse_wall_ms > 0.0 {
+        total_lines as f64 / (parse_wall_ms / 1_000.0)
     } else {
         0.0
     };
 
-    let start = Instant::now();
-    let programs: Vec<Program> = fixtures.iter().map(|f| f.program.clone()).collect();
-    let _ = selections_json(&programs);
-    let end_to_end_wall_ms = start.elapsed().as_secs_f64() * 1_000.0 + parse_wall_ms;
-
     let differential_ok = differential_check(&fixtures).is_ok();
     Ok(FrontendBenchReport {
+        nproc: crate::nproc(),
+        git_revision: crate::git_revision(),
+        repeats: REPEATS as u64,
         fixtures: fixtures.len() as u64,
         total_lines,
         parse_iterations: iterations,
         parse_lines_per_sec,
         parse_wall_ms,
-        end_to_end_wall_ms,
+        end_to_end_wall_ms: crate::median(&end_to_end_ms),
         differential_ok,
     })
 }
@@ -207,5 +226,24 @@ mod tests {
         let fixtures = load_fixtures().expect("bundled fixtures load");
         assert!(fixtures.len() >= 6);
         differential_check(&fixtures).expect("crc32-flat matches the hand-built kernel");
+    }
+
+    #[test]
+    fn report_records_the_machine_and_the_repeats() {
+        let report = run(1).expect("bundled fixtures load");
+        assert!(report.differential_ok, "{report:?}");
+        assert_eq!(report.repeats, REPEATS as u64, "{report:?}");
+        let json = to_json(&report);
+        for field in [
+            "\"nproc\"",
+            "\"git_revision\"",
+            "\"repeats\"",
+            "\"parse_iterations\"",
+            "\"parse_lines_per_sec\"",
+            "\"parse_wall_ms\"",
+            "\"end_to_end_wall_ms\"",
+        ] {
+            assert!(json.contains(field), "missing {field} in {json}");
+        }
     }
 }

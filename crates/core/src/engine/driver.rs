@@ -124,6 +124,30 @@ impl<'de> serde::Deserialize<'de> for DriverOptions {
             block_dedup: optional(fields, "block_dedup", serde::Value::Bool(true))?,
         })
     }
+
+    fn read(reader: &mut serde::json::Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut max_instructions, mut parallel, mut intra_block_levels) = (None, None, None);
+        let (mut cut_pool, mut block_dedup) = (None, None);
+        reader.object(|reader, key| match &*key {
+            "max_instructions" => reader.field(&mut max_instructions),
+            "parallel" => reader.field(&mut parallel),
+            "intra_block_levels" => reader.field(&mut intra_block_levels),
+            "cut_pool" => reader.field(&mut cut_pool),
+            "block_dedup" => reader.field(&mut block_dedup),
+            _ => reader.skip(),
+        })?;
+        Ok(DriverOptions {
+            max_instructions: serde::required(
+                max_instructions,
+                "max_instructions",
+                "DriverOptions",
+            )?,
+            parallel: serde::required(parallel, "parallel", "DriverOptions")?,
+            intra_block_levels: intra_block_levels.unwrap_or(0),
+            cut_pool: cut_pool.unwrap_or(true),
+            block_dedup: block_dedup.unwrap_or(true),
+        })
+    }
 }
 
 impl Default for DriverOptions {

@@ -145,6 +145,30 @@ impl<'de> serde::Deserialize<'de> for Dfg {
         dfg.rebuild_uses();
         Ok(dfg)
     }
+
+    fn read(reader: &mut serde::json::Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut name, mut nodes, mut inputs, mut outputs, mut exec_count) =
+            (None, None, None, None, None);
+        reader.object(|reader, key| match &*key {
+            "name" => reader.field(&mut name),
+            "nodes" => reader.field(&mut nodes),
+            "inputs" => reader.field(&mut inputs),
+            "outputs" => reader.field(&mut outputs),
+            "exec_count" => reader.field(&mut exec_count),
+            _ => reader.skip(),
+        })?;
+        let mut dfg = Dfg {
+            name: serde::required(name, "name", "Dfg")?,
+            nodes: serde::required(nodes, "nodes", "Dfg")?,
+            inputs: serde::required(inputs, "inputs", "Dfg")?,
+            outputs: serde::required(outputs, "outputs", "Dfg")?,
+            consumers: Vec::new(),
+            input_consumers: Vec::new(),
+            exec_count: serde::required(exec_count, "exec_count", "Dfg")?,
+        };
+        dfg.rebuild_uses();
+        Ok(dfg)
+    }
 }
 
 impl Dfg {

@@ -1,14 +1,40 @@
-//! JSON text format over the [`crate::Value`] tree.
+//! JSON text format: a deterministic printer over the [`crate::Value`] tree and one
+//! streaming [`Reader`] that both the tree parser and the typed decoders use.
 //!
 //! The printer is deterministic: objects keep insertion order, integers print in
 //! decimal, and floats use Rust's shortest round-trip formatting, so serialising
-//! the same data twice yields byte-identical text. The parser is a conventional
-//! recursive-descent JSON parser with a depth limit and full string-escape
-//! handling (including `\uXXXX` surrogate pairs).
+//! the same data twice yields byte-identical text.
+//!
+//! # Reading
+//!
+//! [`Reader`] is a recursive-descent lexer over the input `&str`. [`parse`] builds
+//! a [`Value`] tree with it, and [`from_str`] decodes straight into the target
+//! type through [`Deserialize::read`](crate::Deserialize::read), with no tree in
+//! between:
+//!
+//! * strings and object keys come back as [`Cow::Borrowed`] slices of the input
+//!   unless they hold an escape; a run of unescaped bytes is copied in one step;
+//! * integers that fit `u64`/`i64` take a fast path; every other number goes
+//!   through the same rule as always (integer if it can be, else `f64`);
+//! * [`Reader::skip`] passes over a value without allocating, yet applies exactly
+//!   the tree parser's rules: the same literal, number, escape and surrogate
+//!   checks and the same nesting limit (a value nested deeper than 128 levels is
+//!   an error), so skipped text is syntax-checked as strictly as parsed text;
+//! * object keys follow the tree's lookup rule: the first occurrence of a key is
+//!   the one decoded, later duplicates and unknown keys are skipped.
+//!
+//! The tree decode (`from_value(&parse(text)?)`) is the reference and the only
+//! source of error text. [`from_str`] returns the typed read's value only when the
+//! read and the trailing-whitespace check both succeed; on any error it decodes
+//! through the tree instead, so error messages are byte-identical to the tree
+//! path's and a typed read that is stricter than the tree can cost time but never
+//! change a result.
+
+use std::borrow::Cow;
 
 use crate::{DeserializeOwned, Error, Serialize, Value};
 
-/// Maximum nesting depth accepted by the parser.
+/// Maximum nesting depth accepted by the reader.
 const MAX_DEPTH: usize = 128;
 
 /// Serialises any [`Serialize`] type into its value tree.
@@ -42,14 +68,19 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> String {
     out
 }
 
-/// Parses JSON text and reconstructs a typed value.
+/// Parses JSON text and reconstructs a typed value, reading the text straight
+/// into the target type (see the [module documentation](self)).
 ///
 /// # Errors
 ///
 /// Returns an [`Error`] when the text is not valid JSON or does not match the
-/// target type's shape.
+/// target type's shape: always the error `from_value(&parse(text)?)` returns.
 pub fn from_str<T: DeserializeOwned>(text: &str) -> Result<T, Error> {
-    T::from_value(&parse(text)?)
+    let mut reader = Reader::new(text);
+    match T::read(&mut reader).and_then(|value| reader.finish().map(|()| value)) {
+        Ok(value) => Ok(value),
+        Err(_) => T::from_value(&parse(text)?),
+    }
 }
 
 /// Parses JSON text into a [`Value`] tree.
@@ -58,16 +89,9 @@ pub fn from_str<T: DeserializeOwned>(text: &str) -> Result<T, Error> {
 ///
 /// Returns an [`Error`] describing the first syntax error, with a byte offset.
 pub fn parse(text: &str) -> Result<Value, Error> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    parser.skip_whitespace();
-    let value = parser.parse_value(0)?;
-    parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.error("trailing characters after JSON value"));
-    }
+    let mut reader = Reader::new(text);
+    let value = reader.value()?;
+    reader.finish()?;
     Ok(value)
 }
 
@@ -183,31 +207,194 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 // ---------------------------------------------------------------------------
-// Parsing
+// Reading
 // ---------------------------------------------------------------------------
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A streaming JSON lexer over one input text (see the [module documentation](self)).
+///
+/// Every value-reading method skips the whitespace in front of its value. Object
+/// and array contents are visited through callbacks that receive the reader back,
+/// positioned at the next entry's value; the callback must consume that value,
+/// by reading or [skipping](Self::skip) it.
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
+    /// Containers open around the current position: the depth of the next value.
+    depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader positioned at the start of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// The byte offset of the next unread byte.
+    #[must_use]
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// Skips whitespace and returns the next byte without consuming it: the first
+    /// byte of the next value (`b'"'`, `b'{'`, `b'['`, `b'n'`, …), if any.
+    pub fn peek(&mut self) -> Option<u8> {
+        self.skip_whitespace();
+        self.peek_byte()
+    }
+
+    /// Checks that only whitespace is left after the value just read.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`Error`] when any other byte follows.
+    pub fn finish(&mut self) -> Result<(), Error> {
+        self.skip_whitespace();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(self.error("trailing characters after JSON value"))
+        }
+    }
+
+    /// Reads the next value into a [`Value`] tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`Error`] describing the first syntax error, with a byte offset.
+    pub fn value(&mut self) -> Result<Value, Error> {
+        match self.peek() {
+            Some(b'"') => Ok(Value::Str(self.string()?.into_owned())),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|reader| {
+                    items.push(reader.value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Array(items))
+            }
+            Some(b'{') => {
+                let mut entries = Vec::new();
+                self.object(|reader, key| {
+                    entries.push((key.into_owned(), reader.value()?));
+                    Ok(())
+                })?;
+                Ok(Value::Object(entries))
+            }
+            _ => self.scalar(),
+        }
+    }
+
+    /// Passes over the next value without allocating, checking its syntax exactly
+    /// as [`value`](Self::value) would.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`Error`] on the first syntax error.
+    pub fn skip(&mut self) -> Result<(), Error> {
+        match self.peek() {
+            Some(b'"') => self.scan_string::<false>().map(drop),
+            Some(b'[') => self.array(Self::skip),
+            Some(b'{') => self.scan_object::<false>(|reader, _| reader.skip()),
+            _ => self.scalar().map(drop),
+        }
+    }
+
+    /// Reads a string value, borrowed from the input unless it holds an escape.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`Error`] when the next value is not a well-formed string.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, Error> {
+        self.skip_whitespace();
+        self.scan_string::<true>()
+    }
+
+    /// Reads an object, calling `entry` with each key in input order; `entry`
+    /// must consume the key's value.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first syntax error, or the first error `entry` returns.
+    pub fn object(
+        &mut self,
+        entry: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.scan_object::<true>(entry)
+    }
+
+    /// Reads an array, calling `element` once per element; `element` must consume
+    /// the element's value.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first syntax error, or the first error `element` returns.
+    pub fn array(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.skip_whitespace();
+        self.expect_byte(b'[')?;
+        self.skip_whitespace();
+        if self.peek_byte() == Some(b']') {
+            self.pos += 1;
+            return Ok(());
+        }
+        self.depth += 1;
+        loop {
+            self.skip_whitespace();
+            self.check_depth()?;
+            element(self)?;
+            self.skip_whitespace();
+            match self.peek_byte() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(());
+                }
+                _ => return Err(self.error("expected `,` or `]`")),
+            }
+        }
+    }
+
+    /// Reads the value of an object entry into `slot` unless an earlier entry with
+    /// the same key already filled it, in which case the value is skipped: the
+    /// tree's first-occurrence rule for struct fields.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first syntax error, or the value's decode error.
+    pub fn field<T: DeserializeOwned>(&mut self, slot: &mut Option<T>) -> Result<(), Error> {
+        if slot.is_none() {
+            *slot = Some(T::read(self)?);
+            Ok(())
+        } else {
+            self.skip()
+        }
+    }
+
     fn error(&self, message: &str) -> Error {
         Error::custom(format!("{message} at byte {}", self.pos))
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    fn peek_byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_whitespace(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek_byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn expect_byte(&mut self, expected: u8) -> Result<(), Error> {
-        if self.peek() == Some(expected) {
+        if self.peek_byte() == Some(expected) {
             self.pos += 1;
             Ok(())
         } else {
@@ -216,7 +403,7 @@ impl Parser<'_> {
     }
 
     fn consume_literal(&mut self, literal: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(literal.as_bytes()) {
             self.pos += literal.len();
             true
         } else {
@@ -224,108 +411,102 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_value(&mut self, depth: usize) -> Result<Value, Error> {
-        if depth > MAX_DEPTH {
-            return Err(self.error("maximum nesting depth exceeded"));
-        }
-        match self.peek() {
-            Some(b'n') if self.consume_literal("null") => Ok(Value::Null),
-            Some(b't') if self.consume_literal("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.consume_literal("false") => Ok(Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(depth),
-            Some(b'{') => self.parse_object(depth),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            _ => Err(self.error("expected a JSON value")),
+    fn check_depth(&self) -> Result<(), Error> {
+        if self.depth > MAX_DEPTH {
+            Err(self.error("maximum nesting depth exceeded"))
+        } else {
+            Ok(())
         }
     }
 
-    fn parse_array(&mut self, depth: usize) -> Result<Value, Error> {
-        self.expect_byte(b'[')?;
-        let mut items = Vec::new();
+    /// An object whose keys are decoded (`KEYS`) or only checked.
+    fn scan_object<const KEYS: bool>(
+        &mut self,
+        mut entry: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), Error>,
+    ) -> Result<(), Error> {
         self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_whitespace();
-            items.push(self.parse_value(depth + 1)?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.error("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self, depth: usize) -> Result<Value, Error> {
         self.expect_byte(b'{')?;
-        let mut entries = Vec::new();
         self.skip_whitespace();
-        if self.peek() == Some(b'}') {
+        if self.peek_byte() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(entries));
+            return Ok(());
         }
+        self.depth += 1;
         loop {
             self.skip_whitespace();
-            let key = self.parse_string()?;
+            let key = self.scan_string::<KEYS>()?;
             self.skip_whitespace();
             self.expect_byte(b':')?;
             self.skip_whitespace();
-            let value = self.parse_value(depth + 1)?;
-            entries.push((key, value));
+            self.check_depth()?;
+            entry(self, key)?;
             self.skip_whitespace();
-            match self.peek() {
+            match self.peek_byte() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Object(entries));
+                    self.depth -= 1;
+                    return Ok(());
                 }
                 _ => return Err(self.error("expected `,` or `}`")),
             }
         }
     }
 
-    fn parse_string(&mut self) -> Result<String, Error> {
+    /// `null`, `true`, `false` or a number.
+    fn scalar(&mut self) -> Result<Value, Error> {
+        match self.peek_byte() {
+            Some(b'n') if self.consume_literal("null") => Ok(Value::Null),
+            Some(b't') if self.consume_literal("true") => Ok(Value::Bool(true)),
+            Some(b'f') if self.consume_literal("false") => Ok(Value::Bool(false)),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            _ => Err(self.error("expected a JSON value")),
+        }
+    }
+
+    /// A string at the current position. With `KEEP` off, escapes are checked but
+    /// nothing is allocated, and the returned text is meaningless.
+    fn scan_string<const KEEP: bool>(&mut self) -> Result<Cow<'a, str>, Error> {
         self.expect_byte(b'"')?;
-        let mut out = String::new();
+        let bytes = self.text.as_bytes();
+        let mut owned: Option<String> = None;
+        let mut run = self.pos;
         loop {
-            let Some(c) = self.peek() else {
-                return Err(self.error("unterminated string"));
-            };
-            match c {
-                b'"' => {
+            self.pos += bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(bytes.len() - self.pos);
+            // The run ends at an ASCII byte (or the end), so it is a `str` slice.
+            let chunk = &self.text[run..self.pos];
+            match self.peek_byte() {
+                Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match owned {
+                        None => Cow::Borrowed(chunk),
+                        Some(mut out) => {
+                            out.push_str(chunk);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
-                b'\\' => {
+                Some(b'\\') => {
                     self.pos += 1;
-                    out.push(self.parse_escape()?);
-                }
-                c if c < 0x20 => return Err(self.error("unescaped control character")),
-                _ => {
-                    // Copy one UTF-8 scalar; the input is a &str, so boundaries exist.
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.peek().is_some_and(|b| b & 0b1100_0000 == 0b1000_0000) {
-                        self.pos += 1;
+                    let c = self.parse_escape()?;
+                    if KEEP {
+                        let out = owned.get_or_insert_with(String::new);
+                        out.push_str(chunk);
+                        out.push(c);
                     }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.error("invalid UTF-8"))?,
-                    );
+                    run = self.pos;
                 }
+                Some(_) => return Err(self.error("unescaped control character")),
+                None => return Err(self.error("unterminated string")),
             }
         }
     }
 
     fn parse_escape(&mut self) -> Result<char, Error> {
-        let Some(c) = self.peek() else {
+        let Some(c) = self.peek_byte() else {
             return Err(self.error("unterminated escape"));
         };
         self.pos += 1;
@@ -364,7 +545,7 @@ impl Parser<'_> {
     fn parse_hex4(&mut self) -> Result<u32, Error> {
         let mut value = 0u32;
         for _ in 0..4 {
-            let Some(c) = self.peek() else {
+            let Some(c) = self.peek_byte() else {
                 return Err(self.error("truncated \\u escape"));
             };
             let digit = (c as char)
@@ -376,13 +557,39 @@ impl Parser<'_> {
         Ok(value)
     }
 
-    fn parse_number(&mut self) -> Result<Value, Error> {
+    fn number(&mut self) -> Result<Value, Error> {
+        let bytes = self.text.as_bytes();
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = bytes.get(start) == Some(&b'-');
+        // Fast path: a run of digits that fits 64 bits and is not followed by a
+        // fraction or exponent is the integer the general rule below would give.
+        let digits_start = start + usize::from(negative);
+        let mut end = digits_start;
+        let mut magnitude = Some(0u64);
+        while let Some(&c) = bytes.get(end).filter(|c| c.is_ascii_digit()) {
+            magnitude = magnitude
+                .and_then(|m| m.checked_mul(10))
+                .and_then(|m| m.checked_add(u64::from(c - b'0')));
+            end += 1;
+        }
+        if end > digits_start && !matches!(bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
+            match magnitude {
+                Some(m) if !negative => {
+                    self.pos = end;
+                    return Ok(Value::Uint(m));
+                }
+                Some(m) if m <= 1 << 63 => {
+                    self.pos = end;
+                    return Ok(Value::Int((m as i64).wrapping_neg()));
+                }
+                _ => {}
+            }
+        }
+        if negative {
             self.pos += 1;
         }
         let mut is_float = false;
-        while let Some(c) = self.peek() {
+        while let Some(c) = self.peek_byte() {
             match c {
                 b'0'..=b'9' => self.pos += 1,
                 b'.' | b'e' | b'E' | b'+' | b'-' => {
@@ -392,8 +599,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Some(digits) = text.strip_prefix('-') {
                 if digits.is_empty() {
@@ -461,6 +667,74 @@ mod tests {
         assert!(parse("1 2").unwrap_err().to_string().contains("trailing"));
         let deep = "[".repeat(500) + &"]".repeat(500);
         assert!(parse(&deep).is_err());
+    }
+
+    #[test]
+    fn numbers_are_integers_when_they_can_be() {
+        for (text, expected) in [
+            ("0", Value::Uint(0)),
+            ("-0", Value::Int(0)),
+            ("007", Value::Uint(7)),
+            ("-01", Value::Int(-1)),
+            ("18446744073709551615", Value::Uint(u64::MAX)),
+            (
+                "18446744073709551616",
+                Value::Float(18_446_744_073_709_551_616.0),
+            ),
+            ("-9223372036854775808", Value::Int(i64::MIN)),
+            (
+                "-9223372036854775809",
+                Value::Float(-9_223_372_036_854_775_809.0),
+            ),
+            ("1E+2", Value::Float(100.0)),
+            ("-2.5e-1", Value::Float(-0.25)),
+        ] {
+            assert_eq!(parse(text), Ok(expected), "{text}");
+        }
+        for text in ["-", "1e", "1.2.3", "1-2", "--1", "-x"] {
+            assert!(parse(text).is_err(), "{text}");
+        }
+    }
+
+    #[test]
+    fn strings_are_borrowed_unless_escaped() {
+        let mut reader = Reader::new(r#" "plain" "a\nb" "#);
+        assert!(matches!(reader.string(), Ok(Cow::Borrowed("plain"))));
+        assert!(matches!(reader.string(), Ok(Cow::Owned(s)) if s == "a\nb"));
+        assert_eq!(reader.finish(), Ok(()));
+    }
+
+    #[test]
+    fn skip_accepts_exactly_what_parse_accepts() {
+        let nested = |depth: usize| format!("{}0{}", "[".repeat(depth), "]".repeat(depth));
+        let mut texts: Vec<String> = [
+            r#"{"a":[1,-2,3.5e1,true,false,null],"b":{"c":"\u00e9\ud83d\ude00\/"}}"#,
+            r#""\q""#,
+            r#""\ud800""#,
+            r#""\udc00""#,
+            r#""\ud800\u0041""#,
+            "\"\u{1}\"",
+            "\"open",
+            "[1,]",
+            "{\"a\" 1}",
+            "{\"a\":1,}",
+            "nul",
+            "1e",
+            "01",
+            "[] []",
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+        // The top-level value has depth 0: 128 arrays put the `0` at the limit.
+        texts.extend([nested(127), nested(128), nested(129)]);
+        for text in &texts {
+            let mut reader = Reader::new(text);
+            let skipped = reader.skip().and_then(|()| reader.finish());
+            assert_eq!(skipped.is_ok(), parse(text).is_ok(), "{text}");
+        }
+        assert!(parse(&nested(128)).is_ok());
+        assert!(parse(&nested(129)).is_err());
     }
 
     #[test]

@@ -11,8 +11,14 @@
 //! Differences from the real `serde` are intentional and contained:
 //!
 //! * serialisation goes through the [`Value`] tree instead of a streaming
-//!   `Serializer`/`Deserializer` visitor pair — simpler, and plenty fast for the
-//!   request/response payloads of this workspace;
+//!   `Serializer` visitor; responses are small next to the work that produces
+//!   them;
+//! * deserialisation has two paths with one result: [`json::from_str`] reads JSON
+//!   text straight into the target type through [`Deserialize::read`] (no tree,
+//!   strings borrowed from the input while they are looked at), and
+//!   [`Deserialize::from_value`] decodes a [`Value`] tree. The tree decode is the
+//!   reference: it defines every accepted input and every error message (see
+//!   [`json`]);
 //! * enums follow serde's *externally tagged* convention (`"Variant"`,
 //!   `{"Variant": …}`), so the wire format matches what the real `serde_json`
 //!   would produce for the same derives;
@@ -149,19 +155,36 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// A type that can be reconstructed from a [`Value`] tree.
+/// A type that can be reconstructed from a [`Value`] tree, or read straight from
+/// JSON text.
 ///
 /// The lifetime parameter exists for signature compatibility with the real `serde`
-/// (the derive emits `impl<'de> Deserialize<'de>`); this shim always deserialises
-/// from an owned tree.
+/// (the derive emits `impl<'de> Deserialize<'de>`); this shim always produces owned
+/// values.
 pub trait Deserialize<'de>: Sized {
-    /// Reconstructs a value of this type from a value tree.
+    /// Reconstructs a value of this type from a value tree: the reference decode.
     ///
     /// # Errors
     ///
     /// Returns an [`Error`] describing the first mismatch between the tree and the
     /// expected shape.
     fn from_value(value: &Value) -> Result<Self, Error>;
+
+    /// Reads the next value of `reader` into this type without building a tree.
+    ///
+    /// An implementation must return `Ok` only with the value [`from_value`] gives
+    /// for the tree of the same text; it may fail where `from_value` succeeds (the
+    /// caller then decodes through the tree), and its error messages are never
+    /// shown. The default builds the value's tree and calls `from_value`.
+    ///
+    /// [`from_value`]: Self::from_value
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`Error`] on a syntax error or a shape mismatch.
+    fn read(reader: &mut json::Reader<'_>) -> Result<Self, Error> {
+        Self::from_value(&reader.value()?)
+    }
 }
 
 /// Convenience alias bound: deserialisable from any lifetime (all shim types are).
@@ -225,12 +248,17 @@ pub fn expect_field<T: DeserializeOwned>(
     key: &str,
     ty: &str,
 ) -> Result<T, Error> {
-    let value = fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| Error::custom(format!("missing field `{key}` for `{ty}`")))?;
+    let (_, value) = required(fields.iter().find(|(k, _)| k == key), key, ty)?;
     T::from_value(value).map_err(|e| Error::custom(format!("field `{key}` of `{ty}`: {e}")))
+}
+
+/// Unwraps a field that an object read filled, or reports it missing.
+///
+/// # Errors
+///
+/// Returns an [`Error`] naming the field when `field` is `None`.
+pub fn required<T>(field: Option<T>, key: &str, ty: &str) -> Result<T, Error> {
+    field.ok_or_else(|| Error::custom(format!("missing field `{key}` for `{ty}`")))
 }
 
 // ---------------------------------------------------------------------------
@@ -409,6 +437,10 @@ impl<'de> Deserialize<'de> for String {
             other => Err(Error::invalid_type("a string", other)),
         }
     }
+
+    fn read(reader: &mut json::Reader<'_>) -> Result<Self, Error> {
+        Ok(reader.string()?.into_owned())
+    }
 }
 
 impl Serialize for str {
@@ -439,6 +471,14 @@ impl<'de, T: DeserializeOwned> Deserialize<'de> for Option<T> {
             other => Ok(Some(T::from_value(other)?)),
         }
     }
+
+    fn read(reader: &mut json::Reader<'_>) -> Result<Self, Error> {
+        if reader.peek() == Some(b'n') {
+            reader.skip().map(|()| None)
+        } else {
+            T::read(reader).map(Some)
+        }
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
@@ -453,6 +493,15 @@ impl<'de, T: DeserializeOwned> Deserialize<'de> for Vec<T> {
             Value::Array(items) => items.iter().map(T::from_value).collect(),
             other => Err(Error::invalid_type("an array", other)),
         }
+    }
+
+    fn read(reader: &mut json::Reader<'_>) -> Result<Self, Error> {
+        let mut items = Vec::new();
+        reader.array(|reader| {
+            items.push(T::read(reader)?);
+            Ok(())
+        })?;
+        Ok(items)
     }
 }
 
@@ -470,6 +519,12 @@ impl<'de, T: DeserializeOwned, const N: usize> Deserialize<'de> for [T; N] {
             out.push(T::from_value(item)?);
         }
         out.try_into()
+            .map_err(|_| Error::custom("array length mismatch"))
+    }
+
+    fn read(reader: &mut json::Reader<'_>) -> Result<Self, Error> {
+        Vec::<T>::read(reader)?
+            .try_into()
             .map_err(|_| Error::custom("array length mismatch"))
     }
 }
@@ -494,6 +549,17 @@ impl<'de, V: DeserializeOwned> Deserialize<'de> for BTreeMap<String, V> {
             other => Err(Error::invalid_type("an object", other)),
         }
     }
+
+    /// Every entry is decoded and a repeated key keeps its last value, as
+    /// collecting the tree's entries into the map does.
+    fn read(reader: &mut json::Reader<'_>) -> Result<Self, Error> {
+        let mut map = BTreeMap::new();
+        reader.object(|reader, key| {
+            map.insert(key.into_owned(), V::read(reader)?);
+            Ok(())
+        })?;
+        Ok(map)
+    }
 }
 
 impl Serialize for Value {
@@ -505,6 +571,10 @@ impl Serialize for Value {
 impl<'de> Deserialize<'de> for Value {
     fn from_value(value: &Value) -> Result<Self, Error> {
         Ok(value.clone())
+    }
+
+    fn read(reader: &mut json::Reader<'_>) -> Result<Self, Error> {
+        reader.value()
     }
 }
 
@@ -533,6 +603,26 @@ mod tests {
         assert_eq!(Option::<u32>::from_value(&Value::Null), Ok(None));
         assert_eq!(None::<u32>.to_value(), Value::Null);
         assert_eq!(Some(3u32).to_value(), Value::Uint(3));
+    }
+
+    /// `read` agrees with `from_value` on the cases where a container's rule is not
+    /// simply "first occurrence wins".
+    #[test]
+    fn container_reads_match_the_tree_decode() {
+        fn both<T: DeserializeOwned + PartialEq + fmt::Debug>(text: &str) {
+            let tree = json::parse(text).and_then(|value| T::from_value(&value));
+            let mut reader = json::Reader::new(text);
+            let read = T::read(&mut reader).and_then(|value| reader.finish().map(|()| value));
+            assert_eq!(read.ok(), tree.ok(), "{text}");
+        }
+        both::<BTreeMap<String, u32>>(r#"{"b":1,"a":2,"b":3}"#);
+        both::<BTreeMap<String, u32>>(r#"{"b":"x","b":3}"#);
+        both::<Option<Vec<u8>>>("null");
+        both::<Option<Vec<u8>>>("[1,2]");
+        both::<[u8; 2]>("[1,2]");
+        both::<[u8; 2]>("[1,2,3]");
+        both::<String>(r#""a\u00e9""#);
+        both::<f64>(r#""Infinity""#);
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //!   `"Variant"`, newtype variants `{"Variant": inner}`, tuple variants
 //!   `{"Variant": [..]}` and struct variants `{"Variant": {..}}`.
 //!
+//! `Deserialize` also gets a `read` that decodes straight from JSON text with the
+//! same rules as the tree decode: the first occurrence of a struct field wins,
+//! later duplicates and unknown keys are skipped (still syntax-checked), a missing
+//! field fails, unit variant tags are matched on the borrowed string, and an enum
+//! written as an object must have exactly one entry.
+//!
 //! Limitations (checked at expansion time): the derived type must not have
 //! generic parameters. That covers every type in this workspace.
 //!
@@ -358,12 +364,15 @@ fn gen_deserialize(name: &str, body: &Body) -> String {
         }
         Body::Enum(variants) => gen_deserialize_enum(name, variants),
     };
+    let read_code = gen_read(name, body);
     format!(
         "#[automatically_derived]\n\
          #[allow(clippy::all, clippy::pedantic)]\n\
          impl<'de> ::serde::Deserialize<'de> for {name} {{\n\
              fn from_value(__value: &::serde::Value) \
              -> ::std::result::Result<Self, ::serde::Error> {{ {body_code} }}\n\
+             fn read(__reader: &mut ::serde::json::Reader<'_>) \
+             -> ::std::result::Result<Self, ::serde::Error> {{ {read_code} }}\n\
          }}\n"
     )
 }
@@ -433,6 +442,132 @@ fn gen_deserialize_enum(name: &str, variants: &[Variant]) -> String {
              __other => ::std::result::Result::Err(::serde::Error::invalid_type(\
                  \"a `{name}` variant tag\", __other)),\
          }}"
+    )
+}
+
+// ---------------------------------------------------------------------------
+// Streaming read codegen (`Deserialize::read`)
+// ---------------------------------------------------------------------------
+
+/// The body of `read`: a `Result<Self, Error>` expression over `__reader`.
+fn gen_read(name: &str, body: &Body) -> String {
+    match body {
+        // The tree decode accepts any value for a unit struct.
+        Body::UnitStruct => {
+            format!("__reader.skip()?; ::std::result::Result::Ok({name})")
+        }
+        Body::TupleStruct(n) => {
+            format!("::std::result::Result::Ok({})", read_tuple(name, *n))
+        }
+        Body::NamedStruct(fields) => {
+            format!("::std::result::Result::Ok({})", read_named(name, fields))
+        }
+        Body::Enum(variants) => read_enum(name, variants),
+    }
+}
+
+/// An expression building `path(..)` from the reader: a newtype reads its inner
+/// value, any other tuple exactly `n` array elements.
+fn read_tuple(path: &str, n: usize) -> String {
+    if n == 1 {
+        return format!("{path}(::serde::Deserialize::read(__reader)?)");
+    }
+    let slots: String = (0..n)
+        .map(|i| format!("let mut __f{i} = ::std::option::Option::None;"))
+        .collect();
+    let arms: String = (0..n)
+        .map(|i| {
+            format!(
+                "{i} => {{ __f{i} = ::std::option::Option::Some(\
+                 ::serde::Deserialize::read(__reader)?); ::std::result::Result::Ok(()) }},"
+            )
+        })
+        .collect();
+    let values: Vec<String> = (0..n)
+        .map(|i| format!("::serde::required(__f{i}, \"{i}\", \"{path}\")?"))
+        .collect();
+    format!(
+        "{{ {slots} let mut __len = 0usize; \
+         __reader.array(|__reader| {{ \
+             __len += 1; \
+             match __len - 1 {{ {arms} \
+                 _ => ::std::result::Result::Err(::serde::Error::custom(\
+                     \"expected {n} elements for `{path}`\")), }} }})?; \
+         {path}({}) }}",
+        values.join(", ")
+    )
+}
+
+/// An expression building `path { .. }` from an object on the reader.
+fn read_named(path: &str, fields: &[String]) -> String {
+    let slots: String = fields
+        .iter()
+        .map(|f| format!("let mut __f_{f} = ::std::option::Option::None;"))
+        .collect();
+    let arms: String = fields
+        .iter()
+        .map(|f| format!("\"{f}\" => __reader.field(&mut __f_{f}),"))
+        .collect();
+    let values: Vec<String> = fields
+        .iter()
+        .map(|f| format!("{f}: ::serde::required(__f_{f}, \"{f}\", \"{path}\")?"))
+        .collect();
+    format!(
+        "{{ {slots} \
+         __reader.object(|__reader, __key| match &*__key {{ {arms} _ => __reader.skip(), }})?; \
+         {path} {{ {} }} }}",
+        values.join(", ")
+    )
+}
+
+/// `read` for an enum: a string is a unit tag, an object of one entry a data
+/// variant.
+fn read_enum(name: &str, variants: &[Variant]) -> String {
+    let mut unit_arms = String::new();
+    let mut data_arms = String::new();
+    for variant in variants {
+        let v = &variant.name;
+        let path = format!("{name}::{v}");
+        match &variant.kind {
+            VariantKind::Unit => {
+                unit_arms.push_str(&format!("\"{v}\" => ::std::result::Result::Ok({path}),"));
+            }
+            VariantKind::Tuple(n) => {
+                data_arms.push_str(&format!("\"{v}\" => {},", read_tuple(&path, *n)));
+            }
+            VariantKind::Named(fields) => {
+                data_arms.push_str(&format!("\"{v}\" => {},", read_named(&path, fields)));
+            }
+        }
+    }
+    let unknown = format!("::serde::Error::unknown_variant(__other, \"{name}\")");
+    // With no data variant, an object can only be an error; emitting the entry
+    // loop anyway would leave its success path unreachable.
+    let object_branch = if data_arms.is_empty() {
+        format!(
+            "{{ ::std::result::Result::Err(::serde::Error::custom(\
+             \"expected a `{name}` variant tag\")) }}"
+        )
+    } else {
+        format!(
+            "{{ let mut __out = ::std::option::Option::None; \
+             __reader.object(|__reader, __tag| {{ \
+                 if __out.is_some() {{ \
+                     return ::std::result::Result::Err(::serde::Error::custom(\
+                         \"expected one entry for `{name}`\")); }} \
+                 __out = ::std::option::Option::Some(match &*__tag {{ {data_arms} \
+                     __other => return ::std::result::Result::Err({unknown}), }}); \
+                 ::std::result::Result::Ok(()) }})?; \
+             __out.ok_or_else(|| ::serde::Error::custom(\
+                 \"expected one entry for `{name}`\")) }}"
+        )
+    };
+    format!(
+        "if __reader.peek() == ::std::option::Option::Some(b'\"') {{ \
+             let __tag = __reader.string()?; \
+             match &*__tag {{ {unit_arms} \
+                 __other => ::std::result::Result::Err({unknown}), }} \
+         }} else {object_branch}"
     )
 }
 
