@@ -227,6 +227,7 @@ pub struct Reader<'a> {
 impl<'a> Reader<'a> {
     /// A reader positioned at the start of `text`.
     #[must_use]
+    #[inline]
     pub fn new(text: &'a str) -> Self {
         Reader {
             text,
@@ -237,12 +238,14 @@ impl<'a> Reader<'a> {
 
     /// The byte offset of the next unread byte.
     #[must_use]
+    #[inline]
     pub fn position(&self) -> usize {
         self.pos
     }
 
     /// Skips whitespace and returns the next byte without consuming it: the first
     /// byte of the next value (`b'"'`, `b'{'`, `b'['`, `b'n'`, …), if any.
+    #[inline]
     pub fn peek(&mut self) -> Option<u8> {
         self.skip_whitespace();
         self.peek_byte()
@@ -267,7 +270,18 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Returns an [`Error`] describing the first syntax error, with a byte offset.
+    #[inline]
     pub fn value(&mut self) -> Result<Value, Error> {
+        // Inlined into typed reads in other crates, so a scalar field costs no
+        // call; containers build their tree out of line.
+        match self.peek() {
+            Some(b'"' | b'[' | b'{') => self.tree(),
+            _ => self.scalar(),
+        }
+    }
+
+    /// A string, array or object as a tree.
+    fn tree(&mut self) -> Result<Value, Error> {
         match self.peek() {
             Some(b'"') => Ok(Value::Str(self.string()?.into_owned())),
             Some(b'[') => {
@@ -310,6 +324,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Returns an [`Error`] when the next value is not a well-formed string.
+    #[inline]
     pub fn string(&mut self) -> Result<Cow<'a, str>, Error> {
         self.skip_whitespace();
         self.scan_string::<true>()
@@ -379,29 +394,39 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[cold]
     fn error(&self, message: &str) -> Error {
         Error::custom(format!("{message} at byte {}", self.pos))
     }
 
+    #[inline]
     fn peek_byte(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_whitespace(&mut self) {
         while matches!(self.peek_byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn expect_byte(&mut self, expected: u8) -> Result<(), Error> {
         if self.peek_byte() == Some(expected) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.error(&format!("expected `{}`", expected as char)))
+            Err(self.expected(expected))
         }
     }
 
+    #[cold]
+    fn expected(&self, byte: u8) -> Error {
+        self.error(&format!("expected `{}`", byte as char))
+    }
+
+    #[inline]
     fn consume_literal(&mut self, literal: &str) -> bool {
         if self.text.as_bytes()[self.pos..].starts_with(literal.as_bytes()) {
             self.pos += literal.len();
@@ -411,6 +436,7 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn check_depth(&self) -> Result<(), Error> {
         if self.depth > MAX_DEPTH {
             Err(self.error("maximum nesting depth exceeded"))
@@ -454,6 +480,7 @@ impl<'a> Reader<'a> {
     }
 
     /// `null`, `true`, `false` or a number.
+    #[inline]
     fn scalar(&mut self) -> Result<Value, Error> {
         match self.peek_byte() {
             Some(b'n') if self.consume_literal("null") => Ok(Value::Null),
@@ -557,12 +584,13 @@ impl<'a> Reader<'a> {
         Ok(value)
     }
 
+    #[inline]
     fn number(&mut self) -> Result<Value, Error> {
         let bytes = self.text.as_bytes();
         let start = self.pos;
         let negative = bytes.get(start) == Some(&b'-');
         // Fast path: a run of digits that fits 64 bits and is not followed by a
-        // fraction or exponent is the integer the general rule below would give.
+        // fraction or exponent is the integer `number_general` would give.
         let digits_start = start + usize::from(negative);
         let mut end = digits_start;
         let mut magnitude = Some(0u64);
@@ -585,7 +613,14 @@ impl<'a> Reader<'a> {
                 _ => {}
             }
         }
-        if negative {
+        self.number_general()
+    }
+
+    /// The reference rule for the number at the current position: an integer if
+    /// its text is one that fits 64 bits, else an `f64`.
+    fn number_general(&mut self) -> Result<Value, Error> {
+        let start = self.pos;
+        if self.peek_byte() == Some(b'-') {
             self.pos += 1;
         }
         let mut is_float = false;

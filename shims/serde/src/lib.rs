@@ -265,6 +265,23 @@ pub fn required<T>(field: Option<T>, key: &str, ty: &str) -> Result<T, Error> {
 // Implementations for primitives and common std containers.
 // ---------------------------------------------------------------------------
 
+/// `from_value` and `read` of a scalar, both `#[inline]` so that typed reads in
+/// other crates compile them in: a number or literal read as a [`Value`]
+/// allocates nothing, and the per-field calls would otherwise dominate decoding.
+macro_rules! scalar_decode {
+    (|$value:ident| $body:expr) => {
+        #[inline]
+        fn from_value($value: &Value) -> Result<Self, Error> {
+            $body
+        }
+
+        #[inline]
+        fn read(reader: &mut json::Reader<'_>) -> Result<Self, Error> {
+            Self::from_value(&reader.value()?)
+        }
+    };
+}
+
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
@@ -273,11 +290,11 @@ macro_rules! impl_signed {
             }
         }
         impl<'de> Deserialize<'de> for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
+            scalar_decode!(|value| {
                 let wide: i64 = i64::from_value(value)?;
                 <$t>::try_from(wide)
                     .map_err(|_| Error::custom(format!("{wide} out of range for {}", stringify!($t))))
-            }
+            });
         }
     )*};
 }
@@ -291,16 +308,14 @@ impl Serialize for i64 {
 }
 
 impl<'de> Deserialize<'de> for i64 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Int(v) => Ok(*v),
-            Value::Uint(v) => {
-                i64::try_from(*v).map_err(|_| Error::custom(format!("{v} out of range for i64")))
-            }
-            Value::Float(f) if f.fract() == 0.0 && f.abs() < 9.0e15 => Ok(*f as i64),
-            other => Err(Error::invalid_type("an integer", other)),
+    scalar_decode!(|value| match value {
+        Value::Int(v) => Ok(*v),
+        Value::Uint(v) => {
+            i64::try_from(*v).map_err(|_| Error::custom(format!("{v} out of range for i64")))
         }
-    }
+        Value::Float(f) if f.fract() == 0.0 && f.abs() < 9.0e15 => Ok(*f as i64),
+        other => Err(Error::invalid_type("an integer", other)),
+    });
 }
 
 impl Serialize for isize {
@@ -310,10 +325,10 @@ impl Serialize for isize {
 }
 
 impl<'de> Deserialize<'de> for isize {
-    fn from_value(value: &Value) -> Result<Self, Error> {
+    scalar_decode!(|value| {
         let wide = i64::from_value(value)?;
         isize::try_from(wide).map_err(|_| Error::custom(format!("{wide} out of range for isize")))
-    }
+    });
 }
 
 macro_rules! impl_unsigned {
@@ -324,11 +339,11 @@ macro_rules! impl_unsigned {
             }
         }
         impl<'de> Deserialize<'de> for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
+            scalar_decode!(|value| {
                 let wide: u64 = u64::from_value(value)?;
                 <$t>::try_from(wide)
                     .map_err(|_| Error::custom(format!("{wide} out of range for {}", stringify!($t))))
-            }
+            });
         }
     )*};
 }
@@ -342,18 +357,16 @@ impl Serialize for u64 {
 }
 
 impl<'de> Deserialize<'de> for u64 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Uint(v) => Ok(*v),
-            Value::Int(v) => {
-                u64::try_from(*v).map_err(|_| Error::custom(format!("{v} out of range for u64")))
-            }
-            // Mirror the i64 path's 2^53 bound: floats above it cannot represent
-            // every integer exactly, and `as u64` would silently saturate.
-            Value::Float(f) if f.fract() == 0.0 && *f >= 0.0 && *f < 9.0e15 => Ok(*f as u64),
-            other => Err(Error::invalid_type("an unsigned integer", other)),
+    scalar_decode!(|value| match value {
+        Value::Uint(v) => Ok(*v),
+        Value::Int(v) => {
+            u64::try_from(*v).map_err(|_| Error::custom(format!("{v} out of range for u64")))
         }
-    }
+        // Mirror the i64 path's 2^53 bound: floats above it cannot represent
+        // every integer exactly, and `as u64` would silently saturate.
+        Value::Float(f) if f.fract() == 0.0 && *f >= 0.0 && *f < 9.0e15 => Ok(*f as u64),
+        other => Err(Error::invalid_type("an unsigned integer", other)),
+    });
 }
 
 impl Serialize for usize {
@@ -363,10 +376,10 @@ impl Serialize for usize {
 }
 
 impl<'de> Deserialize<'de> for usize {
-    fn from_value(value: &Value) -> Result<Self, Error> {
+    scalar_decode!(|value| {
         let wide = u64::from_value(value)?;
         usize::try_from(wide).map_err(|_| Error::custom(format!("{wide} out of range for usize")))
-    }
+    });
 }
 
 impl Serialize for f64 {
@@ -384,17 +397,15 @@ impl Serialize for f64 {
 }
 
 impl<'de> Deserialize<'de> for f64 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Float(f) => Ok(*f),
-            Value::Int(v) => Ok(*v as f64),
-            Value::Uint(v) => Ok(*v as f64),
-            Value::Str(s) if s == "NaN" => Ok(f64::NAN),
-            Value::Str(s) if s == "Infinity" => Ok(f64::INFINITY),
-            Value::Str(s) if s == "-Infinity" => Ok(f64::NEG_INFINITY),
-            other => Err(Error::invalid_type("a number", other)),
-        }
-    }
+    scalar_decode!(|value| match value {
+        Value::Float(f) => Ok(*f),
+        Value::Int(v) => Ok(*v as f64),
+        Value::Uint(v) => Ok(*v as f64),
+        Value::Str(s) if s == "NaN" => Ok(f64::NAN),
+        Value::Str(s) if s == "Infinity" => Ok(f64::INFINITY),
+        Value::Str(s) if s == "-Infinity" => Ok(f64::NEG_INFINITY),
+        other => Err(Error::invalid_type("a number", other)),
+    });
 }
 
 impl Serialize for f32 {
@@ -416,12 +427,10 @@ impl Serialize for bool {
 }
 
 impl<'de> Deserialize<'de> for bool {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::invalid_type("a boolean", other)),
-        }
-    }
+    scalar_decode!(|value| match value {
+        Value::Bool(b) => Ok(*b),
+        other => Err(Error::invalid_type("a boolean", other)),
+    });
 }
 
 impl Serialize for String {
@@ -438,6 +447,7 @@ impl<'de> Deserialize<'de> for String {
         }
     }
 
+    #[inline]
     fn read(reader: &mut json::Reader<'_>) -> Result<Self, Error> {
         Ok(reader.string()?.into_owned())
     }
