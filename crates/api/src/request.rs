@@ -384,8 +384,13 @@ impl serde::Serialize for CorpusRequest {
     }
 }
 
+/// The value a corpus request that omits `dedup` gets.
+const WIRE_DEDUP: bool = true;
+
 /// Hand-rolled so that everything except `programs` is optional on the wire: a corpus
 /// request file can be just a program list, and future knobs stay backward-compatible.
+/// Both decodes take each default from one place: `WIRE_DEDUP`, or the field type's
+/// `Default`.
 impl<'de> serde::Deserialize<'de> for CorpusRequest {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         fn optional_or<T: serde::DeserializeOwned>(
@@ -406,7 +411,7 @@ impl<'de> serde::Deserialize<'de> for CorpusRequest {
             constraints: optional_or(fields, "constraints", Constraints::default())?,
             config: optional_or(fields, "config", IdentifierConfig::default())?,
             options: optional_or(fields, "options", DriverOptions::default())?,
-            dedup: optional_or(fields, "dedup", true)?,
+            dedup: optional_or(fields, "dedup", WIRE_DEDUP)?,
             templates: optional_or(fields, "templates", None)?,
         })
     }
@@ -428,7 +433,7 @@ impl<'de> serde::Deserialize<'de> for CorpusRequest {
             constraints: constraints.unwrap_or_default(),
             config: config.unwrap_or_default(),
             options: options.unwrap_or_default(),
-            dedup: dedup.unwrap_or(true),
+            dedup: dedup.unwrap_or(WIRE_DEDUP),
             templates: templates.flatten(),
         })
     }

@@ -224,58 +224,21 @@ impl ServeService {
     }
 
     /// Handles a line whose envelope was already scanned; a line that did not
-    /// scan goes through the tree decode, which words its error.
+    /// scan gets the error [`line_error`] words.
     fn answer(&self, line: &str, envelope: Option<Envelope>) -> String {
         self.handled.fetch_add(1, Ordering::Relaxed);
         let Some(envelope) = envelope else {
-            return self.answer_tree(line);
+            return respond(&json::Value::Null, Err(line_error(line)));
         };
-        let request = envelope.request.map(|range| Payload::Text(&line[range]));
+        let request = envelope.request.map(|range| &line[range]);
         respond(
             &envelope.id,
             self.dispatch(envelope.kind.as_deref(), request),
         )
     }
 
-    /// The reference path: the whole line decoded as a value tree.
-    fn answer_tree(&self, line: &str) -> String {
-        let envelope = match json::parse(line) {
-            Ok(value) => value,
-            Err(error) => {
-                return respond(
-                    &json::Value::Null,
-                    Err(IseError::Serialization(format!(
-                        "cannot parse request line: {error}"
-                    ))),
-                )
-            }
-        };
-        let json::Value::Object(fields) = &envelope else {
-            return respond(
-                &json::Value::Null,
-                Err(IseError::InvalidRequest(
-                    "a request line must be a JSON object".to_string(),
-                )),
-            );
-        };
-        let field = |name: &str| fields.iter().find(|(key, _)| key == name).map(|(_, v)| v);
-        let id = field("id").cloned().unwrap_or(json::Value::Null);
-        let kind = match field("kind") {
-            Some(json::Value::Str(kind)) => Some(kind.as_str()),
-            _ => None,
-        };
-        respond(
-            &id,
-            self.dispatch(kind, field("request").map(Payload::Tree)),
-        )
-    }
-
     /// Routes one request by its `kind` (`None`: absent or not a string).
-    fn dispatch(
-        &self,
-        kind: Option<&str>,
-        request: Option<Payload<'_>>,
-    ) -> Result<json::Value, IseError> {
+    fn dispatch(&self, kind: Option<&str>, request: Option<&str>) -> Result<json::Value, IseError> {
         let Some(kind) = kind else {
             return Err(IseError::InvalidRequest(
                 "a request line needs a string `kind` \
@@ -323,8 +286,9 @@ struct Envelope {
 }
 
 impl Envelope {
-    /// Scans one line; `None` when it is not a single JSON object, which leaves the
-    /// wording of the error to the tree decode.
+    /// Scans one line; `None` exactly when the line is not valid JSON or not an
+    /// object, since the scan applies the tree parser's syntax rules and depth limit
+    /// and reading `id` or `kind` as a [`json::Value`] can only fail on syntax.
     fn scan(line: &str) -> Option<Envelope> {
         let mut reader = serde::json::Reader::new(line);
         if reader.peek() != Some(b'{') {
@@ -357,29 +321,25 @@ impl Envelope {
     }
 }
 
-/// The `request` value of one envelope: text cut from a scanned line, or a subtree
-/// of a line decoded as a tree.
-enum Payload<'a> {
-    Text(&'a str),
-    Tree(&'a json::Value),
+/// Words the error of a line that did not scan as an envelope: the tree parser's
+/// syntax error, or the object rule when the line is JSON of another shape.
+fn line_error(line: &str) -> IseError {
+    match json::parse(line) {
+        Err(error) => IseError::Serialization(format!("cannot parse request line: {error}")),
+        Ok(_) => IseError::InvalidRequest("a request line must be a JSON object".to_string()),
+    }
 }
 
-/// Deserialises the `request` payload of one envelope. Text decodes with the tree
-/// decode's result and error text, so both payload forms answer alike.
-fn payload<T: serde::DeserializeOwned>(
-    field: Option<Payload<'_>>,
-    kind: &str,
-) -> Result<T, IseError> {
-    let decoded = match field {
-        None => {
-            return Err(IseError::InvalidRequest(format!(
-                "a `{kind}` request needs a `request` payload"
-            )))
-        }
-        Some(Payload::Text(text)) => serde::json::from_str(text),
-        Some(Payload::Tree(value)) => serde::json::from_value(value),
+/// Deserialises the `request` payload of one envelope, with the tree decode's
+/// result and error text.
+fn payload<T: serde::DeserializeOwned>(field: Option<&str>, kind: &str) -> Result<T, IseError> {
+    let Some(text) = field else {
+        return Err(IseError::InvalidRequest(format!(
+            "a `{kind}` request needs a `request` payload"
+        )));
     };
-    decoded.map_err(|error| IseError::Serialization(format!("`{kind}` payload: {error}")))
+    serde::json::from_str(text)
+        .map_err(|error| IseError::Serialization(format!("`{kind}` payload: {error}")))
 }
 
 /// Serialises one response line: the echoed id plus either the `"response"`
@@ -397,17 +357,10 @@ fn respond(id: &json::Value, outcome: Result<json::Value, IseError>) -> String {
 
 /// The queue-full error response for one request line (best-effort id echo).
 fn busy_response(job: &Job) -> String {
-    let id = match &job.envelope {
-        Some(envelope) => envelope.id.clone(),
-        None => match json::parse(&job.line) {
-            Ok(json::Value::Object(fields)) => fields
-                .iter()
-                .find(|(key, _)| key == "id")
-                .map(|(_, value)| value.clone())
-                .unwrap_or(json::Value::Null),
-            _ => json::Value::Null,
-        },
-    };
+    let id = job
+        .envelope
+        .as_ref()
+        .map_or(json::Value::Null, |e| e.id.clone());
     respond(
         &id,
         Err(IseError::InvalidRequest(
@@ -841,6 +794,46 @@ mod tests {
         ] {
             let response = service.handle(line);
             assert!(response.contains("\"error\""), "{line} -> {response}");
+        }
+    }
+
+    /// A line scans as an envelope exactly when the tree parser reads it as an
+    /// object, so the line-level errors are the only ones left to the tree.
+    #[test]
+    fn a_line_scans_exactly_when_it_parses_to_an_object() {
+        let nested = |depth: usize| {
+            format!(
+                "{{\"id\":1,\"x\":{}0{},\"kind\":\"stats\"}}",
+                "[".repeat(depth),
+                "]".repeat(depth)
+            )
+        };
+        let mut lines: Vec<String> = [
+            "",
+            "   ",
+            "not json",
+            "[1,2]",
+            "7",
+            "\"kind\"",
+            "{}",
+            " {\"id\":1} ",
+            "{\"id\":1}{}",
+            "{\"id\":1,}",
+            "{\"id\":01,\"kind\":\"stats\"}",
+            "{\"id\":1,\"kind\":\"stats\",\"x\":1e}",
+            "{\"id\":1,\"kind\":\"stats\",\"x\":\"\\q\"}",
+            "{\"id\":\"\\ud800\",\"kind\":\"stats\"}",
+            "{\"id\":[1,{\"a\":null}],\"kind\":7,\"kind\":\"stats\"}",
+            "{\"request\":{\"bad\":tru},\"kind\":\"run\"}",
+            "{\"request\":{},\"request\":[,],\"kind\":\"run\"}",
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+        lines.extend((126..=129).map(nested));
+        for line in &lines {
+            let parses_to_object = matches!(json::parse(line), Ok(json::Value::Object(_)));
+            assert_eq!(Envelope::scan(line).is_some(), parses_to_object, "{line}");
         }
     }
 

@@ -233,7 +233,6 @@ pub fn run(config: &CorpusBenchConfig) -> CorpusBenchReport {
             .collect(),
     )
     .with_constraints(config.constraints);
-    let api = time_api(&request);
 
     let run_mode = |options: &CorpusOptions| timed(|| run_corpus(&programs, &model, options));
     let mut dedup_ms = Vec::with_capacity(REPEATS);
@@ -250,6 +249,8 @@ pub fn run(config: &CorpusBenchConfig) -> CorpusBenchReport {
         outcomes = Some((deduped, reference));
     }
     let (deduped, reference) = outcomes.expect("REPEATS >= 1");
+    // After the mode passes, so the decode timings cannot disturb their wall-clocks.
+    let api = time_api(&request);
     let dedup = ModeReport::new(crate::median(&dedup_ms), &deduped.stats);
     let direct = ModeReport::new(crate::median(&direct_ms), &reference.stats);
     let cuts_reduction = if dedup.cuts_enumerated > 0 {

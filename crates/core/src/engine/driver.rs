@@ -95,33 +95,40 @@ pub struct DriverOptions {
     pub block_dedup: bool,
 }
 
+/// The value a request that omits `intra_block_levels` gets.
+const WIRE_INTRA_BLOCK_LEVELS: usize = 0;
+/// The value a request that omits `cut_pool` gets.
+const WIRE_CUT_POOL: bool = true;
+/// The value a request that omits `block_dedup` gets.
+const WIRE_BLOCK_DEDUP: bool = true;
+
 /// Hand-rolled (not derived) so that `intra_block_levels`, `cut_pool` and
 /// `block_dedup` are *optional* on the wire: request files written before these fields
 /// existed keep deserialising, defaulting to the behaviour they were written against
 /// (sequential within a block, pool-backed sweeps, deduplicated identical blocks —
-/// neither default changes any result).
+/// neither default changes any result). Both decodes take the defaults from the
+/// `WIRE_*` constants.
 impl<'de> serde::Deserialize<'de> for DriverOptions {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         fn optional<T: serde::DeserializeOwned>(
             fields: &[(String, serde::Value)],
             name: &str,
-            fallback: serde::Value,
+            fallback: T,
         ) -> Result<T, serde::Error> {
-            let value = fields
-                .iter()
-                .find(|(key, _)| key == name)
-                .map_or(&fallback, |(_, field)| field);
-            serde::Deserialize::from_value(value).map_err(|e| {
-                serde::Error::custom(format!("field `{name}` of `DriverOptions`: {e}"))
-            })
+            match fields.iter().find(|(key, _)| key == name) {
+                None => Ok(fallback),
+                Some((_, field)) => serde::Deserialize::from_value(field).map_err(|e| {
+                    serde::Error::custom(format!("field `{name}` of `DriverOptions`: {e}"))
+                }),
+            }
         }
         let fields = serde::expect_object(value, "DriverOptions")?;
         Ok(DriverOptions {
             max_instructions: serde::expect_field(fields, "max_instructions", "DriverOptions")?,
             parallel: serde::expect_field(fields, "parallel", "DriverOptions")?,
-            intra_block_levels: optional(fields, "intra_block_levels", serde::Value::Uint(0))?,
-            cut_pool: optional(fields, "cut_pool", serde::Value::Bool(true))?,
-            block_dedup: optional(fields, "block_dedup", serde::Value::Bool(true))?,
+            intra_block_levels: optional(fields, "intra_block_levels", WIRE_INTRA_BLOCK_LEVELS)?,
+            cut_pool: optional(fields, "cut_pool", WIRE_CUT_POOL)?,
+            block_dedup: optional(fields, "block_dedup", WIRE_BLOCK_DEDUP)?,
         })
     }
 
@@ -143,9 +150,9 @@ impl<'de> serde::Deserialize<'de> for DriverOptions {
                 "DriverOptions",
             )?,
             parallel: serde::required(parallel, "parallel", "DriverOptions")?,
-            intra_block_levels: intra_block_levels.unwrap_or(0),
-            cut_pool: cut_pool.unwrap_or(true),
-            block_dedup: block_dedup.unwrap_or(true),
+            intra_block_levels: intra_block_levels.unwrap_or(WIRE_INTRA_BLOCK_LEVELS),
+            cut_pool: cut_pool.unwrap_or(WIRE_CUT_POOL),
+            block_dedup: block_dedup.unwrap_or(WIRE_BLOCK_DEDUP),
         })
     }
 }
