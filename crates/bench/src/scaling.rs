@@ -1,23 +1,22 @@
 //! Intra-block scaling experiment: wall-clock of the exact search, sequential versus
-//! subtree-parallel, on wide single blocks — against the search without the frontier
-//! bound.
+//! subtree-parallel, on wide single blocks — against the hook-free reference walk.
 //!
 //! The paper's Fig. 8 axis — one large basic block — is exactly the case the program
 //! driver's per-block fan-out cannot parallelise, and the case the
 //! [`SearchKernel`](ise_core::kernel::SearchKernel)'s subtree decomposition exists for.
 //! This experiment measures it: for a sweep of wide synthetic blocks (including the
 //! `widedag` shape of the program-level benches) each repetition alternates four runs —
-//! the reference search (the same cut state and kernel walk with the frontier bound and
-//! the search hook off, see `ise_core::kernel::reference`), the production search
-//! sequentially, the production search with the top decision-tree levels fanned out,
-//! and the sequential opt-in incumbent-bound search. It checks that all of them return
-//! the **same selection** (the parallel twin must match the sequential one on cuts
-//! *and* statistics; the reference and incumbent variants on the selected cut), and
-//! reports the median wall-clock over the repetitions, raw throughput (cuts considered
-//! per second), *equivalent* throughput (the reference walk's cut count over each
-//! variant's wall-clock — the honest apples-to-apples rate when a variant prunes the
-//! tree smaller), and the machine-readable `pruning_breakdown` so future changes can
-//! track bound effectiveness. The report also records the CPU count, the repeat count
+//! the reference search (the same cut state and kernel walk with the search hook off,
+//! see `ise_core::kernel::reference`), the production search sequentially, the
+//! production search with the top decision-tree levels fanned out, and the sequential
+//! opt-in incumbent-bound search. It checks that all of them return the **same
+//! selection** (the parallel twin and the reference must match the sequential search
+//! on cuts *and* statistics; the incumbent variant on the selected cut), and reports
+//! the median wall-clock over the repetitions, raw throughput (cuts considered per
+//! second), *equivalent* throughput (the reference walk's cut count over each
+//! variant's wall-clock — the honest apples-to-apples rate when the incumbent variant
+//! prunes the tree smaller), and the machine-readable `pruning_breakdown` of the
+//! default walk. The report also records the CPU count, the repeat count
 //! and the git revision. The rows serialise to `BENCH_search.json`; the `scaling`
 //! binary fails loudly if any equality gate breaks.
 
@@ -78,8 +77,7 @@ impl ScalingConfig {
 }
 
 /// Machine-readable classification of every 1-branch attempt of the sequential
-/// search, plus the software-branch subtree prunes — tracked so future changes can
-/// measure frontier-bound effectiveness from `BENCH_search.json` alone.
+/// search by the paper's pruning rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub struct PruningBreakdown {
     /// Attempts that passed every check and grew the cut.
@@ -90,10 +88,6 @@ pub struct PruningBreakdown {
     pub pruned_convexity: u64,
     /// Attempts pruned by the node budget.
     pub pruned_node_budget: u64,
-    /// Attempts pruned by the frontier bound (and the incumbent-mode input floor).
-    pub pruned_bound: u64,
-    /// Software-branch subtrees skipped by the bound before any cut was attempted.
-    pub bound_subtree_prunes: u64,
 }
 
 impl PruningBreakdown {
@@ -103,8 +97,6 @@ impl PruningBreakdown {
             pruned_output: stats.pruned_output,
             pruned_convexity: stats.pruned_convexity,
             pruned_node_budget: stats.pruned_node_budget,
-            pruned_bound: stats.pruned_bound,
-            bound_subtree_prunes: stats.bound_subtree_prunes,
         }
     }
 }
@@ -123,8 +115,8 @@ pub struct ScalingRow {
     /// Cuts considered by the production search (identical in the sequential and
     /// parallel runs by construction).
     pub cuts_considered: u64,
-    /// Cuts considered by the reference search (no frontier bound) — the denominator
-    /// of the equivalent-throughput figures.
+    /// Cuts considered by the reference search (equal to `cuts_considered`) — the
+    /// denominator of the equivalent-throughput figures.
     pub reference_cuts_considered: u64,
     /// Median wall-clock of the reference search over the repetitions, milliseconds.
     pub reference_ms: f64,
@@ -145,19 +137,17 @@ pub struct ScalingRow {
     /// Throughput of the parallel search, cuts considered per second.
     pub parallel_cuts_per_sec: f64,
     /// *Equivalent* throughput of the sequential search: the reference walk's cut
-    /// count over the sequential wall-clock (apples-to-apples even when the bound
-    /// shrinks the tree).
+    /// count over the sequential wall-clock (equal to the raw rate: both walks count
+    /// the same tree).
     pub equivalent_cuts_per_sec: f64,
     /// Equivalent throughput of the incumbent-bound search (reference cut count over
     /// incumbent wall-clock).
     pub incumbent_equivalent_cuts_per_sec: f64,
-    /// Reference over sequential wall-clock: below 1 when the frontier bound and the
-    /// search hook cost more than they prune.
+    /// Reference over sequential wall-clock: below 1 when the search hook costs
+    /// time.
     pub speedup_vs_reference: f64,
     /// Reference over incumbent-bound wall-clock.
     pub incumbent_speedup_vs_reference: f64,
-    /// Attempts pruned by the frontier bound in the default (static-threshold) walk.
-    pub bound_pruned: u64,
     /// Classification of every attempt of the sequential walk.
     pub pruning_breakdown: PruningBreakdown,
     /// Sequential over parallel wall-clock.
@@ -165,8 +155,8 @@ pub struct ScalingRow {
     /// Whether the sequential and parallel outcomes (best cut **and** statistics)
     /// were identical.
     pub identical: bool,
-    /// Whether the reference and incumbent-bound searches selected the same cut as the
-    /// sequential search.
+    /// Whether the reference search returned the sequential search's cut and
+    /// statistics, and the incumbent-bound search its cut.
     pub matches_reference: bool,
 }
 
@@ -266,7 +256,9 @@ fn measure_block(
     let parallel_ms = crate::median(&parallel_ms);
     let incumbent_ms = crate::median(&incumbent_ms);
     let identical = sequential == parallel;
-    let matches_reference = sequential.best == reference.best && incumbent.best == sequential.best;
+    let matches_reference = sequential.best == reference.best
+        && sequential.stats == reference.stats
+        && incumbent.best == sequential.best;
     let cuts = sequential.stats.cuts_considered;
     let reference_cuts = reference.stats.cuts_considered;
     ScalingRow {
@@ -288,7 +280,6 @@ fn measure_block(
         incumbent_equivalent_cuts_per_sec: cuts_per_sec(reference_cuts, incumbent_ms),
         speedup_vs_reference: ratio(reference_ms, sequential_ms),
         incumbent_speedup_vs_reference: ratio(reference_ms, incumbent_ms),
-        bound_pruned: sequential.stats.pruned_bound,
         pruning_breakdown: PruningBreakdown::from_stats(&sequential.stats),
         speedup: ratio(sequential_ms, parallel_ms),
         identical,
@@ -365,12 +356,12 @@ pub fn to_json(report: &ScalingReport) -> String {
 pub fn markdown(report: &ScalingReport) -> String {
     let mut out = String::from(
         "| block | nodes | cuts | ref ms | seq ms | par ms | inc ms | vs ref | inc vs ref \
-         | bound pruned | speedup | ok |\n\
-         |---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---|\n",
+         | speedup | ok |\n\
+         |---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---|\n",
     );
     for r in &report.rows {
         out.push_str(&format!(
-            "| {} | {} | {} | {:.1} | {:.1} | {:.1} | {:.1} | {:.2}x | {:.2}x | {} | {:.2}x | {} |\n",
+            "| {} | {} | {} | {:.1} | {:.1} | {:.1} | {:.1} | {:.2}x | {:.2}x | {:.2}x | {} |\n",
             r.block,
             r.nodes,
             r.cuts_considered,
@@ -380,7 +371,6 @@ pub fn markdown(report: &ScalingReport) -> String {
             r.incumbent_ms,
             r.speedup_vs_reference,
             r.incumbent_speedup_vs_reference,
-            r.bound_pruned,
             r.speedup,
             r.identical && r.matches_reference
         ));
@@ -416,19 +406,14 @@ mod tests {
             assert!(row.identical, "{row:?}");
             assert!(row.matches_reference, "{row:?}");
             assert!(row.cuts_considered > 0);
-            assert!(row.reference_cuts_considered >= row.cuts_considered);
+            assert_eq!(row.reference_cuts_considered, row.cuts_considered);
             assert!(row.sequential_ms >= 0.0);
             // The breakdown partitions the attempts of the sequential walk.
             let b = &row.pruning_breakdown;
             assert_eq!(
                 row.cuts_considered,
-                b.feasible
-                    + b.pruned_output
-                    + b.pruned_convexity
-                    + b.pruned_node_budget
-                    + b.pruned_bound
+                b.feasible + b.pruned_output + b.pruned_convexity + b.pruned_node_budget
             );
-            assert_eq!(row.bound_pruned, b.pruned_bound);
         }
     }
 
@@ -453,7 +438,6 @@ mod tests {
             "\"equivalent_cuts_per_sec\"",
             "\"incumbent_equivalent_cuts_per_sec\"",
             "\"speedup_vs_reference\"",
-            "\"bound_pruned\"",
             "\"pruning_breakdown\"",
             "\"matches_reference\"",
             "\"speedup\"",

@@ -47,7 +47,7 @@ use crate::structural::StructuralKey;
 pub const SNAPSHOT_FILE: &str = "warm_pool_cache.bin";
 
 const SNAPSHOT_MAGIC: &[u8; 8] = b"ISEWARM\x01";
-const SNAPSHOT_VERSION: u32 = 1;
+const SNAPSHOT_VERSION: u32 = 2;
 
 /// One memoised enumeration, stored entirely in canonical coordinates so that the
 /// stored bytes do not depend on which isomorphic block performed the fill.
@@ -474,8 +474,8 @@ fn entry_bytes(key: &CacheKey, entry: &FillEntry) -> u64 {
         for entry in entries {
             bytes += 96 + 4 * entry.payload.positions.len() as u64;
         }
-        let (_, counts, prunes) = fill.histogram.parts();
-        bytes += 8 * (counts.len() + prunes.len()) as u64;
+        let (_, counts) = fill.histogram.parts();
+        bytes += 8 * counts.len() as u64;
     }
     bytes
 }
@@ -550,14 +550,10 @@ fn encode_entry(out: &mut Vec<u8>, key: &CacheKey, entry: &FillEntry) {
                 }
                 encode_evaluation(out, &entry.payload.evaluation);
             }
-            let (fill_outputs, counts, prunes) = fill.histogram.parts();
+            let (fill_outputs, counts) = fill.histogram.parts();
             push_u64(out, fill_outputs as u64);
             push_u32(out, counts.len() as u32);
             for &c in counts {
-                push_u64(out, c);
-            }
-            push_u32(out, prunes.len() as u32);
-            for &c in prunes {
                 push_u64(out, c);
             }
         }
@@ -633,12 +629,7 @@ fn decode_entry(reader: &mut Reader<'_>) -> Option<(CacheKey, FillEntry)> {
             for _ in 0..count_len {
                 counts.push(reader.u64()?);
             }
-            let prune_len = reader.u32()? as usize;
-            let mut prunes = Vec::with_capacity(prune_len.min(1 << 16));
-            for _ in 0..prune_len {
-                prunes.push(reader.u64()?);
-            }
-            let histogram = AttemptHistogram::from_parts(fill_outputs, counts, prunes)?;
+            let histogram = AttemptHistogram::from_parts(fill_outputs, counts)?;
             FillEntry::Complete(CanonicalFill { store, histogram })
         }
         _ => return None,
@@ -830,6 +821,40 @@ mod tests {
         assert!(cache.lookup(&wedged).get().is_some());
     }
 
+    /// A small complete fill: one stored cut and a histogram of `Nout = 1` with
+    /// attempts in three cells (five in all).
+    fn sample_fill() -> CanonicalFill {
+        let evaluation = CutEvaluation {
+            nodes: 2,
+            inputs: 2,
+            outputs: 1,
+            convex: true,
+            software_cycles: 3,
+            hardware_critical_path: 0.9,
+            hardware_cycles: 1,
+            area: 1.5,
+            merit: 2.0,
+        };
+        let entry = PoolEntry {
+            inputs: 2,
+            outputs: 1,
+            score: 2.0,
+            seq: 3,
+            payload: CanonicalCandidate {
+                positions: vec![0, 1],
+                evaluation,
+            },
+        };
+        let mut counts = vec![0; 2 * 3 * 4];
+        counts[3] = 2;
+        counts[7] = 1;
+        counts[20] = 2;
+        CanonicalFill {
+            store: ParetoStore::from_parts(vec![entry], 4),
+            histogram: AttemptHistogram::from_parts(1, counts).expect("valid geometry"),
+        }
+    }
+
     #[test]
     fn snapshot_round_trips_and_rejects_tampering() {
         let dir = std::env::temp_dir().join(format!("ise-warm-test-{}", std::process::id()));
@@ -841,16 +866,32 @@ mod tests {
         let cell = cache.lookup(&k);
         let _ = cell.set(FillEntry::Exhausted);
         cache.record_fill(&k, cell.get().unwrap());
-        assert_eq!(cache.save_snapshot(&path).unwrap(), 1);
+        // A complete fill too, so the store and the attempt histogram round-trip.
+        let filled = key(8, group());
+        let cell = cache.lookup(&filled);
+        let _ = cell.set(FillEntry::Complete(sample_fill()));
+        cache.record_fill(&filled, cell.get().unwrap());
+        assert_eq!(cache.save_snapshot(&path).unwrap(), 2);
 
-        // Round-trip into a fresh cache.
+        // Round-trip into a fresh cache: the same slots, and re-saving them writes the
+        // same bytes.
+        let bytes = std::fs::read(&path).unwrap();
         let warm = WarmPoolCache::new(WarmCacheConfig::default());
-        assert_eq!(warm.load_snapshot(&path), Some(1));
+        assert_eq!(warm.load_snapshot(&path), Some(2));
         assert!(warm.lookup(&k).get().is_some());
-        assert_eq!(warm.stats().hits, 1);
+        match warm.lookup(&filled).get() {
+            Some(FillEntry::Complete(fill)) => {
+                assert_eq!(fill.histogram.parts(), sample_fill().histogram.parts());
+                assert_eq!(fill.histogram.reconstruct(1).cuts_considered, 5);
+            }
+            _ => panic!("the complete fill did not round-trip"),
+        }
+        assert_eq!(warm.stats().hits, 2);
+        let resaved = dir.join("resaved.bin");
+        warm.save_snapshot(&resaved).unwrap();
+        assert_eq!(std::fs::read(&resaved).unwrap(), bytes);
 
         // A truncated file falls back to cold start.
-        let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
         let cold = WarmPoolCache::new(WarmCacheConfig::default());
         assert_eq!(cold.load_snapshot(&path), None);
@@ -863,15 +904,18 @@ mod tests {
         std::fs::write(&path, &corrupt).unwrap();
         assert_eq!(cold.load_snapshot(&path), None);
 
-        // A version bump falls back to cold start (checksum recomputed so only the
-        // version check can reject).
-        let mut bumped = bytes.clone();
-        bumped[8] = 9;
-        let body_len = bumped.len() - 8;
-        let checksum = fnv1a(&bumped[..body_len]);
-        bumped[body_len..].copy_from_slice(&checksum.to_le_bytes());
-        std::fs::write(&path, &bumped).unwrap();
-        assert_eq!(cold.load_snapshot(&path), None);
+        // Any other version falls back to cold start (checksum recomputed so only the
+        // version check can reject): version 1 is the layout whose histograms also
+        // carried a per-prefix subtree-prune vector.
+        for version in [1u32, SNAPSHOT_VERSION + 1] {
+            let mut bumped = bytes.clone();
+            bumped[8..12].copy_from_slice(&version.to_le_bytes());
+            let body_len = bumped.len() - 8;
+            let checksum = fnv1a(&bumped[..body_len]);
+            bumped[body_len..].copy_from_slice(&checksum.to_le_bytes());
+            std::fs::write(&path, &bumped).unwrap();
+            assert_eq!(cold.load_snapshot(&path), None, "version {version}");
+        }
 
         // A different cost-model id falls back to cold start.
         std::fs::write(&path, &bytes).unwrap();

@@ -10,8 +10,8 @@
 //! * [`BlockContext`] — the immutable per-block data every search precomputes once: the
 //!   consumers-before-producers ordering, deduplicated operand sources, per-node cost
 //!   model evaluations, the blocked-node mask, and the remaining software-cycle mass per
-//!   level that drives the frontier bound — all `O(n + e)` memory for `n` nodes and `e`
-//!   operand edges;
+//!   level that feeds the opt-in incumbent bound — all `O(n + e)` memory for `n` nodes
+//!   and `e` operand edges;
 //! * [`IncrementalCutState`] — the snapshot-and-restorable incremental bookkeeping for
 //!   *one* cut under construction (`IN(S)`, `OUT(S)`, convexity reachability, software
 //!   cost, hardware critical path, area), kept per node and updated along the decided
@@ -33,9 +33,9 @@
 //!   levels into independent subtree tasks, fans them out with `rayon`, and folds their
 //!   sinks and [`SearchStats`] in subtree-index order.
 //!
-//! The [`mod@reference`] submodule keeps the single-cut search without the frontier
-//! bound over the same state: the property suite checks the bound never changes a
-//! selection against it, and the scaling bench uses it as the "before" baseline.
+//! The [`mod@reference`] submodule keeps a second single-cut walk over the same state,
+//! written without the `SearchHook` layer: the property suite checks the default search
+//! equals it field for field, and the scaling bench uses it as its baseline row.
 //!
 //! # The per-edge state
 //!
@@ -58,37 +58,34 @@
 //!   kept as its own counter, because it only grows down a subtree (see
 //!   [`BoundCheck::input_floor`]).
 //!
-//! # The frontier bound
+//! # The incumbent bound
 //!
-//! [`BoundCheck`] carries an optimistic upper bound on the merit reachable in the
-//! subtree below a decision: the merit the cut would reach if every not-yet-decided,
-//! non-blocked node (the *remaining frontier*, whose software-cycle mass is precomputed
-//! per level) joined it for free — software mass is additive while the hardware
-//! critical path can only grow, so `cut_merit(software + mass, critical_path)` can only
-//! overestimate. When even that bound cannot beat the incumbent threshold the subtree
-//! is pruned: at a 1-branch this is counted as [`SearchStats::pruned_bound`] (a new
-//! category inside the `cuts_considered` identity), at a software branch as
+//! The default searches prune by the paper's rules only: output ports, convexity and
+//! the optional node budget. A policy may opt into [`BoundCheck`], an optimistic upper
+//! bound on the merit reachable in the subtree below a decision: the merit the cut would
+//! reach if every not-yet-decided, non-blocked node (the *remaining frontier*, whose
+//! software-cycle mass is precomputed per level) joined it for free — software mass is
+//! additive while the hardware critical path can only grow, so
+//! `cut_merit(software + mass, critical_path)` can only overestimate. When even that
+//! bound cannot strictly beat the incumbent's score the subtree is pruned: at a 1-branch
+//! this is counted as [`SearchStats::pruned_bound`] (a category inside the
+//! `cuts_considered` identity), at a software branch as
 //! [`SearchStats::bound_subtree_prunes`] (no cut is attempted, so `cuts_considered` is
-//! not bumped). The default threshold is zero — an incumbent starts at score zero and
-//! only strictly positive offers win, so a subtree whose bound is `≤ 0` contains no
-//! answer. A zero threshold depends only on the tree path (never on the visit order),
-//! which keeps the parallel walk byte-identical and pool fills reconstructable;
-//! policies that opt into the sharper incumbent-score threshold must declare
-//! [`SearchPolicy::requires_sequential`].
+//! not bumped). The incumbent's score depends on the visit order, so a policy that
+//! enables the bound must declare [`SearchPolicy::requires_sequential`].
 //!
 //! # Determinism of the parallel walk
 //!
-//! The incumbent never influences pruning (the tree is cut by the *constraints* and the
-//! path-determined zero-threshold bound, not by the evolving objective), so the set of
-//! visited tree nodes — and therefore every counter in [`SearchStats`] except
-//! `best_updates` — is identical however the tree is partitioned. `best_updates` and
-//! the identity of the returned cut *do* depend on visit order: a sequential search
-//! only improves its incumbent when a candidate beats the best seen anywhere so far. To
-//! reproduce that exactly, each subtree records the ascending merit sequence of its
-//! local improvements; the merge replays those sequences in subtree-index (=
-//! depth-first) order against the running global best. The result — incumbent,
-//! `best_updates` and all — is byte-identical to the sequential walk, for any thread
-//! count. The same holds for any [`WalkSink`] whose [`absorb`](WalkSink::absorb)
+//! In a splittable walk the incumbent never influences pruning (the tree is cut by the
+//! *constraints*, not by the evolving objective), so the set of visited tree nodes —
+//! and therefore every counter in [`SearchStats`] except `best_updates` — is identical
+//! however the tree is partitioned. `best_updates` and the identity of the returned cut
+//! *do* depend on visit order: a sequential search only improves its incumbent when a
+//! candidate beats the best seen anywhere so far. To reproduce that exactly, each
+//! subtree records the ascending merit sequence of its local improvements; the merge
+//! replays those sequences in subtree-index (= depth-first) order against the running
+//! global best. The result — incumbent, `best_updates` and all — is byte-identical to
+//! the sequential walk, for any thread count. The same holds for any [`WalkSink`] whose [`absorb`](WalkSink::absorb)
 //! reproduces "record `earlier`, then record `later`": the pool's recorder is one.
 //!
 //! An [exploration budget](SearchKernel::exploration_budget) is a *global* cap on the
@@ -103,13 +100,13 @@
 //! attempt is `#[inline(always)]`: the policy's `choice_count`, `apply` and `undo`;
 //! the `SearchHook` and [`WalkSink`] methods of the sinks ([`Incumbent`] and the
 //! pool's recorder); the [`IncrementalCutState`] steps (`probe_add`, `try_add`,
-//! `try_add_probed`, `add`, `mark_outside`, `undo_last`, `frontier_dead_*`,
-//! `within_node_budget`, `is_candidate`, `merit`); the [`BlockContext`] accessors and
-//! [`BoundCheck::frontier`]. Plain `#[inline]` hints leave some of these out of line,
-//! and then `ctx`, the probe and the bound go through memory on every attempt. The
-//! walk's stack frames are three `u32`s, and its stack is allocated once per walk. A
-//! method added to the per-attempt path must be `#[inline(always)]` too, and the
-//! change that adds it records an in-process A/B of the kernel time in `CHANGES.md`.
+//! `try_add_probed`, `add`, `mark_outside`, `undo_last`, `within_node_budget`,
+//! `is_candidate`, `merit`); the [`BlockContext`] accessors and
+//! [`BoundCheck::disabled`]. Plain `#[inline]` hints leave some of these out of line,
+//! and then `ctx` and the probe go through memory on every attempt. The walk's stack
+//! frames are three `u32`s, and its stack is allocated once per walk. A method added
+//! to the per-attempt path must be `#[inline(always)]` too, and the change that adds
+//! it records an in-process A/B of the kernel time in `CHANGES.md`.
 
 pub mod reference;
 
@@ -324,19 +321,17 @@ pub struct AddProbe {
     pub convex: bool,
 }
 
-/// The frontier-aware bound evaluated by [`IncrementalCutState::try_add_probed`] after
+/// The opt-in incumbent bound evaluated by [`IncrementalCutState::try_add_probed`] after
 /// the paper's structural checks (output ports → convexity → node budget).
 ///
 /// `optimistic` is an upper bound on the objective reachable anywhere in the subtree
-/// below the attempt; when it cannot *strictly* beat `threshold`, the subtree is pruned
-/// and counted as [`SearchStats::pruned_bound`]. With the default zero threshold the
-/// bound depends only on the tree path, so the pruned tree is identical for any subtree
-/// partition (the determinism gates rely on this). The incumbent-score threshold is
-/// sharper but visit-order-dependent, hence sequential-only; it may also carry
+/// below the attempt; when it cannot *strictly* beat `threshold` (the incumbent's
+/// score), the subtree is pruned and counted as [`SearchStats::pruned_bound`]. The
+/// threshold is visit-order-dependent, hence sequential-only. The check may also carry
 /// `input_floor`, the input-port constraint applied to the *monotone* part of `IN(S)`
 /// (block-input sources can never be covered by later producers, so their count only
 /// grows down the subtree — unlike full `IN(S)`, which the paper shows is unusable for
-/// pruning).
+/// pruning). The default searches pass [`BoundCheck::disabled`].
 #[derive(Debug, Clone, Copy)]
 pub struct BoundCheck {
     /// Upper bound on the objective reachable in the subtree below the attempt.
@@ -348,25 +343,12 @@ pub struct BoundCheck {
 }
 
 impl BoundCheck {
-    /// A check that never prunes (used by callers that must enumerate exhaustively).
+    /// A check that never prunes: the paper's rules alone.
     #[must_use]
+    #[inline(always)]
     pub fn disabled() -> Self {
         BoundCheck {
             optimistic: f64::INFINITY,
-            threshold: 0.0,
-            input_floor: None,
-        }
-    }
-
-    /// The zero-threshold frontier bound with its outcome already decided in the
-    /// integer domain (see [`IncrementalCutState::frontier_dead_with`]). Avoids
-    /// re-deriving the floating-point optimistic merit on the hot path: the default
-    /// bound almost never fires, so its evaluation cost must stay near zero.
-    #[must_use]
-    #[inline(always)]
-    pub fn frontier(dead: bool) -> Self {
-        BoundCheck {
-            optimistic: if dead { 0.0 } else { f64::INFINITY },
             threshold: 0.0,
             input_floor: None,
         }
@@ -410,8 +392,8 @@ pub struct IncrementalCutState {
     outputs: usize,
     software: u64,
     critical_path: f64,
-    /// `cycles_for_delay(critical_path)`, maintained incrementally so the merit and the
-    /// zero-threshold frontier bound never re-derive the ceiling on the hot path.
+    /// `cycles_for_delay(critical_path)`, maintained incrementally so the merit never
+    /// re-derives the ceiling on the hot path.
     hardware_cycles: u32,
     area: f64,
     journal: Vec<UndoEntry>,
@@ -534,34 +516,6 @@ impl IncrementalCutState {
         )
     }
 
-    /// `optimistic_with(ctx, level) <= 0`, decided entirely in the integer domain.
-    ///
-    /// Exact: the optimistic merit is `S as f64 − C as f64` with `S` the software mass
-    /// (far below 2⁵³) and `C` the cached hardware cycles, and comparing two losslessly
-    /// converted integers as `f64` orders them identically to the integers themselves.
-    /// This is the hot-path form of the default (zero-threshold) frontier bound — no
-    /// ceiling, no conversions, one add and a compare: the node at `level` must not be
-    /// blocked (only an unblocked node can be added), so its cycles are already the
-    /// head of the frontier mass at `level`.
-    #[must_use]
-    #[inline(always)]
-    pub fn frontier_dead_with(&self, ctx: &BlockContext<'_>, level: usize) -> bool {
-        debug_assert!(
-            !ctx.is_blocked(ctx.node_at(level)),
-            "a blocked node is never added"
-        );
-        self.software + ctx.suffix_mass[level] <= u64::from(self.hardware_cycles)
-    }
-
-    /// `optimistic_without(ctx, level) <= 0`, decided entirely in the integer domain
-    /// (see [`frontier_dead_with`](Self::frontier_dead_with) for the exactness
-    /// argument).
-    #[must_use]
-    #[inline(always)]
-    pub fn frontier_dead_without(&self, ctx: &BlockContext<'_>, level: usize) -> bool {
-        self.software + ctx.suffix_mass[level + 1] <= u64::from(self.hardware_cycles)
-    }
-
     /// Checks the output-port count and convexity of the cut grown by `node`, without
     /// mutating anything: one scan of the node's consumer edges.
     #[must_use]
@@ -590,8 +544,8 @@ impl IncrementalCutState {
 
     /// The shared 1-branch attempt used by every pruning policy: counts the cut,
     /// probes it, applies the paper's pruning rules in their canonical order
-    /// (output ports → convexity → node budget → frontier bound), and on success adds
-    /// `node`.
+    /// (output ports → convexity → node budget), then `bound` (which prunes only in
+    /// incumbent mode), and on success adds `node`.
     ///
     /// Returns `false` — with the matching `pruned_*` counter bumped and the state
     /// untouched — when the branch (and its whole subtree) is eliminated. Living here
@@ -930,11 +884,11 @@ impl<T: Send + Sync> WalkSink for Incumbent<T> {
 }
 
 /// What the single-cut and multiple-cut policies report into their sink about the
-/// walk, besides the kernel's own counters: every 1-branch attempt, every
-/// software-branch subtree prune and every qualifying candidate.
+/// walk, besides the kernel's own counters: every 1-branch attempt and every
+/// qualifying candidate.
 ///
-/// A direct search records into an [`Incumbent`], which ignores attempts and prunes
-/// and keeps the best candidate; the calls monomorphise away and leave the plain
+/// A direct search records into an [`Incumbent`], which ignores attempts and keeps the
+/// best candidate; the calls monomorphise away and leave the plain
 /// search walk. A pool fill (`crate::pool`) records into a sink that histograms the
 /// attempts and keeps every non-dominated candidate instead — so both run one policy
 /// per algorithm, and both split across subtree tasks the same way.
@@ -944,18 +898,14 @@ impl<T: Send + Sync> WalkSink for Incumbent<T> {
 /// multicut, the largest slot `OUT`).
 pub(crate) trait SearchHook<P>: WalkSink {
     /// One 1-branch attempt with its query-independent flags, before it is classified.
-    fn attempt(&mut self, prefix: usize, probe: AddProbe, within_budget: bool, bound_ok: bool);
-
-    /// A software branch whose whole subtree the frontier bound skipped.
-    fn subtree_prune(&mut self, prefix: usize);
+    fn attempt(&mut self, prefix: usize, probe: AddProbe, within_budget: bool);
 
     /// A candidate that passed [`IncrementalCutState::is_candidate`] (every slot, for
     /// tuples), with its signature `(IN, OUT)` and score; `make` builds the payload.
     fn offer(&mut self, inputs: usize, outputs: usize, score: f64, make: impl FnOnce() -> P);
 
     /// The threshold the opt-in incumbent bound must strictly beat: the incumbent's
-    /// score. A recorder keeps every candidate, so it answers zero — the default
-    /// frontier threshold.
+    /// score. Pool fills never enable the bound; their recorder answers zero.
     fn bound_threshold(&self) -> f64;
 
     /// The 1-branch step every policy shares: probe `node` against `cut`, report the
@@ -972,8 +922,7 @@ pub(crate) trait SearchHook<P>: WalkSink {
         stats: &mut SearchStats,
     ) -> bool {
         let probe = cut.probe_add(ctx, node);
-        let bound_ok = bound.optimistic > bound.threshold;
-        self.attempt(prefix, probe, cut.within_node_budget(ctx), bound_ok);
+        self.attempt(prefix, probe, cut.within_node_budget(ctx));
         cut.try_add_probed(ctx, node, probe, bound, stats)
     }
 }
@@ -981,11 +930,7 @@ pub(crate) trait SearchHook<P>: WalkSink {
 /// The direct search's [`SearchHook`]: records nothing, keeps the best candidate.
 impl<P: Send + Sync> SearchHook<P> for Incumbent<P> {
     #[inline(always)]
-    fn attempt(&mut self, _prefix: usize, _probe: AddProbe, _within_budget: bool, _bound_ok: bool) {
-    }
-
-    #[inline(always)]
-    fn subtree_prune(&mut self, _prefix: usize) {}
+    fn attempt(&mut self, _prefix: usize, _probe: AddProbe, _within_budget: bool) {}
 
     #[inline(always)]
     fn offer(&mut self, _inputs: usize, _outputs: usize, score: f64, make: impl FnOnce() -> P) {
@@ -1459,8 +1404,8 @@ mod tests {
         assert!(!state.probe_add(&ctx, mul).convex);
     }
 
-    /// The frontier bound prunes exactly the attempts whose optimistic merit cannot
-    /// beat the threshold, and `try_add_probed` counts them in the new category.
+    /// The bound prunes exactly the attempts whose optimistic merit cannot beat the
+    /// threshold, and `try_add_probed` counts them in their own category.
     #[test]
     fn bound_check_prunes_and_counts() {
         let g = fig4();
@@ -1512,21 +1457,6 @@ mod tests {
         assert_eq!(state.optimistic_with(&ctx, 0), total as f64);
         let last = ctx.depth() - 1;
         assert_eq!(state.optimistic_without(&ctx, last), 0.0);
-        // The integer-domain forms agree with the float comparisons they replace,
-        // at every level of a partially built cut.
-        let mut state = state;
-        let mut stats = SearchStats::default();
-        assert!(state.try_add(&ctx, ctx.node_at(0), BoundCheck::disabled(), &mut stats));
-        for level in 0..ctx.depth() {
-            assert_eq!(
-                state.frontier_dead_with(&ctx, level),
-                state.optimistic_with(&ctx, level) <= 0.0
-            );
-            assert_eq!(
-                state.frontier_dead_without(&ctx, level),
-                state.optimistic_without(&ctx, level) <= 0.0
-            );
-        }
         // Blocking a node removes its cycles from every prefix mass.
         let mut ctx2 = BlockContext::new(&g, Constraints::new(8, 4), &model);
         let mul = ctx2.node_at(3);

@@ -1,15 +1,16 @@
-//! The single-cut search without the frontier bound, kept as a baseline.
+//! The single-cut search as a second, hook-free walk, kept as a baseline.
 //!
 //! [`identify_single_cut_reference`] walks the paper's binary tree over the same
-//! [`IncrementalCutState`] as the production search, but sequentially and with the
-//! bound disabled, so it prunes only by the original categories (output ports,
-//! convexity, node budget). It exists for two reasons:
+//! [`IncrementalCutState`] as the production search, sequentially and without the
+//! `SearchHook` layer, pruning only by the paper's categories (output ports,
+//! convexity, node budget). The default search prunes by exactly these rules, so the
+//! two agree field for field. It exists for two reasons:
 //!
 //! * **specification** — the property suite (`tests/cut_state.rs`) checks that the
-//!   bounded search returns the same selection and `best_updates` as this walk while
-//!   never considering more cuts;
+//!   default search, sequential and split, returns this walk's cut and every one of
+//!   its [`SearchStats`] fields;
 //! * **baseline** — it is the "reference" row of the scaling bench, so the cost of the
-//!   frontier bound and the search hook is measured against the walk without them.
+//!   search hook is measured against the walk without it.
 
 use ise_hw::CostModel;
 use ise_ir::Dfg;
@@ -18,7 +19,7 @@ use super::{BlockContext, BoundCheck, IncrementalCutState, Incumbent, SearchKern
 use crate::constraints::Constraints;
 use crate::search::{IdentifiedCut, SearchOutcome, SearchStats};
 
-/// The original single-cut policy: binary decisions, no frontier bound.
+/// The original single-cut policy: binary decisions, the paper's pruning rules.
 struct ReferenceSingleCutPolicy<'a> {
     ctx: &'a BlockContext<'a>,
 }
@@ -77,9 +78,9 @@ impl SearchPolicy for ReferenceSingleCutPolicy<'_> {
     }
 }
 
-/// Runs the single-cut search with no frontier bound: sequential walk, the original
-/// pruning categories only — the selection of the bounded search, with the full
-/// effort counts of the unbounded tree.
+/// Runs the single-cut search over the hook-free policy: sequential walk, the paper's
+/// pruning categories only — the cut and every [`SearchStats`] field of the default
+/// search.
 ///
 /// This is the "before" measurement of the scaling bench and the search-level anchor of
 /// the property suite; production callers should use
@@ -114,8 +115,8 @@ mod tests {
         b.finish()
     }
 
-    /// The reference search still reproduces the paper's Fig. 4 optimum, with the
-    /// original four-category stats identity (no bound category).
+    /// The reference search reproduces the paper's Fig. 4 optimum, with the
+    /// four-category stats identity (no bound category).
     #[test]
     fn reference_search_matches_the_paper_example() {
         let g = fig4();

@@ -84,8 +84,8 @@ struct MultiCutState {
 ///
 /// Choices `0..assignable` assign the node to that cut slot (with symmetry breaking: a
 /// node may start slot `k` only when slots `0..k` are in use); the last choice leaves
-/// the node in software. As in the single-cut policy, the sink `H` sees every attempt,
-/// subtree prune and candidate, so a direct search and a pool fill walk one policy.
+/// the node in software. As in the single-cut policy, the sink `H` sees every attempt
+/// and candidate, so a direct search and a pool fill walk one policy.
 struct MultiCutPolicy<'a, H> {
     ctx: &'a BlockContext<'a>,
     num_cuts: usize,
@@ -102,7 +102,7 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> MultiCutPolicy<'_, H> {
     }
 
     /// The summed merit of the tuple as it stands (empty slots contribute zero): the
-    /// base of the frontier bound. Each remaining software cycle can join at most one
+    /// base of the incumbent bound. Each remaining software cycle can join at most one
     /// slot and raise that slot's merit by at most one per cycle, so
     /// `base + remaining_mass` bounds every objective reachable in the subtree.
     #[inline(always)]
@@ -189,19 +189,15 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> SearchPolicy for MultiCutPolicy<'_, H> {
         let node = ctx.node_at(level);
         let blocked = ctx.is_blocked(node);
         let software_choice = if blocked { 0 } else { self.assignable(state) };
-        let threshold = if self.incumbent_bound {
-            sink.bound_threshold()
-        } else {
-            0.0
-        };
         if choice == software_choice {
-            // Software branch: the node is outside every cut — unless even the whole
-            // remaining frontier cannot lift the tuple's summed merit past the
-            // threshold, in which case the subtree is skipped outright.
-            let optimistic = Self::base_merit(state) + ctx.remaining_mass(level + 1) as f64;
-            if optimistic <= threshold {
+            // Software branch: the node is outside every cut — unless, in incumbent
+            // mode, even the whole remaining frontier cannot lift the tuple's summed
+            // merit past the incumbent, in which case the subtree is skipped outright.
+            if self.incumbent_bound
+                && Self::base_merit(state) + ctx.remaining_mass(level + 1) as f64
+                    <= sink.bound_threshold()
+            {
                 stats.bound_subtree_prunes += 1;
-                sink.subtree_prune(Self::prefix(state));
                 return false;
             }
             for cut in &mut state.cuts {
@@ -209,21 +205,24 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> SearchPolicy for MultiCutPolicy<'_, H> {
             }
             return true;
         }
-        // Assign the node to cut slot `choice` (shared probe/prune/count logic). The
-        // bound replaces the slot's merit by its optimistic post-add value (current
-        // critical path, since adding can only lengthen it) and grants the remaining
-        // frontier mass on top.
-        let slot = &state.cuts[choice];
-        let optimistic = Self::base_merit(state) - slot.merit()
-            + cut_merit(
-                slot.software() + u64::from(ctx.node_software_cost(node)),
-                slot.critical_path(),
-            )
-            + ctx.remaining_mass(level + 1) as f64;
-        let bound = BoundCheck {
-            optimistic,
-            threshold,
-            input_floor: self.incumbent_bound.then_some(ctx.constraints.max_inputs),
+        // Assign the node to cut slot `choice` (shared probe/prune/count logic). In
+        // incumbent mode the bound replaces the slot's merit by its optimistic post-add
+        // value (current critical path, since adding can only lengthen it) and grants
+        // the remaining frontier mass on top.
+        let bound = if self.incumbent_bound {
+            let slot = &state.cuts[choice];
+            BoundCheck {
+                optimistic: Self::base_merit(state) - slot.merit()
+                    + cut_merit(
+                        slot.software() + u64::from(ctx.node_software_cost(node)),
+                        slot.critical_path(),
+                    )
+                    + ctx.remaining_mass(level + 1) as f64,
+                threshold: sink.bound_threshold(),
+                input_floor: Some(ctx.constraints.max_inputs),
+            }
+        } else {
+            BoundCheck::disabled()
         };
         let prefix = Self::prefix(state);
         if !sink.try_add(ctx, &mut state.cuts[choice], node, prefix, bound, stats) {
@@ -290,8 +289,8 @@ impl<'a> MultiCutSearch<'a> {
         }
     }
 
-    /// Sharpens the frontier bound's threshold from zero to the incumbent's summed
-    /// merit (and enables the per-slot monotone block-input floor). The selected tuple
+    /// Enables the incumbent bound against the incumbent's summed merit (and the
+    /// per-slot monotone block-input floor). The selected tuple
     /// stays identical; the effort counters shrink and become visit-order-dependent, so
     /// this forces the sequential walk. See
     /// [`SingleCutSearch::with_incumbent_bound`](crate::search::SingleCutSearch::with_incumbent_bound).
@@ -453,7 +452,7 @@ mod tests {
     }
 
     /// The opt-in incumbent-score bound returns the identical tuple while never
-    /// exploring more assignments than the default zero-threshold bound.
+    /// exploring more assignments than the default search.
     #[test]
     fn incumbent_bound_preserves_the_tuple() {
         let g = two_chains();

@@ -36,16 +36,13 @@
 //!    is port-dominated by an earlier one of no lesser merit — preserves the exact
 //!    answer of *every* covered query ([`ParetoStore`]).
 //! 3. **The effort counters are histogram-reconstructible.** Every 1-branch attempt of
-//!    the loose walk is recorded as `(prefix max OUT, probed OUT, convex, node-budget,
-//!    frontier-bound)`; a query aggregates the attempts its own walk would have made and
-//!    classifies them in the canonical pruning order (output → convexity → node budget →
-//!    frontier bound), reproducing [`SearchStats`] exactly — except `best_updates`,
-//!    which would require the full offer log and is reported as zero by pool answers
-//!    (see [`AttemptHistogram`]). The frontier bound is *query-independent*: its zero
-//!    threshold and its optimistic value depend only on the tree path, never on the
-//!    ports or the incumbent, so the fill observes the exact bound outcome every covered
-//!    query would. Software-branch subtree prunes (which attempt no cut) are tallied per
-//!    prefix in a side vector and summed the same way.
+//!    the loose walk is recorded as `(prefix max OUT, probed OUT, convex, node-budget)`;
+//!    a query aggregates the attempts its own walk would have made and classifies them
+//!    in the canonical pruning order (output → convexity → node budget), reproducing
+//!    [`SearchStats`] exactly — except `best_updates`, which would require the full
+//!    offer log and is reported as zero by pool answers (see [`AttemptHistogram`]).
+//!    Fills run the default policies, which prune by these rules only; the opt-in
+//!    incumbent bound reads the visit-order-dependent incumbent and is never used.
 //! 4. **A split fill folds exactly.** The kernel gives every inline segment and subtree
 //!    task of a split walk its own sink and folds them in depth-first order. Histogram
 //!    counts add. The store keeps exactly the offers that no other offer *beats* — no
@@ -254,16 +251,14 @@ impl<P> ParetoStore<P> {
 /// [`SearchStats`] of a direct search under any covered output-port constraint.
 ///
 /// Each attempt is keyed by the largest `OUT` applied on its tree path (`prefix`), the
-/// probed `OUT` of the attempt itself, and its convexity / node-budget / frontier-bound
-/// flags. The table covers prefixes up to `fill_outputs`: the fill's `Nout`, capped at
-/// the block's node count since `OUT(S)` never exceeds it, so a huge requested `Nout`
-/// costs no more than the block's own size. A walk under `Nout = q` makes exactly the
-/// attempts with `prefix ≤ q` and classifies each in the canonical order: output ports
-/// first, then convexity, the node budget, and last the frontier bound. The bound flag
-/// is query-independent (zero threshold, path-determined optimistic value), so
-/// recording it once at fill time is exact for every covered query. Software-branch
-/// subtree prunes — the bound firing at a 0-branch, where no cut is attempted — are
-/// tallied per prefix in `subtree_prunes` and reconstructed by the same prefix cutoff.
+/// probed `OUT` of the attempt itself, and its convexity / node-budget flags. The table
+/// covers prefixes up to `fill_outputs`: the fill's `Nout`, capped at the block's node
+/// count since `OUT(S)` never exceeds it, so a huge requested `Nout` costs no more than
+/// the block's own size. A walk under `Nout = q` makes exactly the attempts with
+/// `prefix ≤ q` and classifies each in the canonical order: output ports first, then
+/// convexity, and last the node budget. Both flags are query-independent (covered
+/// queries share the fill's node budget), so recording them once at fill time is exact
+/// for every covered query.
 ///
 /// `best_updates` is *not* reconstructible from a histogram (it depends on the full
 /// offer order) and is reported as zero by [`reconstruct`](Self::reconstruct); pool
@@ -272,42 +267,33 @@ impl<P> ParetoStore<P> {
 pub struct AttemptHistogram {
     fill_outputs: usize,
     counts: Vec<u64>,
-    subtree_prunes: Vec<u64>,
 }
 
 impl AttemptHistogram {
+    /// Table length for `fill_outputs`: `(prefix, probed, convex, within_budget)`.
+    fn table_len(fill_outputs: usize) -> usize {
+        (fill_outputs + 1) * (fill_outputs + 2) * 4
+    }
+
     fn new(fill_outputs: usize) -> Self {
         AttemptHistogram {
             fill_outputs,
-            counts: vec![0; (fill_outputs + 1) * (fill_outputs + 2) * 8],
-            subtree_prunes: vec![0; fill_outputs + 1],
+            counts: vec![0; Self::table_len(fill_outputs)],
         }
     }
 
-    /// Adds the attempts and subtree prunes of `other`, a histogram of equal geometry.
+    /// Adds the attempts of `other`, a histogram of equal geometry.
     fn absorb(&mut self, other: &AttemptHistogram) {
         debug_assert_eq!(self.fill_outputs, other.fill_outputs);
         for (count, more) in self.counts.iter_mut().zip(&other.counts) {
             *count += more;
         }
-        for (prunes, more) in self.subtree_prunes.iter_mut().zip(&other.subtree_prunes) {
-            *prunes += more;
-        }
     }
 
     #[inline(always)]
-    fn index(
-        &self,
-        prefix: usize,
-        probed: usize,
-        convex: bool,
-        within_budget: bool,
-        bound_ok: bool,
-    ) -> usize {
-        (((prefix * (self.fill_outputs + 2) + probed) * 2 + usize::from(convex)) * 2
-            + usize::from(within_budget))
-            * 2
-            + usize::from(bound_ok)
+    fn index(&self, prefix: usize, probed: usize, convex: bool, within_budget: bool) -> usize {
+        ((prefix * (self.fill_outputs + 2) + probed) * 2 + usize::from(convex)) * 2
+            + usize::from(within_budget)
     }
 
     /// Reconstructs the statistics of a direct search under `Nout = max_outputs`.
@@ -316,28 +302,22 @@ impl AttemptHistogram {
         let mut stats = SearchStats::default();
         let query = max_outputs.min(self.fill_outputs);
         for prefix in 0..=query {
-            stats.bound_subtree_prunes += self.subtree_prunes[prefix];
             for probed in 0..=self.fill_outputs + 1 {
                 for convex in [false, true] {
                     for within_budget in [false, true] {
-                        for bound_ok in [false, true] {
-                            let n = self.counts
-                                [self.index(prefix, probed, convex, within_budget, bound_ok)];
-                            if n == 0 {
-                                continue;
-                            }
-                            stats.cuts_considered += n;
-                            if probed > max_outputs {
-                                stats.pruned_output += n;
-                            } else if !convex {
-                                stats.pruned_convexity += n;
-                            } else if !within_budget {
-                                stats.pruned_node_budget += n;
-                            } else if !bound_ok {
-                                stats.pruned_bound += n;
-                            } else {
-                                stats.feasible_cuts += n;
-                            }
+                        let n = self.counts[self.index(prefix, probed, convex, within_budget)];
+                        if n == 0 {
+                            continue;
+                        }
+                        stats.cuts_considered += n;
+                        if probed > max_outputs {
+                            stats.pruned_output += n;
+                        } else if !convex {
+                            stats.pruned_convexity += n;
+                        } else if !within_budget {
+                            stats.pruned_node_budget += n;
+                        } else {
+                            stats.feasible_cuts += n;
                         }
                     }
                 }
@@ -346,29 +326,22 @@ impl AttemptHistogram {
         stats
     }
 
-    /// The raw `(fill_outputs, counts, subtree_prunes)` state, for snapshots.
-    pub(crate) fn parts(&self) -> (usize, &[u64], &[u64]) {
-        (self.fill_outputs, &self.counts, &self.subtree_prunes)
+    /// The raw `(fill_outputs, counts)` state, for snapshots.
+    pub(crate) fn parts(&self) -> (usize, &[u64]) {
+        (self.fill_outputs, &self.counts)
     }
 
     /// Rebuilds a histogram from snapshot state, validating the table geometry.
     ///
-    /// Returns `None` when the vector lengths do not match `fill_outputs` — the
+    /// Returns `None` when the table length does not match `fill_outputs` — the
     /// snapshot loader treats that as corruption and falls back to a cold start.
-    pub(crate) fn from_parts(
-        fill_outputs: usize,
-        counts: Vec<u64>,
-        subtree_prunes: Vec<u64>,
-    ) -> Option<Self> {
-        if counts.len() != (fill_outputs + 1) * (fill_outputs + 2) * 8
-            || subtree_prunes.len() != fill_outputs + 1
-        {
+    pub(crate) fn from_parts(fill_outputs: usize, counts: Vec<u64>) -> Option<Self> {
+        if counts.len() != Self::table_len(fill_outputs) {
             return None;
         }
         Some(AttemptHistogram {
             fill_outputs,
             counts,
-            subtree_prunes,
         })
     }
 }
@@ -475,15 +448,10 @@ impl<P: Send + Sync> WalkSink for FillRecorder<P> {
 
 impl<P: Send + Sync> SearchHook<P> for FillRecorder<P> {
     #[inline(always)]
-    fn attempt(&mut self, prefix: usize, probe: AddProbe, within_budget: bool, bound_ok: bool) {
+    fn attempt(&mut self, prefix: usize, probe: AddProbe, within_budget: bool) {
         let histogram = &mut self.histogram;
-        let index = histogram.index(prefix, probe.outputs, probe.convex, within_budget, bound_ok);
+        let index = histogram.index(prefix, probe.outputs, probe.convex, within_budget);
         histogram.counts[index] += 1;
-    }
-
-    #[inline(always)]
-    fn subtree_prune(&mut self, prefix: usize) {
-        self.histogram.subtree_prunes[prefix] += 1;
     }
 
     #[inline(always)]
@@ -639,43 +607,43 @@ mod tests {
         }
     }
 
+    /// The cost models the differentials run under: the default model and unit
+    /// software latencies, under which a single `div` costs as little as an `add`.
+    fn models() -> [(&'static str, DefaultCostModel); 2] {
+        [
+            ("default", DefaultCostModel::new()),
+            ("unit software", DefaultCostModel::unit_software()),
+        ]
+    }
+
     /// The pool answer equals the direct search — cut identity *and* every reconstructed
     /// counter — for all paper pairs covered by an `(8, 4)` fill, on the Fig. 4 block
-    /// and on seeded random DAGs, without and with a node budget.
+    /// and on seeded random DAGs, without and with a node budget, under each model.
     #[test]
     fn pool_answers_match_direct_single_cut_searches() {
-        let model = DefaultCostModel::new();
         let mut graphs = vec![fig4()];
         for seed in 0..12u64 {
             graphs.push(ise_ir_random(seed));
         }
-        for max_nodes in [None, Some(3)] {
-            let with_budget = |c: Constraints| max_nodes.map_or(c, |n| c.with_max_nodes(n));
-            let fill = with_budget(Constraints::new(8, 4));
-            let mut budget_prunes = 0;
-            for dfg in &graphs {
-                let pool = expect_complete(fill_single_cut(dfg, None, fill, &model, None));
-                for query in Constraints::paper_sweep().into_iter().map(with_budget) {
-                    assert!(covers(&fill, &query));
-                    let direct = SingleCutSearch::new(dfg, query, &model).run();
-                    let answer = pool.answer(&query);
-                    assert_eq!(answer.best, direct.best, "{} under {query}", dfg.name());
-                    let stats = answer.stats;
-                    assert_eq!(stats.cuts_considered, direct.stats.cuts_considered);
-                    assert_eq!(stats.feasible_cuts, direct.stats.feasible_cuts);
-                    assert_eq!(stats.pruned_output, direct.stats.pruned_output);
-                    assert_eq!(stats.pruned_convexity, direct.stats.pruned_convexity);
-                    assert_eq!(stats.pruned_node_budget, direct.stats.pruned_node_budget);
-                    assert_eq!(stats.pruned_bound, direct.stats.pruned_bound);
-                    assert_eq!(
-                        stats.bound_subtree_prunes,
-                        direct.stats.bound_subtree_prunes
-                    );
-                    assert!(!stats.budget_exhausted);
-                    budget_prunes += stats.pruned_node_budget;
+        for (name, model) in models() {
+            for max_nodes in [None, Some(3)] {
+                let with_budget = |c: Constraints| max_nodes.map_or(c, |n| c.with_max_nodes(n));
+                let fill = with_budget(Constraints::new(8, 4));
+                let mut budget_prunes = 0;
+                for dfg in &graphs {
+                    let pool = expect_complete(fill_single_cut(dfg, None, fill, &model, None));
+                    for query in Constraints::paper_sweep().into_iter().map(with_budget) {
+                        assert!(covers(&fill, &query));
+                        let direct = SingleCutSearch::new(dfg, query, &model).run();
+                        let answer = pool.answer(&query);
+                        let label = format!("{} under {query}, {name} model", dfg.name());
+                        assert_eq!(answer.best, direct.best, "{label}");
+                        assert_same_effort(answer.stats, direct.stats, &label);
+                        budget_prunes += answer.stats.pruned_node_budget;
+                    }
                 }
+                assert_eq!(max_nodes.is_some(), budget_prunes > 0, "node-budget path");
             }
-            assert_eq!(max_nodes.is_some(), budget_prunes > 0, "node-budget path");
         }
     }
 
@@ -783,50 +751,52 @@ mod tests {
     }
 
     /// Multicut tuple answers equal the direct `(M+1)`-ary search, every counter
-    /// included, without and with a node budget.
+    /// included, without and with a node budget, under each model.
     #[test]
     fn tuple_pool_answers_match_direct_multicut_searches() {
-        let model = DefaultCostModel::new();
-        for max_nodes in [None, Some(2)] {
-            let with_budget = |c: Constraints| max_nodes.map_or(c, |n| c.with_max_nodes(n));
-            let fill = with_budget(Constraints::new(8, 4));
-            let mut budget_prunes = 0;
-            for seed in 0..8u64 {
-                let dfg = ise_ir_random(seed);
-                for m in [1usize, 2, 3] {
-                    let pool = expect_complete(fill_multicut(&dfg, None, fill, &model, m, None, 0));
-                    for query in [
-                        Constraints::new(2, 1),
-                        Constraints::new(4, 2),
-                        Constraints::new(8, 4),
-                    ]
-                    .map(with_budget)
-                    {
-                        let direct = MultiCutSearch::new(&dfg, query, &model, m).run();
-                        let answer = pool.answer(&query);
-                        let direct_payload = if direct.cuts.is_empty() {
-                            None
-                        } else {
-                            Some(direct.cuts.clone())
-                        };
-                        // The store keeps the *unsorted* payload; sort like the search does.
-                        let answered = answer.best.map(|mut cuts| {
-                            cuts.sort_by(|a, b| {
-                                b.evaluation
-                                    .merit
-                                    .partial_cmp(&a.evaluation.merit)
-                                    .unwrap_or(std::cmp::Ordering::Equal)
+        for (name, model) in models() {
+            for max_nodes in [None, Some(2)] {
+                let with_budget = |c: Constraints| max_nodes.map_or(c, |n| c.with_max_nodes(n));
+                let fill = with_budget(Constraints::new(8, 4));
+                let mut budget_prunes = 0;
+                for seed in 0..8u64 {
+                    let dfg = ise_ir_random(seed);
+                    for m in [1usize, 2, 3] {
+                        let pool =
+                            expect_complete(fill_multicut(&dfg, None, fill, &model, m, None, 0));
+                        for query in [
+                            Constraints::new(2, 1),
+                            Constraints::new(4, 2),
+                            Constraints::new(8, 4),
+                        ]
+                        .map(with_budget)
+                        {
+                            let direct = MultiCutSearch::new(&dfg, query, &model, m).run();
+                            let answer = pool.answer(&query);
+                            let direct_payload = if direct.cuts.is_empty() {
+                                None
+                            } else {
+                                Some(direct.cuts.clone())
+                            };
+                            // The store keeps the *unsorted* payload; sort like the search does.
+                            let answered = answer.best.map(|mut cuts| {
+                                cuts.sort_by(|a, b| {
+                                    b.evaluation
+                                        .merit
+                                        .partial_cmp(&a.evaluation.merit)
+                                        .unwrap_or(std::cmp::Ordering::Equal)
+                                });
+                                cuts
                             });
-                            cuts
-                        });
-                        let label = format!("seed {seed}, M={m}, {query}");
-                        assert_eq!(answered, direct_payload, "{label}");
-                        assert_same_effort(answer.stats, direct.stats, &label);
-                        budget_prunes += answer.stats.pruned_node_budget;
+                            let label = format!("seed {seed}, M={m}, {query}, {name} model");
+                            assert_eq!(answered, direct_payload, "{label}");
+                            assert_same_effort(answer.stats, direct.stats, &label);
+                            budget_prunes += answer.stats.pruned_node_budget;
+                        }
                     }
                 }
+                assert_eq!(max_nodes.is_some(), budget_prunes > 0, "node-budget path");
             }
-            assert_eq!(max_nodes.is_some(), budget_prunes > 0, "node-budget path");
         }
     }
 
@@ -924,8 +894,8 @@ mod tests {
     }
 
     /// Asserts two pools agree in every recorded field: each entry's ports, score
-    /// bits, `seq` and payload, `offered`, the histogram counts and subtree prunes,
-    /// and `fill_cuts_considered`.
+    /// bits, `seq` and payload, `offered`, the histogram counts and
+    /// `fill_cuts_considered`.
     fn assert_same_pool<P: PartialEq + std::fmt::Debug>(
         split: &FilledPool<P>,
         sequential: &FilledPool<P>,

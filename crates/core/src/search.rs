@@ -51,14 +51,14 @@ pub struct SearchStats {
     pub pruned_convexity: u64,
     /// Cuts rejected (with their subtree) by the optional node-count budget.
     pub pruned_node_budget: u64,
-    /// Cuts rejected (with their subtree) by the frontier-aware merit bound, still
-    /// inside the `cuts_considered` identity
-    /// (`considered = feasible + output + convexity + node_budget + bound`). In the
-    /// opt-in incumbent-bound mode this also counts the monotone block-input floor.
+    /// Cuts rejected (with their subtree) by the opt-in incumbent bound or its
+    /// monotone block-input floor, still inside the `cuts_considered` identity
+    /// (`considered = feasible + output + convexity + node_budget + bound`). Zero in
+    /// the default search, which prunes by the paper's rules only.
     pub pruned_bound: u64,
-    /// Software branches whose whole subtree the frontier bound skipped *before* any
-    /// cut was attempted; not part of the `cuts_considered` identity, since no cut was
-    /// counted.
+    /// Software branches whose whole subtree the opt-in incumbent bound skipped
+    /// *before* any cut was attempted; not part of the `cuts_considered` identity,
+    /// since no cut was counted. Zero in the default search.
     pub bound_subtree_prunes: u64,
     /// Number of times the incumbent best cut was improved.
     pub best_updates: u64,
@@ -140,18 +140,15 @@ impl SearchOutcome {
 /// The single-cut policy over the shared kernel: a binary decision per node.
 ///
 /// Choice `0` tries to add the node to the cut (the 1-branch of Fig. 6, with the
-/// output-port / convexity / node-budget / frontier-bound pruning); choice `1` leaves
-/// it in software, first checking whether the remaining frontier can still produce a
-/// winning cut at all.
+/// output-port / convexity / node-budget pruning); choice `1` leaves it in software.
 ///
-/// `incumbent_bound` selects the bound threshold: `false` (the default) uses zero —
-/// pruned subtrees provably contain only non-positive-merit cuts, so the selection,
-/// `best_updates` *and* the parallel-walk byte-identity are preserved; `true` uses the
-/// incumbent's score, which prunes much harder but reads visit-order-dependent state
-/// and therefore forces the sequential walk (and adds the monotone block-input floor).
+/// `incumbent_bound` (off by default) adds the incumbent bound of the kernel: both
+/// branches also prune a subtree whose optimistic merit cannot beat the incumbent's
+/// score, plus the monotone block-input floor. It reads visit-order-dependent state and
+/// therefore forces the sequential walk.
 ///
-/// The sink `H` sees every attempt, subtree prune and candidate: an [`Incumbent`] for a
-/// direct search, the recorder of `crate::pool` for a pool fill — one walk serves both.
+/// The sink `H` sees every attempt and candidate: an [`Incumbent`] for a direct search,
+/// the recorder of `crate::pool` for a pool fill — one walk serves both.
 struct SingleCutPolicy<'a, H> {
     ctx: &'a BlockContext<'a>,
     incumbent_bound: bool,
@@ -191,18 +188,13 @@ impl<H: SearchHook<IdentifiedCut>> SearchPolicy for SingleCutPolicy<'_, H> {
         let ctx = self.ctx;
         let node = ctx.node_at(level);
         if choice == 1 {
-            // 0-branch: leave `node` out of the cut — unless even the optimistic merit
-            // of the remaining frontier cannot beat the threshold, in which case the
-            // whole subtree is skipped before any cut is attempted. The default zero
-            // threshold is decided in the integer domain (same outcome, no float work).
-            let dead = if self.incumbent_bound {
-                state.optimistic_without(ctx, level) <= sink.bound_threshold()
-            } else {
-                state.frontier_dead_without(ctx, level)
-            };
-            if dead {
+            // 0-branch: leave `node` out of the cut — unless, in incumbent mode, even the
+            // optimistic merit of the remaining frontier cannot beat the incumbent, in
+            // which case the whole subtree is skipped before any cut is attempted.
+            if self.incumbent_bound
+                && state.optimistic_without(ctx, level) <= sink.bound_threshold()
+            {
                 stats.bound_subtree_prunes += 1;
-                sink.subtree_prune(state.outputs());
                 return false;
             }
             state.mark_outside(ctx, node);
@@ -219,7 +211,7 @@ impl<H: SearchHook<IdentifiedCut>> SearchPolicy for SingleCutPolicy<'_, H> {
                 input_floor: Some(ctx.constraints.max_inputs),
             }
         } else {
-            BoundCheck::frontier(state.frontier_dead_with(ctx, level))
+            BoundCheck::disabled()
         };
         let prefix = state.outputs();
         if !sink.try_add(ctx, state, node, prefix, bound, stats) {
@@ -263,8 +255,9 @@ impl<'a> SingleCutSearch<'a> {
         }
     }
 
-    /// Sharpens the frontier bound's threshold from zero to the incumbent's score and
-    /// enables the monotone block-input floor.
+    /// Enables the incumbent bound: subtrees whose optimistic merit cannot beat the
+    /// incumbent's score are pruned, and so are attempts over the monotone block-input
+    /// floor.
     ///
     /// The selection (and even `best_updates`) provably stays identical — a pruned
     /// subtree only holds cuts that cannot strictly beat the incumbent — but the effort
@@ -415,7 +408,7 @@ mod tests {
     }
 
     /// The opt-in incumbent-score bound keeps the selection (and `best_updates`)
-    /// identical while never exploring more than the default zero-threshold bound.
+    /// identical while never exploring more than the default search.
     #[test]
     fn incumbent_bound_preserves_the_selection() {
         let graphs = [fig4(), {

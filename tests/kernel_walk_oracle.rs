@@ -1,17 +1,20 @@
-//! An independent walk oracle for the single-cut search.
+//! An independent walk oracle for the single-cut and multiple-cut searches.
 //!
 //! `kernel::reference` shares the kernel's walk loop and cut state, so a bug in either
 //! moves both. This oracle is written from the kernel module documentation alone: a
-//! plain recursion over the paper's binary tree (1-branch first, then the software
-//! branch) in `canonical_consumers_first` order, with `IN`, `OUT`, convexity, the
-//! critical path and the zero-threshold frontier bound recomputed from the `Dfg` and
-//! the cost model at every step, and no `kernel` type in sight. Sequential and split
-//! `SingleCutSearch` runs must equal it in every `SearchStats` field, `best_updates`
-//! included, and in the chosen cut.
+//! plain recursion over the paper's `(M+1)`-ary tree (each cut slot in turn, a new slot
+//! only once the slots before it are in use, then the software branch) in
+//! `canonical_consumers_first` order, with `IN`, `OUT`, convexity and the critical path
+//! of every slot recomputed from the `Dfg` and the cost model at every step, and no
+//! `kernel` type in sight. It prunes by the paper's rules only: output ports, convexity
+//! and the node budget. With one slot it is the binary tree of the single-cut search.
+//! Sequential and split `SingleCutSearch` and `MultiCutSearch` runs must equal it in
+//! every `SearchStats` field, `best_updates` included, and in the chosen cuts, under
+//! the default cost model and under unit software latencies.
 
-use ise::core::{Constraints, CutSet, SearchStats, SingleCutSearch};
-use ise::hw::{cut_merit, CostModel, DefaultCostModel, HardwareDelayModel};
-use ise::ir::{canon, Dfg, NodeId, Operand};
+use ise::core::{Constraints, CutSet, MultiCutSearch, SearchStats, SingleCutSearch};
+use ise::hw::{cut_merit, CostModel, DefaultCostModel};
+use ise::ir::{canon, Dfg, DfgBuilder, NodeId, Operand};
 use ise::workloads::random::wide_dfg;
 
 struct Oracle<'a> {
@@ -21,38 +24,40 @@ struct Oracle<'a> {
     budget: Option<u64>,
     order: Vec<NodeId>,
     blocked: Vec<bool>,
-    /// `mass[ℓ]`: software cycles of the non-blocked nodes decided at levels `ℓ..`.
-    mass: Vec<u64>,
-    member: Vec<bool>,
+    /// Number of cut slots (`M`).
+    slots: usize,
+    /// Per node: the slot it joined, if any.
+    slot: Vec<Option<usize>>,
     stats: SearchStats,
-    best: (f64, Option<CutSet>),
+    /// The best summed merit and its cuts with positive merit, in slot order.
+    best: (f64, Vec<(f64, CutSet)>),
 }
 
 impl Oracle<'_> {
-    fn members(&self) -> Vec<NodeId> {
+    fn members(&self, k: usize) -> Vec<NodeId> {
         self.order
             .iter()
             .copied()
-            .filter(|v| self.member[v.index()])
+            .filter(|v| self.slot[v.index()] == Some(k))
             .collect()
     }
 
-    /// `OUT(S)`: members feeding a block output or a non-member.
-    fn outputs(&self) -> usize {
-        let consumers = |v: NodeId| self.dfg.consumers(v).iter();
+    /// `OUT(S_k)`: members feeding a block output or a non-member.
+    fn outputs(&self, k: usize) -> usize {
+        let outside = |c: &NodeId| self.slot[c.index()] != Some(k);
         let external = |v: &NodeId| {
-            self.dfg.is_output_source(*v) || consumers(*v).any(|c| !self.member[c.index()])
+            self.dfg.is_output_source(*v) || self.dfg.consumers(*v).iter().any(outside)
         };
-        self.members().iter().filter(|v| external(v)).count()
+        self.members(k).iter().filter(|v| external(v)).count()
     }
 
-    /// `IN(S)`: distinct non-member and block-input operands of the members.
-    fn inputs(&self) -> usize {
+    /// `IN(S_k)`: distinct non-member and block-input operands of the members.
+    fn inputs(&self, k: usize) -> usize {
         let mut sources: Vec<Operand> = Vec::new();
-        for v in self.members() {
+        for v in self.members(k) {
             for &op in &self.dfg.node(v).operands {
                 let outside = match op {
-                    Operand::Node(m) => !self.member[m.index()],
+                    Operand::Node(m) => self.slot[m.index()] != Some(k),
                     Operand::Input(_) => true,
                     Operand::Imm(_) => false,
                 };
@@ -64,45 +69,65 @@ impl Oracle<'_> {
         sources.len()
     }
 
-    /// Whether a path leaves `v` through a non-member and comes back into the cut.
-    /// Consumers precede their producers in `order`, so one pass over the levels
+    /// Whether a path leaves `v` through a non-member of slot `k` and comes back into
+    /// it. Consumers precede their producers in `order`, so one pass over the levels
     /// before `level` settles every consumer's reach flag.
-    fn leaks(&self, v: NodeId, level: usize) -> bool {
+    fn leaks(&self, v: NodeId, level: usize, k: usize) -> bool {
+        let member = |c: &NodeId| self.slot[c.index()] == Some(k);
         let mut reaches = vec![false; self.dfg.node_count()];
         for &w in &self.order[..level] {
-            let into = |c: &NodeId| self.member[c.index()] || reaches[c.index()];
+            let into = |c: &NodeId| member(c) || reaches[c.index()];
             reaches[w.index()] = self.dfg.consumers(w).iter().any(into);
         }
-        let outside_reaching = |c: &NodeId| !self.member[c.index()] && reaches[c.index()];
+        let outside_reaching = |c: &NodeId| !member(c) && reaches[c.index()];
         self.dfg.consumers(v).iter().any(outside_reaching)
     }
 
-    /// `(software cycles, critical path, area)` of the cut, accumulated in level order.
-    fn cost(&self) -> (u64, f64, f64) {
+    /// `(merit, area)` of slot `k`, its critical path accumulated in level order.
+    fn cost(&self, k: usize) -> (f64, f64) {
         let mut path = vec![0.0f64; self.dfg.node_count()];
         let (mut software, mut critical, mut area) = (0u64, 0.0f64, 0.0f64);
-        for v in self.members() {
+        for v in self.members(k) {
             let node = self.dfg.node(v);
             let inside = self
                 .dfg
                 .consumers(v)
                 .iter()
-                .filter(|c| self.member[c.index()]);
+                .filter(|c| self.slot[c.index()] == Some(k));
             let downstream = inside.map(|c| path[c.index()]).fold(0.0f64, f64::max);
             path[v.index()] = downstream + self.model.hardware_delay(node);
             critical = critical.max(path[v.index()]);
             software += u64::from(self.model.software_cycles(node));
             area += self.model.hardware_area(node);
         }
-        (software, critical, area)
+        (cut_merit(software, critical), area)
     }
 
-    /// The zero-threshold bound: even with `extra` cycles and the whole frontier below
-    /// `level` for free, the merit cannot rise above zero.
-    fn dead(&self, extra: u64, level: usize) -> bool {
-        let (software, critical, _) = self.cost();
-        let hardware = u64::from(HardwareDelayModel::cycles_for_delay(critical));
-        software + extra + self.mass[level + 1] <= hardware
+    /// Offers the current assignment: every non-empty slot must meet the input ports
+    /// and the budgets, and the summed merit must strictly beat the best so far.
+    fn offer(&mut self) {
+        let mut total = 0.0;
+        let mut cuts = Vec::new();
+        for k in 0..self.slots {
+            let members = self.members(k);
+            if members.is_empty() {
+                continue;
+            }
+            let (merit, area) = self.cost(k);
+            if self.inputs(k) > self.limits.max_inputs
+                || !self.limits.budget_ok(area, members.len())
+            {
+                return;
+            }
+            total += merit;
+            if merit > 0.0 {
+                cuts.push((merit, CutSet::from_nodes(self.dfg, members)));
+            }
+        }
+        if total > self.best.0 {
+            self.best = (total, cuts);
+            self.stats.best_updates += 1;
+        }
     }
 
     fn visit(&mut self, level: usize) {
@@ -115,74 +140,57 @@ impl Oracle<'_> {
         }
         let v = self.order[level];
         if !self.blocked[v.index()] {
-            let cycles = u64::from(self.model.software_cycles(self.dfg.node(v)));
-            let dead = self.dead(cycles, level);
-            let convex = !self.leaks(v, level);
-            let room = self
-                .limits
-                .max_nodes
-                .is_none_or(|m| self.members().len() < m);
-            self.member[v.index()] = true;
-            let outputs = self.outputs();
-            let s = &mut self.stats;
-            s.cuts_considered += 1;
-            let pruned = if outputs > self.limits.max_outputs {
-                Some(&mut s.pruned_output)
-            } else if !convex {
-                Some(&mut s.pruned_convexity)
-            } else if !room {
-                Some(&mut s.pruned_node_budget)
-            } else if dead {
-                Some(&mut s.pruned_bound)
-            } else {
-                None
-            };
-            if let Some(counter) = pruned {
-                *counter += 1;
-            } else {
-                s.feasible_cuts += 1;
-                let (software, critical, area) = self.cost();
-                let merit = cut_merit(software, critical);
-                let members = self.members();
-                if self.inputs() <= self.limits.max_inputs
-                    && self.limits.budget_ok(area, members.len())
-                    && merit > self.best.0
-                {
-                    self.best = (merit, Some(CutSet::from_nodes(self.dfg, members)));
-                    self.stats.best_updates += 1;
+            let used = (0..self.slots)
+                .take_while(|&k| !self.members(k).is_empty())
+                .count();
+            for k in 0..(used + 1).min(self.slots) {
+                let convex = !self.leaks(v, level, k);
+                let room = self
+                    .limits
+                    .max_nodes
+                    .is_none_or(|m| self.members(k).len() < m);
+                self.slot[v.index()] = Some(k);
+                let outputs = self.outputs(k);
+                let s = &mut self.stats;
+                s.cuts_considered += 1;
+                let pruned = if outputs > self.limits.max_outputs {
+                    Some(&mut s.pruned_output)
+                } else if !convex {
+                    Some(&mut s.pruned_convexity)
+                } else if !room {
+                    Some(&mut s.pruned_node_budget)
+                } else {
+                    None
+                };
+                if let Some(counter) = pruned {
+                    *counter += 1;
+                } else {
+                    s.feasible_cuts += 1;
+                    self.offer();
+                    self.visit(level + 1);
                 }
-                self.visit(level + 1);
+                self.slot[v.index()] = None;
             }
-            self.member[v.index()] = false;
         }
-        if self.dead(0, level) {
-            self.stats.bound_subtree_prunes += 1;
-        } else {
-            self.visit(level + 1);
-        }
+        self.visit(level + 1);
     }
 }
 
-/// Runs the oracle: the best cut and the search statistics.
+/// Runs the oracle with `slots` cut slots: the best cuts (positive merit only, sorted
+/// by decreasing merit, ties in slot order) and the search statistics.
 fn oracle(
     dfg: &Dfg,
     limits: Constraints,
     excluded: &CutSet,
+    slots: usize,
     budget: Option<u64>,
     model: &dyn CostModel,
-) -> (Option<CutSet>, SearchStats) {
+) -> (Vec<CutSet>, SearchStats) {
     let order = canon::canonical_consumers_first(dfg);
     let blocked: Vec<bool> = dfg
         .node_ids()
         .map(|v| dfg.node(v).is_forbidden_in_afu() || excluded.contains(v))
         .collect();
-    let mut mass = vec![0u64; order.len() + 1];
-    for (level, v) in order.iter().enumerate().rev() {
-        let cycles = u64::from(model.software_cycles(dfg.node(*v)));
-        mass[level] = mass[level + 1] + if blocked[v.index()] { 0 } else { cycles };
-    }
-    let member = vec![false; dfg.node_count()];
-    let (stats, best) = (SearchStats::default(), (0.0, None));
     let mut walk = Oracle {
         dfg,
         model,
@@ -190,21 +198,127 @@ fn oracle(
         budget,
         order,
         blocked,
-        mass,
-        member,
-        stats,
-        best,
+        slots,
+        slot: vec![None; dfg.node_count()],
+        stats: SearchStats::default(),
+        best: (0.0, Vec::new()),
     };
     walk.visit(0);
-    (walk.best.1, walk.stats)
+    let mut cuts = walk.best.1;
+    cuts.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite merits"));
+    (cuts.into_iter().map(|(_, cut)| cut).collect(), walk.stats)
 }
 
-/// A tiny deterministic generator for exclusion masks.
+/// A tiny deterministic generator for exclusion masks and opcodes.
 fn next(seed: &mut u64) -> u64 {
     *seed = seed
         .wrapping_mul(6364136223846793005)
         .wrapping_add(1442695040888963407);
     *seed >> 33
+}
+
+/// A seeded block of `nodes` operations drawn from `add`, `mul`, `div` and `xor`, each
+/// operand one of the three most recent values.
+fn arith_dfg(nodes: usize, mut seed: u64) -> Dfg {
+    let mut b = DfgBuilder::new(format!("arith_{nodes}_{seed}"));
+    let mut values = vec![b.input("x"), b.input("y"), b.input("z")];
+    for i in 0..nodes {
+        let operand = |seed: &mut u64| values[values.len() - 1 - next(seed) as usize % 3];
+        let (lhs, rhs) = (operand(&mut seed), operand(&mut seed));
+        let v = match next(&mut seed) % 4 {
+            0 => b.add(lhs, rhs),
+            1 => b.mul(lhs, rhs),
+            2 => b.div(lhs, rhs),
+            _ => b.xor(lhs, rhs),
+        };
+        values.push(v);
+        if i % 4 == 3 {
+            b.output(format!("o{i}"), v);
+        }
+    }
+    b.output("out", *values.last().expect("at least one value"));
+    b.finish()
+}
+
+/// `x + y`, then alternately `/ y` and `+ y`: five operations in one chain.
+fn add_div_chain() -> Dfg {
+    let mut b = DfgBuilder::new("add_div_chain");
+    let x = b.input("x");
+    let y = b.input("y");
+    let mut v = b.add(x, y);
+    for i in 0..4 {
+        v = if i % 2 == 0 { b.div(v, y) } else { b.add(v, y) };
+    }
+    b.output("out", v);
+    b.finish()
+}
+
+/// Checks the single-cut search (sequential, split and budgeted) against the oracle on
+/// one block and constraint set; returns the oracle's unbudgeted statistics.
+fn check_single_cut(
+    dfg: &Dfg,
+    limits: Constraints,
+    excluded: &CutSet,
+    model: &dyn CostModel,
+    case: &str,
+) -> SearchStats {
+    let (best, stats) = oracle(dfg, limits, excluded, 1, None, model);
+    for split in [0, 1, 3, 6] {
+        let search = SingleCutSearch::new(dfg, limits, model)
+            .with_excluded(excluded)
+            .with_subtree_parallelism(split);
+        let outcome = search.run();
+        assert_eq!(outcome.stats, stats, "{case}, split {split}: stats");
+        let cut: Vec<CutSet> = outcome.best.into_iter().map(|c| c.cut).collect();
+        assert_eq!(cut, best, "{case}, split {split}: chosen cut");
+    }
+    // An exploration budget stops both walks at the same attempt.
+    let budget = stats.cuts_considered / 2;
+    let (best, budgeted) = oracle(dfg, limits, excluded, 1, Some(budget), model);
+    let search = SingleCutSearch::new(dfg, limits, model)
+        .with_excluded(excluded)
+        .with_exploration_budget(budget);
+    let outcome = search.run();
+    assert_eq!(outcome.stats, budgeted, "{case}, budget {budget}: stats");
+    let cut: Vec<CutSet> = outcome.best.into_iter().map(|c| c.cut).collect();
+    assert_eq!(cut, best, "{case}, budget {budget}");
+    SearchStats {
+        budget_exhausted: budgeted.budget_exhausted,
+        ..stats
+    }
+}
+
+/// Checks the `slots`-cut search (sequential and split) against the oracle; returns
+/// the oracle's statistics.
+fn check_multicut(
+    dfg: &Dfg,
+    limits: Constraints,
+    excluded: &CutSet,
+    slots: usize,
+    model: &dyn CostModel,
+    case: &str,
+) -> SearchStats {
+    let (best, stats) = oracle(dfg, limits, excluded, slots, None, model);
+    for split in [0, 2] {
+        let outcome = MultiCutSearch::new(dfg, limits, model, slots)
+            .with_excluded(excluded)
+            .with_subtree_parallelism(split)
+            .run();
+        let case = format!("{case}, M={slots}, split {split}");
+        assert_eq!(outcome.stats, stats, "{case}: stats");
+        let cuts: Vec<CutSet> = outcome.cuts.into_iter().map(|c| c.cut).collect();
+        assert_eq!(cuts, best, "{case}: chosen cuts");
+    }
+    stats
+}
+
+/// Sums the coverage-relevant counters of `stats` into `seen`.
+fn tally(seen: &mut SearchStats, stats: &SearchStats) {
+    seen.pruned_output += stats.pruned_output;
+    seen.pruned_convexity += stats.pruned_convexity;
+    seen.pruned_node_budget += stats.pruned_node_budget;
+    seen.best_updates += stats.best_updates;
+    seen.budget_exhausted |= stats.budget_exhausted;
 }
 
 #[test]
@@ -225,42 +339,76 @@ fn single_cut_search_equals_the_independent_walk_oracle() {
                     limits = limits.with_max_nodes(m);
                 }
                 let case = format!("{nodes} nodes, {limits}, max_nodes {max_nodes:?}");
-                let (best, stats) = oracle(&dfg, limits, &excluded, None, &model);
-                seen.pruned_output += stats.pruned_output;
-                seen.pruned_convexity += stats.pruned_convexity;
-                seen.pruned_node_budget += stats.pruned_node_budget;
-                seen.bound_subtree_prunes += stats.bound_subtree_prunes;
-                seen.best_updates += stats.best_updates;
-                for split in [0, 1, 3, 6] {
-                    let search = SingleCutSearch::new(&dfg, limits, &model)
-                        .with_excluded(&excluded)
-                        .with_subtree_parallelism(split);
-                    let outcome = search.run();
-                    assert_eq!(outcome.stats, stats, "{case}, split {split}: stats");
-                    let cut = outcome.best.map(|c| c.cut);
-                    assert_eq!(cut, best, "{case}, split {split}: chosen cut");
-                }
-                // An exploration budget stops both walks at the same attempt.
-                let budget = stats.cuts_considered / 2;
-                let (best, stats) = oracle(&dfg, limits, &excluded, Some(budget), &model);
-                let search = SingleCutSearch::new(&dfg, limits, &model)
-                    .with_excluded(&excluded)
-                    .with_exploration_budget(budget);
-                let outcome = search.run();
-                assert_eq!(outcome.stats, stats, "{case}, budget {budget}: stats");
-                assert_eq!(outcome.best.map(|c| c.cut), best, "{case}, budget {budget}");
-                seen.budget_exhausted |= stats.budget_exhausted;
+                let stats = check_single_cut(&dfg, limits, &excluded, &model, &case);
+                tally(&mut seen, &stats);
             }
         }
     }
     // Every pruning rule and the budget stop fired somewhere, so each was compared.
     assert!(
-        seen.pruned_output > 0 && seen.pruned_convexity > 0,
-        "{seen:?}"
-    );
-    assert!(
-        seen.pruned_node_budget > 0 && seen.bound_subtree_prunes > 0,
+        seen.pruned_output > 0 && seen.pruned_convexity > 0 && seen.pruned_node_budget > 0,
         "{seen:?}"
     );
     assert!(seen.best_updates > 0 && seen.budget_exhausted, "{seen:?}");
+}
+
+/// Under unit software latencies a `div` saves one cycle in software but costs six
+/// in hardware, so cuts with non-positive merit are common. The searches must still
+/// count the paper's tree — every cut the output-port, convexity and node-budget rules
+/// leave — single-cut and multicut alike, on blocks of `add`, `mul`, `div` and `xor`.
+#[test]
+fn searches_count_the_papers_tree_under_unit_software_latencies() {
+    let models = [
+        ("default", DefaultCostModel::new()),
+        ("unit software", DefaultCostModel::unit_software()),
+    ];
+    let largest = if cfg!(debug_assertions) { 12 } else { 16 };
+    for (name, model) in &models {
+        // The five-node chain: one `add`/`div` path, counted in full at (4, 2).
+        let chain = add_div_chain();
+        let none = CutSet::for_dfg(&chain);
+        let limits = Constraints::new(4, 2);
+        let case = format!("add/div chain, {limits}, {name} model");
+        let single = check_single_cut(&chain, limits, &none, model, &case);
+        let pair = check_multicut(&chain, limits, &none, 2, model, &case);
+        // Every one of the chain's 15 convex cuts fits the ports; the search counts
+        // each, plus the attempts the convexity rule turns away.
+        assert_eq!(
+            (single.cuts_considered, single.feasible_cuts),
+            (25, 15),
+            "{case}"
+        );
+        assert_eq!(pair.cuts_considered, 87, "{case}");
+
+        let mut seen = SearchStats::default();
+        for nodes in (6..=largest).step_by(2) {
+            let mut seed = 0xD1F ^ nodes as u64;
+            let dfg = arith_dfg(nodes, seed);
+            let mask = dfg.node_ids().filter(|_| next(&mut seed).is_multiple_of(5));
+            let mask = CutSet::from_nodes(&dfg, mask.collect::<Vec<_>>());
+            for (excluded, max_nodes) in [(CutSet::for_dfg(&dfg), None), (mask, Some(3))] {
+                for (nin, nout) in [(2, 1), (4, 2)] {
+                    let mut limits = Constraints::new(nin, nout);
+                    if let Some(m) = max_nodes {
+                        limits = limits.with_max_nodes(m);
+                    }
+                    let case = format!("{nodes} nodes, {limits}, {name} model");
+                    let stats = check_single_cut(&dfg, limits, &excluded, model, &case);
+                    tally(&mut seen, &stats);
+                    if nodes <= 10 {
+                        let stats = check_multicut(&dfg, limits, &excluded, 2, model, &case);
+                        tally(&mut seen, &stats);
+                    }
+                }
+            }
+        }
+        assert!(
+            seen.pruned_output > 0 && seen.pruned_convexity > 0 && seen.pruned_node_budget > 0,
+            "{name}: {seen:?}"
+        );
+        assert!(
+            seen.best_updates > 0 && seen.budget_exhausted,
+            "{name}: {seen:?}"
+        );
+    }
 }
