@@ -85,8 +85,9 @@
 //! subtree records the ascending merit sequence of its local improvements; the merge
 //! replays those sequences in subtree-index (= depth-first) order against the running
 //! global best. The result — incumbent, `best_updates` and all — is byte-identical to
-//! the sequential walk, for any thread count. The same holds for any [`WalkSink`] whose [`absorb`](WalkSink::absorb)
-//! reproduces "record `earlier`, then record `later`": the pool's recorder is one.
+//! the sequential walk, for any thread count. The same holds for any [`WalkSink`]
+//! whose [`absorb`](WalkSink::absorb) reproduces "record `earlier`, then record
+//! `later`": the pool's recorder is one.
 //!
 //! An [exploration budget](SearchKernel::exploration_budget) is a *global* cap on the
 //! cuts considered and is inherently sequential; when one is set the kernel always runs
@@ -888,10 +889,10 @@ impl<T: Send + Sync> WalkSink for Incumbent<T> {
 /// qualifying candidate.
 ///
 /// A direct search records into an [`Incumbent`], which ignores attempts and keeps the
-/// best candidate; the calls monomorphise away and leave the plain
-/// search walk. A pool fill (`crate::pool`) records into a sink that histograms the
-/// attempts and keeps every non-dominated candidate instead — so both run one policy
-/// per algorithm, and both split across subtree tasks the same way.
+/// best candidate; the calls monomorphise away and leave the plain search walk. A pool
+/// fill (`crate::pool`) records into a sink that histograms the attempts and keeps
+/// every non-dominated candidate instead — so both run one policy per algorithm, and
+/// both split across subtree tasks the same way.
 ///
 /// `prefix` is the largest `OUT` applied on the current tree path. `OUT` only grows
 /// along the consumers-first order, so that is the current cut's `OUT` (for

@@ -254,7 +254,8 @@ fn add_div_chain() -> Dfg {
 }
 
 /// Checks the single-cut search (sequential, split and budgeted) against the oracle on
-/// one block and constraint set; returns the oracle's unbudgeted statistics.
+/// one block and constraint set; returns the oracle's statistics, with
+/// `budget_exhausted` taken from the budgeted walk for the coverage tally.
 fn check_single_cut(
     dfg: &Dfg,
     limits: Constraints,
