@@ -347,96 +347,36 @@ pub struct SweepResponse {
 /// shards the programs across the work-stealing scheduler; the response is
 /// byte-identical whatever the thread count and whether dedup is on or off (the
 /// [`CorpusStats`](ise_core::CorpusStats) are reported out of band).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// On the wire only `programs` is required, and an unset `templates` is omitted, so
+/// template-free requests keep the bytes of the format that predates templates.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CorpusRequest {
     /// The programs to analyse, in response order.
     pub programs: Vec<ProgramSource>,
     /// Microarchitectural constraints shared by the whole corpus.
+    #[serde(default)]
     pub constraints: Constraints,
     /// Algorithm construction parameters (only `exploration_budget` applies).
+    #[serde(default)]
     pub config: IdentifierConfig,
     /// Program-driver options (`Ninstr`, parallel fan-out).
+    #[serde(default)]
     pub options: DriverOptions,
     /// Share Pareto fills between isomorphic blocks (`true`, the default) or run the
     /// reference per-program searches. Both modes produce byte-identical responses.
+    #[serde(default = "enabled")]
     pub dedup: bool,
     /// Optional cross-site template selection: the area budget to select instruction
     /// templates under, across the whole corpus (see
     /// [`TemplateReport`](ise_core::TemplateReport)). Absent on the wire when unset.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub templates: Option<f64>,
 }
 
-/// Hand-rolled so that an unset `templates` stays *off* the wire entirely: requests
-/// without the knob serialise byte-identically to the pre-template format.
-impl serde::Serialize for CorpusRequest {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("programs".to_string(), self.programs.to_value()),
-            ("constraints".to_string(), self.constraints.to_value()),
-            ("config".to_string(), self.config.to_value()),
-            ("options".to_string(), self.options.to_value()),
-            ("dedup".to_string(), self.dedup.to_value()),
-        ];
-        if let Some(budget) = self.templates {
-            fields.push(("templates".to_string(), budget.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-/// The value a corpus request that omits `dedup` gets.
-const WIRE_DEDUP: bool = true;
-
-/// Hand-rolled so that everything except `programs` is optional on the wire: a corpus
-/// request file can be just a program list, and future knobs stay backward-compatible.
-/// Both decodes take each default from one place: `WIRE_DEDUP`, or the field type's
-/// `Default`.
-impl<'de> serde::Deserialize<'de> for CorpusRequest {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        fn optional_or<T: serde::DeserializeOwned>(
-            fields: &[(String, serde::Value)],
-            name: &str,
-            fallback: T,
-        ) -> Result<T, serde::Error> {
-            match fields.iter().find(|(key, _)| key == name) {
-                None => Ok(fallback),
-                Some((_, field)) => serde::Deserialize::from_value(field).map_err(|e| {
-                    serde::Error::custom(format!("field `{name}` of `CorpusRequest`: {e}"))
-                }),
-            }
-        }
-        let fields = serde::expect_object(value, "CorpusRequest")?;
-        Ok(CorpusRequest {
-            programs: serde::expect_field(fields, "programs", "CorpusRequest")?,
-            constraints: optional_or(fields, "constraints", Constraints::default())?,
-            config: optional_or(fields, "config", IdentifierConfig::default())?,
-            options: optional_or(fields, "options", DriverOptions::default())?,
-            dedup: optional_or(fields, "dedup", WIRE_DEDUP)?,
-            templates: optional_or(fields, "templates", None)?,
-        })
-    }
-
-    fn read(reader: &mut serde::json::Reader<'_>) -> Result<Self, serde::Error> {
-        let (mut programs, mut constraints, mut config) = (None, None, None);
-        let (mut options, mut dedup, mut templates) = (None, None, None);
-        reader.object(|reader, key| match &*key {
-            "programs" => reader.field(&mut programs),
-            "constraints" => reader.field(&mut constraints),
-            "config" => reader.field(&mut config),
-            "options" => reader.field(&mut options),
-            "dedup" => reader.field(&mut dedup),
-            "templates" => reader.field(&mut templates),
-            _ => reader.skip(),
-        })?;
-        Ok(CorpusRequest {
-            programs: serde::required(programs, "programs", "CorpusRequest")?,
-            constraints: constraints.unwrap_or_default(),
-            config: config.unwrap_or_default(),
-            options: options.unwrap_or_default(),
-            dedup: dedup.unwrap_or(WIRE_DEDUP),
-            templates: templates.flatten(),
-        })
-    }
+/// The wire default of `dedup`.
+fn enabled() -> bool {
+    true
 }
 
 impl CorpusRequest {
@@ -509,48 +449,18 @@ pub struct CorpusProgramOutcome {
 /// between the deduplicated and the reference execution mode (the
 /// [`CorpusStats`](ise_core::CorpusStats) and per-shard progress are reported out of
 /// band).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// On the wire an absent `templates` report is omitted, so responses to template-free
+/// requests keep the bytes of the format that predates templates.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CorpusResponse {
     /// The constraints the corpus ran under.
     pub constraints: Constraints,
     /// One outcome per program, in request order.
     pub programs: Vec<CorpusProgramOutcome>,
     /// The cross-site template selection, present iff the request set `templates`.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub templates: Option<ise_core::TemplateReport>,
-}
-
-/// Hand-rolled so that the `templates` report is *omitted* (not `null`) when the
-/// request did not ask for one — responses to template-free requests stay
-/// byte-identical to the pre-template format, which the serve-mode soak test
-/// compares byte-for-byte against one-shot references.
-impl serde::Serialize for CorpusResponse {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("constraints".to_string(), self.constraints.to_value()),
-            ("programs".to_string(), self.programs.to_value()),
-        ];
-        if let Some(report) = &self.templates {
-            fields.push(("templates".to_string(), report.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for CorpusResponse {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let fields = serde::expect_object(value, "CorpusResponse")?;
-        let templates = match fields.iter().find(|(key, _)| key == "templates") {
-            None => None,
-            Some((_, field)) => serde::Deserialize::from_value(field).map_err(|e| {
-                serde::Error::custom(format!("field `templates` of `CorpusResponse`: {e}"))
-            })?,
-        };
-        Ok(CorpusResponse {
-            constraints: serde::expect_field(fields, "constraints", "CorpusResponse")?,
-            programs: serde::expect_field(fields, "programs", "CorpusResponse")?,
-            templates,
-        })
-    }
 }
 
 /// The result of one identification job.
@@ -629,6 +539,30 @@ mod tests {
         );
         let back: CorpusResponse = crate::from_json(&text).expect("round trip");
         assert_eq!(back, response);
+
+        // Everything but `programs` is optional, and a null `templates` is unset.
+        let bare: CorpusRequest =
+            crate::from_json(r#"{"programs":[{"Workload":"gsm"}]}"#).expect("programs only");
+        assert_eq!(
+            bare,
+            CorpusRequest::new(vec![ProgramSource::Workload("gsm".into())])
+        );
+        let null: CorpusRequest =
+            crate::from_json(r#"{"programs":[],"templates":null}"#).expect("null templates");
+        assert_eq!(null.templates, None);
+        let error = |text: &str| {
+            crate::from_json::<CorpusRequest>(text)
+                .unwrap_err()
+                .to_string()
+        };
+        assert_eq!(
+            error(r#"{"programs":[],"dedup":3}"#),
+            "serialisation error: field `dedup` of `CorpusRequest`: expected a boolean, found an integer"
+        );
+        assert_eq!(
+            error(r#"{"dedup":false}"#),
+            "serialisation error: missing field `programs` for `CorpusRequest`"
+        );
     }
 
     #[test]

@@ -66,7 +66,10 @@ use super::Identifier;
 /// runs such a fill does not also fan its blocks out, so the two levels never nest. No
 /// option controls this, and the fills are byte-identical either way. Corpus runs and
 /// template extraction keep sequential fills: their parallelism is across programs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+///
+/// On the wire, the fields added after the first format are optional and default to
+/// the behaviour older request files were written against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct DriverOptions {
     /// Maximum number of special instructions to select (`Ninstr`).
     pub max_instructions: usize,
@@ -76,6 +79,7 @@ pub struct DriverOptions {
     /// Number of top decision-tree levels split into parallel subtree tasks *inside*
     /// each block (`0` = sequential within a block). Byte-identical to the sequential
     /// path; see the type-level documentation for when this level pays off.
+    #[serde(default)]
     pub intra_block_levels: usize,
     /// Allow sweep front-ends (the [`SweepPlanner`](super::sweep::SweepPlanner),
     /// `Session::sweep`, the `fig11`/`sweep` benchmarks) to answer covered constraint
@@ -85,6 +89,7 @@ pub struct DriverOptions {
     /// `cuts_considered` accounting — so this knob only trades enumeration work for
     /// memory. It has no effect on single-pair runs. On by default; switch off to force
     /// the reference per-pair path (the CLI and benchmarks expose this as `--direct`).
+    #[serde(default = "enabled")]
     pub cut_pool: bool,
     /// Identify identical blocks once per round: blocks of one program whose stored
     /// representation and exclusion state are byte-equal (unrolled loop bodies,
@@ -92,69 +97,13 @@ pub struct DriverOptions {
     /// identifier, so [`identify_blocks`] runs the search on the first of each group
     /// and copies the outcome to the rest. Reported results and statistics are
     /// unchanged; only wall-clock drops. On by default.
+    #[serde(default = "enabled")]
     pub block_dedup: bool,
 }
 
-/// The value a request that omits `intra_block_levels` gets.
-const WIRE_INTRA_BLOCK_LEVELS: usize = 0;
-/// The value a request that omits `cut_pool` gets.
-const WIRE_CUT_POOL: bool = true;
-/// The value a request that omits `block_dedup` gets.
-const WIRE_BLOCK_DEDUP: bool = true;
-
-/// Hand-rolled (not derived) so that `intra_block_levels`, `cut_pool` and
-/// `block_dedup` are *optional* on the wire: request files written before these fields
-/// existed keep deserialising, defaulting to the behaviour they were written against
-/// (sequential within a block, pool-backed sweeps, deduplicated identical blocks —
-/// neither default changes any result). Both decodes take the defaults from the
-/// `WIRE_*` constants.
-impl<'de> serde::Deserialize<'de> for DriverOptions {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        fn optional<T: serde::DeserializeOwned>(
-            fields: &[(String, serde::Value)],
-            name: &str,
-            fallback: T,
-        ) -> Result<T, serde::Error> {
-            match fields.iter().find(|(key, _)| key == name) {
-                None => Ok(fallback),
-                Some((_, field)) => serde::Deserialize::from_value(field).map_err(|e| {
-                    serde::Error::custom(format!("field `{name}` of `DriverOptions`: {e}"))
-                }),
-            }
-        }
-        let fields = serde::expect_object(value, "DriverOptions")?;
-        Ok(DriverOptions {
-            max_instructions: serde::expect_field(fields, "max_instructions", "DriverOptions")?,
-            parallel: serde::expect_field(fields, "parallel", "DriverOptions")?,
-            intra_block_levels: optional(fields, "intra_block_levels", WIRE_INTRA_BLOCK_LEVELS)?,
-            cut_pool: optional(fields, "cut_pool", WIRE_CUT_POOL)?,
-            block_dedup: optional(fields, "block_dedup", WIRE_BLOCK_DEDUP)?,
-        })
-    }
-
-    fn read(reader: &mut serde::json::Reader<'_>) -> Result<Self, serde::Error> {
-        let (mut max_instructions, mut parallel, mut intra_block_levels) = (None, None, None);
-        let (mut cut_pool, mut block_dedup) = (None, None);
-        reader.object(|reader, key| match &*key {
-            "max_instructions" => reader.field(&mut max_instructions),
-            "parallel" => reader.field(&mut parallel),
-            "intra_block_levels" => reader.field(&mut intra_block_levels),
-            "cut_pool" => reader.field(&mut cut_pool),
-            "block_dedup" => reader.field(&mut block_dedup),
-            _ => reader.skip(),
-        })?;
-        Ok(DriverOptions {
-            max_instructions: serde::required(
-                max_instructions,
-                "max_instructions",
-                "DriverOptions",
-            )?,
-            parallel: serde::required(parallel, "parallel", "DriverOptions")?,
-            intra_block_levels: intra_block_levels.unwrap_or(WIRE_INTRA_BLOCK_LEVELS),
-            cut_pool: cut_pool.unwrap_or(WIRE_CUT_POOL),
-            block_dedup: block_dedup.unwrap_or(WIRE_BLOCK_DEDUP),
-        })
-    }
+/// The wire default of `cut_pool` and `block_dedup`.
+fn enabled() -> bool {
+    true
 }
 
 impl Default for DriverOptions {
@@ -745,9 +694,19 @@ mod tests {
         );
 
         let bad = r#"{"max_instructions": 4, "parallel": true, "intra_block_levels": -1}"#;
-        assert!(serde::json::from_str::<DriverOptions>(bad).is_err());
+        assert_eq!(
+            serde::json::from_str::<DriverOptions>(bad)
+                .unwrap_err()
+                .to_string(),
+            "field `intra_block_levels` of `DriverOptions`: -1 out of range for u64"
+        );
         let bad = r#"{"max_instructions": 4, "parallel": true, "cut_pool": 3}"#;
-        assert!(serde::json::from_str::<DriverOptions>(bad).is_err());
+        assert_eq!(
+            serde::json::from_str::<DriverOptions>(bad)
+                .unwrap_err()
+                .to_string(),
+            "field `cut_pool` of `DriverOptions`: expected a boolean, found an integer"
+        );
     }
 
     #[test]

@@ -86,89 +86,22 @@ pub struct OutputVar {
 /// The graph also records the basic block's profiled execution count, which the
 /// selection algorithms use to weight per-execution cycle savings (Section 7).
 ///
-/// # Wire format
-///
-/// The serde implementations are hand-written: only the primary data (`name`,
-/// `nodes`, `inputs`, `outputs`, `exec_count`) crosses a process boundary. The
-/// derived use-lists are recomputed on deserialisation, so a graph read from
-/// untrusted JSON can never carry stale or inconsistent consumer data — every
-/// entry point gets the invariant for free instead of having to remember to
-/// rebuild it.
-#[derive(Debug, Clone, PartialEq)]
+/// The use-lists are rebuilt on decode, never read from the wire, so a graph read from
+/// untrusted JSON cannot carry stale or inconsistent consumer data.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(post_decode = "Dfg::rebuild_uses")]
 pub struct Dfg {
     name: String,
     nodes: Vec<Node>,
     inputs: Vec<InputVar>,
     outputs: Vec<OutputVar>,
     /// consumers[i] lists the operation nodes that use node i as an operand.
+    #[serde(skip)]
     consumers: Vec<Vec<NodeId>>,
     /// input_consumers[p] lists the operation nodes that read input variable p.
+    #[serde(skip)]
     input_consumers: Vec<Vec<NodeId>>,
     exec_count: u64,
-}
-
-impl serde::Serialize for Dfg {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("name".to_string(), serde::Serialize::to_value(&self.name)),
-            ("nodes".to_string(), serde::Serialize::to_value(&self.nodes)),
-            (
-                "inputs".to_string(),
-                serde::Serialize::to_value(&self.inputs),
-            ),
-            (
-                "outputs".to_string(),
-                serde::Serialize::to_value(&self.outputs),
-            ),
-            (
-                "exec_count".to_string(),
-                serde::Serialize::to_value(&self.exec_count),
-            ),
-        ])
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Dfg {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let fields = serde::expect_object(value, "Dfg")?;
-        let mut dfg = Dfg {
-            name: serde::expect_field(fields, "name", "Dfg")?,
-            nodes: serde::expect_field(fields, "nodes", "Dfg")?,
-            inputs: serde::expect_field(fields, "inputs", "Dfg")?,
-            outputs: serde::expect_field(fields, "outputs", "Dfg")?,
-            consumers: Vec::new(),
-            input_consumers: Vec::new(),
-            exec_count: serde::expect_field(fields, "exec_count", "Dfg")?,
-        };
-        // Out-of-range operand references (possible in hostile payloads) are
-        // skipped here and reported precisely by `validate`.
-        dfg.rebuild_uses();
-        Ok(dfg)
-    }
-
-    fn read(reader: &mut serde::json::Reader<'_>) -> Result<Self, serde::Error> {
-        let (mut name, mut nodes, mut inputs, mut outputs, mut exec_count) =
-            (None, None, None, None, None);
-        reader.object(|reader, key| match &*key {
-            "name" => reader.field(&mut name),
-            "nodes" => reader.field(&mut nodes),
-            "inputs" => reader.field(&mut inputs),
-            "outputs" => reader.field(&mut outputs),
-            "exec_count" => reader.field(&mut exec_count),
-            _ => reader.skip(),
-        })?;
-        let mut dfg = Dfg {
-            name: serde::required(name, "name", "Dfg")?,
-            nodes: serde::required(nodes, "nodes", "Dfg")?,
-            inputs: serde::required(inputs, "inputs", "Dfg")?,
-            outputs: serde::required(outputs, "outputs", "Dfg")?,
-            consumers: Vec::new(),
-            input_consumers: Vec::new(),
-            exec_count: serde::required(exec_count, "exec_count", "Dfg")?,
-        };
-        dfg.rebuild_uses();
-        Ok(dfg)
-    }
 }
 
 impl Dfg {
@@ -621,6 +554,25 @@ mod tests {
         g.replace_node(prod, node);
         assert_eq!(g.node(prod).opcode, Opcode::Add);
         assert_eq!(g.consumers(NodeId::new(0)), &[prod]);
+    }
+
+    #[test]
+    fn wire_use_lists_are_ignored_and_rebuilt() {
+        let g = diamond();
+        let text = serde::json::to_string(&g);
+        assert!(!text.contains("consumers"), "{text}");
+        let bogus = text.replacen(
+            '{',
+            r#"{"consumers":[[9],[],[0]],"input_consumers":[[],[5,5]],"#,
+            1,
+        );
+        let tree = serde::json::parse(&bogus).expect("valid JSON");
+        let from_text: Dfg = serde::json::from_str(&bogus).expect("stream decode");
+        let from_tree: Dfg = serde::json::from_value(&tree).expect("tree decode");
+        let plain: Dfg = serde::json::from_str(&text).expect("plain decode");
+        assert_eq!(from_text, plain);
+        assert_eq!(from_tree, plain);
+        assert_eq!(plain, g);
     }
 
     #[test]

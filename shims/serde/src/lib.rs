@@ -23,7 +23,26 @@
 //!   `{"Variant": …}`), so the wire format matches what the real `serde_json`
 //!   would produce for the same derives;
 //! * generic types cannot be derived (checked at expansion time); every derived
-//!   type in this workspace is concrete.
+//!   type in this workspace is concrete;
+//! * the derives accept only the `#[serde(..)]` items they implement (see
+//!   `serde_shim_derive`) and reject every other one at compile time:
+//!
+//! ```
+//! #[derive(serde::Serialize, serde::Deserialize)]
+//! struct Knob {
+//!     #[serde(default, skip_serializing_if = "Option::is_none")]
+//!     budget: Option<u32>,
+//! }
+//! assert_eq!(serde::json::to_string(&Knob { budget: None }), "{}");
+//! ```
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize, serde::Deserialize)]
+//! struct Knob {
+//!     #[serde(default, skip_serialising_if = "Option::is_none")]
+//!     budget: Option<u32>,
+//! }
+//! ```
 //!
 //! Swapping this shim for the real `serde`/`serde_json` requires touching only the
 //! call sites of [`json`], not the derives.
@@ -237,22 +256,27 @@ pub fn expect_array<'v>(value: &'v Value, ty: &str, len: usize) -> Result<&'v [V
     Ok(items)
 }
 
-/// Looks up and deserialises a named field of an object.
+/// Looks up and deserialises a named field of an object that may be missing.
 ///
 /// # Errors
 ///
-/// Returns an [`Error`] when the field is missing or its value does not
+/// Returns an [`Error`] when the field is present and its value does not
 /// deserialise as `T`.
-pub fn expect_field<T: DeserializeOwned>(
+pub fn optional_field<T: DeserializeOwned>(
     fields: &[(String, Value)],
     key: &str,
     ty: &str,
-) -> Result<T, Error> {
-    let (_, value) = required(fields.iter().find(|(k, _)| k == key), key, ty)?;
-    T::from_value(value).map_err(|e| Error::custom(format!("field `{key}` of `{ty}`: {e}")))
+) -> Result<Option<T>, Error> {
+    fields
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, value)| {
+            T::from_value(value).map_err(|e| Error::custom(format!("field `{key}` of `{ty}`: {e}")))
+        })
+        .transpose()
 }
 
-/// Unwraps a field that an object read filled, or reports it missing.
+/// Unwraps a field that a decode found, or reports it missing.
 ///
 /// # Errors
 ///
@@ -640,6 +664,9 @@ mod tests {
         let v = Value::Object(vec![("a".to_string(), Value::Int(1))]);
         assert_eq!(v.get("a"), Some(&Value::Int(1)));
         assert_eq!(v.get("b"), None);
-        assert!(expect_field::<i64>(v.as_object().unwrap(), "b", "T").is_err());
+        let fields = v.as_object().unwrap();
+        assert_eq!(optional_field::<i64>(fields, "a", "T"), Ok(Some(1)));
+        assert_eq!(optional_field::<i64>(fields, "b", "T"), Ok(None));
+        assert!(optional_field::<bool>(fields, "a", "T").is_err());
     }
 }

@@ -417,13 +417,57 @@ mod shapes {
         pub data: Vec<Data>,
         pub mixed: Vec<Mixed>,
     }
+
+    /// Every attribute the derive accepts. The hook writes into a field that is
+    /// serialised, so a decode that skips it re-serialises differently.
+    #[derive(Debug, serde::Serialize, serde::Deserialize)]
+    #[serde(post_decode = "Knobs::seal")]
+    pub struct Knobs {
+        pub id: u8,
+        #[serde(default)]
+        pub level: u32,
+        #[serde(default = "on")]
+        pub flag: bool,
+        #[serde(default, skip_serializing_if = "Option::is_none")]
+        pub budget: Option<f64>,
+        #[serde(skip)]
+        pub derived: u32,
+    }
+
+    impl Knobs {
+        fn seal(&mut self) {
+            self.derived = u32::from(self.id) + 1;
+            self.level += self.derived;
+        }
+    }
+
+    fn on() -> bool {
+        true
+    }
+}
+
+/// `Knobs` texts: every attributed field omitted, then each one present, `null`
+/// and of the wrong type on its own.
+fn knob_texts() -> Vec<String> {
+    let mut texts = vec!["{\"id\":1}".to_string()];
+    for (field, value) in [
+        ("level", "5"),
+        ("flag", "false"),
+        ("budget", "2.5"),
+        ("derived", "9"),
+    ] {
+        for value in [value, "null", "\"x\""] {
+            texts.push(format!("{{\"{field}\":{value},\"id\":1}}"));
+        }
+    }
+    texts
 }
 
 #[test]
 fn every_derived_shape_decodes_the_same_both_ways() {
-    use shapes::{All, Data, Empty, Mixed, Pair, Tags, Unit};
+    use shapes::{All, Data, Empty, Knobs, Mixed, Pair, Tags, Unit};
     type Check = fn(&str, &str) -> bool;
-    let cases: [(&str, Check); 7] = [
+    let cases: [(&str, Check); 8] = [
         ("unit", agree::<Unit>),
         ("empty tuple", agree::<Empty>),
         ("pair", agree::<Pair>),
@@ -431,6 +475,7 @@ fn every_derived_shape_decodes_the_same_both_ways() {
         ("data enum", agree::<Data>),
         ("mixed enum", agree::<Mixed>),
         ("struct", agree::<All>),
+        ("attributed struct", agree::<Knobs>),
     ];
     let texts = [
         "null",
@@ -460,9 +505,30 @@ fn every_derived_shape_decodes_the_same_both_ways() {
         "{\"empty\":[],\"data\":[],\"mixed\":[{\"Wrapped\":[1,\"w\"]}],\"extra\":{\"deep\":[1e5]}}",
         "{\"empty\":[1],\"data\":[],\"mixed\":[]}",
     ];
+    let knobs = knob_texts();
     for (name, agree_as) in cases {
-        for text in texts {
+        for text in texts
+            .iter()
+            .copied()
+            .chain(knobs.iter().map(String::as_str))
+        {
             agree_as(&format!("{name} from {text}"), text);
         }
     }
+    // The streaming read takes every valid `Knobs` text on its own.
+    for text in &knobs {
+        let valid = json::parse(text)
+            .and_then(|value| serde::json::from_value::<Knobs>(&value))
+            .is_ok();
+        assert_eq!(agree::<Knobs>(text, text), valid, "{text}");
+    }
+    let omitted: Knobs = serde::json::from_str(&knobs[0]).expect("defaults apply");
+    assert_eq!(
+        (omitted.level, omitted.flag, omitted.budget, omitted.derived),
+        (2, true, None, 2)
+    );
+    assert_eq!(
+        serde::json::to_string(&omitted),
+        "{\"id\":1,\"level\":2,\"flag\":true}"
+    );
 }
