@@ -13,12 +13,20 @@
 //! the warm pay-off, or persistence fail — CI runs it like `corpus_gate`.
 //!
 //! Dispatch is measured through [`ServeService::handle`] directly (no TCP), so
-//! the numbers isolate cache behaviour from socket noise; the TCP path is
-//! exercised end-to-end by the `ise-api` and `ise-cli` test suites.
+//! the cold/warm numbers isolate cache behaviour from socket noise. A separate TCP
+//! phase then times sequential round trips against a real [`Server`] on loopback:
+//! `stats` requests, whose work is a counter read, give the transport cost, and
+//! the warm corpus request gives a served request's whole cost (its responses
+//! count towards byte identity too). No gate reads the TCP rows.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
-use ise_api::{json, BatchService, CorpusRequest, ProgramSource, ServeConfig, ServeService};
+use ise_api::{
+    json, BatchService, CorpusRequest, ProgramSource, ServeConfig, ServeService, Server,
+};
 use ise_core::{Constraints, DriverOptions, IdentifierConfig};
 use ise_workloads::corpus::{duplicate_heavy, CorpusConfig};
 
@@ -47,6 +55,8 @@ pub struct ServeBenchConfig {
     pub concurrent_clients: usize,
     /// Warm requests per thread in the striped-lock row.
     pub concurrent_requests: usize,
+    /// Sequential round trips of each kind per repeat in the TCP phase.
+    pub tcp_requests: usize,
 }
 
 impl Default for ServeBenchConfig {
@@ -67,6 +77,7 @@ impl Default for ServeBenchConfig {
             warm_requests: 20,
             concurrent_clients: 4,
             concurrent_requests: 8,
+            tcp_requests: 20,
         }
     }
 }
@@ -87,6 +98,7 @@ impl ServeBenchConfig {
             warm_requests: 8,
             concurrent_clients: 2,
             concurrent_requests: 4,
+            tcp_requests: 8,
             ..ServeBenchConfig::default()
         }
     }
@@ -190,6 +202,12 @@ pub struct ServeBenchReport {
     pub concurrent_single_lock_ms: f64,
     /// Wall-clock of the same row on the 16-segment striped cache, milliseconds.
     pub concurrent_striped_ms: f64,
+    /// Sequential `stats` round trips over loopback TCP, over every repeat: the
+    /// transport cost of one request and its response.
+    pub tcp_transport: LatencyReport,
+    /// Sequential round trips of the warm corpus request over the same
+    /// connections: a served request's whole cost.
+    pub tcp_warm: LatencyReport,
     /// Whether a snapshot → restart → warm-start round trip answered
     /// byte-identically to cold.
     pub snapshot_roundtrip_identical: bool,
@@ -282,6 +300,9 @@ pub fn run(config: &ServeBenchConfig) -> ServeBenchReport {
         *slot = start.elapsed().as_secs_f64() * 1_000.0;
     }
 
+    let (tcp_transport, tcp_warm, tcp_identical) = tcp_phase(config, &line, &expected);
+    identical &= tcp_identical;
+
     // Snapshot round trip: prime, persist, restart, answer without refilling.
     let dir = std::env::temp_dir().join(format!("ise-serve-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -313,9 +334,82 @@ pub fn run(config: &ServeBenchConfig) -> ServeBenchReport {
         warm_hit_rate,
         concurrent_single_lock_ms: concurrent[0],
         concurrent_striped_ms: concurrent[1],
+        tcp_transport,
+        tcp_warm,
         snapshot_roundtrip_identical,
         snapshot_warm_fills,
     }
+}
+
+/// The TCP phase: a real [`Server`] on a loopback port, primed with `line`, then
+/// per repeat one fresh connection carrying `tcp_requests` sequential round trips
+/// of a `stats` request and as many of `line`. Returns the `stats` and the `line`
+/// latencies and whether every `line` response equalled `expected`.
+fn tcp_phase(
+    config: &ServeBenchConfig,
+    line: &str,
+    expected: &str,
+) -> (LatencyReport, LatencyReport, bool) {
+    let server = Server::bind("127.0.0.1:0", config.serve_config(16))
+        .expect("bind a loopback port for the TCP phase");
+    let addr = server.local_addr().expect("bound address");
+    let stop = AtomicBool::new(false);
+    let stats_line = "{\"id\":1,\"kind\":\"stats\"}\n";
+    let corpus_line = format!("{line}\n");
+    let mut transport = Vec::new();
+    let mut warm = Vec::new();
+    let mut identical = true;
+    std::thread::scope(|scope| {
+        let serving = scope.spawn(|| server.run(&stop));
+        let connect = || {
+            let stream = TcpStream::connect(addr).expect("connect to the TCP phase's server");
+            let writer = stream.try_clone().expect("clone the client stream");
+            (writer, BufReader::new(stream))
+        };
+        {
+            let (mut writer, mut reader) = connect();
+            identical &= round_trip(&mut writer, &mut reader, &corpus_line).1 == expected;
+        }
+        for _ in 0..REPEATS {
+            let (mut writer, mut reader) = connect();
+            for _ in 0..config.tcp_requests.max(1) {
+                transport.push(round_trip(&mut writer, &mut reader, stats_line).0);
+                let (ms, response) = round_trip(&mut writer, &mut reader, &corpus_line);
+                warm.push(ms);
+                identical &= response == expected;
+            }
+        }
+        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        serving
+            .join()
+            .expect("the TCP phase's server exits")
+            .expect("the TCP phase's server serves until stopped");
+    });
+    (
+        LatencyReport::new(transport),
+        LatencyReport::new(warm),
+        identical,
+    )
+}
+
+/// Sends one newline-terminated request in one write and reads its response
+/// line: the round trip's milliseconds and the response without its newline.
+fn round_trip(
+    writer: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    request: &str,
+) -> (f64, String) {
+    let start = Instant::now();
+    writer
+        .write_all(request.as_bytes())
+        .expect("send a request to the TCP phase's server");
+    let mut response = String::new();
+    reader
+        .read_line(&mut response)
+        .expect("read a response from the TCP phase's server");
+    let ms = start.elapsed().as_secs_f64() * 1_000.0;
+    response.pop();
+    (ms, response)
 }
 
 /// Mean of a non-empty latency list, milliseconds (a phase's throughput ratio is
@@ -338,6 +432,8 @@ pub fn markdown(report: &ServeBenchReport) -> String {
          |---|---:|---:|---:|---:|\n\
          | cold | {} | {:.2} | {:.1} | {:.1} |\n\
          | warm | {} | {:.2} | {:.1} | {:.1} |\n\
+         | tcp stats | {} | {:.2} | {:.2} | {:.2} |\n\
+         | tcp warm | {} | {:.2} | {:.1} | {:.1} |\n\
          \n\
          warm speed-up: {:.2}x (median of {} repeats), fills cold/warm: {}/{}, \
          warm hit-rate {:.1}%, identical: {}\n\
@@ -351,6 +447,14 @@ pub fn markdown(report: &ServeBenchReport) -> String {
         report.warm.requests_per_sec,
         report.warm.p50_ms,
         report.warm.p99_ms,
+        report.tcp_transport.requests,
+        report.tcp_transport.requests_per_sec,
+        report.tcp_transport.p50_ms,
+        report.tcp_transport.p99_ms,
+        report.tcp_warm.requests,
+        report.tcp_warm.requests_per_sec,
+        report.tcp_warm.p50_ms,
+        report.tcp_warm.p99_ms,
         report.warm_speedup,
         report.repeats,
         report.cold_fills,
@@ -377,6 +481,9 @@ mod tests {
         assert_eq!(report.warm_fills, 0, "{report:?}");
         assert!(report.snapshot_roundtrip_identical, "{report:?}");
         assert_eq!(report.snapshot_warm_fills, 0, "{report:?}");
+        let tcp_requests = (REPEATS * ServeBenchConfig::quick().tcp_requests) as u64;
+        assert_eq!(report.tcp_transport.requests, tcp_requests, "{report:?}");
+        assert_eq!(report.tcp_warm.requests, tcp_requests, "{report:?}");
         let json = to_json(&report);
         for field in [
             "\"identical\"",
@@ -391,6 +498,8 @@ mod tests {
             "\"warm_hit_rate\"",
             "\"concurrent_single_lock_ms\"",
             "\"concurrent_striped_ms\"",
+            "\"tcp_transport\"",
+            "\"tcp_warm\"",
             "\"snapshot_roundtrip_identical\"",
         ] {
             assert!(json.contains(field), "missing {field} in {json}");

@@ -63,7 +63,7 @@
 //! connection before answering every request (a truncated final line counts as
 //! unanswered, never as a response).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -586,10 +586,16 @@ fn cmd_client(options: &Options, addr: &str, path: &str) -> Result<bool, IseErro
     }
     let stream = TcpStream::connect(addr)
         .map_err(|e| IseError::Io(format!("cannot connect to `{addr}`: {e}")))?;
-    let mut writer = stream
+    stream
+        .set_nodelay(true)
+        .map_err(|e| IseError::Io(e.to_string()))?;
+    let writer = stream
         .try_clone()
         .map_err(|e| IseError::Io(e.to_string()))?;
     let mut reader = BufReader::new(stream);
+    // The whole batch goes through one buffer and one flush: no line is split
+    // across writes, and nothing waits on a delayed ACK.
+    let mut writer = BufWriter::new(writer);
     for line in &requests {
         writeln!(writer, "{line}").map_err(|e| IseError::Io(format!("send failed: {e}")))?;
     }

@@ -52,19 +52,23 @@ pub fn from_value<T: DeserializeOwned>(value: &Value) -> Result<T, Error> {
     T::from_value(value)
 }
 
-/// Serialises a value as compact JSON text.
+/// Serialises a value as compact JSON text. The text is allocated to its exact
+/// length (`capacity() == len()`), so a caller that keeps it keeps no growth slack.
 #[must_use]
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> String {
     let mut out = String::new();
     write_compact(&mut out, &value.to_value());
+    out.shrink_to_fit();
     out
 }
 
-/// Serialises a value as human-readable, two-space-indented JSON text.
+/// Serialises a value as human-readable, two-space-indented JSON text, allocated
+/// to its exact length like [`to_string`]'s.
 #[must_use]
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> String {
     let mut out = String::new();
     write_pretty(&mut out, &value.to_value(), 0);
+    out.shrink_to_fit();
     out
 }
 
