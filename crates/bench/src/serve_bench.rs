@@ -21,7 +21,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use ise_api::{
@@ -379,7 +379,7 @@ fn tcp_phase(
                 identical &= response == expected;
             }
         }
-        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        stop.store(true, Ordering::SeqCst);
         serving
             .join()
             .expect("the TCP phase's server exits")
