@@ -12,8 +12,7 @@ use ise_hw::SoftwareLatencyModel;
 use ise_ir::Program;
 
 use crate::request::{
-    CorpusProgramOutcome, CorpusRequest, CorpusResponse, IseRequest, IseResponse, SweepRequest,
-    SweepResponse,
+    CorpusProgramOutcome, CorpusRequest, CorpusResponse, IseRequest, IseResponse,
 };
 use crate::session::Session;
 
@@ -25,69 +24,30 @@ use crate::session::Session;
 /// sequential [`Session::execute`] of the same request produces: parallelism only
 /// trades wall-clock for cores, never determinism. A failing request yields its
 /// [`IseError`] in place; it never aborts the rest of the batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchService {
-    parallel: bool,
-}
-
-impl Default for BatchService {
-    fn default() -> Self {
-        BatchService::new()
-    }
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchService;
 
 impl BatchService {
-    /// Creates the service with the parallel fan-out enabled.
+    /// Creates the service.
     #[must_use]
     pub fn new() -> Self {
-        BatchService { parallel: true }
-    }
-
-    /// Chooses between the parallel and the sequential fan-out (the results are
-    /// identical either way; sequential exists for debugging and benchmarking).
-    #[must_use]
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
+        BatchService
     }
 
     /// Executes every request and returns one outcome per request, in order.
     #[must_use]
     pub fn run(&self, requests: &[IseRequest]) -> Vec<Result<IseResponse, IseError>> {
-        if self.parallel && requests.len() > 1 {
-            requests.par_iter().map(Session::execute).collect()
-        } else {
-            requests.iter().map(Session::execute).collect()
-        }
-    }
-
-    /// Executes every sweep request and returns one outcome per request, in order.
-    ///
-    /// Each sweep is answered from its own memoised cut pool (see
-    /// [`Session::sweep`]); the per-request responses are byte-identical to
-    /// sequential [`Session::execute_sweep`] runs, and the accompanying
-    /// [`SweepStats`](ise_core::SweepStats) report the enumeration work each pool
-    /// saved.
-    #[must_use]
-    pub fn run_sweeps(
-        &self,
-        requests: &[SweepRequest],
-    ) -> Vec<Result<(SweepResponse, ise_core::SweepStats), IseError>> {
-        if self.parallel && requests.len() > 1 {
-            requests.par_iter().map(Session::execute_sweep).collect()
-        } else {
-            requests.iter().map(Session::execute_sweep).collect()
-        }
+        requests.par_iter().map(Session::execute).collect()
     }
 
     /// Executes one corpus request: every program analysed by the exact single-cut
     /// search under the request's constraints, sharing enumeration work between
     /// structurally isomorphic blocks when the request's `dedup` flag is on.
     ///
-    /// Programs are sharded across the work-stealing scheduler (unless the service or
-    /// the request's driver options force the sequential path); the response lists
-    /// outcomes in request order and is byte-identical whatever the thread count and
-    /// whether dedup is on or off. The [`CorpusStats`] report how much enumeration the
+    /// Programs are sharded across the work-stealing scheduler (unless the request's
+    /// driver options force the sequential path); the response lists outcomes in
+    /// request order and is byte-identical whatever the thread count and whether
+    /// dedup is on or off. The [`CorpusStats`] report how much enumeration the
     /// structural sharing saved, and the [`ShardProgress`] list how the work-stealing
     /// scheduler distributed the programs (empty on the sequential path; purely
     /// telemetry — never part of the deterministic payload).
@@ -256,12 +216,10 @@ impl BatchService {
         ))
     }
 
-    /// Folds the request's knobs and this service's parallelism into [`CorpusOptions`].
+    /// Folds the request's knobs into [`CorpusOptions`].
     fn corpus_options(&self, request: &CorpusRequest) -> CorpusOptions {
-        let mut driver = request.options;
-        driver.parallel = driver.parallel && self.parallel;
         CorpusOptions::new(request.constraints)
-            .with_driver(driver)
+            .with_driver(request.options)
             .with_exploration_budget(request.config.exploration_budget)
             .with_dedup(request.dedup)
             .with_templates(request.templates.map(TemplateBudget::new))
@@ -318,8 +276,7 @@ impl BatchService {
     ///
     /// Shares the corpus request's constraints, exploration budget and driver
     /// options, so each row compares like for like. The three per-program jobs are
-    /// fanned out through [`BatchService::run`], inheriting this service's
-    /// parallelism setting.
+    /// fanned out through [`BatchService::run`].
     ///
     /// # Errors
     ///
@@ -549,19 +506,5 @@ entry:
 
         let err = service.run_corpus_streaming(&budgeted, 2).unwrap_err();
         assert!(matches!(&err, IseError::InvalidRequest(m) if m.contains("streaming")));
-    }
-
-    #[test]
-    fn parallel_and_sequential_batches_are_byte_identical() {
-        let requests = sample_requests();
-        let parallel = BatchService::new().run(&requests);
-        let sequential = BatchService::new().with_parallel(false).run(&requests);
-        for (p, s) in parallel.iter().zip(&sequential) {
-            match (p, s) {
-                (Ok(p), Ok(s)) => assert_eq!(crate::to_json(p), crate::to_json(s)),
-                (Err(p), Err(s)) => assert_eq!(p, s),
-                other => panic!("parallel/sequential outcome mismatch: {other:?}"),
-            }
-        }
     }
 }

@@ -60,6 +60,11 @@
 //! ~40 ms: a warm request whose work takes 2 ms would cost 44. With one write and
 //! no Nagle delay, a round trip costs its work plus the loopback hop.
 //!
+//! The listener blocks in `accept`, so a new connection is read as soon as it
+//! arrives. A watcher thread polls the stop flags and the snapshot interval every
+//! 20 ms; on stop it wakes the blocked `accept` with one loopback connection,
+//! which the accept loop drops.
+//!
 //! # Persistence
 //!
 //! With a cache directory configured, the cache warm-starts on boot from
@@ -70,7 +75,9 @@
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -546,10 +553,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates socket errors (bind, non-blocking mode).
+    /// Propagates the bind error.
     pub fn bind(addr: impl ToSocketAddrs, config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let service = Arc::new(ServeService::new(&config));
         Ok(Server {
             listener,
@@ -579,16 +585,18 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns the first fatal `accept` error; per-connection I/O errors only
-    /// end that connection.
+    /// Returns the listener's address error or the first fatal `accept` error;
+    /// per-connection I/O errors only end that connection.
     pub fn run(&self, stop: &AtomicBool) -> std::io::Result<()> {
+        let wake = loopback(self.listener.local_addr()?);
         let queue = Arc::new(JobQueue::new(self.config.queue_capacity));
         let halt = Arc::new(AtomicBool::new(false));
+        let accepting = AtomicBool::new(true);
         let cap = self.config.max_connections();
         let live = Arc::new(AtomicUsize::new(0));
         let mut accept_error: Option<std::io::Error> = None;
-        let mut last_snapshot = Instant::now();
         std::thread::scope(|scope| {
+            scope.spawn(|| self.watch(stop, &halt, &accepting, wake));
             for _ in 0..self.config.workers.max(1) {
                 let queue = Arc::clone(&queue);
                 let halt = Arc::clone(&halt);
@@ -600,18 +608,10 @@ impl Server {
                 });
             }
             loop {
-                if stop.load(Ordering::SeqCst) || self.service.shutdown_requested() {
-                    break;
-                }
-                if let Some(interval) = self.config.snapshot_interval {
-                    if last_snapshot.elapsed() >= interval {
-                        if let Err(error) = self.service.save_snapshot() {
-                            eprintln!("serve: periodic snapshot failed: {error}");
-                        }
-                        last_snapshot = Instant::now();
-                    }
-                }
                 match self.listener.accept() {
+                    // The watcher's wake-up, or a client that raced it: either way
+                    // the server has stopped accepting.
+                    Ok(_) if halt.load(Ordering::SeqCst) => break,
                     Ok((stream, _)) if live.load(Ordering::SeqCst) >= cap => {
                         refuse_connection(stream, cap);
                     }
@@ -627,9 +627,6 @@ impl Server {
                             drop(slot);
                         });
                     }
-                    Err(error) if error.kind() == ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
                     Err(error) => {
                         accept_error = Some(error);
                         break;
@@ -637,6 +634,7 @@ impl Server {
                 }
             }
             halt.store(true, Ordering::SeqCst);
+            accepting.store(false, Ordering::SeqCst);
         });
         match self.service.save_snapshot() {
             Ok(Some(entries)) => eprintln!("serve: snapshot saved ({entries} fills)"),
@@ -652,6 +650,55 @@ impl Server {
             None => Ok(()),
         }
     }
+
+    /// The watcher thread of [`run`](Self::run): every [`WATCH_POLL`] it checks
+    /// `stop` and the `shutdown` request and takes the periodic snapshot. On stop it
+    /// sets `halt` and wakes the blocked `accept` with one connection to `wake`,
+    /// retried while the accept loop runs and the connect fails. A fatal `accept`
+    /// error sets `halt` itself and ends the watcher at its next poll.
+    fn watch(
+        &self,
+        stop: &AtomicBool,
+        halt: &AtomicBool,
+        accepting: &AtomicBool,
+        wake: SocketAddr,
+    ) {
+        let mut last_snapshot = Instant::now();
+        while !halt.load(Ordering::SeqCst) {
+            if stop.load(Ordering::SeqCst) || self.service.shutdown_requested() {
+                halt.store(true, Ordering::SeqCst);
+                break;
+            }
+            if let Some(interval) = self.config.snapshot_interval {
+                if last_snapshot.elapsed() >= interval {
+                    if let Err(error) = self.service.save_snapshot() {
+                        eprintln!("serve: periodic snapshot failed: {error}");
+                    }
+                    last_snapshot = Instant::now();
+                }
+            }
+            std::thread::sleep(WATCH_POLL);
+        }
+        while accepting.load(Ordering::SeqCst)
+            && TcpStream::connect_timeout(&wake, WATCH_POLL).is_err()
+        {
+            std::thread::sleep(WATCH_POLL);
+        }
+    }
+}
+
+/// How often the watcher thread checks the stop flags and the snapshot interval.
+const WATCH_POLL: Duration = Duration::from_millis(20);
+
+/// The address a local client reaches `bound` at: the loopback address of the
+/// same family when the listener is bound to the unspecified address.
+fn loopback(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 /// One live connection's share of [`ServeConfig::max_connections`], released when

@@ -1,11 +1,9 @@
 //! Sessions: a configured identification job, built once and run many times.
 
-use std::sync::Arc;
-
 use ise_baselines::full_registry;
 use ise_core::engine::{select_program, Identifier};
 use ise_core::{Constraints, DriverOptions, IdentifierConfig, IseError, SweepStats};
-use ise_hw::{CostModel, DefaultCostModel, SoftwareLatencyModel};
+use ise_hw::{DefaultCostModel, SoftwareLatencyModel};
 use ise_ir::Program;
 
 use crate::request::{
@@ -14,9 +12,10 @@ use crate::request::{
 
 /// Builder for a [`Session`].
 ///
-/// Defaults: the exact `"single-cut"` algorithm, `Nin=4`/`Nout=2` constraints, the
-/// [`DefaultCostModel`], no passes, unbounded instruction count and a parallel
-/// per-block fan-out.
+/// Defaults: the exact `"single-cut"` algorithm, `Nin=4`/`Nout=2` constraints, no
+/// passes, unbounded instruction count and a parallel per-block fan-out. Every session
+/// scores cuts with the [`DefaultCostModel`] and reports speed-ups against the default
+/// [`SoftwareLatencyModel`].
 #[derive(Clone)]
 pub struct SessionBuilder {
     algorithm: String,
@@ -24,8 +23,6 @@ pub struct SessionBuilder {
     config: IdentifierConfig,
     options: DriverOptions,
     passes: Vec<Pass>,
-    cost_model: Arc<dyn CostModel + Send + Sync>,
-    software_model: SoftwareLatencyModel,
 }
 
 impl Default for SessionBuilder {
@@ -36,8 +33,6 @@ impl Default for SessionBuilder {
             config: IdentifierConfig::default(),
             options: DriverOptions::default(),
             passes: Vec::new(),
-            cost_model: Arc::new(DefaultCostModel::new()),
-            software_model: SoftwareLatencyModel::new(),
         }
     }
 }
@@ -124,16 +119,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Enables intra-block subtree parallelism: the top `levels` levels of each
-    /// block's decision tree fan out as parallel tasks (deterministic; results are
-    /// byte-identical to the sequential search). See
-    /// [`DriverOptions::intra_block_levels`] for when this pays off.
-    #[must_use]
-    pub fn intra_block_levels(mut self, levels: usize) -> Self {
-        self.options.intra_block_levels = levels;
-        self
-    }
-
     /// Appends one pass to the pre-identification pipeline.
     #[must_use]
     pub fn pass(mut self, pass: Pass) -> Self {
@@ -145,20 +130,6 @@ impl SessionBuilder {
     #[must_use]
     pub fn passes(mut self, passes: Vec<Pass>) -> Self {
         self.passes = passes;
-        self
-    }
-
-    /// Replaces the cost model used to score candidate cuts.
-    #[must_use]
-    pub fn cost_model(mut self, model: impl CostModel + Send + 'static) -> Self {
-        self.cost_model = Arc::new(model);
-        self
-    }
-
-    /// Replaces the software latency model used for the speed-up baseline.
-    #[must_use]
-    pub fn software_model(mut self, model: SoftwareLatencyModel) -> Self {
-        self.software_model = model;
         self
     }
 
@@ -192,8 +163,6 @@ impl SessionBuilder {
             config: self.config,
             options: self.options,
             passes: self.passes,
-            cost_model: self.cost_model,
-            software_model: self.software_model,
         })
     }
 }
@@ -210,8 +179,6 @@ pub struct Session {
     config: IdentifierConfig,
     options: DriverOptions,
     passes: Vec<Pass>,
-    cost_model: Arc<dyn CostModel + Send + Sync>,
-    software_model: SoftwareLatencyModel,
 }
 
 impl std::fmt::Debug for Session {
@@ -262,10 +229,10 @@ impl Session {
             prepared,
             self.identifier.as_ref(),
             self.constraints,
-            self.cost_model.as_ref(),
+            &DefaultCostModel::new(),
             self.options,
         );
-        let report = selection.speedup_report(prepared, &self.software_model);
+        let report = selection.speedup_report(prepared, &SoftwareLatencyModel::new());
         Ok(IseResponse {
             program: prepared.name().to_string(),
             algorithm: self.algorithm.clone(),
@@ -334,14 +301,15 @@ impl Session {
             self.identifier.as_ref(),
             self.config.exploration_budget,
             pairs,
-            self.cost_model.as_ref(),
+            &DefaultCostModel::new(),
             self.options,
         );
+        let software = SoftwareLatencyModel::new();
         let outcomes = pairs
             .iter()
             .zip(selections)
             .map(|(&constraints, selection)| {
-                let report = selection.speedup_report(prepared, &self.software_model);
+                let report = selection.speedup_report(prepared, &software);
                 SweepPairOutcome {
                     constraints,
                     selection,

@@ -519,6 +519,45 @@ fn sequential_round_trips_are_not_held_by_delayed_acks() {
     handle.join().expect("server thread exits cleanly");
 }
 
+/// A new connection is read as soon as it arrives: the first `stats` round trip
+/// on each of 16 fresh connections takes under 5 ms at the median. An accept loop
+/// that sleeps between polls makes each new connection wait out the sleep.
+#[test]
+fn first_round_trips_on_fresh_connections_do_not_wait_for_an_accept_poll() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind ephemeral port");
+    let addr = server.local_addr().expect("bound address");
+    let stop = Arc::new(AtomicBool::new(false));
+    let handle = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let result = server.run(&stop);
+            assert!(result.is_ok(), "{result:?}");
+        })
+    };
+    let mut round_trips = Vec::new();
+    let held: Vec<TcpStream> = (0..16)
+        .map(|id| {
+            let stream = TcpStream::connect(addr).expect("connect");
+            let start = Instant::now();
+            let response = stats_round_trip(&stream, id).expect("stats");
+            round_trips.push(start.elapsed());
+            let prefix = format!("{{\"id\":{id},\"response\":");
+            assert!(response.starts_with(&prefix), "{response}");
+            stream
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median first stats round trip {median:?}; all: {round_trips:?}"
+    );
+
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    drop(held);
+    handle.join().expect("server thread exits cleanly");
+}
+
 /// Sends one line and reads its response.
 fn round_trip(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
     writeln!(writer, "{line}").expect("send");

@@ -32,8 +32,8 @@
 //! Flags: `--pretty` for indented output, `-o FILE` to write the output to a file,
 //! `--threads N` to run `run`/`batch`/`sweep`/`corpus` inside a scoped `rayon` pool
 //! of `N` workers (results are byte-identical for every thread count — the flag only
-//! trades wall-clock for cores, across requests, across basic blocks, and inside a
-//! block when a request sets `options.intra_block_levels`).
+//! trades wall-clock for cores, across requests, across basic blocks, and inside the
+//! split pool fills of a sweep's large blocks).
 //!
 //! `sweep` answers covered pairs from a memoised cut pool by default; `--direct`
 //! forces the reference per-pair searches (the emitted response is byte-identical in
@@ -740,7 +740,7 @@ fn main() -> ExitCode {
         _ => None,
     };
     // `--threads` builds a scoped pool governing every rayon fan-out under this
-    // command — batch requests, per-block identification, intra-block subtrees. (With
+    // command — batch requests, per-block identification, split pool fills. (With
     // the offline shim each individual fan-out is capped at N threads rather than all
     // of them sharing one N-worker pool; the output is identical either way.)
     let outcome = match options.threads {

@@ -232,7 +232,7 @@ fn bad_requests_produce_error_envelopes_and_exit_code_2() {
         r#"[{"algorithm": "no-such", "program": {"Workload": "gsm"},
             "constraints": {"max_inputs": 4, "max_outputs": 2, "max_area": null, "max_nodes": null},
             "config": {"exploration_budget": null, "multicut_slots": 2, "exhaustive_node_limit": 20},
-            "options": {"max_instructions": 4, "parallel": true, "intra_block_levels": 0},
+            "options": {"max_instructions": 4, "parallel": true},
             "passes": []}]"#,
     )
     .expect("write request");

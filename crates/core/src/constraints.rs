@@ -59,12 +59,6 @@ impl Constraints {
         self
     }
 
-    /// The classic two-read-one-write configuration of a plain RISC register file.
-    #[must_use]
-    pub fn risc_like() -> Self {
-        Constraints::new(2, 1)
-    }
-
     /// The (Nin, Nout) pairs swept by the paper's Fig. 11 experiments.
     #[must_use]
     pub fn paper_sweep() -> Vec<Constraints> {

@@ -94,7 +94,7 @@ pub(crate) fn fill_split_levels(dfg: &Dfg, parallel: bool, budget: Option<u64>) 
 pub struct CorpusOptions {
     /// The microarchitectural constraints every program is analysed under.
     pub constraints: Constraints,
-    /// Program-driver options (instruction budget, parallelism knobs).
+    /// Program-driver options (instruction budget, parallelism knob).
     pub driver: DriverOptions,
     /// Optional exploration budget per identifier invocation; pool fills run under the
     /// same budget and fall back to direct searches when they exhaust it.
@@ -350,7 +350,7 @@ impl<'m> CorpusPool<'m> {
 
     /// Answers one `(block, exclusion)` identification query under `pair` from the
     /// fill under `fill`, filling its slot on first use. The driver `options` decide
-    /// whether that fill, or the direct fallback search, splits across cores.
+    /// whether that fill splits across cores.
     fn answer(
         &self,
         dfg: &Dfg,
@@ -382,13 +382,7 @@ impl<'m> CorpusPool<'m> {
                 // or filtered; fall back to the direct search under the queried pair.
                 self.direct_calls.fetch_add(1, Ordering::Relaxed);
                 let identifier = SingleCut::new().with_exploration_budget(self.exploration_budget);
-                let outcome = identifier.identify_split(
-                    dfg,
-                    Some(excluded),
-                    pair,
-                    self.model,
-                    options.intra_block_levels,
-                );
+                let outcome = identifier.identify_excluding(dfg, Some(excluded), pair, self.model);
                 self.direct_cuts
                     .fetch_add(outcome.stats.cuts_considered, Ordering::Relaxed);
                 BlockAnswer {

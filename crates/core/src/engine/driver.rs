@@ -38,34 +38,21 @@ use super::Identifier;
 /// fields stay public for pattern matching and serialisation, but every front-end in
 /// the workspace constructs options through the builder.
 ///
-/// # Two-level parallelism
+/// # Parallelism
 ///
-/// The driver exposes two independent, composable parallelism axes; both are
-/// deterministic (byte-identical to the fully sequential run, whatever the thread
-/// count), so they are purely wall-clock knobs:
-///
-/// * **across blocks** ([`parallel`](Self::parallel)) — every basic block's search is
-///   an independent `rayon` task. This is the cheap, always-worthwhile level: it has no
-///   snapshot overhead and scales as long as the program has more (comparably sized)
-///   blocks than cores. It is on by default.
-/// * **inside a block** ([`intra_block_levels`](Self::intra_block_levels)) — the top
-///   `k` levels of a block's branch-and-bound decision tree are split into up to
-///   `arity^k` independent subtree tasks (see [`crate::kernel::SearchKernel`]). This is
-///   the only level that helps when the work is concentrated in one large block — the
-///   paper's Fig. 8 worst case, where block fan-out leaves all but one core idle. It
-///   costs one state snapshot per subtree, so it only pays off when a block's search is
-///   much more expensive than `O(nodes)` — as a rule of thumb, blocks of ≳30 nodes
-///   under loose port constraints. `3`–`6` levels saturate typical core counts; `0`
-///   (the default) disables the level. Exact searches running under an exploration
-///   budget ignore the knob (a global cut budget is inherently sequential), as do the
-///   linear-time baselines (no decision tree to split).
+/// Every basic block's search is an independent `rayon` task when
+/// [`parallel`](Self::parallel) is set (the default). The result is byte-identical to
+/// the fully sequential run, whatever the thread count, so the field is purely a
+/// wall-clock knob: it has no snapshot overhead and scales as long as the program has
+/// more (comparably sized) blocks than cores.
 ///
 /// Pool fills split on their own. Under [`parallel`](Self::parallel), a pool-backed
 /// sweep fills every block of at least 28 nodes with the top 4 levels of its walk
 /// split into subtree tasks, when no exploration budget applies; a refresh round that
-/// runs such a fill does not also fan its blocks out, so the two levels never nest. No
-/// option controls this, and the fills are byte-identical either way. Corpus runs and
-/// template extraction keep sequential fills: their parallelism is across programs.
+/// runs such a fill does not also fan its blocks out, so block fan-out and fill splits
+/// never nest. No option controls this, and the fills are byte-identical either way.
+/// Corpus runs and template extraction keep sequential fills: their parallelism is
+/// across programs.
 ///
 /// On the wire, the fields added after the first format are optional and default to
 /// the behaviour older request files were written against.
@@ -76,11 +63,6 @@ pub struct DriverOptions {
     /// Fan identification out across basic blocks with `rayon`. The result is
     /// byte-identical to the sequential path; this only trades wall-clock for cores.
     pub parallel: bool,
-    /// Number of top decision-tree levels split into parallel subtree tasks *inside*
-    /// each block (`0` = sequential within a block). Byte-identical to the sequential
-    /// path; see the type-level documentation for when this level pays off.
-    #[serde(default)]
-    pub intra_block_levels: usize,
     /// Allow sweep front-ends (the [`SweepPlanner`](super::sweep::SweepPlanner),
     /// `Session::sweep`, the `fig11`/`sweep` benchmarks) to answer covered constraint
     /// pairs from a memoised [cut pool](crate::pool) instead of re-running the
@@ -121,31 +103,15 @@ impl DriverOptions {
         DriverOptions {
             max_instructions,
             parallel: true,
-            intra_block_levels: 0,
             cut_pool: true,
             block_dedup: true,
         }
-    }
-
-    /// Sets the instruction budget (`Ninstr`).
-    #[must_use]
-    pub fn with_max_instructions(mut self, max_instructions: usize) -> Self {
-        self.max_instructions = max_instructions;
-        self
     }
 
     /// Chooses between the `rayon`-parallel and the sequential per-block fan-out.
     #[must_use]
     pub fn with_parallel(mut self, parallel: bool) -> Self {
         self.parallel = parallel;
-        self
-    }
-
-    /// Sets the number of top decision-tree levels split into parallel subtree tasks
-    /// inside each block (see the type-level documentation).
-    #[must_use]
-    pub fn with_intra_block_levels(mut self, levels: usize) -> Self {
-        self.intra_block_levels = levels;
         self
     }
 
@@ -174,11 +140,10 @@ impl DriverOptions {
 
 /// Runs `identifier` once on each listed block (`(block_index, exclusions)` pairs) and
 /// returns the outcomes in the same order. With `options.parallel` set the per-block
-/// runs are fanned out with `rayon`, and `options.intra_block_levels` additionally
-/// splits each block's own decision tree; with `options.block_dedup` set, work items
-/// whose block structure (in stored node order) and exclusion state are byte-equal run
-/// the search once and share the outcome. The returned outcomes are unaffected by all
-/// three knobs.
+/// runs are fanned out with `rayon`; with `options.block_dedup` set, work items whose
+/// block structure (in stored node order) and exclusion state are byte-equal run the
+/// search once and share the outcome. The returned outcomes are unaffected by both
+/// knobs.
 #[must_use]
 pub fn identify_blocks(
     program: &Program,
@@ -189,13 +154,7 @@ pub fn identify_blocks(
     options: DriverOptions,
 ) -> Vec<SearchOutcome> {
     let run = |&(block_index, excluded): &(usize, Option<&CutSet>)| {
-        identifier.identify_split(
-            program.block(block_index),
-            excluded,
-            &constraints,
-            model,
-            options.intra_block_levels,
-        )
+        identifier.identify_excluding(program.block(block_index), excluded, &constraints, model)
     };
     if options.block_dedup && work.len() > 1 {
         // Group work items by the identity serialisation of their block plus the
@@ -655,35 +614,28 @@ mod tests {
 
     #[test]
     fn options_deserialise_from_the_pre_split_wire_format() {
-        // Request files written before `intra_block_levels` existed must keep parsing,
-        // defaulting to the sequential-within-a-block behaviour.
+        // The first wire format (no `cut_pool`, no `block_dedup`) keeps parsing,
+        // defaulting to the pool-backed sweep and deduplicated identical blocks
+        // (neither changes a result).
         let old = r#"{"max_instructions": 4, "parallel": true}"#;
         let options: DriverOptions = serde::json::from_str(old).expect("old wire format");
         assert_eq!(options, DriverOptions::new(4));
 
-        // The PR 3 wire format (no `cut_pool`) keeps parsing, defaulting to the
-        // pool-backed sweep behaviour (which changes no single-pair result).
-        let pr3 = r#"{"max_instructions": 4, "parallel": true, "intra_block_levels": 3}"#;
-        let options: DriverOptions = serde::json::from_str(pr3).expect("PR 3 wire format");
-        assert_eq!(options, DriverOptions::new(4).with_intra_block_levels(3));
+        // Formats that carried the retired `intra_block_levels` split keep parsing:
+        // the key is ignored like any unknown key.
+        let split = r#"{"max_instructions": 4, "parallel": true, "intra_block_levels": 3}"#;
+        let options: DriverOptions = serde::json::from_str(split).expect("split wire format");
+        assert_eq!(options, DriverOptions::new(4));
+        let split = r#"{"max_instructions": 4, "parallel": true, "intra_block_levels": 3, "cut_pool": false}"#;
+        let options: DriverOptions = serde::json::from_str(split).expect("split wire format");
+        assert_eq!(options, DriverOptions::new(4).with_cut_pool(false));
 
-        // The PR 6 wire format (no `block_dedup`) keeps parsing, defaulting to
-        // deduplicated identical blocks (which changes no result).
-        let pr6 = r#"{"max_instructions": 4, "parallel": true, "intra_block_levels": 3, "cut_pool": false}"#;
-        let options: DriverOptions = serde::json::from_str(pr6).expect("PR 6 wire format");
-        assert_eq!(
-            options,
-            DriverOptions::new(4)
-                .with_intra_block_levels(3)
-                .with_cut_pool(false)
-        );
-
-        let new = r#"{"max_instructions": 4, "parallel": true, "intra_block_levels": 3, "cut_pool": false, "block_dedup": false}"#;
+        let new =
+            r#"{"max_instructions": 4, "parallel": true, "cut_pool": false, "block_dedup": false}"#;
         let options: DriverOptions = serde::json::from_str(new).expect("current wire format");
         assert_eq!(
             options,
             DriverOptions::new(4)
-                .with_intra_block_levels(3)
                 .with_cut_pool(false)
                 .with_block_dedup(false)
         );
@@ -693,13 +645,6 @@ mod tests {
             new.replace(": ", ":").replace(", ", ",")
         );
 
-        let bad = r#"{"max_instructions": 4, "parallel": true, "intra_block_levels": -1}"#;
-        assert_eq!(
-            serde::json::from_str::<DriverOptions>(bad)
-                .unwrap_err()
-                .to_string(),
-            "field `intra_block_levels` of `DriverOptions`: -1 out of range for u64"
-        );
         let bad = r#"{"max_instructions": 4, "parallel": true, "cut_pool": 3}"#;
         assert_eq!(
             serde::json::from_str::<DriverOptions>(bad)

@@ -71,25 +71,13 @@ const AREA_EPS: f64 = 1e-9;
 pub struct TemplateBudget {
     /// Total normalised datapath area the chosen templates may occupy.
     pub area: f64,
-    /// Optional cap on the number of templates chosen (`None` = unlimited).
-    pub max_templates: Option<usize>,
 }
 
 impl TemplateBudget {
-    /// A budget limited by area only.
+    /// A budget of `area` normalised datapath area.
     #[must_use]
     pub fn new(area: f64) -> Self {
-        TemplateBudget {
-            area,
-            max_templates: None,
-        }
-    }
-
-    /// Additionally caps the number of templates chosen.
-    #[must_use]
-    pub fn with_max_templates(mut self, limit: Option<usize>) -> Self {
-        self.max_templates = limit;
-        self
+        TemplateBudget { area }
     }
 }
 
@@ -743,14 +731,6 @@ impl SearchPolicy for TemplateSelectPolicy<'_> {
         let t = self.order[level];
         if choice == 0 {
             stats.cuts_considered += 1;
-            if self
-                .budget
-                .max_templates
-                .is_some_and(|limit| state.taken.len() >= limit)
-            {
-                stats.pruned_node_budget += 1;
-                return false;
-            }
             let area = state.area + self.templates[t].evaluation.area;
             if !fits(area, self.budget.area) {
                 stats.pruned_output += 1;
@@ -1090,11 +1070,7 @@ fn walk_exhaustive(
     }
     let t = policy.order[level];
     let area = state.area + policy.templates[t].evaluation.area;
-    let within_count = policy
-        .budget
-        .max_templates
-        .is_none_or(|limit| state.taken.len() < limit);
-    if within_count && fits(area, policy.budget.area) {
+    if fits(area, policy.budget.area) {
         let sites_from = state.sites.len();
         let savings = policy
             .masks
@@ -1302,14 +1278,6 @@ mod tests {
                 let t = self.order[level];
                 if choice == 0 {
                     stats.cuts_considered += 1;
-                    if self
-                        .budget
-                        .max_templates
-                        .is_some_and(|limit| state.taken.len() >= limit)
-                    {
-                        stats.pruned_node_budget += 1;
-                        return false;
-                    }
                     let template = &self.templates[t];
                     let area = state.area + template.evaluation.area;
                     if !fits(area, self.budget.area) {
@@ -1621,19 +1589,15 @@ mod tests {
                 .any(|&(word, _)| word > 0);
             let total_area: f64 = templates.iter().map(Template::area).sum();
             for fraction in [0.1, 0.3, 0.6, 1.0, 1e9] {
-                for limit in [None, Some(2), Some(5)] {
-                    for exploration in [None, Some(3), Some(25), Some(200)] {
-                        let budget =
-                            TemplateBudget::new(total_area * fraction).with_max_templates(limit);
-                        let fast = select_templates_budgeted(&templates, budget, exploration);
-                        let reference = reference::select_budgeted(&templates, budget, exploration);
-                        assert_eq!(
-                            fast, reference,
-                            "seed {seed}, fraction {fraction}, limit {limit:?}, \
-                             exploration {exploration:?}"
-                        );
-                        exhausted += u32::from(fast.1.budget_exhausted);
-                    }
+                for exploration in [None, Some(3), Some(25), Some(200)] {
+                    let budget = TemplateBudget::new(total_area * fraction);
+                    let fast = select_templates_budgeted(&templates, budget, exploration);
+                    let reference = reference::select_budgeted(&templates, budget, exploration);
+                    assert_eq!(
+                        fast, reference,
+                        "seed {seed}, fraction {fraction}, exploration {exploration:?}"
+                    );
+                    exhausted += u32::from(fast.1.budget_exhausted);
                 }
             }
         }
@@ -1668,15 +1632,10 @@ mod tests {
     fn branch_and_bound_matches_the_exhaustive_oracle() {
         let templates = conflict_corpus();
         for budget_area in [0.0, 0.5, 1.0, 2.0, 2.5, 3.5, 4.0, 5.5, 7.0, 100.0] {
-            for limit in [None, Some(1), Some(2), Some(3)] {
-                let budget = TemplateBudget::new(budget_area).with_max_templates(limit);
-                let (fast, _) = select_templates(&templates, budget);
-                let oracle = select_templates_exhaustive(&templates, budget);
-                assert_eq!(
-                    fast, oracle,
-                    "divergence at area {budget_area}, limit {limit:?}"
-                );
-            }
+            let budget = TemplateBudget::new(budget_area);
+            let (fast, _) = select_templates(&templates, budget);
+            let oracle = select_templates_exhaustive(&templates, budget);
+            assert_eq!(fast, oracle, "divergence at area {budget_area}");
         }
     }
 

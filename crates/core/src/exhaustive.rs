@@ -182,14 +182,6 @@ pub fn best_cut_exhaustive_split(
     }
 }
 
-/// Enumerates every cut of `dfg` and counts how many satisfy all constraints.
-#[must_use]
-pub fn count_feasible_cuts(dfg: &Dfg, constraints: Constraints, model: &dyn CostModel) -> u64 {
-    best_cut_exhaustive(dfg, constraints, model)
-        .stats
-        .feasible_cuts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -86,7 +86,6 @@ pub use kernel::reference::identify_single_cut_reference;
 pub use multicut::{identify_multiple_cuts, MultiCutOutcome, MultiCutSearch};
 pub use search::{identify_single_cut, IdentifiedCut, SearchOutcome, SearchStats, SingleCutSearch};
 pub use selection::{
-    select_iterative, select_optimal, select_under_area, ChosenCut, SelectionOptions,
-    SelectionResult,
+    select_iterative, select_optimal, ChosenCut, SelectionOptions, SelectionResult,
 };
 pub use structural::{StructuralForm, StructuralKey};

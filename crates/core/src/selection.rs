@@ -13,16 +13,12 @@
 //!
 //! Both return a [`SelectionResult`] which can be turned into the application-level
 //! speed-up report used by the Fig. 11 experiments.
-//!
-//! As an extension (anticipated as future work in Section 9), [`select_under_area`]
-//! performs the same iterative selection under a global area budget.
 
 use ise_hw::speedup::{SelectedInstruction, SpeedupReport};
 use ise_hw::{CostModel, SoftwareLatencyModel};
 use ise_ir::Program;
 
 use crate::constraints::Constraints;
-use crate::cut::CutSet;
 use crate::multicut::MultiCutSearch;
 use crate::search::{IdentifiedCut, SingleCutSearch};
 
@@ -306,67 +302,6 @@ pub(crate) fn select_optimal_core(
     result
 }
 
-/// Iterative selection under a global normalised-area budget (future-work extension).
-///
-/// Candidates are committed greedily by weighted saving as in [`select_iterative`], but a
-/// candidate whose datapath would exceed the remaining area budget is skipped and the
-/// block is re-identified with a correspondingly tighter per-instruction area constraint.
-#[must_use]
-pub fn select_under_area(
-    program: &Program,
-    constraints: Constraints,
-    model: &dyn CostModel,
-    options: SelectionOptions,
-    area_budget: f64,
-) -> SelectionResult {
-    let mut remaining = area_budget;
-    let mut result = SelectionResult {
-        chosen: Vec::new(),
-        total_weighted_saving: 0.0,
-        identifier_calls: 0,
-        cuts_considered: 0,
-    };
-    let block_count = program.block_count();
-    let mut excluded: Vec<CutSet> = program.blocks().iter().map(CutSet::for_dfg).collect();
-
-    while result.chosen.len() < options.max_instructions && remaining > 0.0 {
-        let constrained = constraints.with_max_area(remaining);
-        let mut best: Option<(usize, IdentifiedCut, f64)> = None;
-        for (block_index, excluded_nodes) in excluded.iter().enumerate().take(block_count) {
-            let dfg = program.block(block_index);
-            let mut search =
-                SingleCutSearch::new(dfg, constrained, model).with_excluded(excluded_nodes);
-            if let Some(budget) = options.exploration_budget {
-                search = search.with_exploration_budget(budget);
-            }
-            let outcome = search.run();
-            result.identifier_calls += 1;
-            result.cuts_considered += outcome.stats.cuts_considered;
-            if let Some(identified) = outcome.best {
-                let weighted = identified.evaluation.merit * dfg.exec_count() as f64;
-                if weighted > 0.0
-                    && best
-                        .as_ref()
-                        .is_none_or(|(_, _, best_weighted)| weighted > *best_weighted)
-                {
-                    best = Some((block_index, identified, weighted));
-                }
-            }
-        }
-        let Some((block_index, identified, weighted)) = best else {
-            break;
-        };
-        remaining -= identified.evaluation.area;
-        excluded[block_index].union_with(&identified.cut);
-        result.total_weighted_saving += weighted;
-        result.chosen.push(ChosenCut {
-            block_index,
-            identified,
-        });
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,24 +432,6 @@ mod tests {
         assert!(report.speedup > 1.0);
         assert!((report.saved_cycles - result.total_weighted_saving).abs() < 1e-9);
         assert_eq!(report.instructions.len(), result.len());
-    }
-
-    #[test]
-    fn area_constrained_selection_respects_the_budget() {
-        let p = program();
-        let model = DefaultCostModel::new();
-        let unconstrained =
-            select_iterative(&p, Constraints::new(4, 2), &model, SelectionOptions::new(8));
-        let budget = unconstrained.total_area() / 2.0;
-        let constrained = select_under_area(
-            &p,
-            Constraints::new(4, 2),
-            &model,
-            SelectionOptions::new(8),
-            budget,
-        );
-        assert!(constrained.total_area() <= budget + 1e-9);
-        assert!(constrained.total_weighted_saving <= unconstrained.total_weighted_saving + 1e-9);
     }
 
     #[test]

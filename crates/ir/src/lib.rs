@@ -51,7 +51,6 @@ pub mod interp;
 mod node;
 mod opcode;
 mod program;
-pub mod stats;
 pub mod topo;
 
 pub use builder::DfgBuilder;

@@ -192,8 +192,8 @@ pub fn wide_dfg(nodes: usize, seed: u64) -> Dfg {
 /// The bundled MediaBench-like kernels have many smallish blocks, so the driver's
 /// per-block fan-out alone keeps every core busy on them. This workload is the opposite
 /// shape — the Fig. 8 scaling axis — where block-level parallelism is useless and only
-/// intra-block subtree parallelism (`DriverOptions::intra_block_levels` in `ise-core`)
-/// can use more than one core per block.
+/// intra-block subtree parallelism (the kernel's split walks, `with_subtree_parallelism`
+/// in `ise-core`) can use more than one core per block.
 #[must_use]
 pub fn wide_dag_program(blocks: usize, nodes_per_block: usize, seed: u64) -> Program {
     let mut program = Program::new("widedag");

@@ -157,18 +157,14 @@ fn pool_determinism_across_parallelism_knobs() {
     let reference = reference_planner.run_single_cut(&pairs);
 
     for parallel in [false, true] {
-        for levels in [0usize, 3, 6] {
-            let options = DriverOptions::new(8)
-                .with_parallel(parallel)
-                .with_intra_block_levels(levels);
-            let mut planner = SweepPlanner::new(&program, &model, options, &pairs);
-            let results = planner.run_single_cut(&pairs);
-            assert_eq!(
-                to_json(&results),
-                to_json(&reference),
-                "parallel={parallel}, intra_block_levels={levels}"
-            );
-        }
+        let options = DriverOptions::new(8).with_parallel(parallel);
+        let mut planner = SweepPlanner::new(&program, &model, options, &pairs);
+        let results = planner.run_single_cut(&pairs);
+        assert_eq!(
+            to_json(&results),
+            to_json(&reference),
+            "parallel={parallel}"
+        );
     }
 }
 

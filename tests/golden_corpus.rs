@@ -11,6 +11,9 @@
 //! * `results/golden/corpus_templates_cli.json` — the envelope
 //!   `ise-cli corpus requests/corpus_media.json --templates 50` prints, which pins the
 //!   cross-site template report (extraction and the budgeted knapsack) byte for byte.
+//! * `results/golden/adpcm_batch_cli.json` — the envelope array
+//!   `ise-cli batch requests/adpcm.json` prints (single-cut, multicut with passes and an
+//!   exploration budget, MaxMISO on one program).
 //!
 //! Regeneration: when a change *intentionally* alters the artefacts, run
 //!
@@ -114,4 +117,23 @@ fn sweep_cli_json_matches_golden() {
     let envelope = json::Value::Object(vec![("response".to_string(), json::to_value(&response))]);
     let payload = format!("{}\n", json::to_string(&envelope));
     assert_golden("results/golden/sweep_cli.json", &payload);
+}
+
+/// The `ise-cli batch requests/adpcm.json` envelope array, computed in-process.
+#[test]
+fn adpcm_batch_cli_json_matches_golden() {
+    let text = std::fs::read_to_string(repo_root().join("requests/adpcm.json"))
+        .expect("checked-in batch request");
+    let requests: Vec<ise_api::IseRequest> =
+        ise_api::from_json(&text).expect("valid batch requests");
+    let items = ise_api::BatchService::new()
+        .run(&requests)
+        .into_iter()
+        .map(|outcome| {
+            let response = outcome.expect("every example request executes");
+            json::Value::Object(vec![("response".to_string(), json::to_value(&response))])
+        })
+        .collect();
+    let payload = format!("{}\n", json::to_string(&json::Value::Array(items)));
+    assert_golden("results/golden/adpcm_batch_cli.json", &payload);
 }

@@ -2,8 +2,8 @@
 //! parallelism: splitting the decision tree into parallel subtree tasks must return
 //! **byte-identical** results — the same cuts *and* the same `SearchStats`, including
 //! `best_updates` — as the sequential walk, for all three kernel clients (single-cut,
-//! multicut, exhaustive), with and without exclusions, at every split depth, and
-//! through the whole `select_program` driver.
+//! multicut, exhaustive), with and without exclusions, at every split depth. The
+//! `select_program` driver's block fan-out is held to the same standard.
 //!
 //! Like `tests/properties.rs`, the cases are deterministic seeded loops (the offline
 //! environment has no `proptest`); any failure reproduces exactly from the printed
@@ -120,8 +120,8 @@ fn select_program_is_byte_identical_across_both_parallelism_levels() {
             &Exhaustive::new(),
         ] {
             let constraints = Constraints::new(4, 2);
-            // All four combinations of (block fan-out, intra-block split) must agree,
-            // byte for byte once serialised.
+            // The block fan-out must agree with the sequential driver, byte for byte
+            // once serialised.
             let reference = ise::core::engine::select_program(
                 &program,
                 identifier,
@@ -129,26 +129,19 @@ fn select_program_is_byte_identical_across_both_parallelism_levels() {
                 &model,
                 DriverOptions::new(4).sequential(),
             );
-            let reference_wire = ise::api::to_json(&reference);
-            for (parallel_blocks, intra_levels) in [(false, 3usize), (true, 0usize), (true, 3)] {
-                let options = DriverOptions::new(4)
-                    .with_parallel(parallel_blocks)
-                    .with_intra_block_levels(intra_levels);
-                let result = ise::core::engine::select_program(
-                    &program,
-                    identifier,
-                    constraints,
-                    &model,
-                    options,
-                );
-                assert_eq!(
-                    ise::api::to_json(&result),
-                    reference_wire,
-                    "case {case}, {}: blocks-parallel={parallel_blocks}, \
-                     intra={intra_levels} diverged",
-                    identifier.name()
-                );
-            }
+            let result = ise::core::engine::select_program(
+                &program,
+                identifier,
+                constraints,
+                &model,
+                DriverOptions::new(4),
+            );
+            assert_eq!(
+                ise::api::to_json(&result),
+                ise::api::to_json(&reference),
+                "case {case}, {}: the block fan-out diverged",
+                identifier.name()
+            );
         }
     }
 }
