@@ -128,12 +128,7 @@ impl BatchService {
                 "a corpus needs at least one program".to_string(),
             ));
         }
-        if request.constraints.max_inputs == 0 || request.constraints.max_outputs == 0 {
-            return Err(IseError::InvalidRequest(format!(
-                "constraints must allow at least one read and one write port, got {}",
-                request.constraints
-            )));
-        }
+        request.constraints.validate()?;
         if max_in_flight == Some(0) {
             return Err(IseError::InvalidRequest(
                 "streaming needs at least one in-flight program".to_string(),

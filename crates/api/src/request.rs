@@ -227,14 +227,7 @@ impl IseRequest {
     /// Creates a request with default constraints, config, options and no passes.
     #[must_use]
     pub fn new(algorithm: Algorithm, program: ProgramSource) -> Self {
-        IseRequest {
-            algorithm: algorithm.name().to_string(),
-            program,
-            constraints: Constraints::default(),
-            config: IdentifierConfig::default(),
-            options: DriverOptions::default(),
-            passes: Vec::new(),
-        }
+        IseRequest::named(algorithm.name(), program)
     }
 
     /// Creates a request for an algorithm addressed by registry name.

@@ -1,5 +1,7 @@
 //! Sessions: a configured identification job, built once and run many times.
 
+use std::borrow::Cow;
+
 use ise_baselines::full_registry;
 use ise_core::engine::{select_program, Identifier};
 use ise_core::{Constraints, DriverOptions, IdentifierConfig, IseError, SweepStats};
@@ -112,13 +114,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Forces the sequential per-block fan-out (the default is parallel).
-    #[must_use]
-    pub fn sequential(mut self) -> Self {
-        self.options.parallel = false;
-        self
-    }
-
     /// Appends one pass to the pre-identification pipeline.
     #[must_use]
     pub fn pass(mut self, pass: Pass) -> Self {
@@ -142,19 +137,7 @@ impl SessionBuilder {
     /// [`IseError::InvalidRequest`] when the constraints or algorithm parameters
     /// are out of domain.
     pub fn build(self) -> Result<Session, IseError> {
-        if self.constraints.max_inputs == 0 || self.constraints.max_outputs == 0 {
-            return Err(IseError::InvalidRequest(format!(
-                "constraints must allow at least one read and one write port, got {}",
-                self.constraints
-            )));
-        }
-        if let Some(area) = self.constraints.max_area {
-            if !area.is_finite() || area < 0.0 {
-                return Err(IseError::InvalidRequest(format!(
-                    "max_area must be finite and non-negative, got {area}"
-                )));
-            }
-        }
+        self.constraints.validate()?;
         let identifier = full_registry().create_configured(&self.algorithm, &self.config)?;
         Ok(Session {
             algorithm: identifier.name().to_string(),
@@ -217,22 +200,15 @@ impl Session {
     /// Returns [`IseError::InvalidProgram`] when the program fails structural
     /// validation (before or after the pass pipeline).
     pub fn run(&self, program: &Program) -> Result<IseResponse, IseError> {
-        program.validate()?;
-        let transformed;
-        let prepared: &Program = if self.passes.is_empty() {
-            program
-        } else {
-            transformed = self.apply_passes(program)?;
-            &transformed
-        };
+        let prepared = self.prepare(program)?;
         let selection = select_program(
-            prepared,
+            &prepared,
             self.identifier.as_ref(),
             self.constraints,
             &DefaultCostModel::new(),
             self.options,
         );
-        let report = selection.speedup_report(prepared, &SoftwareLatencyModel::new());
+        let report = selection.speedup_report(&prepared, &SoftwareLatencyModel::new());
         Ok(IseResponse {
             program: prepared.name().to_string(),
             algorithm: self.algorithm.clone(),
@@ -280,24 +256,10 @@ impl Session {
                 "a sweep needs at least one constraint pair".to_string(),
             ));
         }
-        if let Some(bad) = pairs
-            .iter()
-            .find(|p| p.max_inputs == 0 || p.max_outputs == 0)
-        {
-            return Err(IseError::InvalidRequest(format!(
-                "sweep pairs must allow at least one read and one write port, got {bad}"
-            )));
-        }
-        program.validate()?;
-        let transformed;
-        let prepared: &Program = if self.passes.is_empty() {
-            program
-        } else {
-            transformed = self.apply_passes(program)?;
-            &transformed
-        };
+        pairs.iter().try_for_each(Constraints::validate)?;
+        let prepared = self.prepare(program)?;
         let (selections, stats) = ise_core::sweep_program(
-            prepared,
+            &prepared,
             self.identifier.as_ref(),
             self.config.exploration_budget,
             pairs,
@@ -309,7 +271,7 @@ impl Session {
             .iter()
             .zip(selections)
             .map(|(&constraints, selection)| {
-                let report = selection.speedup_report(prepared, &software);
+                let report = selection.speedup_report(&prepared, &software);
                 SweepPairOutcome {
                     constraints,
                     selection,
@@ -338,8 +300,13 @@ impl Session {
         session.sweep(&program, &request.sweep)
     }
 
-    /// Applies the pass pipeline to a private copy of `program`.
-    fn apply_passes(&self, program: &Program) -> Result<Program, IseError> {
+    /// Validates `program` and applies the pass pipeline to a private copy of it;
+    /// with no passes the caller's program is borrowed as it is.
+    fn prepare<'a>(&self, program: &'a Program) -> Result<Cow<'a, Program>, IseError> {
+        program.validate()?;
+        if self.passes.is_empty() {
+            return Ok(Cow::Borrowed(program));
+        }
         let mut transformed = program.clone();
         for pass in &self.passes {
             for block in transformed.blocks_mut() {
@@ -354,7 +321,7 @@ impl Session {
             }
         }
         transformed.validate()?;
-        Ok(transformed)
+        Ok(Cow::Owned(transformed))
     }
 }
 

@@ -8,27 +8,14 @@
 //! Exit codes: `0` identical and >= 2x enumeration reduction, `3` the modes diverged,
 //! dedup failed to pay, or the streaming and tree JSON decodes of the corpus request
 //! disagreed — CI runs this like `sweep_gate`.
-
-use std::fs;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ise_bench::corpus_bench::{self, CorpusBenchConfig};
+use ise_bench::{write_artifact, BenchArgs};
 
 fn main() -> ExitCode {
-    let mut quick = false;
-    let mut output_dir = PathBuf::from("results");
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else if arg.starts_with('-') {
-            eprintln!("error: unknown flag {arg:?}\nusage: corpus_gate [--quick] [output-dir]");
-            return ExitCode::from(2);
-        } else {
-            output_dir = PathBuf::from(arg);
-        }
-    }
-    let config = if quick {
+    let args = BenchArgs::parse("corpus_gate", &["--quick"]);
+    let config = if args.quick {
         CorpusBenchConfig::quick()
     } else {
         CorpusBenchConfig::default()
@@ -38,15 +25,11 @@ fn main() -> ExitCode {
     println!("# Corpus gate — structural dedup vs per-program reference runs");
     println!();
     print!("{}", corpus_bench::markdown(&report));
-
-    if let Err(error) = fs::create_dir_all(&output_dir) {
-        eprintln!("warning: cannot create {}: {error}", output_dir.display());
-    }
-    let path = output_dir.join("BENCH_corpus.json");
-    match fs::write(&path, corpus_bench::to_json(&report) + "\n") {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(error) => eprintln!("warning: cannot write {}: {error}", path.display()),
-    }
+    write_artifact(
+        &args.output_dir,
+        "BENCH_corpus.json",
+        &(corpus_bench::to_json(&report) + "\n"),
+    );
 
     if !report.identical {
         eprintln!("error: deduplicated corpus run diverged from the per-program reference");

@@ -9,40 +9,21 @@
 //! `--direct` forces the reference per-pair searches (the rows — and the CSV — are
 //! byte-identical in both modes, which `sweep_gate` asserts in CI).
 
-use std::fs;
-use std::path::PathBuf;
-
 use ise_bench::fig11::{self, Fig11Config};
-use ise_bench::report;
+use ise_bench::{report, write_artifact, BenchArgs};
 use ise_workloads::suite;
 
 fn main() {
-    let mut quick = false;
-    let mut direct = false;
-    let mut output_dir = PathBuf::from("results");
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else if arg == "--direct" {
-            direct = true;
-        } else if arg.starts_with('-') {
-            eprintln!(
-                "error: unknown flag {arg:?}\nusage: fig11 [--quick] [--direct] [output-dir]"
-            );
-            std::process::exit(2);
-        } else {
-            output_dir = PathBuf::from(arg);
-        }
-    }
+    let args = BenchArgs::parse("fig11", &["--quick", "--direct"]);
     let config = Fig11Config {
-        direct,
-        ..if quick {
+        direct: args.direct,
+        ..if args.quick {
             Fig11Config::quick()
         } else {
             Fig11Config::default()
         }
     };
-    let benchmarks: Vec<_> = if quick {
+    let benchmarks: Vec<_> = if args.quick {
         suite::fig11_benchmarks()
             .into_iter()
             .filter(|p| p.name() != "adpcmdecode")
@@ -74,14 +55,5 @@ fn main() {
     );
     let max_area = rows.iter().map(|r| r.area).fold(0.0f64, f64::max);
     println!("largest total datapath area:         {max_area:.2} MAC-equivalents");
-
-    if let Err(error) = fs::create_dir_all(&output_dir) {
-        eprintln!("warning: cannot create {}: {error}", output_dir.display());
-        return;
-    }
-    let csv_path = output_dir.join("fig11.csv");
-    match fs::write(&csv_path, report::fig11_csv(&rows)) {
-        Ok(()) => println!("wrote {}", csv_path.display()),
-        Err(error) => eprintln!("warning: cannot write {}: {error}", csv_path.display()),
-    }
+    write_artifact(&args.output_dir, "fig11.csv", &report::fig11_csv(&rows));
 }

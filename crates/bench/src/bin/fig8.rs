@@ -7,26 +7,12 @@
 //! Prints a Markdown table to stdout and writes `fig8.csv` into the output directory
 //! (default `results/`).
 
-use std::fs;
-use std::path::PathBuf;
-
 use ise_bench::fig8::{self, Fig8Config};
-use ise_bench::report;
+use ise_bench::{report, write_artifact, BenchArgs};
 
 fn main() {
-    let mut quick = false;
-    let mut output_dir = PathBuf::from("results");
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else if arg.starts_with('-') {
-            eprintln!("error: unknown flag {arg:?}\nusage: fig8 [--quick] [output-dir]");
-            std::process::exit(2);
-        } else {
-            output_dir = PathBuf::from(arg);
-        }
-    }
-    let config = if quick {
+    let args = BenchArgs::parse("fig8", &["--quick"]);
+    let config = if args.quick {
         Fig8Config::quick()
     } else {
         Fig8Config::default()
@@ -44,14 +30,5 @@ fn main() {
         "within polynomial (N^4) envelope: {}",
         fig8::within_polynomial_envelope(&rows)
     );
-
-    if let Err(error) = fs::create_dir_all(&output_dir) {
-        eprintln!("warning: cannot create {}: {error}", output_dir.display());
-        return;
-    }
-    let csv_path = output_dir.join("fig8.csv");
-    match fs::write(&csv_path, report::fig8_csv(&rows)) {
-        Ok(()) => println!("wrote {}", csv_path.display()),
-        Err(error) => eprintln!("warning: cannot write {}: {error}", csv_path.display()),
-    }
+    write_artifact(&args.output_dir, "fig8.csv", &report::fig8_csv(&rows));
 }

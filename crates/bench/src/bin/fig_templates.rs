@@ -4,25 +4,12 @@
 //!
 //! Usage: `cargo run --release -p ise-bench --bin fig_templates [--quick] [output-dir]`
 
-use std::fs;
-use std::path::PathBuf;
-
 use ise_bench::template_bench::{self, TemplateBenchConfig};
+use ise_bench::{write_artifact, BenchArgs};
 
 fn main() {
-    let mut quick = false;
-    let mut output_dir = PathBuf::from("results");
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else if arg.starts_with('-') {
-            eprintln!("error: unknown flag {arg:?}\nusage: fig_templates [--quick] [output-dir]");
-            std::process::exit(2);
-        } else {
-            output_dir = PathBuf::from(arg);
-        }
-    }
-    let config = if quick {
+    let args = BenchArgs::parse("fig_templates", &["--quick"]);
+    let config = if args.quick {
         TemplateBenchConfig::quick()
     } else {
         TemplateBenchConfig::default()
@@ -33,10 +20,6 @@ fn main() {
     println!();
     print!("{}", template_bench::markdown(&report));
 
-    if let Err(error) = fs::create_dir_all(&output_dir) {
-        eprintln!("warning: cannot create {}: {error}", output_dir.display());
-        return;
-    }
     let mut csv = String::from(
         "fraction,area_budget,templates_chosen,sites_covered,template_savings,\
          template_speedup,baseline_cuts,baseline_savings,baseline_speedup\n",
@@ -55,9 +38,5 @@ fn main() {
             row.baseline_speedup,
         ));
     }
-    let csv_path = output_dir.join("fig_templates.csv");
-    match fs::write(&csv_path, csv) {
-        Ok(()) => println!("wrote {}", csv_path.display()),
-        Err(error) => eprintln!("warning: cannot write {}: {error}", csv_path.display()),
-    }
+    write_artifact(&args.output_dir, "fig_templates.csv", &csv);
 }

@@ -7,25 +7,14 @@
 //! Exit codes: `0` success (report written), `3` fixtures failed to load or the
 //! differential check failed.
 
-use std::fs;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ise_bench::frontend_bench;
+use ise_bench::{write_artifact, BenchArgs};
 
 fn main() -> ExitCode {
-    let mut iterations = 40u64;
-    let mut output_dir = PathBuf::from("results");
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            iterations = 2;
-        } else if arg.starts_with('-') {
-            eprintln!("error: unknown flag {arg:?}\nusage: frontend_bench [--quick] [output-dir]");
-            return ExitCode::from(2);
-        } else {
-            output_dir = PathBuf::from(arg);
-        }
-    }
+    let args = BenchArgs::parse("frontend_bench", &["--quick"]);
+    let iterations = if args.quick { 2 } else { 40 };
     let report = match frontend_bench::run(iterations) {
         Ok(report) => report,
         Err(error) => {
@@ -48,15 +37,11 @@ fn main() -> ExitCode {
         "parse+lower pass: {:.3} ms; text → selection: {:.3} ms",
         report.parse_wall_ms, report.end_to_end_wall_ms
     );
-
-    if let Err(error) = fs::create_dir_all(&output_dir) {
-        eprintln!("warning: cannot create {}: {error}", output_dir.display());
-    }
-    let path = output_dir.join("BENCH_frontend.json");
-    match fs::write(&path, frontend_bench::to_json(&report) + "\n") {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(error) => eprintln!("warning: cannot write {}: {error}", path.display()),
-    }
+    write_artifact(
+        &args.output_dir,
+        "BENCH_frontend.json",
+        &(frontend_bench::to_json(&report) + "\n"),
+    );
 
     if !report.differential_ok {
         eprintln!("error: crc32-flat.ll selection diverged from the hand-built kernel");

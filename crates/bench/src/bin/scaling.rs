@@ -8,25 +8,12 @@
 //! directory (default `results/`). Exits with code **3** when any parallel search
 //! output diverges from its sequential twin — CI runs this as the determinism gate.
 
-use std::fs;
-use std::path::PathBuf;
-
 use ise_bench::scaling::{self, ScalingConfig};
+use ise_bench::{write_artifact, BenchArgs};
 
 fn main() {
-    let mut quick = false;
-    let mut output_dir = PathBuf::from("results");
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else if arg.starts_with('-') {
-            eprintln!("error: unknown flag {arg:?}\nusage: scaling [--quick] [output-dir]");
-            std::process::exit(2);
-        } else {
-            output_dir = PathBuf::from(arg);
-        }
-    }
-    let config = if quick {
+    let args = BenchArgs::parse("scaling", &["--quick"]);
+    let config = if args.quick {
         ScalingConfig::quick()
     } else {
         ScalingConfig::default()
@@ -44,16 +31,11 @@ fn main() {
         "sequential == parallel for every client: {}",
         report.all_identical
     );
-
-    if let Err(error) = fs::create_dir_all(&output_dir) {
-        eprintln!("warning: cannot create {}: {error}", output_dir.display());
-    } else {
-        let json_path = output_dir.join("BENCH_search.json");
-        match fs::write(&json_path, scaling::to_json(&report) + "\n") {
-            Ok(()) => println!("wrote {}", json_path.display()),
-            Err(error) => eprintln!("warning: cannot write {}: {error}", json_path.display()),
-        }
-    }
+    write_artifact(
+        &args.output_dir,
+        "BENCH_search.json",
+        &(scaling::to_json(&report) + "\n"),
+    );
 
     if !report.all_identical {
         eprintln!("error: parallel search output diverged from the sequential search");

@@ -9,27 +9,14 @@
 //!
 //! Exit codes: `0` all gates hold, `3` identity, the warm pay-off or persistence
 //! failed — CI runs this like `corpus_gate`.
-
-use std::fs;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ise_bench::serve_bench::{self, ServeBenchConfig};
+use ise_bench::{write_artifact, BenchArgs};
 
 fn main() -> ExitCode {
-    let mut quick = false;
-    let mut output_dir = PathBuf::from("results");
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else if arg.starts_with('-') {
-            eprintln!("error: unknown flag {arg:?}\nusage: serve_gate [--quick] [output-dir]");
-            return ExitCode::from(2);
-        } else {
-            output_dir = PathBuf::from(arg);
-        }
-    }
-    let config = if quick {
+    let args = BenchArgs::parse("serve_gate", &["--quick"]);
+    let config = if args.quick {
         ServeBenchConfig::quick()
     } else {
         ServeBenchConfig::default()
@@ -39,15 +26,11 @@ fn main() -> ExitCode {
     println!("# Serve gate — warm cross-request cache vs cold dispatch");
     println!();
     print!("{}", serve_bench::markdown(&report));
-
-    if let Err(error) = fs::create_dir_all(&output_dir) {
-        eprintln!("warning: cannot create {}: {error}", output_dir.display());
-    }
-    let path = output_dir.join("BENCH_serve.json");
-    match fs::write(&path, serve_bench::to_json(&report) + "\n") {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(error) => eprintln!("warning: cannot write {}: {error}", path.display()),
-    }
+    write_artifact(
+        &args.output_dir,
+        "BENCH_serve.json",
+        &(serve_bench::to_json(&report) + "\n"),
+    );
 
     if !report.identical {
         eprintln!("error: a served response diverged from the one-shot reference");

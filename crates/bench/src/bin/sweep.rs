@@ -10,28 +10,14 @@
 //! The per-application sweeps are answered from memoised cut pools by default;
 //! `--direct` forces the reference per-pair searches (byte-identical CSVs either way).
 
-use std::fs;
-use std::path::PathBuf;
-
 use ise_bench::fig11::{self, Fig11Config};
-use ise_bench::report;
+use ise_bench::{report, write_artifact, BenchArgs};
 use ise_core::Constraints;
 use ise_workloads::suite;
 use rayon::prelude::*;
 
 fn main() {
-    let mut direct = false;
-    let mut output_dir = PathBuf::from("results");
-    for arg in std::env::args().skip(1) {
-        if arg == "--direct" {
-            direct = true;
-        } else if arg.starts_with('-') {
-            eprintln!("error: unknown flag {arg:?}\nusage: sweep [--direct] [output-dir]");
-            std::process::exit(2);
-        } else {
-            output_dir = PathBuf::from(arg);
-        }
-    }
+    let args = BenchArgs::parse("sweep", &["--direct"]);
     let config = Fig11Config {
         constraints: vec![
             Constraints::new(2, 1),
@@ -44,7 +30,7 @@ fn main() {
         ],
         max_instructions: 16,
         parallel: false,
-        direct,
+        direct: args.direct,
         ..Fig11Config::default()
     };
     let benchmarks = suite::mediabench_like();
@@ -58,18 +44,16 @@ fn main() {
         })
         .collect();
 
-    if let Err(error) = fs::create_dir_all(&output_dir) {
-        eprintln!("warning: cannot create {}: {error}", output_dir.display());
-    }
     let mut all_rows = Vec::new();
     for (name, rows) in results {
         println!("## {name}");
         print!("{}", report::fig11_markdown(&rows));
+        write_artifact(
+            &args.output_dir,
+            &format!("sweep_{name}.csv"),
+            &report::fig11_csv(&rows),
+        );
         println!();
-        let path = output_dir.join(format!("sweep_{name}.csv"));
-        if let Err(error) = fs::write(&path, report::fig11_csv(&rows)) {
-            eprintln!("warning: cannot write {}: {error}", path.display());
-        }
         all_rows.extend(rows);
     }
     let checks = fig11::shape_checks(&all_rows);
@@ -77,9 +61,9 @@ fn main() {
         "exact algorithms dominate baselines: {}",
         checks.exact_dominates_baselines
     );
-    let path = output_dir.join("sweep_all.csv");
-    match fs::write(&path, report::fig11_csv(&all_rows)) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(error) => eprintln!("warning: cannot write {}: {error}", path.display()),
-    }
+    write_artifact(
+        &args.output_dir,
+        "sweep_all.csv",
+        &report::fig11_csv(&all_rows),
+    );
 }

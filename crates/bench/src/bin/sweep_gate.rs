@@ -6,27 +6,14 @@
 //!
 //! Exit codes: `0` identical and fewer invocations, `3` the two modes diverged (or the
 //! pool failed to save work) — CI runs this like the `scaling` sequential/parallel gate.
-
-use std::fs;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ise_bench::sweep_bench::{self, SweepBenchConfig};
+use ise_bench::{write_artifact, BenchArgs};
 
 fn main() -> ExitCode {
-    let mut quick = false;
-    let mut output_dir = PathBuf::from("results");
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else if arg.starts_with('-') {
-            eprintln!("error: unknown flag {arg:?}\nusage: sweep_gate [--quick] [output-dir]");
-            return ExitCode::from(2);
-        } else {
-            output_dir = PathBuf::from(arg);
-        }
-    }
-    let config = if quick {
+    let args = BenchArgs::parse("sweep_gate", &["--quick"]);
+    let config = if args.quick {
         SweepBenchConfig::quick()
     } else {
         SweepBenchConfig::default()
@@ -36,15 +23,11 @@ fn main() -> ExitCode {
     println!("# Sweep gate — pool-backed vs direct Fig. 11 sweep");
     println!();
     print!("{}", sweep_bench::markdown(&report));
-
-    if let Err(error) = fs::create_dir_all(&output_dir) {
-        eprintln!("warning: cannot create {}: {error}", output_dir.display());
-    }
-    let path = output_dir.join("BENCH_sweep.json");
-    match fs::write(&path, sweep_bench::to_json(&report) + "\n") {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(error) => eprintln!("warning: cannot write {}: {error}", path.display()),
-    }
+    write_artifact(
+        &args.output_dir,
+        "BENCH_sweep.json",
+        &(sweep_bench::to_json(&report) + "\n"),
+    );
 
     if !report.identical {
         eprintln!("error: pool-backed sweep diverged from the direct per-pair runs");

@@ -8,27 +8,14 @@
 //! Exit codes: `0` oracle-identical, cross-site wins and monotone coverage, `3` the
 //! selector diverged from the oracle, lost to the baseline at some budget, or site
 //! coverage regressed — CI runs this like `corpus_gate`.
-
-use std::fs;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ise_bench::template_bench::{self, TemplateBenchConfig};
+use ise_bench::{write_artifact, BenchArgs};
 
 fn main() -> ExitCode {
-    let mut quick = false;
-    let mut output_dir = PathBuf::from("results");
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else if arg.starts_with('-') {
-            eprintln!("error: unknown flag {arg:?}\nusage: template_gate [--quick] [output-dir]");
-            return ExitCode::from(2);
-        } else {
-            output_dir = PathBuf::from(arg);
-        }
-    }
-    let config = if quick {
+    let args = BenchArgs::parse("template_gate", &["--quick"]);
+    let config = if args.quick {
         TemplateBenchConfig::quick()
     } else {
         TemplateBenchConfig::default()
@@ -38,15 +25,11 @@ fn main() -> ExitCode {
     println!("# Template gate — cross-site templates vs per-block selection at equal area");
     println!();
     print!("{}", template_bench::markdown(&report));
-
-    if let Err(error) = fs::create_dir_all(&output_dir) {
-        eprintln!("warning: cannot create {}: {error}", output_dir.display());
-    }
-    let path = output_dir.join("BENCH_templates.json");
-    match fs::write(&path, template_bench::to_json(&report) + "\n") {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(error) => eprintln!("warning: cannot write {}: {error}", path.display()),
-    }
+    write_artifact(
+        &args.output_dir,
+        "BENCH_templates.json",
+        &(template_bench::to_json(&report) + "\n"),
+    );
 
     if !report.oracle_identical {
         eprintln!("error: the branch-and-bound selector diverged from the brute-force oracle");

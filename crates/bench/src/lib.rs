@@ -33,7 +33,8 @@
 //!   `BENCH_templates.json`;
 //! * [`report`] — CSV and Markdown rendering of the experiment rows.
 //!
-//! The binaries `fig8`, `fig11` and `sweep` print the tables and write CSV files; the
+//! The binaries `fig8`, `fig11` and `sweep` print the tables and write CSV files (all
+//! binaries share [`BenchArgs`] and [`write_artifact`]); the
 //! Criterion benchmarks under `benches/` measure the *run time* of the identification and
 //! selection algorithms themselves (the paper's "seconds in all but extreme cases"
 //! claim).
@@ -50,6 +51,75 @@ pub mod scaling;
 pub mod serve_bench;
 pub mod sweep_bench;
 pub mod template_bench;
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// The command line the experiment binaries share: `[--quick] [--direct] [output-dir]`,
+/// in any order, with the output directory defaulting to `results/`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BenchArgs {
+    /// `--quick`: run the reduced smoke configuration.
+    pub quick: bool,
+    /// `--direct`: force the reference per-pair searches instead of the cut pool.
+    pub direct: bool,
+    /// Where the binary writes its artifacts.
+    pub output_dir: PathBuf,
+}
+
+impl BenchArgs {
+    /// Parses the process arguments for the binary `name`, which accepts the listed
+    /// `flags` (a subset of `--quick` and `--direct`). Any other argument starting with
+    /// `-` prints the binary's usage line and exits with code 2.
+    #[must_use]
+    pub fn parse(name: &str, flags: &[&str]) -> BenchArgs {
+        BenchArgs::from_args(std::env::args().skip(1), flags).unwrap_or_else(|flag| {
+            let usage: String = flags.iter().map(|flag| format!("[{flag}] ")).collect();
+            eprintln!("error: unknown flag {flag:?}\nusage: {name} {usage}[output-dir]");
+            std::process::exit(2);
+        })
+    }
+
+    /// [`parse`](Self::parse) over explicit arguments: returns the first unknown flag
+    /// as the error.
+    fn from_args(
+        args: impl IntoIterator<Item = String>,
+        flags: &[&str],
+    ) -> Result<BenchArgs, String> {
+        let mut parsed = BenchArgs {
+            quick: false,
+            direct: false,
+            output_dir: PathBuf::from("results"),
+        };
+        for arg in args {
+            if !arg.starts_with('-') {
+                parsed.output_dir = PathBuf::from(arg);
+                continue;
+            }
+            match arg.as_str() {
+                "--quick" if flags.contains(&"--quick") => parsed.quick = true,
+                "--direct" if flags.contains(&"--direct") => parsed.direct = true,
+                _ => return Err(arg),
+            }
+        }
+        Ok(parsed)
+    }
+}
+
+/// Writes the artifact `name` into `dir` (created first) and prints `wrote <path>`.
+/// An unwritable directory is a warning, never a failure: the binaries' exit codes
+/// report their gates, not the file system.
+pub fn write_artifact(dir: &Path, name: &str, contents: &str) {
+    if let Err(error) = fs::create_dir_all(dir) {
+        eprintln!("warning: cannot create {}: {error}", dir.display());
+        return;
+    }
+    let path = dir.join(name);
+    match fs::write(&path, contents) {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(error) => eprintln!("warning: cannot write {}: {error}", path.display()),
+    }
+}
 
 /// Logical CPUs available to this process (the thread count the parallel paths use).
 #[must_use]
@@ -89,3 +159,46 @@ pub(crate) fn median(values: &[f64]) -> f64 {
 /// exact algorithms when they are driven over the largest blocks; the paper similarly
 /// notes that the Optimal algorithm could not be run on the largest adpcmdecode blocks.
 pub const DEFAULT_EXPLORATION_BUDGET: u64 = 2_000_000;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str], flags: &[&str]) -> Result<BenchArgs, String> {
+        BenchArgs::from_args(list.iter().map(|arg| (*arg).to_string()), flags)
+    }
+
+    #[test]
+    fn flags_and_the_output_dir_parse_in_either_order() {
+        let both = ["--quick", "--direct"];
+        let expected = BenchArgs {
+            quick: true,
+            direct: true,
+            output_dir: PathBuf::from("/tmp/out"),
+        };
+        assert_eq!(
+            args(&["--quick", "--direct", "/tmp/out"], &both),
+            Ok(expected.clone())
+        );
+        assert_eq!(
+            args(&["/tmp/out", "--direct", "--quick"], &both),
+            Ok(expected)
+        );
+        let defaults = args(&[], &both).unwrap();
+        assert!(!defaults.quick && !defaults.direct);
+        assert_eq!(defaults.output_dir, PathBuf::from("results"));
+    }
+
+    #[test]
+    fn a_flag_the_binary_does_not_list_is_unknown() {
+        assert_eq!(
+            args(&["--direct"], &["--quick"]),
+            Err("--direct".to_string())
+        );
+        assert_eq!(
+            args(&["--quick"], &["--direct"]),
+            Err("--quick".to_string())
+        );
+        assert_eq!(args(&["-x"], &["--quick"]), Err("-x".to_string()));
+    }
+}

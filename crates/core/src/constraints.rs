@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::IseError;
+
 /// The user-visible microarchitectural constraints of Problem 1 in the paper.
 ///
 /// * `max_inputs` (`Nin`) — register-file read ports usable by a special instruction;
@@ -66,6 +68,29 @@ impl Constraints {
             .into_iter()
             .map(|(i, o)| Constraints::new(i, o))
             .collect()
+    }
+
+    /// Checks that the constraints are in domain: at least one read and one write
+    /// port, and an area budget (if any) that is finite and non-negative. Every request
+    /// path runs this before any search, since a wire value is not built by [`new`](Self::new).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IseError::InvalidRequest`] naming the out-of-domain value.
+    pub fn validate(&self) -> Result<(), IseError> {
+        if self.max_inputs == 0 || self.max_outputs == 0 {
+            return Err(IseError::InvalidRequest(format!(
+                "constraints must allow at least one read and one write port, got {self}"
+            )));
+        }
+        if let Some(area) = self.max_area {
+            if !area.is_finite() || area < 0.0 {
+                return Err(IseError::InvalidRequest(format!(
+                    "max_area must be finite and non-negative, got {area}"
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Checks the port part of the constraints against measured values.

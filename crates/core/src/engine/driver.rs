@@ -108,13 +108,6 @@ impl DriverOptions {
         }
     }
 
-    /// Chooses between the `rayon`-parallel and the sequential per-block fan-out.
-    #[must_use]
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
     /// Enables or disables the memoised cut pool for sweep front-ends (see the field
     /// documentation; single-pair runs are unaffected either way).
     #[must_use]
@@ -133,8 +126,9 @@ impl DriverOptions {
 
     /// Switches the per-block fan-out to the sequential path.
     #[must_use]
-    pub fn sequential(self) -> Self {
-        self.with_parallel(false)
+    pub fn sequential(mut self) -> Self {
+        self.parallel = false;
+        self
     }
 }
 

@@ -67,19 +67,6 @@ impl DfgBuilder {
         Operand::Node(id)
     }
 
-    /// Adds a named operation node.
-    pub fn named_op(
-        &mut self,
-        opcode: Opcode,
-        operands: &[Operand],
-        name: impl Into<String>,
-    ) -> Operand {
-        let id = self
-            .dfg
-            .add_node(Node::named(opcode, operands.to_vec(), name));
-        Operand::Node(id)
-    }
-
     /// Declares a block output variable fed by `value`.
     pub fn output(&mut self, name: impl Into<String>, value: Operand) -> &mut Self {
         self.dfg.add_output(name, value);

@@ -1,7 +1,7 @@
 //! Reference interpreter for dataflow graphs.
 //!
 //! The interpreter gives the IR an executable semantics so that the test suite can check
-//! that transformation passes (if-conversion, constant folding, …) and cut collapsing
+//! that transformation passes (constant folding, dead-code elimination) and cut collapsing
 //! (replacing a convex subgraph by a single AFU instruction) preserve program behaviour.
 //! All arithmetic is performed on 32-bit two's-complement values, matching the embedded
 //! processors targeted by the paper.

@@ -1,4 +1,4 @@
-//! # ise-ir — dataflow and control-flow IR for instruction-set extension identification
+//! # ise-ir — dataflow IR for instruction-set extension identification
 //!
 //! This crate provides the program representation consumed by the identification and
 //! selection algorithms of the Atasu/Pozzi/Ienne (2003) methodology:
@@ -9,7 +9,7 @@
 //! * [`DfgBuilder`] — an ergonomic builder used by the workload crate to express
 //!   embedded kernels (ADPCM, GSM, G.721, …) directly as dataflow graphs.
 //! * [`Opcode`] / [`Node`] / [`Operand`] — the operation vocabulary, including the
-//!   `SEL` selector nodes produced by if-conversion and the memory operations that are
+//!   `SEL` selector nodes of if-converted sources and the memory operations that are
 //!   illegal inside an application-specific functional unit.
 //! * [`Program`] — a set of profiled basic blocks (the unit on which the selection
 //!   algorithms of the paper operate).
@@ -43,7 +43,6 @@
 
 mod builder;
 pub mod canon;
-mod cfg;
 mod dfg;
 pub mod dot;
 mod error;
@@ -54,7 +53,6 @@ mod program;
 pub mod topo;
 
 pub use builder::DfgBuilder;
-pub use cfg::{BlockId, Cfg, CfgBlock, Inst, Reg, RegOrImm, Terminator};
 pub use dfg::{Dfg, InputVar, NodeId, OutputVar, PortId};
 pub use error::IrError;
 pub use node::{Node, Operand};

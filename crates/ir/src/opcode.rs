@@ -45,7 +45,7 @@ impl OpaqueOp {
 ///
 /// The vocabulary follows the MachSUIF-level operations used by the paper's experimental
 /// setup: 32-bit integer arithmetic, logic, shifts, comparisons, the `SEL` selector node
-/// produced by if-conversion, sub-word extensions/truncations, and memory accesses.
+/// of if-converted sources, sub-word extensions/truncations, and memory accesses.
 ///
 /// Memory accesses ([`Opcode::Load`], [`Opcode::Store`]) are *forbidden* inside
 /// application-specific functional units (the AFU of the paper has no architecturally
@@ -110,8 +110,9 @@ pub enum Opcode {
     Geu,
     /// Selector node (`SEL`): `cond != 0 ? a : b`.
     ///
-    /// Selectors are introduced by the if-conversion pass, exactly as in the
-    /// motivational example of Fig. 3 of the paper.
+    /// Selectors come from if-converted sources (an LLVM `select`, or a hand-built
+    /// workload written after if-conversion), as in the motivational example of
+    /// Fig. 3 of the paper.
     Select,
     /// Sign extension of the low 8 bits.
     SextB,

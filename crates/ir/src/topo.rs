@@ -63,17 +63,6 @@ pub fn producers_first(dfg: &Dfg) -> Vec<NodeId> {
     try_producers_first(dfg).expect("dataflow graph must be acyclic")
 }
 
-/// Fallible form of [`consumers_first`].
-///
-/// # Errors
-///
-/// Returns [`IrError::Cyclic`] if the graph contains a dependency cycle.
-pub fn try_consumers_first(dfg: &Dfg) -> Result<Vec<NodeId>, IrError> {
-    let mut order = try_producers_first(dfg)?;
-    order.reverse();
-    Ok(order)
-}
-
 /// Returns the ordering used by the single-cut search: every node appears *after* all of
 /// its consumers (the ordering of Fig. 4 in the paper).
 ///

@@ -1,31 +1,19 @@
-//! # ise-passes — IR transformation passes
+//! # ise-passes — IR clean-up passes
 //!
-//! The paper's experimental flow compiles C to MachSUIF and preprocesses each function
-//! with a classic *if-conversion* pass before extracting per-basic-block dataflow graphs:
-//! converting control dependences into `SEL` data dependences is what creates the large
-//! basic blocks (such as Fig. 3's adpcmdecode block) in which profitable instruction-set
-//! extensions can be found. This crate provides that pass plus the usual clean-up and
-//! block-enlarging transformations used around it:
+//! The paper extracts one dataflow graph per basic block from if-converted code. The
+//! graphs that reach this crate are already in that form: the `.ll` front-end lowers
+//! `select` instructions to [`ise_ir::Opcode::Select`] nodes, and the hand-built
+//! workloads are written post-if-conversion. This crate provides the two clean-up
+//! passes a session can run on them before identification:
 //!
-//! * [`if_convert`](if_convert()) — merge `if/then/else` diamonds and `if/then` triangles of a
-//!   control-flow graph into straight-line code with [`ise_ir::Opcode::Select`] nodes;
 //! * [`dce`] — dead-code elimination on dataflow graphs;
-//! * [`const_fold`] — constant folding on dataflow graphs;
-//! * [`unroll`] — replication of a loop-body dataflow graph with feedback wiring, used to
-//!   build the very large blocks discussed in the paper's conclusions;
-//! * [`verify`] — whole-program structural validation.
+//! * [`const_fold`] — constant folding on dataflow graphs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod const_fold;
 pub mod dce;
-pub mod if_convert;
-pub mod unroll;
-pub mod verify;
 
 pub use const_fold::fold_constants;
 pub use dce::eliminate_dead_code;
-pub use if_convert::if_convert;
-pub use unroll::unroll_dfg;
-pub use verify::verify_program;

@@ -13,8 +13,8 @@
 //!
 //! The underlying layers remain available for direct use:
 //!
-//! * [`ir`] — dataflow/control-flow IR, builder, interpreter, Graphviz export;
-//! * [`passes`] — if-conversion, dead-code elimination, constant folding, unrolling;
+//! * [`ir`] — dataflow IR, builder, interpreter, Graphviz export;
+//! * [`passes`] — dead-code elimination, constant folding;
 //! * [`hw`] — software latency, hardware delay and area models, merit functions;
 //! * [`core`] — cut identification/selection, the engine registry and program driver,
 //!   and the [`IseError`] hierarchy;
@@ -65,9 +65,9 @@ pub use ise_core as core;
 pub use ise_frontend as frontend;
 /// Cost models: software latency, hardware delay, area, speed-up accounting.
 pub use ise_hw as hw;
-/// Dataflow and control-flow intermediate representation.
+/// Dataflow intermediate representation.
 pub use ise_ir as ir;
-/// IR transformation passes (if-conversion, DCE, constant folding, unrolling).
+/// IR clean-up passes (DCE, constant folding).
 pub use ise_passes as passes;
 /// Benchmark kernels and random graph generators.
 pub use ise_workloads as workloads;

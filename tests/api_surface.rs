@@ -80,7 +80,7 @@ fn batch_service_is_ordered_and_deterministic_versus_session_run() {
         assert_eq!(batched.algorithm, request.algorithm);
         // Deterministic: byte-identical to an in-process sequential run.
         let session = SessionBuilder::from_request(request)
-            .sequential()
+            .options(request.options.sequential())
             .build()
             .expect("valid configuration");
         let program = request.program.resolve().expect("bundled workload");

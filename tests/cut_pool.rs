@@ -157,7 +157,10 @@ fn pool_determinism_across_parallelism_knobs() {
     let reference = reference_planner.run_single_cut(&pairs);
 
     for parallel in [false, true] {
-        let options = DriverOptions::new(8).with_parallel(parallel);
+        let options = DriverOptions {
+            parallel,
+            ..DriverOptions::new(8)
+        };
         let mut planner = SweepPlanner::new(&program, &model, options, &pairs);
         let results = planner.run_single_cut(&pairs);
         assert_eq!(

@@ -338,7 +338,7 @@ fn seeded_requests_decode_the_same_both_ways() {
     )
     .with_constraints(constraints)
     .with_config(IdentifierConfig::default().with_exploration_budget(Some(5_000)))
-    .with_options(DriverOptions::new(3).with_parallel(false))
+    .with_options(DriverOptions::new(3).sequential())
     .with_pass(ise_api::Pass::ConstFold)
     .with_pass(ise_api::Pass::Dce);
     let ll = IseRequest::named("single-cut", fixture("sum-prof.ll"));
