@@ -54,9 +54,10 @@ impl BatchService {
     ///
     /// # Errors
     ///
-    /// Returns [`IseError::InvalidRequest`] when the program list is empty or the
-    /// constraints are out of domain, and propagates any program-source resolution
-    /// failure ([`IseError::InvalidProgram`], unknown workload names).
+    /// Returns [`IseError::InvalidRequest`] when the program list is empty, the
+    /// constraints are out of domain or a `templates` budget is not a finite,
+    /// positive area, and propagates any program-source resolution failure
+    /// ([`IseError::InvalidProgram`], unknown workload names).
     pub fn run_corpus(
         &self,
         request: &CorpusRequest,
@@ -71,9 +72,10 @@ impl BatchService {
     ///
     /// The response is **byte-identical** to [`run_corpus`](Self::run_corpus) on
     /// a fresh cache: canonical-coordinate fills are schedule-independent, so a
-    /// warm answer is the same answer, effort accounting included. This is the
-    /// entry point of the serve mode ([`ServeService`](crate::ServeService)),
-    /// where the cache lives for the whole process.
+    /// warm answer is the same answer, effort accounting included. Serve mode
+    /// ([`ServeService`](crate::ServeService)), where the cache lives for the
+    /// whole process, runs the sources its outcome slots miss through the same
+    /// body.
     ///
     /// # Errors
     ///
@@ -83,7 +85,7 @@ impl BatchService {
         request: &CorpusRequest,
         cache: &Arc<WarmPoolCache>,
     ) -> Result<(CorpusResponse, CorpusStats, Vec<ShardProgress>), IseError> {
-        self.execute_corpus(request, cache, None)
+        self.execute_corpus(request, cache, None, &mut Vec::new())
     }
 
     /// Executes one corpus request in streaming mode: program sources resolve
@@ -109,26 +111,24 @@ impl BatchService {
         max_in_flight: usize,
     ) -> Result<(CorpusResponse, CorpusStats, Vec<ShardProgress>), IseError> {
         let cache = Arc::new(WarmPoolCache::new(WarmCacheConfig::default()));
-        self.execute_corpus(request, &cache, Some(max_in_flight))
+        self.execute_corpus(request, &cache, Some(max_in_flight), &mut Vec::new())
     }
 
     /// The one corpus body: validates, resolves, selects and reports.
     ///
     /// Without `max_in_flight` every source resolves before any analysis (a bad
     /// source fails fast) and the corpus runs as one chunk; with it, sources resolve
-    /// lazily and at most that many programs are alive at once.
-    fn execute_corpus(
+    /// lazily and at most that many programs are alive at once. `per_source`
+    /// receives how many programs each source resolved to, in request order, so
+    /// serve mode can group the outcomes by source.
+    pub(crate) fn execute_corpus(
         &self,
         request: &CorpusRequest,
         cache: &Arc<WarmPoolCache>,
         max_in_flight: Option<usize>,
+        per_source: &mut Vec<usize>,
     ) -> Result<(CorpusResponse, CorpusStats, Vec<ShardProgress>), IseError> {
-        if request.programs.is_empty() {
-            return Err(IseError::InvalidRequest(
-                "a corpus needs at least one program".to_string(),
-            ));
-        }
-        request.constraints.validate()?;
+        validate_corpus(request)?;
         if max_in_flight == Some(0) {
             return Err(IseError::InvalidRequest(
                 "streaming needs at least one in-flight program".to_string(),
@@ -146,7 +146,10 @@ impl BatchService {
             .programs
             .iter()
             .map_while(|source| match source.resolve_corpus() {
-                Ok(programs) => Some(programs),
+                Ok(programs) => {
+                    per_source.push(programs.len());
+                    Some(programs)
+                }
                 Err(error) => {
                     failure = Some(error);
                     None
@@ -219,6 +222,26 @@ impl BatchService {
             .with_dedup(request.dedup)
             .with_templates(request.templates.map(TemplateBudget::new))
     }
+}
+
+/// The checks every corpus request passes before any source resolves: at least
+/// one program, in-domain constraints and, when set, a positive finite template
+/// area budget.
+pub(crate) fn validate_corpus(request: &CorpusRequest) -> Result<(), IseError> {
+    if request.programs.is_empty() {
+        return Err(IseError::InvalidRequest(
+            "a corpus needs at least one program".to_string(),
+        ));
+    }
+    request.constraints.validate()?;
+    if let Some(area) = request.templates {
+        if !area.is_finite() || area <= 0.0 {
+            return Err(IseError::InvalidRequest(format!(
+                "templates must be a finite, positive area budget, got {area}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Per-program speed-up comparison between the exact single-cut search and the

@@ -73,7 +73,7 @@
 //! checksummed; a corrupt, truncated or mismatched file falls back to a cold
 //! start rather than erroring.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{
     IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
@@ -84,11 +84,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ise_core::{IseError, WarmCacheConfig, WarmCacheStats, WarmPoolCache, SNAPSHOT_FILE};
+use ise_core::{
+    IseError, ProgramOutcome, WarmCacheConfig, WarmCacheStats, WarmPoolCache, SNAPSHOT_FILE,
+};
 
-use crate::batch::BatchService;
+use crate::batch::{validate_corpus, BatchService};
 use crate::json;
-use crate::request::{CorpusRequest, IseRequest, SweepRequest};
+use crate::request::{
+    CorpusProgramOutcome, CorpusRequest, CorpusResponse, IseRequest, SweepRequest,
+};
 use crate::session::Session;
 
 /// The longest request line the server reads, in bytes, not counting its newline:
@@ -143,11 +147,24 @@ impl Default for ServeConfig {
 /// it to the one-shot execution paths, and serialises the enveloped response.
 ///
 /// Owns the process-lifetime [`WarmPoolCache`]; `corpus` requests run through
-/// [`BatchService::run_corpus_cached`] against it, so fills accumulated by one
-/// request warm every later one. `run` and `sweep` requests execute exactly as
-/// their one-shot counterparts. The service is [`Server`]'s brain but has no
-/// I/O of its own — benchmarks call [`handle`](Self::handle) directly to
-/// measure dispatch without TCP.
+/// the one-shot corpus body against it, so fills accumulated by one request warm
+/// every later one. `run` and `sweep` requests execute exactly as their one-shot
+/// counterparts. The service is [`Server`]'s brain but has no I/O of its own —
+/// benchmarks call [`handle`](Self::handle) directly to measure dispatch without
+/// TCP.
+///
+/// # Outcome hits
+///
+/// A `corpus` source seen before is answered from the cache's outcome slots
+/// ([`WarmPoolCache::lookup_outcome`]) without resolving, canonicalising or
+/// selecting again. A source's slot key is the raw text of its element of
+/// `programs` plus the raw text of every other top-level field of the request
+/// (see the [`WarmPoolCache`] module docs for why byte equality is exact). After
+/// the typed decode and the corpus checks, a request whose every source hits is
+/// assembled from the slots; otherwise only the missed sources run, in request
+/// order, and their outcomes are recorded for the next request. A request with a
+/// `templates` budget bypasses the slots, since template selection is
+/// corpus-global. The response bytes are the one-shot bytes either way.
 pub struct ServeService {
     batch: BatchService,
     cache: Arc<WarmPoolCache>,
@@ -246,16 +263,13 @@ impl ServeService {
         let Some(envelope) = envelope else {
             return respond(&json::Value::Null, Err(line_error(line)));
         };
-        let request = envelope.request.map(|range| &line[range]);
-        respond(
-            &envelope.id,
-            self.dispatch(envelope.kind.as_deref(), request),
-        )
+        respond(&envelope.id, self.dispatch(line, &envelope))
     }
 
-    /// Routes one request by its `kind` (`None`: absent or not a string).
-    fn dispatch(&self, kind: Option<&str>, request: Option<&str>) -> Result<json::Value, IseError> {
-        let Some(kind) = kind else {
+    /// Routes one request by its `kind`.
+    fn dispatch(&self, line: &str, envelope: &Envelope) -> Result<json::Value, IseError> {
+        let request = envelope.request.clone().map(|range| &line[range]);
+        let Some(kind) = envelope.kind.as_deref() else {
             return Err(IseError::InvalidRequest(
                 "a request line needs a string `kind` \
                  (run | sweep | corpus | stats | shutdown)"
@@ -272,9 +286,7 @@ impl ServeService {
             "sweep" => payload::<SweepRequest>(request, "sweep")
                 .and_then(|request| Session::execute_sweep(&request))
                 .map(|(response, _stats)| json::to_value(&response)),
-            "corpus" => payload::<CorpusRequest>(request, "corpus")
-                .and_then(|request| self.batch.run_corpus_cached(&request, &self.cache))
-                .map(|(response, _stats, _shards)| json::to_value(&response)),
+            "corpus" => self.corpus(request, line, envelope.fields.as_deref()),
             "stats" => Ok(json::to_value(&self.cache.stats())),
             "shutdown" => {
                 self.shutdown.store(true, Ordering::SeqCst);
@@ -286,6 +298,133 @@ impl ServeService {
             ))),
         }
     }
+
+    /// Answers one `corpus` request, each known source from its outcome slot (see
+    /// the type documentation).
+    ///
+    /// The typed decode and the corpus checks run first, so every error reads as
+    /// on the one-shot path. A request with a `templates` budget, or whose payload
+    /// `fields` give no keys, runs whole through [`BatchService::run_corpus_cached`].
+    /// Otherwise the sources whose slots miss run, once per distinct key and in
+    /// request order, through the one-shot corpus body, and their outcomes are
+    /// recorded. A miss that fails to resolve fails the request with the error the
+    /// one-shot path gives, since every source before it resolved when it was
+    /// recorded.
+    fn corpus(
+        &self,
+        text: Option<&str>,
+        line: &str,
+        fields: Option<&PayloadFields>,
+    ) -> Result<json::Value, IseError> {
+        let mut request = payload::<CorpusRequest>(text, "corpus")?;
+        validate_corpus(&request)?;
+        // A payload the typed decode accepted yields one key per source; the whole
+        // run stays the answer should the two ever disagree.
+        let keys = fields
+            .filter(|_| request.templates.is_none())
+            .and_then(|fields| outcome_keys(line, fields))
+            .filter(|keys| keys.len() == request.programs.len());
+        let Some(keys) = keys else {
+            return self
+                .batch
+                .run_corpus_cached(&request, &self.cache)
+                .map(|(response, _stats, _shards)| json::to_value(&response));
+        };
+        let mut answers: Vec<Option<Arc<[ProgramOutcome]>>> = keys
+            .iter()
+            .map(|key| self.cache.lookup_outcome(key))
+            .collect();
+        // The first missed source under each key: later copies share its answer.
+        let mut first: HashMap<&[u8], usize> = HashMap::new();
+        for (index, key) in keys.iter().enumerate() {
+            if answers[index].is_none() {
+                first.entry(key.as_slice()).or_insert(index);
+            }
+        }
+        let mut missed: Vec<usize> = first.values().copied().collect();
+        missed.sort_unstable();
+        if !missed.is_empty() {
+            let sources = std::mem::take(&mut request.programs)
+                .into_iter()
+                .enumerate();
+            request.programs = sources
+                .filter(|(index, _)| missed.binary_search(index).is_ok())
+                .map(|(_, source)| source)
+                .collect();
+            let mut per_source = Vec::with_capacity(missed.len());
+            let (response, _stats, _shards) =
+                self.batch
+                    .execute_corpus(&request, &self.cache, None, &mut per_source)?;
+            let mut computed = response.programs.into_iter();
+            for (&index, count) in missed.iter().zip(per_source) {
+                let programs: Arc<[ProgramOutcome]> = computed
+                    .by_ref()
+                    .take(count)
+                    .map(|outcome| (outcome.program, outcome.selection, outcome.report))
+                    .collect();
+                self.cache
+                    .record_outcome(keys[index].clone(), Arc::clone(&programs));
+                answers[index] = Some(programs);
+            }
+        }
+        let mut programs = Vec::new();
+        for (index, key) in keys.iter().enumerate() {
+            let answer = answers[index].as_ref().or_else(|| {
+                let first = first[key.as_slice()];
+                answers[first].as_ref()
+            });
+            let answer = answer.expect("every missed source is answered");
+            programs.extend(answer.iter().map(|(program, selection, report)| {
+                CorpusProgramOutcome {
+                    program: program.clone(),
+                    selection: selection.clone(),
+                    report: report.clone(),
+                }
+            }));
+        }
+        Ok(json::to_value(&CorpusResponse {
+            constraints: request.constraints,
+            programs,
+            templates: None,
+        }))
+    }
+}
+
+/// The outcome-slot key of every source of a `corpus` payload, in request order,
+/// or `None` when the payload has no `programs` array.
+///
+/// A key joins the raw text of every top-level field but the first `programs` —
+/// each key name and value, in line order, unknown keys included — with the raw
+/// text of the source's own element. Equal bytes decode to equal values, and a
+/// program's outcome depends only on its source and those fields, so equal keys
+/// have equal outcomes; a byte-different but equal payload simply misses.
+fn outcome_keys(line: &str, fields: &PayloadFields) -> Option<Vec<Vec<u8>>> {
+    let mut shared = Vec::new();
+    for (key, value) in &fields.others {
+        push_part(&mut shared, key.as_bytes());
+        push_part(&mut shared, line[value.clone()].as_bytes());
+    }
+    let keys = fields.programs.as_ref()?.iter().map(|element| {
+        let mut key = Vec::with_capacity(8 + shared.len() + element.len());
+        push_part(&mut key, &shared);
+        key.extend_from_slice(line[element.clone()].as_bytes());
+        key
+    });
+    Some(keys.collect())
+}
+
+/// Skips the next value and returns where it lies in the text.
+fn value_span(reader: &mut serde::json::Reader<'_>) -> Result<Range<usize>, serde::Error> {
+    reader.peek();
+    let start = reader.position();
+    reader.skip()?;
+    Ok(start..reader.position())
+}
+
+/// Appends `bytes` with a length prefix, so the parts of a key never run together.
+fn push_part(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+    out.extend_from_slice(bytes);
 }
 
 /// The top-level fields of one request line, found in one pass that skips every
@@ -299,6 +438,43 @@ struct Envelope {
     /// Where the `request` value lies in the line; it is decoded once `kind` is
     /// known, wherever `kind` comes in the line.
     request: Option<Range<usize>>,
+    /// The top-level fields of the `request` value, when it is an object (boxed,
+    /// so a queued job stays small).
+    fields: Option<Box<PayloadFields>>,
+}
+
+/// Where the top-level fields of a request payload lie in its line, in line order:
+/// the elements of the first `programs` when it is an array, and every other
+/// field's key and value. A `corpus` request builds its outcome-slot keys from them.
+#[derive(Default)]
+struct PayloadFields {
+    programs: Option<Vec<Range<usize>>>,
+    others: Vec<(String, Range<usize>)>,
+}
+
+impl PayloadFields {
+    /// Scans the object at the reader, checking its syntax exactly as `skip` does.
+    fn scan(reader: &mut serde::json::Reader<'_>) -> Result<PayloadFields, serde::Error> {
+        let mut fields = PayloadFields::default();
+        let mut first_programs = true;
+        reader.object(|reader, key| {
+            if key == "programs" && std::mem::take(&mut first_programs) {
+                if reader.peek() != Some(b'[') {
+                    return reader.skip();
+                }
+                let mut elements = Vec::new();
+                reader.array(|reader| {
+                    elements.push(value_span(reader)?);
+                    Ok(())
+                })?;
+                fields.programs = Some(elements);
+            } else {
+                fields.others.push((key.into_owned(), value_span(reader)?));
+            }
+            Ok(())
+        })?;
+        Ok(fields)
+    }
 }
 
 impl Envelope {
@@ -310,15 +486,19 @@ impl Envelope {
         if reader.peek() != Some(b'{') {
             return None;
         }
-        let (mut id, mut kind, mut request) = (None, None, None);
+        let (mut id, mut kind, mut request, mut fields) = (None, None, None, None);
         reader
             .object(|reader, key| match &*key {
                 "id" => reader.field(&mut id),
                 "kind" => reader.field(&mut kind),
                 "request" if request.is_none() => {
-                    reader.peek();
+                    let first = reader.peek();
                     let start = reader.position();
-                    reader.skip()?;
+                    if first == Some(b'{') {
+                        fields = Some(Box::new(PayloadFields::scan(reader)?));
+                    } else {
+                        reader.skip()?;
+                    }
                     request = Some(start..reader.position());
                     Ok(())
                 }
@@ -333,6 +513,7 @@ impl Envelope {
                 _ => None,
             },
             request,
+            fields,
         })
     }
 }
@@ -937,6 +1118,42 @@ mod tests {
             let parses_to_object = matches!(json::parse(line), Ok(json::Value::Object(_)));
             assert_eq!(Envelope::scan(line).is_some(), parses_to_object, "{line}");
         }
+    }
+
+    /// A source's outcome key holds its own element and every other top-level field
+    /// of the payload, byte for byte, and nothing else: not the other sources, not
+    /// where `programs` sits, not the whitespace between fields.
+    #[test]
+    fn outcome_keys_hold_the_source_and_every_other_field() {
+        let keys = |payload: &str| {
+            let line = format!("{{\"kind\":\"corpus\",\"request\":{payload}}}");
+            let envelope = Envelope::scan(&line).expect("an object line");
+            envelope
+                .fields
+                .and_then(|fields| outcome_keys(&line, &fields))
+        };
+        let gsm = r#"{"Workload":"gsm"}"#;
+        let crc = r#"{"Workload":"crc32"}"#;
+        let base = keys(&format!(r#"{{"programs":[{gsm},{crc}],"dedup":true}}"#))
+            .expect("a programs array");
+        assert_ne!(base[0], base[1]);
+        let moved = format!(r#"{{ "dedup" : true , "programs" : [ {crc} , {gsm} , {gsm} ] }}"#);
+        let moved = keys(&moved).expect("a programs array");
+        assert_eq!(moved, [base[1].clone(), base[0].clone(), base[0].clone()]);
+        for other in [
+            format!(r#"{{"programs":[{gsm}],"dedup":false}}"#),
+            format!(r#"{{"programs":[{gsm}],"dedup":true,"x":1}}"#),
+            format!(r#"{{"programs":[{gsm}],"dedup":true,"programs":[]}}"#),
+            r#"{"programs":[{"Workload": "gsm"}],"dedup":true}"#.to_string(),
+        ] {
+            let key = keys(&other).expect("a programs array");
+            assert_ne!(key[0], base[0], "{other}");
+        }
+        assert_eq!(keys("[1]"), None, "a payload that is not an object");
+        assert_eq!(
+            keys(r#"{"programs":7,"programs":[{"Workload":"gsm"}]}"#),
+            None
+        );
     }
 
     #[test]

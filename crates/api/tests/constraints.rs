@@ -3,10 +3,11 @@
 //! A wire `max_area` of `-1.0`, `"NaN"` or `"Infinity"` decodes (the JSON layer spells
 //! non-finite floats as strings), so the check has to live past the decode: a corpus
 //! request and a sweep pair must fail before any search, exactly as a single run does.
+//! A corpus `templates` area budget is checked the same way.
 
 use ise_api::{
-    from_json, to_json, Algorithm, BatchService, CorpusRequest, IseError, IseRequest,
-    ProgramSource, Session, SweepRequest,
+    from_json, json, to_json, Algorithm, BatchService, CorpusRequest, IseError, IseRequest,
+    ProgramSource, ServeConfig, ServeService, Session, SweepRequest,
 };
 
 const BAD_AREAS: [&str; 3] = ["-1.0", "\"NaN\"", "\"Infinity\""];
@@ -64,5 +65,36 @@ fn sweep_pairs_reject_out_of_domain_areas_like_run() {
         .expect("the sweep request decodes");
         let error = Session::execute_sweep(&request).expect_err("sweep rejects the pair");
         assert_eq!(error, run_error(area), "max_area {area}");
+    }
+}
+
+/// A corpus `templates` budget that is not a finite, positive area is an invalid
+/// request on the one-shot path and in serve mode alike, with one error text.
+#[test]
+fn corpus_requests_reject_out_of_domain_template_budgets() {
+    let service = ServeService::new(&ServeConfig::default());
+    for (budget, shown) in [
+        ("-1", "-1"),
+        ("0", "0"),
+        ("-0.0", "-0"),
+        ("\"NaN\"", "NaN"),
+        ("\"Infinity\"", "inf"),
+        ("\"-Infinity\"", "-inf"),
+    ] {
+        let text = format!(r#"{{"programs": [{{"Workload": "crc32"}}], "templates": {budget}}}"#);
+        let request: CorpusRequest = from_json(&text).expect("the corpus request decodes");
+        let expected = IseError::InvalidRequest(format!(
+            "templates must be a finite, positive area budget, got {shown}"
+        ));
+        let error = BatchService::new()
+            .run_corpus(&request)
+            .expect_err("corpus rejects the budget");
+        assert_eq!(error, expected, "templates {budget}");
+        let served = service.handle(&format!(r#"{{"id":1,"kind":"corpus","request":{text}}}"#));
+        let envelope = json::Value::Object(vec![
+            ("id".to_string(), json::Value::Uint(1)),
+            ("error".to_string(), json::Value::Str(expected.to_string())),
+        ]);
+        assert_eq!(served, json::to_string(&envelope), "templates {budget}");
     }
 }

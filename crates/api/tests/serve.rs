@@ -9,8 +9,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ise_api::{
-    json, Algorithm, CorpusRequest, IseError, IseRequest, ProgramSource, ServeConfig, ServeService,
-    Server, Session, SweepRequest, MAX_REQUEST_LINE_BYTES, SNAPSHOT_FILE,
+    json, Algorithm, BatchService, CorpusRequest, IseError, IseRequest, ProgramSource, ServeConfig,
+    ServeService, Server, Session, SweepRequest, MAX_REQUEST_LINE_BYTES, SNAPSHOT_FILE,
 };
 use ise_core::Constraints;
 
@@ -652,4 +652,213 @@ fn envelope_keys_are_read_in_any_order_and_the_first_occurrence_wins() {
     let response = round_trip(&mut writer, &mut reader, &envelope(9, "shutdown", None));
     assert!(response.contains("shutting down"), "{response}");
     handle.join().expect("server thread exits cleanly");
+}
+
+/// The envelope one-shot [`BatchService::run_corpus`] gives a corpus request.
+fn one_shot_corpus(id: u64, request: &CorpusRequest) -> String {
+    let outcome = BatchService::new()
+        .run_corpus(request)
+        .map(|(response, _, _)| json::to_value(&response));
+    answer(id, outcome)
+}
+
+fn corpus_envelope(id: u64, request: &CorpusRequest) -> String {
+    envelope(id, "corpus", Some(json::to_value(request)))
+}
+
+fn workloads(names: &[&str]) -> CorpusRequest {
+    corpus_request(names, Constraints::new(4, 2))
+}
+
+/// Two functions in one `.ll` module: one source, two programs.
+const PAIR_LL: &str = "define i32 @mac3(i32 %a, i32 %b, i32 %c) {
+entry:
+  %mul = mul i32 %a, %b
+  %add = add i32 %mul, %c
+  %shl = shl i32 %add, 2
+  %sum = add i32 %shl, %mul
+  ret i32 %sum
+}
+
+define i32 @mixbits(i32 %x, i32 %y) {
+entry:
+  %xor = xor i32 %x, %y
+  %shr = lshr i32 %xor, 3
+  %and = and i32 %shr, 151
+  %or = or i32 %and, %x
+  %not = xor i32 %or, -1
+  ret i32 %not
+}
+";
+
+fn pair_ll() -> ProgramSource {
+    ProgramSource::LlvmIr {
+        name: "pair".into(),
+        text: PAIR_LL.into(),
+    }
+}
+
+/// Answers every request in order through one service and checks each against
+/// one-shot `run_corpus` on the same request.
+fn assert_served_like_one_shot(service: &ServeService, requests: &[CorpusRequest]) {
+    for (id, request) in requests.iter().enumerate() {
+        let id = id as u64;
+        assert_eq!(
+            service.handle(&corpus_envelope(id, request)),
+            one_shot_corpus(id, request),
+            "request {id}: {}",
+            json::to_string(request)
+        );
+    }
+}
+
+/// Repeats, reorderings and in-request duplicates of known sources are answered
+/// from outcome slots with the one-shot bytes, and a repeat enumerates nothing.
+#[test]
+fn outcome_slots_answer_repeated_reordered_and_duplicated_sources_like_one_shot() {
+    let service = ServeService::new(&ServeConfig::default());
+    let first = workloads(&["adpcmdecode", "gsm", "crc32"]);
+    assert_served_like_one_shot(&service, std::slice::from_ref(&first));
+    let primed = service.cache_stats();
+    assert_served_like_one_shot(
+        &service,
+        &[
+            first.clone(),
+            workloads(&["crc32", "adpcmdecode", "gsm"]),
+            workloads(&["gsm", "adpcmdecode", "gsm", "gsm"]),
+        ],
+    );
+    let warm = service.cache_stats();
+    assert_eq!(warm.fills, primed.fills, "known sources fill nothing");
+    assert_eq!(
+        warm.hits - primed.hits,
+        10,
+        "one outcome-slot hit per source"
+    );
+    assert_eq!(warm.misses, primed.misses);
+    // The same sources under other constraints are other keys.
+    assert_served_like_one_shot(
+        &service,
+        &[corpus_request(&["gsm", "crc32"], Constraints::new(2, 1))],
+    );
+    assert!(service.cache_stats().misses >= warm.misses + 2);
+}
+
+/// A known source beside a never-seen one runs only the new one; a multi-function
+/// `.ll` source answers all its programs from one slot.
+#[test]
+fn outcome_slots_mix_hits_with_misses_and_hold_every_program_of_a_source() {
+    let service = ServeService::new(&ServeConfig::default());
+    let ll = CorpusRequest::new(vec![pair_ll()]);
+    assert_served_like_one_shot(
+        &service,
+        &[
+            workloads(&["adpcmdecode"]),
+            workloads(&["adpcmdecode", "gsm"]),
+            workloads(&["gsm", "adpcmencode", "adpcmdecode"]),
+            ll.clone(),
+            ll.clone(),
+            CorpusRequest::new(vec![
+                ProgramSource::Workload("gsm".into()),
+                pair_ll(),
+                ProgramSource::Workload("crc32".into()),
+                pair_ll(),
+            ]),
+        ],
+    );
+    let (one_shot, _, _) = BatchService::new().run_corpus(&ll).expect("valid corpus");
+    assert_eq!(one_shot.programs.len(), 2, "one outcome per function");
+    let before = service.cache_stats();
+    assert_served_like_one_shot(&service, std::slice::from_ref(&ll));
+    let after = service.cache_stats();
+    assert_eq!((after.hits - before.hits, after.misses), (1, before.misses));
+}
+
+/// A whitespace-different copy of a known source is another key: it misses,
+/// records a slot of its own and answers the same bytes.
+#[test]
+fn a_byte_different_copy_of_a_known_source_misses_and_answers_the_same() {
+    let service = ServeService::new(&ServeConfig::default());
+    let request = workloads(&["adpcmdecode", "gsm"]);
+    let line = corpus_envelope(1, &request);
+    let expected = one_shot_corpus(1, &request);
+    assert_eq!(service.handle(&line), expected);
+    let primed = service.cache_stats();
+    let spaced = line.replace("{\"Workload\":\"gsm\"}", "{\"Workload\": \"gsm\"}");
+    assert_ne!(spaced, line);
+    assert_eq!(service.handle(&spaced), expected);
+    let after = service.cache_stats();
+    assert_eq!(
+        after.fills, primed.fills,
+        "the refill comes from the fill slots"
+    );
+    assert_eq!(after.entries, primed.entries + 1, "one new outcome slot");
+    assert_eq!(service.handle(&spaced), expected);
+    assert_eq!(service.cache_stats().entries, after.entries);
+}
+
+/// A known source followed by one that does not resolve fails with the one-shot
+/// error, and records nothing for the failing source.
+#[test]
+fn an_unresolvable_source_after_a_known_one_keeps_the_one_shot_error() {
+    let service = ServeService::new(&ServeConfig::default());
+    let known = ProgramSource::Workload("adpcmdecode".into());
+    let broken_ll = ProgramSource::LlvmIr {
+        name: "broken.ll".into(),
+        text: "define i32 @f(i32 %a) {\nentry:\n  %x = frob i32 %a\n  ret i32 %x\n}\n".into(),
+    };
+    let requests = [
+        CorpusRequest::new(vec![known.clone()]),
+        CorpusRequest::new(vec![known.clone(), ProgramSource::Workload("nope".into())]),
+        CorpusRequest::new(vec![known.clone(), broken_ll.clone(), known.clone()]),
+        CorpusRequest::new(vec![known.clone()])
+            .with_constraints(Constraints::new(4, 2).with_max_area(-1.0)),
+        CorpusRequest::new(Vec::new()),
+    ];
+    for request in &requests[1..] {
+        assert!(one_shot_corpus(0, request).contains("\"error\""));
+    }
+    assert_served_like_one_shot(&service, &requests);
+    assert_served_like_one_shot(&service, &requests);
+}
+
+/// A `templates` request runs whole, bypassing the slots, and out-of-range budgets
+/// fail as on the one-shot path.
+#[test]
+fn template_requests_bypass_outcome_slots() {
+    let service = ServeService::new(&ServeConfig::default());
+    let plain = workloads(&["adpcmdecode", "adpcmdecode"]);
+    let budgeted = plain.clone().with_templates(Some(1.0e9));
+    assert_served_like_one_shot(&service, &[plain.clone(), budgeted.clone()]);
+    let before = service.cache_stats();
+    assert_served_like_one_shot(&service, std::slice::from_ref(&budgeted));
+    let after = service.cache_stats();
+    assert_eq!(after.entries, before.entries, "no outcome slot recorded");
+    assert_eq!(after.fills, before.fills);
+}
+
+/// Under a byte budget far smaller than the answers, outcome slots and fills keep
+/// evicting each other, the budget holds, and every answer stays the one-shot one.
+#[test]
+fn outcome_slots_obey_a_tiny_byte_budget() {
+    for budget in [600, 2_000, 20_000] {
+        let service = ServeService::new(&ServeConfig {
+            cache_bytes: Some(budget),
+            ..ServeConfig::default()
+        });
+        for _ in 0..2 {
+            assert_served_like_one_shot(
+                &service,
+                &[
+                    workloads(&["adpcmdecode", "gsm", "adpcmdecode"]),
+                    workloads(&["crc32", "gsm"]),
+                    CorpusRequest::new(vec![pair_ll()]),
+                    corpus_request(&["crc32", "adpcmencode"], Constraints::new(2, 1)),
+                ],
+            );
+            let stats = service.cache_stats();
+            assert!(stats.bytes_used <= budget, "budget {budget}: {stats:?}");
+            assert!(stats.evictions > 0, "budget {budget}: {stats:?}");
+        }
+    }
 }

@@ -60,6 +60,11 @@ impl CutSet {
         self.len
     }
 
+    /// Number of 64-bit words in the bitset (its heap footprint over eight).
+    pub(crate) fn word_count(&self) -> usize {
+        self.words.len()
+    }
+
     /// Returns `true` if the cut is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {

@@ -44,7 +44,9 @@ pub use templates::{
     select_templates_exhaustive, SiteRef, Template, TemplateBudget, TemplateReport,
     TemplateSelectPolicy, TemplateSelection,
 };
-pub use warm::{BudgetGroup, WarmCacheConfig, WarmCacheStats, WarmPoolCache, SNAPSHOT_FILE};
+pub use warm::{
+    BudgetGroup, ProgramOutcome, WarmCacheConfig, WarmCacheStats, WarmPoolCache, SNAPSHOT_FILE,
+};
 
 /// A pluggable per-basic-block identification algorithm.
 ///

@@ -31,16 +31,46 @@
 //! worker threads contend only when they land on the same stripe. `segments = 1`
 //! reproduces the old global-lock behaviour (the `serve_bench` concurrent-hit row
 //! measures exactly that before/after).
+//!
+//! # Outcome slots
+//!
+//! Beside the fill slots the cache holds a second slot kind: an **outcome slot**
+//! maps opaque key bytes to every program one corpus source resolved to, each as a
+//! [`ProgramOutcome`] (name, selection, speed-up report). Serve mode keys a slot by
+//! the raw request bytes an outcome depends on — the source's own element plus
+//! every other field of the corpus request — so a known source is answered without
+//! resolving, canonicalising or selecting again
+//! ([`lookup_outcome`](WarmPoolCache::lookup_outcome) /
+//! [`record_outcome`](WarmPoolCache::record_outcome)).
+//!
+//! * **Exact by byte equality**, the rule [`StructuralKey`] follows: equal bytes
+//!   decode to equal values, and a program's outcome depends only on its source and
+//!   the request's other fields once the cost model and the software model are
+//!   fixed, which they are per cache. A byte-different but equal request simply
+//!   misses and recomputes the same answer.
+//! * **Evicted like fills.** Outcome slots share the stripes, the recency clock and
+//!   the byte budget; their estimate includes the key. Eviction picks the least
+//!   recently used slot of either kind, and an outcome larger than the whole budget
+//!   is never stored.
+//! * **Never persisted.** Snapshots hold fill slots only, so their format is the
+//!   same with or without outcome slots; after a warm start the first request per
+//!   source is answered from the restored fills and records its outcome anew.
+//! * **Counted as lookups, not fills.** An outcome lookup counts in `hits` or
+//!   `misses`; recording one is not a fill, because `fills` counts enumerations.
 
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hasher};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use ise_hw::speedup::SpeedupReport;
+
 use crate::constraints::Constraints;
 use crate::cut::CutEvaluation;
 use crate::pool::{AttemptHistogram, ParetoStore, PoolEntry};
+use crate::selection::SelectionResult;
 use crate::structural::StructuralKey;
 
 /// Default file name of an on-disk cache snapshot inside a `--cache-dir`.
@@ -118,6 +148,54 @@ struct Slot {
     bytes: u64,
 }
 
+/// One program's outcome as an outcome slot stores it: the program's name, its
+/// selection and its speed-up report.
+pub type ProgramOutcome = (String, SelectionResult, SpeedupReport);
+
+/// One outcome slot: every program one source resolved to, plus the bookkeeping
+/// eviction reads. Slots are inserted complete, so every one is evictable.
+struct OutcomeSlot {
+    programs: Arc<[ProgramOutcome]>,
+    last_used: u64,
+    bytes: u64,
+}
+
+/// One lock stripe: the fill slots and the outcome slots whose keys hash onto it.
+#[derive(Default)]
+struct Segment {
+    fills: HashMap<CacheKey, Slot>,
+    outcomes: HashMap<Box<[u8]>, OutcomeSlot>,
+}
+
+impl Segment {
+    /// The recency of the stripe's least recently used evictable slot: a filled
+    /// fill slot or any outcome slot.
+    fn oldest_evictable(&self) -> Option<u64> {
+        let fills = self.fills.values().filter(|slot| slot.bytes > 0);
+        let fills = fills.map(|slot| slot.last_used);
+        let outcomes = self.outcomes.values().map(|slot| slot.last_used);
+        fills.chain(outcomes).min()
+    }
+
+    /// Removes the evictable slot last used at `last_used` and returns its bytes.
+    fn remove_used_at(&mut self, last_used: u64) -> Option<u64> {
+        let fill = self
+            .fills
+            .iter()
+            .find(|(_, slot)| slot.last_used == last_used && slot.bytes > 0)
+            .map(|(key, _)| key.clone());
+        if let Some(key) = fill {
+            return self.fills.remove(&key).map(|slot| slot.bytes);
+        }
+        let outcome = self
+            .outcomes
+            .iter()
+            .find(|(_, slot)| slot.last_used == last_used)
+            .map(|(key, _)| key.clone());
+        outcome.and_then(|key| self.outcomes.remove(&key).map(|slot| slot.bytes))
+    }
+}
+
 /// Configuration of a [`WarmPoolCache`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WarmCacheConfig {
@@ -145,19 +223,19 @@ impl Default for WarmCacheConfig {
 /// Counter snapshot of a [`WarmPoolCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct WarmCacheStats {
-    /// Lookups that found an already-filled slot.
+    /// Lookups that found an already-filled slot or a recorded outcome.
     pub hits: u64,
-    /// Lookups that created a slot or joined an in-flight fill.
+    /// Lookups that created a slot, joined an in-flight fill or found no outcome.
     pub misses: u64,
     /// Fills recorded into the cache (including exhausted markers).
     pub fills: u64,
     /// Slots evicted by the byte budget.
     pub evictions: u64,
-    /// Slots currently resident (filled or in flight).
+    /// Slots currently resident: fill slots (filled or in flight) and outcome slots.
     pub entries: u64,
-    /// Resident slots whose fill has landed.
+    /// Resident slots holding an answer: landed fills and outcome slots.
     pub filled_entries: u64,
-    /// Estimated bytes retained by filled slots.
+    /// Estimated bytes retained by filled slots and outcome slots.
     pub bytes_used: u64,
     /// Number of lock stripes.
     pub segments: u64,
@@ -169,7 +247,7 @@ pub struct WarmCacheStats {
 /// cache is meant to be wrapped in an [`Arc`] and shared across worker threads and
 /// corpus runs.
 pub struct WarmPoolCache {
-    segments: Vec<Mutex<HashMap<CacheKey, Slot>>>,
+    segments: Vec<Mutex<Segment>>,
     byte_budget: Option<u64>,
     model_id: String,
     clock: AtomicU64,
@@ -186,7 +264,7 @@ impl WarmPoolCache {
     pub fn new(config: WarmCacheConfig) -> Self {
         let segments = config.segments.max(1).next_power_of_two();
         WarmPoolCache {
-            segments: (0..segments).map(|_| Mutex::new(HashMap::new())).collect(),
+            segments: (0..segments).map(|_| Mutex::default()).collect(),
             byte_budget: config.byte_budget,
             model_id: config.model_id,
             clock: AtomicU64::new(0),
@@ -215,13 +293,13 @@ impl WarmPoolCache {
     /// wait forever; filled slots are immutable once set and remain valid) and clears
     /// the poison flag. The next query under an evicted key simply re-runs its
     /// deterministic fill.
-    fn lock_segment(&self, segment: usize) -> std::sync::MutexGuard<'_, HashMap<CacheKey, Slot>> {
+    fn lock_segment(&self, segment: usize) -> std::sync::MutexGuard<'_, Segment> {
         let mutex = &self.segments[segment];
         mutex.lock().unwrap_or_else(|poisoned| {
-            let mut map = poisoned.into_inner();
-            map.retain(|_, slot| slot.cell.get().is_some());
+            let mut segment = poisoned.into_inner();
+            segment.fills.retain(|_, slot| slot.cell.get().is_some());
             mutex.clear_poison();
-            map
+            segment
         })
     }
 
@@ -249,7 +327,7 @@ impl WarmPoolCache {
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
         let segment = self.segment_index(key);
         let mut map = self.lock_segment(segment);
-        if let Some(slot) = map.get_mut(key) {
+        if let Some(slot) = map.fills.get_mut(key) {
             slot.last_used = now;
             if slot.cell.get().is_some() {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -265,7 +343,7 @@ impl WarmPoolCache {
             bytes: 0,
         };
         let cell = Arc::clone(&slot.cell);
-        map.insert(key.clone(), slot);
+        map.fills.insert(key.clone(), slot);
         cell
     }
 
@@ -273,6 +351,7 @@ impl WarmPoolCache {
     /// counters or the recency clock.
     pub(crate) fn is_filled(&self, key: &CacheKey) -> bool {
         self.lock_segment(self.segment_index(key))
+            .fills
             .get(key)
             .is_some_and(|slot| slot.cell.get().is_some())
     }
@@ -285,7 +364,7 @@ impl WarmPoolCache {
         {
             let segment = self.segment_index(key);
             let mut map = self.lock_segment(segment);
-            if let Some(slot) = map.get_mut(key) {
+            if let Some(slot) = map.fills.get_mut(key) {
                 slot.bytes = bytes;
             } else {
                 // The slot was evicted while the fill ran (possible under a tiny
@@ -297,41 +376,90 @@ impl WarmPoolCache {
         self.evict_to_budget();
     }
 
-    /// Evicts least-recently-used filled slots until back under the byte budget.
+    /// Evicts least-recently-used slots of either kind (filled fill slots and
+    /// outcome slots) until back under the byte budget.
     fn evict_to_budget(&self) {
         let Some(budget) = self.byte_budget else {
             return;
         };
         while self.bytes_used.load(Ordering::Relaxed) > budget {
-            // LRU-ish under striping: scan every stripe for its oldest filled slot
+            // LRU-ish under striping: scan every stripe for its oldest evictable slot
             // (locking one at a time), then evict the globally oldest. Another
             // thread may touch the victim between the scan and the removal — the
             // result is merely an approximate LRU order, never incorrectness.
             let mut victim: Option<(usize, u64)> = None;
             for index in 0..self.segments.len() {
                 let map = self.lock_segment(index);
-                for slot in map.values() {
-                    if slot.bytes > 0 && victim.is_none_or(|(_, used)| slot.last_used < used) {
-                        victim = Some((index, slot.last_used));
+                if let Some(used) = map.oldest_evictable() {
+                    if victim.is_none_or(|(_, oldest)| used < oldest) {
+                        victim = Some((index, used));
                     }
                 }
             }
             let Some((segment, last_used)) = victim else {
                 return; // nothing evictable (everything in flight)
             };
-            let mut map = self.lock_segment(segment);
-            let key = map
-                .iter()
-                .find(|(_, slot)| slot.last_used == last_used && slot.bytes > 0)
-                .map(|(key, _)| key.clone());
-            let Some(key) = key else {
-                continue; // the victim moved under us; rescan
-            };
-            if let Some(slot) = map.remove(&key) {
-                self.bytes_used.fetch_sub(slot.bytes, Ordering::Relaxed);
+            // `None`: the victim moved under us; rescan.
+            if let Some(bytes) = self.lock_segment(segment).remove_used_at(last_used) {
+                self.bytes_used.fetch_sub(bytes, Ordering::Relaxed);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
+    }
+
+    /// The stripe of an outcome key. Keys run to the size of whole inline
+    /// programs, so they are hashed by SipHash, about three times faster per byte
+    /// than the byte-wise FNV-1a the fill keys use.
+    fn outcome_segment(&self, key: &[u8]) -> usize {
+        let mut hasher = DefaultHasher::new();
+        hasher.write(key);
+        let h = hasher.finish();
+        ((h ^ (h >> 32)) as usize) & (self.segments.len() - 1)
+    }
+
+    /// Returns every program outcome recorded under `key` by
+    /// [`record_outcome`](Self::record_outcome), or `None`.
+    ///
+    /// The lookup counts as a hit or a miss and refreshes the slot's recency, like a
+    /// fill lookup. See the module docs for what a key must carry.
+    #[must_use]
+    pub fn lookup_outcome(&self, key: &[u8]) -> Option<Arc<[ProgramOutcome]>> {
+        let now = self.clock.fetch_add(1, Ordering::Relaxed);
+        let mut map = self.lock_segment(self.outcome_segment(key));
+        let Some(slot) = map.outcomes.get_mut(key) else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        slot.last_used = now;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(Arc::clone(&slot.programs))
+    }
+
+    /// Records the outcomes of every program one source resolved to under `key`,
+    /// charging their estimated bytes (key included) against the budget and
+    /// evicting if over. A slot already resident under `key` is kept; an outcome
+    /// larger than the whole budget is not stored, since storing it would evict
+    /// everything else first. Not a fill: `fills` counts enumerations.
+    pub fn record_outcome(&self, key: Vec<u8>, programs: Arc<[ProgramOutcome]>) {
+        let bytes = outcome_bytes(&key, &programs);
+        if self.byte_budget.is_some_and(|budget| bytes > budget) {
+            return;
+        }
+        let now = self.clock.fetch_add(1, Ordering::Relaxed);
+        {
+            let mut map = self.lock_segment(self.outcome_segment(&key));
+            if map.outcomes.contains_key(key.as_slice()) {
+                return;
+            }
+            let slot = OutcomeSlot {
+                programs,
+                last_used: now,
+                bytes,
+            };
+            map.outcomes.insert(key.into_boxed_slice(), slot);
+        }
+        self.bytes_used.fetch_add(bytes, Ordering::Relaxed);
+        self.evict_to_budget();
     }
 
     /// Snapshot of the cache counters and occupancy.
@@ -341,8 +469,14 @@ impl WarmPoolCache {
         let mut filled = 0u64;
         for index in 0..self.segments.len() {
             let map = self.lock_segment(index);
-            entries += map.len() as u64;
-            filled += map.values().filter(|s| s.cell.get().is_some()).count() as u64;
+            let outcomes = map.outcomes.len() as u64;
+            entries += map.fills.len() as u64 + outcomes;
+            filled += map
+                .fills
+                .values()
+                .filter(|s| s.cell.get().is_some())
+                .count() as u64
+                + outcomes;
         }
         WarmCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -371,7 +505,7 @@ impl WarmPoolCache {
         let mut slots: Vec<(CacheKey, Arc<OnceLock<FillEntry>>)> = Vec::new();
         for index in 0..self.segments.len() {
             let map = self.lock_segment(index);
-            for (key, slot) in map.iter() {
+            for (key, slot) in &map.fills {
                 if slot.cell.get().is_some() {
                     slots.push((key.clone(), Arc::clone(&slot.cell)));
                 }
@@ -446,12 +580,12 @@ impl WarmPoolCache {
             let now = self.clock.fetch_add(1, Ordering::Relaxed);
             let segment = self.segment_index(&key);
             let mut map = self.lock_segment(segment);
-            if map.contains_key(&key) {
+            if map.fills.contains_key(&key) {
                 continue;
             }
             let cell = OnceLock::new();
             let _ = cell.set(entry);
-            map.insert(
+            map.fills.insert(
                 key,
                 Slot {
                     cell: Arc::new(cell),
@@ -476,6 +610,20 @@ fn entry_bytes(key: &CacheKey, entry: &FillEntry) -> u64 {
         }
         let (_, counts) = fill.histogram.parts();
         bytes += 8 * counts.len() as u64;
+    }
+    bytes
+}
+
+/// Estimated retained bytes of one outcome slot (key plus every program's
+/// outcome); deterministic in the slot's content, like [`entry_bytes`].
+fn outcome_bytes(key: &[u8], programs: &[ProgramOutcome]) -> u64 {
+    let mut bytes = 64 + key.len() as u64;
+    for (name, selection, report) in programs {
+        bytes += 160 + name.len() as u64;
+        for chosen in &selection.chosen {
+            bytes += 112 + 8 * chosen.identified.cut.word_count() as u64;
+        }
+        bytes += 56 * report.instructions.len() as u64;
     }
     bytes
 }
@@ -819,6 +967,88 @@ mod tests {
         let _ = cell.set(FillEntry::Exhausted);
         cache.record_fill(&wedged, cell.get().unwrap());
         assert!(cache.lookup(&wedged).get().is_some());
+    }
+
+    /// One program with an empty selection: `64 + key + 160 + name` bytes as a slot.
+    fn outcome(name: &str) -> Arc<[ProgramOutcome]> {
+        let selection = SelectionResult {
+            chosen: Vec::new(),
+            total_weighted_saving: 0.0,
+            identifier_calls: 1,
+            cuts_considered: 0,
+        };
+        let report = SpeedupReport::from_selection(100.0, Vec::new());
+        Arc::from(vec![(name.to_string(), selection, report)])
+    }
+
+    /// Outcome lookups count as hits and misses but recording is not a fill, and
+    /// snapshots carry fill slots only.
+    #[test]
+    fn outcome_slots_count_as_lookups_and_stay_out_of_snapshots() {
+        let cache = WarmPoolCache::new(WarmCacheConfig::default());
+        assert!(cache.lookup_outcome(b"source a").is_none());
+        cache.record_outcome(b"source a".to_vec(), outcome("a"));
+        cache.record_outcome(b"source a".to_vec(), outcome("ignored"));
+        let hit = cache.lookup_outcome(b"source a").expect("recorded");
+        assert_eq!(hit[0].0, "a", "the first record under a key stays");
+        assert!(
+            cache.lookup_outcome(b"source a ").is_none(),
+            "keys are exact bytes"
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.fills), (1, 2, 0));
+        assert_eq!((stats.entries, stats.filled_entries), (1, 1));
+        assert_eq!(stats.bytes_used, 64 + 8 + 160 + 1);
+
+        let dir = std::env::temp_dir().join(format!("ise-warm-outcome-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(SNAPSHOT_FILE);
+        let k = key(3, group());
+        let cell = cache.lookup(&k);
+        let _ = cell.set(FillEntry::Exhausted);
+        cache.record_fill(&k, cell.get().unwrap());
+        assert_eq!(cache.save_snapshot(&path).unwrap(), 1, "the fill slot only");
+        let warm = WarmPoolCache::new(WarmCacheConfig::default());
+        assert_eq!(warm.load_snapshot(&path), Some(1));
+        assert!(warm.lookup_outcome(b"source a").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Outcome slots and fill slots share one byte budget and one recency order, and
+    /// an outcome larger than the whole budget is not stored.
+    #[test]
+    fn outcome_and_fill_slots_evict_each_other_in_lru_order() {
+        let cache = WarmPoolCache::new(WarmCacheConfig {
+            segments: 4,
+            byte_budget: Some(300),
+            ..WarmCacheConfig::default()
+        });
+        // Two exhausted fills of 92 bytes each, then a 233-byte outcome: the fills
+        // are older, so both go.
+        for tag in 0..2u8 {
+            let k = key(tag, group());
+            let cell = cache.lookup(&k);
+            let _ = cell.set(FillEntry::Exhausted);
+            cache.record_fill(&k, cell.get().unwrap());
+        }
+        cache.record_outcome(b"key".to_vec(), outcome("abcdef"));
+        let stats = cache.stats();
+        assert_eq!((stats.evictions, stats.entries), (2, 1), "{stats:?}");
+        assert_eq!(stats.bytes_used, 64 + 3 + 160 + 6);
+        // A fill now evicts the older outcome slot.
+        let k = key(9, group());
+        let cell = cache.lookup(&k);
+        let _ = cell.set(FillEntry::Exhausted);
+        cache.record_fill(&k, cell.get().unwrap());
+        assert!(cache.lookup_outcome(b"key").is_none());
+        assert_eq!(cache.stats().bytes_used, 92);
+        // Too large for the budget: not stored, nothing evicted.
+        cache.record_outcome(vec![7; 300], outcome("big"));
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.evictions, stats.entries, stats.bytes_used),
+            (3, 1, 92)
+        );
     }
 
     /// A small complete fill: one stored cut and a histogram of `Nout = 1` with

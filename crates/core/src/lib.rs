@@ -77,7 +77,7 @@ pub use engine::{
     run_template_selection, select_program, select_templates, select_templates_budgeted,
     select_templates_exhaustive, sweep_program, BudgetGroup, CorpusOptions, CorpusOutcome,
     CorpusPool, CorpusStats, DriverOptions, Identifier, IdentifierConfig, IdentifierRegistry,
-    SiteRef, SweepPlanner, SweepStats, Template, TemplateBudget, TemplateReport,
+    ProgramOutcome, SiteRef, SweepPlanner, SweepStats, Template, TemplateBudget, TemplateReport,
     TemplateSelectPolicy, TemplateSelection, WarmCacheConfig, WarmCacheStats, WarmPoolCache,
     SNAPSHOT_FILE,
 };

@@ -12,6 +12,7 @@
 #![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// The traits user code is expected to import, mirroring `rayon::prelude`.
 pub mod prelude {
@@ -23,15 +24,22 @@ pub mod prelude {
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// The number of worker threads a parallel operation started now would use.
+///
+/// Without an override this is the machine's available parallelism, asked of the
+/// operating system once per process: the query costs tens of microseconds, which a
+/// short parallel map would otherwise pay on every call.
 #[must_use]
 pub fn current_num_threads() -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
     let configured = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if configured > 0 {
         configured
     } else {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
+        *AVAILABLE.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
     }
 }
 
@@ -105,7 +113,8 @@ impl ThreadPool {
     /// afterwards — also on panic.
     ///
     /// Shim caveat versus real `rayon`: there is no shared worker pool. Each parallel
-    /// operation spawns up to `num_threads` short-lived scoped threads of its own, so
+    /// operation runs one share of its items on the calling thread and spawns up to
+    /// `num_threads - 1` short-lived scoped threads for the rest, so
     /// *nested* fan-outs (requests × blocks × subtrees) can briefly hold more than
     /// `num_threads` OS threads in total. Results are unaffected; only scheduling
     /// granularity differs. The override is process-global, so concurrent `install`
@@ -231,96 +240,62 @@ where
     F: Fn(usize, &'data T) -> R + Sync,
 {
     let threads = current_num_threads().min(items.len()).max(1);
-    if threads == 1 {
-        let results = items.iter().map(|item| op(0, item)).collect();
-        let progress = vec![ShardProgress {
-            shard: 0,
-            items: items.len(),
-        }];
-        return (results, progress);
-    }
     let next = AtomicUsize::new(0);
-    let op = &op;
-    let next = &next;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|shard| {
-                scope.spawn(move || {
-                    let mut produced: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= items.len() {
-                            break;
-                        }
-                        produced.push((index, op(shard, &items[index])));
-                    }
-                    produced
-                })
-            })
-            .collect();
-        let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
-        let mut progress = Vec::with_capacity(threads);
-        for (shard, handle) in handles.into_iter().enumerate() {
-            let produced = handle.join().expect("worker thread panicked");
-            progress.push(ShardProgress {
-                shard,
-                items: produced.len(),
-            });
-            for (index, value) in produced {
-                slots[index] = Some(value);
+    // One shard's loop: claim the next unclaimed item until none is left.
+    let work = |shard: usize| {
+        let mut produced: Vec<(usize, R)> = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= items.len() {
+                break;
             }
+            produced.push((index, op(shard, &items[index])));
         }
-        let results = slots
-            .into_iter()
-            .map(|slot| slot.expect("every index is claimed by exactly one worker"))
-            .collect();
-        (results, progress)
-    })
+        produced
+    };
+    // The calling thread is shard 0, so only `threads - 1` threads are spawned.
+    let produced: Vec<Vec<(usize, R)>> = if threads == 1 {
+        vec![work(0)]
+    } else {
+        std::thread::scope(|scope| {
+            let work = &work;
+            let handles: Vec<_> = (1..threads)
+                .map(|shard| scope.spawn(move || work(shard)))
+                .collect();
+            let mut produced = vec![work(0)];
+            for handle in handles {
+                produced.push(handle.join().expect("worker thread panicked"));
+            }
+            produced
+        })
+    };
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    let mut progress = Vec::with_capacity(threads);
+    for (shard, produced) in produced.into_iter().enumerate() {
+        progress.push(ShardProgress {
+            shard,
+            items: produced.len(),
+        });
+        for (index, value) in produced {
+            slots[index] = Some(value);
+        }
+    }
+    let results = slots
+        .into_iter()
+        .map(|slot| slot.expect("every index is claimed by exactly one worker"))
+        .collect();
+    (results, progress)
 }
 
-/// Ordered parallel map with dynamic scheduling: workers pull the next unclaimed item
-/// from a shared atomic cursor, so wildly different per-item costs still keep all
-/// threads busy; the results are reassembled by index afterwards.
+/// Ordered parallel map with dynamic scheduling: [`sharded_map`] without the
+/// shard index and the progress report.
 fn parallel_map<'data, T, R, F>(items: &'data [T], op: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&'data T) -> R + Sync,
 {
-    let threads = current_num_threads().min(items.len()).max(1);
-    if threads == 1 {
-        return items.iter().map(op).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let op = &op;
-    let next = &next;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut produced: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= items.len() {
-                            break;
-                        }
-                        produced.push((index, op(&items[index])));
-                    }
-                    produced
-                })
-            })
-            .collect();
-        let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
-        for handle in handles {
-            for (index, value) in handle.join().expect("worker thread panicked") {
-                slots[index] = Some(value);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every index is claimed by exactly one worker"))
-            .collect()
-    })
+    sharded_map(items, |_, item| op(item)).0
 }
 
 #[cfg(test)]
@@ -390,8 +365,14 @@ mod tests {
         assert_eq!(progress.iter().map(|p| p.items).sum::<usize>(), 0);
     }
 
+    /// Serialises the tests that install a thread count: the override is global.
+    static INSTALLS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn installed_pools_scope_the_thread_count() {
+        let _serial = INSTALLS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
         assert_eq!(pool.current_num_threads(), 2);
         let (inside, result) = pool.install(|| {
@@ -404,5 +385,38 @@ mod tests {
         assert_eq!(result, (1..=10).collect::<Vec<u32>>());
         // The override is restored after the install scope.
         assert_ne!(THREAD_OVERRIDE.load(Ordering::SeqCst), 2);
+    }
+
+    /// The default thread count is computed once per process, but an `install`
+    /// scope set after that still governs every parallel operation inside it, and
+    /// the default comes back when the scope ends.
+    #[test]
+    fn an_installed_thread_count_overrides_the_cached_default() {
+        let _serial = INSTALLS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let default = current_num_threads();
+        assert_eq!(
+            current_num_threads(),
+            default,
+            "the cached default is stable"
+        );
+        let threads = default + 2;
+        let items: Vec<u32> = (0..64).collect();
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let (inside, progress) = pool.install(|| {
+            let (out, progress) = sharded_map(&items, |_, &x| x);
+            assert_eq!(out, items);
+            (current_num_threads(), progress)
+        });
+        assert_eq!(inside, threads);
+        assert_eq!(progress.len(), threads, "one shard per installed thread");
+        assert_eq!(progress.iter().map(|p| p.items).sum::<usize>(), items.len());
+        assert_eq!(current_num_threads(), default);
+        let (_, progress) = sharded_map(&items, |_, &x| x);
+        assert_eq!(progress.len(), default.min(items.len()));
     }
 }
