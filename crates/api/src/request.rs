@@ -562,7 +562,10 @@ mod tests {
     fn requests_round_trip_through_json() {
         let request = IseRequest::new(Algorithm::MultiCut, ProgramSource::Workload("gsm".into()))
             .with_constraints(Constraints::new(4, 2).with_max_area(1.5))
-            .with_config(IdentifierConfig::default().with_multicut_slots(3))
+            .with_config(IdentifierConfig {
+                multicut_slots: 3,
+                ..IdentifierConfig::default()
+            })
             .with_pass(Pass::ConstFold)
             .with_pass(Pass::Dce);
         let text = crate::to_json(&request);

@@ -5,10 +5,12 @@
 //! consecutive invocations analyse structurally identical code. Serve mode keeps
 //! the process — and with it the [`WarmPoolCache`] of canonical Pareto fills —
 //! alive across requests, so the second request that sees a known
-//! `(structural key, exclusion state, budget group)` answers from memory.
-//! Because canonical fills are schedule-independent, every served response is
-//! **byte-identical** to what the one-shot [`BatchService`]/[`Session`] paths
-//! produce, cold or warm.
+//! `(structural key, exclusion state, budget group)` answers from memory, and a
+//! repeated `run` or `sweep` payload or `corpus` source answers from an outcome
+//! slot without searching at all (see [`ServeService`]). Because canonical fills
+//! are schedule-independent and outcome slots are keyed by the exact request
+//! bytes, every served response is **byte-identical** to what the one-shot
+//! [`BatchService`]/[`Session`](crate::Session) paths produce, cold or warm.
 //!
 //! # Protocol
 //!
@@ -91,9 +93,10 @@ use ise_core::{
 use crate::batch::{validate_corpus, BatchService};
 use crate::json;
 use crate::request::{
-    CorpusProgramOutcome, CorpusRequest, CorpusResponse, IseRequest, SweepRequest,
+    CorpusProgramOutcome, CorpusRequest, CorpusResponse, IseRequest, IseResponse, SweepPairOutcome,
+    SweepRequest, SweepResponse,
 };
-use crate::session::Session;
+use crate::session::SessionBuilder;
 
 /// The longest request line the server reads, in bytes, not counting its newline:
 /// 16 MiB, over a hundred times the largest corpus request line the benchmarks send.
@@ -111,8 +114,9 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Lock stripes of the warm cache (rounded up to a power of two).
     pub segments: usize,
-    /// Byte budget of the warm cache; least-recently-used fills are evicted
-    /// beyond it. `None` means unbounded.
+    /// Byte budget of the warm cache; least-recently-used slots are evicted
+    /// beyond it. `None` means unbounded. 256 MiB by default, so a long-lived
+    /// server fed ever new requests keeps its memory bounded.
     pub cache_bytes: Option<u64>,
     /// Directory for the on-disk cache snapshot; `None` disables persistence.
     pub cache_dir: Option<PathBuf>,
@@ -136,7 +140,7 @@ impl Default for ServeConfig {
             workers: 2,
             queue_capacity: 64,
             segments: 16,
-            cache_bytes: None,
+            cache_bytes: Some(256 << 20),
             cache_dir: None,
             snapshot_interval: None,
         }
@@ -148,23 +152,31 @@ impl Default for ServeConfig {
 ///
 /// Owns the process-lifetime [`WarmPoolCache`]; `corpus` requests run through
 /// the one-shot corpus body against it, so fills accumulated by one request warm
-/// every later one. `run` and `sweep` requests execute exactly as their one-shot
-/// counterparts. The service is [`Server`]'s brain but has no I/O of its own —
-/// benchmarks call [`handle`](Self::handle) directly to measure dispatch without
-/// TCP.
+/// every later one, and `run` and `sweep` requests run through
+/// [`Session`](crate::Session) as their one-shot counterparts do. The service is
+/// [`Server`]'s brain but has no I/O of its own — benchmarks call
+/// [`handle`](Self::handle) directly to measure dispatch without TCP.
 ///
 /// # Outcome hits
 ///
-/// A `corpus` source seen before is answered from the cache's outcome slots
-/// ([`WarmPoolCache::lookup_outcome`]) without resolving, canonicalising or
-/// selecting again. A source's slot key is the raw text of its element of
-/// `programs` plus the raw text of every other top-level field of the request
-/// (see the [`WarmPoolCache`] module docs for why byte equality is exact). After
-/// the typed decode and the corpus checks, a request whose every source hits is
-/// assembled from the slots; otherwise only the missed sources run, in request
-/// order, and their outcomes are recorded for the next request. A request with a
-/// `templates` budget bypasses the slots, since template selection is
-/// corpus-global. The response bytes are the one-shot bytes either way.
+/// Answers seen before come from the cache's outcome slots
+/// ([`WarmPoolCache::lookup_outcome`]) without resolving, searching or reporting
+/// again (see the [`WarmPoolCache`] module docs for why byte equality is exact).
+/// The typed decode and the request checks run first either way, so every error
+/// reads as on the one-shot path, and a failed request records nothing.
+///
+/// * A `run` or `sweep` payload's slot key is its kind plus the raw text of its
+///   `request` value. A `run` slot holds the one program's outcome and a `sweep`
+///   slot one outcome per pair, in request order; the response is rebuilt from
+///   the slot, the session's algorithm name and the request's constraints.
+/// * A `corpus` source's slot key is the raw text of its element of `programs`
+///   plus the raw text of every other top-level field of the request. A request
+///   whose every source hits is assembled from the slots; otherwise only the
+///   missed sources run, in request order, and their outcomes are recorded for the
+///   next request. A request with a `templates` budget bypasses the slots, since
+///   template selection is corpus-global.
+///
+/// The response bytes are the one-shot bytes either way.
 pub struct ServeService {
     batch: BatchService,
     cache: Arc<WarmPoolCache>,
@@ -277,15 +289,8 @@ impl ServeService {
             ));
         };
         match kind {
-            "run" => payload::<IseRequest>(request, "run")
-                .and_then(|request| Session::execute(&request))
-                .map(|response| json::to_value(&response)),
-            // The sweep planner statistics and the corpus dedup/shard telemetry
-            // are one-shot stderr diagnostics; the served envelope carries only
-            // the deterministic response, exactly like the one-shot CLI.
-            "sweep" => payload::<SweepRequest>(request, "sweep")
-                .and_then(|request| Session::execute_sweep(&request))
-                .map(|(response, _stats)| json::to_value(&response)),
+            "run" => self.run(request),
+            "sweep" => self.sweep(request),
             "corpus" => self.corpus(request, line, envelope.fields.as_deref()),
             "stats" => Ok(json::to_value(&self.cache.stats())),
             "shutdown" => {
@@ -297,6 +302,75 @@ impl ServeService {
                  (expected run | sweep | corpus | stats | shutdown)"
             ))),
         }
+    }
+
+    /// Answers one `run` request, a repeat of a known payload from its outcome slot
+    /// (see the type documentation).
+    fn run(&self, text: Option<&str>) -> Result<json::Value, IseError> {
+        let request = payload::<IseRequest>(text, "run")?;
+        let session = SessionBuilder::from_request(&request).build()?;
+        let programs = self.outcome_or_else(payload_key("run", text), || {
+            let response = session.run(&request.program.resolve()?)?;
+            Ok(vec![(
+                response.program,
+                response.selection,
+                response.report,
+            )])
+        })?;
+        // A `run` slot holds the one program the request ran.
+        let (program, selection, report) = programs[0].clone();
+        Ok(json::to_value(&IseResponse {
+            program,
+            algorithm: session.algorithm().to_string(),
+            constraints: request.constraints,
+            selection,
+            report,
+        }))
+    }
+
+    /// Answers one `sweep` request, a repeat of a known payload from its outcome
+    /// slot (see the type documentation). The sweep planner statistics are one-shot
+    /// stderr diagnostics; the served envelope carries only the deterministic
+    /// response, exactly like the one-shot CLI.
+    fn sweep(&self, text: Option<&str>) -> Result<json::Value, IseError> {
+        let request = payload::<SweepRequest>(text, "sweep")?;
+        let session = SessionBuilder::from_request(&request.request).build()?;
+        let programs = self.outcome_or_else(payload_key("sweep", text), || {
+            let program = request.request.program.resolve()?;
+            let (response, _stats) = session.sweep(&program, &request.sweep)?;
+            let name = response.program;
+            let pairs = response.pairs.into_iter();
+            Ok(pairs
+                .map(|pair| (name.clone(), pair.selection, pair.report))
+                .collect())
+        })?;
+        let pairs = request.sweep.iter().zip(programs.iter());
+        let pairs = pairs.map(|(&constraints, (_, selection, report))| SweepPairOutcome {
+            constraints,
+            selection: selection.clone(),
+            report: report.clone(),
+        });
+        // A `sweep` slot holds one outcome per pair, and a sweep has at least one.
+        Ok(json::to_value(&SweepResponse {
+            program: programs[0].0.clone(),
+            algorithm: session.algorithm().to_string(),
+            pairs: pairs.collect(),
+        }))
+    }
+
+    /// The outcomes recorded under `key`, or else `compute`'s, recorded for the
+    /// next request. A failed computation records nothing.
+    fn outcome_or_else(
+        &self,
+        key: Vec<u8>,
+        compute: impl FnOnce() -> Result<Vec<ProgramOutcome>, IseError>,
+    ) -> Result<Arc<[ProgramOutcome]>, IseError> {
+        if let Some(programs) = self.cache.lookup_outcome(&key) {
+            return Ok(programs);
+        }
+        let programs: Arc<[ProgramOutcome]> = compute()?.into();
+        self.cache.record_outcome(key, Arc::clone(&programs));
+        Ok(programs)
     }
 
     /// Answers one `corpus` request, each known source from its outcome slot (see
@@ -411,6 +485,20 @@ fn outcome_keys(line: &str, fields: &PayloadFields) -> Option<Vec<Vec<u8>>> {
         key
     });
     Some(keys.collect())
+}
+
+/// The outcome-slot key of a `run` or `sweep` payload: the kind, then the raw text
+/// of the payload. Equal bytes decode to equal requests, and a run or a sweep is a
+/// pure function of its request, so equal keys have equal answers. The kind is
+/// needed because unknown keys are skipped, so one payload text can decode as
+/// either kind; its length prefix (3 or 5) also keeps these keys apart from every
+/// corpus key, whose first eight bytes read 0 or at least 16.
+fn payload_key(kind: &str, text: Option<&str>) -> Vec<u8> {
+    let text = text.unwrap_or_default();
+    let mut key = Vec::with_capacity(8 + kind.len() + text.len());
+    push_part(&mut key, kind.as_bytes());
+    key.extend_from_slice(text.as_bytes());
+    key
 }
 
 /// Skips the next value and returns where it lies in the text.
@@ -966,6 +1054,7 @@ fn read_connection(stream: TcpStream, service: &ServeService, queue: &JobQueue, 
 mod tests {
     use super::*;
     use crate::request::{Algorithm, ProgramSource};
+    use crate::session::Session;
 
     fn run_line(id: u64) -> String {
         let request = IseRequest::new(

@@ -170,7 +170,10 @@ fn damaged_snapshots_fall_back_to_cold_start() {
 
 #[test]
 fn eviction_under_a_tiny_byte_budget_never_changes_answers() {
-    let unbounded = ServeService::new(&ServeConfig::default());
+    let unbounded = ServeService::new(&ServeConfig {
+        cache_bytes: None,
+        ..ServeConfig::default()
+    });
     let squeezed = ServeService::new(&ServeConfig {
         cache_bytes: Some(2_000),
         ..ServeConfig::default()
@@ -861,4 +864,213 @@ fn outcome_slots_obey_a_tiny_byte_budget() {
             assert!(stats.evictions > 0, "budget {budget}: {stats:?}");
         }
     }
+}
+
+/// A line of `kind` carrying `text` verbatim as its `request` payload.
+fn raw_envelope(id: u64, kind: &str, text: &str) -> String {
+    format!(r#"{{"id":{id},"kind":"{kind}","request":{text}}}"#)
+}
+
+/// The envelope one-shot [`Session::execute`] gives a `run` payload text.
+fn one_shot_run(id: u64, text: &str) -> String {
+    let request: IseRequest = ise_api::from_json(text).expect("a run payload");
+    answer(
+        id,
+        Session::execute(&request).map(|response| json::to_value(&response)),
+    )
+}
+
+/// The envelope one-shot [`Session::execute_sweep`] gives a `sweep` payload text.
+fn one_shot_sweep(id: u64, text: &str) -> String {
+    let request: SweepRequest = ise_api::from_json(text).expect("a sweep payload");
+    answer(
+        id,
+        Session::execute_sweep(&request).map(|(response, _)| json::to_value(&response)),
+    )
+}
+
+fn run_text(program: ProgramSource) -> String {
+    json::to_string(&IseRequest::new(Algorithm::SingleCut, program))
+}
+
+fn sweep_text(workload: &str, pairs: Vec<Constraints>) -> String {
+    let request = IseRequest::new(
+        Algorithm::SingleCut,
+        ProgramSource::Workload(workload.into()),
+    );
+    json::to_string(&SweepRequest::new(request, pairs))
+}
+
+/// Repeated `run` and `sweep` payloads are answered from their outcome slots with
+/// the one-shot bytes: one hit per repeat, no fill and no new slot. A
+/// whitespace-different copy misses, records a slot of its own and answers the
+/// same bytes.
+#[test]
+fn run_and_sweep_repeats_hit_outcome_slots_like_one_shot() {
+    let service = ServeService::new(&ServeConfig::default());
+    let run = json::to_string(
+        &IseRequest::new(
+            Algorithm::SingleCut,
+            ProgramSource::Workload("adpcmdecode".into()),
+        )
+        .with_pass(ise_api::Pass::ConstFold),
+    );
+    let sweep = sweep_text("gsm", vec![Constraints::new(2, 1), Constraints::new(4, 2)]);
+    for (kind, text, expected) in [
+        ("run", &run, one_shot_run(1, &run)),
+        ("sweep", &sweep, one_shot_sweep(1, &sweep)),
+    ] {
+        let line = raw_envelope(1, kind, text);
+        assert_eq!(service.handle(&line), expected, "{kind}");
+        for _ in 0..2 {
+            let before = service.cache_stats();
+            assert_eq!(service.handle(&line), expected, "{kind}");
+            let after = service.cache_stats();
+            assert_eq!(after.hits, before.hits + 1, "{kind}");
+            assert_eq!(
+                (after.misses, after.fills, after.entries),
+                (before.misses, before.fills, before.entries),
+                "{kind}"
+            );
+        }
+        let spaced = text.replacen(':', ": ", 1);
+        assert_ne!(&spaced, text);
+        let before = service.cache_stats();
+        assert_eq!(service.handle(&raw_envelope(1, kind, &spaced)), expected);
+        let after = service.cache_stats();
+        assert_eq!(after.misses, before.misses + 1, "{kind}");
+        assert_eq!(after.entries, before.entries + 1, "{kind}");
+    }
+}
+
+/// A one-block program whose only node reads node 1, which does not exist: it
+/// decodes, then fails validation.
+const FORWARD_REFERENCE_PROGRAM: &str = r#"{"name":"bad","blocks":[{"name":"bb0","nodes":[{"opcode":"Add","operands":[{"Node":1},{"Imm":2}],"name":null}],"inputs":[],"outputs":[{"name":"o","source":{"Node":0}}],"consumers":[[]],"input_consumers":[],"exec_count":1}],"afus":[]}"#;
+
+/// A failing `run` or `sweep` request records nothing, and its repeat fails with
+/// the identical one-shot error.
+#[test]
+fn failing_run_and_sweep_requests_record_nothing_and_repeat_their_error() {
+    let service = ServeService::new(&ServeConfig::default());
+    let invalid_inline = run_text(ProgramSource::Workload("gsm".into())).replace(
+        r#"{"Workload":"gsm"}"#,
+        &format!(r#"{{"Inline":{FORWARD_REFERENCE_PROGRAM}}}"#),
+    );
+    let zero_ports = Constraints {
+        max_inputs: 0,
+        ..Constraints::new(4, 2)
+    };
+    let cases = [
+        ("run", run_text(ProgramSource::Workload("nope".into()))),
+        ("run", invalid_inline),
+        (
+            "sweep",
+            sweep_text("gsm", vec![Constraints::new(4, 2), zero_ports]),
+        ),
+        ("sweep", sweep_text("gsm", Vec::new())),
+    ];
+    for (kind, text) in &cases {
+        let expected = match *kind {
+            "run" => one_shot_run(2, text),
+            _ => one_shot_sweep(2, text),
+        };
+        assert!(expected.contains("\"error\""), "{expected}");
+        for _ in 0..2 {
+            assert_eq!(service.handle(&raw_envelope(2, kind, text)), expected);
+            assert_eq!(service.cache_stats().entries, 0, "{kind}: {text}");
+        }
+    }
+}
+
+/// One payload text that decodes as a `run` and as a `sweep` (each kind skips the
+/// other's keys) is answered as the kind its line names, each from its own slot.
+#[test]
+fn a_payload_of_both_kinds_is_answered_as_the_kind_its_line_names() {
+    let run = run_text(ProgramSource::Workload("adpcmdecode".into()));
+    let sweep = sweep_text("gsm", vec![Constraints::new(3, 1)]);
+    let both = format!("{},{}", &run[..run.len() - 1], &sweep[1..]);
+    let as_run = one_shot_run(3, &both);
+    let as_sweep = one_shot_sweep(3, &both);
+    assert_eq!(as_run, one_shot_run(3, &run));
+    assert_eq!(as_sweep, one_shot_sweep(3, &sweep));
+    let service = ServeService::new(&ServeConfig::default());
+    for _ in 0..2 {
+        assert_eq!(service.handle(&raw_envelope(3, "run", &both)), as_run);
+        assert_eq!(service.handle(&raw_envelope(3, "sweep", &both)), as_sweep);
+    }
+    let stats = service.cache_stats();
+    assert_eq!((stats.entries, stats.hits, stats.misses), (2, 2, 2));
+}
+
+/// A `run` and a `corpus` request over the same source keep separate slots.
+#[test]
+fn a_run_and_a_corpus_request_over_one_source_do_not_share_a_slot() {
+    let service = ServeService::new(&ServeConfig::default());
+    let corpus = workloads(&["gsm"]);
+    let run = run_text(ProgramSource::Workload("gsm".into()));
+    assert_eq!(
+        service.handle(&corpus_envelope(4, &corpus)),
+        one_shot_corpus(4, &corpus)
+    );
+    let before = service.cache_stats();
+    assert_eq!(
+        service.handle(&raw_envelope(4, "run", &run)),
+        one_shot_run(4, &run)
+    );
+    let after = service.cache_stats();
+    assert_eq!(after.misses, before.misses + 1, "the run misses");
+    assert_eq!(
+        after.entries,
+        before.entries + 1,
+        "the run records its own slot"
+    );
+    assert_eq!(
+        service.handle(&corpus_envelope(4, &corpus)),
+        one_shot_corpus(4, &corpus)
+    );
+    assert_eq!(
+        service.handle(&raw_envelope(4, "run", &run)),
+        one_shot_run(4, &run)
+    );
+    let last = service.cache_stats();
+    assert_eq!((last.hits, last.entries), (after.hits + 2, after.entries));
+}
+
+/// A stream of distinct inline `run` payloads keeps evicting the oldest slots:
+/// memory stays within the budget and every answer stays the one-shot one.
+#[test]
+fn distinct_run_payloads_stay_within_the_cache_budget() {
+    let base = ise_workloads::suite::by_name("crc32").expect("a bundled workload");
+    let text = |index: usize| {
+        let mut program = ise_ir::Program::new(format!("crc32_{index}"));
+        for block in base.blocks() {
+            program.add_block(block.clone());
+        }
+        run_text(ProgramSource::Inline(program))
+    };
+    let unbounded = ServeService::new(&ServeConfig {
+        cache_bytes: None,
+        ..ServeConfig::default()
+    });
+    unbounded.handle(&raw_envelope(0, "run", &text(0)));
+    let slot = unbounded.cache_stats().bytes_used;
+    assert!(slot > 0);
+    let budget = 3 * slot + slot / 2;
+    let service = ServeService::new(&ServeConfig {
+        cache_bytes: Some(budget),
+        ..ServeConfig::default()
+    });
+    for index in 0..12 {
+        let text = text(index);
+        let id = index as u64;
+        assert_eq!(
+            service.handle(&raw_envelope(id, "run", &text)),
+            one_shot_run(id, &text)
+        );
+        let stats = service.cache_stats();
+        assert!(stats.bytes_used <= budget, "budget {budget}: {stats:?}");
+    }
+    let stats = service.cache_stats();
+    assert!(stats.evictions > 0, "{stats:?}");
+    assert!(stats.entries >= 2, "{stats:?}");
 }

@@ -14,7 +14,9 @@
 //! the warm pay-off, or persistence fail — CI runs it like `corpus_gate`.
 //!
 //! Dispatch is measured through [`ServeService::handle`] directly (no TCP), so
-//! the cold/warm numbers isolate cache behaviour from socket noise. A separate TCP
+//! the cold/warm numbers isolate cache behaviour from socket noise. Two more rows
+//! time one `run` and one `sweep` line the same way: each line's first answer on a
+//! fresh service against a repeat, which an outcome slot answers. A separate TCP
 //! phase then times sequential round trips against a real [`Server`] on loopback:
 //! `stats` requests, whose work is a counter read, give the transport cost, and
 //! the warm corpus request gives a served request's whole cost (its responses
@@ -26,7 +28,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use ise_api::{
-    json, BatchService, CorpusRequest, ProgramSource, ServeConfig, ServeService, Server,
+    json, Algorithm, BatchService, CorpusRequest, IseRequest, ProgramSource, ServeConfig,
+    ServeService, Server, Session, SweepRequest,
 };
 use ise_core::{Constraints, DriverOptions, IdentifierConfig};
 use ise_workloads::corpus::{duplicate_heavy, CorpusConfig};
@@ -169,6 +172,15 @@ impl LatencyReport {
     }
 }
 
+/// In-process `handle` times of one `run` or `sweep` line.
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+pub struct RepeatReport {
+    /// Median over the repeats of the first answer, on a fresh service, ms.
+    pub first_ms: f64,
+    /// Median of every repeat of the line on the service that answered it, ms.
+    pub repeat_ms: f64,
+}
+
 /// The full gate result, as serialised into `BENCH_serve.json`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct ServeBenchReport {
@@ -199,6 +211,10 @@ pub struct ServeBenchReport {
     /// Share of the warm phases' cache lookups that hit, outcome-slot and fill-slot
     /// lookups alike.
     pub warm_hit_rate: f64,
+    /// The `run` line: the first answer versus a repeat.
+    pub run: RepeatReport,
+    /// The `sweep` line: the first answer versus a repeat.
+    pub sweep: RepeatReport,
     /// Wall-clock of the concurrent warm-hit row on a single-segment cache
     /// (the pre-satellite global-lock layout), milliseconds.
     pub concurrent_single_lock_ms: f64,
@@ -304,6 +320,10 @@ pub fn run(config: &ServeBenchConfig) -> ServeBenchReport {
         *slot = start.elapsed().as_secs_f64() * 1_000.0;
     }
 
+    let (run, run_identical) = repeat_row(config, "run");
+    let (sweep, sweep_identical) = repeat_row(config, "sweep");
+    identical &= run_identical && sweep_identical;
+
     let (tcp_transport, tcp_warm, tcp_identical) = tcp_phase(config, &line, &expected);
     identical &= tcp_identical;
 
@@ -336,6 +356,8 @@ pub fn run(config: &ServeBenchConfig) -> ServeBenchReport {
         cold_fills,
         warm_fills,
         warm_hit_rate,
+        run,
+        sweep,
         concurrent_single_lock_ms: concurrent[0],
         concurrent_striped_ms: concurrent[1],
         tcp_transport,
@@ -343,6 +365,67 @@ pub fn run(config: &ServeBenchConfig) -> ServeBenchReport {
         snapshot_roundtrip_identical,
         snapshot_warm_fills,
     }
+}
+
+/// Times one `run` or `sweep` line over the bundled `adpcmdecode`: per repeat, its
+/// first answer on a fresh service, then `warm_requests` repeats on the same
+/// service. Returns the medians and whether every answer equalled the one-shot
+/// envelope.
+fn repeat_row(config: &ServeBenchConfig, kind: &str) -> (RepeatReport, bool) {
+    let base = IseRequest::new(
+        Algorithm::SingleCut,
+        ProgramSource::Workload("adpcmdecode".into()),
+    )
+    .with_constraints(config.constraints)
+    .with_options(DriverOptions::new(config.max_instructions));
+    let (request, response) = if kind == "run" {
+        let response = Session::execute(&base).map(|response| json::to_value(&response));
+        (json::to_value(&base), response)
+    } else {
+        let pairs = [(2, 1), (3, 1), (4, 1), (4, 2)].map(|(nin, nout)| Constraints::new(nin, nout));
+        let sweep = SweepRequest::new(base, pairs.to_vec());
+        let response =
+            Session::execute_sweep(&sweep).map(|(response, _)| json::to_value(&response));
+        (json::to_value(&sweep), response)
+    };
+    let line = json::to_string(&json::Value::Object(vec![
+        ("id".to_string(), json::to_value(&0u64)),
+        ("kind".to_string(), json::Value::Str(kind.to_string())),
+        ("request".to_string(), request),
+    ]));
+    let expected = json::to_string(&json::Value::Object(vec![
+        ("id".to_string(), json::to_value(&0u64)),
+        (
+            "response".to_string(),
+            response.expect("a bundled workload is a valid request"),
+        ),
+    ]));
+    let timed = |service: &ServeService| {
+        let start = Instant::now();
+        let response = service.handle(&line);
+        (
+            start.elapsed().as_secs_f64() * 1_000.0,
+            response == expected,
+        )
+    };
+    let mut identical = true;
+    let (mut first, mut repeat) = (Vec::new(), Vec::new());
+    for _ in 0..REPEATS {
+        let service = ServeService::new(&config.serve_config(16));
+        let (ms, same) = timed(&service);
+        first.push(ms);
+        identical &= same;
+        for _ in 0..config.warm_requests.max(1) {
+            let (ms, same) = timed(&service);
+            repeat.push(ms);
+            identical &= same;
+        }
+    }
+    let report = RepeatReport {
+        first_ms: crate::median(&first),
+        repeat_ms: crate::median(&repeat),
+    };
+    (report, identical)
 }
 
 /// The TCP phase: a real [`Server`] on a loopback port, primed with `line`, then
@@ -439,6 +522,11 @@ pub fn markdown(report: &ServeBenchReport) -> String {
          | tcp stats | {} | {:.2} | {:.2} | {:.2} |\n\
          | tcp warm | {} | {:.2} | {:.1} | {:.1} |\n\
          \n\
+         | line | first ms | repeat ms |\n\
+         |---|---:|---:|\n\
+         | run | {:.3} | {:.3} |\n\
+         | sweep | {:.3} | {:.3} |\n\
+         \n\
          warm speed-up: {:.2}x (median of {} repeats), fills cold/warm: {}/{}, \
          warm hit-rate {:.1}%, identical: {}\n\
          concurrent warm hits: {:.1} ms (1 segment) vs {:.1} ms (16 segments)\n\
@@ -459,6 +547,10 @@ pub fn markdown(report: &ServeBenchReport) -> String {
         report.tcp_warm.requests_per_sec,
         report.tcp_warm.p50_ms,
         report.tcp_warm.p99_ms,
+        report.run.first_ms,
+        report.run.repeat_ms,
+        report.sweep.first_ms,
+        report.sweep.repeat_ms,
         report.warm_speedup,
         report.repeats,
         report.cold_fills,
@@ -484,6 +576,9 @@ mod tests {
         assert!(report.warm_speedup >= 2.0, "{report:?}");
         assert_eq!(report.warm_fills, 0, "{report:?}");
         assert_eq!(report.warm_hit_rate, 1.0, "{report:?}");
+        for row in [report.run, report.sweep] {
+            assert!(row.repeat_ms < row.first_ms, "{report:?}");
+        }
         assert!(report.snapshot_roundtrip_identical, "{report:?}");
         assert_eq!(report.snapshot_warm_fills, 0, "{report:?}");
         let tcp_requests = (REPEATS * ServeBenchConfig::quick().tcp_requests) as u64;
@@ -501,6 +596,8 @@ mod tests {
             "\"p50_ms\"",
             "\"p99_ms\"",
             "\"warm_hit_rate\"",
+            "\"first_ms\"",
+            "\"repeat_ms\"",
             "\"concurrent_single_lock_ms\"",
             "\"concurrent_striped_ms\"",
             "\"tcp_transport\"",

@@ -142,8 +142,10 @@ fn usage() -> &'static str {
      \x20 --queue N              serve: bounded request queue; beyond it requests\n\
      \x20                        are answered `server busy` immediately (default 64)\n\
      \x20 --segments N           serve: lock stripes of the warm cache (default 16)\n\
-     \x20 --cache-bytes N        serve: byte budget of the warm cache (LRU eviction\n\
-     \x20                        beyond it; default unbounded)\n\
+     \x20 --cache-bytes N        serve: byte budget of the warm cache: fills and\n\
+     \x20                        the answers to known requests, evicted least\n\
+     \x20                        recently used beyond it (default 268435456,\n\
+     \x20                        256 MiB)\n\
      \x20 --cache-dir DIR        serve: persist the cache to DIR on shutdown and\n\
      \x20                        warm-start from it on boot\n\
      \x20 --snapshot-secs N      serve: also snapshot the cache every N seconds\n"
@@ -536,11 +538,12 @@ mod signals {
 }
 
 fn cmd_serve(options: &Options) -> Result<bool, IseError> {
+    let defaults = ise_api::ServeConfig::default();
     let config = ise_api::ServeConfig {
-        workers: options.workers.unwrap_or(2),
-        queue_capacity: options.queue.unwrap_or(64),
-        segments: options.segments.unwrap_or(16),
-        cache_bytes: options.cache_bytes,
+        workers: options.workers.unwrap_or(defaults.workers),
+        queue_capacity: options.queue.unwrap_or(defaults.queue_capacity),
+        segments: options.segments.unwrap_or(defaults.segments),
+        cache_bytes: options.cache_bytes.or(defaults.cache_bytes),
         cache_dir: options.cache_dir.clone().map(PathBuf::from),
         snapshot_interval: options.snapshot_secs.map(Duration::from_secs),
     };

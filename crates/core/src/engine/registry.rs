@@ -43,13 +43,6 @@ impl IdentifierConfig {
         self
     }
 
-    /// Sets the number of simultaneous cuts for the `"multicut"` identifier.
-    #[must_use]
-    pub fn with_multicut_slots(mut self, slots: usize) -> Self {
-        self.multicut_slots = slots;
-        self
-    }
-
     /// Checks that every field is inside the domain the bundled algorithms accept, so
     /// that factories never panic on request-supplied parameters.
     ///
@@ -243,7 +236,10 @@ mod tests {
     fn out_of_domain_config_is_an_error_not_a_panic() {
         let registry = IdentifierRegistry::core_algorithms();
         for slots in [0usize, 256] {
-            let config = IdentifierConfig::default().with_multicut_slots(slots);
+            let config = IdentifierConfig {
+                multicut_slots: slots,
+                ..IdentifierConfig::default()
+            };
             let err = registry.create_configured("multicut", &config).unwrap_err();
             assert!(matches!(err, crate::IseError::InvalidRequest(_)), "{err}");
         }

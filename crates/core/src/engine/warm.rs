@@ -35,19 +35,27 @@
 //! # Outcome slots
 //!
 //! Beside the fill slots the cache holds a second slot kind: an **outcome slot**
-//! maps opaque key bytes to every program one corpus source resolved to, each as a
-//! [`ProgramOutcome`] (name, selection, speed-up report). Serve mode keys a slot by
-//! the raw request bytes an outcome depends on — the source's own element plus
-//! every other field of the corpus request — so a known source is answered without
-//! resolving, canonicalising or selecting again
+//! maps opaque key bytes to a list of [`ProgramOutcome`]s (name, selection,
+//! speed-up report). Serve mode keys a slot by the raw request bytes the outcomes
+//! depend on, so a known request is answered without resolving, canonicalising,
+//! searching or reporting again
 //! ([`lookup_outcome`](WarmPoolCache::lookup_outcome) /
-//! [`record_outcome`](WarmPoolCache::record_outcome)).
+//! [`record_outcome`](WarmPoolCache::record_outcome)):
+//!
+//! * a **corpus source**: its own element plus every other field of the corpus
+//!   request; the slot holds every program the source resolved to;
+//! * a **`run` or `sweep` payload**: the request kind plus the whole payload; the
+//!   slot holds the one program of a run, or one outcome per pair of a sweep, in
+//!   request order.
+//!
+//! Every outcome slot keeps four rules:
 //!
 //! * **Exact by byte equality**, the rule [`StructuralKey`] follows: equal bytes
-//!   decode to equal values, and a program's outcome depends only on its source and
-//!   the request's other fields once the cost model and the software model are
-//!   fixed, which they are per cache. A byte-different but equal request simply
-//!   misses and recomputes the same answer.
+//!   decode to equal values, and an outcome depends only on those bytes once the
+//!   cost model and the software model are fixed, which they are per cache. A
+//!   byte-different but equal request simply misses and recomputes the same
+//!   answer. The keys of different request kinds never collide, since the caller
+//!   frames them apart.
 //! * **Evicted like fills.** Outcome slots share the stripes, the recency clock and
 //!   the byte budget; their estimate includes the key. Eviction picks the least
 //!   recently used slot of either kind, and an outcome larger than the whole budget
@@ -435,7 +443,7 @@ impl WarmPoolCache {
         Some(Arc::clone(&slot.programs))
     }
 
-    /// Records the outcomes of every program one source resolved to under `key`,
+    /// Records `programs`, the outcomes one request answered with, under `key`,
     /// charging their estimated bytes (key included) against the budget and
     /// evicting if over. A slot already resident under `key` is kept; an outcome
     /// larger than the whole budget is not stored, since storing it would evict

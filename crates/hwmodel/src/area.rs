@@ -80,12 +80,6 @@ impl AreaModel {
             .map(|(_, n)| self.area(n.opcode))
             .sum()
     }
-
-    /// Total area of the whole basic block implemented as combinational hardware.
-    #[must_use]
-    pub fn block_area(&self, dfg: &Dfg) -> f64 {
-        self.area_of(dfg, |_| true)
-    }
 }
 
 #[cfg(test)]
@@ -110,7 +104,7 @@ mod tests {
         b.output("o", s);
         let g = b.finish();
         let m = AreaModel::new();
-        let all = m.block_area(&g);
+        let all = m.area_of(&g, |_| true);
         assert!((all - 0.84).abs() < 1e-9);
         let only_add = m.area_of(&g, |id| id.index() == 1);
         assert!((only_add - 0.04).abs() < 1e-9);

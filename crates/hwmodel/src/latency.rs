@@ -143,7 +143,11 @@ mod tests {
     #[test]
     fn unit_model_charges_one_cycle_everywhere() {
         let m = SoftwareLatencyModel::unit();
-        for &op in Opcode::all_primitive() {
+        // One opcode of every latency class.
+        use Opcode::*;
+        for op in [
+            Add, Shl, Lt, Select, Mul, Mac, Div, Load, Store, SextB, Copy,
+        ] {
             assert_eq!(m.cycles(op), 1, "{op}");
         }
     }

@@ -1,6 +1,6 @@
 //! Fluent construction of dataflow graphs.
 
-use crate::dfg::{Dfg, NodeId, PortId};
+use crate::dfg::Dfg;
 use crate::node::{Node, Operand};
 use crate::opcode::Opcode;
 
@@ -77,24 +77,6 @@ impl DfgBuilder {
     #[must_use]
     pub fn finish(self) -> Dfg {
         self.dfg
-    }
-
-    /// Returns the identifier of the most recently created node.
-    #[must_use]
-    pub fn last_node(&self) -> Option<NodeId> {
-        match self.dfg.node_count() {
-            0 => None,
-            n => Some(NodeId::new(n - 1)),
-        }
-    }
-
-    /// Returns the identifier of the most recently declared input.
-    #[must_use]
-    pub fn last_input(&self) -> Option<PortId> {
-        match self.dfg.input_count() {
-            0 => None,
-            n => Some(PortId::new(n - 1)),
-        }
     }
 
     // --- arithmetic -----------------------------------------------------------------
@@ -228,38 +210,6 @@ impl DfgBuilder {
         self.op(Opcode::Select, &[cond, a, b])
     }
 
-    // --- width manipulation -----------------------------------------------------------
-
-    /// Sign-extend the low 8 bits.
-    pub fn sext_b(&mut self, a: Operand) -> Operand {
-        self.op(Opcode::SextB, &[a])
-    }
-
-    /// Sign-extend the low 16 bits.
-    pub fn sext_h(&mut self, a: Operand) -> Operand {
-        self.op(Opcode::SextH, &[a])
-    }
-
-    /// Zero-extend the low 8 bits.
-    pub fn zext_b(&mut self, a: Operand) -> Operand {
-        self.op(Opcode::ZextB, &[a])
-    }
-
-    /// Zero-extend the low 16 bits.
-    pub fn zext_h(&mut self, a: Operand) -> Operand {
-        self.op(Opcode::ZextH, &[a])
-    }
-
-    /// Truncate to the low 8 bits.
-    pub fn trunc_b(&mut self, a: Operand) -> Operand {
-        self.op(Opcode::TruncB, &[a])
-    }
-
-    /// Truncate to the low 16 bits.
-    pub fn trunc_h(&mut self, a: Operand) -> Operand {
-        self.op(Opcode::TruncH, &[a])
-    }
-
     // --- data movement and memory -------------------------------------------------------
 
     /// Register-to-register copy.
@@ -286,6 +236,7 @@ impl DfgBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dfg::NodeId;
 
     #[test]
     fn builder_constructs_valid_graphs() {
@@ -315,17 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn last_node_and_input_track_construction() {
-        let mut b = DfgBuilder::new("t");
-        assert!(b.last_node().is_none());
-        assert!(b.last_input().is_none());
-        let x = b.input("x");
-        let _ = b.not(x);
-        assert_eq!(b.last_input(), Some(PortId::new(0)));
-        assert_eq!(b.last_node(), Some(NodeId::new(0)));
-    }
-
-    #[test]
     fn memory_helpers_emit_memory_ops() {
         let mut b = DfgBuilder::new("mem");
         let base = b.input("base");
@@ -334,7 +274,6 @@ mod tests {
         let v2 = b.shl(v, b.imm(1));
         b.store(addr, v2);
         let g = b.finish();
-        assert!(g.has_memory_ops());
         assert_eq!(g.count_opcode(Opcode::Load), 1);
         assert_eq!(g.count_opcode(Opcode::Store), 1);
     }
@@ -371,12 +310,6 @@ mod tests {
             (b.gt(x, y), Opcode::Gt),
             (b.ge(x, y), Opcode::Ge),
             (b.select(x, y, z), Opcode::Select),
-            (b.sext_b(x), Opcode::SextB),
-            (b.sext_h(x), Opcode::SextH),
-            (b.zext_b(x), Opcode::ZextB),
-            (b.zext_h(x), Opcode::ZextH),
-            (b.trunc_b(x), Opcode::TruncB),
-            (b.trunc_h(x), Opcode::TruncH),
             (b.copy(x), Opcode::Copy),
         ];
         let g = b.finish();

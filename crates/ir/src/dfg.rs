@@ -432,31 +432,10 @@ impl Dfg {
         Ok(())
     }
 
-    /// Returns the nodes whose result is used by no operation node and no output.
-    ///
-    /// These are the candidates removed by dead-code elimination (side-effecting nodes
-    /// are never reported).
-    #[must_use]
-    pub fn dead_nodes(&self) -> Vec<NodeId> {
-        self.node_ids()
-            .filter(|&id| {
-                !self.node(id).opcode.has_side_effect()
-                    && self.consumers(id).is_empty()
-                    && !self.is_output_source(id)
-            })
-            .collect()
-    }
-
     /// Number of operation nodes with a given opcode, useful for workload statistics.
     #[must_use]
     pub fn count_opcode(&self, opcode: Opcode) -> usize {
         self.nodes.iter().filter(|n| n.opcode == opcode).count()
-    }
-
-    /// Returns `true` if the graph contains any memory operation.
-    #[must_use]
-    pub fn has_memory_ops(&self) -> bool {
-        self.nodes.iter().any(|n| n.opcode.is_memory())
     }
 }
 
@@ -515,14 +494,6 @@ mod tests {
         let id = g.add_node(Node::new(Opcode::Abs, vec![a.into()]));
         g.nodes[id.index()].operands.clear();
         assert!(matches!(g.validate(), Err(IrError::ArityMismatch { .. })));
-    }
-
-    #[test]
-    fn dead_node_detection() {
-        let mut g = diamond();
-        let a = PortId::new(0);
-        let dead = g.add_node(Node::new(Opcode::Not, vec![a.into()]));
-        assert_eq!(g.dead_nodes(), vec![dead]);
     }
 
     #[test]

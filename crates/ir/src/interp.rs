@@ -324,8 +324,8 @@ mod tests {
         let x = b.input("x");
         let a = b.ashr(x, b.imm(4));
         let l = b.lshr(x, b.imm(4));
-        let sb = b.sext_b(x);
-        let zb = b.zext_b(x);
+        let sb = b.op(Opcode::SextB, &[x]);
+        let zb = b.op(Opcode::ZextB, &[x]);
         b.output("ashr", a);
         b.output("lshr", l);
         b.output("sext", sb);

@@ -42,22 +42,6 @@ impl Operand {
             _ => None,
         }
     }
-
-    /// Returns the immediate value, if the operand is an immediate.
-    #[must_use]
-    pub fn as_imm(self) -> Option<i64> {
-        match self {
-            Operand::Imm(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Returns `true` if the operand can consume a register-file read port when its
-    /// producer lies outside a cut (i.e. it is not an immediate).
-    #[must_use]
-    pub fn is_port_consuming(self) -> bool {
-        !matches!(self, Operand::Imm(_))
-    }
 }
 
 impl From<NodeId> for Operand {
@@ -119,11 +103,6 @@ impl Node {
         self.operands.iter().filter_map(|o| o.as_node())
     }
 
-    /// Iterates over the operands that reference block input variables.
-    pub fn input_operands(&self) -> impl Iterator<Item = PortId> + '_ {
-        self.operands.iter().filter_map(|o| o.as_input())
-    }
-
     /// Returns `true` if this node may not be included in an AFU cut.
     #[must_use]
     pub fn is_forbidden_in_afu(&self) -> bool {
@@ -157,10 +136,7 @@ mod tests {
         assert_eq!(n.as_node(), Some(NodeId::new(3)));
         assert_eq!(n.as_input(), None);
         assert_eq!(i.as_input(), Some(PortId::new(1)));
-        assert_eq!(c.as_imm(), Some(-7));
-        assert!(n.is_port_consuming());
-        assert!(i.is_port_consuming());
-        assert!(!c.is_port_consuming());
+        assert_eq!(c.as_input(), None);
     }
 
     #[test]
@@ -176,10 +152,6 @@ mod tests {
         assert_eq!(
             node.node_operands().collect::<Vec<_>>(),
             vec![NodeId::new(4)]
-        );
-        assert_eq!(
-            node.input_operands().collect::<Vec<_>>(),
-            vec![PortId::new(0)]
         );
     }
 

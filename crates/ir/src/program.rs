@@ -111,22 +111,6 @@ impl Program {
         &self.afus
     }
 
-    /// Total number of operation nodes across all blocks.
-    #[must_use]
-    pub fn total_nodes(&self) -> usize {
-        self.blocks.iter().map(Dfg::node_count).sum()
-    }
-
-    /// Sum of `exec_count * node_count` over all blocks: a rough proxy for the dynamic
-    /// operation count of the application.
-    #[must_use]
-    pub fn dynamic_operations(&self) -> u64 {
-        self.blocks
-            .iter()
-            .map(|b| b.exec_count() * b.node_count() as u64)
-            .sum()
-    }
-
     /// Validates every basic block.
     ///
     /// # Errors
@@ -163,8 +147,6 @@ mod tests {
         p.add_block(simple_block("bb0", 10));
         p.add_block(simple_block("bb1", 5));
         assert_eq!(p.block_count(), 2);
-        assert_eq!(p.total_nodes(), 2);
-        assert_eq!(p.dynamic_operations(), 15);
         assert!(p.validate().is_ok());
         assert_eq!(p.name(), "app");
         assert_eq!(p.block(1).name(), "bb1");

@@ -131,24 +131,6 @@ pub fn depth(dfg: &Dfg) -> usize {
     max_level
 }
 
-/// Per-node ASAP (as-soon-as-possible) level, counting from 1 for nodes that only read
-/// block inputs or immediates.
-#[must_use]
-pub fn asap_levels(dfg: &Dfg) -> Vec<usize> {
-    let order = producers_first(dfg);
-    let mut level = vec![0usize; dfg.node_count()];
-    for id in order {
-        level[id.index()] = dfg
-            .node(id)
-            .node_operands()
-            .map(|p| level[p.index()] + 1)
-            .max()
-            .unwrap_or(1)
-            .max(1);
-    }
-    level
-}
-
 /// Returns `true` if `descendant` is reachable from `ancestor` through one or more
 /// dataflow edges.
 #[must_use]
@@ -207,20 +189,6 @@ mod tests {
     fn depth_of_chain_equals_length() {
         assert_eq!(depth(&chain(7)), 7);
         assert_eq!(depth(&chain(1)), 1);
-    }
-
-    #[test]
-    fn asap_levels_are_monotone_along_edges() {
-        let mut b = DfgBuilder::new("t");
-        let x = b.input("x");
-        let y = b.input("y");
-        let a = b.add(x, y);
-        let c = b.mul(a, x);
-        let d = b.sub(c, a);
-        b.output("o", d);
-        let g = b.finish();
-        let levels = asap_levels(&g);
-        assert_eq!(levels, vec![1, 2, 3]);
     }
 
     #[test]

@@ -87,7 +87,6 @@ mod tests {
         assert_eq!(eliminate_dead_code(&mut g), 2);
         assert_eq!(g.node_count(), 1);
         assert!(g.validate().is_ok());
-        assert!(g.dead_nodes().is_empty());
         // A second run is a no-op.
         assert_eq!(eliminate_dead_code(&mut g), 0);
     }

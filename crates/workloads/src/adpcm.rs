@@ -297,7 +297,12 @@ mod tests {
             g.node_count() >= 25,
             "the block is large after if-conversion"
         );
-        assert!(g.dead_nodes().is_empty());
+        assert!(
+            g.node_ids().all(|id| g.node(id).opcode.has_side_effect()
+                || !g.consumers(id).is_empty()
+                || g.is_output_source(id)),
+            "no dead nodes"
+        );
     }
 
     #[test]
@@ -328,7 +333,6 @@ mod tests {
         let decode = decode_program();
         assert!(decode.validate().is_ok());
         assert_eq!(decode.block_count(), 2);
-        assert!(decode.dynamic_operations() > 0);
         let encode = encode_program();
         assert!(encode.validate().is_ok());
         assert_eq!(encode.name(), "adpcmencode");

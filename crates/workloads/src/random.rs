@@ -246,7 +246,8 @@ mod tests {
             ..RandomDfgConfig::default()
         };
         for seed in 0..10 {
-            assert!(!random_dfg(&config, seed).has_memory_ops());
+            let g = random_dfg(&config, seed);
+            assert!(g.iter_nodes().all(|(_, node)| !node.opcode.is_memory()));
         }
     }
 

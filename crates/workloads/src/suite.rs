@@ -91,7 +91,10 @@ mod tests {
                 .validate()
                 .unwrap_or_else(|e| panic!("{}: {e}", program.name()));
             assert!(program.block_count() >= 1);
-            assert!(program.dynamic_operations() > 0);
+            assert!(program
+                .blocks()
+                .iter()
+                .any(|block| block.exec_count() > 0 && block.node_count() > 0));
         }
     }
 

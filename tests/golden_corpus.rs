@@ -14,6 +14,9 @@
 //! * `results/golden/adpcm_batch_cli.json` — the envelope array
 //!   `ise-cli batch requests/adpcm.json` prints (single-cut, multicut with passes and an
 //!   exploration budget, MaxMISO on one program).
+//! * `results/golden/serve_example_responses.jsonl` — the responses `ise-cli serve` gives
+//!   `requests/serve_example.jsonl`, without the `stats` line and sorted (CI `cmp`s the
+//!   same filtered output of a real server).
 //!
 //! Regeneration: when a change *intentionally* alters the artefacts, run
 //!
@@ -136,4 +139,29 @@ fn adpcm_batch_cli_json_matches_golden() {
         .collect();
     let payload = format!("{}\n", json::to_string(&json::Value::Array(items)));
     assert_golden("results/golden/adpcm_batch_cli.json", &payload);
+}
+
+/// The responses one server gives `requests/serve_example.jsonl`, computed in-process
+/// through one `ServeService` in file order: the `stats` line is dropped, since its
+/// counters are not a one-shot answer, and the rest are sorted, since a client may
+/// receive pipelined responses in any order. The repeated `run` and `sweep` lines
+/// are answered from outcome slots.
+#[test]
+fn serve_example_responses_match_golden() {
+    let text = std::fs::read_to_string(repo_root().join("requests/serve_example.jsonl"))
+        .expect("checked-in serve example");
+    let service = ise_api::ServeService::new(&ise_api::ServeConfig::default());
+    let mut responses: Vec<String> = text
+        .lines()
+        .filter(|line| {
+            let envelope = json::parse(line).expect("example lines are JSON");
+            envelope.get("kind").and_then(json::Value::as_str) != Some("stats")
+        })
+        .map(|line| format!("{}\n", service.handle(line)))
+        .collect();
+    responses.sort();
+    assert_golden(
+        "results/golden/serve_example_responses.jsonl",
+        &responses.concat(),
+    );
 }
