@@ -300,7 +300,7 @@ impl BatchService {
     ///
     /// Propagates the first program-source resolution or execution failure.
     pub fn corpus_baselines(&self, request: &CorpusRequest) -> Result<CorpusBaselines, IseError> {
-        use crate::request::Algorithm;
+        use crate::Algorithm;
         const ALGORITHMS: [Algorithm; 3] = [
             Algorithm::SingleCut,
             Algorithm::MaxMiso,
@@ -347,7 +347,8 @@ impl BatchService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{Algorithm, ProgramSource};
+    use crate::request::ProgramSource;
+    use crate::Algorithm;
 
     fn sample_requests() -> Vec<IseRequest> {
         let mut requests = Vec::new();

@@ -7,9 +7,9 @@
 //! process boundary as JSON.
 //!
 //! * [`SessionBuilder`] → [`Session`] — configure an identification job once
-//!   (algorithm by [`Algorithm`] enum or by registry name, [`Constraints`], cost
-//!   model, pass pipeline, [`DriverOptions`], exploration budget), then run it
-//!   against any number of programs: `session.run(&program)` returns an
+//!   (algorithm by [`Algorithm`] enum or by name, [`Constraints`], pass pipeline,
+//!   [`DriverOptions`], exploration budget), then run it against any number of
+//!   programs: `session.run(&program)` returns an
 //!   [`IseResponse`] with the [`SelectionResult`] and its [`SpeedupReport`];
 //! * [`IseRequest`]/[`IseResponse`] — the serialisable job description and result;
 //!   [`Session::execute`] runs one request end-to-end (resolving its
@@ -55,12 +55,13 @@ mod serve;
 mod session;
 
 pub use batch::{BaselineRow, BatchService, CorpusBaselines};
+pub use ise_baselines::Algorithm;
 pub use ise_core::{
     CorpusStats, IseError, SweepStats, WarmCacheConfig, WarmCacheStats, WarmPoolCache,
     SNAPSHOT_FILE,
 };
 pub use request::{
-    Algorithm, CorpusProgramOutcome, CorpusRequest, CorpusResponse, IseRequest, IseResponse, Pass,
+    CorpusProgramOutcome, CorpusRequest, CorpusResponse, IseRequest, IseResponse, Pass,
     ProgramSource, SweepPairOutcome, SweepRequest, SweepResponse,
 };
 pub use serve::{ServeConfig, ServeService, Server, MAX_REQUEST_LINE_BYTES};
@@ -116,9 +117,8 @@ pub fn program_from_json(text: &str) -> Result<ise_ir::Program, IseError> {
     Ok(program)
 }
 
-/// The registry names of all bundled identification algorithms, in registration
-/// order (the six names [`Algorithm`] also enumerates).
+/// The names of all bundled identification algorithms, in [`Algorithm::all`] order.
 #[must_use]
 pub fn algorithm_names() -> Vec<&'static str> {
-    ise_baselines::full_registry().names()
+    Algorithm::all().map(Algorithm::name).to_vec()
 }

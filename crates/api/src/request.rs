@@ -1,86 +1,9 @@
-//! The serialisable job vocabulary: algorithms, program sources, requests and
-//! responses.
+//! The serialisable job vocabulary: passes, program sources, requests and responses.
 
-use std::fmt;
-use std::str::FromStr;
-
+use ise_baselines::Algorithm;
 use ise_core::{Constraints, DriverOptions, IdentifierConfig, IseError, SelectionResult};
 use ise_hw::speedup::SpeedupReport;
 use ise_ir::Program;
-
-/// The bundled identification algorithms, as a closed enum.
-///
-/// The registry remains open (any crate can register more identifiers under new
-/// names); this enum covers the six algorithms shipped with the workspace and
-/// converts to/from their stable registry names, so callers can choose between
-/// compile-time safety ([`crate::SessionBuilder::algorithm`]) and data-driven
-/// dispatch ([`crate::SessionBuilder::algorithm_name`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub enum Algorithm {
-    /// The exact single-cut branch-and-bound search (paper Section 6.1).
-    SingleCut,
-    /// The exact multiple-cut search (paper Section 6.2).
-    MultiCut,
-    /// The brute-force enumeration oracle (tests and small blocks only).
-    Exhaustive,
-    /// The Clubbing baseline (Baleani et al., CODES 2002).
-    Clubbing,
-    /// The MaxMISO baseline (Alippi et al., DATE 1999).
-    MaxMiso,
-    /// The trivial one-node-per-instruction sanity floor.
-    SingleNode,
-}
-
-impl Algorithm {
-    /// All bundled algorithms, in registry order.
-    #[must_use]
-    pub fn all() -> [Algorithm; 6] {
-        [
-            Algorithm::SingleCut,
-            Algorithm::MultiCut,
-            Algorithm::Exhaustive,
-            Algorithm::Clubbing,
-            Algorithm::MaxMiso,
-            Algorithm::SingleNode,
-        ]
-    }
-
-    /// The stable registry name of the algorithm.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Algorithm::SingleCut => "single-cut",
-            Algorithm::MultiCut => "multicut",
-            Algorithm::Exhaustive => "exhaustive",
-            Algorithm::Clubbing => "clubbing",
-            Algorithm::MaxMiso => "maxmiso",
-            Algorithm::SingleNode => "single-node",
-        }
-    }
-}
-
-impl fmt::Display for Algorithm {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for Algorithm {
-    type Err = IseError;
-
-    /// Parses a registry name, with the registry's lookup rules (case-insensitive,
-    /// `_` and `-` interchangeable).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let canonical = ise_core::IdentifierRegistry::canonical_name(s);
-        Algorithm::all()
-            .into_iter()
-            .find(|a| a.name() == canonical)
-            .ok_or_else(|| IseError::UnknownAlgorithm {
-                requested: s.to_string(),
-                available: Algorithm::all().iter().map(|a| a.name().into()).collect(),
-            })
-    }
-}
 
 /// A whole-program transformation applied by a [`crate::Session`] before
 /// identification.
@@ -209,7 +132,7 @@ impl ProgramSource {
 /// [`BatchService`](crate::BatchService).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct IseRequest {
-    /// Registry name of the identification algorithm.
+    /// Name of the identification algorithm (see [`Algorithm`]).
     pub algorithm: String,
     /// The program to optimise.
     pub program: ProgramSource,
@@ -230,7 +153,7 @@ impl IseRequest {
         IseRequest::named(algorithm.name(), program)
     }
 
-    /// Creates a request for an algorithm addressed by registry name.
+    /// Creates a request for an algorithm addressed by name.
     #[must_use]
     pub fn named(algorithm: impl Into<String>, program: ProgramSource) -> Self {
         IseRequest {
@@ -326,7 +249,7 @@ pub struct SweepPairOutcome {
 pub struct SweepResponse {
     /// Name of the program that was optimised.
     pub program: String,
-    /// Registry name of the algorithm that ran.
+    /// Name of the algorithm that ran.
     pub algorithm: String,
     /// One outcome per requested constraint pair, in request order.
     pub pairs: Vec<SweepPairOutcome>,
@@ -461,7 +384,7 @@ pub struct CorpusResponse {
 pub struct IseResponse {
     /// Name of the program that was optimised.
     pub program: String,
-    /// Registry name of the algorithm that ran.
+    /// Name of the algorithm that ran.
     pub algorithm: String,
     /// The constraints the job ran under.
     pub constraints: Constraints,
@@ -474,26 +397,6 @@ pub struct IseResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn algorithm_names_round_trip_through_from_str() {
-        for algorithm in Algorithm::all() {
-            assert_eq!(algorithm.name().parse::<Algorithm>(), Ok(algorithm));
-            assert_eq!(algorithm.to_string(), algorithm.name());
-        }
-        assert_eq!("Single_Cut".parse::<Algorithm>(), Ok(Algorithm::SingleCut));
-        let err = "nope".parse::<Algorithm>().unwrap_err();
-        assert!(err.to_string().contains("single-cut"), "{err}");
-    }
-
-    #[test]
-    fn enum_names_match_the_live_registry() {
-        let registered = crate::algorithm_names();
-        for algorithm in Algorithm::all() {
-            assert!(registered.contains(&algorithm.name()), "{algorithm}");
-        }
-        assert_eq!(registered.len(), Algorithm::all().len());
-    }
 
     #[test]
     fn unknown_workloads_list_the_bundled_names() {

@@ -205,7 +205,6 @@ impl ServeService {
         let cache = Arc::new(WarmPoolCache::new(WarmCacheConfig {
             segments: config.segments,
             byte_budget: config.cache_bytes,
-            ..WarmCacheConfig::default()
         }));
         let warm_loaded = config
             .cache_dir
@@ -1053,8 +1052,9 @@ fn read_connection(stream: TcpStream, service: &ServeService, queue: &JobQueue, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{Algorithm, ProgramSource};
+    use crate::request::ProgramSource;
     use crate::session::Session;
+    use crate::Algorithm;
 
     fn run_line(id: u64) -> String {
         let request = IseRequest::new(

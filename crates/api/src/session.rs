@@ -2,14 +2,14 @@
 
 use std::borrow::Cow;
 
-use ise_baselines::full_registry;
+use ise_baselines::{full_registry, Algorithm};
 use ise_core::engine::{select_program, Identifier};
 use ise_core::{Constraints, DriverOptions, IdentifierConfig, IseError, SweepStats};
 use ise_hw::{DefaultCostModel, SoftwareLatencyModel};
 use ise_ir::Program;
 
 use crate::request::{
-    Algorithm, IseRequest, IseResponse, Pass, SweepPairOutcome, SweepRequest, SweepResponse,
+    IseRequest, IseResponse, Pass, SweepPairOutcome, SweepRequest, SweepResponse,
 };
 
 /// Builder for a [`Session`].
@@ -64,8 +64,8 @@ impl SessionBuilder {
         self.algorithm_name(algorithm.name())
     }
 
-    /// Selects an algorithm by registry name (resolved at [`build`](Self::build)
-    /// time, so custom registrations stay addressable).
+    /// Selects an algorithm by name, resolved at [`build`](Self::build) time with the
+    /// lookup rule of [`Algorithm`]'s `FromStr` (case-insensitive, `_` equals `-`).
     #[must_use]
     pub fn algorithm_name(mut self, name: impl Into<String>) -> Self {
         self.algorithm = name.into();
@@ -132,10 +132,10 @@ impl SessionBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`IseError::UnknownAlgorithm`] when the algorithm name does not
-    /// resolve (the message lists the registered names) and
-    /// [`IseError::InvalidRequest`] when the constraints or algorithm parameters
-    /// are out of domain.
+    /// Returns [`IseError::InvalidRequest`] when the constraints or algorithm
+    /// parameters are out of domain (checked in that order), and otherwise
+    /// [`IseError::UnknownAlgorithm`] when the algorithm name does not resolve (the
+    /// message lists the bundled names).
     pub fn build(self) -> Result<Session, IseError> {
         self.constraints.validate()?;
         let identifier = full_registry().create_configured(&self.algorithm, &self.config)?;
@@ -176,7 +176,7 @@ impl std::fmt::Debug for Session {
 }
 
 impl Session {
-    /// The registry name of the algorithm this session runs.
+    /// The name of the algorithm this session runs.
     #[must_use]
     pub fn algorithm(&self) -> &str {
         &self.algorithm

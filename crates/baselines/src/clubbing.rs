@@ -5,8 +5,6 @@ use ise_core::{Constraints, IdentifiedCut};
 use ise_hw::CostModel;
 use ise_ir::Dfg;
 
-use crate::IdentificationAlgorithm;
-
 /// Greedy linear clustering ("clubbing") of dataflow operations.
 ///
 /// Operations are visited once, in dataflow (def-before-use) order. Each operation is
@@ -69,14 +67,11 @@ impl Clubbing {
         }
         clusters
     }
-}
 
-impl IdentificationAlgorithm for Clubbing {
-    fn name(&self) -> &'static str {
-        "Clubbing"
-    }
-
-    fn candidates(
+    /// The profitable clusters of `dfg` that satisfy `constraints`, as candidate cuts:
+    /// pairwise disjoint, convex and free of memory operations.
+    #[must_use]
+    pub fn candidates(
         &self,
         dfg: &Dfg,
         constraints: Constraints,

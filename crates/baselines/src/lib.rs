@@ -1,4 +1,4 @@
-//! # ise-baselines — prior-art identification algorithms used for comparison
+//! # ise-baselines — prior-art identification algorithms, and the algorithm catalogue
 //!
 //! The paper compares its identification/selection framework against two representative
 //! state-of-the-art techniques (Section 8):
@@ -13,16 +13,13 @@
 //! substrates and differs only in the identification strategy. A trivial
 //! [`SingleNode`] baseline is also provided as a sanity floor.
 //!
-//! All baselines implement [`IdentificationAlgorithm`]: they enumerate candidate cuts per
-//! basic block; [`select_greedy`] then picks up to `Ninstr` non-overlapping candidates
-//! across the whole application by decreasing dynamic saving, mirroring how the paper
-//! turns per-block candidates into an instruction set.
+//! Each baseline enumerates the disjoint candidate cuts of one basic block with its
+//! `candidates` method and implements the engine's [`Identifier`] trait on top of it, so
+//! the same `rayon`-parallel program driver runs the baselines and the exact algorithms.
 //!
-//! They also implement the unified [`Identifier`] trait of
-//! the `ise-core` engine, so every baseline is reachable through the
-//! [`IdentifierRegistry`] by name (`"clubbing"`, `"maxmiso"`, `"single-node"`) and can be
-//! driven by the same `rayon`-parallel program driver as the exact algorithms:
-//! [`full_registry`] returns all six bundled algorithms.
+//! [`Algorithm`] is the one list of the six bundled algorithms (the three of `ise-core`
+//! and the three baselines): it parses a name, and builds any of them from one
+//! [`IdentifierConfig`]. [`full_registry`] looks them up by name.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,49 +28,179 @@ mod clubbing;
 mod maxmiso;
 mod single_node;
 
+use std::fmt;
+use std::str::FromStr;
+
 use ise_core::cut::CutSet;
-use ise_core::engine::{Identifier, IdentifierRegistry};
-use ise_core::selection::SelectionResult;
-use ise_core::{Constraints, IdentifiedCut, SearchOutcome, SearchStats};
+use ise_core::engine::{Exhaustive, Identifier, MultiCut, SingleCut};
+use ise_core::{
+    Constraints, IdentifiedCut, IdentifierConfig, IseError, SearchOutcome, SearchStats,
+};
 use ise_hw::CostModel;
-use ise_ir::{Dfg, Program};
+use ise_ir::Dfg;
 
 pub use clubbing::Clubbing;
 pub use maxmiso::MaxMiso;
 pub use single_node::SingleNode;
 
-/// A candidate-generation algorithm that can be plugged into the comparison harness.
+/// The bundled identification algorithms: the only list of all six.
 ///
-/// `Sync` is a supertrait so that the engine bridge below can hand any baseline to the
-/// thread-fanning program driver; baselines are stateless, so this costs nothing.
-pub trait IdentificationAlgorithm: Sync {
-    /// Short human-readable name, used in reports ("Clubbing", "MaxMISO", …).
-    fn name(&self) -> &'static str;
-
-    /// Enumerates the candidate cuts of one basic block that satisfy `constraints`.
-    ///
-    /// Candidates must be convex, legal (no memory operations), within the port
-    /// constraints, and should have strictly positive merit; candidates from the same
-    /// block are expected to be pairwise disjoint.
-    fn candidates(
-        &self,
-        dfg: &Dfg,
-        constraints: Constraints,
-        model: &dyn CostModel,
-    ) -> Vec<IdentifiedCut>;
+/// Each converts to and from its stable name, and [`create`](Self::create) builds it.
+/// Callers choose between compile-time safety (`SessionBuilder::algorithm` in
+/// `ise-api`) and names taken from data (`SessionBuilder::algorithm_name`, request
+/// files, CLI flags), which resolve through [`FromStr`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+pub enum Algorithm {
+    /// The exact single-cut branch-and-bound search (paper Section 6.1).
+    SingleCut,
+    /// The exact multiple-cut search (paper Section 6.2).
+    MultiCut,
+    /// The brute-force enumeration oracle (tests and small blocks only).
+    Exhaustive,
+    /// The Clubbing baseline (Baleani et al., CODES 2002).
+    Clubbing,
+    /// The MaxMISO baseline (Alippi et al., DATE 1999).
+    MaxMiso,
+    /// The trivial one-node-per-instruction sanity floor.
+    SingleNode,
 }
 
-/// Shared [`Identifier`] bridge body for the one-shot baselines: report all disjoint
-/// candidates in [`SearchOutcome::candidates`], implementing exclusion by dropping the
+impl Algorithm {
+    /// All bundled algorithms, in the order names are listed.
+    #[must_use]
+    pub fn all() -> [Algorithm; 6] {
+        [
+            Algorithm::SingleCut,
+            Algorithm::MultiCut,
+            Algorithm::Exhaustive,
+            Algorithm::Clubbing,
+            Algorithm::MaxMiso,
+            Algorithm::SingleNode,
+        ]
+    }
+
+    /// The stable name of the algorithm, as its [`Identifier::name`] reports it.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Algorithm::SingleCut => "single-cut",
+            Algorithm::MultiCut => "multicut",
+            Algorithm::Exhaustive => "exhaustive",
+            Algorithm::Clubbing => "clubbing",
+            Algorithm::MaxMiso => "maxmiso",
+            Algorithm::SingleNode => "single-node",
+        }
+    }
+
+    /// Builds the algorithm; each picks out the `config` fields it understands.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a config that [`IdentifierConfig::validate`] rejects (multicut slots
+    /// outside `1..=255`); [`Catalogue::create_configured`] validates first.
+    #[must_use]
+    pub fn create(self, config: &IdentifierConfig) -> Box<dyn Identifier> {
+        match self {
+            Algorithm::SingleCut => {
+                Box::new(SingleCut::new().with_exploration_budget(config.exploration_budget))
+            }
+            Algorithm::MultiCut => Box::new(
+                MultiCut::new(config.multicut_slots)
+                    .with_exploration_budget(config.exploration_budget),
+            ),
+            Algorithm::Exhaustive => {
+                Box::new(Exhaustive::new().with_node_limit(config.exhaustive_node_limit))
+            }
+            Algorithm::Clubbing => Box::new(Clubbing),
+            Algorithm::MaxMiso => Box::new(MaxMiso),
+            Algorithm::SingleNode => Box::new(SingleNode),
+        }
+    }
+}
+
+impl fmt::Display for Algorithm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl FromStr for Algorithm {
+    type Err = IseError;
+
+    /// Parses a name case-insensitively, with `_` and `-` interchangeable.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let fold = |c: char| {
+            if c == '_' {
+                '-'
+            } else {
+                c.to_ascii_lowercase()
+            }
+        };
+        Algorithm::all()
+            .into_iter()
+            .find(|a| s.chars().map(fold).eq(a.name().chars()))
+            .ok_or_else(|| IseError::UnknownAlgorithm {
+                requested: s.to_string(),
+                available: Algorithm::all().iter().map(|a| a.name().into()).collect(),
+            })
+    }
+}
+
+/// Name-based access to the six [`Algorithm`]s, as returned by [`full_registry`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Catalogue;
+
+impl Catalogue {
+    /// The names of all bundled algorithms, in [`Algorithm::all`] order.
+    #[must_use]
+    pub fn names(&self) -> Vec<&'static str> {
+        Algorithm::all().map(Algorithm::name).to_vec()
+    }
+
+    /// Builds the named algorithm with the default configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IseError::UnknownAlgorithm`], whose message lists every bundled name,
+    /// when `name` does not resolve.
+    pub fn create(&self, name: &str) -> Result<Box<dyn Identifier>, IseError> {
+        self.create_configured(name, &IdentifierConfig::default())
+    }
+
+    /// Builds the named algorithm with an explicit configuration.
+    ///
+    /// The configuration is validated before the name is resolved, so parameters
+    /// taken from an untrusted request surface as an error instead of a panic.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IseError::InvalidRequest`] when the configuration is out of domain,
+    /// or [`IseError::UnknownAlgorithm`] when `name` does not resolve.
+    pub fn create_configured(
+        &self,
+        name: &str,
+        config: &IdentifierConfig,
+    ) -> Result<Box<dyn Identifier>, IseError> {
+        config.validate()?;
+        Ok(name.parse::<Algorithm>()?.create(config))
+    }
+}
+
+/// Returns the catalogue of all six bundled identification algorithms:
+/// `"single-cut"`, `"multicut"`, `"exhaustive"`, `"clubbing"`, `"maxmiso"` and
+/// `"single-node"`.
+#[must_use]
+pub fn full_registry() -> Catalogue {
+    Catalogue
+}
+
+/// Shared [`Identifier`] body of the one-shot baselines: report all disjoint
+/// `candidates` in [`SearchOutcome::candidates`], implementing exclusion by dropping the
 /// candidates that touch excluded nodes.
 fn baseline_outcome(
-    algorithm: &dyn IdentificationAlgorithm,
-    dfg: &Dfg,
+    mut candidates: Vec<IdentifiedCut>,
     excluded: Option<&CutSet>,
-    constraints: &Constraints,
-    model: &dyn CostModel,
 ) -> SearchOutcome {
-    let mut candidates = algorithm.candidates(dfg, *constraints, model);
     // The effort statistic reflects the enumeration, which is identical with or without
     // exclusions — count before dropping excluded candidates.
     let enumerated = candidates.len() as u64;
@@ -88,25 +215,26 @@ fn baseline_outcome(
     SearchOutcome::from_candidates(candidates, stats)
 }
 
-/// Implements the engine [`Identifier`] trait for a baseline type. (A blanket impl over
-/// `IdentificationAlgorithm` would fall foul of the orphan rule: `Identifier` lives in
-/// `ise-core`.) Baselines enumerate all their candidates up front, so they are
-/// non-refining and the program driver merges them with its one-shot greedy strategy.
+/// Implements the engine [`Identifier`] trait for a baseline type over its inherent
+/// `candidates` method. Baselines enumerate all their candidates up front, so they are
+/// non-refining (the program driver merges them with its one-shot greedy strategy) and
+/// have no decision tree to split.
 macro_rules! impl_identifier_for_baseline {
-    ($type:ty, $registry_name:literal) => {
+    ($type:ty, $algorithm:expr) => {
         impl Identifier for $type {
             fn name(&self) -> &'static str {
-                $registry_name
+                $algorithm.name()
             }
 
-            fn identify_excluding(
+            fn identify_split(
                 &self,
                 dfg: &Dfg,
                 excluded: Option<&CutSet>,
                 constraints: &Constraints,
                 model: &dyn CostModel,
+                _split_levels: usize,
             ) -> SearchOutcome {
-                baseline_outcome(self, dfg, excluded, constraints, model)
+                baseline_outcome(self.candidates(dfg, *constraints, model), excluded)
             }
 
             fn refines_under_exclusion(&self) -> bool {
@@ -116,85 +244,17 @@ macro_rules! impl_identifier_for_baseline {
     };
 }
 
-impl_identifier_for_baseline!(Clubbing, "clubbing");
-impl_identifier_for_baseline!(MaxMiso, "maxmiso");
-impl_identifier_for_baseline!(SingleNode, "single-node");
-
-/// Registers the three baselines in an existing registry.
-pub fn register_baselines(registry: &mut IdentifierRegistry) {
-    registry.register("clubbing", |_| Box::new(Clubbing::new()));
-    registry.register("maxmiso", |_| Box::new(MaxMiso::new()));
-    registry.register("single-node", |_| Box::new(SingleNode::new()));
-}
-
-/// Returns the registry holding all six bundled identification algorithms:
-/// `"single-cut"`, `"multicut"`, `"exhaustive"`, `"clubbing"`, `"maxmiso"` and
-/// `"single-node"`.
-#[must_use]
-pub fn full_registry() -> IdentifierRegistry {
-    let mut registry = IdentifierRegistry::core_algorithms();
-    register_baselines(&mut registry);
-    registry
-}
-
-/// Greedy cross-block selection shared by all baselines: sort every candidate by dynamic
-/// saving (merit × block execution count) and keep the best `max_instructions`
-/// non-overlapping ones.
-///
-/// This is a thin front over the engine's one-shot driver strategy
-/// ([`ise_core::engine::select_program`]), bridging any
-/// [`IdentificationAlgorithm`] trait object into an [`Identifier`]; the greedy merge
-/// logic lives in one place, in the engine.
-#[must_use]
-pub fn select_greedy(
-    program: &Program,
-    algorithm: &dyn IdentificationAlgorithm,
-    constraints: Constraints,
-    model: &dyn CostModel,
-    max_instructions: usize,
-) -> SelectionResult {
-    struct Bridge<'a>(&'a dyn IdentificationAlgorithm);
-
-    impl std::fmt::Debug for Bridge<'_> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_tuple("Bridge").field(&self.0.name()).finish()
-        }
-    }
-
-    impl Identifier for Bridge<'_> {
-        fn name(&self) -> &'static str {
-            "baseline"
-        }
-
-        fn identify_excluding(
-            &self,
-            dfg: &Dfg,
-            excluded: Option<&CutSet>,
-            constraints: &Constraints,
-            model: &dyn CostModel,
-        ) -> SearchOutcome {
-            baseline_outcome(self.0, dfg, excluded, constraints, model)
-        }
-
-        fn refines_under_exclusion(&self) -> bool {
-            false
-        }
-    }
-
-    ise_core::engine::select_program(
-        program,
-        &Bridge(algorithm),
-        constraints,
-        model,
-        ise_core::engine::DriverOptions::new(max_instructions).sequential(),
-    )
-}
+impl_identifier_for_baseline!(Clubbing, Algorithm::Clubbing);
+impl_identifier_for_baseline!(MaxMiso, Algorithm::MaxMiso);
+impl_identifier_for_baseline!(SingleNode, Algorithm::SingleNode);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ise_core::engine::{select_program, DriverOptions};
+    use ise_core::selection::SelectionResult;
     use ise_hw::DefaultCostModel;
-    use ise_ir::DfgBuilder;
+    use ise_ir::{DfgBuilder, Program};
 
     fn sample_program() -> Program {
         let mut p = Program::new("sample");
@@ -218,17 +278,33 @@ mod tests {
         p
     }
 
+    /// The one-shot greedy merge on one thread: every candidate by dynamic saving,
+    /// keeping the best `max_instructions` non-overlapping ones.
+    fn select_sequential(
+        program: &Program,
+        identifier: &dyn Identifier,
+        constraints: Constraints,
+        max_instructions: usize,
+    ) -> SelectionResult {
+        select_program(
+            program,
+            identifier,
+            constraints,
+            &DefaultCostModel::new(),
+            DriverOptions::new(max_instructions).sequential(),
+        )
+    }
+
     #[test]
     fn greedy_selection_respects_the_instruction_budget() {
         let p = sample_program();
-        let model = DefaultCostModel::new();
         for algo in [
-            &MaxMiso::new() as &dyn IdentificationAlgorithm,
+            &MaxMiso::new() as &dyn Identifier,
             &Clubbing::new(),
             &SingleNode::new(),
         ] {
-            let all = select_greedy(&p, algo, Constraints::new(4, 2), &model, 16);
-            let one = select_greedy(&p, algo, Constraints::new(4, 2), &model, 1);
+            let all = select_sequential(&p, algo, Constraints::new(4, 2), 16);
+            let one = select_sequential(&p, algo, Constraints::new(4, 2), 1);
             assert!(one.len() <= 1, "{}", algo.name());
             assert!(all.len() >= one.len(), "{}", algo.name());
             assert!(
@@ -259,34 +335,82 @@ mod tests {
     }
 
     #[test]
-    fn engine_bridge_agrees_with_select_greedy() {
+    fn every_algorithm_round_trips_through_its_name_and_builds_itself() {
+        let config = IdentifierConfig::default();
+        for algorithm in Algorithm::all() {
+            assert_eq!(algorithm.name().parse::<Algorithm>(), Ok(algorithm));
+            assert_eq!(algorithm.to_string(), algorithm.name());
+            assert_eq!(algorithm.create(&config).name(), algorithm.name());
+        }
+    }
+
+    #[test]
+    fn lookup_is_case_and_separator_insensitive() {
+        assert_eq!("Single_Cut".parse::<Algorithm>(), Ok(Algorithm::SingleCut));
+        assert_eq!("MaxMISO".parse::<Algorithm>(), Ok(Algorithm::MaxMiso));
+        assert_eq!(
+            "SINGLE-node".parse::<Algorithm>(),
+            Ok(Algorithm::SingleNode)
+        );
+        assert!(full_registry().create("SINGLE_CUT").is_ok());
+        assert!("single cut".parse::<Algorithm>().is_err());
+        assert!("max_miso".parse::<Algorithm>().is_err());
+    }
+
+    #[test]
+    fn unknown_names_list_every_algorithm_and_config_errors_come_first() {
+        let registry = full_registry();
+        let err = registry.create("no-such-algorithm").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown identification algorithm `no-such-algorithm`; registered algorithms: \
+             single-cut, multicut, exhaustive, clubbing, maxmiso, single-node"
+        );
+        let zero_slots = IdentifierConfig {
+            multicut_slots: 0,
+            ..IdentifierConfig::default()
+        };
+        for name in ["multicut", "single-cut", "no-such-algorithm"] {
+            let err = registry.create_configured(name, &zero_slots).unwrap_err();
+            assert!(matches!(err, IseError::InvalidRequest(_)), "{name}: {err}");
+        }
+    }
+
+    #[test]
+    fn config_reaches_the_created_identifier() {
+        let config = IdentifierConfig::default().with_exploration_budget(Some(2));
+        let identifier = Algorithm::SingleCut.create(&config);
+
+        let mut b = DfgBuilder::new("g");
+        let x = b.input("x");
+        let y = b.input("y");
+        let m = b.mul(x, y);
+        let s = b.add(m, x);
+        b.output("o", s);
+        let g = b.finish();
+        let model = DefaultCostModel::new();
+        let outcome = identifier.identify(&g, &Constraints::new(4, 2), &model);
+        assert!(outcome.stats.budget_exhausted);
+    }
+
+    #[test]
+    fn parallel_driver_agrees_with_the_sequential_greedy_merge() {
         let p = sample_program();
         let model = DefaultCostModel::new();
         let constraints = Constraints::new(4, 2);
         let registry = full_registry();
-        let algorithms: [(&str, &dyn IdentificationAlgorithm); 3] = [
-            ("clubbing", &Clubbing::new()),
-            ("maxmiso", &MaxMiso::new()),
-            ("single-node", &SingleNode::new()),
-        ];
-        for (name, algorithm) in algorithms {
-            let identifier = registry.create(name).expect("registered");
+        for name in ["clubbing", "maxmiso", "single-node"] {
+            let identifier = registry.create(name).expect("bundled");
             assert!(!identifier.refines_under_exclusion(), "{name}");
-            let engine = ise_core::engine::select_program(
+            let parallel = select_program(
                 &p,
                 identifier.as_ref(),
                 constraints,
                 &model,
-                ise_core::engine::DriverOptions::new(16),
+                DriverOptions::new(16),
             );
-            let greedy = select_greedy(&p, algorithm, constraints, &model, 16);
-            assert_eq!(engine.len(), greedy.len(), "{name}");
-            assert!(
-                (engine.total_weighted_saving - greedy.total_weighted_saving).abs() < 1e-9,
-                "{name}: engine {} vs greedy {}",
-                engine.total_weighted_saving,
-                greedy.total_weighted_saving
-            );
+            let sequential = select_sequential(&p, identifier.as_ref(), constraints, 16);
+            assert_eq!(parallel, sequential, "{name}");
         }
     }
 
@@ -309,8 +433,7 @@ mod tests {
     #[test]
     fn greedy_selection_never_overlaps() {
         let p = sample_program();
-        let model = DefaultCostModel::new();
-        let result = select_greedy(&p, &MaxMiso::new(), Constraints::new(8, 4), &model, 16);
+        let result = select_sequential(&p, &MaxMiso::new(), Constraints::new(8, 4), 16);
         for i in 0..result.chosen.len() {
             for j in i + 1..result.chosen.len() {
                 if result.chosen[i].block_index == result.chosen[j].block_index {

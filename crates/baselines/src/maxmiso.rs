@@ -5,8 +5,6 @@ use ise_core::{Constraints, IdentifiedCut};
 use ise_hw::CostModel;
 use ise_ir::{Dfg, NodeId};
 
-use crate::IdentificationAlgorithm;
-
 /// Maximal single-output, unbounded-input subgraph identification.
 ///
 /// The dataflow graph is partitioned into *MaxMISOs*: every node is absorbed into the
@@ -77,14 +75,11 @@ impl MaxMiso {
         }
         groups.into_iter().map(|(_, cut)| cut).collect()
     }
-}
 
-impl IdentificationAlgorithm for MaxMiso {
-    fn name(&self) -> &'static str {
-        "MaxMISO"
-    }
-
-    fn candidates(
+    /// The profitable MaxMISOs of `dfg` that satisfy `constraints`, as candidate cuts:
+    /// pairwise disjoint, convex and free of memory operations.
+    #[must_use]
+    pub fn candidates(
         &self,
         dfg: &Dfg,
         constraints: Constraints,

@@ -5,8 +5,6 @@ use ise_core::{Constraints, IdentifiedCut};
 use ise_hw::CostModel;
 use ise_ir::Dfg;
 
-use crate::IdentificationAlgorithm;
-
 /// Proposes every individual operation as its own candidate instruction.
 ///
 /// With a realistic cost model a single primitive operation almost never saves cycles
@@ -22,14 +20,11 @@ impl SingleNode {
     pub fn new() -> Self {
         SingleNode
     }
-}
 
-impl IdentificationAlgorithm for SingleNode {
-    fn name(&self) -> &'static str {
-        "SingleNode"
-    }
-
-    fn candidates(
+    /// Every profitable single operation of `dfg` within the port constraints, as a
+    /// candidate cut of its own.
+    #[must_use]
+    pub fn candidates(
         &self,
         dfg: &Dfg,
         constraints: Constraints,

@@ -1,6 +1,6 @@
 //! Fig. 8 — cuts considered by the identification algorithm versus block size.
 //!
-//! The experiment is driven through the engine registry: any registered
+//! The experiment is driven through `full_registry`: any bundled
 //! [`Identifier`] can be measured by name (the paper's
 //! figure uses the exact `"single-cut"` search), and the per-block measurements are
 //! fanned out in parallel with `rayon`.
@@ -35,7 +35,7 @@ pub struct Fig8Row {
 /// Configuration of the Fig. 8 experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig8Config {
-    /// Registry name of the identification algorithm to measure.
+    /// Name of the identification algorithm to measure.
     pub identifier: String,
     /// Output-port constraint (the paper uses `Nout = 2`).
     pub max_outputs: usize,

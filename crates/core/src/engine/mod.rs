@@ -9,8 +9,8 @@
 //!   [`SearchOutcome`] (candidate cuts plus shared [`SearchStats`]);
 //! * [`SingleCut`], [`MultiCut`], [`Exhaustive`] — the engine adapters for this crate's
 //!   three algorithms (the baselines implement [`Identifier`] in `ise-baselines`);
-//! * [`registry::IdentifierRegistry`] — algorithms looked up by name string, so
-//!   benchmarks, examples and tests can be driven by data instead of hand-written calls;
+//! * [`IdentifierConfig`] — the construction parameters every algorithm is built from
+//!   (`ise_baselines::Algorithm` lists all six and builds any of them by name);
 //! * [`driver`] — the program-level driver that fans identification out across basic
 //!   blocks with `rayon` and merges per-block results into a deterministic
 //!   [`SelectionResult`](crate::selection::SelectionResult).
@@ -37,7 +37,7 @@ pub use corpus::{
     CorpusPool, CorpusStats,
 };
 pub use driver::{identify_blocks, select_program, DriverOptions};
-pub use registry::{IdentifierConfig, IdentifierFactory, IdentifierRegistry};
+pub use registry::IdentifierConfig;
 pub use sweep::{sweep_program, SweepPlanner, SweepStats};
 pub use templates::{
     extract_templates, run_template_selection, select_templates, select_templates_budgeted,
@@ -56,7 +56,7 @@ pub use warm::{
 /// their configuration, so this is free. `Debug` is required so that sessions and
 /// error reports can show which algorithm they hold.
 pub trait Identifier: Sync + Send + std::fmt::Debug {
-    /// Stable registry name of the algorithm (lower-case, e.g. `"single-cut"`).
+    /// Stable name of the algorithm (lower-case, e.g. `"single-cut"`).
     fn name(&self) -> &'static str;
 
     /// Identifies candidate instructions in one basic block.
@@ -79,15 +79,17 @@ pub trait Identifier: Sync + Send + std::fmt::Debug {
         excluded: Option<&CutSet>,
         constraints: &Constraints,
         model: &dyn CostModel,
-    ) -> SearchOutcome;
+    ) -> SearchOutcome {
+        self.identify_split(dfg, excluded, constraints, model, 0)
+    }
 
     /// [`identify_excluding`](Self::identify_excluding) with an intra-block parallelism
     /// hint: split the top `split_levels` levels of the algorithm's decision tree into
     /// parallel subtree tasks (see [`crate::kernel::SearchKernel`]).
     ///
-    /// Implementations must stay byte-identical to the sequential path — the hint only
-    /// trades wall-clock for cores. The default ignores the hint, which is correct for
-    /// algorithms without a decision tree to split (the linear-time baselines).
+    /// Implementations must stay byte-identical to the sequential path (`0`) — the hint
+    /// only trades wall-clock for cores. Algorithms without a decision tree to split
+    /// (the linear-time baselines) ignore it.
     fn identify_split(
         &self,
         dfg: &Dfg,
@@ -95,10 +97,7 @@ pub trait Identifier: Sync + Send + std::fmt::Debug {
         constraints: &Constraints,
         model: &dyn CostModel,
         split_levels: usize,
-    ) -> SearchOutcome {
-        let _ = split_levels;
-        self.identify_excluding(dfg, excluded, constraints, model)
-    }
+    ) -> SearchOutcome;
 
     /// Whether re-running the algorithm with a grown exclusion set can discover cuts
     /// that were not in the first outcome's candidate list.
@@ -137,16 +136,6 @@ impl SingleCut {
 impl Identifier for SingleCut {
     fn name(&self) -> &'static str {
         "single-cut"
-    }
-
-    fn identify_excluding(
-        &self,
-        dfg: &Dfg,
-        excluded: Option<&CutSet>,
-        constraints: &Constraints,
-        model: &dyn CostModel,
-    ) -> SearchOutcome {
-        self.identify_split(dfg, excluded, constraints, model, 0)
     }
 
     fn identify_split(
@@ -216,16 +205,6 @@ impl Identifier for MultiCut {
         "multicut"
     }
 
-    fn identify_excluding(
-        &self,
-        dfg: &Dfg,
-        excluded: Option<&CutSet>,
-        constraints: &Constraints,
-        model: &dyn CostModel,
-    ) -> SearchOutcome {
-        self.identify_split(dfg, excluded, constraints, model, 0)
-    }
-
     fn identify_split(
         &self,
         dfg: &Dfg,
@@ -283,16 +262,6 @@ impl Default for Exhaustive {
 impl Identifier for Exhaustive {
     fn name(&self) -> &'static str {
         "exhaustive"
-    }
-
-    fn identify_excluding(
-        &self,
-        dfg: &Dfg,
-        excluded: Option<&CutSet>,
-        constraints: &Constraints,
-        model: &dyn CostModel,
-    ) -> SearchOutcome {
-        self.identify_split(dfg, excluded, constraints, model, 0)
     }
 
     fn identify_split(

@@ -15,7 +15,7 @@
 //! * **Keys carry everything a fill depends on.** A cache key is the block's
 //!   [`StructuralKey`], the exclusion state in canonical positions, and the
 //!   budget group — the constraint set plus exploration budget the fill ran
-//!   under. The cost model is pinned per cache (`model_id`), so equal keys imply
+//!   under. Every fill scores cuts with `DefaultCostModel`, so equal keys imply
 //!   byte-identical fill inputs, and deterministic fills imply byte-identical fill
 //!   contents whoever computes them, whenever.
 //! * **Eviction never changes answers.** Evicting a slot only drops the memo;
@@ -86,6 +86,10 @@ pub const SNAPSHOT_FILE: &str = "warm_pool_cache.bin";
 
 const SNAPSHOT_MAGIC: &[u8; 8] = b"ISEWARM\x01";
 const SNAPSHOT_VERSION: u32 = 2;
+/// The cost model every fill is computed under (sessions always score with
+/// `DefaultCostModel`). Snapshots record it, and a file carrying another id never
+/// warm-starts a cache.
+const SNAPSHOT_MODEL_ID: &[u8] = b"default-cost-model";
 
 /// One memoised enumeration, stored entirely in canonical coordinates so that the
 /// stored bytes do not depend on which isomorphic block performed the fill.
@@ -213,9 +217,6 @@ pub struct WarmCacheConfig {
     /// Optional byte budget; exceeding it evicts least-recently-used filled slots
     /// until back under. `None` never evicts.
     pub byte_budget: Option<u64>,
-    /// Identifies the cost model the cached fills are valid for. Snapshots record
-    /// it and refuse to warm-start a cache with a different id.
-    pub model_id: String,
 }
 
 impl Default for WarmCacheConfig {
@@ -223,7 +224,6 @@ impl Default for WarmCacheConfig {
         WarmCacheConfig {
             segments: 16,
             byte_budget: None,
-            model_id: "default-cost-model".to_string(),
         }
     }
 }
@@ -257,7 +257,6 @@ pub struct WarmCacheStats {
 pub struct WarmPoolCache {
     segments: Vec<Mutex<Segment>>,
     byte_budget: Option<u64>,
-    model_id: String,
     clock: AtomicU64,
     bytes_used: AtomicU64,
     hits: AtomicU64,
@@ -274,7 +273,6 @@ impl WarmPoolCache {
         WarmPoolCache {
             segments: (0..segments).map(|_| Mutex::default()).collect(),
             byte_budget: config.byte_budget,
-            model_id: config.model_id,
             clock: AtomicU64::new(0),
             bytes_used: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -282,12 +280,6 @@ impl WarmPoolCache {
             fills: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    /// The cost-model id the cache (and its snapshots) are bound to.
-    #[must_use]
-    pub fn model_id(&self) -> &str {
-        &self.model_id
     }
 
     /// Locks one segment, recovering from a poisoned mutex instead of wedging the
@@ -530,7 +522,7 @@ impl WarmPoolCache {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(SNAPSHOT_MAGIC);
         push_u32(&mut bytes, SNAPSHOT_VERSION);
-        push_bytes(&mut bytes, self.model_id.as_bytes());
+        push_bytes(&mut bytes, SNAPSHOT_MODEL_ID);
         push_u64(&mut bytes, slots.len() as u64);
         for (key, cell) in &slots {
             let entry = cell.get().expect("filtered to filled slots");
@@ -571,7 +563,7 @@ impl WarmPoolCache {
         if reader.u32()? != SNAPSHOT_VERSION {
             return None;
         }
-        if reader.byte_string()? != self.model_id.as_bytes() {
+        if reader.byte_string()? != SNAPSHOT_MODEL_ID {
             return None;
         }
         let count = reader.u64()?;
@@ -912,7 +904,6 @@ mod tests {
         let cache = WarmPoolCache::new(WarmCacheConfig {
             segments: 4,
             byte_budget: Some(300),
-            ..WarmCacheConfig::default()
         });
         // Each exhausted entry costs 64 + 24 + 4 = 92 bytes; four of them overflow
         // the 300-byte budget and evict the least recently used.
@@ -1029,7 +1020,6 @@ mod tests {
         let cache = WarmPoolCache::new(WarmCacheConfig {
             segments: 4,
             byte_budget: Some(300),
-            ..WarmCacheConfig::default()
         });
         // Two exhausted fills of 92 bytes each, then a 233-byte outcome: the fills
         // are older, so both go.
@@ -1155,13 +1145,18 @@ mod tests {
             assert_eq!(cold.load_snapshot(&path), None, "version {version}");
         }
 
-        // A different cost-model id falls back to cold start.
-        std::fs::write(&path, &bytes).unwrap();
-        let other = WarmPoolCache::new(WarmCacheConfig {
-            model_id: "other-model".to_string(),
-            ..WarmCacheConfig::default()
-        });
-        assert_eq!(other.load_snapshot(&path), None);
+        // A snapshot written under another cost-model id (same length, checksum
+        // recomputed so only the id check can reject) falls back to cold start.
+        let mut foreign = bytes.clone();
+        let id_start = SNAPSHOT_MAGIC.len() + 4 + 4;
+        let id_range = id_start..id_start + SNAPSHOT_MODEL_ID.len();
+        assert_eq!(&foreign[id_range.clone()], SNAPSHOT_MODEL_ID);
+        foreign[id_range].copy_from_slice(b"other-cost-model!!");
+        let body_len = foreign.len() - 8;
+        let checksum = fnv1a(&foreign[..body_len]);
+        foreign[body_len..].copy_from_slice(&checksum.to_le_bytes());
+        std::fs::write(&path, &foreign).unwrap();
+        assert_eq!(cold.load_snapshot(&path), None);
 
         // A missing file falls back to cold start.
         std::fs::remove_file(&path).unwrap();

@@ -14,14 +14,15 @@ use ise_ir::IrError;
 /// Error reported by the identification/selection stack and its front-ends.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IseError {
-    /// An algorithm name did not resolve in the [`crate::IdentifierRegistry`].
+    /// An algorithm name did not resolve to one of the bundled algorithms
+    /// (`ise_baselines::Algorithm`).
     ///
-    /// The message lists the registered names so that a typo in a request or CLI
+    /// The message lists the bundled names so that a typo in a request or CLI
     /// flag is self-diagnosing.
     UnknownAlgorithm {
         /// The name that failed to resolve.
         requested: String,
-        /// The names registered at the time of the lookup, in registration order.
+        /// The names of every bundled algorithm, in `Algorithm::all()` order.
         available: Vec<String>,
     },
     /// A program (or one of its blocks/AFUs) failed structural validation.

@@ -24,9 +24,9 @@
 //!   [`ise_ir::Opcode::Afu`] instructions, with extraction of the AFU datapath;
 //! * [`exhaustive`] — a brute-force oracle used by the test-suite;
 //! * [`engine`] — the unified identification engine: the [`Identifier`] trait shared by
-//!   every algorithm (including the `ise-baselines` ones), a name-based
-//!   [`IdentifierRegistry`], and a `rayon`-parallel program driver
-//!   ([`select_program`]) with deterministic merging.
+//!   every algorithm (including the `ise-baselines` ones, whose `Algorithm` enum
+//!   names all six), and a `rayon`-parallel program driver ([`select_program`]) with
+//!   deterministic merging.
 //!
 //! # Example
 //!
@@ -76,10 +76,9 @@ pub use engine::{
     extract_templates, identify_blocks, run_corpus, run_corpus_streaming_warm, run_corpus_warm,
     run_template_selection, select_program, select_templates, select_templates_budgeted,
     select_templates_exhaustive, sweep_program, BudgetGroup, CorpusOptions, CorpusOutcome,
-    CorpusPool, CorpusStats, DriverOptions, Identifier, IdentifierConfig, IdentifierRegistry,
-    ProgramOutcome, SiteRef, SweepPlanner, SweepStats, Template, TemplateBudget, TemplateReport,
-    TemplateSelectPolicy, TemplateSelection, WarmCacheConfig, WarmCacheStats, WarmPoolCache,
-    SNAPSHOT_FILE,
+    CorpusPool, CorpusStats, DriverOptions, Identifier, IdentifierConfig, ProgramOutcome, SiteRef,
+    SweepPlanner, SweepStats, Template, TemplateBudget, TemplateReport, TemplateSelectPolicy,
+    TemplateSelection, WarmCacheConfig, WarmCacheStats, WarmPoolCache, SNAPSHOT_FILE,
 };
 pub use error::IseError;
 pub use kernel::reference::identify_single_cut_reference;

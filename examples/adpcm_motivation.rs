@@ -5,7 +5,7 @@
 //! The example shows how the best instruction found by the exact identification
 //! algorithm changes with the microarchitectural constraints, reproducing the discussion
 //! of Sections 4 and 8. Both the exact algorithm and the MaxMISO baseline are fetched
-//! from the engine registry and driven through the same `Identifier` interface:
+//! from `full_registry()` and driven through the same `Identifier` interface:
 //!
 //! * with 2 read ports / 1 write port the algorithm finds the small approximate
 //!   16×4-bit multiplication (M1 in the figure);

@@ -6,7 +6,7 @@
 //! This is the flow a retargetable tool-chain would follow after the identification step
 //! of the paper: each selected cut is extracted into an AFU specification (the datapath
 //! to be synthesised) and the basic block is rewritten to invoke the new instruction.
-//! Selection goes through the engine registry and the parallel program driver.
+//! Selection goes through `full_registry()` and the parallel program driver.
 
 use std::collections::BTreeMap;
 

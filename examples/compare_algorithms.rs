@@ -6,8 +6,8 @@
 //! For every bundled application and a small sweep of register-file port constraints,
 //! the example prints the estimated application speed-up of the paper's exact
 //! single-cut algorithm and of the two prior-art baselines, with up to 16 special
-//! instructions each. Every algorithm is fetched from the engine registry by name and
-//! driven by the same parallel program driver — comparing another registered algorithm
+//! instructions each. Every algorithm is fetched by name from `full_registry()` and
+//! driven by the same parallel program driver — comparing another bundled algorithm
 //! means adding its name to `ALGORITHMS`.
 
 use ise::core::engine::{select_program, DriverOptions, IdentifierConfig};
@@ -15,7 +15,7 @@ use ise::core::Constraints;
 use ise::hw::{DefaultCostModel, SoftwareLatencyModel};
 use ise::workloads::suite;
 
-/// Registry names of the compared algorithms, in column order.
+/// Names of the compared algorithms, in column order.
 const ALGORITHMS: [&str; 3] = ["single-cut", "clubbing", "maxmiso"];
 
 fn main() {
@@ -45,7 +45,7 @@ fn main() {
             for name in ALGORITHMS {
                 let identifier = registry
                     .create_configured(name, &config)
-                    .expect("registered algorithm");
+                    .expect("bundled algorithm");
                 let speedup = select_program(
                     &program,
                     identifier.as_ref(),

@@ -5,7 +5,7 @@
 //! Prints, for basic blocks of growing size (bundled kernels and synthetic random
 //! blocks), the number of cuts considered by the exact identification algorithm with
 //! `Nout = 2` and unbounded `Nin`, next to the N², N³ and N⁴ guide lines of the paper's
-//! figure. The algorithm is fetched from the engine registry with a per-invocation
+//! figure. The algorithm is fetched from `full_registry()` with a per-invocation
 //! exploration budget. The pruned search stays within a polynomial envelope on every
 //! practical block even though the worst case is exponential.
 

@@ -7,7 +7,12 @@
 //! next-item cursor, so imbalanced items — e.g. branch-and-bound subtrees of very
 //! different sizes — keep every worker busy), and results are reassembled in input
 //! order, so a parallel map is always observably identical to the sequential one.
-//! Replacing the shim with the real `rayon` requires no source changes.
+//!
+//! Two items go beyond the real `rayon` API: [`sharded_map`] and its
+//! [`ShardProgress`] telemetry, which `ise-core`'s corpus driver and `ise-api`'s batch
+//! front-end use. Replacing the shim with the real `rayon` means rewriting those call
+//! sites (a `par_iter().map().collect()` plus a per-thread counter); everything else
+//! compiles unchanged.
 
 #![forbid(unsafe_code)]
 

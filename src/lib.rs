@@ -16,9 +16,10 @@
 //! * [`ir`] — dataflow IR, builder, interpreter, Graphviz export;
 //! * [`passes`] — dead-code elimination, constant folding;
 //! * [`hw`] — software latency, hardware delay and area models, merit functions;
-//! * [`core`] — cut identification/selection, the engine registry and program driver,
-//!   and the [`IseError`] hierarchy;
-//! * [`baselines`] — the Clubbing and MaxMISO comparison algorithms;
+//! * [`core`] — cut identification/selection, the engine's `Identifier` trait and
+//!   program driver, and the [`IseError`] hierarchy;
+//! * [`baselines`] — the Clubbing and MaxMISO comparison algorithms, and [`Algorithm`],
+//!   the one list of all six bundled algorithms;
 //! * [`workloads`] — MediaBench-like kernels and random graph generation;
 //! * [`frontend`] — the dependency-free textual LLVM IR (`.ll`) parser and lowering.
 //!
@@ -47,17 +48,18 @@
 //! # Ok::<(), ise::IseError>(())
 //! ```
 //!
-//! Algorithms can equally be addressed by registry name
-//! (`.algorithm_name("maxmiso")`), and an unknown name degrades into an
-//! [`IseError::UnknownAlgorithm`] that lists the registered algorithms — nothing in
-//! the request path panics.
+//! Algorithms can equally be addressed by name (`.algorithm_name("MaxMISO")`: case
+//! does not matter, and `_` equals `-`), and an unknown name degrades into an
+//! [`IseError::UnknownAlgorithm`] that lists the bundled algorithms — nothing in the
+//! request path panics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// The typed job API: sessions, requests, batches, JSON serialisation.
 pub use ise_api as api;
-/// Baseline identification algorithms (Clubbing, MaxMISO, single-node).
+/// Baseline identification algorithms (Clubbing, MaxMISO, single-node) and the
+/// [`Algorithm`] catalogue.
 pub use ise_baselines as baselines;
 /// Identification and selection algorithms — the paper's contribution.
 pub use ise_core as core;

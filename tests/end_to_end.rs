@@ -3,9 +3,12 @@
 
 use std::collections::BTreeMap;
 
-use ise::baselines::{select_greedy, Clubbing, MaxMiso};
+use ise::baselines::{Clubbing, MaxMiso};
 use ise::core::collapse::collapse_into_program;
-use ise::core::{identify_single_cut, select_iterative, Constraints, SelectionOptions};
+use ise::core::{
+    identify_single_cut, select_iterative, select_program, Constraints, DriverOptions,
+    SelectionOptions,
+};
 use ise::hw::{DefaultCostModel, SoftwareLatencyModel};
 use ise::ir::interp::Evaluator;
 use ise::passes::{eliminate_dead_code, fold_constants};
@@ -40,12 +43,12 @@ fn the_motivational_example_behaves_as_described_in_the_paper() {
 
     // MaxMISO with 2 read ports cannot find M1: it is buried inside a larger MaxMISO.
     let program = adpcm::decode_program();
-    let maxmiso = select_greedy(
+    let maxmiso = select_program(
         &program,
         &MaxMiso::new(),
         Constraints::new(2, 1),
         &model,
-        16,
+        DriverOptions::new(16).sequential(),
     );
     let iterative = select_iterative(
         &program,
@@ -137,10 +140,11 @@ fn exact_algorithms_dominate_both_baselines_on_the_fig11_trio() {
             )
             .speedup_report(&program, &software)
             .speedup;
-            let clubbing = select_greedy(&program, &Clubbing::new(), constraints, &model, 16)
+            let greedy = DriverOptions::new(16).sequential();
+            let clubbing = select_program(&program, &Clubbing::new(), constraints, &model, greedy)
                 .speedup_report(&program, &software)
                 .speedup;
-            let maxmiso = select_greedy(&program, &MaxMiso::new(), constraints, &model, 16)
+            let maxmiso = select_program(&program, &MaxMiso::new(), constraints, &model, greedy)
                 .speedup_report(&program, &software)
                 .speedup;
             assert!(

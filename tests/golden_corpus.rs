@@ -14,6 +14,11 @@
 //! * `results/golden/adpcm_batch_cli.json` — the envelope array
 //!   `ise-cli batch requests/adpcm.json` prints (single-cut, multicut with passes and an
 //!   exploration budget, MaxMISO on one program).
+//! * `results/golden/algorithms_cli.json` — the name list `ise-cli algorithms` prints.
+//! * `results/golden/algorithm_names_batch_cli.json` — the envelope array
+//!   `ise-cli batch requests/algorithm_names.json` prints: three names spelled with other
+//!   case and separators, an unknown name, and an unknown name with an out-of-domain
+//!   config (the config error wins).
 //! * `results/golden/serve_example_responses.jsonl` — the responses `ise-cli serve` gives
 //!   `requests/serve_example.jsonl`, without the `stats` line and sorted (CI `cmp`s the
 //!   same filtered output of a real server).
@@ -139,6 +144,42 @@ fn adpcm_batch_cli_json_matches_golden() {
         .collect();
     let payload = format!("{}\n", json::to_string(&json::Value::Array(items)));
     assert_golden("results/golden/adpcm_batch_cli.json", &payload);
+}
+
+/// The `ise-cli algorithms` name list, computed in-process.
+#[test]
+fn algorithms_cli_json_matches_golden() {
+    let names = ise_api::algorithm_names()
+        .into_iter()
+        .map(|name| json::Value::Str(name.to_string()))
+        .collect();
+    let payload = format!("{}\n", json::to_string(&json::Value::Array(names)));
+    assert_golden("results/golden/algorithms_cli.json", &payload);
+}
+
+/// The `ise-cli batch requests/algorithm_names.json` envelope array, computed
+/// in-process: the lookup rule, the unknown-name text and the check order.
+#[test]
+fn algorithm_names_batch_cli_json_matches_golden() {
+    let text = std::fs::read_to_string(repo_root().join("requests/algorithm_names.json"))
+        .expect("checked-in batch request");
+    let requests: Vec<ise_api::IseRequest> =
+        ise_api::from_json(&text).expect("valid batch requests");
+    let items = ise_api::BatchService::new()
+        .run(&requests)
+        .into_iter()
+        .map(|outcome| match outcome {
+            Ok(response) => {
+                json::Value::Object(vec![("response".to_string(), json::to_value(&response))])
+            }
+            Err(error) => json::Value::Object(vec![(
+                "error".to_string(),
+                json::Value::Str(error.to_string()),
+            )]),
+        })
+        .collect();
+    let payload = format!("{}\n", json::to_string(&json::Value::Array(items)));
+    assert_golden("results/golden/algorithm_names_batch_cli.json", &payload);
 }
 
 /// The responses one server gives `requests/serve_example.jsonl`, computed in-process

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ise::baselines::{Clubbing, IdentificationAlgorithm, MaxMiso};
+use ise::baselines::{Clubbing, MaxMiso};
 use ise::core::cut::{self, CutSet};
 use ise::core::{exhaustive, identify_single_cut, Constraints};
 use ise::hw::DefaultCostModel;
