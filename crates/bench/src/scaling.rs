@@ -19,6 +19,11 @@
 //! default walk. The report also records the CPU count, the repeat count
 //! and the git revision. The rows serialise to `BENCH_search.json`; the `scaling`
 //! binary fails loudly if any equality gate breaks.
+//!
+//! Every row runs at an unbounded `Nin`, as Fig. 8 does, where the input floor cannot
+//! prune and the counts are the paper's — except the last: the `widedag` block again
+//! under a finite `Nin` (`ScalingConfig::finite_inputs`), the served setting, where the
+//! floor's share of the pruning shows in its breakdown.
 
 use std::time::Instant;
 
@@ -28,6 +33,9 @@ use ise_core::{
 };
 use ise_hw::DefaultCostModel;
 use ise_workloads::random;
+
+/// The `Nin` of the unbounded rows: no cut of any block reaches it.
+const UNBOUNDED: usize = usize::MAX >> 1;
 
 /// Configuration of the scaling experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,6 +55,9 @@ pub struct ScalingConfig {
     /// Node count of the dedicated `widedag` row (the single-block version of the
     /// program-level `widedag` workload shape).
     pub widedag_nodes: usize,
+    /// `Nin` of the last row, which measures the `widedag` block again under finite
+    /// input ports.
+    pub finite_inputs: usize,
 }
 
 impl Default for ScalingConfig {
@@ -58,6 +69,7 @@ impl Default for ScalingConfig {
             split_levels: 5,
             repeats: 3,
             widedag_nodes: 48,
+            finite_inputs: 4,
         }
     }
 }
@@ -77,7 +89,7 @@ impl ScalingConfig {
 }
 
 /// Machine-readable classification of every 1-branch attempt of the sequential
-/// search by the paper's pruning rules.
+/// search by its pruning rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub struct PruningBreakdown {
     /// Attempts that passed every check and grew the cut.
@@ -88,6 +100,8 @@ pub struct PruningBreakdown {
     pub pruned_convexity: u64,
     /// Attempts pruned by the node budget.
     pub pruned_node_budget: u64,
+    /// Attempts pruned by the input floor (zero at an unbounded `Nin`).
+    pub pruned_inputs: u64,
 }
 
 impl PruningBreakdown {
@@ -97,6 +111,7 @@ impl PruningBreakdown {
             pruned_output: stats.pruned_output,
             pruned_convexity: stats.pruned_convexity,
             pruned_node_budget: stats.pruned_node_budget,
+            pruned_inputs: stats.pruned_inputs,
         }
     }
 }
@@ -108,6 +123,8 @@ pub struct ScalingRow {
     pub block: String,
     /// Number of operation nodes (the graph size axis).
     pub nodes: usize,
+    /// `Nin` of the row, or `None` when unbounded.
+    pub max_inputs: Option<usize>,
     /// Worker threads available to the parallel run.
     pub threads: usize,
     /// Decision-tree levels fanned out in the parallel run.
@@ -264,6 +281,7 @@ fn measure_block(
     ScalingRow {
         block: row_name.to_string(),
         nodes: dfg.node_count(),
+        max_inputs: (constraints.max_inputs < UNBOUNDED).then_some(constraints.max_inputs),
         threads: rayon::current_num_threads(),
         split_levels: config.split_levels,
         cuts_considered: cuts,
@@ -294,7 +312,7 @@ fn measure_block(
 #[must_use]
 pub fn run(config: &ScalingConfig) -> ScalingReport {
     let model = DefaultCostModel::new();
-    let constraints = Constraints::new(usize::MAX >> 1, config.max_outputs);
+    let constraints = Constraints::new(UNBOUNDED, config.max_outputs);
 
     let mut rows = Vec::new();
     for (index, &nodes) in config.block_sizes.iter().enumerate() {
@@ -312,6 +330,8 @@ pub fn run(config: &ScalingConfig) -> ScalingReport {
         &model,
         config,
     ));
+    let finite = Constraints::new(config.finite_inputs, config.max_outputs);
+    rows.push(measure_block(&widedag, "widedag", finite, &model, config));
 
     let cross_client_identical = cross_client_check(config, &model);
     let all_identical =
@@ -355,15 +375,17 @@ pub fn to_json(report: &ScalingReport) -> String {
 #[must_use]
 pub fn markdown(report: &ScalingReport) -> String {
     let mut out = String::from(
-        "| block | nodes | cuts | ref ms | seq ms | par ms | inc ms | vs ref | inc vs ref \
-         | speedup | ok |\n\
-         |---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---|\n",
+        "| block | nodes | Nin | cuts | ref ms | seq ms | par ms | inc ms | vs ref \
+         | inc vs ref | speedup | ok |\n\
+         |---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---|\n",
     );
     for r in &report.rows {
+        let nin = r.max_inputs.map_or("∞".to_string(), |n| n.to_string());
         out.push_str(&format!(
-            "| {} | {} | {} | {:.1} | {:.1} | {:.1} | {:.1} | {:.2}x | {:.2}x | {:.2}x | {} |\n",
+            "| {} | {} | {} | {} | {:.1} | {:.1} | {:.1} | {:.1} | {:.2}x | {:.2}x | {:.2}x | {} |\n",
             r.block,
             r.nodes,
+            nin,
             r.cuts_considered,
             r.reference_ms,
             r.sequential_ms,
@@ -395,13 +417,13 @@ mod tests {
     #[test]
     fn parallel_and_sequential_outputs_are_identical() {
         let report = run(&tiny());
-        assert_eq!(report.rows.len(), 3); // the configured sizes plus the widedag row
+        // The configured sizes plus the widedag row, unbounded and under `Nin = 4`.
+        assert_eq!(report.rows.len(), 4);
         assert!(report.all_identical, "{report:?}");
         assert!(report.cross_client_identical);
-        assert_eq!(
-            report.rows.last().map(|r| r.block.as_str()),
-            Some("widedag")
-        );
+        let inputs: Vec<_> = report.rows.iter().map(|r| r.max_inputs).collect();
+        assert_eq!(inputs, [None, None, None, Some(4)]);
+        assert!(report.rows[2..].iter().all(|r| r.block == "widedag"));
         for row in &report.rows {
             assert!(row.identical, "{row:?}");
             assert!(row.matches_reference, "{row:?}");
@@ -412,8 +434,14 @@ mod tests {
             let b = &row.pruning_breakdown;
             assert_eq!(
                 row.cuts_considered,
-                b.feasible + b.pruned_output + b.pruned_convexity + b.pruned_node_budget
+                b.feasible
+                    + b.pruned_output
+                    + b.pruned_convexity
+                    + b.pruned_node_budget
+                    + b.pruned_inputs
             );
+            // The floor prunes only where `Nin` is finite.
+            assert_eq!(row.max_inputs.is_some(), b.pruned_inputs > 0, "{row:?}");
         }
     }
 

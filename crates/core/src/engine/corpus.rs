@@ -364,7 +364,9 @@ impl<'m> CorpusPool<'m> {
         let cell = self.fill_slot(dfg, form, excluded, fill, split_levels);
         match cell.get().expect("fill_slot returns a filled cell") {
             FillEntry::Complete(canonical) => {
-                let stats = canonical.histogram.reconstruct(pair.max_outputs);
+                let stats = canonical
+                    .histogram
+                    .reconstruct(pair.max_inputs, pair.max_outputs);
                 let best = canonical
                     .store
                     .answer(pair.max_inputs, pair.max_outputs)

@@ -85,7 +85,7 @@ use crate::structural::StructuralKey;
 pub const SNAPSHOT_FILE: &str = "warm_pool_cache.bin";
 
 const SNAPSHOT_MAGIC: &[u8; 8] = b"ISEWARM\x01";
-const SNAPSHOT_VERSION: u32 = 2;
+const SNAPSHOT_VERSION: u32 = 3;
 /// The cost model every fill is computed under (sessions always score with
 /// `DefaultCostModel`). Snapshots record it, and a file carrying another id never
 /// warm-starts a cache.
@@ -608,8 +608,8 @@ fn entry_bytes(key: &CacheKey, entry: &FillEntry) -> u64 {
         for entry in entries {
             bytes += 96 + 4 * entry.payload.positions.len() as u64;
         }
-        let (_, counts) = fill.histogram.parts();
-        bytes += 8 * counts.len() as u64;
+        let (_, cells) = fill.histogram.parts();
+        bytes += 16 * cells.len() as u64;
     }
     bytes
 }
@@ -698,11 +698,14 @@ fn encode_entry(out: &mut Vec<u8>, key: &CacheKey, entry: &FillEntry) {
                 }
                 encode_evaluation(out, &entry.payload.evaluation);
             }
-            let (fill_outputs, counts) = fill.histogram.parts();
-            push_u64(out, fill_outputs as u64);
-            push_u32(out, counts.len() as u32);
-            for &c in counts {
-                push_u64(out, c);
+            let (layout, cells) = fill.histogram.parts();
+            for value in layout {
+                push_u64(out, value as u64);
+            }
+            push_u32(out, cells.len() as u32);
+            for &(index, count) in cells {
+                push_u64(out, index);
+                push_u64(out, count);
             }
         }
     }
@@ -771,13 +774,18 @@ fn decode_entry(reader: &mut Reader<'_>) -> Option<(CacheKey, FillEntry)> {
                 });
             }
             let store = ParetoStore::from_parts(entries, offered);
-            let fill_outputs = reader.usize()?;
-            let count_len = reader.u32()? as usize;
-            let mut counts = Vec::with_capacity(count_len.min(1 << 20));
-            for _ in 0..count_len {
-                counts.push(reader.u64()?);
+            let layout = [
+                reader.usize()?,
+                reader.usize()?,
+                reader.usize()?,
+                reader.usize()?,
+            ];
+            let len = reader.u32()? as usize;
+            let mut cells = Vec::with_capacity(len.min(1 << 16));
+            for _ in 0..len {
+                cells.push((reader.u64()?, reader.u64()?));
             }
-            let histogram = AttemptHistogram::from_parts(fill_outputs, counts)?;
+            let histogram = AttemptHistogram::from_parts(layout, cells)?;
             FillEntry::Complete(CanonicalFill { store, histogram })
         }
         _ => return None,
@@ -1049,8 +1057,9 @@ mod tests {
         );
     }
 
-    /// A small complete fill: one stored cut and a histogram of `Nout = 1` with
-    /// attempts in three cells (five in all).
+    /// A small complete single-cut fill: one stored cut and a histogram of `Nout = 1`
+    /// (up to two fresh block inputs per attempt, no node budget) with attempts in three
+    /// cells (five in all), two of them at path floor 1 with attempt floor 2.
     fn sample_fill() -> CanonicalFill {
         let evaluation = CutEvaluation {
             nodes: 2,
@@ -1073,13 +1082,12 @@ mod tests {
                 evaluation,
             },
         };
-        let mut counts = vec![0; 2 * 3 * 4];
-        counts[3] = 2;
-        counts[7] = 1;
-        counts[20] = 2;
+        // Cell index (((floor * 3 + fresh) * 2 + prefix) * 2 + drop) * 2 + convex,
+        // where the probed `OUT` is `prefix + 1 - drop`.
+        let cells = vec![(1, 2), (3, 1), (39, 2)];
         CanonicalFill {
             store: ParetoStore::from_parts(vec![entry], 4),
-            histogram: AttemptHistogram::from_parts(1, counts).expect("valid geometry"),
+            histogram: AttemptHistogram::from_parts([1, 2, 2, 0], cells).expect("valid cells"),
         }
     }
 
@@ -1109,8 +1117,10 @@ mod tests {
         assert!(warm.lookup(&k).get().is_some());
         match warm.lookup(&filled).get() {
             Some(FillEntry::Complete(fill)) => {
-                assert_eq!(fill.histogram.parts(), sample_fill().histogram.parts());
-                assert_eq!(fill.histogram.reconstruct(1).cuts_considered, 5);
+                assert_eq!(fill.histogram, sample_fill().histogram);
+                assert_eq!(fill.histogram.reconstruct(4, 1).cuts_considered, 5);
+                let tight = fill.histogram.reconstruct(1, 1);
+                assert_eq!((tight.cuts_considered, tight.pruned_inputs), (5, 2));
             }
             _ => panic!("the complete fill did not round-trip"),
         }
@@ -1134,8 +1144,9 @@ mod tests {
 
         // Any other version falls back to cold start (checksum recomputed so only the
         // version check can reject): version 1 is the layout whose histograms also
-        // carried a per-prefix subtree-prune vector.
-        for version in [1u32, SNAPSHOT_VERSION + 1] {
+        // carried a per-prefix subtree-prune vector, version 2 the dense histograms
+        // without input-floor coordinates.
+        for version in [1u32, 2, SNAPSHOT_VERSION + 1] {
             let mut bumped = bytes.clone();
             bumped[8..12].copy_from_slice(&version.to_le_bytes());
             let body_len = bumped.len() - 8;

@@ -54,14 +54,45 @@
 //!   decided before `v` and later cut growth only adds ancestors — the flag, once
 //!   computed, stays correct without propagation;
 //! * *`IN(S)`*: a counter. Adding `v` drops `v` itself when a member already reads it,
-//!   and counts each source of `v` that no member read before. The block-input part is
-//!   kept as its own counter, because it only grows down a subtree (see
-//!   [`BoundCheck::input_floor`]).
+//!   and counts each source of `v` that no member read before;
+//! * *input floor*: the part of `IN(S)` no later decision can absorb — the block inputs
+//!   members read, plus the member-read nodes decided outside (on deciding `v` outside,
+//!   `v` counts when a member reads it). Both only grow down a subtree: a block input is
+//!   never a member, and a node decided outside stays outside. So every cut below a
+//!   tree node has at least the floor's inputs (see [The input floor](#the-input-floor)).
+//!
+//! # The input floor
+//!
+//! The paper prunes by output ports and convexity only, because `IN(S)` is not monotone
+//! as the cut grows (adding a producer may absorb an input). Its floor is monotone,
+//! though, and depends only on the tree path and the constraints — never on an
+//! incumbent or the visit order. The single-cut walks prune on it whenever `Nin` can
+//! bind ([`BlockContext::input_limit`]):
+//!
+//! * *1-branch:* after the output-port, convexity and node-budget checks, an attempt
+//!   whose floor (the attempt's own fresh block inputs included) passes `Nin` is
+//!   pruned with its subtree and counted in [`SearchStats::pruned_inputs`], a category
+//!   inside the `cuts_considered` identity. The check reads the grown cut's
+//!   [`IncrementalCutState::input_floor`], so a passing attempt pays one comparison,
+//!   and a pruned one is added and undone;
+//! * *0-branch:* leaving a member-read node outside when that passes `Nin` skips the
+//!   subtree (the node is marked, checked and unmarked). No cut is attempted, so no
+//!   counter moves; the cuts below are simply never considered.
+//!
+//! A pruned subtree holds only cuts with more than `Nin` inputs, which are never
+//! offered, so the selection and `best_updates` equal the paper's walk; only the effort
+//! counters shrink. Being path-only, the floor is safe for split walks and pool fills.
+//! Keeping it costs a step on every software branch, so a walk that neither prunes on
+//! it (an unbounded `Nin`) nor records it (a direct search, not a pool fill) is
+//! compiled without it: the single-cut policies take a `FLOOR` const parameter, and
+//! [`IncrementalCutState::mark_outside`] a `floor` flag. The multiple-cut search does
+//! not keep the floor.
 //!
 //! # The incumbent bound
 //!
-//! The default searches prune by the paper's rules only: output ports, convexity and
-//! the optional node budget. A policy may opt into [`BoundCheck`], an optimistic upper
+//! The default searches prune by the rules above only: output ports, convexity, the
+//! optional node budget and (single-cut) the input floor. A policy may opt into
+//! [`BoundCheck`], an optimistic upper
 //! bound on the merit reachable in the subtree below a decision: the merit the cut would
 //! reach if every not-yet-decided, non-blocked node (the *remaining frontier*, whose
 //! software-cycle mass is precomputed per level) joined it for free — software mass is
@@ -77,8 +108,9 @@
 //! # Determinism of the parallel walk
 //!
 //! In a splittable walk the incumbent never influences pruning (the tree is cut by the
-//! *constraints*, not by the evolving objective), so the set of visited tree nodes —
-//! and therefore every counter in [`SearchStats`] except `best_updates` — is identical
+//! *constraints* and the input floor, not by the evolving objective), so the set of
+//! visited tree nodes — and therefore every counter in [`SearchStats`] except
+//! `best_updates` — is identical
 //! however the tree is partitioned. `best_updates` and the identity of the returned cut
 //! *do* depend on visit order: a sequential search only improves its incumbent when a
 //! candidate beats the best seen anywhere so far. To reproduce that exactly, each
@@ -102,10 +134,13 @@
 //! the `SearchHook` and [`WalkSink`] methods of the sinks ([`Incumbent`] and the
 //! pool's recorder); the [`IncrementalCutState`] steps (`probe_add`, `try_add`,
 //! `try_add_probed`, `add`, `mark_outside`, `undo_last`, `within_node_budget`,
-//! `is_candidate`, `merit`); the [`BlockContext`] accessors and
+//! `input_floor`, `is_candidate`, `merit`); the [`BlockContext`] accessors and
 //! [`BoundCheck::disabled`]. Plain `#[inline]` hints leave some of these out of line,
 //! and then `ctx` and the probe go through memory on every attempt. The walk's stack
-//! frames are three `u32`s, and its stack is allocated once per walk. A method added
+//! frames are three `u32`s, and its stack is allocated once per walk. Steps a walk
+//! does not need are compiled out rather than skipped at run time (the input floor's
+//! `FLOOR` parameter): an unread load or counter on every decision costs the
+//! unbounded-`Nin` walk several percent. A method added
 //! to the per-attempt path must be `#[inline(always)]` too, and the change that adds
 //! it records an in-process A/B of the kernel time in `CHANGES.md`.
 
@@ -163,6 +198,8 @@ pub struct BlockContext<'a> {
     /// `suffix_mass[ℓ]` = total software cycles of the non-blocked nodes decided at
     /// levels `ℓ..` — the most the remaining frontier can still add to any cut.
     suffix_mass: Vec<u64>,
+    /// Block inputs plus operation nodes: no input floor can exceed it.
+    floor_ceiling: usize,
 }
 
 impl<'a> BlockContext<'a> {
@@ -216,6 +253,7 @@ impl<'a> BlockContext<'a> {
             hardware_delay,
             area_cost,
             suffix_mass: Vec::new(),
+            floor_ceiling: dfg.input_count() + n,
         };
         ctx.recompute_suffix_mass();
         ctx
@@ -275,6 +313,17 @@ impl<'a> BlockContext<'a> {
         self.software_cost[node.index()]
     }
 
+    /// `Nin`, when the input floor can pass it on this block: the limit the single-cut
+    /// walks prune the floor against. `None` when `Nin` is at least the block's inputs
+    /// plus its nodes (an unbounded `Nin`, say), where no floor can pass it and the
+    /// walks skip the check altogether.
+    #[must_use]
+    #[inline(always)]
+    pub fn input_limit(&self) -> Option<usize> {
+        let limit = self.constraints.max_inputs;
+        (limit < self.floor_ceiling).then_some(limit)
+    }
+
     /// Total software cycles of the non-blocked nodes still undecided at levels
     /// `level..` — the frontier mass feeding the optimistic bound.
     #[must_use]
@@ -300,6 +349,9 @@ enum UndoEntry {
     },
     /// `mark_outside` was applied to `node`, whose mark was `previous`.
     MarkedOutside { node: NodeId, previous: Mark },
+    /// `mark_outside` with `floor` set was applied to `node`, which a member reads: as
+    /// `MarkedOutside`, and `node` joined the input floor.
+    MarkedOutsideRead { node: NodeId, previous: Mark },
 }
 
 /// Where one node stands relative to the cut under construction.
@@ -328,18 +380,19 @@ pub struct AddProbe {
 /// `optimistic` is an upper bound on the objective reachable anywhere in the subtree
 /// below the attempt; when it cannot *strictly* beat `threshold` (the incumbent's
 /// score), the subtree is pruned and counted as [`SearchStats::pruned_bound`]. The
-/// threshold is visit-order-dependent, hence sequential-only. The check may also carry
-/// `input_floor`, the input-port constraint applied to the *monotone* part of `IN(S)`
-/// (block-input sources can never be covered by later producers, so their count only
-/// grows down the subtree — unlike full `IN(S)`, which the paper shows is unusable for
-/// pruning). The default searches pass [`BoundCheck::disabled`].
+/// threshold is visit-order-dependent, hence sequential-only. The multiple-cut
+/// incumbent mode also sets `input_floor`, which prunes a slot on its block inputs
+/// alone (also counted as [`SearchStats::pruned_bound`]): the multiple-cut walk has no
+/// [input floor](self#the-input-floor) of its own, and this keeps its incumbent mode as
+/// it was. The single-cut walks prune on the full floor instead and leave it `None`.
+/// The default searches pass [`BoundCheck::disabled`].
 #[derive(Debug, Clone, Copy)]
 pub struct BoundCheck {
     /// Upper bound on the objective reachable in the subtree below the attempt.
     pub optimistic: f64,
     /// The score the subtree must strictly beat to be worth exploring.
     pub threshold: f64,
-    /// `Nin`, when the monotone block-input floor may prune (incumbent mode only).
+    /// `Nin`, when a slot's block inputs alone may prune (multiple-cut incumbent mode).
     pub input_floor: Option<usize>,
 }
 
@@ -354,6 +407,19 @@ impl BoundCheck {
             input_floor: None,
         }
     }
+}
+
+/// How one 1-branch attempt ended ([`IncrementalCutState::try_add_probed`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Attempt {
+    /// Pruned before the cut grew: by the output ports, convexity, the node budget or
+    /// the incumbent bound.
+    Pruned,
+    /// The grown cut's input floor, carried here, passed `Nin`; the cut is back as it
+    /// was.
+    OverFloor(usize),
+    /// The node joined the cut.
+    Added,
 }
 
 /// Snapshot-and-restorable incremental bookkeeping for one cut under construction.
@@ -388,8 +454,12 @@ pub struct IncrementalCutState {
     members: Vec<NodeId>,
     /// `IN(S)`.
     inputs: usize,
-    /// The block inputs among `IN(S)`: the part that only grows down a subtree.
+    /// The block inputs among `IN(S)`: they only grow down a subtree.
     block_inputs: usize,
+    /// Member-read nodes decided outside: the rest of the input floor, which only
+    /// grows down a subtree too. Kept by the walks that mark nodes outside with
+    /// `floor` set.
+    outside_reads: usize,
     outputs: usize,
     software: u64,
     critical_path: f64,
@@ -413,6 +483,7 @@ impl IncrementalCutState {
             members: Vec::new(),
             inputs: 0,
             block_inputs: 0,
+            outside_reads: 0,
             outputs: 0,
             software: 0,
             critical_path: 0.0,
@@ -448,6 +519,15 @@ impl IncrementalCutState {
     #[inline(always)]
     pub fn outputs(&self) -> usize {
         self.outputs
+    }
+
+    /// The input floor of the current tree path: the block inputs members read plus
+    /// the member-read nodes decided outside. Every cut below has at least this many
+    /// inputs (see the module docs).
+    #[must_use]
+    #[inline(always)]
+    pub fn input_floor(&self) -> usize {
+        self.block_inputs + self.outside_reads
     }
 
     /// Accumulated software cycles of the members.
@@ -544,9 +624,12 @@ impl IncrementalCutState {
     }
 
     /// The shared 1-branch attempt used by every pruning policy: counts the cut,
-    /// probes it, applies the paper's pruning rules in their canonical order
-    /// (output ports → convexity → node budget), then `bound` (which prunes only in
-    /// incumbent mode), and on success adds `node`.
+    /// probes it, applies the pruning rules in their canonical order (output ports →
+    /// convexity → node budget → `bound`, which prunes only in incumbent mode → the
+    /// input floor against `input_limit`), and on success leaves `node` added.
+    ///
+    /// `input_limit` is [`BlockContext::input_limit`] for the single-cut walks and
+    /// `None` for the multiple-cut walk, which does not prune on the floor.
     ///
     /// Returns `false` — with the matching `pruned_*` counter bumped and the state
     /// untouched — when the branch (and its whole subtree) is eliminated. Living here
@@ -557,57 +640,69 @@ impl IncrementalCutState {
         &mut self,
         ctx: &BlockContext<'_>,
         node: NodeId,
+        input_limit: Option<usize>,
         bound: BoundCheck,
         stats: &mut SearchStats,
     ) -> bool {
         let probe = self.probe_add(ctx, node);
-        self.try_add_probed(ctx, node, probe, bound, stats)
+        self.try_add_probed(ctx, node, probe, input_limit, bound, stats) == Attempt::Added
     }
 
     /// The counting-and-pruning half of [`try_add`](Self::try_add), for callers that
-    /// already hold the [`AddProbe`] (`SearchHook::try_add` probes first so the hook
-    /// sees the attempt before it is classified). The probe **must** come from
-    /// [`probe_add`](Self::probe_add) on the current state.
+    /// already hold the [`AddProbe`] (the policies report it to their sink). The probe
+    /// **must** come from [`probe_add`](Self::probe_add) on the current state.
+    ///
+    /// The input floor is checked on the grown cut, so an attempt that passes costs
+    /// one comparison more than the paper's, and one it prunes is added and undone.
+    /// Either way the grown cut's floor is known without a scan: the cut's, once added,
+    /// or the one [`Attempt::OverFloor`] carries.
     #[inline(always)]
     pub fn try_add_probed(
         &mut self,
         ctx: &BlockContext<'_>,
         node: NodeId,
         probe: AddProbe,
+        input_limit: Option<usize>,
         bound: BoundCheck,
         stats: &mut SearchStats,
-    ) -> bool {
+    ) -> Attempt {
         stats.cuts_considered += 1;
         if probe.outputs > ctx.constraints.max_outputs {
             stats.pruned_output += 1;
-            return false;
+            return Attempt::Pruned;
         }
         if !probe.convex {
             stats.pruned_convexity += 1;
-            return false;
+            return Attempt::Pruned;
         }
         if !self.within_node_budget(ctx) {
             stats.pruned_node_budget += 1;
-            return false;
+            return Attempt::Pruned;
         }
         if bound.optimistic <= bound.threshold {
             stats.pruned_bound += 1;
-            return false;
+            return Attempt::Pruned;
         }
         if let Some(limit) = bound.input_floor {
-            // Monotone floor on IN(S): block-input sources are never covered later.
+            // A slot's block inputs are never covered later.
             let fresh = ctx.sources[node.index()]
                 .iter()
                 .filter(|source| matches!(**source, Source::Input(p) if self.input_uses[p] == 0))
                 .count();
             if self.block_inputs + fresh > limit {
                 stats.pruned_bound += 1;
-                return false;
+                return Attempt::Pruned;
             }
         }
-        stats.feasible_cuts += 1;
         self.add(ctx, node, probe.outputs);
-        true
+        let floor = self.input_floor();
+        if input_limit.is_some_and(|limit| floor > limit) {
+            self.undo_last(ctx);
+            stats.pruned_inputs += 1;
+            return Attempt::OverFloor(floor);
+        }
+        stats.feasible_cuts += 1;
+        Attempt::Added
     }
 
     /// Adds `node` to the cut, maintaining every quantity incrementally along the
@@ -677,19 +772,27 @@ impl IncrementalCutState {
 
     /// Records the decision to keep `node` outside the cut: it reaches the cut when one
     /// of its consumers is a member or reaches it (see the module docs for why the flag
-    /// stays correct as the cut grows).
+    /// stays correct as the cut grows). With `floor` set, `node` joins the input floor
+    /// when a member reads it; a walk that neither prunes on the floor nor records it
+    /// passes `false` and skips that step, and must do so for its whole path.
     #[inline(always)]
-    pub fn mark_outside(&mut self, ctx: &BlockContext<'_>, node: NodeId) {
+    pub fn mark_outside(&mut self, ctx: &BlockContext<'_>, node: NodeId, floor: bool) {
         let index = node.index();
         let reaches = ctx
             .dfg
             .consumers(node)
             .iter()
             .any(|c| self.marks[c.index()] != Mark::Clear);
-        self.journal.push(UndoEntry::MarkedOutside {
-            node,
-            previous: self.marks[index],
-        });
+        let previous = self.marks[index];
+        // Every member reading `node` was decided before it, so this stays exact.
+        if floor && self.node_uses[index] > 0 {
+            self.outside_reads += 1;
+            self.journal
+                .push(UndoEntry::MarkedOutsideRead { node, previous });
+        } else {
+            self.journal
+                .push(UndoEntry::MarkedOutside { node, previous });
+        }
         self.marks[index] = if reaches { Mark::Reaches } else { Mark::Clear };
     }
 
@@ -702,6 +805,14 @@ impl IncrementalCutState {
     /// bug, not a recoverable condition).
     #[inline(always)]
     pub fn undo_last(&mut self, ctx: &BlockContext<'_>) {
+        self.undo(ctx, true);
+    }
+
+    /// [`undo_last`](Self::undo_last) for a walk that marks nodes outside with `floor`
+    /// set exactly when this one is: without it, the two kinds of mark undo alike, and
+    /// the compiled undo is the paper's.
+    #[inline(always)]
+    pub(crate) fn undo(&mut self, ctx: &BlockContext<'_>, floor: bool) {
         match self.journal.pop().expect("undo without a prior mutation") {
             UndoEntry::Added {
                 node,
@@ -735,6 +846,10 @@ impl IncrementalCutState {
             }
             UndoEntry::MarkedOutside { node, previous } => {
                 self.marks[node.index()] = previous;
+            }
+            UndoEntry::MarkedOutsideRead { node, previous } => {
+                self.marks[node.index()] = previous;
+                self.outside_reads -= usize::from(floor);
             }
         }
     }
@@ -896,10 +1011,22 @@ impl<T: Send + Sync> WalkSink for Incumbent<T> {
 ///
 /// `prefix` is the largest `OUT` applied on the current tree path. `OUT` only grows
 /// along the consumers-first order, so that is the current cut's `OUT` (for
-/// multicut, the largest slot `OUT`).
+/// multicut, the largest slot `OUT`). Likewise the input floor only grows, so the
+/// current floor is the largest on the path.
 pub(crate) trait SearchHook<P>: WalkSink {
-    /// One 1-branch attempt with its query-independent flags, before it is classified.
-    fn attempt(&mut self, prefix: usize, probe: AddProbe, within_budget: bool);
+    /// One 1-branch attempt with its query-independent flags. `floors` holds the
+    /// path's input floor and the attempt's own (fresh block inputs included) when the
+    /// attempt grew the cut, if only to be pruned on the floor; an attempt pruned
+    /// before reports the path's floor twice, since no query reaches its floor check.
+    /// A walk that does not keep the floor — the multiple-cut walk, a direct search at
+    /// an unbounded `Nin` — reports `(0, 0)`.
+    fn attempt(
+        &mut self,
+        prefix: usize,
+        probe: AddProbe,
+        within_budget: bool,
+        floors: (usize, usize),
+    );
 
     /// A candidate that passed [`IncrementalCutState::is_candidate`] (every slot, for
     /// tuples), with its signature `(IN, OUT)` and score; `make` builds the payload.
@@ -908,30 +1035,19 @@ pub(crate) trait SearchHook<P>: WalkSink {
     /// The threshold the opt-in incumbent bound must strictly beat: the incumbent's
     /// score. Pool fills never enable the bound; their recorder answers zero.
     fn bound_threshold(&self) -> f64;
-
-    /// The 1-branch step every policy shares: probe `node` against `cut`, report the
-    /// attempt, then count, classify and (on success) apply it through
-    /// [`IncrementalCutState::try_add_probed`].
-    #[inline(always)]
-    fn try_add(
-        &mut self,
-        ctx: &BlockContext<'_>,
-        cut: &mut IncrementalCutState,
-        node: NodeId,
-        prefix: usize,
-        bound: BoundCheck,
-        stats: &mut SearchStats,
-    ) -> bool {
-        let probe = cut.probe_add(ctx, node);
-        self.attempt(prefix, probe, cut.within_node_budget(ctx));
-        cut.try_add_probed(ctx, node, probe, bound, stats)
-    }
 }
 
 /// The direct search's [`SearchHook`]: records nothing, keeps the best candidate.
 impl<P: Send + Sync> SearchHook<P> for Incumbent<P> {
     #[inline(always)]
-    fn attempt(&mut self, _prefix: usize, _probe: AddProbe, _within_budget: bool) {}
+    fn attempt(
+        &mut self,
+        _prefix: usize,
+        _probe: AddProbe,
+        _within: bool,
+        _floors: (usize, usize),
+    ) {
+    }
 
     #[inline(always)]
     fn offer(&mut self, _inputs: usize, _outputs: usize, score: f64, make: impl FnOnce() -> P) {
@@ -1200,6 +1316,7 @@ fn merge_stats(stats: &mut SearchStats, other: &SearchStats) {
     stats.pruned_output += other.pruned_output;
     stats.pruned_convexity += other.pruned_convexity;
     stats.pruned_node_budget += other.pruned_node_budget;
+    stats.pruned_inputs += other.pruned_inputs;
     stats.pruned_bound += other.pruned_bound;
     stats.bound_subtree_prunes += other.bound_subtree_prunes;
     stats.budget_exhausted |= other.budget_exhausted;
@@ -1346,6 +1463,7 @@ mod tests {
         assert!(state.node_uses.iter().all(|&uses| uses == 0));
         assert!(state.input_uses.iter().all(|&uses| uses == 0));
         assert_eq!(state.block_inputs, 0);
+        assert_eq!(state.outside_reads, 0);
         assert!(state.longest_path.iter().all(|&d| d == 0.0));
     }
 
@@ -1396,8 +1514,8 @@ mod tests {
         let probe = state.probe_add(&ctx, final_add);
         state.add(&ctx, final_add, probe.outputs);
         // Leave both intermediate nodes out: paths from mul now leave the cut.
-        state.mark_outside(&ctx, ctx.node_at(1));
-        state.mark_outside(&ctx, ctx.node_at(2));
+        state.mark_outside(&ctx, ctx.node_at(1), true);
+        state.mark_outside(&ctx, ctx.node_at(2), true);
         let mul = ctx.node_at(3);
         assert!(!state.probe_add(&ctx, mul).convex);
         // Undo one mark: the other still breaks convexity.
@@ -1421,14 +1539,14 @@ mod tests {
             threshold: 0.0,
             input_floor: None,
         };
-        assert!(!state.try_add(&ctx, node, hopeless, &mut stats));
+        assert!(!state.try_add(&ctx, node, None, hopeless, &mut stats));
         assert_eq!(stats.pruned_bound, 1);
         assert_eq!(stats.cuts_considered, 1);
         assert!(state.is_empty());
         // … a disabled one never does.
-        assert!(state.try_add(&ctx, node, BoundCheck::disabled(), &mut stats));
+        assert!(state.try_add(&ctx, node, None, BoundCheck::disabled(), &mut stats));
         assert_eq!(stats.feasible_cuts, 1);
-        // The input floor prunes on the monotone block-input count alone.
+        // The multiple-cut slot floor prunes on the block-input count alone.
         state.undo_last(&ctx);
         let floored = BoundCheck {
             optimistic: f64::INFINITY,
@@ -1436,8 +1554,73 @@ mod tests {
             input_floor: Some(0),
         };
         let mul = ctx.node_at(3); // reads both block inputs
-        assert!(!state.try_add(&ctx, mul, floored, &mut stats));
+        assert!(!state.try_add(&ctx, mul, None, floored, &mut stats));
         assert_eq!(stats.pruned_bound, 2);
+        // The input floor prunes the same attempt under `Nin = 1`, in its own category,
+        // once the bound let it pass: it grows the cut, reports the grown floor (both
+        // block inputs) and undoes the growth.
+        let probe = state.probe_add(&ctx, mul);
+        let attempt = state.try_add_probed(
+            &ctx,
+            mul,
+            probe,
+            Some(1),
+            BoundCheck::disabled(),
+            &mut stats,
+        );
+        assert_eq!(attempt, Attempt::OverFloor(2));
+        assert_eq!((stats.pruned_inputs, stats.pruned_bound), (1, 2));
+        assert!(state.is_empty());
+        assert_eq!(state.input_floor(), 0);
+    }
+
+    /// The input floor counts block inputs and member-read nodes decided outside, and
+    /// the journal restores it; `input_limit` switches the check off where `Nin` cannot
+    /// bind, and so does `mark_outside` without `floor`.
+    #[test]
+    fn input_floor_tracks_reads_decided_outside() {
+        let g = fig4();
+        let model = DefaultCostModel::new();
+        let ctx = BlockContext::new(&g, Constraints::new(2, 1), &model);
+        assert_eq!(ctx.input_limit(), Some(2));
+        let unbounded = BlockContext::new(&g, Constraints::new(usize::MAX >> 1, 1), &model);
+        assert_eq!(unbounded.input_limit(), None);
+        let mut state = IncrementalCutState::new(&ctx);
+        // Level 0 is the final add: it reads two nodes and no block input.
+        let add0 = ctx.node_at(0);
+        assert!(state.try_add(
+            &ctx,
+            add0,
+            ctx.input_limit(),
+            BoundCheck::disabled(),
+            &mut SearchStats::default()
+        ));
+        assert_eq!(state.input_floor(), 0);
+        // Leaving both of its operands outside puts each on the floor for good.
+        for (level, floor) in [(1, 1), (2, 2)] {
+            state.mark_outside(&ctx, ctx.node_at(level), true);
+            assert_eq!(state.input_floor(), floor);
+        }
+        // Nobody reads `mul` now: leaving it outside adds nothing.
+        state.mark_outside(&ctx, ctx.node_at(3), true);
+        assert_eq!(state.input_floor(), 2);
+        state.undo_last(&ctx);
+        state.undo_last(&ctx);
+        assert_eq!(state.input_floor(), 1);
+        state.undo_last(&ctx);
+        state.undo_last(&ctx);
+        assert_eq!(state.input_floor(), 0);
+        assert_eq!(state.outside_reads, 0);
+        // A walk that keeps no floor marks the same node without counting it.
+        assert!(state.try_add(
+            &ctx,
+            add0,
+            None,
+            BoundCheck::disabled(),
+            &mut SearchStats::default()
+        ));
+        state.mark_outside(&ctx, ctx.node_at(1), false);
+        assert_eq!(state.input_floor(), 0);
     }
 
     /// The optimistic merit helpers combine the current cut with the remaining

@@ -2,9 +2,9 @@
 //!
 //! [`identify_single_cut_reference`] walks the paper's binary tree over the same
 //! [`IncrementalCutState`] as the production search, sequentially and without the
-//! `SearchHook` layer, pruning only by the paper's categories (output ports,
-//! convexity, node budget). The default search prunes by exactly these rules, so the
-//! two agree field for field. It exists for two reasons:
+//! `SearchHook` layer, pruning by the paper's categories (output ports, convexity,
+//! node budget) and the input floor on both branches. The default search prunes by
+//! exactly these rules, so the two agree field for field. It exists for two reasons:
 //!
 //! * **specification** — the property suite (`tests/cut_state.rs`) checks that the
 //!   default search, sequential and split, returns this walk's cut and every one of
@@ -19,12 +19,15 @@ use super::{BlockContext, BoundCheck, IncrementalCutState, Incumbent, SearchKern
 use crate::constraints::Constraints;
 use crate::search::{IdentifiedCut, SearchOutcome, SearchStats};
 
-/// The original single-cut policy: binary decisions, the paper's pruning rules.
-struct ReferenceSingleCutPolicy<'a> {
+/// The original single-cut policy: binary decisions, the paper's pruning rules plus
+/// the input floor against `input_limit`, compiled in when `FLOOR` is set (exactly
+/// when `Nin` can bind).
+struct ReferenceSingleCutPolicy<'a, const FLOOR: bool> {
     ctx: &'a BlockContext<'a>,
+    input_limit: usize,
 }
 
-impl SearchPolicy for ReferenceSingleCutPolicy<'_> {
+impl<const FLOOR: bool> SearchPolicy for ReferenceSingleCutPolicy<'_, FLOOR> {
     type Sink = Incumbent<IdentifiedCut>;
     type State = IncrementalCutState;
 
@@ -57,13 +60,18 @@ impl SearchPolicy for ReferenceSingleCutPolicy<'_> {
         let ctx = self.ctx;
         let node = ctx.node_at(level);
         if choice == 1 {
-            state.mark_outside(ctx, node);
+            state.mark_outside(ctx, node, FLOOR);
+            if FLOOR && state.input_floor() > self.input_limit {
+                state.undo_last(ctx);
+                return false;
+            }
             return true;
         }
         if ctx.is_blocked(node) {
             return false;
         }
-        if !state.try_add(ctx, node, BoundCheck::disabled(), stats) {
+        let input_limit = FLOOR.then_some(self.input_limit);
+        if !state.try_add(ctx, node, input_limit, BoundCheck::disabled(), stats) {
             return false;
         }
         if state.is_candidate(ctx) {
@@ -74,13 +82,13 @@ impl SearchPolicy for ReferenceSingleCutPolicy<'_> {
 
     #[inline(always)]
     fn undo(&self, state: &mut IncrementalCutState, _level: usize, _choice: usize) {
-        state.undo_last(self.ctx);
+        state.undo(self.ctx, FLOOR);
     }
 }
 
 /// Runs the single-cut search over the hook-free policy: sequential walk, the paper's
-/// pruning categories only — the cut and every [`SearchStats`] field of the default
-/// search.
+/// pruning categories plus the input floor — the cut and every [`SearchStats`] field of
+/// the default search.
 ///
 /// This is the "before" measurement of the scaling bench and the search-level anchor of
 /// the property suite; production callers should use
@@ -92,8 +100,17 @@ pub fn identify_single_cut_reference(
     model: &dyn CostModel,
 ) -> SearchOutcome {
     let ctx = BlockContext::new(dfg, constraints, model);
-    let policy = ReferenceSingleCutPolicy { ctx: &ctx };
-    let (best, stats) = SearchKernel::sequential().run(&policy);
+    let kernel = SearchKernel::sequential();
+    let (best, stats) = match ctx.input_limit() {
+        Some(input_limit) => kernel.run(&ReferenceSingleCutPolicy::<true> {
+            ctx: &ctx,
+            input_limit,
+        }),
+        None => kernel.run(&ReferenceSingleCutPolicy::<false> {
+            ctx: &ctx,
+            input_limit: 0,
+        }),
+    };
     SearchOutcome::from_best(best, stats)
 }
 
@@ -116,7 +133,7 @@ mod tests {
     }
 
     /// The reference search reproduces the paper's Fig. 4 optimum, with the
-    /// four-category stats identity (no bound category).
+    /// five-category stats identity (no bound category).
     #[test]
     fn reference_search_matches_the_paper_example() {
         let g = fig4();
@@ -134,6 +151,7 @@ mod tests {
                 + stats.pruned_output
                 + stats.pruned_convexity
                 + stats.pruned_node_budget
+                + stats.pruned_inputs
         );
     }
 }

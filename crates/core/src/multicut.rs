@@ -26,7 +26,7 @@ use crate::cut::CutSet;
 use std::marker::PhantomData;
 
 use crate::kernel::{
-    BlockContext, BoundCheck, IncrementalCutState, Incumbent, SearchHook, SearchKernel,
+    Attempt, BlockContext, BoundCheck, IncrementalCutState, Incumbent, SearchHook, SearchKernel,
     SearchPolicy,
 };
 use crate::search::{IdentifiedCut, SearchStats};
@@ -200,8 +200,9 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> SearchPolicy for MultiCutPolicy<'_, H> {
                 stats.bound_subtree_prunes += 1;
                 return false;
             }
+            // The multiple-cut walk does not keep the input floor.
             for cut in &mut state.cuts {
-                cut.mark_outside(ctx, node);
+                cut.mark_outside(ctx, node, false);
             }
             return true;
         }
@@ -225,7 +226,11 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> SearchPolicy for MultiCutPolicy<'_, H> {
             BoundCheck::disabled()
         };
         let prefix = Self::prefix(state);
-        if !sink.try_add(ctx, &mut state.cuts[choice], node, prefix, bound, stats) {
+        let cut = &mut state.cuts[choice];
+        let probe = cut.probe_add(ctx, node);
+        // The multiple-cut walk does not prune on the input floor: it reports none.
+        sink.attempt(prefix, probe, cut.within_node_budget(ctx), (0, 0));
+        if cut.try_add_probed(ctx, node, probe, None, bound, stats) != Attempt::Added {
             return false;
         }
         // The node is *outside* every other cut, so record whether it forwards a path
@@ -234,7 +239,7 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> SearchPolicy for MultiCutPolicy<'_, H> {
         // node of cut `j`, leaving `k` non-convex (and the pair unschedulable).
         for (slot, cut) in state.cuts.iter_mut().enumerate() {
             if slot != choice {
-                cut.mark_outside(ctx, node);
+                cut.mark_outside(ctx, node, false);
             }
         }
         self.consider_candidate(state, sink);
@@ -245,7 +250,7 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> SearchPolicy for MultiCutPolicy<'_, H> {
     fn undo(&self, state: &mut MultiCutState, _level: usize, _choice: usize) {
         // Both branch kinds leave exactly one journal entry per cut slot.
         for cut in state.cuts.iter_mut().rev() {
-            cut.undo_last(self.ctx);
+            cut.undo(self.ctx, false);
         }
     }
 

@@ -20,7 +20,7 @@
 //!
 //! # Why the answers are exact
 //!
-//! Four facts make the reconstruction exact rather than approximate:
+//! Five facts make the reconstruction exact rather than approximate:
 //!
 //! 1. **`OUT(S)` is monotone along the search order.** Nodes are decided
 //!    consumers-first, so a node added later can never be a consumer of an earlier
@@ -36,13 +36,14 @@
 //!    is port-dominated by an earlier one of no lesser merit — preserves the exact
 //!    answer of *every* covered query ([`ParetoStore`]).
 //! 3. **The effort counters are histogram-reconstructible.** Every 1-branch attempt of
-//!    the loose walk is recorded as `(prefix max OUT, probed OUT, convex, node-budget)`;
-//!    a query aggregates the attempts its own walk would have made and classifies them
-//!    in the canonical pruning order (output → convexity → node budget), reproducing
-//!    [`SearchStats`] exactly — except `best_updates`, which would require the full
-//!    offer log and is reported as zero by pool answers (see [`AttemptHistogram`]).
-//!    Fills run the default policies, which prune by these rules only; the opt-in
-//!    incumbent bound reads the visit-order-dependent incumbent and is never used.
+//!    the loose walk is recorded as `(prefix max OUT, probed OUT, convex, node-budget,
+//!    prefix floor, attempt floor)`; a query aggregates the attempts its own walk would
+//!    have made and classifies them in the canonical pruning order (output → convexity
+//!    → node budget → input floor), reproducing [`SearchStats`] exactly — except
+//!    `best_updates`, which would require the full offer log and is reported as zero by
+//!    pool answers (see [`AttemptHistogram`]). Fills run the default policies, which
+//!    prune by these rules only; the opt-in incumbent bound reads the
+//!    visit-order-dependent incumbent and is never used.
 //! 4. **A split fill folds exactly.** The kernel gives every inline segment and subtree
 //!    task of a split walk its own sink and folds them in depth-first order. Histogram
 //!    counts add. The store keeps exactly the offers that no other offer *beats* — no
@@ -52,6 +53,19 @@
 //!    unit's entries with every `seq` shifted by the earlier units' `offered` count
 //!    therefore leaves byte for byte the store of the sequential fill
 //!    (`ParetoStore::absorb`).
+//! 5. **The input floor is monotone along the search order, like `OUT(S)`.** The
+//!    single-cut walk prunes on the [input floor](crate::kernel#the-input-floor): the
+//!    block inputs members read plus the member-read nodes decided outside. Neither
+//!    part ever shrinks down a path, so a tree node is reached under `Nin = k` exactly
+//!    when the floor of its path — the current floor, recorded with each attempt as
+//!    its *prefix floor* — is `≤ k` (and its `OUT` prefix fits, by fact 1). An
+//!    attempt reached under `k` is then pruned on the floor exactly when its own floor
+//!    (the prefix floor plus the block inputs it reads first) passes `k`. The fill
+//!    records both floors with every attempt that grows the cut, so every covered
+//!    `(Nin, Nout)` query rebuilds `pruned_inputs` too; an attempt pruned before it
+//!    grows the cut is pruned the same way under every covered query, and keeps its
+//!    prefix floor as its own. The floor depends on the path alone, never on the
+//!    incumbent, so fact 4 holds for it unchanged.
 //!
 //! Exploration budgets truncate the walk by *visit order* and therefore cannot be
 //! reconstructed from a differently-constrained enumeration: a fill that exhausts its
@@ -61,7 +75,7 @@
 //! the fill did and so never hit the budget either.
 
 use ise_hw::CostModel;
-use ise_ir::Dfg;
+use ise_ir::{Dfg, Operand};
 
 use crate::constraints::Constraints;
 use crate::cut::CutSet;
@@ -248,100 +262,203 @@ impl<P> ParetoStore<P> {
 }
 
 /// Histogram of every 1-branch attempt of a pool fill, sufficient to reconstruct the
-/// [`SearchStats`] of a direct search under any covered output-port constraint.
+/// [`SearchStats`] of a direct search under any covered `(Nin, Nout)` pair.
 ///
 /// Each attempt is keyed by the largest `OUT` applied on its tree path (`prefix`), the
-/// probed `OUT` of the attempt itself, and its convexity / node-budget flags. The table
-/// covers prefixes up to `fill_outputs`: the fill's `Nout`, capped at the block's node
-/// count since `OUT(S)` never exceeds it, so a huge requested `Nout` costs no more than
-/// the block's own size. A walk under `Nout = q` makes exactly the attempts with
-/// `prefix ≤ q` and classifies each in the canonical order: output ports first, then
-/// convexity, and last the node budget. Both flags are query-independent (covered
-/// queries share the fill's node budget), so recording them once at fill time is exact
-/// for every covered query.
+/// probed `OUT` of the attempt itself, its convexity / node-budget flags, the input
+/// floor of its path and its own floor (fact 5 of the module documentation). A walk
+/// under `(k, q)` makes exactly the attempts with `prefix ≤ q` and prefix floor `≤ k`,
+/// and classifies each in the canonical order: output ports first, then convexity,
+/// the node budget, and last the input floor. The flags are query-independent
+/// (covered queries share the fill's node budget), so recording them once at fill
+/// time is exact for every covered query.
+///
+/// `OUT` is capped by the fill and an attempt raises the floor by at most its node's
+/// distinct block-input operands, so the keys span a small range. The fill counts into
+/// a dense table over that range and keeps only its non-zero cells, in key order: a
+/// pool holds a few dozen cells, whatever its fill's ports.
 ///
 /// `best_updates` is *not* reconstructible from a histogram (it depends on the full
 /// offer order) and is reported as zero by [`reconstruct`](Self::reconstruct); pool
 /// consumers only aggregate `cuts_considered`, which is exact.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttemptHistogram {
-    fill_outputs: usize,
-    counts: Vec<u64>,
+    geometry: Geometry,
+    /// `(dense attempt index, count)`, strictly ascending by index, counts non-zero.
+    cells: Vec<(u64, u64)>,
 }
 
-impl AttemptHistogram {
-    /// Table length for `fill_outputs`: `(prefix, probed, convex, within_budget)`.
-    fn table_len(fill_outputs: usize) -> usize {
-        (fill_outputs + 1) * (fill_outputs + 2) * 4
-    }
+/// The dense key layout of one fill, the last coordinate varying fastest: path floor,
+/// fresh block inputs, `OUT` prefix, probed `OUT` (as its drop below `prefix + 1`),
+/// convexity and (under a node budget) the budget flag.
+///
+/// `fill_outputs` caps the prefix: the fill's `Nout`, capped at the block's node count
+/// since `OUT(S)` never exceeds it, so a huge requested `Nout` costs no more than the
+/// block's own size. `max_fresh` caps the block inputs one attempt adds to the floor.
+/// `drops` spans the probed `OUT`: a single-cut attempt keeps or adds one output port
+/// (two values), a tuple attempt probes one slot, anywhere up to one above the
+/// prefix. The path floor is the outermost coordinate, so a table only grows as far as
+/// the floors the walk reaches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Geometry {
+    fill_outputs: usize,
+    max_fresh: usize,
+    drops: usize,
+    budgeted: bool,
+    /// Index strides of the coordinates above the flags.
+    drop_stride: usize,
+    prefix_stride: usize,
+    fresh_stride: usize,
+    floor_stride: usize,
+}
 
-    fn new(fill_outputs: usize) -> Self {
-        AttemptHistogram {
+/// One decoded attempt cell of an [`AttemptHistogram`].
+struct AttemptCell {
+    prefix: usize,
+    probed: usize,
+    convex: bool,
+    within_budget: bool,
+    floor: usize,
+    attempt_floor: usize,
+}
+
+impl Geometry {
+    fn new(fill_outputs: usize, max_fresh: usize, drops: usize, budgeted: bool) -> Self {
+        let drop_stride = if budgeted { 4 } else { 2 };
+        let prefix_stride = drops * drop_stride;
+        let fresh_stride = (fill_outputs + 1) * prefix_stride;
+        Geometry {
             fill_outputs,
-            counts: vec![0; Self::table_len(fill_outputs)],
-        }
-    }
-
-    /// Adds the attempts of `other`, a histogram of equal geometry.
-    fn absorb(&mut self, other: &AttemptHistogram) {
-        debug_assert_eq!(self.fill_outputs, other.fill_outputs);
-        for (count, more) in self.counts.iter_mut().zip(&other.counts) {
-            *count += more;
+            max_fresh,
+            drops,
+            budgeted,
+            drop_stride,
+            prefix_stride,
+            fresh_stride,
+            floor_stride: (max_fresh + 1) * fresh_stride,
         }
     }
 
     #[inline(always)]
-    fn index(&self, prefix: usize, probed: usize, convex: bool, within_budget: bool) -> usize {
-        ((prefix * (self.fill_outputs + 2) + probed) * 2 + usize::from(convex)) * 2
-            + usize::from(within_budget)
+    fn attempt_index(
+        self,
+        prefix: usize,
+        probe: AddProbe,
+        within_budget: bool,
+        (floor, attempt_floor): (usize, usize),
+    ) -> usize {
+        let drop = prefix + 1 - probe.outputs;
+        debug_assert!(prefix <= self.fill_outputs && drop < self.drops);
+        debug_assert!(attempt_floor - floor <= self.max_fresh);
+        debug_assert!(self.budgeted || within_budget, "no budget, no budget prune");
+        floor * self.floor_stride
+            + (attempt_floor - floor) * self.fresh_stride
+            + prefix * self.prefix_stride
+            + drop * self.drop_stride
+            + usize::from(probe.convex) * (self.drop_stride / 2)
+            + usize::from(within_budget && self.budgeted)
     }
 
-    /// Reconstructs the statistics of a direct search under `Nout = max_outputs`.
+    fn attempt_cell(self, index: u64) -> AttemptCell {
+        let mut rest = index as usize;
+        let mut next = |radix: usize| {
+            let digit = rest % radix;
+            rest /= radix;
+            digit
+        };
+        let within_budget = !self.budgeted || next(2) == 1;
+        let convex = next(2) == 1;
+        let drop = next(self.drops);
+        let prefix = next(self.fill_outputs + 1);
+        let fresh = next(self.max_fresh + 1);
+        let floor = rest;
+        AttemptCell {
+            prefix,
+            probed: (prefix + 1).saturating_sub(drop),
+            convex,
+            within_budget,
+            floor,
+            attempt_floor: floor + fresh,
+        }
+    }
+}
+
+/// Increments `table[index]`, growing the table first when the walk reached a higher
+/// index (a new path floor, mostly).
+#[inline(always)]
+fn bump(table: &mut Vec<u64>, index: usize) {
+    if index >= table.len() {
+        grow(table, index);
+    }
+    table[index] += 1;
+}
+
+#[cold]
+fn grow(table: &mut Vec<u64>, index: usize) {
+    table.resize(index + 1, 0);
+}
+
+impl AttemptHistogram {
+    /// Reconstructs the statistics of a direct search under `Nin = max_inputs` and
+    /// `Nout = max_outputs`.
     #[must_use]
-    pub fn reconstruct(&self, max_outputs: usize) -> SearchStats {
+    pub fn reconstruct(&self, max_inputs: usize, max_outputs: usize) -> SearchStats {
         let mut stats = SearchStats::default();
-        let query = max_outputs.min(self.fill_outputs);
-        for prefix in 0..=query {
-            for probed in 0..=self.fill_outputs + 1 {
-                for convex in [false, true] {
-                    for within_budget in [false, true] {
-                        let n = self.counts[self.index(prefix, probed, convex, within_budget)];
-                        if n == 0 {
-                            continue;
-                        }
-                        stats.cuts_considered += n;
-                        if probed > max_outputs {
-                            stats.pruned_output += n;
-                        } else if !convex {
-                            stats.pruned_convexity += n;
-                        } else if !within_budget {
-                            stats.pruned_node_budget += n;
-                        } else {
-                            stats.feasible_cuts += n;
-                        }
-                    }
-                }
+        for &(index, n) in &self.cells {
+            let cell = self.geometry.attempt_cell(index);
+            if cell.prefix > max_outputs || cell.floor > max_inputs {
+                continue;
+            }
+            stats.cuts_considered += n;
+            if cell.probed > max_outputs {
+                stats.pruned_output += n;
+            } else if !cell.convex {
+                stats.pruned_convexity += n;
+            } else if !cell.within_budget {
+                stats.pruned_node_budget += n;
+            } else if cell.attempt_floor > max_inputs {
+                stats.pruned_inputs += n;
+            } else {
+                stats.feasible_cuts += n;
             }
         }
         stats
     }
 
-    /// The raw `(fill_outputs, counts)` state, for snapshots.
-    pub(crate) fn parts(&self) -> (usize, &[u64]) {
-        (self.fill_outputs, &self.counts)
+    /// The raw state, for snapshots: the layout `[fill_outputs, max_fresh, drops,
+    /// budgeted]` and the cells.
+    pub(crate) fn parts(&self) -> ([usize; 4], &[(u64, u64)]) {
+        let g = self.geometry;
+        let layout = [
+            g.fill_outputs,
+            g.max_fresh,
+            g.drops,
+            usize::from(g.budgeted),
+        ];
+        (layout, &self.cells)
     }
 
-    /// Rebuilds a histogram from snapshot state, validating the table geometry.
+    /// Rebuilds a histogram from snapshot state, validating the cells.
     ///
-    /// Returns `None` when the table length does not match `fill_outputs` — the
-    /// snapshot loader treats that as corruption and falls back to a cold start.
-    pub(crate) fn from_parts(fill_outputs: usize, counts: Vec<u64>) -> Option<Self> {
-        if counts.len() != Self::table_len(fill_outputs) {
+    /// Returns `None` unless the layout can be decoded and the cells are strictly
+    /// ascending by index with non-zero counts — the snapshot loader treats that as
+    /// corruption and falls back to a cold start.
+    pub(crate) fn from_parts(
+        [fill_outputs, max_fresh, drops, budgeted]: [usize; 4],
+        cells: Vec<(u64, u64)>,
+    ) -> Option<Self> {
+        // Decoding needs a valid layout whose strides fit.
+        if budgeted > 1 || drops == 0 || drops > fill_outputs.checked_add(2)? {
             return None;
         }
-        Some(AttemptHistogram {
-            fill_outputs,
-            counts,
+        (fill_outputs.checked_add(1)?)
+            .checked_mul(drops * 4)?
+            .checked_mul(max_fresh.checked_add(1)?)?;
+        let ordered = cells.iter().all(|&(_, count)| count > 0)
+            && cells.windows(2).all(|pair| pair[0].0 < pair[1].0);
+        ordered.then_some(AttemptHistogram {
+            geometry: Geometry::new(fill_outputs, max_fresh, drops, budgeted == 1),
+            cells,
         })
     }
 }
@@ -415,43 +532,79 @@ impl<P: Clone> FilledPool<P> {
             .map(|entry| entry.payload.clone());
         PoolAnswer {
             best,
-            stats: self.histogram.reconstruct(query.max_outputs),
+            stats: self
+                .histogram
+                .reconstruct(query.max_inputs, query.max_outputs),
         }
     }
 }
 
-/// The pool fill's walk sink and [`SearchHook`]: every attempt goes into the
-/// histogram and every qualifying candidate into the Pareto store. A split fill gives
-/// each subtree task a fresh recorder and folds them in depth-first order (fact 4 of
-/// the module documentation).
+/// The pool fill's walk sink and [`SearchHook`]: every attempt goes into the dense
+/// table and every qualifying candidate into the Pareto store. A split fill gives each
+/// subtree task a fresh recorder and folds them in depth-first order (fact 4 of the
+/// module documentation).
 #[derive(Debug, Clone)]
 struct FillRecorder<P> {
     store: ParetoStore<P>,
-    histogram: AttemptHistogram,
+    geometry: Geometry,
+    attempts: Vec<u64>,
+}
+
+impl<P> FillRecorder<P> {
+    fn new(geometry: Geometry) -> Self {
+        FillRecorder {
+            store: ParetoStore::default(),
+            geometry,
+            attempts: Vec::new(),
+        }
+    }
+
+    /// The recorded table, reduced to its non-zero cells, in index order.
+    fn histogram(&self) -> AttemptHistogram {
+        let cells = self
+            .attempts
+            .iter()
+            .enumerate()
+            .filter(|(_, &count)| count > 0);
+        AttemptHistogram {
+            geometry: self.geometry,
+            cells: cells.map(|(index, &count)| (index as u64, count)).collect(),
+        }
+    }
 }
 
 impl<P: Send + Sync> WalkSink for FillRecorder<P> {
     #[inline(always)]
     fn fresh(&self) -> Self {
-        FillRecorder {
-            store: ParetoStore::default(),
-            histogram: AttemptHistogram::new(self.histogram.fill_outputs),
-        }
+        FillRecorder::new(self.geometry)
     }
 
+    /// Adds `later`'s table cell by cell, growing this one to cover it.
     #[inline(always)]
     fn absorb(&mut self, later: Self) {
         self.store.absorb(later.store);
-        self.histogram.absorb(&later.histogram);
+        if self.attempts.len() < later.attempts.len() {
+            self.attempts.resize(later.attempts.len(), 0);
+        }
+        for (count, more) in self.attempts.iter_mut().zip(&later.attempts) {
+            *count += more;
+        }
     }
 }
 
 impl<P: Send + Sync> SearchHook<P> for FillRecorder<P> {
     #[inline(always)]
-    fn attempt(&mut self, prefix: usize, probe: AddProbe, within_budget: bool) {
-        let histogram = &mut self.histogram;
-        let index = histogram.index(prefix, probe.outputs, probe.convex, within_budget);
-        histogram.counts[index] += 1;
+    fn attempt(
+        &mut self,
+        prefix: usize,
+        probe: AddProbe,
+        within_budget: bool,
+        floors: (usize, usize),
+    ) {
+        let index = self
+            .geometry
+            .attempt_index(prefix, probe, within_budget, floors);
+        bump(&mut self.attempts, index);
     }
 
     #[inline(always)]
@@ -465,19 +618,42 @@ impl<P: Send + Sync> SearchHook<P> for FillRecorder<P> {
     }
 }
 
-/// The one fill body: hands `walk` a fresh recorder — its histogram sized by the
-/// fill's `Nout`, capped at the block's node count since `OUT(S)` never exceeds it —
-/// and packages what it recorded, unless the walk did not complete within `budget`.
+/// The most distinct block inputs one node of `dfg` reads: the most one attempt can
+/// add to the input floor.
+fn max_fresh_inputs(dfg: &Dfg) -> usize {
+    dfg.iter_nodes()
+        .map(|(_, node)| {
+            let inputs = |i: usize| match node.operands[i] {
+                Operand::Input(p) => Some(p),
+                _ => None,
+            };
+            (0..node.operands.len())
+                .filter(|&i| inputs(i).is_some_and(|p| (0..i).all(|j| inputs(j) != Some(p))))
+                .count()
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// The one fill body: hands `walk` a fresh recorder — its tables laid out for the
+/// fill's ports and the walk (`tuples` for a multiple-cut fill) — and packages what
+/// it recorded, unless the walk did not complete within `budget`.
 fn fill_with<P: Send + Sync>(
     dfg: &Dfg,
     fill: Constraints,
     budget: Option<u64>,
+    tuples: bool,
     walk: impl FnOnce(FillRecorder<P>) -> (FillRecorder<P>, SearchStats),
 ) -> FillOutcome<FilledPool<P>> {
-    let recorder = FillRecorder {
-        store: ParetoStore::default(),
-        histogram: AttemptHistogram::new(fill.max_outputs.min(dfg.node_count())),
+    let fill_outputs = fill.max_outputs.min(dfg.node_count());
+    // Tuple walks keep no input floor and probe any slot below the prefix.
+    let (max_fresh, drops) = if tuples {
+        (0, fill_outputs + 2)
+    } else {
+        (max_fresh_inputs(dfg), 2)
     };
+    let budgeted = fill.max_nodes.is_some();
+    let recorder = FillRecorder::new(Geometry::new(fill_outputs, max_fresh, drops, budgeted));
     let (recorder, stats) = walk(recorder);
     // A fill that completes strictly within its budget is valid for every covered
     // (hence no-larger) query walk, which is then guaranteed untruncated too.
@@ -488,8 +664,8 @@ fn fill_with<P: Send + Sync>(
     }
     FillOutcome::Complete(FilledPool {
         fill,
+        histogram: recorder.histogram(),
         store: recorder.store,
-        histogram: recorder.histogram,
         fill_cuts_considered: stats.cuts_considered,
     })
 }
@@ -526,7 +702,7 @@ pub(crate) fn fill_single_cut_split(
     budget: Option<u64>,
     split_levels: usize,
 ) -> FillOutcome<FilledPool<IdentifiedCut>> {
-    fill_with(dfg, fill, budget, |recorder| {
+    fill_with(dfg, fill, budget, false, |recorder| {
         let mut search =
             SingleCutSearch::new(dfg, fill, model).with_subtree_parallelism(split_levels);
         if let Some(excluded) = excluded {
@@ -557,7 +733,7 @@ pub fn fill_multicut(
     budget: Option<u64>,
     split_levels: usize,
 ) -> FillOutcome<FilledPool<Vec<IdentifiedCut>>> {
-    fill_with(dfg, fill, budget, |recorder| {
+    fill_with(dfg, fill, budget, true, |recorder| {
         let mut search =
             MultiCutSearch::new(dfg, fill, model, num_cuts).with_subtree_parallelism(split_levels);
         if let Some(excluded) = excluded {
@@ -597,7 +773,7 @@ mod tests {
             FillOutcome::Complete(pool) => {
                 assert_eq!(
                     pool.histogram
-                        .reconstruct(pool.fill.max_outputs)
+                        .reconstruct(pool.fill.max_inputs, pool.fill.max_outputs)
                         .cuts_considered,
                     pool.fill_cuts_considered
                 );
@@ -918,11 +1094,7 @@ mod tests {
             );
             assert_eq!(entry.payload, want.payload, "{label}: payload");
         }
-        assert_eq!(
-            split.histogram.parts(),
-            sequential.histogram.parts(),
-            "{label}: histogram"
-        );
+        assert_eq!(split.histogram, sequential.histogram, "{label}: histogram");
         assert_eq!(
             split.fill_cuts_considered, sequential.fill_cuts_considered,
             "{label}: fill_cuts_considered"

@@ -6,9 +6,13 @@
 //! and the convexity constraint; when either fails, the whole subtree can be
 //! eliminated, because nodes added later in the ordering are always (transitive)
 //! producers of the already-decided nodes and can therefore neither remove an external
-//! consumer nor re-establish convexity. The input-port constraint cannot be used for
-//! pruning (adding a producer may *reduce* the number of inputs) and is only checked when
-//! a candidate is evaluated, exactly as in the paper.
+//! consumer nor re-establish convexity. The paper does not prune on the input-port
+//! constraint, because adding a producer may *reduce* the number of inputs; it checks
+//! `IN(S)` only when a candidate is evaluated. This search also prunes on the part of
+//! `IN(S)` that cannot shrink — the block inputs members read plus the member-read nodes
+//! decided outside, the kernel's [input floor](crate::kernel#the-input-floor) — on both
+//! branches, whenever `Nin` can bind. The selection is the paper's; the effort counters
+//! are smaller (at an unbounded `Nin`, as in Fig. 8, they are the paper's).
 //!
 //! All bookkeeping — `IN(S)`, `OUT(S)`, convexity reachability, software cost, hardware
 //! critical path and area — is maintained incrementally in `O(fan-in + fan-out)` per
@@ -30,7 +34,7 @@ use crate::cut::{CutEvaluation, CutSet};
 use std::marker::PhantomData;
 
 use crate::kernel::{
-    BlockContext, BoundCheck, IncrementalCutState, Incumbent, SearchHook, SearchKernel,
+    Attempt, BlockContext, BoundCheck, IncrementalCutState, Incumbent, SearchHook, SearchKernel,
     SearchPolicy,
 };
 
@@ -38,12 +42,14 @@ use crate::kernel::{
 ///
 /// `cuts_considered` is the quantity plotted against graph size in Fig. 8 of the paper:
 /// the number of distinct non-empty cuts for which the feasibility checks were evaluated
-/// (the pruned subtrees below failing cuts are never counted).
+/// (the pruned subtrees below failing cuts are never counted). Every considered cut
+/// lands in exactly one category:
+/// `considered = feasible + output + convexity + node_budget + inputs + bound`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SearchStats {
     /// Distinct non-empty cuts whose feasibility checks were evaluated.
     pub cuts_considered: u64,
-    /// Cuts that passed both the output-port and the convexity check.
+    /// Cuts that passed every pruning check.
     pub feasible_cuts: u64,
     /// Cuts rejected (with their subtree) by the output-port check.
     pub pruned_output: u64,
@@ -51,10 +57,13 @@ pub struct SearchStats {
     pub pruned_convexity: u64,
     /// Cuts rejected (with their subtree) by the optional node-count budget.
     pub pruned_node_budget: u64,
-    /// Cuts rejected (with their subtree) by the opt-in incumbent bound or its
-    /// monotone block-input floor, still inside the `cuts_considered` identity
-    /// (`considered = feasible + output + convexity + node_budget + bound`). Zero in
-    /// the default search, which prunes by the paper's rules only.
+    /// Cuts rejected (with their subtree) because their input floor passes `Nin`
+    /// (single-cut searches only; see the kernel's
+    /// [input floor](crate::kernel#the-input-floor)). Zero at an unbounded `Nin`.
+    pub pruned_inputs: u64,
+    /// Cuts rejected (with their subtree) by the opt-in incumbent bound (for the
+    /// multiple-cut search, also by a slot's block-input floor). Zero in the default
+    /// search.
     pub pruned_bound: u64,
     /// Software branches whose whole subtree the opt-in incumbent bound skipped
     /// *before* any cut was attempted; not part of the `cuts_considered` identity,
@@ -140,22 +149,31 @@ impl SearchOutcome {
 /// The single-cut policy over the shared kernel: a binary decision per node.
 ///
 /// Choice `0` tries to add the node to the cut (the 1-branch of Fig. 6, with the
-/// output-port / convexity / node-budget pruning); choice `1` leaves it in software.
+/// output-port / convexity / node-budget / input-floor pruning); choice `1` leaves it in
+/// software, unless that pushes the input floor past `input_limit`.
 ///
 /// `incumbent_bound` (off by default) adds the incumbent bound of the kernel: both
 /// branches also prune a subtree whose optimistic merit cannot beat the incumbent's
-/// score, plus the monotone block-input floor. It reads visit-order-dependent state and
-/// therefore forces the sequential walk.
+/// score. It reads visit-order-dependent state and therefore forces the sequential
+/// walk.
 ///
-/// The sink `H` sees every attempt and candidate: an [`Incumbent`] for a direct search,
-/// the recorder of `crate::pool` for a pool fill — one walk serves both.
-struct SingleCutPolicy<'a, H> {
+/// The sink `H` sees every attempt and every candidate: an [`Incumbent`] for a direct
+/// search, the recorder of `crate::pool` for a pool fill — one walk serves both.
+///
+/// `FLOOR` compiles the input-floor steps in: set when the walk prunes on the floor
+/// (`input_limit` is `Some`) or its sink records it (a pool fill, whatever its `Nin`).
+/// A direct search at an unbounded `Nin` runs without them, as the paper's walk.
+struct SingleCutPolicy<'a, H, const FLOOR: bool> {
     ctx: &'a BlockContext<'a>,
+    /// [`BlockContext::input_limit`], read once per walk.
+    input_limit: Option<usize>,
     incumbent_bound: bool,
     sink: PhantomData<fn() -> H>,
 }
 
-impl<H: SearchHook<IdentifiedCut>> SearchPolicy for SingleCutPolicy<'_, H> {
+impl<H: SearchHook<IdentifiedCut>, const FLOOR: bool> SearchPolicy
+    for SingleCutPolicy<'_, H, FLOOR>
+{
     type Sink = H;
     type State = IncrementalCutState;
 
@@ -188,16 +206,27 @@ impl<H: SearchHook<IdentifiedCut>> SearchPolicy for SingleCutPolicy<'_, H> {
         let ctx = self.ctx;
         let node = ctx.node_at(level);
         if choice == 1 {
-            // 0-branch: leave `node` out of the cut — unless, in incumbent mode, even the
-            // optimistic merit of the remaining frontier cannot beat the incumbent, in
-            // which case the whole subtree is skipped before any cut is attempted.
+            // 0-branch: leave `node` out of the cut — unless, in incumbent mode, even
+            // the optimistic merit of the remaining frontier cannot beat the incumbent,
+            // or that pushes the input floor past `Nin`: then the whole subtree is
+            // skipped before any cut is attempted.
             if self.incumbent_bound
                 && state.optimistic_without(ctx, level) <= sink.bound_threshold()
             {
                 stats.bound_subtree_prunes += 1;
                 return false;
             }
-            state.mark_outside(ctx, node);
+            state.mark_outside(ctx, node, FLOOR);
+            // A node a member reads joins the floor; past `Nin`, nothing below is
+            // feasible.
+            if FLOOR
+                && self
+                    .input_limit
+                    .is_some_and(|limit| state.input_floor() > limit)
+            {
+                state.undo_last(ctx);
+                return false;
+            }
             return true;
         }
         // 1-branch: try adding `node` to the cut (shared probe/prune/count logic).
@@ -208,14 +237,30 @@ impl<H: SearchHook<IdentifiedCut>> SearchPolicy for SingleCutPolicy<'_, H> {
             BoundCheck {
                 optimistic: state.optimistic_with(ctx, level),
                 threshold: sink.bound_threshold(),
-                input_floor: Some(ctx.constraints.max_inputs),
+                input_floor: None,
             }
         } else {
             BoundCheck::disabled()
         };
-        let prefix = state.outputs();
-        if !sink.try_add(ctx, state, node, prefix, bound, stats) {
-            return false;
+        let probe = state.probe_add(ctx, node);
+        let (prefix, within_budget) = (state.outputs(), state.within_node_budget(ctx));
+        if FLOOR {
+            let floor = state.input_floor();
+            let attempt = state.try_add_probed(ctx, node, probe, self.input_limit, bound, stats);
+            let attempt_floor = match attempt {
+                Attempt::Added => state.input_floor(),
+                Attempt::OverFloor(over) => over,
+                Attempt::Pruned => floor,
+            };
+            sink.attempt(prefix, probe, within_budget, (floor, attempt_floor));
+            if attempt != Attempt::Added {
+                return false;
+            }
+        } else {
+            sink.attempt(prefix, probe, within_budget, (0, 0));
+            if state.try_add_probed(ctx, node, probe, None, bound, stats) != Attempt::Added {
+                return false;
+            }
         }
         if state.is_candidate(ctx) {
             sink.offer(state.inputs(), state.outputs(), state.merit(), || {
@@ -227,7 +272,7 @@ impl<H: SearchHook<IdentifiedCut>> SearchPolicy for SingleCutPolicy<'_, H> {
 
     #[inline(always)]
     fn undo(&self, state: &mut IncrementalCutState, _level: usize, _choice: usize) {
-        state.undo_last(self.ctx);
+        state.undo(self.ctx, FLOOR);
     }
 
     fn requires_sequential(&self) -> bool {
@@ -256,8 +301,7 @@ impl<'a> SingleCutSearch<'a> {
     }
 
     /// Enables the incumbent bound: subtrees whose optimistic merit cannot beat the
-    /// incumbent's score are pruned, and so are attempts over the monotone block-input
-    /// floor.
+    /// incumbent's score are pruned too.
     ///
     /// The selection (and even `best_updates`) provably stays identical — a pruned
     /// subtree only holds cuts that cannot strictly beat the incumbent — but the effort
@@ -305,19 +349,26 @@ impl<'a> SingleCutSearch<'a> {
     /// Runs the search and returns the best cut found together with statistics.
     #[must_use]
     pub fn run(self) -> SearchOutcome {
-        let (best, stats) = self.kernel.run(&self.policy::<Incumbent<IdentifiedCut>>());
+        type Direct = Incumbent<IdentifiedCut>;
+        let (best, stats) = if self.ctx.input_limit().is_some() {
+            self.kernel.run(&self.policy::<Direct, true>())
+        } else {
+            self.kernel.run(&self.policy::<Direct, false>())
+        };
         SearchOutcome::from_best(best, stats)
     }
 
     /// Runs the search recording into `sink` (split like a direct search) and hands
-    /// the sink back.
+    /// the sink back. The walk keeps the input floor whatever `Nin`: the pool's
+    /// recorder files every attempt under it.
     pub(crate) fn run_into<H: SearchHook<IdentifiedCut>>(self, sink: H) -> (H, SearchStats) {
-        self.kernel.run_into(&self.policy(), sink)
+        self.kernel.run_into(&self.policy::<H, true>(), sink)
     }
 
-    fn policy<H>(&self) -> SingleCutPolicy<'_, H> {
+    fn policy<H, const FLOOR: bool>(&self) -> SingleCutPolicy<'_, H, FLOOR> {
         SingleCutPolicy {
             ctx: &self.ctx,
+            input_limit: self.ctx.input_limit(),
             incumbent_bound: self.incumbent_bound,
             sink: PhantomData,
         }
@@ -401,6 +452,7 @@ mod tests {
                 + stats.pruned_output
                 + stats.pruned_convexity
                 + stats.pruned_node_budget
+                + stats.pruned_inputs
                 + stats.pruned_bound
         );
         assert!(stats.pruned_output > 0);

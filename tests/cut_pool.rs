@@ -1,13 +1,14 @@
 //! Seeded edge-case tests for the CutPool / SweepPlanner subsystem: degenerate blocks,
-//! uncovered query pairs, exploration-budget interaction, and determinism across every
-//! parallelism knob.
+//! uncovered query pairs, exploration-budget interaction, determinism across every
+//! parallelism knob, and exact answers for every port pair a fill covers.
 
 use std::sync::Arc;
 
 use ise_core::engine::SingleCut;
+use ise_core::pool::{fill_single_cut, FillOutcome};
 use ise_core::{
-    select_program, Constraints, CorpusPool, DriverOptions, StructuralForm, SweepPlanner,
-    WarmCacheConfig, WarmPoolCache,
+    select_program, Constraints, CorpusPool, CutSet, DriverOptions, SearchStats, SingleCutSearch,
+    StructuralForm, SweepPlanner, WarmCacheConfig, WarmPoolCache,
 };
 use ise_hw::DefaultCostModel;
 use ise_ir::{Dfg, DfgBuilder, Program};
@@ -203,4 +204,73 @@ fn split_fills_write_the_same_snapshot_bytes_as_sequential_fills() {
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(runs[0].0, runs[1].0, "selections");
     assert!(runs[0].1 == runs[1].1, "snapshot bytes differ");
+}
+
+/// Every covered pair answers exactly: a single-cut fill under `(Nin, Nout)` answers
+/// each `(Nin', Nout')` with `1 <= Nin' <= Nin` and `1 <= Nout' <= Nout` with the
+/// direct search's cut and every `SearchStats` field (`best_updates` aside, which pool
+/// answers report as zero), the input-floor counters included — on seeded wide and
+/// random blocks, with and without exclusions, unbudgeted and under exploration
+/// budgets the fill completes within.
+#[test]
+fn every_covered_pair_rebuilds_the_direct_search_exactly() {
+    let model = DefaultCostModel::new();
+    let mut floor_prunes = 0;
+    let largest = if cfg!(debug_assertions) { 14 } else { 20 };
+    for nodes in (8..=largest).step_by(3) {
+        for seed in 0..2u64 {
+            let dfg = if seed == 0 {
+                random::wide_dfg(nodes, 0xF1_00 ^ nodes as u64)
+            } else {
+                random::random_dfg(&random::RandomDfgConfig::with_nodes(nodes), nodes as u64)
+            };
+            let every_fourth: Vec<_> = dfg.node_ids().filter(|v| v.index() % 4 == 1).collect();
+            let masked = CutSet::from_nodes(&dfg, every_fourth);
+            for excluded in [None, Some(&masked)] {
+                for fill in [
+                    Constraints::new(8, 4),
+                    Constraints::new(4, 2),
+                    Constraints::new(5, 3),
+                ] {
+                    let unbudgeted = match fill_single_cut(&dfg, excluded, fill, &model, None) {
+                        FillOutcome::Complete(pool) => pool.fill_cuts_considered,
+                        FillOutcome::Exhausted { .. } => unreachable!("no budget"),
+                    };
+                    for budget in [None, Some(unbudgeted + 1), Some(2 * unbudgeted + 7)] {
+                        let pool = match fill_single_cut(&dfg, excluded, fill, &model, budget) {
+                            FillOutcome::Complete(pool) => pool,
+                            FillOutcome::Exhausted { .. } => panic!("budget {budget:?} exhausted"),
+                        };
+                        for nin in 1..=fill.max_inputs {
+                            for nout in 1..=fill.max_outputs {
+                                let query = Constraints::new(nin, nout);
+                                let mut direct = SingleCutSearch::new(&dfg, query, &model);
+                                if let Some(excluded) = excluded {
+                                    direct = direct.with_excluded(excluded);
+                                }
+                                if let Some(budget) = budget {
+                                    direct = direct.with_exploration_budget(budget);
+                                }
+                                let direct = direct.run();
+                                let answer = pool.answer(&query);
+                                let label = format!(
+                                    "{}, excluded {}, fill {fill}, budget {budget:?}, {query}",
+                                    dfg.name(),
+                                    excluded.is_some()
+                                );
+                                assert_eq!(answer.best, direct.best, "{label}");
+                                let expected = SearchStats {
+                                    best_updates: 0,
+                                    ..direct.stats
+                                };
+                                assert_eq!(answer.stats, expected, "{label}");
+                                floor_prunes += answer.stats.pruned_inputs;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(floor_prunes > 0, "the floor never pruned");
 }

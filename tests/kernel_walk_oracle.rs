@@ -6,22 +6,29 @@
 //! only once the slots before it are in use, then the software branch) in
 //! `canonical_consumers_first` order, with `IN`, `OUT`, convexity and the critical path
 //! of every slot recomputed from the `Dfg` and the cost model at every step, and no
-//! `kernel` type in sight. It prunes by the paper's rules only: output ports, convexity
-//! and the node budget. With one slot it is the binary tree of the single-cut search.
-//! Sequential and split `SingleCutSearch` and `MultiCutSearch` runs must equal it in
-//! every `SearchStats` field, `best_updates` included, and in the chosen cuts, under
-//! the default cost model and under unit software latencies.
+//! `kernel` type in sight. It prunes by the paper's rules — output ports, convexity and
+//! the node budget — and, with one slot, by the input floor recounted from scratch at
+//! every step: the block inputs members read plus the member-read nodes decided
+//! outside. With one slot it is the binary tree of the single-cut search. Sequential
+//! and split `SingleCutSearch` and `MultiCutSearch` runs must equal it in every
+//! `SearchStats` field, `best_updates` included, and in the chosen cuts, under the
+//! default cost model and under unit software latencies. With the floor switched off
+//! it is the paper's walk, and the floor walk must choose what it chooses.
 
 use ise::core::{Constraints, CutSet, MultiCutSearch, SearchStats, SingleCutSearch};
 use ise::hw::{cut_merit, CostModel, DefaultCostModel};
 use ise::ir::{canon, Dfg, DfgBuilder, NodeId, Operand};
-use ise::workloads::random::wide_dfg;
+use ise::workloads::random::{random_dfg, wide_dfg, RandomDfgConfig};
 
 struct Oracle<'a> {
     dfg: &'a Dfg,
     model: &'a dyn CostModel,
     limits: Constraints,
     budget: Option<u64>,
+    /// Whether a single-slot walk prunes on the input floor.
+    floor: bool,
+    /// Software branches the floor skipped (no `SearchStats` field counts them).
+    floor_skips: u64,
     order: Vec<NodeId>,
     blocked: Vec<bool>,
     /// Number of cut slots (`M`).
@@ -67,6 +74,33 @@ impl Oracle<'_> {
             }
         }
         sources.len()
+    }
+
+    /// The input floor of slot 0 once the nodes `order[..decided]` are decided: the
+    /// distinct block inputs its members read, plus the distinct decided non-members
+    /// they read.
+    fn input_floor(&self, decided: usize) -> usize {
+        let outside =
+            |m: NodeId| self.slot[m.index()].is_none() && self.order[..decided].contains(&m);
+        let mut fixed: Vec<Operand> = Vec::new();
+        for v in self.members(0) {
+            for &op in &self.dfg.node(v).operands {
+                let counts = match op {
+                    Operand::Input(_) => true,
+                    Operand::Node(m) => outside(m),
+                    Operand::Imm(_) => false,
+                };
+                if counts && !fixed.contains(&op) {
+                    fixed.push(op);
+                }
+            }
+        }
+        fixed.len()
+    }
+
+    /// Whether the input floor prunes the current path: single-slot walks only.
+    fn over_floor(&self, decided: usize) -> bool {
+        self.floor && self.slots == 1 && self.input_floor(decided) > self.limits.max_inputs
     }
 
     /// Whether a path leaves `v` through a non-member of slot `k` and comes back into
@@ -151,6 +185,7 @@ impl Oracle<'_> {
                     .is_none_or(|m| self.members(k).len() < m);
                 self.slot[v.index()] = Some(k);
                 let outputs = self.outputs(k);
+                let over_floor = self.over_floor(level + 1);
                 let s = &mut self.stats;
                 s.cuts_considered += 1;
                 let pruned = if outputs > self.limits.max_outputs {
@@ -159,6 +194,8 @@ impl Oracle<'_> {
                     Some(&mut s.pruned_convexity)
                 } else if !room {
                     Some(&mut s.pruned_node_budget)
+                } else if over_floor {
+                    Some(&mut s.pruned_inputs)
                 } else {
                     None
                 };
@@ -172,12 +209,18 @@ impl Oracle<'_> {
                 self.slot[v.index()] = None;
             }
         }
+        // The software branch: `v` is decided outside every slot.
+        if self.over_floor(level + 1) {
+            self.floor_skips += 1;
+            return;
+        }
         self.visit(level + 1);
     }
 }
 
 /// Runs the oracle with `slots` cut slots: the best cuts (positive merit only, sorted
-/// by decreasing merit, ties in slot order) and the search statistics.
+/// by decreasing merit, ties in slot order), the search statistics and the software
+/// branches the input floor skipped.
 fn oracle(
     dfg: &Dfg,
     limits: Constraints,
@@ -185,7 +228,20 @@ fn oracle(
     slots: usize,
     budget: Option<u64>,
     model: &dyn CostModel,
-) -> (Vec<CutSet>, SearchStats) {
+) -> (Vec<CutSet>, SearchStats, u64) {
+    walk_oracle(dfg, limits, excluded, slots, budget, true, model)
+}
+
+/// [`oracle`], with the input floor on or off.
+fn walk_oracle(
+    dfg: &Dfg,
+    limits: Constraints,
+    excluded: &CutSet,
+    slots: usize,
+    budget: Option<u64>,
+    floor: bool,
+    model: &dyn CostModel,
+) -> (Vec<CutSet>, SearchStats, u64) {
     let order = canon::canonical_consumers_first(dfg);
     let blocked: Vec<bool> = dfg
         .node_ids()
@@ -196,6 +252,8 @@ fn oracle(
         model,
         limits,
         budget,
+        floor,
+        floor_skips: 0,
         order,
         blocked,
         slots,
@@ -206,7 +264,8 @@ fn oracle(
     walk.visit(0);
     let mut cuts = walk.best.1;
     cuts.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite merits"));
-    (cuts.into_iter().map(|(_, cut)| cut).collect(), walk.stats)
+    let cuts = cuts.into_iter().map(|(_, cut)| cut).collect();
+    (cuts, walk.stats, walk.floor_skips)
 }
 
 /// A tiny deterministic generator for exclusion masks and opcodes.
@@ -255,15 +314,16 @@ fn add_div_chain() -> Dfg {
 
 /// Checks the single-cut search (sequential, split and budgeted) against the oracle on
 /// one block and constraint set; returns the oracle's statistics, with
-/// `budget_exhausted` taken from the budgeted walk for the coverage tally.
+/// `budget_exhausted` taken from the budgeted walk for the coverage tally, and the
+/// software branches the floor skipped.
 fn check_single_cut(
     dfg: &Dfg,
     limits: Constraints,
     excluded: &CutSet,
     model: &dyn CostModel,
     case: &str,
-) -> SearchStats {
-    let (best, stats) = oracle(dfg, limits, excluded, 1, None, model);
+) -> (SearchStats, u64) {
+    let (best, stats, skips) = oracle(dfg, limits, excluded, 1, None, model);
     for split in [0, 1, 3, 6] {
         let search = SingleCutSearch::new(dfg, limits, model)
             .with_excluded(excluded)
@@ -275,7 +335,7 @@ fn check_single_cut(
     }
     // An exploration budget stops both walks at the same attempt.
     let budget = stats.cuts_considered / 2;
-    let (best, budgeted) = oracle(dfg, limits, excluded, 1, Some(budget), model);
+    let (best, budgeted, _) = oracle(dfg, limits, excluded, 1, Some(budget), model);
     let search = SingleCutSearch::new(dfg, limits, model)
         .with_excluded(excluded)
         .with_exploration_budget(budget);
@@ -283,10 +343,11 @@ fn check_single_cut(
     assert_eq!(outcome.stats, budgeted, "{case}, budget {budget}: stats");
     let cut: Vec<CutSet> = outcome.best.into_iter().map(|c| c.cut).collect();
     assert_eq!(cut, best, "{case}, budget {budget}");
-    SearchStats {
+    let stats = SearchStats {
         budget_exhausted: budgeted.budget_exhausted,
         ..stats
-    }
+    };
+    (stats, skips)
 }
 
 /// Checks the `slots`-cut search (sequential and split) against the oracle; returns
@@ -299,7 +360,7 @@ fn check_multicut(
     model: &dyn CostModel,
     case: &str,
 ) -> SearchStats {
-    let (best, stats) = oracle(dfg, limits, excluded, slots, None, model);
+    let (best, stats, _) = oracle(dfg, limits, excluded, slots, None, model);
     for split in [0, 2] {
         let outcome = MultiCutSearch::new(dfg, limits, model, slots)
             .with_excluded(excluded)
@@ -318,6 +379,7 @@ fn tally(seen: &mut SearchStats, stats: &SearchStats) {
     seen.pruned_output += stats.pruned_output;
     seen.pruned_convexity += stats.pruned_convexity;
     seen.pruned_node_budget += stats.pruned_node_budget;
+    seen.pruned_inputs += stats.pruned_inputs;
     seen.best_updates += stats.best_updates;
     seen.budget_exhausted |= stats.budget_exhausted;
 }
@@ -328,6 +390,7 @@ fn single_cut_search_equals_the_independent_walk_oracle() {
     // Debug builds run the smaller half of the node range; release runs all of it.
     let largest = if cfg!(debug_assertions) { 16 } else { 22 };
     let mut seen = SearchStats::default();
+    let mut floor_skips = 0;
     for nodes in (8..=largest).step_by(2) {
         let mut seed = 0x0_4AC1E ^ nodes as u64;
         let dfg = wide_dfg(nodes, seed);
@@ -340,8 +403,9 @@ fn single_cut_search_equals_the_independent_walk_oracle() {
                     limits = limits.with_max_nodes(m);
                 }
                 let case = format!("{nodes} nodes, {limits}, max_nodes {max_nodes:?}");
-                let stats = check_single_cut(&dfg, limits, &excluded, &model, &case);
+                let (stats, skips) = check_single_cut(&dfg, limits, &excluded, &model, &case);
                 tally(&mut seen, &stats);
+                floor_skips += skips;
             }
         }
     }
@@ -350,6 +414,7 @@ fn single_cut_search_equals_the_independent_walk_oracle() {
         seen.pruned_output > 0 && seen.pruned_convexity > 0 && seen.pruned_node_budget > 0,
         "{seen:?}"
     );
+    assert!(seen.pruned_inputs > 0 && floor_skips > 0, "{seen:?}");
     assert!(seen.best_updates > 0 && seen.budget_exhausted, "{seen:?}");
 }
 
@@ -370,7 +435,7 @@ fn searches_count_the_papers_tree_under_unit_software_latencies() {
         let none = CutSet::for_dfg(&chain);
         let limits = Constraints::new(4, 2);
         let case = format!("add/div chain, {limits}, {name} model");
-        let single = check_single_cut(&chain, limits, &none, model, &case);
+        let (single, _) = check_single_cut(&chain, limits, &none, model, &case);
         let pair = check_multicut(&chain, limits, &none, 2, model, &case);
         // Every one of the chain's 15 convex cuts fits the ports; the search counts
         // each, plus the attempts the convexity rule turns away.
@@ -394,7 +459,7 @@ fn searches_count_the_papers_tree_under_unit_software_latencies() {
                         limits = limits.with_max_nodes(m);
                     }
                     let case = format!("{nodes} nodes, {limits}, {name} model");
-                    let stats = check_single_cut(&dfg, limits, &excluded, model, &case);
+                    let (stats, _) = check_single_cut(&dfg, limits, &excluded, model, &case);
                     tally(&mut seen, &stats);
                     if nodes <= 10 {
                         let stats = check_multicut(&dfg, limits, &excluded, 2, model, &case);
@@ -412,4 +477,55 @@ fn searches_count_the_papers_tree_under_unit_software_latencies() {
             "{name}: {seen:?}"
         );
     }
+}
+
+/// Soundness of the input floor: on seeded `random_dfg` and `wide_dfg` blocks of 8–24
+/// nodes under every pair from (1, 1) to (5, 3), the single-cut search (which prunes on
+/// the floor) chooses the cut the paper's walk without the floor chooses, after the
+/// same number of incumbent improvements, and never considers more cuts.
+#[test]
+fn the_input_floor_keeps_the_papers_selection() {
+    let model = DefaultCostModel::new();
+    let pairs: Vec<(usize, usize)> = (1..=5)
+        .flat_map(|nin| (1..=3).map(move |nout| (nin, nout)))
+        .collect();
+    // Debug builds sample the small blocks; release runs every size.
+    let (cases, sizes): (u64, u64) = if cfg!(debug_assertions) {
+        (14, 7)
+    } else {
+        (102, 17)
+    };
+    let mut pruned = 0;
+    for case in 0..cases {
+        let nodes = 8 + (case % sizes) as usize;
+        let dfg = if case % 2 == 0 {
+            wide_dfg(nodes, 0x5EED ^ case)
+        } else {
+            random_dfg(&RandomDfgConfig::with_nodes(nodes), 0xF1 ^ case)
+        };
+        let none = CutSet::for_dfg(&dfg);
+        for (index, &(nin, nout)) in pairs.iter().enumerate() {
+            // Each case takes five of the fifteen pairs, rotating with the case.
+            if !(index as u64 + case).is_multiple_of(3) {
+                continue;
+            }
+            let limits = Constraints::new(nin, nout);
+            let label = format!("{}, {limits}", dfg.name());
+            let (best, paper, _) = walk_oracle(&dfg, limits, &none, 1, None, false, &model);
+            let outcome = SingleCutSearch::new(&dfg, limits, &model).run();
+            let cut: Vec<CutSet> = outcome.best.into_iter().map(|c| c.cut).collect();
+            assert_eq!(cut, best, "{label}: chosen cut");
+            assert_eq!(
+                outcome.stats.best_updates, paper.best_updates,
+                "{label}: best_updates"
+            );
+            assert!(
+                outcome.stats.cuts_considered <= paper.cuts_considered,
+                "{label}"
+            );
+            assert_eq!(paper.pruned_inputs, 0);
+            pruned += outcome.stats.pruned_inputs;
+        }
+    }
+    assert!(pruned > 0, "the floor never pruned");
 }
