@@ -347,11 +347,13 @@ enum UndoEntry {
         hardware_cycles: u32,
         area: f64,
     },
-    /// `mark_outside` was applied to `node`, whose mark was `previous`.
-    MarkedOutside { node: NodeId, previous: Mark },
-    /// `mark_outside` with `floor` set was applied to `node`, which a member reads: as
-    /// `MarkedOutside`, and `node` joined the input floor.
-    MarkedOutsideRead { node: NodeId, previous: Mark },
+    /// `mark_outside` was applied to `node`, whose mark was `previous`; `read` when
+    /// `node` joined the input floor.
+    MarkedOutside {
+        node: NodeId,
+        previous: Mark,
+        read: bool,
+    },
 }
 
 /// Where one node stands relative to the cut under construction.
@@ -785,14 +787,15 @@ impl IncrementalCutState {
             .any(|c| self.marks[c.index()] != Mark::Clear);
         let previous = self.marks[index];
         // Every member reading `node` was decided before it, so this stays exact.
-        if floor && self.node_uses[index] > 0 {
+        let read = floor && self.node_uses[index] > 0;
+        if read {
             self.outside_reads += 1;
-            self.journal
-                .push(UndoEntry::MarkedOutsideRead { node, previous });
-        } else {
-            self.journal
-                .push(UndoEntry::MarkedOutside { node, previous });
         }
+        self.journal.push(UndoEntry::MarkedOutside {
+            node,
+            previous,
+            read,
+        });
         self.marks[index] = if reaches { Mark::Reaches } else { Mark::Clear };
     }
 
@@ -809,8 +812,7 @@ impl IncrementalCutState {
     }
 
     /// [`undo_last`](Self::undo_last) for a walk that marks nodes outside with `floor`
-    /// set exactly when this one is: without it, the two kinds of mark undo alike, and
-    /// the compiled undo is the paper's.
+    /// set exactly when this one is: without it, the compiled undo is the paper's.
     #[inline(always)]
     pub(crate) fn undo(&mut self, ctx: &BlockContext<'_>, floor: bool) {
         match self.journal.pop().expect("undo without a prior mutation") {
@@ -844,12 +846,15 @@ impl IncrementalCutState {
                 self.hardware_cycles = hardware_cycles;
                 self.area = area;
             }
-            UndoEntry::MarkedOutside { node, previous } => {
+            UndoEntry::MarkedOutside {
+                node,
+                previous,
+                read,
+            } => {
                 self.marks[node.index()] = previous;
-            }
-            UndoEntry::MarkedOutsideRead { node, previous } => {
-                self.marks[node.index()] = previous;
-                self.outside_reads -= usize::from(floor);
+                if floor && read {
+                    self.outside_reads -= 1;
+                }
             }
         }
     }

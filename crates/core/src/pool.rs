@@ -452,7 +452,7 @@ impl AttemptHistogram {
             return None;
         }
         (fill_outputs.checked_add(1)?)
-            .checked_mul(drops * 4)?
+            .checked_mul(drops.checked_mul(4)?)?
             .checked_mul(max_fresh.checked_add(1)?)?;
         let ordered = cells.iter().all(|&(_, count)| count > 0)
             && cells.windows(2).all(|pair| pair[0].0 < pair[1].0);
@@ -1013,6 +1013,31 @@ mod tests {
         assert_eq!(store.answer(0, 1), None);
         store.offer(1, 1, -1.0, || "non-positive"); // never an answer
         assert_eq!(store.len(), 2);
+    }
+
+    /// A snapshot's histogram is rebuilt only from a layout whose strides fit and
+    /// from cells in strictly ascending order with non-zero counts.
+    #[test]
+    fn histogram_parts_reject_bad_layouts_and_cells() {
+        let cells = || vec![(1, 2), (3, 1)];
+        assert!(AttemptHistogram::from_parts([1, 2, 2, 0], cells()).is_some());
+        for layout in [
+            [1, 2, 2, 2],
+            [1, 2, 0, 0],
+            [1, 2, 4, 0],
+            [usize::MAX, 0, 2, 0],
+        ] {
+            assert!(
+                AttemptHistogram::from_parts(layout, cells()).is_none(),
+                "{layout:?}"
+            );
+        }
+        for bad in [vec![(3, 1), (1, 2)], vec![(1, 2), (1, 2)], vec![(1, 0)]] {
+            assert!(
+                AttemptHistogram::from_parts([1, 2, 2, 0], bad.clone()).is_none(),
+                "{bad:?}"
+            );
+        }
     }
 
     /// Covered pairs require equal budgets and no-looser ports.
