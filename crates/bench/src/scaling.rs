@@ -22,7 +22,7 @@
 //!
 //! Every row runs at an unbounded `Nin`, as Fig. 8 does, where the input floor cannot
 //! prune and the counts are the paper's — except the last: the `widedag` block again
-//! under a finite `Nin` (`ScalingConfig::finite_inputs`), the served setting, where the
+//! under a finite `Nin` ([`FINITE_INPUTS`]), the served setting, where the
 //! floor's share of the pruning shows in its breakdown.
 
 use std::time::Instant;
@@ -36,6 +36,10 @@ use ise_workloads::random;
 
 /// The `Nin` of the unbounded rows: no cut of any block reaches it.
 const UNBOUNDED: usize = usize::MAX >> 1;
+
+/// The `Nin` of the last row, which measures the `widedag` block again under finite
+/// input ports (the served requests' `Nin`).
+pub const FINITE_INPUTS: usize = 4;
 
 /// Configuration of the scaling experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,9 +59,6 @@ pub struct ScalingConfig {
     /// Node count of the dedicated `widedag` row (the single-block version of the
     /// program-level `widedag` workload shape).
     pub widedag_nodes: usize,
-    /// `Nin` of the last row, which measures the `widedag` block again under finite
-    /// input ports.
-    pub finite_inputs: usize,
 }
 
 impl Default for ScalingConfig {
@@ -69,7 +70,6 @@ impl Default for ScalingConfig {
             split_levels: 5,
             repeats: 3,
             widedag_nodes: 48,
-            finite_inputs: 4,
         }
     }
 }
@@ -330,7 +330,7 @@ pub fn run(config: &ScalingConfig) -> ScalingReport {
         &model,
         config,
     ));
-    let finite = Constraints::new(config.finite_inputs, config.max_outputs);
+    let finite = Constraints::new(FINITE_INPUTS, config.max_outputs);
     rows.push(measure_block(&widedag, "widedag", finite, &model, config));
 
     let cross_client_identical = cross_client_check(config, &model);
@@ -422,7 +422,7 @@ mod tests {
         assert!(report.all_identical, "{report:?}");
         assert!(report.cross_client_identical);
         let inputs: Vec<_> = report.rows.iter().map(|r| r.max_inputs).collect();
-        assert_eq!(inputs, [None, None, None, Some(4)]);
+        assert_eq!(inputs, [None, None, None, Some(FINITE_INPUTS)]);
         assert!(report.rows[2..].iter().all(|r| r.block == "widedag"));
         for row in &report.rows {
             assert!(row.identical, "{row:?}");
