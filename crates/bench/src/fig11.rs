@@ -10,7 +10,7 @@
 
 use ise_baselines::full_registry;
 use ise_core::engine::{select_program, DriverOptions, Identifier, IdentifierConfig};
-use ise_core::{select_optimal, Constraints, SelectionOptions, SelectionResult};
+use ise_core::{select_optimal, Constraints, SelectionResult};
 use ise_core::{SweepPlanner, SweepStats};
 use ise_hw::{DefaultCostModel, SoftwareLatencyModel};
 use ise_ir::Program;
@@ -185,11 +185,13 @@ pub fn select(
                 // figure keeps the same series.
                 run_registry("single-cut")
             } else {
-                let mut options = SelectionOptions::new(config.max_instructions);
-                if let Some(budget) = config.exploration_budget {
-                    options = options.with_exploration_budget(budget);
-                }
-                select_optimal(program, constraints, &model, options)
+                select_optimal(
+                    program,
+                    constraints,
+                    &model,
+                    config.max_instructions,
+                    config.exploration_budget,
+                )
             }
         }
     }

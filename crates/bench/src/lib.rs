@@ -127,19 +127,38 @@ pub fn nproc() -> u64 {
     std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
 }
 
-/// The git revision of the working tree the gate ran from (`-dirty` when it has
-/// uncommitted changes), or `"unknown"` outside a git checkout.
+/// The git revision of the working tree the gate ran from, or `"unknown"` outside a
+/// git checkout; `-dirty` marks a tree whose tracked files outside `results/` differ
+/// from it.
 #[must_use]
 pub fn git_revision() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--abbrev=40"])
-        .output()
-        .ok()
-        .filter(|output| output.status.success())
-        .and_then(|output| String::from_utf8(output.stdout).ok())
-        .map(|text| text.trim().to_string())
-        .filter(|text| !text.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|output| output.status.success())
+            .and_then(|output| String::from_utf8(output.stdout).ok())
+    };
+    match git(&["rev-parse", "HEAD"]) {
+        Some(head) if !head.trim().is_empty() => revision_stamp(
+            head.trim(),
+            &git(&["diff", "--name-only", "HEAD"]).unwrap_or_default(),
+        ),
+        _ => "unknown".to_string(),
+    }
+}
+
+/// `head`, with `-dirty` appended when one of the `changed` tracked paths (one per
+/// line, as `git diff --name-only` prints them) lies outside `results/`. The gates
+/// write their reports there, so a gate run after another is not stamped dirty by the
+/// first one's output.
+fn revision_stamp(head: &str, changed: &str) -> String {
+    if changed.lines().any(|path| !path.starts_with("results/")) {
+        format!("{head}-dirty")
+    } else {
+        head.to_string()
+    }
 }
 
 /// Median of a non-empty list (mean of the middle two for an even length): the
@@ -166,6 +185,18 @@ mod tests {
 
     fn args(list: &[&str], flags: &[&str]) -> Result<BenchArgs, String> {
         BenchArgs::from_args(list.iter().map(|arg| (*arg).to_string()), flags)
+    }
+
+    #[test]
+    fn only_changes_outside_results_mark_the_revision_dirty() {
+        assert_eq!(revision_stamp("abc", ""), "abc");
+        let reports = "results/BENCH_serve.json\nresults/BENCH_sweep.json\n";
+        assert_eq!(revision_stamp("abc", reports), "abc");
+        assert_eq!(revision_stamp("abc", "README.md\n"), "abc-dirty");
+        let mixed = "crates/core/src/lib.rs\nresults/BENCH_serve.json\n";
+        assert_eq!(revision_stamp("abc", mixed), "abc-dirty");
+        // A file that only starts like the directory is outside it.
+        assert_eq!(revision_stamp("abc", "results.md\n"), "abc-dirty");
     }
 
     #[test]

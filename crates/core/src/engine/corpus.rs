@@ -57,7 +57,7 @@ use crate::search::IdentifiedCut;
 use crate::selection::SelectionResult;
 use crate::structural::StructuralForm;
 
-use super::driver::{select_iteratively_core, BlockAnswer, DriverOptions};
+use super::driver::{iterative_selection_core, BlockAnswer, DriverOptions};
 use super::sweep::SweepStats;
 use super::templates::{TemplateBudget, TemplateReport};
 use super::warm::{
@@ -306,7 +306,7 @@ impl<'m> CorpusPool<'m> {
         pair: &Constraints,
         options: DriverOptions,
     ) -> SelectionResult {
-        select_iteratively_core(program, options.max_instructions, |work| {
+        iterative_selection_core(program, options.max_instructions, |work| {
             let answer = |&(block, excluded): &(usize, &CutSet)| {
                 self.answer(
                     program.block(block),

@@ -221,7 +221,7 @@ pub fn select_program(
     options: DriverOptions,
 ) -> SelectionResult {
     if identifier.refines_under_exclusion() {
-        select_iteratively(program, identifier, constraints, model, options)
+        iterative_selection(program, identifier, constraints, model, options)
     } else {
         select_one_shot(program, identifier, constraints, model, options)
     }
@@ -237,6 +237,25 @@ pub(crate) struct BlockAnswer {
     pub cuts_considered: u64,
 }
 
+/// Picks the block whose cached candidate saves the most dynamic cycles (merit ×
+/// block execution count); ties resolve to the highest block index.
+fn best_weighted_block(
+    program: &Program,
+    candidate: &[Option<IdentifiedCut>],
+) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (block_index, identified) in candidate.iter().enumerate() {
+        let Some(identified) = identified.as_ref() else {
+            continue;
+        };
+        let weighted = identified.evaluation.merit * program.block(block_index).exec_count() as f64;
+        if best.is_none_or(|(_, best_weighted)| weighted >= best_weighted) {
+            best = Some((block_index, weighted));
+        }
+    }
+    best
+}
+
 /// The iterative strategy loop, generic over how a round's stale blocks are refreshed.
 ///
 /// `refresh` receives the `(block_index, exclusions)` pairs whose exclusion set changed
@@ -246,7 +265,7 @@ pub(crate) struct BlockAnswer {
 /// commit order, tie-breaks and `identifier_calls` accounting cannot drift between the
 /// direct and the memoised path (the differential test-suite asserts they are
 /// byte-identical).
-pub(crate) fn select_iteratively_core(
+pub(crate) fn iterative_selection_core(
     program: &Program,
     max_instructions: usize,
     mut refresh: impl FnMut(&[(usize, &CutSet)]) -> Vec<BlockAnswer>,
@@ -311,12 +330,8 @@ pub(crate) fn select_iteratively_core(
         if any_rejected {
             continue;
         }
-        // Commit the candidate saving the most dynamic cycles (merit × block frequency);
-        // ties resolve to the highest block index, exactly as in `select_iterative`
-        // (the two merges share the helper, so they cannot drift apart).
-        let Some((block_index, weighted)) =
-            crate::selection::best_weighted_block(program, &candidate)
-        else {
+        // Commit the candidate saving the most dynamic cycles.
+        let Some((block_index, weighted)) = best_weighted_block(program, &candidate) else {
             break;
         };
         let Some(identified) = candidate[block_index].take() else {
@@ -338,14 +353,14 @@ pub(crate) fn select_iteratively_core(
 }
 
 /// Iterative strategy: re-identify blocks whose exclusion set changed, commit the best.
-fn select_iteratively(
+fn iterative_selection(
     program: &Program,
     identifier: &dyn Identifier,
     constraints: Constraints,
     model: &dyn CostModel,
     options: DriverOptions,
 ) -> SelectionResult {
-    select_iteratively_core(program, options.max_instructions, |work| {
+    iterative_selection_core(program, options.max_instructions, |work| {
         let work: Vec<(usize, Option<&CutSet>)> =
             work.iter().map(|&(b, excl)| (b, Some(excl))).collect();
         identify_blocks(program, identifier, &work, constraints, model, options)
@@ -425,7 +440,6 @@ fn select_one_shot(
 mod tests {
     use super::*;
     use crate::engine::{MultiCut, SingleCut};
-    use crate::selection::{select_iterative, SelectionOptions};
     use ise_hw::DefaultCostModel;
     use ise_ir::DfgBuilder;
 
@@ -484,26 +498,6 @@ mod tests {
                     DriverOptions::new(8).sequential(),
                 );
                 assert_eq!(parallel, sequential, "{}", identifier.name());
-            }
-        }
-    }
-
-    #[test]
-    fn single_cut_driver_reproduces_select_iterative() {
-        let p = toy_program();
-        let model = DefaultCostModel::new();
-        for constraints in [Constraints::new(2, 1), Constraints::new(4, 2)] {
-            for ninstr in [1usize, 2, 8] {
-                let legacy =
-                    select_iterative(&p, constraints, &model, SelectionOptions::new(ninstr));
-                let engine = select_program(
-                    &p,
-                    &SingleCut::new(),
-                    constraints,
-                    &model,
-                    DriverOptions::new(ninstr),
-                );
-                assert_eq!(legacy, engine, "{constraints}, Ninstr={ninstr}");
             }
         }
     }

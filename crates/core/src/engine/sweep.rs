@@ -36,7 +36,7 @@ use crate::constraints::Constraints;
 use crate::multicut::{MultiCutOutcome, MultiCutSearch};
 use crate::pool::{covers, fill_multicut, FillOutcome, FilledPool};
 use crate::search::IdentifiedCut;
-use crate::selection::{select_optimal_core, SelectionResult};
+use crate::selection::{select_optimal, select_optimal_core, SelectionResult};
 use crate::structural::StructuralForm;
 
 use super::corpus::{fill_split_levels, CorpusPool};
@@ -143,8 +143,8 @@ impl<'a> SweepPlanner<'a> {
     /// Creates a planner for `program` answering the given `pairs`.
     ///
     /// The fill constraints are derived from the pairs (loosest ports per budget
-    /// group), so by default every pair is covered and only exploration-budget
-    /// exhaustion can force a fallback.
+    /// group), so every one of them is covered and only exploration-budget exhaustion
+    /// can force a fallback; a pair queried later that none covers runs directly.
     #[must_use]
     pub fn new(
         program: &'a Program,
@@ -174,16 +174,6 @@ impl<'a> SweepPlanner<'a> {
         self
     }
 
-    /// Overrides the fill constraints with a single explicit entry.
-    ///
-    /// Pairs the override does not cover (looser ports, different budgets) fall back
-    /// to the direct per-pair search — the fallback the edge-case tests pin down.
-    #[must_use]
-    pub fn with_fill_constraints(mut self, fill: Constraints) -> Self {
-        self.fills = vec![fill];
-        self
-    }
-
     /// The planner's effort accounting so far.
     #[must_use]
     pub fn stats(&self) -> SweepStats {
@@ -210,7 +200,7 @@ impl<'a> SweepPlanner<'a> {
 
     /// Runs the optimal (multiple-cut) selection for every pair, pool-backed where
     /// covered. Results are byte-identical to per-pair
-    /// [`select_optimal`](crate::select_optimal) runs.
+    /// [`select_optimal`] runs.
     pub fn run_optimal(&mut self, pairs: &[Constraints]) -> Vec<SelectionResult> {
         pairs
             .iter()
@@ -290,22 +280,18 @@ impl<'a> SweepPlanner<'a> {
         };
         let result = match group {
             Some(group) => {
-                let program = self.program;
-                let max_instructions = self.options.max_instructions;
-                select_optimal_core(program, max_instructions, |result, block, m| {
-                    let outcome = self.answer_tuple(group, pair, block, m);
-                    result.identifier_calls += 1;
-                    result.cuts_considered += outcome.stats.cuts_considered;
-                    let weight = program.block(block).exec_count() as f64;
-                    (outcome.total_merit * weight, outcome.cuts)
+                select_optimal_core(self.program, self.options.max_instructions, |block, m| {
+                    self.answer_tuple(group, pair, block, m)
                 })
             }
             None => {
-                let mut options = crate::SelectionOptions::new(self.options.max_instructions);
-                if let Some(budget) = self.exploration_budget {
-                    options = options.with_exploration_budget(budget);
-                }
-                let result = crate::select_optimal(self.program, *pair, self.model, options);
+                let result = select_optimal(
+                    self.program,
+                    *pair,
+                    self.model,
+                    self.options.max_instructions,
+                    self.exploration_budget,
+                );
                 self.stats.direct_calls += result.identifier_calls;
                 result
             }
@@ -396,7 +382,6 @@ pub fn sweep_program(
 mod tests {
     use super::*;
     use crate::engine::select_program;
-    use crate::SelectionOptions;
     use ise_hw::DefaultCostModel;
     use ise_ir::DfgBuilder;
 
@@ -453,7 +438,7 @@ mod tests {
         let mut planner = SweepPlanner::new(&p, &model, options, &pairs());
         let pooled = planner.run_optimal(&pairs());
         for (pair, pooled) in pairs().iter().zip(&pooled) {
-            let direct = crate::select_optimal(&p, *pair, &model, SelectionOptions::new(4));
+            let direct = select_optimal(&p, *pair, &model, 4, None);
             assert_eq!(pooled, &direct, "{pair}");
         }
         assert!(
@@ -479,11 +464,10 @@ mod tests {
             assert_eq!(result, &direct, "{pair}");
         }
 
-        // Fill constraints tighter than a queried pair: that pair must be answered
-        // directly, and still byte-identically.
+        // A planner built for a tighter pair than it is queried for: the uncovered
+        // pairs must be answered directly, and still byte-identically.
         let options = DriverOptions::new(8);
-        let mut planner = SweepPlanner::new(&p, &model, options, &pairs())
-            .with_fill_constraints(Constraints::new(2, 1));
+        let mut planner = SweepPlanner::new(&p, &model, options, &[Constraints::new(2, 1)]);
         let results = planner.run_single_cut(&pairs());
         for (pair, result) in pairs().iter().zip(&results) {
             let direct = select_program(&p, &SingleCut::new(), *pair, &model, options);

@@ -382,20 +382,14 @@ pub struct AddProbe {
 /// `optimistic` is an upper bound on the objective reachable anywhere in the subtree
 /// below the attempt; when it cannot *strictly* beat `threshold` (the incumbent's
 /// score), the subtree is pruned and counted as [`SearchStats::pruned_bound`]. The
-/// threshold is visit-order-dependent, hence sequential-only. The multiple-cut
-/// incumbent mode also sets `input_floor`, which prunes a slot on its block inputs
-/// alone (also counted as [`SearchStats::pruned_bound`]): the multiple-cut walk has no
-/// [input floor](self#the-input-floor) of its own, and this keeps its incumbent mode as
-/// it was. The single-cut walks prune on the full floor instead and leave it `None`.
-/// The default searches pass [`BoundCheck::disabled`].
+/// threshold is visit-order-dependent, hence sequential-only: only the single-cut
+/// search's incumbent mode sets it. The default searches pass [`BoundCheck::disabled`].
 #[derive(Debug, Clone, Copy)]
 pub struct BoundCheck {
     /// Upper bound on the objective reachable in the subtree below the attempt.
     pub optimistic: f64,
     /// The score the subtree must strictly beat to be worth exploring.
     pub threshold: f64,
-    /// `Nin`, when a slot's block inputs alone may prune (multiple-cut incumbent mode).
-    pub input_floor: Option<usize>,
 }
 
 impl BoundCheck {
@@ -406,7 +400,6 @@ impl BoundCheck {
         BoundCheck {
             optimistic: f64::INFINITY,
             threshold: 0.0,
-            input_floor: None,
         }
     }
 }
@@ -684,17 +677,6 @@ impl IncrementalCutState {
         if bound.optimistic <= bound.threshold {
             stats.pruned_bound += 1;
             return Attempt::Pruned;
-        }
-        if let Some(limit) = bound.input_floor {
-            // A slot's block inputs are never covered later.
-            let fresh = ctx.sources[node.index()]
-                .iter()
-                .filter(|source| matches!(**source, Source::Input(p) if self.input_uses[p] == 0))
-                .count();
-            if self.block_inputs + fresh > limit {
-                stats.pruned_bound += 1;
-                return Attempt::Pruned;
-            }
         }
         self.add(ctx, node, probe.outputs);
         let floor = self.input_floor();
@@ -1542,7 +1524,6 @@ mod tests {
         let hopeless = BoundCheck {
             optimistic: 0.0,
             threshold: 0.0,
-            input_floor: None,
         };
         assert!(!state.try_add(&ctx, node, None, hopeless, &mut stats));
         assert_eq!(stats.pruned_bound, 1);
@@ -1551,19 +1532,11 @@ mod tests {
         // … a disabled one never does.
         assert!(state.try_add(&ctx, node, None, BoundCheck::disabled(), &mut stats));
         assert_eq!(stats.feasible_cuts, 1);
-        // The multiple-cut slot floor prunes on the block-input count alone.
+        // The input floor prunes under `Nin = 1`, in its own category, once the bound
+        // lets the attempt pass: it grows the cut, reports the grown floor (both block
+        // inputs) and undoes the growth.
         state.undo_last(&ctx);
-        let floored = BoundCheck {
-            optimistic: f64::INFINITY,
-            threshold: 0.0,
-            input_floor: Some(0),
-        };
         let mul = ctx.node_at(3); // reads both block inputs
-        assert!(!state.try_add(&ctx, mul, None, floored, &mut stats));
-        assert_eq!(stats.pruned_bound, 2);
-        // The input floor prunes the same attempt under `Nin = 1`, in its own category,
-        // once the bound let it pass: it grows the cut, reports the grown floor (both
-        // block inputs) and undoes the growth.
         let probe = state.probe_add(&ctx, mul);
         let attempt = state.try_add_probed(
             &ctx,
@@ -1574,7 +1547,7 @@ mod tests {
             &mut stats,
         );
         assert_eq!(attempt, Attempt::OverFloor(2));
-        assert_eq!((stats.pruned_inputs, stats.pruned_bound), (1, 2));
+        assert_eq!((stats.pruned_inputs, stats.pruned_bound), (1, 1));
         assert!(state.is_empty());
         assert_eq!(state.input_floor(), 0);
     }

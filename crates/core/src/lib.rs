@@ -18,8 +18,9 @@
 //!   with incremental constraint checking and subtree pruning, as a kernel policy;
 //! * [`MultiCutSearch`] — the multiple-cut generalisation of Section 6.2, as a kernel
 //!   policy;
-//! * [`selection`] — the optimal (Section 6.2) and iterative (Section 6.3) selection
-//!   strategies across all basic blocks, plus an area-budgeted variant;
+//! * [`selection`] — the optimal selection strategy across all basic blocks
+//!   (Section 6.2) and the selection result types; the iterative strategy
+//!   (Section 6.3) is [`select_program`] with the single-cut identifier;
 //! * [`collapse`] — rewriting blocks so that selected cuts become
 //!   [`ise_ir::Opcode::Afu`] instructions, with extraction of the AFU datapath;
 //! * [`exhaustive`] — a brute-force oracle used by the test-suite;
@@ -84,7 +85,5 @@ pub use error::IseError;
 pub use kernel::reference::identify_single_cut_reference;
 pub use multicut::{identify_multiple_cuts, MultiCutOutcome, MultiCutSearch};
 pub use search::{identify_single_cut, IdentifiedCut, SearchOutcome, SearchStats, SingleCutSearch};
-pub use selection::{
-    select_iterative, select_optimal, ChosenCut, SelectionOptions, SelectionResult,
-};
+pub use selection::{select_optimal, ChosenCut, SelectionResult};
 pub use structural::{StructuralForm, StructuralKey};

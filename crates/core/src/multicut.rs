@@ -18,7 +18,7 @@
 //! `SearchHook` sink, so the pool's tuple fills ([`crate::pool::fill_multicut`]) run
 //! this very policy with a recording sink.
 
-use ise_hw::{cut_merit, CostModel};
+use ise_hw::CostModel;
 use ise_ir::Dfg;
 
 use crate::constraints::Constraints;
@@ -89,7 +89,6 @@ struct MultiCutState {
 struct MultiCutPolicy<'a, H> {
     ctx: &'a BlockContext<'a>,
     num_cuts: usize,
-    incumbent_bound: bool,
     sink: PhantomData<fn() -> H>,
 }
 
@@ -99,15 +98,6 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> MultiCutPolicy<'_, H> {
     fn assignable(&self, state: &MultiCutState) -> usize {
         let used = state.cuts.iter().take_while(|cut| !cut.is_empty()).count();
         (used + 1).min(self.num_cuts)
-    }
-
-    /// The summed merit of the tuple as it stands (empty slots contribute zero): the
-    /// base of the incumbent bound. Each remaining software cycle can join at most one
-    /// slot and raise that slot's merit by at most one per cycle, so
-    /// `base + remaining_mass` bounds every objective reachable in the subtree.
-    #[inline(always)]
-    fn base_merit(state: &MultiCutState) -> f64 {
-        state.cuts.iter().map(IncrementalCutState::merit).sum()
     }
 
     /// The largest slot `OUT`: the sink's tree-path prefix.
@@ -190,47 +180,22 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> SearchPolicy for MultiCutPolicy<'_, H> {
         let blocked = ctx.is_blocked(node);
         let software_choice = if blocked { 0 } else { self.assignable(state) };
         if choice == software_choice {
-            // Software branch: the node is outside every cut — unless, in incumbent
-            // mode, even the whole remaining frontier cannot lift the tuple's summed
-            // merit past the incumbent, in which case the subtree is skipped outright.
-            if self.incumbent_bound
-                && Self::base_merit(state) + ctx.remaining_mass(level + 1) as f64
-                    <= sink.bound_threshold()
-            {
-                stats.bound_subtree_prunes += 1;
-                return false;
-            }
-            // The multiple-cut walk does not keep the input floor.
+            // Software branch: the node is outside every cut. The multiple-cut walk
+            // does not keep the input floor.
             for cut in &mut state.cuts {
                 cut.mark_outside(ctx, node, false);
             }
             return true;
         }
-        // Assign the node to cut slot `choice` (shared probe/prune/count logic). In
-        // incumbent mode the bound replaces the slot's merit by its optimistic post-add
-        // value (current critical path, since adding can only lengthen it) and grants
-        // the remaining frontier mass on top.
-        let bound = if self.incumbent_bound {
-            let slot = &state.cuts[choice];
-            BoundCheck {
-                optimistic: Self::base_merit(state) - slot.merit()
-                    + cut_merit(
-                        slot.software() + u64::from(ctx.node_software_cost(node)),
-                        slot.critical_path(),
-                    )
-                    + ctx.remaining_mass(level + 1) as f64,
-                threshold: sink.bound_threshold(),
-                input_floor: Some(ctx.constraints.max_inputs),
-            }
-        } else {
-            BoundCheck::disabled()
-        };
+        // Assign the node to cut slot `choice` (shared probe/prune/count logic).
         let prefix = Self::prefix(state);
         let cut = &mut state.cuts[choice];
         let probe = cut.probe_add(ctx, node);
         // The multiple-cut walk does not prune on the input floor: it reports none.
         sink.attempt(prefix, probe, cut.within_node_budget(ctx), (0, 0));
-        if cut.try_add_probed(ctx, node, probe, None, bound, stats) != Attempt::Added {
+        if cut.try_add_probed(ctx, node, probe, None, BoundCheck::disabled(), stats)
+            != Attempt::Added
+        {
             return false;
         }
         // The node is *outside* every other cut, so record whether it forwards a path
@@ -253,10 +218,6 @@ impl<H: SearchHook<Vec<IdentifiedCut>>> SearchPolicy for MultiCutPolicy<'_, H> {
             cut.undo(self.ctx, false);
         }
     }
-
-    fn requires_sequential(&self) -> bool {
-        self.incumbent_bound
-    }
 }
 
 /// The exact multiple-cut identification algorithm, as a configured front over the
@@ -265,7 +226,6 @@ pub struct MultiCutSearch<'a> {
     ctx: BlockContext<'a>,
     num_cuts: usize,
     kernel: SearchKernel,
-    incumbent_bound: bool,
 }
 
 impl<'a> MultiCutSearch<'a> {
@@ -290,19 +250,7 @@ impl<'a> MultiCutSearch<'a> {
             ctx: BlockContext::new(dfg, constraints, model),
             num_cuts,
             kernel: SearchKernel::sequential(),
-            incumbent_bound: false,
         }
-    }
-
-    /// Enables the incumbent bound against the incumbent's summed merit (and the
-    /// per-slot monotone block-input floor). The selected tuple
-    /// stays identical; the effort counters shrink and become visit-order-dependent, so
-    /// this forces the sequential walk. See
-    /// [`SingleCutSearch::with_incumbent_bound`](crate::search::SingleCutSearch::with_incumbent_bound).
-    #[must_use]
-    pub fn with_incumbent_bound(mut self) -> Self {
-        self.incumbent_bound = true;
-        self
     }
 
     /// Additionally forbids the given nodes from entering any cut.
@@ -348,7 +296,6 @@ impl<'a> MultiCutSearch<'a> {
         MultiCutPolicy {
             ctx: &self.ctx,
             num_cuts: self.num_cuts,
-            incumbent_bound: self.incumbent_bound,
             sink: PhantomData,
         }
     }
@@ -454,25 +401,6 @@ mod tests {
                 + stats.pruned_node_budget
                 + stats.pruned_bound
         );
-    }
-
-    /// The opt-in incumbent-score bound returns the identical tuple while never
-    /// exploring more assignments than the default search.
-    #[test]
-    fn incumbent_bound_preserves_the_tuple() {
-        let g = two_chains();
-        let model = DefaultCostModel::new();
-        for num_cuts in [1usize, 2, 3] {
-            for constraints in [Constraints::new(2, 1), Constraints::new(4, 2)] {
-                let default = MultiCutSearch::new(&g, constraints, &model, num_cuts).run();
-                let bounded = MultiCutSearch::new(&g, constraints, &model, num_cuts)
-                    .with_incumbent_bound()
-                    .run();
-                assert_eq!(default.cuts, bounded.cuts, "{num_cuts} slots");
-                assert_eq!(default.stats.best_updates, bounded.stats.best_updates);
-                assert!(bounded.stats.cuts_considered <= default.stats.cuts_considered);
-            }
-        }
     }
 
     /// Regression test: a cut must stay convex with respect to nodes assigned to *other*

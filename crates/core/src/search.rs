@@ -237,7 +237,6 @@ impl<H: SearchHook<IdentifiedCut>, const FLOOR: bool> SearchPolicy
             BoundCheck {
                 optimistic: state.optimistic_with(ctx, level),
                 threshold: sink.bound_threshold(),
-                input_floor: None,
             }
         } else {
             BoundCheck::disabled()

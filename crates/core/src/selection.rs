@@ -1,15 +1,17 @@
 //! Selection of up to `Ninstr` instructions across all basic blocks (Problem 2).
 //!
-//! Two strategies are provided, mirroring Sections 6.2 and 6.3 of the paper:
+//! The paper gives two strategies, Sections 6.2 and 6.3:
 //!
 //! * [`select_optimal`] — drives the multiple-cut identification algorithm with a growing
 //!   per-block cut count, choosing at each step the block whose next cut yields the
 //!   largest improvement. It provably reaches the optimum with at most
 //!   `Ninstr + Nbb − 1` identifier invocations (Fig. 10 of the paper), but each
 //!   invocation is itself exponential and becomes impractical on large blocks.
-//! * [`select_iterative`] — the practical heuristic: repeatedly run the *single*-cut
+//! * Iterative — the practical heuristic: repeatedly run the *single*-cut
 //!   identification on every block, commit the globally best cut, exclude its nodes, and
-//!   repeat until `Ninstr` cuts are chosen or no profitable cut remains.
+//!   repeat until `Ninstr` cuts are chosen or no profitable cut remains. It is
+//!   [`engine::select_program`](crate::engine::select_program) with the `"single-cut"`
+//!   identifier.
 //!
 //! Both return a [`SelectionResult`] which can be turned into the application-level
 //! speed-up report used by the Fig. 11 experiments.
@@ -19,8 +21,8 @@ use ise_hw::{CostModel, SoftwareLatencyModel};
 use ise_ir::Program;
 
 use crate::constraints::Constraints;
-use crate::multicut::MultiCutSearch;
-use crate::search::{IdentifiedCut, SingleCutSearch};
+use crate::multicut::{MultiCutOutcome, MultiCutSearch};
+use crate::search::IdentifiedCut;
 
 /// One instruction chosen by a selection algorithm.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -98,127 +100,39 @@ impl SelectionResult {
     }
 }
 
-/// Options shared by the selection drivers.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct SelectionOptions {
-    /// Maximum number of special instructions to select (`Ninstr`).
-    pub max_instructions: usize,
-    /// Optional per-identifier-invocation exploration budget (number of cuts considered)
-    /// after which a run returns its incumbent instead of the proven optimum.
-    pub exploration_budget: Option<u64>,
-}
-
-impl SelectionOptions {
-    /// Creates options for selecting up to `max_instructions` instructions.
-    #[must_use]
-    pub fn new(max_instructions: usize) -> Self {
-        SelectionOptions {
-            max_instructions,
-            exploration_budget: None,
-        }
-    }
-
-    /// Sets a per-invocation exploration budget.
-    #[must_use]
-    pub fn with_exploration_budget(mut self, budget: u64) -> Self {
-        self.exploration_budget = Some(budget);
-        self
-    }
-}
-
-/// Picks the block whose cached candidate saves the most dynamic cycles (merit ×
-/// block execution count); ties resolve to the highest block index.
-///
-/// Shared by [`select_iterative`] and the engine driver's iterative merge, so the
-/// two strategies — whose results are asserted byte-identical by the test-suite —
-/// can never drift apart.
-pub(crate) fn best_weighted_block(
-    program: &Program,
-    candidate: &[Option<IdentifiedCut>],
-) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64)> = None;
-    for (block_index, identified) in candidate.iter().enumerate() {
-        let Some(identified) = identified.as_ref() else {
-            continue;
-        };
-        let weighted = identified.evaluation.merit * program.block(block_index).exec_count() as f64;
-        if best.is_none_or(|(_, best_weighted)| weighted >= best_weighted) {
-            best = Some((block_index, weighted));
-        }
-    }
-    best
-}
-
-/// Iterative selection (Section 6.3): repeatedly identify the best single cut over all
-/// blocks, commit it, exclude its nodes and continue.
-#[must_use]
-pub fn select_iterative(
-    program: &Program,
-    constraints: Constraints,
-    model: &dyn CostModel,
-    options: SelectionOptions,
-) -> SelectionResult {
-    // Delegates to the engine's shared iterative loop (commit order, interlock guard
-    // and accounting live in exactly one place; the test-suite asserts this function
-    // and the engine driver are byte-identical).
-    crate::engine::driver::select_iteratively_core(program, options.max_instructions, |work| {
-        work.iter()
-            .map(|&(block_index, excluded)| {
-                let dfg = program.block(block_index);
-                let mut search =
-                    SingleCutSearch::new(dfg, constraints, model).with_excluded(excluded);
-                if let Some(budget) = options.exploration_budget {
-                    search = search.with_exploration_budget(budget);
-                }
-                let outcome = search.run();
-                crate::engine::driver::BlockAnswer {
-                    best: outcome.best,
-                    cuts_considered: outcome.stats.cuts_considered,
-                }
-            })
-            .collect()
-    })
-}
-
 /// Optimal selection (Section 6.2): grow the per-block cut count greedily on marginal
 /// improvements, using the multiple-cut identification algorithm.
+///
+/// `exploration_budget` caps the cuts each identifier invocation considers; an
+/// invocation that reaches it returns its incumbent instead of the proven optimum.
 #[must_use]
 pub fn select_optimal(
     program: &Program,
     constraints: Constraints,
     model: &dyn CostModel,
-    options: SelectionOptions,
+    max_instructions: usize,
+    exploration_budget: Option<u64>,
 ) -> SelectionResult {
-    select_optimal_core(
-        program,
-        options.max_instructions,
-        |result, block_index, m| {
-            let dfg = program.block(block_index);
-            let mut search = MultiCutSearch::new(dfg, constraints, model, m);
-            if let Some(budget) = options.exploration_budget {
-                search = search.with_exploration_budget(budget);
-            }
-            let outcome = search.run();
-            result.identifier_calls += 1;
-            result.cuts_considered += outcome.stats.cuts_considered;
-            let weight = dfg.exec_count() as f64;
-            (outcome.total_merit * weight, outcome.cuts)
-        },
-    )
+    select_optimal_core(program, max_instructions, |block_index, m| {
+        let mut search = MultiCutSearch::new(program.block(block_index), constraints, model, m);
+        if let Some(budget) = exploration_budget {
+            search = search.with_exploration_budget(budget);
+        }
+        search.run()
+    })
 }
 
 /// The optimal strategy loop, generic over how one `(block, M)` multiple-cut
 /// identification is performed.
 ///
-/// `run_identifier` must account its own `identifier_calls`/`cuts_considered` on the
-/// passed result and return the weighted total merit plus the identified tuple. The
-/// direct [`select_optimal`] and the pool-backed sweep planner
-/// (`ise_core::engine::sweep`) share this loop, so the growth order and tie-breaks
-/// cannot drift between the two paths.
+/// `run_identifier` answers the `M`-cut search of one block. The direct
+/// [`select_optimal`] and the pool-backed sweep planner (`ise_core::engine::sweep`)
+/// share this loop, so the growth order, tie-breaks and `identifier_calls` /
+/// `cuts_considered` accounting cannot drift between the two paths.
 pub(crate) fn select_optimal_core(
     program: &Program,
     max_instructions: usize,
-    mut run_identifier: impl FnMut(&mut SelectionResult, usize, usize) -> (f64, Vec<IdentifiedCut>),
+    mut run_identifier: impl FnMut(usize, usize) -> MultiCutOutcome,
 ) -> SelectionResult {
     let block_count = program.block_count();
     let mut result = SelectionResult {
@@ -230,6 +144,14 @@ pub(crate) fn select_optimal_core(
     if block_count == 0 || max_instructions == 0 {
         return result;
     }
+    // One identifier call: the block's weighted total merit and its tuple.
+    let mut identify = |result: &mut SelectionResult, block_index: usize, m: usize| {
+        let outcome = run_identifier(block_index, m);
+        result.identifier_calls += 1;
+        result.cuts_considered += outcome.stats.cuts_considered;
+        let weight = program.block(block_index).exec_count() as f64;
+        (outcome.total_merit * weight, outcome.cuts)
+    };
 
     // best_total[b][m] = weighted total merit of the best m simultaneous cuts in block b.
     let mut best_total: Vec<Vec<f64>> = vec![vec![0.0]; block_count];
@@ -238,7 +160,7 @@ pub(crate) fn select_optimal_core(
 
     // Initial improvements: one cut per block.
     for block_index in 0..block_count {
-        let (total, cuts) = run_identifier(&mut result, block_index, 1);
+        let (total, cuts) = identify(&mut result, block_index, 1);
         best_total[block_index].push(total);
         best_cuts[block_index].push(cuts);
     }
@@ -274,7 +196,7 @@ pub(crate) fn select_optimal_core(
         // Refresh the improvement of the chosen block by solving it with one more cut.
         let next_m = committed[block_index] + 1;
         if best_total[block_index].len() <= next_m {
-            let (total, cuts) = run_identifier(&mut result, block_index, next_m);
+            let (total, cuts) = identify(&mut result, block_index, next_m);
             best_total[block_index].push(total);
             best_cuts[block_index].push(cuts);
         }
@@ -305,8 +227,20 @@ pub(crate) fn select_optimal_core(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{select_program, DriverOptions, SingleCut};
     use ise_hw::DefaultCostModel;
     use ise_ir::DfgBuilder;
+
+    /// The iterative strategy: the program driver with the single-cut identifier.
+    fn iterative(
+        program: &Program,
+        constraints: Constraints,
+        model: &dyn CostModel,
+        max_instructions: usize,
+    ) -> SelectionResult {
+        let options = DriverOptions::new(max_instructions);
+        select_program(program, &SingleCut::new(), constraints, model, options)
+    }
 
     /// Three blocks with different profiles: a hot MAC block, a lukewarm saturation
     /// block, and a cold bitwise block.
@@ -352,7 +286,7 @@ mod tests {
     fn iterative_selection_prefers_hot_blocks() {
         let p = program();
         let model = DefaultCostModel::new();
-        let result = select_iterative(&p, Constraints::new(4, 2), &model, SelectionOptions::new(1));
+        let result = iterative(&p, Constraints::new(4, 2), &model, 1);
         assert_eq!(result.len(), 1);
         assert_eq!(result.chosen[0].block_index, 0);
         assert!(result.total_weighted_saving > 0.0);
@@ -362,12 +296,7 @@ mod tests {
     fn iterative_selection_does_not_overlap_cuts() {
         let p = program();
         let model = DefaultCostModel::new();
-        let result = select_iterative(
-            &p,
-            Constraints::new(4, 2),
-            &model,
-            SelectionOptions::new(16),
-        );
+        let result = iterative(&p, Constraints::new(4, 2), &model, 16);
         // Cuts within the same block must be disjoint.
         for i in 0..result.chosen.len() {
             for j in i + 1..result.chosen.len() {
@@ -380,7 +309,7 @@ mod tests {
             }
         }
         // Savings accumulate monotonically with the number of instructions allowed.
-        let fewer = select_iterative(&p, Constraints::new(4, 2), &model, SelectionOptions::new(1));
+        let fewer = iterative(&p, Constraints::new(4, 2), &model, 1);
         assert!(result.total_weighted_saving >= fewer.total_weighted_saving);
     }
 
@@ -390,10 +319,8 @@ mod tests {
         let model = DefaultCostModel::new();
         for constraints in [Constraints::new(2, 1), Constraints::new(4, 2)] {
             for ninstr in [1, 2, 4] {
-                let iterative =
-                    select_iterative(&p, constraints, &model, SelectionOptions::new(ninstr));
-                let optimal =
-                    select_optimal(&p, constraints, &model, SelectionOptions::new(ninstr));
+                let iterative = iterative(&p, constraints, &model, ninstr);
+                let optimal = select_optimal(&p, constraints, &model, ninstr, None);
                 assert!(
                     optimal.total_weighted_saving >= iterative.total_weighted_saving - 1e-9,
                     "optimal {} < iterative {} under {constraints}, Ninstr={ninstr}",
@@ -409,12 +336,7 @@ mod tests {
         let p = program();
         let model = DefaultCostModel::new();
         let ninstr = 4;
-        let result = select_optimal(
-            &p,
-            Constraints::new(4, 2),
-            &model,
-            SelectionOptions::new(ninstr),
-        );
+        let result = select_optimal(&p, Constraints::new(4, 2), &model, ninstr, None);
         assert!(
             result.identifier_calls <= (ninstr + p.block_count() - 1) as u64,
             "used {} identifier calls",
@@ -427,7 +349,7 @@ mod tests {
         let p = program();
         let model = DefaultCostModel::new();
         let software = SoftwareLatencyModel::new();
-        let result = select_iterative(&p, Constraints::new(4, 2), &model, SelectionOptions::new(8));
+        let result = iterative(&p, Constraints::new(4, 2), &model, 8);
         let report = result.speedup_report(&p, &software);
         assert!(report.speedup > 1.0);
         assert!((report.saved_cycles - result.total_weighted_saving).abs() < 1e-9);
@@ -438,9 +360,9 @@ mod tests {
     fn zero_instruction_budget_selects_nothing() {
         let p = program();
         let model = DefaultCostModel::new();
-        let result = select_iterative(&p, Constraints::new(4, 2), &model, SelectionOptions::new(0));
+        let result = iterative(&p, Constraints::new(4, 2), &model, 0);
         assert!(result.is_empty());
-        let result = select_optimal(&p, Constraints::new(4, 2), &model, SelectionOptions::new(0));
+        let result = select_optimal(&p, Constraints::new(4, 2), &model, 0, None);
         assert!(result.is_empty());
     }
 }

@@ -5,14 +5,27 @@ use std::collections::BTreeMap;
 
 use ise::baselines::{Clubbing, MaxMiso};
 use ise::core::collapse::collapse_into_program;
-use ise::core::{
-    identify_single_cut, select_iterative, select_program, Constraints, DriverOptions,
-    SelectionOptions,
-};
-use ise::hw::{DefaultCostModel, SoftwareLatencyModel};
+use ise::core::engine::SingleCut;
+use ise::core::{identify_single_cut, select_program, Constraints, DriverOptions, SelectionResult};
+use ise::hw::{CostModel, DefaultCostModel, SoftwareLatencyModel};
 use ise::ir::interp::Evaluator;
+use ise::ir::Program;
 use ise::passes::{eliminate_dead_code, fold_constants};
 use ise::workloads::{adpcm, suite};
+
+/// The iterative strategy (Section 6.3): the program driver with the single-cut
+/// identifier, under an optional per-invocation exploration budget.
+fn iterative(
+    program: &Program,
+    constraints: Constraints,
+    model: &dyn CostModel,
+    max_instructions: usize,
+    budget: Option<u64>,
+) -> SelectionResult {
+    let identifier = SingleCut::new().with_exploration_budget(budget);
+    let options = DriverOptions::new(max_instructions);
+    select_program(program, &identifier, constraints, model, options)
+}
 
 #[test]
 fn the_motivational_example_behaves_as_described_in_the_paper() {
@@ -50,13 +63,8 @@ fn the_motivational_example_behaves_as_described_in_the_paper() {
         &model,
         DriverOptions::new(16).sequential(),
     );
-    let iterative = select_iterative(
-        &program,
-        Constraints::new(2, 1),
-        &model,
-        SelectionOptions::new(16),
-    );
-    assert!(iterative.total_weighted_saving > maxmiso.total_weighted_saving);
+    let single_cut = iterative(&program, Constraints::new(2, 1), &model, 16, None);
+    assert!(single_cut.total_weighted_saving > maxmiso.total_weighted_saving);
 }
 
 #[test]
@@ -64,12 +72,7 @@ fn every_bundled_benchmark_gains_from_instruction_set_extension() {
     let model = DefaultCostModel::new();
     let software = SoftwareLatencyModel::new();
     for program in suite::mediabench_like() {
-        let selection = select_iterative(
-            &program,
-            Constraints::new(4, 2),
-            &model,
-            SelectionOptions::new(16).with_exploration_budget(500_000),
-        );
+        let selection = iterative(&program, Constraints::new(4, 2), &model, 16, Some(500_000));
         let report = selection.speedup_report(&program, &software);
         assert!(
             report.speedup > 1.0,
@@ -104,13 +107,8 @@ fn looser_port_constraints_never_reduce_the_estimated_speedup() {
     for program in suite::fig11_benchmarks() {
         let mut last = 0.0;
         for constraints in sweep {
-            let report = select_iterative(
-                &program,
-                constraints,
-                &model,
-                SelectionOptions::new(16).with_exploration_budget(500_000),
-            )
-            .speedup_report(&program, &software);
+            let report = iterative(&program, constraints, &model, 16, Some(500_000))
+                .speedup_report(&program, &software);
             assert!(
                 report.speedup + 1e-9 >= last,
                 "{}: speed-up dropped from {last:.3} to {:.3} at {constraints}",
@@ -132,14 +130,9 @@ fn exact_algorithms_dominate_both_baselines_on_the_fig11_trio() {
             Constraints::new(4, 2),
             Constraints::new(8, 4),
         ] {
-            let iterative = select_iterative(
-                &program,
-                constraints,
-                &model,
-                SelectionOptions::new(16).with_exploration_budget(500_000),
-            )
-            .speedup_report(&program, &software)
-            .speedup;
+            let single_cut = iterative(&program, constraints, &model, 16, Some(500_000))
+                .speedup_report(&program, &software)
+                .speedup;
             let greedy = DriverOptions::new(16).sequential();
             let clubbing = select_program(&program, &Clubbing::new(), constraints, &model, greedy)
                 .speedup_report(&program, &software)
@@ -148,8 +141,8 @@ fn exact_algorithms_dominate_both_baselines_on_the_fig11_trio() {
                 .speedup_report(&program, &software)
                 .speedup;
             assert!(
-                iterative + 1e-9 >= clubbing && iterative + 1e-9 >= maxmiso,
-                "{} under {constraints}: iterative {iterative:.3} vs clubbing {clubbing:.3} / maxmiso {maxmiso:.3}",
+                single_cut + 1e-9 >= clubbing && single_cut + 1e-9 >= maxmiso,
+                "{} under {constraints}: iterative {single_cut:.3} vs clubbing {clubbing:.3} / maxmiso {maxmiso:.3}",
                 program.name()
             );
         }
@@ -160,12 +153,7 @@ fn exact_algorithms_dominate_both_baselines_on_the_fig11_trio() {
 fn collapsing_selected_instructions_preserves_adpcm_decoder_behaviour() {
     let mut program = adpcm::decode_program();
     let model = DefaultCostModel::new();
-    let selection = select_iterative(
-        &program,
-        Constraints::new(4, 2),
-        &model,
-        SelectionOptions::new(4),
-    );
+    let selection = iterative(&program, Constraints::new(4, 2), &model, 4, None);
     assert!(!selection.is_empty());
 
     // Decode a short stream of 4-bit codes with the original program.

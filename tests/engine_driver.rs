@@ -3,7 +3,7 @@
 //! byte-identical selections to the sequential path on the real workloads.
 
 use ise::core::engine::{select_program, DriverOptions, IdentifierConfig};
-use ise::core::{select_iterative, Constraints, SelectionOptions};
+use ise::core::Constraints;
 use ise::hw::{DefaultCostModel, SoftwareLatencyModel};
 use ise::workloads::{adpcm, gsm};
 
@@ -62,26 +62,6 @@ fn parallel_driver_is_byte_identical_to_sequential_on_adpcm_and_gsm() {
                 "{name} on {} diverged between parallel and sequential",
                 program.name()
             );
-        }
-    }
-}
-
-#[test]
-fn engine_single_cut_driver_reproduces_the_legacy_iterative_selection() {
-    let registry = ise::baselines::full_registry();
-    let model = DefaultCostModel::new();
-    let identifier = registry.create("single-cut").expect("registered");
-    for program in [adpcm::decode_program(), gsm::program()] {
-        for constraints in [Constraints::new(2, 1), Constraints::new(4, 2)] {
-            let legacy = select_iterative(&program, constraints, &model, SelectionOptions::new(8));
-            let engine = select_program(
-                &program,
-                identifier.as_ref(),
-                constraints,
-                &model,
-                DriverOptions::new(8),
-            );
-            assert_eq!(legacy, engine, "{} under {constraints}", program.name());
         }
     }
 }

@@ -1,9 +1,8 @@
 //! Integration test reproducing the behaviour of Fig. 10: optimal selection of several
 //! cuts across several basic blocks, with the bounded number of identifier invocations.
 
-use ise::core::{
-    identify_multiple_cuts, select_iterative, select_optimal, Constraints, SelectionOptions,
-};
+use ise::core::engine::{select_program, DriverOptions, SingleCut};
+use ise::core::{identify_multiple_cuts, select_optimal, Constraints};
 use ise::hw::{DefaultCostModel, SoftwareLatencyModel};
 use ise::ir::{DfgBuilder, Program};
 
@@ -56,12 +55,7 @@ fn optimal_selection_uses_at_most_ninstr_plus_nbb_minus_one_identifier_calls() {
     let p = three_block_program();
     let model = DefaultCostModel::new();
     for ninstr in [1usize, 2, 3, 4] {
-        let result = select_optimal(
-            &p,
-            Constraints::new(3, 1),
-            &model,
-            SelectionOptions::new(ninstr),
-        );
+        let result = select_optimal(&p, Constraints::new(3, 1), &model, ninstr, None);
         assert!(
             result.identifier_calls <= (ninstr + p.block_count() - 1) as u64,
             "Ninstr={ninstr}: {} calls",
@@ -75,7 +69,7 @@ fn optimal_selection_uses_at_most_ninstr_plus_nbb_minus_one_identifier_calls() {
 fn optimal_selection_distributes_cuts_by_marginal_improvement() {
     let p = three_block_program();
     let model = DefaultCostModel::new();
-    let result = select_optimal(&p, Constraints::new(3, 1), &model, SelectionOptions::new(3));
+    let result = select_optimal(&p, Constraints::new(3, 1), &model, 3, None);
     // The logic-only block must never receive an instruction; the two MAC-like blocks
     // share the three slots.
     assert!(result.chosen.iter().all(|c| c.block_index != 2));
@@ -99,9 +93,9 @@ fn optimal_never_loses_to_iterative_and_both_report_consistent_speedups() {
         Constraints::new(4, 2),
     ] {
         for ninstr in [1usize, 2, 4] {
-            let optimal = select_optimal(&p, constraints, &model, SelectionOptions::new(ninstr));
-            let iterative =
-                select_iterative(&p, constraints, &model, SelectionOptions::new(ninstr));
+            let optimal = select_optimal(&p, constraints, &model, ninstr, None);
+            let options = DriverOptions::new(ninstr);
+            let iterative = select_program(&p, &SingleCut::new(), constraints, &model, options);
             assert!(
                 optimal.total_weighted_saving >= iterative.total_weighted_saving - 1e-9,
                 "{constraints}, Ninstr={ninstr}"
@@ -117,7 +111,7 @@ fn optimal_never_loses_to_iterative_and_both_report_consistent_speedups() {
 fn selections_are_disjoint_within_each_block() {
     let p = three_block_program();
     let model = DefaultCostModel::new();
-    let result = select_optimal(&p, Constraints::new(2, 1), &model, SelectionOptions::new(4));
+    let result = select_optimal(&p, Constraints::new(2, 1), &model, 4, None);
     for i in 0..result.chosen.len() {
         for j in i + 1..result.chosen.len() {
             if result.chosen[i].block_index == result.chosen[j].block_index {

@@ -8,8 +8,7 @@
 
 use ise_core::engine::SingleCut;
 use ise_core::{
-    select_optimal, select_program, Constraints, DriverOptions, SelectionOptions, SelectionResult,
-    SweepPlanner,
+    select_optimal, select_program, Constraints, DriverOptions, SelectionResult, SweepPlanner,
 };
 use ise_hw::{DefaultCostModel, SoftwareLatencyModel};
 use ise_ir::Program;
@@ -182,7 +181,9 @@ fn isomorphic_blocks_share_fills_across_a_sweep() {
 }
 
 /// The optimal (multiple-cut) strategy: pool-backed tuples versus direct
-/// `select_optimal`, on small random programs where the search completes exactly.
+/// `select_optimal` under the same exploration budget, on small random programs. A
+/// tuple fill that exhausts its budget sends its queries to direct searches; without a
+/// budget every search completes exactly and every tuple is answered from its pool.
 #[test]
 fn random_dags_pool_vs_direct_optimal() {
     let model = DefaultCostModel::new();
@@ -193,6 +194,9 @@ fn random_dags_pool_vs_direct_optimal() {
         Constraints::new(8, 4),
     ];
     let options = DriverOptions::new(4);
+    let budgets = [Some(50), Some(1_000), None];
+    let mut exhausted_fills = [0; 3];
+    let mut pool_answers = [0; 3];
     for seed in 0..4u64 {
         let mut program = Program::new(format!("opt{seed}"));
         let config = random::RandomDfgConfig {
@@ -206,17 +210,29 @@ fn random_dags_pool_vs_direct_optimal() {
         dfg.set_exec_count(50);
         program.add_block(dfg);
 
-        let mut planner = SweepPlanner::new(&program, &model, options, &pairs);
-        let pooled = planner.run_optimal(&pairs);
-        for (pair, pooled) in pairs.iter().zip(&pooled) {
-            let direct = select_optimal(&program, *pair, &model, SelectionOptions::new(4));
-            assert_identical(&program, pair, pooled, &direct);
+        for (b, budget) in budgets.into_iter().enumerate() {
+            let mut planner = SweepPlanner::new(&program, &model, options, &pairs)
+                .with_exploration_budget(budget);
+            let pooled = planner.run_optimal(&pairs);
+            for (pair, pooled) in pairs.iter().zip(&pooled) {
+                let direct = select_optimal(&program, *pair, &model, 4, budget);
+                assert_identical(&program, pair, pooled, &direct);
+            }
+            let stats = planner.stats();
+            exhausted_fills[b] += stats.exhausted_fills;
+            pool_answers[b] += stats.pool_answers;
+            if budget.is_none() {
+                assert_eq!(stats.exhausted_fills, 0, "seed {seed}");
+                assert!(
+                    stats.physical_identifier_calls() < stats.logical_identifier_calls,
+                    "seed {seed}"
+                );
+            }
         }
-        assert!(
-            planner.stats().physical_identifier_calls() < planner.stats().logical_identifier_calls,
-            "seed {seed}"
-        );
     }
+    // Budget 50 exhausts every tuple fill, 1,000 some of them, and no budget none.
+    assert_eq!(exhausted_fills.map(|n| n > 0), [true, true, false]);
+    assert_eq!(pool_answers.map(|n| n > 0), [false, true, true]);
 }
 
 /// The API-level sweep (what the CLI serves) equals per-pair sessions for a workload
