@@ -1,16 +1,17 @@
 //! Fig. 11 — estimated speed-up of Optimal, Iterative, Clubbing and MaxMISO.
 //!
-//! All per-block identification goes through the engine registry and the
-//! `rayon`-parallel program driver of `ise-core`: an algorithm is a *name*, and adding a
-//! new one to the comparison means registering it (one file in its home crate) and
-//! appending [`Algorithm::Named`] to the compared list — no new dispatch code here.
-//! Only the Optimal strategy keeps a bespoke driver ([`ise_core::select_optimal`]): it
+//! Every sweep runs through one [`SweepPlanner`] per benchmark, whose per-block
+//! identification goes through the engine registry and the `rayon`-parallel program
+//! driver of `ise-core`: an algorithm is a *name*, and adding a new one to the
+//! comparison means registering it (one file in its home crate) and appending
+//! [`Algorithm::Named`] to the compared list — no new dispatch code here. Only the
+//! Optimal strategy keeps a bespoke driver ([`SweepPlanner::run_optimal`]): it
 //! re-invokes the multiple-cut identifier with a growing cut count, which is a selection
 //! *strategy* on top of an identifier rather than a per-block identifier itself.
 
 use ise_baselines::full_registry;
-use ise_core::engine::{select_program, DriverOptions, Identifier, IdentifierConfig};
-use ise_core::{select_optimal, Constraints, SelectionResult};
+use ise_core::engine::{DriverOptions, Identifier, IdentifierConfig};
+use ise_core::{Constraints, SelectionResult};
 use ise_core::{SweepPlanner, SweepStats};
 use ise_hw::{DefaultCostModel, SoftwareLatencyModel};
 use ise_ir::Program;
@@ -108,9 +109,10 @@ pub struct Fig11Config {
     /// Fan the per-block identification out across threads. The rows are identical
     /// either way; this only trades wall-clock for cores.
     pub parallel: bool,
-    /// Force the reference per-pair searches instead of the memoised cut-pool sweep.
-    /// The rows are **byte-identical** either way (`sweep_gate` asserts it in CI);
-    /// direct mode exists as the trusted baseline and for effort comparisons.
+    /// Force the reference per-pair searches instead of the memoised cut-pool sweep
+    /// (the planner runs with [`DriverOptions::cut_pool`] off). The rows are
+    /// **byte-identical** either way (`sweep_gate` asserts it in CI); direct mode
+    /// exists as the trusted baseline and for effort comparisons.
     pub direct: bool,
 }
 
@@ -145,58 +147,6 @@ impl Fig11Config {
     }
 }
 
-/// Runs one algorithm on one benchmark under one constraint pair and returns the
-/// resulting selection.
-#[must_use]
-pub fn select(
-    program: &Program,
-    algorithm: Algorithm,
-    constraints: Constraints,
-    config: &Fig11Config,
-) -> SelectionResult {
-    let model = DefaultCostModel::new();
-    let registry = full_registry();
-    let driver_options = if config.parallel {
-        DriverOptions::new(config.max_instructions)
-    } else {
-        DriverOptions::new(config.max_instructions).sequential()
-    };
-    let run_registry = |name: &str| -> SelectionResult {
-        let identifier: Box<dyn Identifier> = registry
-            .create_configured(name, &config.engine_config())
-            .unwrap_or_else(|e| panic!("{e}"));
-        select_program(
-            program,
-            identifier.as_ref(),
-            constraints,
-            &model,
-            driver_options,
-        )
-    };
-    match algorithm.identifier_name() {
-        Some(name) => run_registry(name),
-        None => {
-            let too_large = config
-                .optimal_block_limit
-                .is_some_and(|limit| program.blocks().iter().any(|b| b.node_count() > limit));
-            if too_large {
-                // Fall back to the iterative heuristic exactly as the paper had to do for
-                // adpcmdecode; the row is still reported under the Optimal label so the
-                // figure keeps the same series.
-                run_registry("single-cut")
-            } else {
-                select_optimal(
-                    program,
-                    constraints,
-                    &model,
-                    config.max_instructions,
-                    config.exploration_budget,
-                )
-            }
-        }
-    }
-}
-
 /// Builds the figure row for one computed selection.
 fn row(
     program: &Program,
@@ -224,24 +174,13 @@ fn row(
     }
 }
 
-/// Runs one algorithm on one benchmark under one constraint pair and returns its row.
-#[must_use]
-pub fn evaluate(
-    program: &Program,
-    algorithm: Algorithm,
-    constraints: Constraints,
-    config: &Fig11Config,
-) -> Fig11Row {
-    let selection = select(program, algorithm, constraints, config);
-    row(program, algorithm, constraints, &selection)
-}
-
 /// Runs one algorithm's whole constraint sweep on one benchmark through a shared
-/// [`SweepPlanner`], so that every `(block, exclusion-state)` is enumerated once under
-/// the loosest constraints and every pair is answered from the memoised pool.
+/// [`SweepPlanner`]. With the cut pool on, every `(block, exclusion-state)` is
+/// enumerated once under the loosest constraints and every pair is answered from the
+/// memoised pool; with it off, every pair runs its own search.
 ///
-/// The results are byte-identical to per-pair [`select`] calls; only the enumeration
-/// work differs (the planner's [`SweepStats`] report the saving).
+/// The results are byte-identical in both modes; only the enumeration work differs
+/// (the planner's [`SweepStats`] report it).
 fn sweep_select(
     program: &Program,
     planner: &mut SweepPlanner<'_>,
@@ -305,7 +244,8 @@ pub fn run_algorithms_with_stats(
     config: &Fig11Config,
 ) -> (Vec<Fig11Row>, SweepStats) {
     let model = DefaultCostModel::new();
-    let mut driver_options = DriverOptions::new(config.max_instructions);
+    let mut driver_options =
+        DriverOptions::new(config.max_instructions).with_cut_pool(!config.direct);
     if !config.parallel {
         driver_options = driver_options.sequential();
     }
@@ -318,25 +258,9 @@ pub fn run_algorithms_with_stats(
             .with_exploration_budget(config.exploration_budget);
         let selections: Vec<Vec<SelectionResult>> = algorithms
             .iter()
-            .map(|&algorithm| {
-                if config.direct {
-                    let per_pair: Vec<SelectionResult> = config
-                        .constraints
-                        .iter()
-                        .map(|&constraints| select(program, algorithm, constraints, config))
-                        .collect();
-                    let calls: u64 = per_pair.iter().map(|s| s.identifier_calls).sum();
-                    stats.logical_identifier_calls += calls;
-                    stats.direct_calls += calls;
-                    per_pair
-                } else {
-                    sweep_select(program, &mut planner, algorithm, config)
-                }
-            })
+            .map(|&algorithm| sweep_select(program, &mut planner, algorithm, config))
             .collect();
-        if !config.direct {
-            stats.merge(&planner.stats());
-        }
+        stats.merge(&planner.stats());
         for (pair_index, &constraints) in config.constraints.iter().enumerate() {
             for (algorithm_index, &algorithm) in algorithms.iter().enumerate() {
                 rows.push(row(
@@ -456,10 +380,10 @@ mod tests {
             max_instructions: 8,
             ..Fig11Config::default()
         };
-        let program = gsm::program();
+        let rows = run_algorithms(&[gsm::program()], &[Algorithm::Iterative], &config);
+        assert_eq!(rows.len(), 3);
         let mut last = 0.0;
-        for &constraints in &config.constraints {
-            let row = evaluate(&program, Algorithm::Iterative, constraints, &config);
+        for row in &rows {
             assert!(row.speedup + 1e-9 >= last);
             last = row.speedup;
         }
@@ -467,17 +391,16 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_rows_are_identical() {
-        let parallel = Fig11Config::quick();
-        let sequential = Fig11Config {
-            parallel: false,
+        let parallel = Fig11Config {
+            constraints: vec![Constraints::new(4, 2)],
             ..Fig11Config::quick()
         };
-        let program = gsm::program();
-        for algorithm in Algorithm::all() {
-            let a = evaluate(&program, algorithm, Constraints::new(4, 2), &parallel);
-            let b = evaluate(&program, algorithm, Constraints::new(4, 2), &sequential);
-            assert_eq!(a, b, "{}", algorithm.name());
-        }
+        let sequential = Fig11Config {
+            parallel: false,
+            ..parallel.clone()
+        };
+        let programs = [gsm::program()];
+        assert_eq!(run(&programs, &parallel), run(&programs, &sequential));
     }
 
     #[test]
@@ -509,22 +432,20 @@ mod tests {
 
     #[test]
     fn named_algorithms_run_through_the_registry() {
-        let config = Fig11Config::quick();
-        let program = gsm::program();
-        let row = evaluate(
-            &program,
-            Algorithm::Named("single-node"),
-            Constraints::new(4, 2),
+        let config = Fig11Config {
+            constraints: vec![Constraints::new(4, 2)],
+            ..Fig11Config::quick()
+        };
+        let rows = run_algorithms(
+            &[gsm::program()],
+            &[Algorithm::Named("single-node"), Algorithm::Iterative],
             &config,
         );
+        let [row, exact] = &rows[..] else {
+            panic!("one row per algorithm: {rows:?}")
+        };
         assert_eq!(row.algorithm, "single-node");
         // The trivial per-node baseline never beats the exact search.
-        let exact = evaluate(
-            &program,
-            Algorithm::Iterative,
-            Constraints::new(4, 2),
-            &config,
-        );
         assert!(exact.speedup + 1e-9 >= row.speedup);
     }
 }

@@ -1,24 +1,22 @@
 //! Intra-block scaling experiment: wall-clock of the exact search, sequential versus
-//! subtree-parallel, on wide single blocks — against the hook-free reference walk.
+//! subtree-parallel, on wide single blocks.
 //!
 //! The paper's Fig. 8 axis — one large basic block — is exactly the case the program
 //! driver's per-block fan-out cannot parallelise, and the case the
 //! [`SearchKernel`](ise_core::kernel::SearchKernel)'s subtree decomposition exists for.
 //! This experiment measures it: for a sweep of wide synthetic blocks (including the
-//! `widedag` shape of the program-level benches) each repetition alternates four runs —
-//! the reference search (the same cut state and kernel walk with the search hook off,
-//! see `ise_core::kernel::reference`), the production search sequentially, the
-//! production search with the top decision-tree levels fanned out, and the sequential
-//! opt-in incumbent-bound search. It checks that all of them return the **same
-//! selection** (the parallel twin and the reference must match the sequential search
-//! on cuts *and* statistics; the incumbent variant on the selected cut), and reports
-//! the median wall-clock over the repetitions, raw throughput (cuts considered per
-//! second), *equivalent* throughput (the reference walk's cut count over each
-//! variant's wall-clock — the honest apples-to-apples rate when the incumbent variant
-//! prunes the tree smaller), and the machine-readable `pruning_breakdown` of the
-//! default walk. The report also records the CPU count, the repeat count
-//! and the git revision. The rows serialise to `BENCH_search.json`; the `scaling`
-//! binary fails loudly if any equality gate breaks.
+//! `widedag` shape of the program-level benches) each repetition alternates three timed
+//! runs — the production search sequentially, the production search with the top
+//! decision-tree levels fanned out, and the sequential opt-in incumbent-bound search.
+//! One untimed run of the reference search (the same cut state and kernel walk with the
+//! search hook off, see `ise_core::kernel::reference`) gates each row. Every variant
+//! must return the **same selection** (the parallel twin and the reference match the
+//! sequential search on cuts *and* statistics; the incumbent variant on the selected
+//! cut). The report gives the median wall-clock over the repetitions, throughput (cuts
+//! considered per second) and the machine-readable `pruning_breakdown` of the default
+//! walk, and records the CPU count, the repeat count and the git revision. The rows
+//! serialise to `BENCH_search.json`; the `scaling` binary fails loudly if any equality
+//! gate breaks.
 //!
 //! Every row runs at an unbounded `Nin`, as Fig. 8 does, where the input floor cannot
 //! prune and the counts are the paper's — except the last: the `widedag` block again
@@ -132,11 +130,6 @@ pub struct ScalingRow {
     /// Cuts considered by the production search (identical in the sequential and
     /// parallel runs by construction).
     pub cuts_considered: u64,
-    /// Cuts considered by the reference search (equal to `cuts_considered`) — the
-    /// denominator of the equivalent-throughput figures.
-    pub reference_cuts_considered: u64,
-    /// Median wall-clock of the reference search over the repetitions, milliseconds.
-    pub reference_ms: f64,
     /// Median wall-clock of the sequential search over the repetitions, milliseconds.
     pub sequential_ms: f64,
     /// Median wall-clock of the subtree-parallel search over the repetitions,
@@ -147,24 +140,10 @@ pub struct ScalingRow {
     /// Cuts considered by the incumbent-bound search (order-dependent, typically far
     /// fewer than the default walk).
     pub incumbent_cuts_considered: u64,
-    /// Throughput of the reference search, cuts considered per second.
-    pub reference_cuts_per_sec: f64,
     /// Throughput of the sequential search, cuts considered per second.
     pub sequential_cuts_per_sec: f64,
     /// Throughput of the parallel search, cuts considered per second.
     pub parallel_cuts_per_sec: f64,
-    /// *Equivalent* throughput of the sequential search: the reference walk's cut
-    /// count over the sequential wall-clock (equal to the raw rate: both walks count
-    /// the same tree).
-    pub equivalent_cuts_per_sec: f64,
-    /// Equivalent throughput of the incumbent-bound search (reference cut count over
-    /// incumbent wall-clock).
-    pub incumbent_equivalent_cuts_per_sec: f64,
-    /// Reference over sequential wall-clock: below 1 when the search hook costs
-    /// time.
-    pub speedup_vs_reference: f64,
-    /// Reference over incumbent-bound wall-clock.
-    pub incumbent_speedup_vs_reference: f64,
     /// Classification of every attempt of the sequential walk.
     pub pruning_breakdown: PruningBreakdown,
     /// Sequential over parallel wall-clock.
@@ -225,10 +204,10 @@ fn ratio(numerator: f64, denominator: f64) -> f64 {
     }
 }
 
-/// Measures one block: the reference baseline, the sequential and parallel searches,
-/// and the incumbent-bound search, alternating within each repetition so first-run
-/// warm-up (allocator, caches) is not credited to any one variant, and reporting the
-/// median wall-clock of each.
+/// Measures one block: the sequential, parallel and incumbent-bound searches,
+/// alternating within each repetition so first-run warm-up (allocator, caches) is not
+/// credited to any one variant, and reporting the median wall-clock of each. One
+/// untimed reference search checks the sequential outcome.
 fn measure_block(
     dfg: &ise_ir::Dfg,
     row_name: &str,
@@ -237,19 +216,13 @@ fn measure_block(
     config: &ScalingConfig,
 ) -> ScalingRow {
     let single_cut = ise_core::engine::SingleCut::new();
-    let mut reference_ms = Vec::new();
     let mut sequential_ms = Vec::new();
     let mut parallel_ms = Vec::new();
     let mut incumbent_ms = Vec::new();
-    let mut reference = None;
     let mut sequential = None;
     let mut parallel = None;
     let mut incumbent = None;
     for _ in 0..config.repeats.max(1) {
-        let start = Instant::now();
-        let outcome = identify_single_cut_reference(dfg, constraints, model);
-        reference_ms.push(start.elapsed().as_secs_f64() * 1_000.0);
-        reference = Some(outcome);
         let (outcome, ms) = timed_identify(&single_cut, dfg, &constraints, model, 0);
         sequential_ms.push(ms);
         sequential = Some(outcome);
@@ -264,11 +237,10 @@ fn measure_block(
         incumbent_ms.push(start.elapsed().as_secs_f64() * 1_000.0);
         incumbent = Some(outcome);
     }
-    let reference = reference.expect("repeats >= 1");
     let sequential = sequential.expect("repeats >= 1");
     let parallel = parallel.expect("repeats >= 1");
     let incumbent = incumbent.expect("repeats >= 1");
-    let reference_ms = crate::median(&reference_ms);
+    let reference = identify_single_cut_reference(dfg, constraints, model);
     let sequential_ms = crate::median(&sequential_ms);
     let parallel_ms = crate::median(&parallel_ms);
     let incumbent_ms = crate::median(&incumbent_ms);
@@ -277,7 +249,6 @@ fn measure_block(
         && sequential.stats == reference.stats
         && incumbent.best == sequential.best;
     let cuts = sequential.stats.cuts_considered;
-    let reference_cuts = reference.stats.cuts_considered;
     ScalingRow {
         block: row_name.to_string(),
         nodes: dfg.node_count(),
@@ -285,19 +256,12 @@ fn measure_block(
         threads: rayon::current_num_threads(),
         split_levels: config.split_levels,
         cuts_considered: cuts,
-        reference_cuts_considered: reference_cuts,
-        reference_ms,
         sequential_ms,
         parallel_ms,
         incumbent_ms,
         incumbent_cuts_considered: incumbent.stats.cuts_considered,
-        reference_cuts_per_sec: cuts_per_sec(reference_cuts, reference_ms),
         sequential_cuts_per_sec: cuts_per_sec(cuts, sequential_ms),
         parallel_cuts_per_sec: cuts_per_sec(parallel.stats.cuts_considered, parallel_ms),
-        equivalent_cuts_per_sec: cuts_per_sec(reference_cuts, sequential_ms),
-        incumbent_equivalent_cuts_per_sec: cuts_per_sec(reference_cuts, incumbent_ms),
-        speedup_vs_reference: ratio(reference_ms, sequential_ms),
-        incumbent_speedup_vs_reference: ratio(reference_ms, incumbent_ms),
         pruning_breakdown: PruningBreakdown::from_stats(&sequential.stats),
         speedup: ratio(sequential_ms, parallel_ms),
         identical,
@@ -306,7 +270,7 @@ fn measure_block(
 }
 
 /// Runs the experiment: one wide block per configured size plus the dedicated
-/// `widedag` row, each measured against the reference baseline (see `measure_block`),
+/// `widedag` row, each checked against the reference search (see `measure_block`),
 /// plus a cross-client identity check driving multicut and the exhaustive oracle
 /// through the same kernel split.
 #[must_use]
@@ -375,24 +339,20 @@ pub fn to_json(report: &ScalingReport) -> String {
 #[must_use]
 pub fn markdown(report: &ScalingReport) -> String {
     let mut out = String::from(
-        "| block | nodes | Nin | cuts | ref ms | seq ms | par ms | inc ms | vs ref \
-         | inc vs ref | speedup | ok |\n\
-         |---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---|\n",
+        "| block | nodes | Nin | cuts | seq ms | par ms | inc ms | speedup | ok |\n\
+         |---|---:|---:|---:|---:|---:|---:|---:|---|\n",
     );
     for r in &report.rows {
         let nin = r.max_inputs.map_or("∞".to_string(), |n| n.to_string());
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {:.1} | {:.1} | {:.1} | {:.1} | {:.2}x | {:.2}x | {:.2}x | {} |\n",
+            "| {} | {} | {} | {} | {:.1} | {:.1} | {:.1} | {:.2}x | {} |\n",
             r.block,
             r.nodes,
             nin,
             r.cuts_considered,
-            r.reference_ms,
             r.sequential_ms,
             r.parallel_ms,
             r.incumbent_ms,
-            r.speedup_vs_reference,
-            r.incumbent_speedup_vs_reference,
             r.speedup,
             r.identical && r.matches_reference
         ));
@@ -428,7 +388,6 @@ mod tests {
             assert!(row.identical, "{row:?}");
             assert!(row.matches_reference, "{row:?}");
             assert!(row.cuts_considered > 0);
-            assert_eq!(row.reference_cuts_considered, row.cuts_considered);
             assert!(row.sequential_ms >= 0.0);
             // The breakdown partitions the attempts of the sequential walk.
             let b = &row.pruning_breakdown;
@@ -456,16 +415,11 @@ mod tests {
             "\"repeats\"",
             "\"git_revision\"",
             "\"cuts_considered\"",
-            "\"reference_cuts_considered\"",
-            "\"reference_ms\"",
             "\"sequential_ms\"",
             "\"parallel_ms\"",
             "\"incumbent_ms\"",
             "\"sequential_cuts_per_sec\"",
             "\"parallel_cuts_per_sec\"",
-            "\"equivalent_cuts_per_sec\"",
-            "\"incumbent_equivalent_cuts_per_sec\"",
-            "\"speedup_vs_reference\"",
             "\"pruning_breakdown\"",
             "\"matches_reference\"",
             "\"speedup\"",
@@ -473,6 +427,9 @@ mod tests {
             "\"widedag\"",
         ] {
             assert!(json.contains(field), "missing {field} in {json}");
+        }
+        for field in ["reference_", "equivalent_"] {
+            assert!(!json.contains(field), "stale {field} field in {json}");
         }
         let md = markdown(&report);
         assert!(md.lines().count() >= 5);

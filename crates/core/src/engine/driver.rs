@@ -17,10 +17,8 @@
 //!   and commit them greedily by dynamic saving — the cross-block strategy the paper
 //!   applies to the prior-art techniques.
 
-use std::collections::HashMap;
-
 use ise_hw::CostModel;
-use ise_ir::{NodeId, Program};
+use ise_ir::Program;
 use rayon::prelude::*;
 
 use crate::constraints::Constraints;
@@ -55,7 +53,8 @@ use super::Identifier;
 /// across programs.
 ///
 /// On the wire, the fields added after the first format are optional and default to
-/// the behaviour older request files were written against.
+/// the behaviour older request files were written against. Retired keys
+/// (`intra_block_levels`, `block_dedup`) are skipped like any unknown key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct DriverOptions {
     /// Maximum number of special instructions to select (`Ninstr`).
@@ -73,17 +72,9 @@ pub struct DriverOptions {
     /// the reference per-pair path (the CLI and benchmarks expose this as `--direct`).
     #[serde(default = "enabled")]
     pub cut_pool: bool,
-    /// Identify identical blocks once per round: blocks of one program whose stored
-    /// representation and exclusion state are byte-equal (unrolled loop bodies,
-    /// copy-pasted kernels) provably get byte-equal outcomes from any deterministic
-    /// identifier, so [`identify_blocks`] runs the search on the first of each group
-    /// and copies the outcome to the rest. Reported results and statistics are
-    /// unchanged; only wall-clock drops. On by default.
-    #[serde(default = "enabled")]
-    pub block_dedup: bool,
 }
 
-/// The wire default of `cut_pool` and `block_dedup`.
+/// The wire default of `cut_pool`.
 fn enabled() -> bool {
     true
 }
@@ -104,7 +95,6 @@ impl DriverOptions {
             max_instructions,
             parallel: true,
             cut_pool: true,
-            block_dedup: true,
         }
     }
 
@@ -116,11 +106,11 @@ impl DriverOptions {
         self
     }
 
-    /// Enables or disables identical-block deduplication inside [`identify_blocks`]
-    /// (see the field documentation; results are identical either way).
-    #[must_use]
-    pub fn with_block_dedup(mut self, block_dedup: bool) -> Self {
-        self.block_dedup = block_dedup;
+    /// Does nothing: the identical-block memo this switched is gone. Blocks repeated
+    /// within one program are isomorphic rather than byte-identical, and the corpus
+    /// driver already shares isomorphic blocks. Kept so that existing callers build;
+    /// the retired `block_dedup` wire key is skipped like any unknown key.
+    pub fn with_block_dedup(self, _block_dedup: bool) -> Self {
         self
     }
 
@@ -133,13 +123,9 @@ impl DriverOptions {
 }
 
 /// Runs `identifier` once on each listed block (`(block_index, exclusions)` pairs) and
-/// returns the outcomes in the same order. With `options.parallel` set the per-block
-/// runs are fanned out with `rayon`; with `options.block_dedup` set, work items whose
-/// block structure (in stored node order) and exclusion state are byte-equal run the
-/// search once and share the outcome. The returned outcomes are unaffected by both
-/// knobs.
-#[must_use]
-pub fn identify_blocks(
+/// returns the outcomes in the same order, fanned out with `rayon` when
+/// `options.parallel` is set.
+fn identify_blocks(
     program: &Program,
     identifier: &dyn Identifier,
     work: &[(usize, Option<&CutSet>)],
@@ -150,40 +136,6 @@ pub fn identify_blocks(
     let run = |&(block_index, excluded): &(usize, Option<&CutSet>)| {
         identifier.identify_excluding(program.block(block_index), excluded, &constraints, model)
     };
-    if options.block_dedup && work.len() > 1 {
-        // Group work items by the identity serialisation of their block plus the
-        // exclusion set. Equal keys mean the blocks are node-for-node identical (same
-        // opcodes, operands, flags, in the same stored order), so any deterministic
-        // identifier provably returns byte-equal outcomes — run the first of each
-        // group and copy its outcome to the rest.
-        let mut first_of: HashMap<(Vec<u8>, Vec<NodeId>), usize> = HashMap::new();
-        let mut source: Vec<usize> = Vec::with_capacity(work.len());
-        for (slot, &(block_index, excluded)) in work.iter().enumerate() {
-            let key = (
-                crate::structural::raw_key(program.block(block_index)),
-                excluded.map(|cut| cut.iter().collect()).unwrap_or_default(),
-            );
-            source.push(*first_of.entry(key).or_insert(slot));
-        }
-        let rep_slots: Vec<usize> = (0..work.len())
-            .filter(|&slot| source[slot] == slot)
-            .collect();
-        if rep_slots.len() < work.len() {
-            let rep_work: Vec<(usize, Option<&CutSet>)> =
-                rep_slots.iter().map(|&slot| work[slot]).collect();
-            let rep_outcomes: Vec<SearchOutcome> = if options.parallel && rep_work.len() > 1 {
-                rep_work.par_iter().map(run).collect()
-            } else {
-                rep_work.iter().map(run).collect()
-            };
-            let outcome_of: HashMap<usize, &SearchOutcome> = rep_slots
-                .iter()
-                .zip(rep_outcomes.iter())
-                .map(|(&slot, outcome)| (slot, outcome))
-                .collect();
-            return source.iter().map(|rep| outcome_of[rep].clone()).collect();
-        }
-    }
     if options.parallel && work.len() > 1 {
         work.par_iter().map(run).collect()
     } else {
@@ -193,8 +145,7 @@ pub fn identify_blocks(
 
 /// Identifies candidate instructions on every block of `program` (no exclusions) and
 /// returns one outcome per block, in block order.
-#[must_use]
-pub fn identify_program(
+fn identify_program(
     program: &Program,
     identifier: &dyn Identifier,
     constraints: Constraints,
@@ -541,13 +492,9 @@ mod tests {
         // The hot MAC block has a profitable cut; the cold logic block does not.
         assert!(outcomes[0].best.is_some());
         assert!(outcomes[2].best.is_none());
-    }
 
-    #[test]
-    fn identical_blocks_share_one_search_without_changing_results() {
-        // A program of repeated copies of the same block (an unrolled loop): the
-        // deduplicated driver must return outcomes byte-identical to the reference
-        // per-block path, statistics included.
+        // Four copies of one block (an unrolled loop) get four equal outcomes, and
+        // selection across them commits one cut in each.
         let mut p = Program::new("unrolled");
         for i in 0..4 {
             let mut b = DfgBuilder::new(format!("body_{i}"));
@@ -560,73 +507,42 @@ mod tests {
             b.output("acc", s);
             p.add_block(b.finish());
         }
-        let model = DefaultCostModel::new();
         let constraints = Constraints::new(4, 2);
-        let deduped = identify_program(
-            &p,
-            &SingleCut::new(),
-            constraints,
-            &model,
-            DriverOptions::default().sequential(),
-        );
-        let reference = identify_program(
-            &p,
-            &SingleCut::new(),
-            constraints,
-            &model,
-            DriverOptions::default()
-                .sequential()
-                .with_block_dedup(false),
-        );
-        assert_eq!(deduped, reference);
-        assert!(deduped.iter().all(|o| o == &deduped[0]));
-
-        // Selection across the duplicates also matches the reference end to end.
-        let fast = select_program(
-            &p,
-            &SingleCut::new(),
-            constraints,
-            &model,
-            DriverOptions::new(4).sequential(),
-        );
-        let slow = select_program(
-            &p,
-            &SingleCut::new(),
-            constraints,
-            &model,
-            DriverOptions::new(4).sequential().with_block_dedup(false),
-        );
-        assert_eq!(fast, slow);
-        assert_eq!(fast.chosen.len(), 4);
+        let options = DriverOptions::new(4).sequential();
+        let outcomes = identify_program(&p, &SingleCut::new(), constraints, &model, options);
+        assert_eq!(outcomes.len(), 4);
+        assert!(outcomes.iter().all(|o| o == &outcomes[0]));
+        let result = select_program(&p, &SingleCut::new(), constraints, &model, options);
+        assert_eq!(result.chosen.len(), 4);
     }
 
     #[test]
     fn options_deserialise_from_the_pre_split_wire_format() {
-        // The first wire format (no `cut_pool`, no `block_dedup`) keeps parsing,
-        // defaulting to the pool-backed sweep and deduplicated identical blocks
-        // (neither changes a result).
+        // The first wire format (no `cut_pool`) keeps parsing, defaulting to the
+        // pool-backed sweep (which changes no result).
         let old = r#"{"max_instructions": 4, "parallel": true}"#;
         let options: DriverOptions = serde::json::from_str(old).expect("old wire format");
         assert_eq!(options, DriverOptions::new(4));
 
-        // Formats that carried the retired `intra_block_levels` split keep parsing:
-        // the key is ignored like any unknown key.
+        // Formats that carried the retired `intra_block_levels` split or the retired
+        // `block_dedup` memo keep parsing: those keys are ignored like any unknown key.
         let split = r#"{"max_instructions": 4, "parallel": true, "intra_block_levels": 3}"#;
         let options: DriverOptions = serde::json::from_str(split).expect("split wire format");
         assert_eq!(options, DriverOptions::new(4));
         let split = r#"{"max_instructions": 4, "parallel": true, "intra_block_levels": 3, "cut_pool": false}"#;
         let options: DriverOptions = serde::json::from_str(split).expect("split wire format");
         assert_eq!(options, DriverOptions::new(4).with_cut_pool(false));
+        for dedup in ["true", "false"] {
+            let memo = format!(
+                r#"{{"max_instructions": 4, "parallel": true, "cut_pool": false, "block_dedup": {dedup}}}"#
+            );
+            let options: DriverOptions = serde::json::from_str(&memo).expect("memo wire format");
+            assert_eq!(options, DriverOptions::new(4).with_cut_pool(false));
+        }
 
-        let new =
-            r#"{"max_instructions": 4, "parallel": true, "cut_pool": false, "block_dedup": false}"#;
+        let new = r#"{"max_instructions": 4, "parallel": true, "cut_pool": false}"#;
         let options: DriverOptions = serde::json::from_str(new).expect("current wire format");
-        assert_eq!(
-            options,
-            DriverOptions::new(4)
-                .with_cut_pool(false)
-                .with_block_dedup(false)
-        );
+        assert_eq!(options, DriverOptions::new(4).with_cut_pool(false));
         // The current format round-trips byte-identically.
         assert_eq!(
             serde::json::to_string(&options),

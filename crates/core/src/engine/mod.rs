@@ -36,7 +36,7 @@ pub use corpus::{
     run_corpus, run_corpus_streaming_warm, run_corpus_warm, CorpusOptions, CorpusOutcome,
     CorpusPool, CorpusStats,
 };
-pub use driver::{identify_blocks, select_program, DriverOptions};
+pub use driver::{select_program, DriverOptions};
 pub use registry::IdentifierConfig;
 pub use sweep::{sweep_program, SweepPlanner, SweepStats};
 pub use templates::{

@@ -35,7 +35,7 @@
 //!
 //! The [`mod@reference`] submodule keeps a second single-cut walk over the same state,
 //! written without the `SearchHook` layer: the property suite checks the default search
-//! equals it field for field, and the scaling bench uses it as its baseline row.
+//! equals it field for field, and the scaling bench checks every row against it.
 //!
 //! # The per-edge state
 //!

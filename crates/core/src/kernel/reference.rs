@@ -1,4 +1,4 @@
-//! The single-cut search as a second, hook-free walk, kept as a baseline.
+//! The single-cut search as a second, hook-free walk, kept as a cross-check.
 //!
 //! [`identify_single_cut_reference`] walks the paper's binary tree over the same
 //! [`IncrementalCutState`] as the production search, sequentially and without the
@@ -9,8 +9,9 @@
 //! * **specification** — the property suite (`tests/cut_state.rs`) checks that the
 //!   default search, sequential and split, returns this walk's cut and every one of
 //!   its [`SearchStats`] fields;
-//! * **baseline** — it is the "reference" row of the scaling bench, so the cost of the
-//!   search hook is measured against the walk without it.
+//! * **cross-check** — the `scaling` bench gates every row on it (`matches_reference`,
+//!   untimed), and perfbench's `search-exact` workload checks its smallest blocks
+//!   against it.
 
 use ise_hw::CostModel;
 use ise_ir::Dfg;

@@ -74,7 +74,7 @@ pub mod structural;
 pub use constraints::Constraints;
 pub use cut::{CutEvaluation, CutSet};
 pub use engine::{
-    extract_templates, identify_blocks, run_corpus, run_corpus_streaming_warm, run_corpus_warm,
+    extract_templates, run_corpus, run_corpus_streaming_warm, run_corpus_warm,
     run_template_selection, select_program, select_templates, select_templates_budgeted,
     select_templates_exhaustive, sweep_program, BudgetGroup, CorpusOptions, CorpusOutcome,
     CorpusPool, CorpusStats, DriverOptions, Identifier, IdentifierConfig, ProgramOutcome, SiteRef,

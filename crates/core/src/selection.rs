@@ -165,7 +165,9 @@ pub(crate) fn select_optimal_core(
         best_cuts[block_index].push(cuts);
     }
 
-    while result.chosen.len() < max_instructions {
+    // Each step commits one more cut to the block with the largest improvement.
+    let mut steps = 0;
+    while steps < max_instructions {
         // The improvement of adding the (committed+1)-th cut to each block.
         let best_block = (0..block_count).max_by(|&a, &b| {
             let ia = best_total[a][committed[a] + 1] - best_total[a][committed[a]];
@@ -179,18 +181,8 @@ pub(crate) fn select_optimal_core(
             break;
         }
         committed[block_index] += 1;
-        result.total_weighted_saving += improvement;
-        result.chosen.push(ChosenCut {
-            block_index,
-            // The concrete cut attributed to this step is refined below once the final
-            // per-block counts are known; store the best current solution's extra cut.
-            identified: best_cuts[block_index][committed[block_index]]
-                .last()
-                .cloned()
-                .unwrap_or_else(|| best_cuts[block_index][committed[block_index]][0].clone()),
-        });
-
-        if result.chosen.len() >= max_instructions {
+        steps += 1;
+        if steps >= max_instructions {
             break;
         }
         // Refresh the improvement of the chosen block by solving it with one more cut.
@@ -202,7 +194,7 @@ pub(crate) fn select_optimal_core(
         }
     }
 
-    // Replace the per-step attributions by the final optimal per-block solutions, which
+    // The selection is each block's optimal solution at its committed cut count, which
     // is what the total saving corresponds to.
     let mut chosen = Vec::new();
     let mut total = 0.0;

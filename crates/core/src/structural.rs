@@ -28,11 +28,6 @@
 //! enter the search. Cost-model outputs are not serialized either: a memo keyed by a
 //! [`StructuralKey`] is valid for one fixed cost model, which is how the corpus engine
 //! uses it (one model per corpus run).
-//!
-//! [`raw_key`] serializes the block in *insertion* order instead. Two blocks of the
-//! same program with equal raw keys are identical as stored (same indices, same
-//! everything the search reads), so answers can be copied between them without any
-//! translation — the cheap intra-program dedup the driver applies before the search.
 
 use ise_ir::canon::{self, Certificates};
 use ise_ir::{Dfg, NodeId, Operand};
@@ -128,7 +123,7 @@ impl StructuralForm {
         for (position, &port) in port_order.iter().enumerate() {
             port_to_canon[port] = position as u32;
         }
-        let bytes = serialize(dfg, |id| node_to_canon[id.index()], |p| port_to_canon[p]);
+        let bytes = serialize(dfg, &canon_to_node, &node_to_canon, &port_to_canon);
         StructuralForm {
             key: StructuralKey {
                 hash: hash_bytes(&bytes),
@@ -182,32 +177,19 @@ impl StructuralForm {
     }
 }
 
-/// Serializes `dfg` in insertion order with identity numbering.
-///
-/// Equal raw keys identify blocks that are *identical as stored* — same node indices,
-/// same operands, same flags — so identification answers transfer between them
-/// verbatim, without canonicalization or translation. Used by the program driver to
-/// dedup repeated blocks inside one program.
-#[must_use]
-pub fn raw_key(dfg: &Dfg) -> Vec<u8> {
-    serialize(dfg, |id| id.index() as u32, |p| p as u32)
-}
-
-/// Serializes the search-relevant structure of `dfg`, numbering nodes and input ports
-/// through the supplied maps and emitting nodes in ascending mapped order.
+/// Serializes the search-relevant structure of `dfg` in canonical walk order
+/// (`canon_to_node`), numbering nodes and input ports by their canonical positions.
 fn serialize(
     dfg: &Dfg,
-    node_position: impl Fn(NodeId) -> u32,
-    port_position: impl Fn(usize) -> u32,
+    canon_to_node: &[NodeId],
+    node_to_canon: &[u32],
+    port_to_canon: &[u32],
 ) -> Vec<u8> {
     let n = dfg.node_count();
-    let mut by_position: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-    by_position.sort_unstable_by_key(|&id| node_position(id));
-
     let mut bytes = Vec::with_capacity(16 + n * 16);
     push_u32(&mut bytes, n as u32);
     push_u32(&mut bytes, dfg.input_count() as u32);
-    for id in by_position {
+    for &id in canon_to_node {
         let node = dfg.node(id);
         let opcode = format!("{:?}", node.opcode);
         push_u32(&mut bytes, opcode.len() as u32);
@@ -219,11 +201,11 @@ fn serialize(
             match *operand {
                 Operand::Node(m) => {
                     bytes.push(0);
-                    push_u32(&mut bytes, node_position(m));
+                    push_u32(&mut bytes, node_to_canon[m.index()]);
                 }
                 Operand::Input(port) => {
                     bytes.push(1);
-                    push_u32(&mut bytes, port_position(port.index()));
+                    push_u32(&mut bytes, port_to_canon[port.index()]);
                 }
                 Operand::Imm(v) => {
                     bytes.push(2);
@@ -332,15 +314,6 @@ mod tests {
             // Round-trip within one block is the identity.
             assert_eq!(f0.cut_from_canonical(&g0, &positions), cut);
         }
-    }
-
-    #[test]
-    fn raw_keys_detect_identical_blocks_only() {
-        let g0 = chain(false);
-        let g1 = chain(true);
-        // Isomorphic but differently inserted: raw keys differ, canonical keys match.
-        assert_ne!(raw_key(&g0), raw_key(&g1));
-        assert_eq!(raw_key(&g0), raw_key(&chain(false)));
     }
 
     #[test]
